@@ -8,7 +8,12 @@ the artifact records the shape of the trajectory, not absolute truth.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf_trajectory.py [--pr N] [--repeat K]
+    PYTHONPATH=src python benchmarks/perf_trajectory.py --pr N [--label L] [--repeat K]
+
+Every row carries ``--label`` (default ``change``).  A run replaces the
+rows of its own label in ``BENCH_<pr>.json`` and keeps the others, so
+running it once with ``PYTHONPATH`` at the parent commit's ``src`` and
+``--label parent`` and once at the change puts both sides in one file.
 """
 
 from __future__ import annotations
@@ -183,6 +188,48 @@ def bench_ac_sweep_sparse(repeat: int) -> dict:
     return _ac_sweep_case(AC_SPARSE_STAGES, repeat, "ac_sweep_sparse_compiled")
 
 
+def bench_ballistic_grid_fill(repeat: int) -> dict:
+    from repro.devices.cntfet import CNTFET
+
+    device = CNTFET.reference_device()
+    vgs = np.linspace(-0.2, 1.2, 29)
+    vds = np.linspace(0.0, 1.2, 25)
+    seconds = _timed(lambda: device.grid_currents(vgs, vds), repeat)
+    return {
+        "case": "ballistic_grid_fill",
+        "detail": "29x25 CNTFET grid_currents (one fabric table fill)",
+        "seconds": seconds,
+    }
+
+
+def bench_contact_transfer_curve(repeat: int) -> dict:
+    from conftest import fig5_contact_transfer_case
+    from repro.devices.base import transfer_curve
+
+    device, vgs, vds = fig5_contact_transfer_case()
+    seconds = _timed(lambda: transfer_curve(device, vgs, vds), repeat)
+    return {
+        "case": "contact_transfer_curve",
+        "detail": "105-point SeriesResistanceFET transfer curve (fig5 device, 20 nm contacts)",
+        "seconds": seconds,
+    }
+
+
+def bench_btbt_transfer_curve(repeat: int) -> dict:
+    from repro.devices.tfet import CNTTunnelFET
+    from repro.experiments.fig6 import REVERSE_BIAS_V
+    from repro.physics.cnt import chirality_for_gap
+
+    device = CNTTunnelFET(chirality_for_gap(0.56))
+    v_gate = np.linspace(-2.0, 1.0, 201)
+    seconds = _timed(lambda: device.transfer_curve(v_gate, REVERSE_BIAS_V), repeat)
+    return {
+        "case": "btbt_transfer_curve",
+        "detail": "201-point CNT tunnel-FET reverse transfer curve (fig6)",
+        "seconds": seconds,
+    }
+
+
 def bench_contract_lint(repeat: int) -> dict:
     from repro.lint import run_lint
 
@@ -199,12 +246,13 @@ def bench_contract_lint(repeat: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pr", type=int, default=10, help="PR number for the artifact name")
+    parser.add_argument("--pr", type=int, required=True, help="PR number for the artifact name")
+    parser.add_argument("--label", default="change", help="tag of this run's rows (e.g. parent)")
     parser.add_argument("--repeat", type=int, default=3, help="best-of repetitions")
     args = parser.parse_args(argv)
 
     results = [
-        bench(args.repeat)
+        {"label": args.label, **bench(args.repeat)}
         for bench in (
             bench_chain_mc,
             bench_array_sampling,
@@ -212,21 +260,31 @@ def main(argv: list[str] | None = None) -> int:
             bench_sparse_mc,
             bench_ac_sweep_dense,
             bench_ac_sweep_sparse,
+            bench_ballistic_grid_fill,
+            bench_contact_transfer_curve,
+            bench_btbt_transfer_curve,
             bench_contract_lint,
         )
     ]
+    target = REPO_ROOT / f"BENCH_{args.pr}.json"
+    kept = []
+    if target.exists():
+        kept = [
+            row
+            for row in json.loads(target.read_text())["results"]
+            if row.get("label") != args.label
+        ]
     payload = {
         "pr": args.pr,
         "seed": SEED,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "results": results,
+        "results": kept + results,
     }
 
     from repro.circuit.resilience import atomic_write_text
 
-    target = REPO_ROOT / f"BENCH_{args.pr}.json"
     atomic_write_text(target, json.dumps(payload, indent=1) + "\n")
     for row in results:
         print(f"{row['case']:28s} {row['seconds'] * 1e3:10.2f} ms  ({row['detail']})")

@@ -17,12 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+import numpy as np
 
 from repro.devices.base import FETModel, OperatingBox
 from repro.physics.constants import CNT_QUANTUM_RESISTANCE_OHM
 
 __all__ = ["SeriesResistanceFET", "ContactModel"]
+
+# Stopping rule of the contact solve (scipy's brentq rule): a point is
+# done once its bracket is narrower than _XTOL_A + _RTOL * |I|.
+_XTOL_A = 1e-18
+_RTOL = 1e-12
+_MAX_ITERATIONS = 200
 
 
 class SeriesResistanceFET(FETModel):
@@ -33,13 +39,15 @@ class SeriesResistanceFET(FETModel):
 
         I = inner.current(vgs - I R_s, vds - I (R_s + R_d)),
 
-    which has a unique solution for monotone devices and is solved with a
-    bracketed root finder (robust against the steep exponential
-    subthreshold region where Newton overshoots).
+    which has a unique solution for monotone devices.  A vectorised
+    Illinois (modified regula-falsi) solve on [0, I_intrinsic] finds it for
+    whole bias arrays, one batched ``inner.currents`` call per step; the
+    bracket keeps it robust in the steep exponential subthreshold region
+    where Newton overshoots.  Scalar :meth:`current` is the one-point case.
     """
 
-    # Scalar evaluation is a bracketed root find around the inner
-    # device: keep small FET groups on the batched linearize path.
+    # Every evaluation is an iterative solve around the inner device:
+    # keep small FET groups on the batched linearize path.
     prefer_batched_points = True
 
     def __init__(self, inner: FETModel, r_source_ohm: float, r_drain_ohm: float):
@@ -82,22 +90,48 @@ class SeriesResistanceFET(FETModel):
             # Terminal exchange also swaps which resistor plays "source".
             mirrored = SeriesResistanceFET(self.inner, self.r_drain_ohm, self.r_source_ohm)
             return -mirrored.current(vgs - vds, -vds)
-        if self.total_resistance_ohm == 0.0:
-            return self.inner.current(vgs, vds)
+        row = self._forward_currents(np.array([vgs], dtype=float), np.array([vds], dtype=float))
+        return float(row[0])
 
-        def residual(current: float) -> float:
-            internal_vgs = vgs - current * self.r_source_ohm
-            internal_vds = vds - current * self.total_resistance_ohm
-            return self.inner.current(internal_vgs, internal_vds) - current
+    def _forward_currents(self, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
+        """Elementwise self-consistent currents on the vds >= 0 quadrant."""
+        intrinsic = np.asarray(self.inner.currents(vgs, vds), dtype=float)
+        flat_vgs, flat_vds = np.ravel(vgs), np.ravel(vds)
+        out = intrinsic.ravel().copy()
 
-        upper = self.inner.current(vgs, vds)
-        if upper <= 0.0:
-            return upper
-        # residual(0) = I_intrinsic >= 0 and residual(upper) <= 0 because
-        # degrading both internal biases can only lower the current.
-        if residual(upper) >= 0.0:
-            return upper
-        return float(brentq(residual, 0.0, upper, xtol=1e-18, rtol=1e-12))
+        def residual(current: np.ndarray, index: np.ndarray) -> np.ndarray:
+            internal_vgs = flat_vgs[index] - current * self.r_source_ohm
+            internal_vds = flat_vds[index] - current * self.total_resistance_ohm
+            return self.inner.currents(internal_vgs, internal_vds) - current
+
+        # residual(0) = I_intrinsic and residual(I_intrinsic) <= 0, because
+        # degrading both internal biases can only lower the current.  Off
+        # points (I_intrinsic <= 0) and roots at the top end keep I_intrinsic.
+        active = np.flatnonzero(out > 0.0) if self.total_resistance_ohm > 0.0 else np.arange(0)
+        latest, kept, f_kept = out[active], np.zeros(active.size), out[active]
+        f_latest = residual(latest, active) if active.size else latest
+        still_open = f_latest < 0.0
+        # Illinois: each secant point of the bracket becomes the new latest
+        # end.  If its residual changed sign, the old latest end is kept;
+        # otherwise the kept end stays and its residual is halved, so the
+        # bracket shrinks from both sides.
+        for _ in range(_MAX_ITERATIONS):
+            active, latest, f_latest, kept, f_kept = (
+                a[still_open] for a in (active, latest, f_latest, kept, f_kept)
+            )
+            if active.size == 0:
+                break
+            trial = latest - f_latest * (latest - kept) / (f_latest - f_kept)
+            f_trial = residual(trial, active)
+            crossed = (f_trial > 0.0) != (f_latest > 0.0)
+            kept = np.where(crossed, latest, kept)
+            f_kept = np.where(crossed, f_latest, 0.5 * f_kept)
+            latest, f_latest = trial, f_trial
+            out[active] = latest
+            still_open = (f_trial != 0.0) & (
+                np.abs(latest - kept) >= _XTOL_A + _RTOL * np.abs(latest)
+            )
+        return out.reshape(intrinsic.shape)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ __all__ = ["CNTFabricFET", "sample_fabric"]
 
 # Tabulated per-chirality devices are deterministic for a given channel
 # length; cache them across sample_fabric calls so a parameter sweep over
-# many fabrics does not re-run hundreds of Newton solves per tube.
-_TABULATED_CACHE: dict[tuple[int, int, float], FETModel] = {}
+# many fabrics does not re-run hundreds of Newton solves per tube.  The
+# key carries ``tabulate``: a tabulated and a direct device never alias.
+_TABULATED_CACHE: dict[tuple[int, int, float, bool], FETModel] = {}
 
 
 class CNTFabricFET(FETModel):
@@ -173,7 +174,7 @@ def sample_fabric(
     choices = rng.choice(len(semiconducting_pool), size=n_semi, p=weights)
     for index in choices:
         chirality = semiconducting_pool[int(index)]
-        key = (chirality.n, chirality.m, channel_length_nm)
+        key = (chirality.n, chirality.m, channel_length_nm, tabulate)
         if key not in _TABULATED_CACHE:
             device: FETModel = CNTFET(chirality, channel_length_nm=channel_length_nm)
             if tabulate:

@@ -67,6 +67,19 @@ class Subband:
         arg = np.clip(energy_ev**2 - self.edge_ev**2, 0.0, None)
         return np.sqrt(arg) * Q / (HBAR * self.fermi_velocity)
 
+    def energy_kt_on_grids(self, e_top_ev, t_squared: np.ndarray, kt_ev: float) -> np.ndarray:
+        """Dispersion E(k) / kT on the grids k = k(E_top) t, one row per E_top.
+
+        ``t_squared`` holds t^2 for the grid points t in [0, 1].  On such a
+        grid the hyperbolic dispersion reads
+        E^2 = E_edge^2 + (E_top^2 - E_edge^2) t^2, so no wavevector is
+        formed.  The result is a fresh (len(e_top), len(t)) array.
+        """
+        e_top = np.asarray(e_top_ev, dtype=float)
+        energy = ((e_top**2 - self.edge_ev**2) / kt_ev**2)[:, None] * t_squared
+        energy += (self.edge_ev / kt_ev) ** 2
+        return np.sqrt(energy, out=energy)
+
     def velocity_m_per_s(self, energy_ev):
         """Group velocity v(E) = v_F sqrt(1 - (E_edge/E)^2) [m/s]."""
         energy_ev = np.asarray(energy_ev, dtype=float)

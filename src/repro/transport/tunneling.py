@@ -138,13 +138,10 @@ def junction_btbt_transmission(
     dx_m = (x_nm[1] - x_nm[0]) * 1e-9
 
     transmission = np.zeros_like(energy_ev)
-    for i, energy in enumerate(energy_ev):
-        if not lo < energy < hi:
-            continue
-        local = energy - midgap
-        kappa = imaginary_dispersion_per_m(local, profile.gap_ev, fermi_velocity)
-        action = float(np.sum(kappa) * dx_m)
-        transmission[i] = math.exp(-2.0 * action)
+    inside = (lo < energy_ev) & (energy_ev < hi)
+    local = energy_ev[inside, None] - midgap
+    kappa = imaginary_dispersion_per_m(local, profile.gap_ev, fermi_velocity)
+    transmission[inside] = np.exp(-2.0 * (np.sum(kappa, axis=1) * dx_m))
     if transmission.size == 1:
         return float(transmission[0])
     return transmission

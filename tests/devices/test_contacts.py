@@ -4,15 +4,82 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from contact_oracle import brentq_current
 from repro.analysis.iv import saturation_index
+from repro.devices.base import PType
 from repro.devices.contacts import ContactModel, SeriesResistanceFET
 from repro.devices.empirical import AlphaPowerFET
 from repro.physics.constants import CNT_QUANTUM_RESISTANCE_OHM
 
 
+def assert_matches_oracle(device, vgs, vds) -> None:
+    """Batched ``currents`` and scalar ``current`` agree with the oracle.
+
+    Both solves stop on brentq's rule, so below the absolute ``xtol`` of
+    1e-18 A only agreement to that ``xtol`` is meaningful.
+    """
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
+    expected = np.array([brentq_current(device, g, d) for g, d in zip(vgs, vds)])
+    scalar = np.array([device.current(g, d) for g, d in zip(vgs, vds)])
+    np.testing.assert_allclose(device.currents(vgs, vds), expected, rtol=1e-9, atol=1e-18)
+    np.testing.assert_allclose(scalar, expected, rtol=1e-9, atol=1e-18)
+
+
+_resistance = st.one_of(st.just(0.0), st.floats(0.0, 100e3))
+_biases = st.lists(
+    st.tuples(st.floats(-0.3, 1.2), st.floats(-1.0, 1.0)), min_size=1, max_size=8
+)
+
+
 @pytest.fixture
 def inner():
     return AlphaPowerFET()
+
+
+class TestAgainstBrentqOracle:
+    @given(_biases, _resistance, _resistance)
+    @settings(max_examples=60, deadline=None)
+    def test_alpha_power_inner(self, biases, r_source, r_drain):
+        device = SeriesResistanceFET(AlphaPowerFET(), r_source, r_drain)
+        vgs, vds = zip(*biases)
+        assert_matches_oracle(device, vgs, vds)
+
+    @given(_biases, _resistance, _resistance)
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_cntfet_inner(self, reference_cntfet, biases, r_source, r_drain):
+        device = SeriesResistanceFET(reference_cntfet, r_source, r_drain)
+        vgs, vds = zip(*biases)
+        assert_matches_oracle(device, vgs, vds)
+
+    @pytest.mark.parametrize("r_source, r_drain", [(50e3, 50e3), (10e3, 90e3), (0.0, 0.0)])
+    def test_transfer_and_output_families(self, reference_cntfet, r_source, r_drain):
+        device = SeriesResistanceFET(reference_cntfet, r_source, r_drain)
+        vgs = np.concatenate([np.linspace(-0.1, 1.2, 14), np.full(7, 0.7)])
+        vds = np.concatenate([np.full(14, 0.5), np.linspace(-0.5, 0.5, 7)])
+        assert_matches_oracle(device, vgs, vds)
+
+    def test_off_state_keeps_intrinsic_current(self, inner, reference_cntfet):
+        # I_intrinsic <= 0 (zero drain bias): nothing to solve.
+        for device in (inner, reference_cntfet):
+            wrapped = SeriesResistanceFET(device, 20e3, 40e3)
+            assert_matches_oracle(wrapped, [0.5, -0.3, 1.0], [0.0, 0.0, 0.0])
+            assert np.all(wrapped.currents([0.5, -0.3], 0.0) == 0.0)
+
+    @pytest.mark.parametrize("r_source, r_drain", [(25e3, 25e3), (10e3, 90e3)])
+    def test_p_type_mirror(self, inner, r_source, r_drain):
+        nfet = SeriesResistanceFET(inner, r_source, r_drain)
+        pfet = PType(nfet)
+        vgs = np.array([-1.0, -0.6, -0.2, 0.3, -0.8])
+        vds = np.array([-0.8, -0.3, -0.5, 0.4, 0.2])
+        expected = np.array([-brentq_current(nfet, -g, -d) for g, d in zip(vgs, vds)])
+        np.testing.assert_allclose(pfet.currents(vgs, vds), expected, rtol=1e-9, atol=1e-18)
+        scalar = np.array([pfet.current(g, d) for g, d in zip(vgs, vds)])
+        np.testing.assert_allclose(scalar, expected, rtol=1e-9, atol=1e-18)
 
 
 class TestSeriesResistanceFET:

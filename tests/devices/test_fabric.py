@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.devices.empirical import AlphaPowerFET
+from repro.devices import fabric as fabric_module
+from repro.devices.cntfet import CNTFET
+from repro.devices.empirical import AlphaPowerFET, TabulatedFET
 from repro.devices.fabric import CNTFabricFET, sample_fabric
 
 
@@ -98,6 +100,21 @@ class TestSampling:
         )
         density = fabric.current_density_a_per_m(0.6, 0.5)
         assert density > 1e3  # > 1 mA/um
+
+    @pytest.mark.parametrize("order", [(True, False), (False, True)])
+    def test_device_cache_keys_on_tabulate(self, monkeypatch, order):
+        # Same chirality and length, both tabulate settings, either order:
+        # each call must get the device kind it asked for.
+        monkeypatch.setattr(fabric_module, "_TABULATED_CACHE", {})
+        for tabulate in order:
+            fabric = sample_fabric(
+                width_um=0.008,
+                semiconducting_purity=1.0,
+                rng=np.random.default_rng(5),
+                tabulate=tabulate,
+            )
+            expected = TabulatedFET if tabulate else CNTFET
+            assert {type(device) for device in fabric.tube_devices} == {expected}
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,15 @@ class TestSubband:
         # ~2 states per eV per nm for a metallic CNT — the textbook value.
         assert d1 * 1e-9 == pytest.approx(2.0, rel=0.05)
 
+    def test_energy_on_grids_matches_dispersion(self, subband):
+        kt = 0.0259
+        e_top = np.array([0.3, 0.9, 2.5])
+        t = np.linspace(0.0, 1.0, 33)
+        grids = subband.energy_kt_on_grids(e_top, t**2, kt)
+        k = subband.wavevector_per_m(e_top)[:, None] * t
+        np.testing.assert_allclose(grids, subband.energy_ev(k) / kt, rtol=1e-13)
+        np.testing.assert_allclose(grids[:, -1], e_top / kt, rtol=1e-13)
+
     @given(st.floats(0.29, 10.0))
     def test_dos_positive_above_edge(self, energy):
         band = Subband(edge_ev=0.28)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.devices.cntfet import CNTFET
+from repro.devices.gnrfet import GNRFET
 from repro.physics.cnt import Chirality
 from repro.physics.electrostatics import gate_all_around_capacitance
+from repro.transport import ballistic
 from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
 
 
@@ -115,3 +118,62 @@ class TestIVSurface:
         # increasing along both axes
         assert np.all(np.diff(surface, axis=0) > 0.0)
         assert np.all(np.diff(surface, axis=1) > 0.0)
+
+
+# (device kind, gap [eV], subbands, temperature [K]): CNTs across gaps and
+# subband counts, plus an armchair GNR, each at 77 / 300 / 400 K.
+QUADRATURE_CASES = [
+    ("cnt", gap, n_subbands, temperature)
+    for gap in (0.35, 0.56, 1.0)
+    for n_subbands in (3, 5)
+    for temperature in (77.0, 300.0, 400.0)
+] + [("gnr", 0.56, None, temperature) for temperature in (77.0, 300.0, 400.0)]
+
+
+def _quadrature_device(kind, gap, n_subbands, temperature):
+    if kind == "cnt":
+        return CNTFET.for_bandgap(gap, n_subbands=n_subbands, temperature_k=temperature)
+    return GNRFET.for_bandgap(gap, temperature_k=temperature)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("kind, gap, n_subbands, temperature", QUADRATURE_CASES)
+    def test_production_grid_matches_dense_reference(
+        self, monkeypatch, kind, gap, n_subbands, temperature
+    ):
+        # The trapezoid rule on the even, e^-30-truncated integrand converges
+        # geometrically: 256 k samples already sit at the 9600-sample answer.
+        device = _quadrature_device(kind, gap, n_subbands, temperature)
+        vgs, vds = np.meshgrid(np.linspace(-0.2, 1.2, 8), [0.05, 0.4, 1.0])
+        production = TopOfBarrierSolver(device.bands, device.params).currents(vgs, vds)
+        monkeypatch.setattr(ballistic, "_K_SAMPLES", 9600)
+        reference = TopOfBarrierSolver(device.bands, device.params).currents(vgs, vds)
+        measurable = np.abs(reference) > 1e-15
+        assert measurable.sum() >= 8
+        relative = np.abs(production - reference)[measurable] / np.abs(reference[measurable])
+        assert relative.max() <= 1e-12
+
+
+class TestOneKernel:
+    """Scalar ``solve``/``current`` are one-point rows of the batched kernel."""
+
+    VGS = np.array([0.0, 0.05, 0.3, 0.6, 1.5, 0.5, -0.3])
+    VDS = np.array([0.0, 0.5, 0.05, 0.6, 1.0, -0.2, 0.8])
+
+    def test_solve_is_a_row_of_the_batched_solve(self, solver):
+        currents, barriers = solver.solve_currents(self.VGS, self.VDS)
+        densities, _ = solver._density_batch(barriers, -self.VDS)
+        _, _, iterations = solver._solve_chunk(self.VGS, self.VDS)
+        for i, (vgs, vds) in enumerate(zip(self.VGS, self.VDS)):
+            op = solver.solve(float(vgs), float(vds))
+            assert op.current_a == currents[i]
+            assert op.barrier_ev == barriers[i]
+            assert op.charge_per_m == densities[i]
+            assert op.iterations == iterations[i]
+            assert 1 <= op.iterations < 50
+            assert solver.current(float(vgs), float(vds)) == currents[i]
+
+    def test_batched_rows_do_not_depend_on_their_slab(self, solver):
+        full = solver.currents(self.VGS, self.VDS)
+        reversed_slab = solver.currents(self.VGS[::-1], self.VDS[::-1])[::-1]
+        np.testing.assert_array_equal(full, reversed_slab)

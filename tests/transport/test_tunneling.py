@@ -15,6 +15,27 @@ from repro.transport.tunneling import (
 )
 
 
+def loop_btbt_transmission(profile, energy_ev, fermi_velocity=VFERMI, n_points=400):
+    """Oracle: WKB transmission one energy at a time (the original loop).
+
+    The action integral is summed per energy; the exponential is numpy's,
+    as in production (``math.exp`` differs from it in the last ulp).
+    """
+    energy_ev = np.atleast_1d(np.asarray(energy_ev, dtype=float))
+    lo, hi = profile.tunnel_window_ev()
+    span = 12.0 * profile.lambda_nm
+    x_nm = np.linspace(-span, span, n_points)
+    midgap = profile.midgap_ev(x_nm)
+    dx_m = (x_nm[1] - x_nm[0]) * 1e-9
+    transmission = np.zeros_like(energy_ev)
+    for i, energy in enumerate(energy_ev):
+        if not lo < energy < hi:
+            continue
+        kappa = imaginary_dispersion_per_m(energy - midgap, profile.gap_ev, fermi_velocity)
+        transmission[i] = np.exp(-2.0 * float(np.sum(kappa) * dx_m))
+    return transmission
+
+
 class TestImaginaryDispersion:
     def test_maximum_at_midgap(self):
         gap = 0.56
@@ -129,3 +150,21 @@ class TestJunctionTransmission:
         t = junction_btbt_transmission(profile, energies)
         assert t.shape == (7,)
         assert np.all((t >= 0.0) & (t <= 1.0))
+
+    @given(
+        st.floats(0.2, 1.2),
+        st.floats(-2.5, 0.0),
+        st.floats(0.5, 10.0),
+        st.integers(1, 40),
+        st.integers(50, 500),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vectorised_matches_loop_oracle(self, gap, delta, lam, n_energies, n_points):
+        profile = JunctionProfile(gap_ev=gap, delta_ev=delta, lambda_nm=lam)
+        lo, hi = profile.tunnel_window_ev()
+        # Straddle the window so in- and out-of-window energies both occur.
+        energies = np.linspace(min(lo, hi) - 0.1, max(lo, hi) + 0.1, n_energies)
+        got = np.atleast_1d(junction_btbt_transmission(profile, energies, n_points=n_points))
+        np.testing.assert_array_equal(
+            got, loop_btbt_transmission(profile, energies, n_points=n_points)
+        )
