@@ -44,7 +44,9 @@ above the 5x bar; 240-point AC sweep ~64 ms loop vs ~3 ms compiled at
 unknowns (~14x).
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,9 @@ from repro.circuit.waveforms import DC, Pulse
 from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import build_inverter_chain
 from repro.integration.variability import CNFETArrayModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "circuit"))
+from scalar_oracle import dc_scalar_reference, transient_scalar_reference  # noqa: E402
 
 N_INSTANCES = 1000
 N_ARRAY_DEVICES = 10000
@@ -154,7 +159,7 @@ def _scalar_transient_loop(engine, variation):
     cached = _transient_loop_cache.get("loop")
     if cached is None:
         start = time.perf_counter()
-        samples = engine.scalar_reference(variation, T_STOP, DT)
+        samples = transient_scalar_reference(engine, variation, T_STOP, DT)
         cached = (time.perf_counter() - start, samples)
         _transient_loop_cache["loop"] = cached
     return cached
@@ -258,7 +263,7 @@ def _scalar_sparse_loop(engine, variation):
     cached = _sparse_loop_cache.get("loop")
     if cached is None:
         start = time.perf_counter()
-        result = engine.scalar_reference(variation)
+        result = dc_scalar_reference(engine, variation)
         cached = (time.perf_counter() - start, result)
         _sparse_loop_cache["loop"] = cached
     return cached

@@ -24,10 +24,13 @@ Systems below :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` (128)
 unknowns reuse preallocated dense buffers; larger systems assemble
 ``scipy.sparse`` CSR Jacobians on one canonical sparsity pattern whose
 symbolic LU ordering is analyzed once and reused by every numeric
-refactorization.  The original
-element-walking evaluator survives as ``MNASystem.evaluate_dense`` — the
-reference the equivalence test suite holds the compiled path to (1e-12)
-and the fallback for user-defined element types.
+refactorization.  Every circuit compiles: an element type the plan does
+not know raises ``UnsupportedElement`` at ``build_system()``.  The
+original element-walking evaluator survives as
+``MNASystem.evaluate_dense`` — the independent reference the
+equivalence test suite holds the compiled path to (1e-12).  One batched
+kernel, ``StampPlan.evaluate_many``, serves the Newton line search and
+the sweep engines.
 
 Many-instance work goes through the batched sweep engine
 (:mod:`repro.circuit.sweep`): :class:`SweepPlan` chunks any

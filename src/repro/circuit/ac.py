@@ -28,9 +28,8 @@ refactorization per frequency against the plan's cached symbolic
 ordering (:meth:`~repro.circuit.assembly._SparseSchedule.factor`) —
 G and C share one canonical pattern, so each system is an elementwise
 ``data`` combination.  The pre-compile per-frequency dense loop
-survives verbatim as :func:`dense_frequency_loop` (reachable through
-``ac_analysis(..., method="legacy")``): it is the reference the
-equivalence suite and the AC benchmarks pin the compiled sweep
+survives verbatim as :func:`dense_frequency_loop`: it is the reference
+the equivalence suite and the AC benchmarks pin the compiled sweep
 against.
 
 :func:`ac_monte_carlo` pushes the sweep to process corners: batched
@@ -52,9 +51,9 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import qz
 
-from repro.circuit.elements import Capacitor, VoltageSource
-from repro.circuit.netlist import Circuit, CircuitError, MNASystem
-from repro.circuit.solver import operating_point, solve_dc
+from repro.circuit.elements import VoltageSource
+from repro.circuit.netlist import Circuit, CircuitError
+from repro.circuit.solver import operating_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports nothing here)
     from repro.circuit.sweep import FETVariation
@@ -302,31 +301,6 @@ def _sweep_sparse(
     return samples
 
 
-def _dense_capacitance(circuit: Circuit, system: MNASystem) -> np.ndarray:
-    """Element-walk capacitance build — the legacy reference only.
-
-    Compiled analyses use the pattern-aligned
-    :meth:`~repro.circuit.assembly.StampPlan.capacitance_stamp`; this
-    O(size^2) dense loop survives for the pinned ``method="legacy"``
-    path and for circuits the stamp plan cannot compile.
-    """
-    size = system.size
-    capacitance = np.zeros((size, size))
-    for element in circuit.elements:
-        if not isinstance(element, Capacitor):
-            continue
-        ip = system.node_index(element.p)
-        in_ = system.node_index(element.n)
-        if ip is not None:
-            capacitance[ip, ip] += element.capacitance_f
-        if in_ is not None:
-            capacitance[in_, in_] += element.capacitance_f
-        if ip is not None and in_ is not None:
-            capacitance[ip, in_] -= element.capacitance_f
-            capacitance[in_, ip] -= element.capacitance_f
-    return capacitance
-
-
 # ---------------------------------------------------------------------------
 # The compiled plan: one linearization, many sweeps.
 # ---------------------------------------------------------------------------
@@ -349,10 +323,6 @@ class ACPlan:
     backsubstitution (:func:`_sweep_schur`) — O(size^2) per frequency;
     above it, per-frequency complex refactorization against the plan's
     cached symbolic ordering.
-
-    Circuits the stamp plan cannot compile fall back to the densified
-    evaluator Jacobian and the element-walk capacitance build, swept
-    through the same Schur path.
     """
 
     def __init__(self, circuit: Circuit, source_name: str):
@@ -363,7 +333,7 @@ class ACPlan:
         plan = self.system._plan
         x_dc, conductance = operating_point(self.system)
         self.x_dc = x_dc
-        self._schedule = plan.sparse_schedule if plan is not None else None
+        self._schedule = plan.sparse_schedule
         if sparse.issparse(conductance):
             # Canonical-pattern data vectors: G + jwC is elementwise.
             self._conductance_data: np.ndarray | None = np.asarray(conductance.data)
@@ -374,11 +344,7 @@ class ACPlan:
             self._conductance = np.asarray(conductance)
             self._conductance_data = None
             self._capacitance_data = None
-            self._capacitance = (
-                plan.capacitance_stamp()
-                if plan is not None
-                else _dense_capacitance(circuit, self.system)
-            )
+            self._capacitance = plan.capacitance_stamp()
         rhs = np.zeros(self.size)
         rhs[self.source.branch_index] = 1.0
         self.rhs = rhs
@@ -422,7 +388,7 @@ class ACPlan:
         """Densified ``(G, C, rhs)`` of this plan's operating point.
 
         The inputs of :func:`dense_frequency_loop` — benchmarks time the
-        legacy per-frequency loop against :meth:`sweep` on this
+        per-frequency loop against :meth:`sweep` on this
         *identical* linearization, so the measured speedup is pure
         solve-path, not operating-point noise.
         """
@@ -435,45 +401,16 @@ class ACPlan:
         return self._conductance.copy(), self._capacitance.copy(), self.rhs.copy()
 
 
-def ac_analysis(
-    circuit: Circuit,
-    source_name: str,
-    frequencies_hz,
-    method: str = "compiled",
-) -> ACResult:
+def ac_analysis(circuit: Circuit, source_name: str, frequencies_hz) -> ACResult:
     """Swept small-signal analysis with a unit AC drive on ``source_name``.
 
-    ``method="compiled"`` (the default) routes through :class:`ACPlan`:
-    one stamp-plan linearization, pattern-aligned capacitance data and
-    a stacked complex solve.  ``method="legacy"`` runs the original
-    per-frequency dense loop (densified Jacobian, element-walk
-    capacitance) — the pinned reference the equivalence suite holds the
-    compiled path to at 1e-9.
+    Routes through :class:`ACPlan`: one stamp-plan linearization,
+    pattern-aligned capacitance data and a compiled frequency sweep,
+    held by the equivalence suite to the per-frequency dense loop
+    (:func:`dense_frequency_loop`) at 1e-9.
     """
     frequencies = _validate_frequencies(frequencies_hz)
-    if method == "compiled":
-        return ACPlan(circuit, source_name).sweep(frequencies)
-    if method != "legacy":
-        raise CircuitError(f"unknown AC method {method!r}")
-
-    system = circuit.build_system()
-    x_dc = solve_dc(system)
-    _, conductance = system.evaluate(x_dc)
-    # Detach from the evaluator's reused buffer; densify CSR Jacobians of
-    # large systems (the per-frequency solves below are dense-complex).
-    conductance = (
-        conductance.toarray()
-        if hasattr(conductance, "toarray")
-        else np.array(conductance)
-    )
-    capacitance = _dense_capacitance(circuit, system)
-    rhs = np.zeros(system.size)
-    rhs[_find_source(circuit, source_name).branch_index] = 1.0
-    samples = dense_frequency_loop(conductance, capacitance, rhs, frequencies)
-    voltages = {
-        node: samples[:, system.node_index(node)] for node in circuit.node_names
-    }
-    return ACResult(frequencies_hz=frequencies, voltages=voltages)
+    return ACPlan(circuit, source_name).sweep(frequencies)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,12 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
   as ``(m, nnz)`` and batch sparse Monte Carlo.  Smaller systems — all
   the seed circuits — reuse preallocated dense buffers.
 
+Two kernels evaluate a plan: :meth:`StampPlan.evaluate` at one iterate
+(with a scalar per-FET path for small groups), and
+:meth:`StampPlan.evaluate_many` — the one batched kernel — at a stack
+of iterates, optionally with per-row device variation and companion
+state; the Newton line search and the sweep engines both run on it.
+
 The compiled path is numerically equivalent to the reference path (same
 stamps, same finite-difference linearization arithmetic); the test suite
 asserts residual/Jacobian agreement to 1e-12 on representative circuits.
@@ -39,6 +45,8 @@ copy them if you need to keep results across evaluations.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -53,6 +61,9 @@ from repro.circuit.elements import (
     VoltageSource,
 )
 from repro.devices.base import PType
+
+if TYPE_CHECKING:  # pragma: no cover - sweep imports this module
+    from repro.circuit.sweep import FETVariation
 
 __all__ = ["StampPlan", "UnsupportedElement", "SPARSE_THRESHOLD"]
 
@@ -77,7 +88,7 @@ _COMPILED_TYPES = (Resistor, Capacitor, VoltageSource, CurrentSource, FET)
 
 
 class UnsupportedElement(TypeError):
-    """Raised when a circuit contains element types the plan cannot compile."""
+    """Raised at ``build_system()`` for an element type the plan cannot compile."""
 
 
 def _unwrap_polarity(device) -> tuple[object, float]:
@@ -114,19 +125,21 @@ class _FETGroup:
     """
 
     __slots__ = (
-        "device", "delta_v", "count", "sign", "elements",
+        "device", "delta_v", "count", "sign",
         "gather_dgs", "scatter_idx", "flat",
         "rows", "cols", "take", "_vals6", "_vals", "_scatter_vals",
-        "use_points", "point_fets",
+        "use_points", "point_fets", "columns",
     )
 
-    def __init__(self, device, delta_v: float | None, fets: list, pad, jac_idx, size: int):
+    def __init__(
+        self, device, delta_v: float | None, fets: list, columns: list[int],
+        pad, jac_idx, size: int,
+    ):
         self.device = device
         self.delta_v = delta_v
         self.count = len(fets)
-        # The FET elements in batch order — the sweep engine maps its
-        # per-instance parameter columns onto group slots through this.
-        self.elements = tuple(fets)
+        # Each slot's column in a FETVariation (the circuit's FET order).
+        self.columns = np.array(columns, dtype=np.intp)
         signs = np.array([_unwrap_polarity(f.device)[1] for f in fets])
         self.sign = None if np.all(signs == 1.0) else signs
         gather_d = np.array([pad(f.drain) for f in fets], dtype=np.intp)
@@ -432,7 +445,8 @@ class StampPlan:
         for element in circuit.elements:
             if type(element) not in _COMPILED_TYPES:
                 raise UnsupportedElement(
-                    f"cannot compile element type {type(element).__name__}"
+                    f"cannot compile element {element.name!r} of type "
+                    f"{type(element).__name__}"
                 )
         self.system = system
         self.size = system.size
@@ -480,6 +494,7 @@ class StampPlan:
         capacitors: list[Capacitor] = []
         fet_bins: dict[tuple[int, float | None], list[FET]] = {}
         fet_devices: dict[tuple[int, float | None], object] = {}
+        fet_columns: dict[int, int] = {}
 
         for element in circuit.elements:
             if isinstance(element, Resistor):
@@ -512,6 +527,7 @@ class StampPlan:
                 key = (id(base_device), element.delta_v)
                 fet_bins.setdefault(key, []).append(element)
                 fet_devices[key] = base_device
+                fet_columns[id(element)] = len(fet_columns)
 
         self._static_rows = np.array(rows, dtype=np.intp)
         self._static_cols = np.array(cols, dtype=np.intp)
@@ -539,7 +555,10 @@ class StampPlan:
         self._cap_vals = np.empty(2 * len(capacitors))
 
         self.fet_groups = [
-            _FETGroup(fet_devices[key], key[1], fets, pad, jac_idx, size)
+            _FETGroup(
+                fet_devices[key], key[1], fets,
+                [fet_columns[id(f)] for f in fets], pad, jac_idx, size,
+            )
             for key, fets in fet_bins.items()
         ]
         # Linear-only circuits have a bias-independent Jacobian: the
@@ -558,6 +577,9 @@ class StampPlan:
             self._jac_flat = self._jac.ravel()
         self._lin_cache: dict[object, _LinearSystem] = {}
         self._cap_stamp: np.ndarray | None = None
+        # Flat-index base of each row in evaluate_many's residual and
+        # Jacobian scatters, per stack height.
+        self._row_bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         # Shared canonical pattern + one-time symbolic ordering for
         # every sparse Jacobian this plan (or a sweep over it) builds.
@@ -748,40 +770,58 @@ class StampPlan:
         dt_s: float | None = None,
         previous_x: np.ndarray | None = None,
         integrator: str = "trapezoidal",
-        state: dict | None = None,
+        state: dict | np.ndarray | None = None,
         source_scale: float = 1.0,
         gmin: float = 0.0,
         gmin_ref: np.ndarray | None = None,
+        variation: FETVariation | None = None,
     ):
-        """Residuals ``(k, size)`` and Jacobians ``(k, size, size)`` at a
-        stack of iterates sharing one evaluation context.
+        """Residuals ``(m, size)`` and Jacobians at a stack of iterates.
 
-        The batched line-search entry: :func:`repro.circuit.solver.
-        newton_solve` evaluates a whole damping ladder of trial points
-        in one call, so each FET group costs one ``linearize`` over all
-        trials instead of one per trial.  Dense plans only (the Newton
-        solver guards); every arithmetic step is elementwise per row
-        (batched gemv, per-row scatters), mirroring
-        :meth:`evaluate` term by term.  Returns fresh arrays — rows
+        The one batched stamp kernel: the scalar Newton line search
+        evaluates a damping ladder of trial points through it, and the
+        sweep engines evaluate N instances per call.  Jacobians are
+        dense ``(m, size, size)`` buffers, or ``(m, nnz)`` canonical-
+        pattern CSR ``data`` stacks for sparse plans (wrap a row with
+        ``sparse_schedule.matrix``).  Returns fresh arrays — rows
         survive subsequent calls.
 
-        This kernel deliberately parallels
-        ``sweep._BatchedNewtonEngine._evaluate_batch`` (which threads
-        per-instance variation arrays and per-instance companion
-        state); a stamp fix applied here almost certainly applies
-        there too.
+        Keyword arguments follow :meth:`evaluate`.  ``previous_x`` is
+        one shared ``(size,)`` vector or one row per iterate; ``state``
+        is the scalar path's history dict, or an ``(m, n_caps)`` array
+        of per-row trapezoidal history currents in ``cap_names``
+        order.  ``variation`` (a
+        :class:`~repro.circuit.sweep.FETVariation` with ``m`` rows)
+        scales each FET's current and shifts its underlying n-type
+        threshold per row.
+
+        Every step is elementwise per row — a batched gemv (CSR
+        column-wise matvecs for sparse plans) for the linear part,
+        per-row scatters, elementwise device math — so each row is
+        bitwise independent of its neighbours; that is the root of the
+        sweep engines' chunking/order/pool invariance.
         """
         x_stack = np.asarray(x_stack, dtype=float)
-        k = x_stack.shape[0]
+        m = x_stack.shape[0]
         size = self.size
-        row_pad = np.arange(k, dtype=np.intp)[:, None] * (size + 1)
-        row_jac = np.arange(k, dtype=np.intp)[:, None] * (size * size)
+        schedule = self.sparse_schedule
+        bases = self._row_bases.get(m)
+        if bases is None:
+            stride = size * size if schedule is None else schedule.nnz
+            rows = np.arange(m, dtype=np.intp)[:, None]
+            bases = self._row_bases[m] = (rows * (size + 1), rows * stride)
+        row_pad, row_jac = bases
         linear = self._linear_system(dt_s, integrator)
 
-        xpad = np.zeros((k, size + 1))
+        xpad = np.zeros((m, size + 1))
         xpad[:, :size] = x_stack
-        rpad = np.zeros((k, size + 1))
-        rpad[:, :size] = np.matmul(linear.matrix, x_stack[..., None])[..., 0]
+        rpad = np.zeros((m, size + 1))
+        if schedule is not None:
+            # scipy's CSR matvecs kernel runs the scalar matvec per
+            # column, so each row matches evaluate()'s ``matrix @ x``.
+            rpad[:, :size] = (linear.matrix @ x_stack.T).T
+        else:
+            rpad[:, :size] = np.matmul(linear.matrix, x_stack[..., None])[..., 0]
         rflat = rpad.reshape(-1)
         if self.vsrc_branch.size:
             levels = np.array([el.level(time_s) for el in self.vsources])
@@ -793,47 +833,60 @@ class StampPlan:
             # ufunc.at does not broadcast shared values against a stack
             # of per-row indices (it reads out of bounds); broadcast
             # explicitly.
-            shared = np.broadcast_to(currents, (k, currents.size))
+            shared = np.broadcast_to(currents, (m, currents.size))
             np.add.at(rflat, row_pad + self.isrc_p, shared)
             np.add.at(rflat, row_pad + self.isrc_n, -shared)
         if dt_s is not None and self.cap_c.size:
-            if previous_x is not None:
-                prevpad = np.zeros(size + 1)
-                prevpad[:size] = previous_x
-            else:
-                # The scalar path anchors the companion model at the
-                # iterate itself when no previous solution is given.
+            if previous_x is None:
+                # evaluate() anchors the companion model at the iterate
+                # itself when no previous solution is given.
                 prevpad = xpad
-            history = self.cap_state_array(state) if state else None
-            rhs = self.cap_history_rhs(prevpad, linear.cap_geq, integrator, history)
+            else:
+                previous_x = np.asarray(previous_x, dtype=float)
+                prevpad = np.zeros(previous_x.shape[:-1] + (size + 1,))
+                prevpad[..., :size] = previous_x
+            if isinstance(state, dict):
+                state = self.cap_state_array(state) if state else None
+            rhs = self.cap_history_rhs(prevpad, linear.cap_geq, integrator, state)
             cap_vals = np.concatenate((rhs, -rhs), axis=-1)
-            np.add.at(
-                rflat,
-                row_pad + self.cap_scatter,
-                np.broadcast_to(cap_vals, (k,) + cap_vals.shape[-1:]),
-            )
+            if cap_vals.ndim == 1:
+                # Shared companion state: one value row for every iterate.
+                cap_vals = np.broadcast_to(cap_vals, (m, cap_vals.size))
+            np.add.at(rflat, row_pad + self.cap_scatter, cap_vals)
 
-        jac = np.empty((k, size, size))
-        jac[:] = linear.matrix
+        if schedule is not None:
+            jac = np.empty((m, schedule.nnz))
+            jac[:] = schedule.linear_data(linear)
+            targets = schedule.group_pos
+        else:
+            jac = np.empty((m, size, size))
+            jac[:] = linear.matrix
+            targets = [group.flat for group in self.fet_groups]
         jflat = jac.reshape(-1)
-        for group in self.fet_groups:
-            v = xpad[:, group.gather_dgs]  # (k, 3, count)
+        for group, target in zip(self.fet_groups, targets):
+            v = xpad[:, group.gather_dgs]  # (m, 3, count)
             vgs = v[:, 1] - v[:, 2]
             vds = v[:, 0] - v[:, 2]
-            if group.sign is None:
-                current, gm, gds = group.device.linearize(vgs, vds, group.delta_v)
-            else:
-                current, gm, gds = group.device.linearize(
-                    group.sign * vgs, group.sign * vds, group.delta_v
-                )
+            if group.sign is not None:
+                vgs = group.sign * vgs
+                vds = group.sign * vds
+            if variation is not None:
+                vgs = vgs - variation.vth_shift_v[:, group.columns]
+            current, gm, gds = group.device.linearize(vgs, vds, group.delta_v)
+            if group.sign is not None:
                 current = group.sign * current
+            if variation is not None:
+                scale = variation.drive_scale[:, group.columns]
+                current = current * scale
+                gm = gm * scale
+                gds = gds * scale
             rvals = np.concatenate((current, -current), axis=1)
             np.add.at(rflat, row_pad + group.scatter_idx, rvals)
             vals6 = np.stack(
                 (gds, gm, -(gm + gds), -gds, -gm, gm + gds), axis=1
-            )  # (k, 6, count), entry order matching group.take
-            entries = vals6.reshape(k, 6 * group.count)[:, group.take]
-            np.add.at(jflat, row_jac + group.flat, entries)
+            )  # (m, 6, count), entry order matching group.take
+            entries = vals6.reshape(m, 6 * group.count)[:, group.take]
+            np.add.at(jflat, row_jac + target, entries)
 
         residual = rpad[:, :size]
         if gmin > 0.0:
@@ -841,8 +894,11 @@ class StampPlan:
             residual[:, :n_nodes] += gmin * x_stack[:, :n_nodes]
             if gmin_ref is not None:
                 residual[:, :n_nodes] -= gmin * gmin_ref[:n_nodes]
-            diag = np.einsum("ijj->ij", jac)
-            diag[:, :n_nodes] += gmin
+            if schedule is not None:
+                jac[:, schedule.node_diag_pos] += gmin
+            else:
+                diag = np.einsum("ijj->ij", jac)
+                diag[:, :n_nodes] += gmin
         return residual, jac
 
     def sparse_newton_step(

@@ -12,18 +12,19 @@ batched FET linearization, ``np.add.at`` scatter; above
 :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` unknowns, CSR
 Jacobians on one canonical sparsity pattern whose symbolic LU ordering
 is computed once and shared by every Newton refactorization — scalar
-solves and the batched sweep engines alike).  The original
-element-walking evaluator is retained as :meth:`MNASystem.evaluate_dense`
-— the reference implementation the equivalence tests compare against,
-and the fallback for circuits containing element types the plan cannot
-compile.
+solves and the batched sweep engines alike).  Every circuit compiles:
+an element type the plan does not know raises
+:class:`~repro.circuit.assembly.UnsupportedElement` at
+:meth:`Circuit.build_system`.  The original element-walking evaluator
+is retained as :meth:`MNASystem.evaluate_dense` — the independent
+reference the equivalence tests compare against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.assembly import StampPlan, UnsupportedElement
+from repro.circuit.assembly import StampPlan
 from repro.circuit.elements import (
     FET,
     Capacitor,
@@ -126,43 +127,34 @@ class Circuit:
 class MNASystem:
     """Assembled residual/Jacobian evaluator for a circuit.
 
-    Evaluation runs through a :class:`~repro.circuit.assembly.StampPlan`
-    compiled at construction; circuits containing element types the plan
-    does not know fall back to the reference evaluator.  In the compiled
-    dense mode, :meth:`evaluate` returns views of buffers reused by the
-    next call — copy them if results must outlive the next evaluation.
+    Compiles a :class:`~repro.circuit.assembly.StampPlan` at
+    construction (raising
+    :class:`~repro.circuit.assembly.UnsupportedElement` for element
+    types the plan does not know).  ``evaluate(x, **kwargs)`` — residual
+    F(x) and Jacobian dF/dx, keyword arguments as
+    :meth:`evaluate_dense` — is the plan's :meth:`StampPlan.evaluate`.
+    Its Jacobian is a dense ndarray for small systems and, at or above
+    :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` unknowns, a
+    ``scipy.sparse`` CSR matrix on the plan's canonical sparsity
+    pattern (fixed ``indices``/``indptr``, fresh ``data``).  In the
+    dense mode it returns views of buffers reused by the next call —
+    copy them if results must outlive the next evaluation.
+    ``update_capacitor_state`` refreshes capacitor history currents at
+    an accepted transient solution.
     """
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self.size = circuit.size
         self.n_nodes = len(circuit.node_names)
-        try:
-            self._plan: StampPlan | None = StampPlan(self)
-        except UnsupportedElement:
-            self._plan = None
-        if self._plan is not None:
-            # Shadow the dispatching method with the plan's bound evaluator:
-            # one less Python frame on the hottest call in the package.
-            self.evaluate = self._plan.evaluate
+        self._plan = StampPlan(self)
+        # The plan's bound methods, set on the instance: one less Python
+        # frame on the hottest call in the package.
+        self.evaluate = self._plan.evaluate
+        self.update_capacitor_state = self._plan.update_capacitor_state
 
     def node_index(self, node: str) -> int | None:
         return self.circuit.node_index(node)
-
-    def evaluate(self, x: np.ndarray, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-        """Residual F(x) and Jacobian dF/dx at the iterate ``x``.
-
-        Accepts the keyword arguments of :meth:`evaluate_dense`.  On
-        instances whose circuit compiled, ``__init__`` rebinds this name
-        to :meth:`StampPlan.evaluate` (same signature), whose Jacobian is
-        a dense ndarray for small systems and, at or above
-        :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` unknowns, a
-        ``scipy.sparse`` CSR matrix on the plan's canonical sparsity
-        pattern (fixed ``indices``/``indptr``, fresh ``data``) so
-        factorizations can reuse the plan's cached symbolic analysis;
-        this body only runs for circuits the plan cannot compile.
-        """
-        return self.evaluate_dense(x, **kwargs)
 
     def evaluate_dense(
         self,
@@ -205,32 +197,6 @@ class MNASystem:
                 residual[i] += gmin * (x[i] - anchor)
                 jacobian[i, i] += gmin
         return residual, jacobian
-
-    def update_capacitor_state(
-        self,
-        x: np.ndarray,
-        previous_x: np.ndarray,
-        dt_s: float,
-        integrator: str,
-        state: dict,
-    ) -> None:
-        """Refresh capacitor history currents at an accepted solution."""
-        if self._plan is not None:
-            self._plan.update_capacitor_state(x, previous_x, dt_s, integrator, state)
-            return
-        ctx = StampContext(
-            system=self,
-            x=x,
-            residual=None,
-            jacobian=None,
-            dt_s=dt_s,
-            previous_x=previous_x,
-            integrator=integrator,
-            state=state,
-        )
-        for element in self.circuit.elements:
-            if isinstance(element, Capacitor):
-                state[element.name] = element.update_state(ctx)
 
     def voltage_of(self, x: np.ndarray, node: str) -> float:
         idx = self.node_index(node)

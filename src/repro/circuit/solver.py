@@ -29,7 +29,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgesv
-from scipy.sparse.linalg import splu
+
+# Unused here; perfbench's tracer resolves ``solver.splu`` when it installs.
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from repro.circuit.assembly import DIAG_REGULARIZATION as _DIAG_REGULARIZATION
 from repro.circuit.netlist import MNASystem
@@ -46,27 +48,19 @@ _TRIAL_BATCH = 8
 _MAX_TRIALS = 30
 
 
-def _newton_step(jacobian, residual, reg_identity, sparse_step=None) -> np.ndarray | None:
+def _newton_step(plan, jacobian, residual) -> np.ndarray | None:
     """Solve J step = -residual with a tiny diagonal regularization.
 
     Dense Jacobians get the regularization added to their diagonal in
     place — safe because the evaluation buffer is fully reassembled by
-    the next ``evaluate`` call — avoiding the per-iteration ``np.eye``
-    allocation of the original implementation.  Sparse Jacobians from a
-    compiled plan route through ``sparse_step``
-    (:meth:`~repro.circuit.assembly.StampPlan.sparse_newton_step`), so
-    the symbolic ordering is computed once and only the numeric
-    factorization repeats per iteration; plan-less sparse Jacobians
-    fall back to a full per-call splu.  Returns None on a singular
+    the next ``evaluate`` call.  Sparse Jacobians route through
+    :meth:`~repro.circuit.assembly.StampPlan.sparse_newton_step`, so the
+    symbolic ordering is computed once and only the numeric
+    factorization repeats per iteration.  Returns None on a singular
     matrix.
     """
-    if sparse.issparse(jacobian):
-        if sparse_step is not None:
-            return sparse_step(jacobian, residual)
-        try:
-            return splu((jacobian + reg_identity).tocsc()).solve(-residual)
-        except RuntimeError:
-            return None
+    if plan.use_sparse:
+        return plan.sparse_newton_step(jacobian, residual)
     diagonal = np.einsum("ii->i", jacobian)
     diagonal += _DIAG_REGULARIZATION
     # Same LAPACK dgesv as np.linalg.solve, minus the wrapper overhead;
@@ -76,18 +70,19 @@ def _newton_step(jacobian, residual, reg_identity, sparse_step=None) -> np.ndarr
 
 
 def _line_search(
-    system, plan_many, x, step, norm, tolerance, source_scale, gmin, eval_kwargs
+    system, plan, x, step, norm, tolerance, source_scale, gmin, eval_kwargs
 ):
     """First acceptable damped trial along ``step``; None if there is none.
 
     Trial 1 is the full step — evaluated alone because it is accepted
-    in the vast majority of iterations.  Once it is rejected, compiled
-    dense plans evaluate the rest of the damping ladder through
+    in the vast majority of iterations.  Once it is rejected, the rest
+    of the halving ladder runs through
     :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` in batches
     of ``_TRIAL_BATCH``: one batched device ``linearize`` per call
     instead of one per trial, which is what makes backtracking cheap
-    for expensive (physical) device models.  Acceptance order and
-    criteria are identical to the sequential ladder.
+    for expensive (physical) device models.  The first candidate of
+    each batch that reduces the residual is accepted — the one a
+    sequential halving ladder would have accepted.
     """
     x_trial = x + step
     residual_trial, jacobian_trial = system.evaluate(
@@ -97,36 +92,22 @@ def _line_search(
     if norm_trial < norm or norm_trial <= tolerance:
         return x_trial, residual_trial, jacobian_trial, norm_trial, 1.0
 
-    if plan_many is None:
-        damping = 1.0
-        for _ in range(_MAX_TRIALS - 1):
-            damping *= 0.5
-            x_trial = x + damping * step
-            residual_trial, jacobian_trial = system.evaluate(
-                x_trial, source_scale=source_scale, gmin=gmin, **eval_kwargs
-            )
-            norm_trial = float(np.max(np.abs(residual_trial)))
-            if norm_trial < norm or norm_trial <= tolerance:
-                return x_trial, residual_trial, jacobian_trial, norm_trial, damping
-        return None
-
     dampings = 0.5 ** np.arange(1, _MAX_TRIALS)
     for start in range(0, dampings.size, _TRIAL_BATCH):
         batch = dampings[start : start + _TRIAL_BATCH]
         x_trials = x[None, :] + batch[:, None] * step[None, :]
-        residuals, jacobians = plan_many(
+        residuals, jacobians = plan.evaluate_many(
             x_trials, source_scale=source_scale, gmin=gmin, **eval_kwargs
         )
         norms = np.max(np.abs(residuals), axis=1)
         hits = np.flatnonzero((norms < norm) | (norms <= tolerance))
         if hits.size:
             j = int(hits[0])
+            jacobian = jacobians[j]
+            if plan.use_sparse:
+                jacobian = plan.sparse_schedule.matrix(jacobian)
             return (
-                x_trials[j],
-                residuals[j],
-                jacobians[j],
-                float(norms[j]),
-                float(batch[j]),
+                x_trials[j], residuals[j], jacobian, float(norms[j]), float(batch[j])
             )
     return None
 
@@ -160,38 +141,22 @@ def newton_solve(
 
     # Linear-only circuits reuse the plan's cached LU of the constant
     # matrix instead of refactorizing the identical Jacobian every step.
-    plan = getattr(system, "_plan", None)
-    linear_plan = plan if plan is not None and plan.linear_only and gmin == 0.0 else None
-    # Dense compiled plans batch the backtracking ladder's bias points
-    # into one device call per _TRIAL_BATCH trials (see _line_search).
-    plan_many = (
-        plan.evaluate_many if plan is not None and not plan.use_sparse else None
-    )
-    # Sparse compiled plans refactorize numerically against the plan's
-    # one-time symbolic ordering instead of rebuilding a full splu
-    # (symbolic + numeric) every iteration.
-    sparse_step = (
-        plan.sparse_newton_step if plan is not None and plan.use_sparse else None
-    )
+    plan = system._plan
+    linear_only = plan.linear_only and gmin == 0.0
     dt_s = eval_kwargs.get("dt_s")
     integrator = eval_kwargs.get("integrator", "trapezoidal")
 
-    reg_identity = (
-        _DIAG_REGULARIZATION * sparse.identity(system.size, format="csr")
-        if sparse.issparse(jacobian)
-        else None
-    )
     converged = norm <= tolerance
     while not converged and iterations < _MAX_ITERATIONS:
-        if linear_plan is not None:
-            step = linear_plan.linear_step(residual, dt_s, integrator)
+        if linear_only:
+            step = plan.linear_step(residual, dt_s, integrator)
         else:
-            step = _newton_step(jacobian, residual, reg_identity, sparse_step)
+            step = _newton_step(plan, jacobian, residual)
         if step is None:
             break
         iterations += 1
         accepted = _line_search(
-            system, plan_many, x, step, norm, tolerance, source_scale, gmin,
+            system, plan, x, step, norm, tolerance, source_scale, gmin,
             eval_kwargs,
         )
         if accepted is None:

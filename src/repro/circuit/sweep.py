@@ -58,9 +58,9 @@ instance (batched gemv for the linear residual, per-matrix LAPACK
 ordering, elementwise device math, per-row scatters), so results are
 **bitwise invariant** to chunk size, instance order, and serial vs.
 process-pool execution — for dense and sparse plans alike.  The
-per-instance scalar loop the engines replace survives as
-``scalar_reference`` on both, the reference side of the equivalence
-suites and benchmarks.
+per-instance scalar loop the engines replace lives in the test suite
+(``tests/circuit/scalar_oracle.py``), the reference side of the
+equivalence suites and benchmarks.
 """
 
 from __future__ import annotations
@@ -102,11 +102,7 @@ from repro.circuit.solver import (
     _STEP_TOL,
     solve_dc,
 )
-from repro.circuit.transient import (
-    TransientResult,
-    transient_samples,
-    validate_grid,
-)
+from repro.circuit.transient import TransientResult, validate_grid
 from repro.devices.base import FETModel, PType
 
 __all__ = [
@@ -812,29 +808,41 @@ def _concat_transient(
 class _BatchContext:
     """Evaluation context of one batched solve (DC or one transient step).
 
-    ``prevpad`` is the padded previous-solution stack ``(m, size + 1)``
-    and ``state_currents`` the trapezoidal companion history ``(m,
-    n_caps)`` — both per-instance, so the line search narrows them with
-    :meth:`take` alongside the variation rows.
+    ``previous_x`` is the previous-solution stack ``(m, size)`` and
+    ``state`` the trapezoidal companion history ``(m, n_caps)`` — both
+    per-instance, so the line search narrows them with :meth:`take`
+    alongside the variation rows.
     """
 
     time_s: float | None = None
     dt_s: float | None = None
     integrator: str = "trapezoidal"
-    prevpad: np.ndarray | None = None
-    state_currents: np.ndarray | None = None
+    previous_x: np.ndarray | None = None
+    state: np.ndarray | None = None
 
     def take(self, rows) -> "_BatchContext":
-        if self.prevpad is None:
+        if self.previous_x is None:
             return self
         return _BatchContext(
             time_s=self.time_s,
             dt_s=self.dt_s,
             integrator=self.integrator,
-            prevpad=self.prevpad[rows],
-            state_currents=(
-                None if self.state_currents is None else self.state_currents[rows]
-            ),
+            previous_x=self.previous_x[rows],
+            state=None if self.state is None else self.state[rows],
+        )
+
+    def evaluate(self, plan, x, variation, gmin: float = 0.0):
+        """:meth:`~repro.circuit.assembly.StampPlan.evaluate_many` in
+        this context."""
+        return plan.evaluate_many(
+            x,
+            time_s=self.time_s,
+            dt_s=self.dt_s,
+            previous_x=self.previous_x,
+            integrator=self.integrator,
+            state=self.state,
+            gmin=gmin,
+            variation=variation,
         )
 
 
@@ -844,10 +852,11 @@ _DC_CONTEXT = _BatchContext()
 class _BatchedNewtonEngine:
     """Shared core of the circuit engines: one compiled plan, N instances.
 
-    Owns the compiled stamp plan, the FET-group to variation-column
-    mapping, the stacked residual/Jacobian evaluation
-    (:meth:`_evaluate_batch`) and the batched damped Newton iteration
-    (:meth:`_newton_batch`), in both DC and transient-step contexts.
+    Owns the compiled stamp plan and the batched damped Newton
+    iteration (:meth:`_newton_batch`), in both DC and transient-step
+    contexts; every stacked evaluation is one
+    :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` call with
+    the instances' :class:`FETVariation` rows.
     """
 
     _ENGINE_NAME = "batched engine"
@@ -855,28 +864,11 @@ class _BatchedNewtonEngine:
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self.system = circuit.build_system()
-        plan = self.system._plan
-        if plan is None:
-            raise UnsupportedElement(
-                "circuit contains element types the stamp plan cannot compile"
-            )
-        self.plan = plan
+        self.plan = self.system._plan
         self.fets = tuple(el for el in circuit.elements if isinstance(el, FET))
         if not self.fets:
             raise ValueError("circuit has no FETs to perturb")
         self.fet_names = tuple(f.name for f in self.fets)
-        column = {id(f): j for j, f in enumerate(self.fets)}
-        self._group_cols = [
-            np.array([column[id(f)] for f in group.elements], dtype=np.intp)
-            for group in plan.fet_groups
-        ]
-        # Per-group Jacobian scatter targets: flat (row*size + col)
-        # offsets into a dense (size, size) buffer, or canonical
-        # ``data`` positions on the plan's shared sparse pattern.
-        if plan.use_sparse:
-            self._group_scatter = list(plan.sparse_schedule.group_pos)
-        else:
-            self._group_scatter = [group.flat for group in plan.fet_groups]
         self.node_index = {
             node: self.system.node_index(node) for node in circuit.node_names
         }
@@ -885,7 +877,6 @@ class _BatchedNewtonEngine:
             for el in circuit.elements
             if isinstance(el, VoltageSource)
         }
-        self._offset_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _check_variation(
         self, variation: FETVariation | None, n_instances: int | None
@@ -900,137 +891,6 @@ class _BatchedNewtonEngine:
                 f"circuit has {len(self.fets)} FETs"
             )
         return variation
-
-    # -- batched evaluation -----------------------------------------------------
-    def _offsets(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat-index row offsets for padded-residual and Jacobian scatters.
-
-        The Jacobian stride is the per-instance storage width: the full
-        ``size * size`` dense buffer, or the canonical pattern's ``nnz``
-        for sparse plans.
-        """
-        cached = self._offset_cache.get(m)
-        if cached is None:
-            plan = self.plan
-            size = plan.size
-            jac_stride = (
-                plan.sparse_schedule.nnz if plan.use_sparse else size * size
-            )
-            cached = (
-                np.arange(m, dtype=np.intp)[:, None] * (size + 1),
-                np.arange(m, dtype=np.intp)[:, None] * jac_stride,
-            )
-            self._offset_cache[m] = cached
-        return cached
-
-    def _evaluate_batch(
-        self,
-        x: np.ndarray,
-        variation: FETVariation,
-        gmin: float = 0.0,
-        ctx: _BatchContext = _DC_CONTEXT,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked residuals (m, size) and Jacobians — dense ``(m, size,
-        size)`` buffers, or ``(m, nnz)`` canonical-pattern CSR ``data``
-        stacks for sparse plans.
-
-        Mirrors :meth:`repro.circuit.assembly.StampPlan.evaluate` term
-        by term (same operation order) over a stack of instances.  The
-        linear residual uses a batched gemv (``matmul`` against column
-        vectors; CSR column-wise matvecs for sparse plans) rather than
-        one gemm, so each row is bitwise identical to the scalar path's
-        ``matrix @ x`` — the root of the engines' chunking/order/pool
-        bitwise-invariance contract.
-
-        This kernel deliberately parallels
-        :meth:`repro.circuit.assembly.StampPlan.evaluate_many` (the
-        shared-context line-search variant); a stamp fix applied here
-        almost certainly applies there too.
-        """
-        plan = self.plan
-        size = plan.size
-        m = x.shape[0]
-        row_pad, row_jac = self._offsets(m)
-
-        xpad = np.zeros((m, size + 1))
-        xpad[:, :size] = x
-        linear = plan._linear_system(ctx.dt_s, ctx.integrator)
-
-        rpad = np.zeros((m, size + 1))
-        if plan.use_sparse:
-            # CSR times a column stack: scipy's matvecs kernel runs the
-            # scalar matvec per column, so each row matches the scalar
-            # path's ``matrix @ x`` bitwise.
-            rpad[:, :size] = (linear.matrix @ x.T).T
-        else:
-            rpad[:, :size] = np.matmul(linear.matrix, x[..., None])[..., 0]
-        rflat = rpad.reshape(-1)
-        if plan.vsrc_branch.size:
-            levels = np.array([el.level(ctx.time_s) for el in plan.vsources])
-            rpad[:, plan.vsrc_branch] -= levels
-        if plan.isrc_p.size:
-            currents = np.array([el.level(ctx.time_s) for el in plan.isources])
-            # ufunc.at does not broadcast shared values against a stack
-            # of per-row indices (it reads out of bounds) — broadcast
-            # explicitly.
-            shared = np.broadcast_to(currents, (m, currents.size))
-            np.add.at(rflat, row_pad + plan.isrc_p, shared)
-            np.add.at(rflat, row_pad + plan.isrc_n, -shared)
-        if ctx.dt_s is not None and plan.cap_c.size:
-            history = plan.cap_history_rhs(
-                ctx.prevpad, linear.cap_geq, ctx.integrator, ctx.state_currents
-            )
-            cap_vals = np.concatenate((history, -history), axis=1)
-            np.add.at(rflat, row_pad + plan.cap_scatter, cap_vals)
-
-        if plan.use_sparse:
-            jac = np.empty((m, plan.sparse_schedule.nnz))
-            jac[:] = plan.sparse_schedule.linear_data(linear)
-        else:
-            jac = np.empty((m, size, size))
-            jac[:] = linear.matrix
-        jflat = jac.reshape(-1)
-
-        for group, cols, scatter in zip(
-            plan.fet_groups, self._group_cols, self._group_scatter
-        ):
-            v = xpad[:, group.gather_dgs]  # (m, 3, count)
-            vgs = v[:, 1] - v[:, 2]
-            vds = v[:, 0] - v[:, 2]
-            shift = variation.vth_shift_v[:, cols]
-            scale = variation.drive_scale[:, cols]
-            if group.sign is None:
-                current, gm, gds = group.device.linearize(
-                    vgs - shift, vds, group.delta_v
-                )
-            else:
-                current, gm, gds = group.device.linearize(
-                    group.sign * vgs - shift, group.sign * vds, group.delta_v
-                )
-                current = group.sign * current
-            current = current * scale
-            gm = gm * scale
-            gds = gds * scale
-
-            rvals = np.concatenate((current, -current), axis=1)  # (m, 2*count)
-            np.add.at(rflat, row_pad + group.scatter_idx, rvals)
-
-            vals6 = np.stack(
-                (gds, gm, -(gm + gds), -gds, -gm, gm + gds), axis=1
-            )  # (m, 6, count), entry order matching group.take
-            entries = vals6.reshape(m, 6 * group.count)[:, group.take]
-            np.add.at(jflat, row_jac + scatter, entries)
-
-        residual = rpad[:, :size]
-        if gmin > 0.0:
-            n_nodes = plan.n_nodes
-            residual[:, :n_nodes] += gmin * x[:, :n_nodes]
-            if plan.use_sparse:
-                jac[:, plan.sparse_schedule.node_diag_pos] += gmin
-            else:
-                diag = np.einsum("ijj->ij", jac)
-                diag[:, :n_nodes] += gmin
-        return residual, jac
 
     def small_signal_jacobians(
         self, x: np.ndarray, variation: FETVariation | None = None
@@ -1063,7 +923,7 @@ class _BatchedNewtonEngine:
                 f"variation has {variation.n_instances} instances, "
                 f"operating-point stack has {x.shape[0]} rows"
             )
-        _, jacobian = self._evaluate_batch(x, variation)
+        _, jacobian = self.plan.evaluate_many(x, variation=variation)
         return jacobian
 
     # -- batched Newton ---------------------------------------------------------
@@ -1086,7 +946,7 @@ class _BatchedNewtonEngine:
         """
         m = x0.shape[0]
         x = x0.copy()
-        residual, jacobian = self._evaluate_batch(x, variation, gmin, ctx)
+        residual, jacobian = ctx.evaluate(self.plan, x, variation, gmin)
         norm = np.abs(residual).max(axis=1)
         tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm
         converged = norm <= tolerance
@@ -1117,8 +977,8 @@ class _BatchedNewtonEngine:
             for _ in range(30):
                 rows = active[pending]
                 x_trial = x[rows] + damping[pending, None] * step[pending]
-                r_trial, j_trial = self._evaluate_batch(
-                    x_trial, variation.take(rows), gmin, ctx.take(rows)
+                r_trial, j_trial = ctx.take(rows).evaluate(
+                    self.plan, x_trial, variation.take(rows), gmin
                 )
                 n_trial = np.abs(r_trial).max(axis=1)
                 ok = (n_trial < norm[rows]) | (n_trial <= tolerance[rows])
@@ -1299,8 +1159,7 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
     every instance shares the plan's canonical sparsity pattern, so the
     Jacobian stack is a ``(m, nnz)`` CSR ``data`` array and each Newton
     step refactorizes the active instances numerically against the
-    plan's one-time symbolic ordering.  The per-instance scalar loop
-    survives as :meth:`scalar_reference` for tests and benchmarks.
+    plan's one-time symbolic ordering.
     """
 
     _ENGINE_NAME = "CircuitMonteCarlo"
@@ -1389,30 +1248,6 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
         return _concat_results(
             parts,
             size=self.plan.size,
-            node_index=self.node_index,
-            branch_index=self.branch_index,
-        )
-
-    def scalar_reference(self, variation: FETVariation) -> MonteCarloResult:
-        """The per-instance scalar loop this engine replaces (for tests/benchmarks).
-
-        Solves every instance through the full continuation ladder
-        (:func:`~repro.circuit.continuation.solve_dc_robust`) on an
-        explicitly perturbed clone of the circuit — the reference side
-        of the batched-vs-scalar equivalence suites and the baseline
-        the sparse-MC benchmark measures speedup against.
-        """
-        variation = self._check_variation(variation, None)
-        m = variation.n_instances
-        x = np.empty((m, self.plan.size))
-        converged = np.zeros(m, dtype=bool)
-        for i in range(m):
-            system = perturbed_circuit(self.circuit, variation, i).build_system()
-            x[i], report = solve_dc_robust(system)
-            converged[i] = report.converged
-        return MonteCarloResult(
-            x=x,
-            converged=converged,
             node_index=self.node_index,
             branch_index=self.branch_index,
         )
@@ -1637,8 +1472,8 @@ class CircuitTransientMC(_BatchedNewtonEngine):
                 time_s=step * dt_s,
                 dt_s=dt_s,
                 integrator=integrator,
-                prevpad=prevpad,
-                state_currents=state,
+                previous_x=prevpad[:, :size],
+                state=state,
             )
             x_next, ok_step = self._newton_batch(
                 x_alive,
@@ -1715,25 +1550,3 @@ class CircuitTransientMC(_BatchedNewtonEngine):
             ).build_system()
             cache[instance] = system
         return system
-
-    def scalar_reference(
-        self,
-        variation: FETVariation,
-        t_stop_s: float,
-        dt_s: float,
-        integrator: str = "trapezoidal",
-    ) -> np.ndarray:
-        """The per-instance scalar loop this engine replaces (for tests/benchmarks).
-
-        Integrates every instance through :func:`repro.circuit.transient.
-        transient_samples` on an explicitly perturbed circuit clone;
-        raises :class:`~repro.circuit.continuation.ConvergenceError` if
-        any instance fails.  Returns ``(n_instances, n_steps + 1, size)``.
-        """
-        variation = self._check_variation(variation, None)
-        n_steps = validate_grid(t_stop_s, dt_s, integrator)
-        out = np.empty((variation.n_instances, n_steps + 1, self.plan.size))
-        for i in range(variation.n_instances):
-            system = perturbed_circuit(self.circuit, variation, i).build_system()
-            out[i] = transient_samples(system, t_stop_s, dt_s, integrator)
-        return out

@@ -65,7 +65,9 @@ class TransientResult:
 def validate_grid(t_stop_s: float, dt_s: float, integrator: str) -> int:
     """Check the time-grid contract; returns the step count.
 
-    Shared by the scalar :func:`transient` and the batched
+    ``t_stop_s`` must be a whole number of ``dt_s`` steps (to 1e-9
+    relative), so the march ends at ``t_stop_s``.  Shared by the scalar
+    :func:`transient` and the batched
     :class:`repro.circuit.sweep.CircuitTransientMC`, so both reject the
     same inputs and march the identical grid.
     """
@@ -75,7 +77,15 @@ def validate_grid(t_stop_s: float, dt_s: float, integrator: str) -> int:
         raise CircuitError(f"dt {dt_s} exceeds t_stop {t_stop_s}")
     if integrator not in _INTEGRATORS:
         raise CircuitError(f"unknown integrator {integrator!r}; use {_INTEGRATORS}")
-    return int(round(t_stop_s / dt_s))
+    ratio = t_stop_s / dt_s
+    n_steps = int(round(ratio))
+    if abs(ratio - n_steps) > 1e-9 * ratio:
+        # The march ends at n_steps * dt: a fractional ratio would
+        # silently overshoot or undershoot t_stop.
+        raise CircuitError(
+            f"t_stop {t_stop_s} is not a whole number of dt {dt_s} steps"
+        )
+    return n_steps
 
 
 def transient_samples(

@@ -1,8 +1,8 @@
 """Small-signal AC analysis against closed-form frequency responses.
 
 Plus the compiled-path contracts: the stacked complex sweep
-(:class:`ACPlan`) is pinned to the legacy per-frequency loop at 1e-9
-in both the dense and sparse regimes, and the batched paths are
+(:class:`ACPlan`) is pinned to a per-frequency dense-loop oracle at
+1e-9 in both the dense and sparse regimes, and the batched paths are
 bitwise invariant to frequency chunking and corner order.
 """
 
@@ -16,9 +16,12 @@ from repro.circuit.ac import (
     BatchedACResult,
     ac_analysis,
     ac_monte_carlo,
+    dense_frequency_loop,
 )
 from repro.circuit.cells import build_inverter
+from repro.circuit.elements import Capacitor, VoltageSource
 from repro.circuit.netlist import Circuit, CircuitError
+from repro.circuit.solver import solve_dc
 from repro.circuit.sweep import FETVariation
 from repro.circuit.waveforms import DC
 from repro.devices.base import PType
@@ -161,6 +164,9 @@ class TestFrequencyGridValidation:
     def test_descending_rejected(self):
         with pytest.raises(CircuitError, match="strictly increasing"):
             ac_analysis(rc_lowpass(), "VIN", [1e6, 1e5, 1e4])
+        # A reused plan's sweep validates its grid too.
+        with pytest.raises(CircuitError, match="strictly increasing"):
+            ACPlan(rc_lowpass(), "VIN").sweep([1e6, 1e3])
 
     def test_shuffled_rejected(self):
         with pytest.raises(CircuitError, match="strictly increasing"):
@@ -170,17 +176,9 @@ class TestFrequencyGridValidation:
         with pytest.raises(CircuitError, match="strictly increasing"):
             ac_analysis(rc_lowpass(), "VIN", [1e3, 1e3, 1e4])
 
-    def test_legacy_path_validates_too(self):
-        with pytest.raises(CircuitError, match="strictly increasing"):
-            ac_analysis(rc_lowpass(), "VIN", [1e6, 1e3], method="legacy")
-
     def test_nonfinite_rejected(self):
         with pytest.raises(CircuitError, match="positive and finite"):
             ac_analysis(rc_lowpass(), "VIN", [1e3, np.inf])
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(CircuitError, match="unknown AC method"):
-            ac_analysis(rc_lowpass(), "VIN", [1e3], method="dense")
 
     def test_bad_chunk_size_rejected(self):
         cell = build_inverter(AlphaPowerFET(), input_waveform=DC(0.5))
@@ -194,9 +192,52 @@ class TestFrequencyGridValidation:
             )
 
 
+def _dense_capacitance(circuit, system):
+    """Element-walk capacitance build, independent of the stamp plan."""
+    capacitance = np.zeros((system.size, system.size))
+    for element in circuit.elements:
+        if not isinstance(element, Capacitor):
+            continue
+        ip = system.node_index(element.p)
+        in_ = system.node_index(element.n)
+        if ip is not None:
+            capacitance[ip, ip] += element.capacitance_f
+        if in_ is not None:
+            capacitance[in_, in_] += element.capacitance_f
+        if ip is not None and in_ is not None:
+            capacitance[ip, in_] -= element.capacitance_f
+            capacitance[in_, ip] -= element.capacitance_f
+    return capacitance
+
+
+def legacy_ac(circuit, source, frequencies):
+    """Oracle: the pre-compile AC analysis, one dense solve per frequency.
+
+    G comes from the element-walking reference evaluator at the DC
+    point and C from an element walk, so nothing but the DC solve goes
+    through the stamp plan.
+    """
+    system = circuit.build_system()
+    x_dc = solve_dc(system)
+    _, conductance = system.evaluate_dense(x_dc)
+    drive = next(
+        el for el in circuit.elements
+        if isinstance(el, VoltageSource) and el.name == source
+    )
+    rhs = np.zeros(system.size)
+    rhs[drive.branch_index] = 1.0
+    samples = dense_frequency_loop(
+        conductance, _dense_capacitance(circuit, system), rhs, frequencies
+    )
+    voltages = {
+        node: samples[:, system.node_index(node)] for node in circuit.node_names
+    }
+    return ACResult(frequencies_hz=np.asarray(frequencies), voltages=voltages)
+
+
 def _equivalence(circuit, source, frequencies, tolerance=1e-9):
-    compiled = ac_analysis(circuit, source, frequencies, method="compiled")
-    legacy = ac_analysis(circuit, source, frequencies, method="legacy")
+    compiled = ac_analysis(circuit, source, frequencies)
+    legacy = legacy_ac(circuit, source, frequencies)
     worst = max(
         float(np.abs(compiled.transfer(n) - legacy.transfer(n)).max())
         for n in circuit.node_names

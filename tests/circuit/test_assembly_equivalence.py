@@ -11,7 +11,7 @@ and both the dense and sparse assembly regimes.
 import numpy as np
 import pytest
 
-from repro.circuit.assembly import SPARSE_THRESHOLD, StampPlan
+from repro.circuit.assembly import SPARSE_THRESHOLD, StampPlan, UnsupportedElement
 from repro.circuit.elements import Element
 from repro.circuit.netlist import Circuit
 from repro.circuit.solver import newton_solve, solve_dc
@@ -217,7 +217,7 @@ def test_capacitor_state_update_matches_reference():
         assert state_plan[name] == pytest.approx(state_ref[name], abs=1e-18)
 
 
-def test_unsupported_element_falls_back_to_reference():
+def test_unsupported_element_rejected_at_build():
     class Shunt(Element):
         name = "X1"
         nodes = ("a",)
@@ -229,13 +229,8 @@ def test_unsupported_element_falls_back_to_reference():
     c.add_voltage_source("V1", "a", "0", DC(1.0))
     c.add_resistor("R1", "a", "0", 1e3)
     c.add(Shunt())
-    system = c.build_system()
-    assert system._plan is None
-    x = np.zeros(system.size)
-    res, jac = system.evaluate(x)
-    res_d, jac_d = system.evaluate_dense(x)
-    np.testing.assert_allclose(res, res_d, atol=ATOL, rtol=0.0)
-    np.testing.assert_allclose(jac, jac_d, atol=ATOL, rtol=0.0)
+    with pytest.raises(UnsupportedElement, match=r"'X1'.*Shunt"):
+        c.build_system()
 
 
 def test_standalone_plan_compiles_small_circuits():

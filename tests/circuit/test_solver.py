@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.circuit.assembly import DIAG_REGULARIZATION, SPARSE_THRESHOLD
 from repro.circuit.netlist import Circuit
-from repro.circuit.solver import newton_solve, solve_dc
+from repro.circuit.solver import (
+    _MAX_ITERATIONS,
+    _MAX_TRIALS,
+    _RESIDUAL_ATOL,
+    _RESIDUAL_RTOL,
+    _STEP_TOL,
+    newton_solve,
+    solve_dc,
+)
 from repro.circuit.waveforms import DC
 from repro.devices.base import PType
 from repro.devices.empirical import AlphaPowerFET
@@ -71,13 +80,47 @@ class TestNewton:
         assert system.voltage_of(x_half, "a") == pytest.approx(1.0)
 
 
+def _sequential_newton(system, x0):
+    """Oracle: damped Newton with a one-trial-at-a-time halving ladder.
+
+    Written over the element-walking reference evaluator and a dense
+    solve, independent of the stamp plan and its batched kernel; same
+    convergence criterion and trial budget as the production solver.
+    """
+    x = np.array(x0, dtype=float)
+    residual, jacobian = system.evaluate_dense(x)
+    norm = float(np.max(np.abs(residual)))
+    tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm
+    converged = norm <= tolerance
+    iterations = 0
+    while not converged and iterations < _MAX_ITERATIONS:
+        jacobian[np.diag_indices(system.size)] += DIAG_REGULARIZATION
+        step = np.linalg.solve(jacobian, -residual)
+        iterations += 1
+        damping = 1.0
+        for _ in range(_MAX_TRIALS):
+            x_trial = x + damping * step
+            residual_trial, jacobian_trial = system.evaluate_dense(x_trial)
+            norm_trial = float(np.max(np.abs(residual_trial)))
+            if norm_trial < norm or norm_trial <= tolerance:
+                break
+            damping *= 0.5
+        else:
+            break
+        x, residual, jacobian, norm = x_trial, residual_trial, jacobian_trial, norm_trial
+        converged = norm <= tolerance
+        if float(np.max(np.abs(damping * step))) < _STEP_TOL:
+            break
+    return x, converged
+
+
 class TestBatchedLineSearch:
     """The damping ladder of a rejected full step runs batched.
 
     One :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` call
-    covers ``_TRIAL_BATCH`` damping candidates; acceptance must be the
-    first candidate the sequential ladder would have accepted, so the
-    solver's trajectory (and solution) matches the scalar reference.
+    covers ``_TRIAL_BATCH`` damping candidates, dense and sparse plans
+    alike; acceptance must be the first candidate a sequential ladder
+    would have accepted, so the solver lands on the oracle's solution.
     """
 
     def _chain(self, n_stages=5):
@@ -90,9 +133,13 @@ class TestBatchedLineSearch:
             c.add_fet(f"MN{i}", f"s{i+1}", f"s{i}", "0", fet)
         return c
 
-    def test_backtracking_routes_through_evaluate_many(self, monkeypatch):
-        system = self._chain().build_system()
-        plan = system._plan
+    def _adversarial_start(self, system):
+        # Rails inverted: forces damped steps.
+        x0 = np.full(system.size, 0.5)
+        x0[system.node_index("vdd")] = -1.0
+        return x0
+
+    def _count_batched_calls(self, monkeypatch, plan):
         calls = {"many": 0}
         original = plan.evaluate_many
 
@@ -101,29 +148,42 @@ class TestBatchedLineSearch:
             return original(x_stack, **kwargs)
 
         monkeypatch.setattr(plan, "evaluate_many", counting)
-        # An adversarial start (rails inverted) forces damped steps.
-        x0 = np.full(system.size, 0.5)
-        x0[system.node_index("vdd")] = -1.0
-        x, converged = newton_solve(system, x0)
+        return calls
+
+    def test_backtracking_routes_through_evaluate_many(self, monkeypatch):
+        system = self._chain().build_system()
+        calls = self._count_batched_calls(monkeypatch, system._plan)
+        x, converged = newton_solve(system, self._adversarial_start(system))
         residual, _ = system.evaluate_dense(x)
         assert calls["many"] > 0
         assert np.max(np.abs(residual)) < 1e-8 or not converged
 
     def test_batched_ladder_matches_sequential_ladder(self):
         system = self._chain().build_system()
-        x0 = np.full(system.size, 0.5)
-        x0[system.node_index("vdd")] = -1.0
+        x0 = self._adversarial_start(system)
         x_batched, ok_batched = newton_solve(system, x0)
+        x_oracle, ok_oracle = _sequential_newton(system, x0)
+        assert ok_batched == ok_oracle
+        np.testing.assert_allclose(x_batched, x_oracle, atol=1e-7)
 
-        # Hiding the compiled plan forces the sequential scalar ladder
-        # (reference-evaluator Newton); it must accept the same damping
-        # sequence and land on the same solution.
-        system2 = self._chain().build_system()
-        system2._plan = None
-        system2.evaluate = system2.evaluate_dense
-        x_scalar, ok_scalar = newton_solve(system2, x0)
-        assert ok_batched == ok_scalar
-        np.testing.assert_allclose(x_batched, x_scalar, atol=1e-7)
+    def test_sparse_plan_ladder_runs_batched(self, monkeypatch):
+        # The 5-stage chain plus a 126-resistor string across the supply:
+        # 134 unknowns, so the plan assembles sparse.
+        circuit = self._chain()
+        previous = "vdd"
+        for i in range(125):
+            circuit.add_resistor(f"RS{i}", previous, f"r{i}", 1e4)
+            previous = f"r{i}"
+        circuit.add_resistor("RS125", previous, "0", 1e4)
+        system = circuit.build_system()
+        assert system.size >= SPARSE_THRESHOLD and system._plan.use_sparse
+        calls = self._count_batched_calls(monkeypatch, system._plan)
+        x0 = self._adversarial_start(system)
+        x_batched, ok_batched = newton_solve(system, x0)
+        assert calls["many"] > 0
+        x_oracle, ok_oracle = _sequential_newton(system, x0)
+        assert ok_batched and ok_oracle
+        np.testing.assert_allclose(x_batched, x_oracle, atol=1e-7)
 
 
 class TestStiffCircuits:

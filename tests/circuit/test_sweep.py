@@ -24,12 +24,14 @@ from repro.circuit.sweep import (
     FETVariation,
     SweepPlan,
     ensure_seed,
+    perturbed_circuit,
 )
 from repro.circuit.netlist import Circuit
 from repro.circuit.waveforms import DC
 from repro.devices.base import FETModel, PType
 from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import STAGE_LOAD_F, build_inverter_chain
+from scalar_oracle import dc_scalar_reference
 
 
 # -- pool-safe kernels (module level so ProcessPoolExecutor can pickle) -------
@@ -353,7 +355,7 @@ class TestSparseBatchedNewton:
             vth_sigma_v=0.01,
         )
         batched = sparse_chain_engine.run(variation)
-        reference = sparse_chain_engine.scalar_reference(variation)
+        reference = dc_scalar_reference(sparse_chain_engine, variation)
         assert batched.converged.all()
         assert reference.converged.all()
         assert np.abs(batched.x - reference.x).max() < 1e-9
@@ -469,14 +471,68 @@ class TestCurrentSourceBatch:
         for i in range(nominal.n_instances):
             np.testing.assert_allclose(result.x[i], scalar, atol=1e-8)
 
-    def test_residual_rows_match_scalar_evaluation(self):
-        engine = CircuitMonteCarlo(self._biased_circuit())
+    def test_residual_rows_match_scalar_evaluation(self, sparse_fet_ladder):
+        """``StampPlan.evaluate_many`` rows equal the reference evaluator.
+
+        Each row carries its own variation and is checked against
+        ``evaluate_dense`` on that instance's perturbed circuit — dense
+        and sparse plans, the ``gmin_ref`` anchor, and a companion model
+        whose previous solution and history are shared by every row or
+        given one row per instance.
+        """
         rng = np.random.default_rng(3)
-        xs = rng.normal(scale=0.5, size=(4, engine.plan.size))
-        residuals, jacobians = engine._evaluate_batch(
-            xs, FETVariation.nominal(4, len(engine.fet_names))
-        )
-        for i in range(xs.shape[0]):
-            res, jac = engine.system.evaluate_dense(xs[i])
-            np.testing.assert_allclose(residuals[i], res, atol=1e-12)
-            np.testing.assert_allclose(jacobians[i], jac, atol=1e-12)
+        m = 4
+
+        def shared_companion(plan):
+            previous = rng.normal(scale=0.5, size=plan.size)
+            state = {name: rng.normal() * 1e-6 for name in plan.cap_names}
+            kwargs = dict(time_s=2e-11, dt_s=1e-12, previous_x=previous, state=state)
+            return kwargs, lambda i: kwargs
+
+        def per_row_companion(plan):
+            previous = rng.normal(scale=0.5, size=(m, plan.size))
+            state = rng.normal(size=(m, len(plan.cap_names))) * 1e-6
+            kwargs = dict(time_s=2e-11, dt_s=1e-12, previous_x=previous, state=state)
+            return kwargs, lambda i: dict(
+                kwargs,
+                previous_x=previous[i],
+                state=dict(zip(plan.cap_names, state[i])),
+            )
+
+        def anchored_gmin(plan):
+            kwargs = dict(
+                gmin=1e-3,
+                gmin_ref=rng.normal(size=plan.size),
+                source_scale=0.7,
+            )
+            return kwargs, lambda i: kwargs
+
+        cases = [
+            (self._biased_circuit(), lambda plan: ({}, lambda i: {})),
+            (self._biased_circuit(), anchored_gmin),
+            (_chain(), shared_companion),
+            (_chain(), per_row_companion),
+            (sparse_fet_ladder(load_f=1e-15), per_row_companion),
+            (sparse_fet_ladder(load_f=1e-15), anchored_gmin),
+        ]
+        for circuit, make_kwargs in cases:
+            engine = CircuitMonteCarlo(circuit)
+            plan = engine.plan
+            variation = FETVariation.sample(
+                m, len(engine.fet_names), seed=5, drive_sigma=0.2, vth_sigma_v=0.05
+            )
+            xs = rng.normal(scale=0.5, size=(m, plan.size))
+            kwargs, row_kwargs = make_kwargs(plan)
+            residuals, jacobians = plan.evaluate_many(
+                xs, variation=variation, **kwargs
+            )
+            for i in range(m):
+                system = perturbed_circuit(circuit, variation, i).build_system()
+                res, jac = system.evaluate_dense(xs[i], **row_kwargs(i))
+                jac_i = (
+                    plan.sparse_schedule.matrix(jacobians[i]).toarray()
+                    if plan.use_sparse
+                    else jacobians[i]
+                )
+                np.testing.assert_allclose(residuals[i], res, atol=1e-12)
+                np.testing.assert_allclose(jac_i, jac, atol=1e-12)

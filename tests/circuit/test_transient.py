@@ -74,6 +74,10 @@ class TestValidation:
             transient(rc_circuit(), -1.0, 1e-9)
         with pytest.raises(CircuitError):
             transient(rc_circuit(), 1e-9, 1e-6)
+        # A fractional t_stop / dt would end the march at 1.2 ns / 0.8 ns.
+        for dt in (0.6e-9, 0.4e-9):
+            with pytest.raises(CircuitError, match="whole number"):
+                transient(rc_circuit(), 1e-9, dt)
 
     def test_unknown_integrator(self):
         with pytest.raises(CircuitError):

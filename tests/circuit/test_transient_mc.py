@@ -28,6 +28,7 @@ from repro.circuit.transient import transient, transient_samples
 from repro.circuit.waveforms import Pulse
 from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import build_inverter_chain
+from scalar_oracle import transient_scalar_reference
 
 WAVEFORM_ATOL = 1e-9
 
@@ -83,14 +84,14 @@ class TestScalarEquivalence:
     """Waveforms match the per-instance scalar transient() loop."""
 
     def test_trapezoidal_matches_scalar_loop(self, engine, variation, reference):
-        scalar = engine.scalar_reference(variation, T_STOP, DT)
+        scalar = transient_scalar_reference(engine, variation, T_STOP, DT)
         assert reference.converged.all()
         assert np.abs(reference.samples - scalar).max() < WAVEFORM_ATOL
 
     def test_backward_euler_matches_scalar_loop(self, engine, variation):
         result = engine.run(variation, T_STOP, DT, integrator="backward-euler")
-        scalar = engine.scalar_reference(
-            variation, T_STOP, DT, integrator="backward-euler"
+        scalar = transient_scalar_reference(
+            engine, variation, T_STOP, DT, integrator="backward-euler"
         )
         assert result.converged.all()
         assert np.abs(result.samples - scalar).max() < WAVEFORM_ATOL
@@ -121,7 +122,7 @@ class TestScalarEquivalence:
             vth_sigma_v=vth_sigma_v,
         )
         result = engine.run(variation, T_STOP, DT)
-        scalar = engine.scalar_reference(variation, T_STOP, DT)
+        scalar = transient_scalar_reference(engine, variation, T_STOP, DT)
         assert result.converged.all()
         assert np.abs(result.samples - scalar).max() < WAVEFORM_ATOL
 
@@ -169,7 +170,7 @@ class TestScalarFallback:
         assert result.n_fallback == variation.n_instances
         assert result.converged.all()
         assert np.abs(result.samples - reference.samples).max() < WAVEFORM_ATOL
-        scalar = engine.scalar_reference(variation, T_STOP, DT)
+        scalar = transient_scalar_reference(engine, variation, T_STOP, DT)
         assert np.abs(result.samples - scalar).max() < WAVEFORM_ATOL
 
     def test_fallback_only_takes_failing_instances(self, engine, variation):
@@ -273,6 +274,10 @@ class TestResultAccessors:
             engine.run(n_instances=2, t_stop_s=-1.0, dt_s=1e-12)
         with pytest.raises(CircuitError):
             engine.run(n_instances=2, t_stop_s=1e-9, dt_s=1e-12, integrator="euler")
+        # t_stop must be a whole number of dt steps.
+        for dt in (0.6e-9, 0.4e-9):
+            with pytest.raises(CircuitError, match="whole number"):
+                engine.run(n_instances=2, t_stop_s=1e-9, dt_s=dt)
         with pytest.raises(ValueError):
             engine.run(FETVariation.nominal(2, 7), 1e-10, 1e-11)
         with pytest.raises(ValueError):
