@@ -33,7 +33,9 @@ Two kernels evaluate a plan: :meth:`StampPlan.evaluate` at one iterate
 (with a scalar per-FET path for small groups), and
 :meth:`StampPlan.evaluate_many` — the one batched kernel — at a stack
 of iterates, optionally with per-row device variation and companion
-state; the Newton line search and the sweep engines both run on it.
+state.  The one Newton loop (:func:`repro.circuit.solver.newton_many`)
+evaluates only through :meth:`StampPlan.evaluate_many`, which hands a
+one-row stack without variation to :meth:`StampPlan.evaluate`.
 
 The compiled path is numerically equivalent to the reference path (same
 stamps, same finite-difference linearization arithmetic); the test suite
@@ -688,7 +690,7 @@ class StampPlan:
         dt_s: float | None = None,
         previous_x: np.ndarray | None = None,
         integrator: str = "trapezoidal",
-        state: dict | None = None,
+        state: dict | np.ndarray | None = None,
         source_scale: float = 1.0,
         gmin: float = 0.0,
         gmin_ref: np.ndarray | None = None,
@@ -697,6 +699,8 @@ class StampPlan:
 
         Dense mode returns views of reused buffers; sparse mode returns a
         fresh ``scipy.sparse`` CSR Jacobian and a reused residual view.
+        ``state`` holds the trapezoidal history currents, as a dict by
+        capacitor name or an ``(n_caps,)`` array in ``cap_names`` order.
         ``gmin`` adds a shunt conductance from every node to ground;
         with ``gmin_ref`` the shunt anchors at that reference vector
         instead — the pseudo-transient continuation stamp
@@ -725,8 +729,9 @@ class StampPlan:
         if dt_s is not None and self.cap_c.size:
             prevpad = self._prevpad
             prevpad[:size] = x if previous_x is None else previous_x
-            history = self.cap_state_array(state) if state else None
-            rhs = self.cap_history_rhs(prevpad, linear.cap_geq, integrator, history)
+            if isinstance(state, dict):
+                state = self.cap_state_array(state) if state else None
+            rhs = self.cap_history_rhs(prevpad, linear.cap_geq, integrator, state)
             cap_vals = self._cap_vals
             cap_vals[: rhs.size] = rhs
             np.negative(rhs, out=cap_vals[rhs.size :])
@@ -778,13 +783,14 @@ class StampPlan:
     ):
         """Residuals ``(m, size)`` and Jacobians at a stack of iterates.
 
-        The one batched stamp kernel: the scalar Newton line search
-        evaluates a damping ladder of trial points through it, and the
-        sweep engines evaluate N instances per call.  Jacobians are
-        dense ``(m, size, size)`` buffers, or ``(m, nnz)`` canonical-
-        pattern CSR ``data`` stacks for sparse plans (wrap a row with
-        ``sparse_schedule.matrix``).  Returns fresh arrays — rows
-        survive subsequent calls.
+        The one batched stamp kernel, and the only evaluation the Newton
+        loop (:func:`repro.circuit.solver.newton_many`) makes: one row
+        per pending iterate, or one per sweep instance.  A one-row stack
+        with no variation is the scalar :meth:`evaluate` call, so scalar
+        solves keep its cost.  Jacobians are dense ``(m, size, size)``
+        buffers, or ``(m, nnz)`` canonical-pattern CSR ``data`` stacks
+        for sparse plans (wrap a row with ``sparse_schedule.matrix``).
+        Returns fresh arrays — rows survive subsequent calls.
 
         Keyword arguments follow :meth:`evaluate`.  ``previous_x`` is
         one shared ``(size,)`` vector or one row per iterate; ``state``
@@ -805,6 +811,17 @@ class StampPlan:
         m = x_stack.shape[0]
         size = self.size
         schedule = self.sparse_schedule
+        if m == 1 and variation is None:
+            if previous_x is not None:
+                previous_x = np.asarray(previous_x).reshape(size)
+            if isinstance(state, np.ndarray):
+                state = state.reshape(-1)
+            residual, jacobian = self.evaluate(
+                x_stack[0], time_s, dt_s, previous_x, integrator, state,
+                source_scale, gmin, gmin_ref,
+            )
+            jacobian = jacobian.data if schedule is not None else jacobian.copy()
+            return residual[None].copy(), jacobian[None]
         bases = self._row_bases.get(m)
         if bases is None:
             stride = size * size if schedule is None else schedule.nnz
@@ -900,25 +917,6 @@ class StampPlan:
                 diag = np.einsum("ijj->ij", jac)
                 diag[:, :n_nodes] += gmin
         return residual, jac
-
-    def sparse_newton_step(
-        self, jacobian: sparse.csr_matrix, residual: np.ndarray
-    ) -> np.ndarray | None:
-        """Newton step ``J^-1 (-residual)`` for a canonical-pattern CSR
-        Jacobian (as returned by :meth:`evaluate` in sparse mode).
-
-        Numeric-only refactorization against the schedule's one-time
-        symbolic ordering, with the solver's diagonal regularization
-        applied to a copy of the data.  Returns None when the matrix
-        is singular or the solve is non-finite.
-        """
-        data = jacobian.data.copy()
-        data[self.sparse_schedule.diag_pos] += DIAG_REGULARIZATION
-        solve = self.sparse_schedule.factor(data)
-        if solve is None:
-            return None
-        step = solve(-residual)
-        return step if np.all(np.isfinite(step)) else None
 
     # -- transient support ----------------------------------------------------------
     def cap_state_array(self, state: dict | None) -> np.ndarray:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.circuit.elements import GROUND_NAMES, VoltageSource
 from repro.circuit.netlist import Circuit, CircuitError, MNASystem
 from repro.circuit.solver import solve_dc
 from repro.circuit.waveforms import DC
-from repro.circuit.elements import VoltageSource
 
 __all__ = ["OperatingPointResult", "SweepResult", "operating_point", "dc_sweep"]
 
@@ -31,7 +31,7 @@ class OperatingPointResult:
     source_currents: dict[str, float]
 
     def voltage(self, node: str) -> float:
-        if node in ("0", "gnd", "GND", "ground"):
+        if node in GROUND_NAMES:
             return 0.0
         try:
             return self.voltages[node]
@@ -55,6 +55,8 @@ class SweepResult:
     source_currents: dict[str, np.ndarray]
 
     def voltage(self, node: str) -> np.ndarray:
+        if node in GROUND_NAMES:
+            return np.zeros(self.swept_values.size)
         try:
             return self.voltages[node]
         except KeyError:

@@ -1,10 +1,23 @@
 """Damped Newton solver for MNA systems.
 
-The solver attacks F(x) = 0 with Newton iterations and a backtracking
-line search on the residual norm.  Convergence is a single
-relative+absolute test on the max-norm residual — the same criterion at
-the main exit, on step stall and at iteration exhaustion, so
-"converged" means one thing everywhere.
+:func:`newton_many` is the one damped-Newton iteration in the package,
+on an ``(m, size)`` stack of iterates: :func:`newton_solve` is its
+one-row call, and the sweep engines (:mod:`repro.circuit.sweep`) and
+the time-step loop (:mod:`repro.circuit.transient`) call it with one
+row per instance.  Convergence is a single relative+absolute test on
+the max-norm residual — the same criterion at the main exit, on step
+stall and at iteration exhaustion, so "converged" means one thing
+everywhere.  The line search halves the damping: each round evaluates
+one candidate per pending row in one
+:meth:`~repro.circuit.assembly.StampPlan.evaluate_many` call and
+accepts the first candidate that reduces the row's residual — the one
+a sequential halving ladder would accept.
+
+Linear algebra follows the compiled stamp plan: dense Jacobian stacks
+solve in one batched LAPACK call (``dgesv`` for a single row), sparse
+``(m, nnz)`` stacks refactorize each row numerically against the
+plan's one-time symbolic ordering, and linear-only circuits reuse the
+plan's cached LU of the constant matrix.
 
 Cold-start robustness lives in :mod:`repro.circuit.continuation`:
 :func:`solve_dc` delegates to its adaptive ladder (structural seeding,
@@ -12,19 +25,11 @@ adaptive gmin stepping, adaptive source ramping, pseudo-transient
 continuation) and raises a diagnostics-carrying
 :class:`~repro.circuit.continuation.ConvergenceError` when the ladder
 is exhausted.
-
-Linear algebra adapts to what the compiled stamp plan hands back: small
-systems solve dense with an in-place diagonal regularization (no
-per-iteration ``np.eye`` allocation), large systems arrive as
-``scipy.sparse`` CSR matrices on the plan's canonical pattern and
-refactorize numerically against the plan's one-time symbolic ordering
-(:meth:`~repro.circuit.assembly.StampPlan.sparse_newton_step`).  Circuits
-with no nonlinear devices skip refactorization entirely — the constant
-linear matrix is LU-factorized once per ``(dt, integrator)`` key by the
-stamp plan and every Newton step reuses the cached factors.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -33,83 +38,204 @@ from scipy.linalg.lapack import dgesv
 # Unused here; perfbench's tracer resolves ``solver.splu`` when it installs.
 from scipy.sparse.linalg import splu  # noqa: F401
 
-from repro.circuit.assembly import DIAG_REGULARIZATION as _DIAG_REGULARIZATION
+from repro.circuit.assembly import DIAG_REGULARIZATION
 from repro.circuit.netlist import MNASystem
 
-__all__ = ["newton_solve", "solve_dc", "operating_point"]
+__all__ = ["NewtonRows", "newton_many", "newton_solve", "solve_dc", "operating_point"]
 
 _MAX_ITERATIONS = 120
 _RESIDUAL_ATOL = 1e-10
 _RESIDUAL_RTOL = 1e-9
 _STEP_TOL = 1e-10
-# Damping candidates evaluated per batched line-search call once the
-# full step is rejected (total trial budget stays at 30, as before).
-_TRIAL_BATCH = 8
 _MAX_TRIALS = 30
 
+# Evaluation keywords that may carry one row per iterate; the line
+# search narrows them to its pending rows.
+_ROW_KWARGS = ("previous_x", "state")
 
-def _newton_step(plan, jacobian, residual) -> np.ndarray | None:
-    """Solve J step = -residual with a tiny diagonal regularization.
 
-    Dense Jacobians get the regularization added to their diagonal in
-    place — safe because the evaluation buffer is fully reassembled by
-    the next ``evaluate`` call.  Sparse Jacobians route through
-    :meth:`~repro.circuit.assembly.StampPlan.sparse_newton_step`, so the
-    symbolic ordering is computed once and only the numeric
-    factorization repeats per iteration.  Returns None on a singular
-    matrix.
+class NewtonRows(NamedTuple):
+    """Per-row outcome of :func:`newton_many`."""
+
+    x: np.ndarray  # (m, size) final iterates
+    converged: np.ndarray  # (m,) bool
+    iterations: np.ndarray  # (m,) Newton steps taken
+    norm: np.ndarray  # (m,) final max-norm residuals
+
+
+def _solve_stack(plan, jacobians, residuals, linear, dt_s, integrator):
+    """Regularized Newton steps for a row stack; NaN rows where none exists.
+
+    ``jacobians`` is regularized in place (the caller replaces a row
+    before reading it again).  Dense stacks of several rows solve in one
+    batched LAPACK call; single rows, sparse rows (refactorized against
+    the plan's one-time symbolic ordering), linear-only plans
+    (``linear``: the plan's cached LU) and a stack with a singular
+    member go row by row.
     """
-    if plan.use_sparse:
-        return plan.sparse_newton_step(jacobian, residual)
-    diagonal = np.einsum("ii->i", jacobian)
-    diagonal += _DIAG_REGULARIZATION
-    # Same LAPACK dgesv as np.linalg.solve, minus the wrapper overhead;
-    # -residual is a fresh temporary, so LAPACK may solve into it.
-    _, _, step, info = dgesv(jacobian, -residual, overwrite_b=True)
-    return step if info == 0 else None
+    if not linear:
+        if plan.use_sparse:
+            jacobians[:, plan.sparse_schedule.diag_pos] += DIAG_REGULARIZATION
+        else:
+            np.einsum("ijj->ij", jacobians)[...] += DIAG_REGULARIZATION
+            if residuals.shape[0] > 1:
+                try:
+                    # RHS as (k, size, 1) column matrices: the batched-solve
+                    # gufunc otherwise misreads a (k, size) stack as one matrix.
+                    return np.linalg.solve(jacobians, -residuals[:, :, None])[..., 0]
+                except np.linalg.LinAlgError:
+                    pass
+    steps = np.empty_like(residuals)
+    for i, (jacobian, residual) in enumerate(zip(jacobians, residuals)):
+        if linear:
+            step = plan.linear_step(residual, dt_s, integrator)
+        elif plan.use_sparse:
+            solve = plan.sparse_schedule.factor(jacobian)
+            step = None if solve is None else solve(-residual)
+        else:
+            # -residual is a fresh temporary, so LAPACK may solve into it.
+            _, _, step, info = dgesv(jacobian, -residual, overwrite_b=True)
+            step = step if info == 0 else None
+        steps[i] = np.nan if step is None else step
+    return steps
 
 
-def _line_search(
-    system, plan, x, step, norm, tolerance, source_scale, gmin, eval_kwargs
-):
-    """First acceptable damped trial along ``step``; None if there is none.
+def newton_many(
+    plan,
+    x0: np.ndarray,
+    *,
+    variation=None,
+    gmin: float = 0.0,
+    max_iterations: int = _MAX_ITERATIONS,
+    **eval_kwargs,
+) -> NewtonRows:
+    """Damped Newton on every row of the ``(m, size)`` stack ``x0``.
 
-    Trial 1 is the full step — evaluated alone because it is accepted
-    in the vast majority of iterations.  Once it is rejected, the rest
-    of the halving ladder runs through
-    :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` in batches
-    of ``_TRIAL_BATCH``: one batched device ``linearize`` per call
-    instead of one per trial, which is what makes backtracking cheap
-    for expensive (physical) device models.  The first candidate of
-    each batch that reduces the residual is accepted — the one a
-    sequential halving ladder would have accepted.
+    Row ``i`` converges when ``norm <= _RESIDUAL_ATOL + _RESIDUAL_RTOL *
+    norm0`` with ``norm0`` its residual at ``x0[i]``.  Rows leave the
+    working set as they converge, stall (step below ``_STEP_TOL``), hit
+    a singular Jacobian or a non-finite step, or find no
+    residual-reducing damping, so late iterations pay only for the
+    stragglers.  ``max_iterations`` caps the Newton steps.
+
+    ``eval_kwargs`` follow
+    :meth:`~repro.circuit.assembly.StampPlan.evaluate_many`:
+    ``previous_x`` ``(m, size)`` and ``state`` ``(m, n_caps)`` are per
+    row, like ``variation`` (a
+    :class:`~repro.circuit.sweep.FETVariation` with ``m`` rows); a
+    ``(size,)`` ``previous_x`` or a ``state`` dict is shared.  Every
+    step is elementwise per row, so a row's result does not depend on
+    its neighbours; a lone dense row calls the same LAPACK ``gesv`` as
+    a batched stack (the chunk-size suites hold the two bitwise equal).
     """
-    x_trial = x + step
-    residual_trial, jacobian_trial = system.evaluate(
-        x_trial, source_scale=source_scale, gmin=gmin, **eval_kwargs
+    x_out = np.array(x0, dtype=float)
+    m = x_out.shape[0]
+    residual, jacobian = plan.evaluate_many(
+        x_out, gmin=gmin, variation=variation, **eval_kwargs
     )
-    norm_trial = float(np.max(np.abs(residual_trial)))
-    if norm_trial < norm or norm_trial <= tolerance:
-        return x_trial, residual_trial, jacobian_trial, norm_trial, 1.0
+    norm_out = np.abs(residual).max(axis=1)
+    tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm_out
+    iterations = np.zeros(m, dtype=int)
+    # The working set: input rows ``idx`` and their compacted state.
+    idx = (norm_out > tolerance).nonzero()[0]
+    if not idx.size:
+        return NewtonRows(x_out, norm_out <= tolerance, iterations, norm_out)
+    if idx.size == m:
+        x, norm, tol = x_out.copy(), norm_out.copy(), tolerance
+    else:
+        x, residual, jacobian = x_out[idx], residual[idx], jacobian[idx]
+        norm, tol = norm_out[idx], tolerance[idx]
 
-    dampings = 0.5 ** np.arange(1, _MAX_TRIALS)
-    for start in range(0, dampings.size, _TRIAL_BATCH):
-        batch = dampings[start : start + _TRIAL_BATCH]
-        x_trials = x[None, :] + batch[:, None] * step[None, :]
-        residuals, jacobians = plan.evaluate_many(
-            x_trials, source_scale=source_scale, gmin=gmin, **eval_kwargs
-        )
-        norms = np.max(np.abs(residuals), axis=1)
-        hits = np.flatnonzero((norms < norm) | (norms <= tolerance))
-        if hits.size:
-            j = int(hits[0])
-            jacobian = jacobians[j]
-            if plan.use_sparse:
-                jacobian = plan.sparse_schedule.matrix(jacobian)
-            return (
-                x_trials[j], residuals[j], jacobian, float(norms[j]), float(batch[j])
-            )
-    return None
+    def evaluate(x_rows, rows):
+        """Evaluate at ``x_rows``, the iterates of working rows ``rows``."""
+        kwargs, sub = eval_kwargs, variation
+        if rows.size < m:
+            rows = idx[rows]
+            kwargs = dict(eval_kwargs)
+            for key in _ROW_KWARGS:
+                value = kwargs.get(key)
+                if isinstance(value, np.ndarray) and value.ndim == 2:
+                    kwargs[key] = value[rows]
+            sub = None if variation is None else variation.take(rows)
+        return plan.evaluate_many(x_rows, gmin=gmin, variation=sub, **kwargs)
+
+    def retire(leave, steps_taken):
+        """Write the leaving rows' final state out; compact the rest."""
+        nonlocal idx, x, residual, jacobian, norm, tol
+        stay = ~leave
+        if not stay.any():
+            x_out[idx], norm_out[idx], iterations[idx] = x, norm, steps_taken
+            idx = idx[:0]
+            return stay
+        gone = idx[leave]
+        x_out[gone], norm_out[gone] = x[leave], norm[leave]
+        iterations[gone] = steps_taken
+        idx, x, residual, jacobian = idx[stay], x[stay], residual[stay], jacobian[stay]
+        norm, tol = norm[stay], tol[stay]
+        return stay
+
+    # Linear-only circuits reuse the plan's cached LU of the constant
+    # matrix instead of refactorizing the identical Jacobian every step.
+    linear = plan.linear_only and gmin == 0.0
+    dt_s = eval_kwargs.get("dt_s")
+    integrator = eval_kwargs.get("integrator", "trapezoidal")
+
+    for n in range(1, max_iterations + 1):
+        step = _solve_stack(plan, jacobian, residual, linear, dt_s, integrator)
+        step_norm = np.abs(step).max(axis=1)
+        solved = np.isfinite(step_norm)
+        if np.count_nonzero(solved) < idx.size:
+            # Singular or non-finite rows leave unconverged.
+            stay = retire(~solved, n - 1)
+            step, step_norm = step[stay], step_norm[stay]
+            if not idx.size:
+                break
+
+        # Backtracking line search: one halving candidate per pending
+        # row per round, every pending row at the same damping.  The
+        # pending rows are ``rows`` of the working set, starting at
+        # ``base`` with residual norms ``norm_p``.  A trial is accepted
+        # when it reduces the norm (working rows are above tolerance,
+        # so this also takes any trial that reaches tolerance).
+        k = idx.size
+        rows, base, norm_p = np.arange(k), x, norm
+        damping = 1.0
+        moving = np.zeros(k, dtype=bool)
+        for _ in range(_MAX_TRIALS):
+            x_trial = base + damping * step
+            r_trial, j_trial = evaluate(x_trial, rows)
+            n_trial = np.abs(r_trial).max(axis=1)
+            ok = n_trial < norm_p
+            hits = np.count_nonzero(ok)
+            if hits == k:
+                x, residual, jacobian, norm = x_trial, r_trial, j_trial, n_trial
+                moving = damping * step_norm >= _STEP_TOL
+                break
+            if hits:
+                sel = rows[ok]
+                x[sel] = x_trial[ok]
+                residual[sel] = r_trial[ok]
+                jacobian[sel] = j_trial[ok]
+                norm[sel] = n_trial[ok]
+                # A row whose accepted step stalled below _STEP_TOL stops.
+                moving[sel] = damping * step_norm[ok] >= _STEP_TOL
+                if hits == rows.size:
+                    break
+                miss = ~ok
+                rows, base, step = rows[miss], base[miss], step[miss]
+                norm_p, step_norm = norm_p[miss], step_norm[miss]
+            damping *= 0.5
+
+        # Rows that converged, stalled or found no damping leave.
+        keep = moving & (norm > tol)
+        if np.count_nonzero(keep) < k:
+            retire(~keep, n)
+            if not idx.size:
+                break
+    if idx.size:
+        # Out of iterations: the stragglers leave unconverged.
+        x_out[idx], norm_out[idx], iterations[idx] = x, norm, max_iterations
+    return NewtonRows(x_out, norm_out <= tolerance, iterations, norm_out)
 
 
 def newton_solve(
@@ -124,50 +250,24 @@ def newton_solve(
 ) -> tuple[np.ndarray, bool]:
     """Damped Newton from ``x0``; returns (solution, converged).
 
-    Converged means ``norm <= _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm0``
-    with ``norm0`` the residual at ``x0`` — evaluated identically at
-    every exit.  When ``report`` (a
+    The one-row call of :func:`newton_many`.  When ``report`` (a
     :class:`~repro.circuit.continuation.ConvergenceReport`) is given,
     the attempt is recorded under ``stage``/``parameter`` with its
     iteration count and final residual.
     """
-    x = np.array(x0, dtype=float)
-    residual, jacobian = system.evaluate(
-        x, source_scale=source_scale, gmin=gmin, **eval_kwargs
+    rows = newton_many(
+        system._plan,
+        np.asarray(x0, dtype=float)[None],
+        source_scale=source_scale,
+        gmin=gmin,
+        **eval_kwargs,
     )
-    norm = float(np.max(np.abs(residual)))
-    tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm
-    iterations = 0
-
-    # Linear-only circuits reuse the plan's cached LU of the constant
-    # matrix instead of refactorizing the identical Jacobian every step.
-    plan = system._plan
-    linear_only = plan.linear_only and gmin == 0.0
-    dt_s = eval_kwargs.get("dt_s")
-    integrator = eval_kwargs.get("integrator", "trapezoidal")
-
-    converged = norm <= tolerance
-    while not converged and iterations < _MAX_ITERATIONS:
-        if linear_only:
-            step = plan.linear_step(residual, dt_s, integrator)
-        else:
-            step = _newton_step(plan, jacobian, residual)
-        if step is None:
-            break
-        iterations += 1
-        accepted = _line_search(
-            system, plan, x, step, norm, tolerance, source_scale, gmin,
-            eval_kwargs,
-        )
-        if accepted is None:
-            break  # line search could not reduce the residual
-        x, residual, jacobian, norm, damping = accepted
-        converged = norm <= tolerance
-        if float(np.max(np.abs(damping * step))) < _STEP_TOL:
-            break  # stalled; the unified test above has the last word
+    converged = bool(rows.converged[0])
     if report is not None:
-        report.record(stage, parameter, iterations, norm, converged)
-    return x, converged
+        report.record(
+            stage, parameter, int(rows.iterations[0]), rows.norm[0], converged
+        )
+    return rows.x[0], converged
 
 
 def solve_dc(

@@ -17,29 +17,22 @@ compiled stamp plan already exposes.  Three layers fix that:
   sizes, worker counts, and serial vs. pooled execution.
 * :class:`CircuitMonteCarlo` — the DC circuit engine.  It compiles a
   circuit's stamp plan **once** and solves N parameter-perturbed
-  instances against the shared sparsity structure: stacked residuals
-  ``(m, size)`` and stacked Jacobians — dense ``(m, size, size)``
-  below ``assembly.SPARSE_THRESHOLD``, CSR ``data`` stacks ``(m,
-  nnz)`` on the plan's canonical sparse pattern above it — with every
-  FET group's bias points across *all* instances batched into a
-  single ``linearize`` call.  Newton steps come from one batched
-  LAPACK ``np.linalg.solve`` (dense) or per-instance numeric
-  refactorizations against the plan's one-time symbolic ordering
-  (sparse; see :class:`repro.circuit.assembly._SparseSchedule`).
-  Per-instance device-parameter arrays (:class:`FETVariation`:
-  drive-strength scale and threshold shift) thread through the
-  batched path without touching the device models.
+  instances with the package's one damped-Newton loop,
+  :func:`repro.circuit.solver.newton_many`, one row per instance:
+  stacked residuals and Jacobians (dense ``(m, size, size)``, or CSR
+  ``data`` stacks ``(m, nnz)`` on the plan's canonical sparse
+  pattern), every FET group's bias points across *all* instances
+  batched into a single ``linearize`` call.  Per-instance
+  device-parameter arrays (:class:`FETVariation`: drive-strength scale
+  and threshold shift) thread through without touching the device
+  models.
 * :class:`CircuitTransientMC` — the transient circuit engine.  It
   marches all N instances through one shared ``(dt, integrator)`` time
-  grid in lockstep: capacitor companion state stacked ``(m, n_caps)``,
-  each per-step Newton iteration making one batched ``linearize`` call
-  and one batched LAPACK solve across the still-active instances, with
-  the per-instance damping/convergence criteria and the gmin rescue
-  ladder shared with :class:`CircuitMonteCarlo`.  An instance whose
-  time step fails batched Newton **falls back to the scalar
-  per-instance path individually** (re-integrated through
-  :func:`repro.circuit.transient.transient_samples` with explicitly
-  perturbed devices, continuation rescue included) instead of
+  grid in lockstep with the one time-step loop,
+  :func:`repro.circuit.transient.march`.  An instance whose time step
+  fails batched Newton **falls back to the scalar continuation rescue
+  individually** (on an explicitly perturbed clone of the circuit,
+  anchored at its previous solution and companion state) instead of
   poisoning the rest of the batch.
 
 Perturbation semantics: for a FET with unwrapped base model ``I_n`` and
@@ -72,17 +65,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.circuit.assembly import (
-    DIAG_REGULARIZATION,
-    UnsupportedElement,
-    _unwrap_polarity,
-)
+from repro.circuit.assembly import UnsupportedElement, _unwrap_polarity
 from repro.circuit.continuation import (
     solve_dc_robust,
     structural_seed,
 )
 from repro.circuit.elements import (
     FET,
+    GROUND_NAMES,
     Capacitor,
     CurrentSource,
     Resistor,
@@ -95,14 +85,8 @@ from repro.circuit.resilience import (
     fingerprint,
     run_supervised,
 )
-from repro.circuit.solver import (
-    _MAX_ITERATIONS,
-    _RESIDUAL_ATOL,
-    _RESIDUAL_RTOL,
-    _STEP_TOL,
-    solve_dc,
-)
-from repro.circuit.transient import TransientResult, validate_grid
+from repro.circuit.solver import newton_many, solve_dc
+from repro.circuit.transient import TransientResult, march, validate_grid
 from repro.devices.base import FETModel, PType
 
 __all__ = [
@@ -634,7 +618,7 @@ class MonteCarloResult:
 
     def voltage(self, node: str) -> np.ndarray:
         """Per-instance voltage trace of one node [V]."""
-        if node in ("0", "gnd", "GND", "ground"):
+        if node in GROUND_NAMES:
             return np.zeros(self.n_instances)
         try:
             return self.x[:, self.node_index[node]]
@@ -709,7 +693,7 @@ class TransientMCResult:
 
     def voltage(self, node: str) -> np.ndarray:
         """(n_instances, n_samples) waveforms of one node [V]."""
-        if node in ("0", "gnd", "GND", "ground"):
+        if node in GROUND_NAMES:
             return np.zeros((self.n_instances, self.n_samples))
         try:
             return self.samples[:, :, self.node_index[node]]
@@ -804,62 +788,13 @@ def _concat_transient(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _BatchContext:
-    """Evaluation context of one batched solve (DC or one transient step).
-
-    ``previous_x`` is the previous-solution stack ``(m, size)`` and
-    ``state`` the trapezoidal companion history ``(m, n_caps)`` — both
-    per-instance, so the line search narrows them with :meth:`take`
-    alongside the variation rows.
-    """
-
-    time_s: float | None = None
-    dt_s: float | None = None
-    integrator: str = "trapezoidal"
-    previous_x: np.ndarray | None = None
-    state: np.ndarray | None = None
-
-    def take(self, rows) -> "_BatchContext":
-        if self.previous_x is None:
-            return self
-        return _BatchContext(
-            time_s=self.time_s,
-            dt_s=self.dt_s,
-            integrator=self.integrator,
-            previous_x=self.previous_x[rows],
-            state=None if self.state is None else self.state[rows],
-        )
-
-    def evaluate(self, plan, x, variation, gmin: float = 0.0):
-        """:meth:`~repro.circuit.assembly.StampPlan.evaluate_many` in
-        this context."""
-        return plan.evaluate_many(
-            x,
-            time_s=self.time_s,
-            dt_s=self.dt_s,
-            previous_x=self.previous_x,
-            integrator=self.integrator,
-            state=self.state,
-            gmin=gmin,
-            variation=variation,
-        )
-
-
-_DC_CONTEXT = _BatchContext()
-
-
 class _BatchedNewtonEngine:
     """Shared core of the circuit engines: one compiled plan, N instances.
 
-    Owns the compiled stamp plan and the batched damped Newton
-    iteration (:meth:`_newton_batch`), in both DC and transient-step
-    contexts; every stacked evaluation is one
-    :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` call with
+    Owns the compiled stamp plan and the gmin rescue ladder; every
+    solve is one :func:`~repro.circuit.solver.newton_many` call with
     the instances' :class:`FETVariation` rows.
     """
-
-    _ENGINE_NAME = "batched engine"
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
@@ -926,94 +861,13 @@ class _BatchedNewtonEngine:
         _, jacobian = self.plan.evaluate_many(x, variation=variation)
         return jacobian
 
-    # -- batched Newton ---------------------------------------------------------
-    def _newton_batch(
-        self,
-        x0: np.ndarray,
-        variation: FETVariation,
-        gmin: float = 0.0,
-        max_iterations: int = _MAX_ITERATIONS,
-        ctx: _BatchContext = _DC_CONTEXT,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Damped Newton on every instance at once; returns (x, converged).
-
-        Per-instance semantics mirror :func:`repro.circuit.solver.
-        newton_solve`: one relative+absolute max-norm criterion, a
-        backtracking line search with per-instance damping, and a
-        step-stall exit.  Instances leave the active set as they
-        converge (or stall), so late iterations only pay for the
-        stragglers.
-        """
-        m = x0.shape[0]
-        x = x0.copy()
-        residual, jacobian = ctx.evaluate(self.plan, x, variation, gmin)
-        norm = np.abs(residual).max(axis=1)
-        tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm
-        converged = norm <= tolerance
-        active = np.flatnonzero(~converged)
-        iterations = 0
-
-        while active.size and iterations < max_iterations:
-            iterations += 1
-            jac_active = jacobian[active]  # copy — safe to regularize in place
-            step, dead = self._solve_steps(jac_active, -residual[active])
-            if dead.size:
-                # Singular instances leave the active set unconverged.
-                active = np.delete(active, dead)
-                step = np.delete(step, dead, axis=0)
-                if not active.size:
-                    break
-            bad = ~np.all(np.isfinite(step), axis=1)
-            if bad.any():
-                active = active[~bad]
-                step = step[~bad]
-                if not active.size:
-                    break
-
-            # Vectorised backtracking line search with per-instance damping.
-            damping = np.ones(active.size)
-            accepted = np.zeros(active.size, dtype=bool)
-            pending = np.arange(active.size)
-            for _ in range(30):
-                rows = active[pending]
-                x_trial = x[rows] + damping[pending, None] * step[pending]
-                r_trial, j_trial = ctx.take(rows).evaluate(
-                    self.plan, x_trial, variation.take(rows), gmin
-                )
-                n_trial = np.abs(r_trial).max(axis=1)
-                ok = (n_trial < norm[rows]) | (n_trial <= tolerance[rows])
-                take = pending[ok]
-                if take.size:
-                    sel = active[take]
-                    x[sel] = x_trial[ok]
-                    residual[sel] = r_trial[ok]
-                    jacobian[sel] = j_trial[ok]
-                    norm[sel] = n_trial[ok]
-                    accepted[take] = True
-                pending = pending[~ok]
-                if not pending.size:
-                    break
-                damping[pending] *= 0.5
-
-            moved = np.flatnonzero(accepted)
-            step_size = np.zeros(active.size)
-            step_size[moved] = np.abs(
-                damping[moved, None] * step[moved]
-            ).max(axis=1)
-            converged[active] = norm[active] <= tolerance[active]
-            # Stay active only if: the line search moved, we haven't
-            # converged, and the step hasn't stalled below _STEP_TOL.
-            keep = accepted & ~converged[active] & (step_size >= _STEP_TOL)
-            active = active[keep]
-        return x, converged
-
     def _rescue_batch(
         self,
         x_seed: np.ndarray,
         x: np.ndarray,
         converged: np.ndarray,
         variation: FETVariation,
-        ctx: _BatchContext = _DC_CONTEXT,
+        **eval_kwargs,
     ) -> None:
         """Walk unconverged instances down the gmin rescue ladder (in place).
 
@@ -1028,59 +882,11 @@ class _BatchedNewtonEngine:
         sub = variation.take(failed)
         x_fail = np.tile(x_seed, (failed.size, 1))
         for gmin in _GMIN_RESCUE_LADDER:
-            x_fail, stage_ok = self._newton_batch(
-                x_fail, sub, gmin=gmin, ctx=ctx.take(failed)
+            x_fail, stage_ok, _, _ = newton_many(
+                self.plan, x_fail, variation=sub, gmin=gmin, **eval_kwargs
             )
         x[failed[stage_ok]] = x_fail[stage_ok]
         converged[failed[stage_ok]] = True
-
-    def _solve_steps(
-        self, jac_active: np.ndarray, rhs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Regularized Newton steps for a stack of per-instance Jacobians.
-
-        Dense: one batched LAPACK solve over the ``(k, size, size)``
-        stack, dropping to a per-row retry only when LAPACK reports a
-        singular member.  Sparse: per-instance numeric refactorization
-        of the ``(k, nnz)`` data stack against the plan's one-time
-        symbolic ordering (:meth:`repro.circuit.assembly.
-        _SparseSchedule.factor`).  ``jac_active`` is a private copy and
-        is regularized in place.  Returns ``(steps, dead)`` with
-        ``dead`` indexing rows whose matrix is numerically singular.
-        """
-        no_dead = np.empty(0, dtype=np.intp)
-        if not self.plan.use_sparse:
-            diag = np.einsum("ijj->ij", jac_active)
-            diag += DIAG_REGULARIZATION
-            try:
-                # RHS as (k, size, 1) column matrices: the batched-solve
-                # gufunc otherwise misreads a (k, size) stack as one matrix.
-                return np.linalg.solve(jac_active, rhs[:, :, None])[..., 0], no_dead
-            except np.linalg.LinAlgError:
-                return self._solve_rows(jac_active, rhs)
-        schedule = self.plan.sparse_schedule
-        jac_active[:, schedule.diag_pos] += DIAG_REGULARIZATION
-        steps = np.zeros_like(rhs)
-        dead: list[int] = []
-        for i in range(jac_active.shape[0]):
-            solve = schedule.factor(jac_active[i])
-            if solve is None:
-                dead.append(i)
-                continue
-            steps[i] = solve(rhs[i])
-        return steps, (no_dead if not dead else np.array(dead, dtype=np.intp))
-
-    @staticmethod
-    def _solve_rows(jacobians: np.ndarray, rhs: np.ndarray):
-        """Row-by-row fallback when the batched solve hits a singular matrix."""
-        steps = np.zeros_like(rhs)
-        dead: list[int] = []
-        for i in range(jacobians.shape[0]):
-            try:
-                steps[i] = np.linalg.solve(jacobians[i], rhs[i])
-            except np.linalg.LinAlgError:
-                dead.append(i)
-        return steps, np.array(dead, dtype=np.intp)
 
 
 @lru_cache(maxsize=4)
@@ -1161,8 +967,6 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
     step refactorizes the active instances numerically against the
     plan's one-time symbolic ordering.
     """
-
-    _ENGINE_NAME = "CircuitMonteCarlo"
 
     def __init__(self, circuit: Circuit):
         super().__init__(circuit)
@@ -1258,7 +1062,7 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
         """Batched Newton from the nominal seed, with a gmin rescue ladder."""
         m = variation.n_instances
         x_start = np.tile(x0, (m, 1))
-        x, converged = self._newton_batch(x_start, variation)
+        x, converged, _, _ = newton_many(self.plan, x_start, variation=variation)
         self._rescue_batch(x0, x, converged, variation)
         return MonteCarloResult(
             x=x,
@@ -1281,7 +1085,7 @@ def _transient_engine_from_pickle(circuit_bytes: bytes) -> "CircuitTransientMC":
 
 def _transient_chunk_kernel(params_block, rng, payload):
     """SweepPlan kernel: march one block of variation rows (pool-safe)."""
-    circuit_bytes, t_stop_s, dt_s, integrator, step_max_iterations = payload
+    circuit_bytes, t_stop_s, dt_s, integrator = payload
     engine = _transient_engine_from_pickle(circuit_bytes)
     scale = np.stack([row[0] for row in params_block])
     shift = np.stack([row[1] for row in params_block])
@@ -1290,7 +1094,6 @@ def _transient_chunk_kernel(params_block, rng, payload):
         t_stop_s,
         dt_s,
         integrator,
-        step_max_iterations,
     )
     return [
         (part.samples[i], bool(part.converged[i]), bool(part.fallback[i]))
@@ -1301,32 +1104,24 @@ def _transient_chunk_kernel(params_block, rng, payload):
 class CircuitTransientMC(_BatchedNewtonEngine):
     """Time-step N parameter-perturbed instances of one compiled circuit.
 
-    All instances march one shared ``(t_stop, dt, integrator)`` grid in
-    lockstep against the plan's constant per-``(dt, integrator)`` linear
-    matrix.  The t=0 operating point is solved batched from the
-    structural seed (gmin rescue ladder for stragglers, scalar
-    continuation for anything left); each subsequent step runs the
-    batched damped Newton iteration from the previous solutions with
-    the capacitor companion state stacked ``(m, n_caps)``.
-
-    Per-instance robustness: an instance whose step fails batched
-    Newton **falls back to the scalar path individually** — the same
-    adaptive continuation rescue the scalar ``transient()`` applies to
-    a failed step (:func:`~repro.circuit.continuation.solve_dc_robust`
-    on a :func:`perturbed_circuit` clone, anchored at that instance's
-    previous solution and companion state) — and then rejoins the
-    lockstep batch, rather than poisoning its neighbours.  Such
-    instances are reported in ``TransientMCResult.fallback``; only an
-    instance that fails *even the scalar rescue* comes back
-    ``converged=False`` (with NaN samples).
+    The t=0 operating point is solved batched from the structural seed
+    (gmin rescue ladder for stragglers, scalar continuation for anything
+    left); then :func:`repro.circuit.transient.march` steps all
+    instances in lockstep on one shared ``(t_stop, dt, integrator)``
+    grid.  An instance whose step fails batched Newton **falls back to
+    the scalar path individually** — the adaptive continuation rescue
+    the scalar ``transient()`` applies to a failed step, on a
+    :func:`perturbed_circuit` clone — and then rejoins the lockstep
+    batch.  Such instances are reported in
+    ``TransientMCResult.fallback``; only an instance that fails *even
+    the scalar rescue* comes back ``converged=False`` (with NaN
+    samples).
 
     Determinism: per-instance arithmetic is elementwise throughout, so
     waveforms are bitwise invariant to chunk size, instance order, and
     serial vs. process-pool execution, and match the per-instance
     scalar loop to solver tolerance.
     """
-
-    _ENGINE_NAME = "CircuitTransientMC"
 
     def run(
         self,
@@ -1338,14 +1133,10 @@ class CircuitTransientMC(_BatchedNewtonEngine):
         n_instances: int | None = None,
         chunk_size: int | None = None,
         workers: int | None = None,
-        step_max_iterations: int = _MAX_ITERATIONS,
         policy: ExecutionPolicy | None = None,
     ) -> TransientMCResult:
         """March all instances to ``t_stop_s``; samples in input order.
 
-        ``step_max_iterations`` caps each time step's batched Newton
-        iteration before the per-instance scalar fallback engages
-        (exposed for tests; the default matches the scalar solver).
         Results are bitwise independent of ``chunk_size``, instance
         order and ``workers``.  ``policy`` runs the sweep under the
         fault-tolerant supervisor (see :class:`CircuitMonteCarlo.run`);
@@ -1380,7 +1171,6 @@ class CircuitTransientMC(_BatchedNewtonEngine):
                     t_stop_s,
                     dt_s,
                     integrator,
-                    step_max_iterations,
                 ),
                 substream_block=chunk_size,
                 validate=_transient_entry_validator(self.plan.size, n_steps + 1),
@@ -1404,7 +1194,6 @@ class CircuitTransientMC(_BatchedNewtonEngine):
                 t_stop_s,
                 dt_s,
                 integrator,
-                step_max_iterations,
             )
             for start, stop in _as_blocks(n, chunk_size)
         ]
@@ -1424,129 +1213,58 @@ class CircuitTransientMC(_BatchedNewtonEngine):
         t_stop_s: float,
         dt_s: float,
         integrator: str,
-        step_max_iterations: int,
     ) -> TransientMCResult:
-        plan = self.plan
-        size = plan.size
         n_steps = validate_grid(t_stop_s, dt_s, integrator)
         m = variation.n_instances
-        samples = np.empty((m, n_steps + 1, size))
-        converged = np.ones(m, dtype=bool)
         fallback = np.zeros(m, dtype=bool)
-        # Perturbed scalar systems, built lazily for instances that need
-        # a scalar rescue (and cached: a stiff instance tends to need
-        # rescuing at several steps of the same switching edge).
-        scalar_systems: dict[int, object] = {}
+
+        # Cached: a stiff instance tends to need rescuing at several
+        # steps of the same switching edge.
+        @lru_cache(maxsize=None)
+        def scalar_system(instance: int):
+            return perturbed_circuit(self.circuit, variation, instance).build_system()
 
         # t=0 operating point: batched Newton from the same structural
         # seed the scalar path's continuation ladder starts from, gmin
         # ladder for stragglers, full scalar continuation for the rest.
-        ctx0 = _BatchContext(time_s=0.0)
         seed = structural_seed(self.system, time_s=0.0)
-        x = np.tile(seed, (m, 1))
-        x, ok = self._newton_batch(x, variation, ctx=ctx0)
-        self._rescue_batch(seed, x, ok, variation, ctx=ctx0)
+        x, ok, _, _ = newton_many(
+            self.plan, np.tile(seed, (m, 1)), variation=variation, time_s=0.0
+        )
+        self._rescue_batch(seed, x, ok, variation, time_s=0.0)
         for i in np.flatnonzero(~ok):
-            i = int(i)
             fallback[i] = True
-            x_i, report = solve_dc_robust(
-                self._scalar_system(scalar_systems, variation, i), time_s=0.0
-            )
+            x_i, report = solve_dc_robust(scalar_system(int(i)), time_s=0.0)
             if report.converged:
-                x[i] = x_i
-                ok[i] = True
-            else:
-                converged[i] = False
-        samples[:, 0] = x
-
+                x[i], ok[i] = x_i, True
         alive = np.flatnonzero(ok)
-        x_alive = x[alive]
-        prevpad = np.zeros((alive.size, size + 1))
-        prevpad[:, :size] = x_alive
-        state = np.zeros((alive.size, len(plan.cap_names)))
 
-        for step in range(1, n_steps + 1):
-            if not alive.size:
-                break
-            ctx = _BatchContext(
-                time_s=step * dt_s,
-                dt_s=dt_s,
-                integrator=integrator,
-                previous_x=prevpad[:, :size],
-                state=state,
+        def rescue(row, **step_kwargs):
+            # The adaptive continuation rescue transient() applies to a
+            # failed step, on this instance's perturbed clone.
+            instance = int(alive[row])
+            fallback[instance] = True
+            x_rescued, report = solve_dc_robust(
+                scalar_system(instance), step_kwargs["previous_x"], **step_kwargs
             )
-            x_next, ok_step = self._newton_batch(
-                x_alive,
-                variation.take(alive),
-                ctx=ctx,
-                max_iterations=step_max_iterations,
-            )
-            if not ok_step.all():
-                # A failed step falls back to the scalar path
-                # individually — the same adaptive continuation rescue
-                # transient() applies to a failed step (anchored at that
-                # instance's previous solution and companion state) —
-                # after which the instance rejoins the lockstep batch.
-                for row in np.flatnonzero(~ok_step):
-                    row = int(row)
-                    instance = int(alive[row])
-                    fallback[instance] = True
-                    system = self._scalar_system(scalar_systems, variation, instance)
-                    state_dict = {
-                        name: float(value)
-                        for name, value in zip(plan.cap_names, state[row])
-                    }
-                    x_rescued, report = solve_dc_robust(
-                        system,
-                        prevpad[row, :size],
-                        time_s=ctx.time_s,
-                        dt_s=dt_s,
-                        previous_x=prevpad[row, :size],
-                        integrator=integrator,
-                        state=state_dict,
-                    )
-                    if report.converged:
-                        x_next[row] = x_rescued
-                        ok_step[row] = True
-                    else:
-                        converged[instance] = False
-                if not ok_step.all():
-                    # Even the scalar rescue failed: drop the instance.
-                    alive = alive[ok_step]
-                    x_next = x_next[ok_step]
-                    prevpad = prevpad[ok_step]
-                    state = state[ok_step]
-                    if not alive.size:
-                        break
-            xpad = np.zeros((alive.size, size + 1))
-            xpad[:, :size] = x_next
-            # Update trapezoidal history currents at the accepted solution.
-            if integrator == "trapezoidal" and state.shape[1]:
-                state = plan.cap_state_update(xpad, prevpad, dt_s, integrator, state)
-            samples[alive, step] = x_next
-            prevpad = xpad
-            x_alive = x_next
+            return x_rescued if report.converged else None
 
-        samples[~converged] = np.nan
-
+        samples = np.full((m, n_steps + 1, self.plan.size), np.nan)
+        samples[alive], marched = march(
+            self.plan,
+            x[alive],
+            n_steps,
+            dt_s,
+            integrator,
+            rescue,
+            variation=variation.take(alive),
+        )
+        ok[alive[~marched]] = False
         return TransientMCResult(
             samples=samples,
             dt_s=dt_s,
-            converged=converged,
+            converged=ok,
             fallback=fallback,
             node_index=self.node_index,
             branch_index=self.branch_index,
         )
-
-    # -- scalar fallbacks --------------------------------------------------------
-    def _scalar_system(
-        self, cache: dict, variation: FETVariation, instance: int
-    ):
-        """The perturbed scalar system of one instance (cached per run)."""
-        system = cache.get(instance)
-        if system is None:
-            system = perturbed_circuit(
-                self.circuit, variation, instance
-            ).build_system()
-            cache[instance] = system
-        return system

@@ -6,15 +6,18 @@ trapezoidal rule (default) is second-order accurate — validated against
 closed-form RC responses in the test suite — while backward Euler is
 available for heavily damped startup transients.
 
-The scalar entry point :func:`transient` is composed from three
-reusable pieces so the batched transient Monte Carlo engine
-(:class:`repro.circuit.sweep.CircuitTransientMC`) can share them:
+The scalar entry point :func:`transient` and the batched transient
+Monte Carlo engine (:class:`repro.circuit.sweep.CircuitTransientMC`)
+share three pieces:
 
 * :func:`validate_grid` — the one place the ``(t_stop, dt,
   integrator)`` contract is checked and the step count is derived;
-* :func:`transient_samples` — the time-marching loop over raw solution
-  vectors (per-step Newton with the continuation rescue), returning the
-  ``(n_steps + 1, size)`` sample matrix;
+* :func:`march` — the one time-step loop.  It steps an ``(m, size)``
+  stack of t=0 solutions in lockstep: per step one
+  :func:`~repro.circuit.solver.newton_many` call from the previous
+  solutions, a caller-supplied rescue for each row that fails, and the
+  companion-state update on ``(m, n_caps)`` arrays.  The scalar
+  :func:`transient_samples` is its one-row case;
 * :func:`result_from_samples` — the mapping from a sample matrix to the
   named-waveform :class:`TransientResult`.
 """
@@ -26,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.continuation import ConvergenceError, solve_dc_robust
-from repro.circuit.elements import VoltageSource
+from repro.circuit.elements import GROUND_NAMES, VoltageSource
 from repro.circuit.netlist import Circuit, CircuitError, MNASystem
-from repro.circuit.solver import newton_solve, solve_dc
+from repro.circuit.solver import newton_many, solve_dc
 
 __all__ = [
     "TransientResult",
     "transient",
+    "march",
     "transient_samples",
     "result_from_samples",
     "validate_grid",
@@ -50,6 +54,8 @@ class TransientResult:
     source_currents: dict[str, np.ndarray]
 
     def voltage(self, node: str) -> np.ndarray:
+        if node in GROUND_NAMES:
+            return np.zeros(self.time_s.size)
         try:
             return self.voltages[node]
         except KeyError:
@@ -88,6 +94,77 @@ def validate_grid(t_stop_s: float, dt_s: float, integrator: str) -> int:
     return n_steps
 
 
+def march(
+    plan,
+    x0: np.ndarray,
+    n_steps: int,
+    dt_s: float,
+    integrator: str,
+    rescue,
+    variation=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step the ``(m, size)`` t=0 solutions ``x0`` through ``n_steps``.
+
+    Returns ``(samples, ok)``: samples ``(m, n_steps + 1, size)`` with
+    ``samples[:, 0] = x0``, and ``ok[i]`` False for a row whose rescue
+    failed (all its samples are NaN).  Each step runs damped Newton on
+    the live rows from their previous solutions, with per-row companion
+    state ``(m, n_caps)`` and ``variation`` rows.  A row whose Newton
+    fails calls ``rescue(row, **step_kwargs)`` —
+    ``row`` indexes ``x0``; the keywords are that row's evaluation
+    context (``time_s``, ``dt_s``, ``previous_x``, ``integrator`` and
+    ``state``, its history currents in ``plan.cap_names`` order) —
+    which returns the accepted solution, or None to drop the row; a
+    rescued row rejoins the lockstep batch.
+    """
+    m, size = x0.shape
+    samples = np.full((m, n_steps + 1, size), np.nan)
+    samples[:, 0] = x0
+    ok = np.ones(m, dtype=bool)
+    alive = np.arange(m)
+    x = x0
+    prevpad = np.zeros((m, size + 1))
+    prevpad[:, :size] = x0
+    state = np.zeros((m, len(plan.cap_names)))
+    for step in range(1, n_steps + 1):
+        if not alive.size:
+            break
+        context = {"time_s": step * dt_s, "dt_s": dt_s, "integrator": integrator}
+        previous_x = prevpad[:, :size]
+        x, converged, _, _ = newton_many(
+            plan,
+            x,
+            variation=None if variation is None else variation.take(alive),
+            previous_x=previous_x,
+            state=state,
+            **context,
+        )
+        if np.count_nonzero(converged) < alive.size:
+            for row in np.flatnonzero(~converged):
+                x_rescued = rescue(
+                    int(alive[row]),
+                    previous_x=previous_x[row],
+                    state=state[row],
+                    **context,
+                )
+                if x_rescued is not None:
+                    x[row] = x_rescued
+                    converged[row] = True
+            dropped = alive[~converged]
+            ok[dropped] = False
+            samples[dropped] = np.nan
+            alive, x = alive[converged], x[converged]
+            prevpad, state = prevpad[converged], state[converged]
+        xpad = np.zeros((alive.size, size + 1))
+        xpad[:, :size] = x
+        # Update trapezoidal history currents at the accepted solution.
+        if integrator == "trapezoidal" and state.shape[1]:
+            state = plan.cap_state_update(xpad, prevpad, dt_s, integrator, state)
+        samples[alive, step] = x
+        prevpad = xpad
+    return samples, ok
+
+
 def transient_samples(
     system: MNASystem,
     t_stop_s: float,
@@ -98,57 +175,27 @@ def transient_samples(
     """March the system from its t=0 operating point; returns raw samples.
 
     The ``(n_steps + 1, size)`` matrix stacks the DC solution at t=0 and
-    every accepted time step.  Each step runs plain Newton from the
-    previous solution; a failed step is rescued through the adaptive
-    continuation ladder anchored at the last accepted solution, and a
-    rescue failure raises :class:`ConvergenceError` with the full
-    ladder history.
+    every accepted time step: the one-row case of :func:`march`.  A
+    failed step is rescued through the adaptive continuation ladder
+    anchored at the last accepted solution, and a rescue failure raises
+    :class:`ConvergenceError` with the full ladder history.
     """
     n_steps = validate_grid(t_stop_s, dt_s, integrator)
     x = solve_dc(system, x0, time_s=0.0)
 
-    samples = np.empty((n_steps + 1, system.size))
-    samples[0] = x
-    state: dict[str, float] = {}
-
-    previous_x = np.array(x)
-    for step in range(1, n_steps + 1):
-        t = step * dt_s
-        x_next, converged = newton_solve(
-            system,
-            previous_x,
-            time_s=t,
-            dt_s=dt_s,
-            previous_x=previous_x,
-            integrator=integrator,
-            state=state,
+    def rescue(_row, **step_kwargs):
+        x_next, report = solve_dc_robust(
+            system, step_kwargs["previous_x"], **step_kwargs
         )
-        if not converged:
-            # Rescue the timestep through the adaptive continuation
-            # ladder, anchored at the last accepted solution (the
-            # companion model rides along in the eval kwargs).  The old
-            # silent retry-from-zeros could hand back a wrong-branch
-            # solution with no trace; now a failure raises with the
-            # full ladder history.
-            x_next, rescue = solve_dc_robust(
-                system,
-                previous_x,
-                time_s=t,
-                dt_s=dt_s,
-                previous_x=previous_x,
-                integrator=integrator,
-                state=state,
+        if not report.converged:
+            raise ConvergenceError(
+                f"transient Newton failed at t = {step_kwargs['time_s']:.3e} s",
+                report,
             )
-            if not rescue.converged:
-                raise ConvergenceError(
-                    f"transient Newton failed at t = {t:.3e} s", rescue
-                )
-        # Update trapezoidal history currents at the accepted solution.
-        if integrator == "trapezoidal":
-            system.update_capacitor_state(x_next, previous_x, dt_s, integrator, state)
-        samples[step] = x_next
-        previous_x = x_next
-    return samples
+        return x_next
+
+    samples, _ = march(system._plan, x[None], n_steps, dt_s, integrator, rescue)
+    return samples[0]
 
 
 def result_from_samples(

@@ -14,7 +14,7 @@ import pytest
 from repro.circuit.assembly import SPARSE_THRESHOLD, StampPlan, UnsupportedElement
 from repro.circuit.elements import Element
 from repro.circuit.netlist import Circuit
-from repro.circuit.solver import newton_solve, solve_dc
+from repro.circuit.solver import _solve_stack, newton_solve, solve_dc
 from repro.circuit.waveforms import DC, Pulse, Sine
 from repro.devices.base import PType
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
@@ -172,10 +172,12 @@ def test_sparse_newton_caches_symbolic_analysis():
     # scipy's from-scratch sparse solve does.
     residual, jacobian = system.evaluate(x + 0.01)
     residual = residual.copy()
-    step = plan.sparse_newton_step(jacobian, residual)
     regularized = jacobian + DIAG_REGULARIZATION * identity(system.size)
+    steps = _solve_stack(
+        plan, jacobian.data[None].copy(), residual[None], False, None, "trapezoidal"
+    )
     reference = spsolve(regularized.tocsc(), -residual)
-    np.testing.assert_allclose(step, reference, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(steps[0], reference, rtol=1e-9, atol=1e-12)
     assert plan.sparse_schedule.n_symbolic == 1
 
 

@@ -3,20 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.circuit.assembly import DIAG_REGULARIZATION, SPARSE_THRESHOLD
+from repro.circuit.assembly import SPARSE_THRESHOLD
 from repro.circuit.netlist import Circuit
-from repro.circuit.solver import (
-    _MAX_ITERATIONS,
-    _MAX_TRIALS,
-    _RESIDUAL_ATOL,
-    _RESIDUAL_RTOL,
-    _STEP_TOL,
-    newton_solve,
-    solve_dc,
-)
+from repro.circuit.solver import newton_solve, solve_dc
 from repro.circuit.waveforms import DC
 from repro.devices.base import PType
 from repro.devices.empirical import AlphaPowerFET
+from scalar_oracle import sequential_newton
 
 
 def inverter_circuit(vin=0.5):
@@ -80,47 +73,14 @@ class TestNewton:
         assert system.voltage_of(x_half, "a") == pytest.approx(1.0)
 
 
-def _sequential_newton(system, x0):
-    """Oracle: damped Newton with a one-trial-at-a-time halving ladder.
-
-    Written over the element-walking reference evaluator and a dense
-    solve, independent of the stamp plan and its batched kernel; same
-    convergence criterion and trial budget as the production solver.
-    """
-    x = np.array(x0, dtype=float)
-    residual, jacobian = system.evaluate_dense(x)
-    norm = float(np.max(np.abs(residual)))
-    tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm
-    converged = norm <= tolerance
-    iterations = 0
-    while not converged and iterations < _MAX_ITERATIONS:
-        jacobian[np.diag_indices(system.size)] += DIAG_REGULARIZATION
-        step = np.linalg.solve(jacobian, -residual)
-        iterations += 1
-        damping = 1.0
-        for _ in range(_MAX_TRIALS):
-            x_trial = x + damping * step
-            residual_trial, jacobian_trial = system.evaluate_dense(x_trial)
-            norm_trial = float(np.max(np.abs(residual_trial)))
-            if norm_trial < norm or norm_trial <= tolerance:
-                break
-            damping *= 0.5
-        else:
-            break
-        x, residual, jacobian, norm = x_trial, residual_trial, jacobian_trial, norm_trial
-        converged = norm <= tolerance
-        if float(np.max(np.abs(damping * step))) < _STEP_TOL:
-            break
-    return x, converged
-
-
 class TestBatchedLineSearch:
-    """The damping ladder of a rejected full step runs batched.
+    """The damping ladder of a rejected full step runs through the kernel.
 
-    One :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` call
-    covers ``_TRIAL_BATCH`` damping candidates, dense and sparse plans
-    alike; acceptance must be the first candidate a sequential ladder
-    would have accepted, so the solver lands on the oracle's solution.
+    Each backtracking round evaluates one halving candidate per pending
+    row in one :meth:`~repro.circuit.assembly.StampPlan.evaluate_many`
+    call, dense and sparse plans alike; acceptance must be the first
+    candidate a sequential ladder would have accepted, so the solver
+    lands on the oracle's solution.
     """
 
     def _chain(self, n_stages=5):
@@ -162,7 +122,7 @@ class TestBatchedLineSearch:
         system = self._chain().build_system()
         x0 = self._adversarial_start(system)
         x_batched, ok_batched = newton_solve(system, x0)
-        x_oracle, ok_oracle = _sequential_newton(system, x0)
+        x_oracle, ok_oracle = sequential_newton(system, x0)
         assert ok_batched == ok_oracle
         np.testing.assert_allclose(x_batched, x_oracle, atol=1e-7)
 
@@ -181,7 +141,7 @@ class TestBatchedLineSearch:
         x0 = self._adversarial_start(system)
         x_batched, ok_batched = newton_solve(system, x0)
         assert calls["many"] > 0
-        x_oracle, ok_oracle = _sequential_newton(system, x0)
+        x_oracle, ok_oracle = sequential_newton(system, x0)
         assert ok_batched and ok_oracle
         np.testing.assert_allclose(x_batched, x_oracle, atol=1e-7)
 

@@ -10,6 +10,7 @@ process-pool execution.  The per-instance scalar rescue and the
 sparse batched path are exercised directly.
 """
 
+import importlib
 import logging
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.circuit.sweep as sweep_module
 from repro.circuit.continuation import ConvergenceReport
 from repro.circuit.netlist import CircuitError
+from repro.circuit.solver import newton_many
 from repro.circuit.sweep import (
     CircuitTransientMC,
     FETVariation,
@@ -29,6 +31,9 @@ from repro.circuit.waveforms import Pulse
 from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import build_inverter_chain
 from scalar_oracle import transient_scalar_reference
+
+# The module, not the ``transient`` function ``repro.circuit`` re-exports.
+transient_module = importlib.import_module("repro.circuit.transient")
 
 WAVEFORM_ATOL = 1e-9
 
@@ -156,16 +161,27 @@ class TestBitwiseInvariance:
         assert np.array_equal(result.samples, reference.samples)
 
 
+@pytest.fixture
+def starved_steps(monkeypatch):
+    """Cap the step loop's Newton at zero iterations (t=0 and rescues untouched)."""
+
+    def starved(plan, x0, **kwargs):
+        return newton_many(plan, x0, **{**kwargs, "max_iterations": 0})
+
+    monkeypatch.setattr(transient_module, "newton_many", starved)
+
+
 class TestScalarFallback:
     """Steps that defeat batched Newton are rescued per instance."""
 
-    def test_fallback_engages_on_starved_newton(self, engine, variation, reference):
-        # Zero batched Newton iterations per step starve both the
-        # lockstep solve and the batched gmin ladder, so every step of
-        # every instance must be rescued through the scalar continuation
-        # path — and still reproduce the batched waveforms, since the
-        # rescue anchors at the same previous solutions.
-        result = engine.run(variation, T_STOP, DT, step_max_iterations=0)
+    def test_fallback_engages_on_starved_newton(
+        self, engine, variation, reference, starved_steps
+    ):
+        # Zero Newton iterations per step starve the lockstep solve, so
+        # every step that moves must be rescued through the scalar
+        # continuation path — and still reproduce the batched waveforms,
+        # since the rescue anchors at the same previous solutions.
+        result = engine.run(variation, T_STOP, DT)
         assert result.fallback.all()
         assert result.n_fallback == variation.n_instances
         assert result.converged.all()
@@ -178,14 +194,13 @@ class TestScalarFallback:
         assert result.n_fallback == 0
 
     def test_failed_scalar_rescue_reports_unconverged(
-        self, engine, variation, monkeypatch
+        self, engine, variation, monkeypatch, starved_steps
     ):
         def no_rescue(system, x0=None, **eval_kwargs):
             return np.zeros(system.size), ConvergenceReport()  # converged=False
 
         monkeypatch.setattr(sweep_module, "solve_dc_robust", no_rescue)
-        result = engine.run(variation.take([0, 1]), T_STOP, DT,
-                            step_max_iterations=0)
+        result = engine.run(variation.take([0, 1]), T_STOP, DT)
         assert result.fallback.all()
         assert not result.converged.any()
         assert np.isnan(result.samples).all()
