@@ -58,12 +58,12 @@ refactorization sparse.  :func:`ac_monte_carlo` pushes the sweep over
 :class:`CircuitMonteCarlo` corners for variation-aware frequency
 responses (:class:`BatchedACResult`).
 
-Fault tolerance (:mod:`repro.circuit.resilience`): passing an
-:class:`ExecutionPolicy` to any sweep routes chunks through a
-supervisor — per-chunk timeouts, bounded retries with backoff, pool
-reconstruction after worker crashes, serial in-process execution as
-the last degradation rung, and optional chunk-granular checkpoints
-for kill-and-resume.  Because chunk substreams are position-keyed,
+Fault tolerance (:mod:`repro.circuit.resilience`): every sweep runs
+its chunks through one supervisor, configured by an optional
+:class:`ExecutionPolicy` — per-chunk timeouts, bounded retries with
+backoff, pool reconstruction after worker crashes, serial in-process
+execution as the last degradation rung, and optional chunk-granular
+checkpoints for kill-and-resume.  Because chunk substreams are position-keyed,
 a retried, degraded, or resumed chunk reproduces the pooled original
 bitwise; every run yields a :class:`RunReport` (per-chunk status,
 attempts, failure taxonomy), and irrecoverable runs raise

@@ -5,7 +5,11 @@ faults — yet a plain ``ProcessPoolExecutor.map`` over Monte Carlo
 chunks is all-or-nothing: one worker segfault or OOM kill raises
 ``BrokenProcessPool`` and the entire run is lost.  This module gives
 :class:`repro.circuit.sweep.SweepPlan` the same property the circuits
-under study are measured for — graceful degradation:
+under study are measured for — graceful degradation.
+:func:`run_supervised` is the only sweep executor in the package:
+every ``SweepPlan.run`` (and so every circuit Monte Carlo run) goes
+through it, in-process or on a pool, and an :class:`ExecutionPolicy`
+only configures it.
 
 * **Supervised execution** (:func:`run_supervised`): chunks are
   submitted as individual futures with a per-chunk timeout; a crashed
@@ -14,15 +18,17 @@ under study are measured for — graceful degradation:
   teardown; chunks that exhaust their pooled retries fall down one rung
   to in-process serial execution.  Every outcome is recorded in a
   :class:`RunReport` (per-chunk status, attempts, timings, failure
-  taxonomy) and an irrecoverable run raises
-  :class:`SweepExecutionError` carrying the report plus every salvaged
-  chunk — never a bare traceback.
+  taxonomy, the last exception of a failed chunk) and an irrecoverable
+  run raises :class:`SweepExecutionError` carrying the report plus
+  every salvaged chunk, chained from the failed chunk's last
+  exception.
 * **Chunk checkpoint/resume** (:class:`CheckpointStore`): completed
   chunk results are atomically persisted (unique temp file +
   ``os.replace``, the pattern proven by the surrogate disk cache) into
   a run directory keyed by the content fingerprint of (kernel, payload,
   seed, chunking).  A run killed mid-flight resumes by loading finished
-  chunks and computing only the rest.
+  chunks and computing only the rest; an unreadable chunk file is a
+  miss, never an error.
 * **Deterministic fault injection** (:class:`FaultPlan`): tests (and
   the CI chaos smoke) make chosen chunks crash the worker, hang past
   the timeout, raise, or return schema-corrupt payloads on chosen
@@ -234,7 +240,9 @@ class CheckpointStore:
                 and record.get("digest") == digest
             ):
                 return record["results"]
-        except (OSError, pickle.PickleError, EOFError, AttributeError, KeyError):
+        except Exception:
+            # A torn, truncated or foreign file: unpickling can raise
+            # almost anything (ValueError, ImportError, MemoryError...).
             pass
         return None
 
@@ -342,7 +350,8 @@ class ChunkRecord:
     ``status`` ends as ``ok`` (pooled/serial first-class execution),
     ``cached`` (loaded from a checkpoint), ``serial`` (recovered on the
     degradation rung), or ``failed``.  ``failures`` lists the taxonomy
-    kind of every failed attempt, in order (see :data:`FAILURE_KINDS`).
+    kind of every failed attempt, in order (see :data:`FAILURE_KINDS`);
+    ``error`` names the last exception an attempt raised, if any.
     """
 
     index: int
@@ -351,11 +360,17 @@ class ChunkRecord:
     attempts: int = 0
     wall_s: float = 0.0
     failures: tuple[str, ...] = ()
+    error: str | None = None
 
-    def record_failure(self, kind: str, wall_s: float = 0.0) -> None:
+    def record_failure(
+        self, kind: str, wall_s: float = 0.0, exc: BaseException | None = None
+    ) -> None:
         self.attempts += 1
         self.failures = self.failures + (kind,)
         self.wall_s += wall_s
+        if exc is not None:
+            lines = str(exc).splitlines()
+            self.error = type(exc).__name__ + (f": {lines[0]}" if lines else "")
 
     def to_dict(self) -> dict:
         return {
@@ -365,6 +380,7 @@ class ChunkRecord:
             "attempts": self.attempts,
             "wall_s": self.wall_s,
             "failures": list(self.failures),
+            "error": self.error,
         }
 
 
@@ -417,6 +433,9 @@ class RunReport:
             )
         if self.pool_rebuilds:
             bits.append(f"{self.pool_rebuilds} pool rebuild(s)")
+        errors = [c for c in self.chunks if c.status == "failed" and c.error]
+        if errors:
+            bits.append(f"chunk {errors[0].index} raised {errors[0].error}")
         return "; ".join(bits)
 
     def to_json(self) -> str:
@@ -510,6 +529,11 @@ def run_supervised(
     started = time.perf_counter()
     records = [ChunkRecord(index=i, n_items=expected_counts[i]) for i in range(n)]
     results: dict[int, list] = {}
+    causes: dict[int, BaseException] = {}  # last exception raised per chunk
+
+    def fail(i: int, kind: str, started_s: float, exc: BaseException) -> None:
+        records[i].record_failure(kind, time.perf_counter() - started_s, exc)
+        causes[i] = exc
 
     store = None
     digests: list[str | None] = [None] * n
@@ -573,8 +597,8 @@ def run_supervised(
                 t0 = time.perf_counter()
                 try:
                     payload = futures[i].result(timeout=policy.timeout_s)
-                except _FutureTimeout:
-                    records[i].record_failure("timeout", time.perf_counter() - t0)
+                except _FutureTimeout as exc:
+                    fail(i, "timeout", t0, exc)
                     dirty = True
                     # Harvest siblings that DID finish before tearing
                     # the (possibly hung) pool down; the rest go back
@@ -585,20 +609,18 @@ def run_supervised(
                             try:
                                 sibling = futures[j].result(timeout=0)
                             except Exception as exc:
-                                records[j].record_failure(
-                                    _failure_kind(exc), time.perf_counter() - t1
-                                )
+                                fail(j, _failure_kind(exc), t1, exc)
                             else:
                                 finish(j, sibling, time.perf_counter() - t1, "ok")
                     break
-                except BrokenExecutor:
+                except BrokenExecutor as exc:
                     # The pool died under this chunk (worker crash /
                     # OOM kill).  Siblings' futures resolve instantly
                     # now — completed ones still carry their results.
-                    records[i].record_failure("crash", time.perf_counter() - t0)
+                    fail(i, "crash", t0, exc)
                     dirty = True
-                except Exception:
-                    records[i].record_failure("error", time.perf_counter() - t0)
+                except Exception as exc:
+                    fail(i, "error", t0, exc)
                 else:
                     finish(i, payload, time.perf_counter() - t0, "ok")
             if dirty:
@@ -648,8 +670,8 @@ def run_supervised(
                 handled, payload = _apply_inprocess_fault(fault)
                 if not handled:
                     payload = chunk_fn(chunks[i])
-            except Exception:
-                records[i].record_failure("error", time.perf_counter() - t0)
+            except Exception as exc:
+                fail(i, "error", t0, exc)
                 continue
             if finish(
                 i, payload, time.perf_counter() - t0, "serial" if degraded else "ok"
@@ -668,9 +690,10 @@ def run_supervised(
     )
     policy.reports.append(report)
     if not report.ok:
+        failed = [i for i in range(n) if records[i].status == "failed"]
         raise SweepExecutionError(
             f"supervised sweep failed: {report.one_line()}", report, results
-        )
+        ) from next((causes[i] for i in failed if i in causes), None)
     flat = [entry for i in range(n) for entry in results[i]]
     return flat, report
 

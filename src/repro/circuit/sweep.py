@@ -9,12 +9,18 @@ batched :meth:`repro.devices.base.FETModel.linearize` machinery the
 compiled stamp plan already exposes.  Three layers fix that:
 
 * :class:`SweepPlan` — a generic chunked map engine every sweep-shaped
-  consumer routes through.  It owns the execution policy (chunking, an
-  optional ``concurrent.futures`` process pool for large N) and the
-  randomness policy: deterministic substreams spawned from a single
-  seed via :class:`numpy.random.SeedSequence`, assigned to instances in
+  consumer routes through, the circuit engines included.  It chunks
+  the instances and owns the randomness policy: deterministic
+  substreams spawned from a single seed via
+  :class:`numpy.random.SeedSequence`, assigned to instances in
   fixed-size *blocks* so results are bitwise identical across chunk
-  sizes, worker counts, and serial vs. pooled execution.
+  sizes, worker counts, and serial vs. pooled execution.  Every run
+  executes under the one supervisor,
+  :func:`repro.circuit.resilience.run_supervised` (in-process, or on a
+  process pool for ``workers`` > 1), which validates chunks at the
+  merge boundary and records a :class:`~repro.circuit.resilience.
+  RunReport`; an :class:`~repro.circuit.resilience.ExecutionPolicy`
+  only configures it.
 * :class:`CircuitMonteCarlo` — the DC circuit engine.  It compiles a
   circuit's stamp plan **once** and solves N parameter-perturbed
   instances with the package's one damped-Newton loop,
@@ -59,7 +65,6 @@ equivalence suites and benchmarks.
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,12 +84,7 @@ from repro.circuit.elements import (
     VoltageSource,
 )
 from repro.circuit.netlist import Circuit
-from repro.circuit.resilience import (
-    ExecutionPolicy,
-    RunReport,
-    fingerprint,
-    run_supervised,
-)
+from repro.circuit.resilience import ExecutionPolicy, fingerprint, run_supervised
 from repro.circuit.solver import newton_many, solve_dc
 from repro.circuit.transient import TransientResult, march, validate_grid
 from repro.devices.base import FETModel, PType
@@ -154,12 +154,6 @@ def ensure_seed(seed: int | None) -> int:
     return int(np.random.SeedSequence().generate_state(1)[0])
 
 
-def _run_block(kernel, params, rng, payload):
-    """One vectorized-kernel invocation, normalised to a result list."""
-    out = kernel(params, rng, payload)
-    return list(out)
-
-
 def _run_chunk(spec):
     """Execute one chunk of blocks (top-level so process pools can pickle it)."""
     kernel, vectorized, payload, blocks = spec
@@ -167,7 +161,7 @@ def _run_chunk(spec):
     for params, seed_seq in blocks:
         rng = None if seed_seq is None else np.random.default_rng(seed_seq)
         if vectorized:
-            results.extend(_run_block(kernel, params, rng, payload))
+            results.extend(kernel(params, rng, payload))
         else:
             results.append(kernel(params, rng, payload))
     return results
@@ -196,9 +190,12 @@ class SweepPlan:
         randomness *and* batching granularity: results are independent
         of ``chunk_size``/``workers`` because kernels always see whole
         blocks.
+    validate:
+        Optional per-entry schema check applied by the supervisor
+        before a chunk's results may merge.
 
-    ``run`` executes the kernel over a parameter sequence and returns
-    the per-instance results in input order.
+    ``run`` executes the kernel over a parameter sequence under the
+    supervisor and returns the per-instance results in input order.
     """
 
     def __init__(
@@ -219,7 +216,7 @@ class SweepPlan:
         self.validate = validate
 
     def _prepare(self, params, seed, chunk_size, workers):
-        """Chunk ``params`` into pool specs; ``(specs, counts, seed_token)``.
+        """Chunk ``params`` into pool specs; ``(specs, counts, seed_token, per_chunk)``.
 
         ``counts[k]`` is the number of per-instance results chunk ``k``
         must return — the structural schema enforced at the supervised
@@ -249,9 +246,7 @@ class SweepPlan:
         if chunk_size is None:
             # Pooled runs need more than one chunk to parallelise: split
             # the blocks evenly across the workers by default.
-            per_chunk = (
-                -(-len(blocks) // workers) if use_pool else len(blocks)
-            )
+            per_chunk = max(1, -(-len(blocks) // workers) if use_pool else len(blocks))
         else:
             if chunk_size < 1:
                 raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
@@ -295,81 +290,44 @@ class SweepPlan:
         1 dispatches whole chunks to a process pool (kernel, params and
         payload must pickle).
 
-        ``policy`` routes the run through the fault-tolerant supervisor
-        (:mod:`repro.circuit.resilience`): per-chunk timeouts, bounded
-        retries with pool rebuild, serial degradation, chunk-granular
-        checkpoint/resume.  Results are bitwise identical either way —
-        a chunk's output depends only on its spec, never on where or
-        how often it executes.
-        """
-        if policy is not None:
-            results, _ = self.run_supervised(
-                params,
-                seed=seed,
-                chunk_size=chunk_size,
-                workers=workers,
-                policy=policy,
-            )
-            return results
-        params = list(params)
-        if len(params) == 0:
-            return []
-        specs, _, _, _ = self._prepare(params, seed, chunk_size, workers)
-        use_pool = workers is not None and workers > 1 and len(specs) > 1
-        if use_pool:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunk_results = list(pool.map(_run_chunk, specs))
-        else:
-            chunk_results = [_run_chunk(spec) for spec in specs]
-        return [result for chunk in chunk_results for result in chunk]
-
-    def run_supervised(
-        self,
-        params,
-        *,
-        seed: int | None = None,
-        chunk_size: int | None = None,
-        workers: int | None = None,
-        policy: ExecutionPolicy | None = None,
-    ) -> tuple[list, RunReport]:
-        """:meth:`run` under the supervisor; returns ``(results, report)``.
+        Every run executes under the fault-tolerant supervisor
+        (:func:`repro.circuit.resilience.run_supervised`); ``policy``
+        configures it (``None`` means a default
+        :class:`~repro.circuit.resilience.ExecutionPolicy`): per-chunk
+        timeouts, bounded retries with pool rebuild, serial
+        degradation, chunk-granular checkpoint/resume.  The run's
+        :class:`~repro.circuit.resilience.RunReport` is appended to
+        ``policy.reports``.  Results are bitwise identical on every
+        rung — a chunk's output depends only on its spec, never on
+        where or how often it executes.
 
         Raises :class:`~repro.circuit.resilience.SweepExecutionError`
-        (report and salvaged chunks attached) if any chunk stays failed
-        after timeouts, retries, pool rebuilds and the serial rung.
-        The checkpoint run key fingerprints (kernel, payload, seed,
+        (report and salvaged chunks attached, chained from the failed
+        chunk's last exception) if any chunk stays failed.  The
+        checkpoint run key fingerprints (kernel, payload, seed,
         chunking), so resuming requires the same ``chunk_size``; a
         changed input simply misses the cache and recomputes.
         """
         params = list(params)
         policy = ExecutionPolicy() if policy is None else policy
-        if len(params) == 0:
-            empty = RunReport(chunks=[], workers=workers, pool_rebuilds=0, wall_s=0.0)
-            policy.reports.append(empty)
-            return [], empty
         specs, counts, seed_token, per_chunk = self._prepare(
             params, seed, chunk_size, workers
         )
-        kernel_token = f"{self.kernel.__module__}.{self.kernel.__qualname__}"
-        # The payload digest keeps sweeps that differ only in payload
-        # (e.g. the same kernel over different compiled circuits) in
-        # separate checkpoint run directories; computed only when a
-        # checkpoint store is actually configured.
-        payload_token = (
-            fingerprint(self.payload)
-            if policy.checkpoint_root is not None
-            else None
-        )
-        run_token = (
-            kernel_token,
-            self.vectorized,
-            self.substream_block,
-            per_chunk,
-            len(params),
-            seed_token,
-            payload_token,
-        )
-        return run_supervised(
+        run_token = None
+        if policy.checkpoint_root is not None:
+            # The payload digest keeps sweeps that differ only in payload
+            # (e.g. the same kernel over different compiled circuits) in
+            # separate checkpoint run directories.
+            run_token = (
+                f"{self.kernel.__module__}.{self.kernel.__qualname__}",
+                self.vectorized,
+                self.substream_block,
+                per_chunk,
+                len(params),
+                seed_token,
+                fingerprint(self.payload),
+            )
+        results, _ = run_supervised(
             specs,
             chunk_fn=_run_chunk,
             expected_counts=counts,
@@ -378,6 +336,7 @@ class SweepPlan:
             validate=self.validate,
             run_token=run_token,
         )
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -731,58 +690,6 @@ class TransientMCResult:
         )
 
 
-def _concat_results(
-    parts: list[MonteCarloResult],
-    *,
-    size: int,
-    node_index: dict[str, int],
-    branch_index: dict[str, int],
-) -> MonteCarloResult:
-    """Stack chunk results; zero chunks yield a well-formed empty result."""
-    if not parts:
-        return MonteCarloResult(
-            x=np.empty((0, size)),
-            converged=np.zeros(0, dtype=bool),
-            node_index=node_index,
-            branch_index=branch_index,
-        )
-    return MonteCarloResult(
-        x=np.concatenate([p.x for p in parts], axis=0),
-        converged=np.concatenate([p.converged for p in parts]),
-        node_index=node_index,
-        branch_index=branch_index,
-    )
-
-
-def _concat_transient(
-    parts: list[TransientMCResult],
-    *,
-    size: int,
-    n_samples: int,
-    dt_s: float,
-    node_index: dict[str, int],
-    branch_index: dict[str, int],
-) -> TransientMCResult:
-    """Stack chunk trajectories; zero chunks yield a well-formed empty result."""
-    if not parts:
-        return TransientMCResult(
-            samples=np.empty((0, n_samples, size)),
-            dt_s=dt_s,
-            converged=np.zeros(0, dtype=bool),
-            fallback=np.zeros(0, dtype=bool),
-            node_index=node_index,
-            branch_index=branch_index,
-        )
-    return TransientMCResult(
-        samples=np.concatenate([p.samples for p in parts], axis=0),
-        dt_s=dt_s,
-        converged=np.concatenate([p.converged for p in parts]),
-        fallback=np.concatenate([p.fallback for p in parts]),
-        node_index=node_index,
-        branch_index=branch_index,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Batched Newton over one compiled stamp plan (shared DC/transient core).
 # ---------------------------------------------------------------------------
@@ -826,6 +733,62 @@ class _BatchedNewtonEngine:
                 f"circuit has {len(self.fets)} FETs"
             )
         return variation
+
+    def __reduce__(self):
+        # Pool workers rebuild the engine from its circuit (cached per
+        # process) instead of unpickling the compiled plan.
+        return _engine_from_pickle, (type(self), pickle.dumps(self.circuit))
+
+    def _sweep(
+        self,
+        variation: FETVariation | None,
+        n_instances: int | None,
+        *,
+        args: tuple,
+        row_shape: tuple[int, ...],
+        n_flags: int,
+        chunk_size: int | None,
+        workers: int | None,
+        policy: ExecutionPolicy | None,
+    ) -> tuple[np.ndarray, ...]:
+        """Run :meth:`_solve_chunk` over the instances under the supervisor.
+
+        ``_solve_chunk(variation_block, *args)`` returns an
+        ``(m, *row_shape)`` array and ``n_flags`` boolean vectors; the
+        return value is the same stacked over all instances in input
+        order (well-formed and empty for zero instances).  The sweep's
+        parameters are instance indices; the engine and the variation
+        ride in the payload, so nothing is pickled in-process and pool
+        workers rebuild the engine once each.
+        """
+        variation = self._check_variation(variation, n_instances)
+        n = variation.n_instances
+        if chunk_size is None:
+            chunk_size = DEFAULT_CIRCUIT_CHUNK
+            if workers is not None and workers > 1:
+                # A pooled run needs at least one chunk per worker to
+                # parallelise at all.
+                chunk_size = max(1, min(chunk_size, -(-n // workers)))
+        sweep = SweepPlan(
+            _engine_chunk_kernel,
+            vectorized=True,
+            payload=(self, variation, args),
+            substream_block=chunk_size,
+            validate=_mc_entry_validator(row_shape, n_flags),
+        )
+        entries = sweep.run(
+            range(n), chunk_size=chunk_size, workers=workers, policy=policy
+        )
+        stack = (
+            np.array([entry[0] for entry in entries])
+            if entries
+            else np.empty((0, *row_shape))
+        )
+        flags = tuple(
+            np.array([entry[k] for entry in entries], dtype=bool)
+            for k in range(1, n_flags + 1)
+        )
+        return (stack, *flags)
 
     def small_signal_jacobians(
         self, x: np.ndarray, variation: FETVariation | None = None
@@ -890,62 +853,42 @@ class _BatchedNewtonEngine:
 
 
 @lru_cache(maxsize=4)
-def _engine_from_pickle(circuit_bytes: bytes) -> "CircuitMonteCarlo":
+def _engine_from_pickle(cls, circuit_bytes: bytes) -> _BatchedNewtonEngine:
     """Rebuild (and cache) an engine inside a pool worker process."""
-    return CircuitMonteCarlo(pickle.loads(circuit_bytes))
+    return cls(pickle.loads(circuit_bytes))
 
 
-def _mc_entry_validator(size: int):
-    """Merge-boundary schema of one DC MC entry: ``(x row, converged)``.
+def _engine_chunk_kernel(indices, rng, payload):
+    """SweepPlan kernel of both engines: solve one block of instances."""
+    engine, variation, args = payload
+    return list(zip(*engine._solve_chunk(variation.take(indices), *args)))
 
-    Applied by the supervisor before a pooled chunk may merge, so a
-    corrupt worker payload is rejected (and the chunk retried) at the
-    boundary instead of poisoning the stacked result.
+
+_FLAG_TYPES = frozenset({bool, np.bool_})
+
+
+def _mc_entry_validator(row_shape: tuple[int, ...], n_flags: int):
+    """Merge-boundary schema of one engine entry: ``(array, *flags)``.
+
+    Applied by the supervisor before a chunk may merge, so a corrupt
+    worker payload is rejected (and the chunk retried) at the boundary
+    instead of poisoning the stacked result.  NaN rows are legitimate
+    (a transient instance that failed even the scalar rescue), so only
+    type and shape are checked.
     """
+    width = 1 + n_flags
 
     def _valid(entry) -> bool:
-        x_i, converged = entry
+        array = entry[0]
         return (
-            isinstance(x_i, np.ndarray)
-            and x_i.shape == (size,)
-            and x_i.dtype.kind == "f"
-            and isinstance(converged, (bool, np.bool_))
+            len(entry) == width
+            and isinstance(array, np.ndarray)
+            and array.shape == row_shape
+            and array.dtype.kind == "f"
+            and _FLAG_TYPES.issuperset(map(type, entry[1:]))
         )
 
     return _valid
-
-
-def _transient_entry_validator(size: int, n_samples: int):
-    """Merge-boundary schema of one transient MC entry.
-
-    ``(samples (n_samples, size), converged, fallback)`` — NaN samples
-    are legitimate (an instance that failed even the scalar rescue), so
-    only type and shape are checked.
-    """
-
-    def _valid(entry) -> bool:
-        samples, converged, fallback = entry
-        return (
-            isinstance(samples, np.ndarray)
-            and samples.shape == (n_samples, size)
-            and samples.dtype.kind == "f"
-            and isinstance(converged, (bool, np.bool_))
-            and isinstance(fallback, (bool, np.bool_))
-        )
-
-    return _valid
-
-
-def _circuit_chunk_kernel(params_block, rng, payload):
-    """SweepPlan kernel: solve one block of variation rows (pool-safe)."""
-    circuit_bytes, x0 = payload
-    engine = _engine_from_pickle(circuit_bytes)
-    scale = np.stack([row[0] for row in params_block])
-    shift = np.stack([row[1] for row in params_block])
-    result = engine._solve_chunk(
-        FETVariation(drive_scale=scale, vth_shift_v=shift), x0
-    )
-    return [result.take_instance(i) for i in range(result.n_instances)]
 
 
 class CircuitMonteCarlo(_BatchedNewtonEngine):
@@ -992,78 +935,29 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
 
         ``chunk_size`` is the batch width (defaults to
         :data:`DEFAULT_CIRCUIT_CHUNK`); ``workers`` > 1 ships chunks to
-        a process pool (the circuit is pickled once, workers cache the
-        compiled engine).  Results are bitwise independent of instance
-        order, chunking and pooling — each instance's Newton iteration
-        is elementwise-independent of its batch neighbours.
+        a process pool (workers rebuild and cache the compiled engine).
+        Results are bitwise independent of instance order, chunking and
+        pooling — each instance's Newton iteration is
+        elementwise-independent of its batch neighbours.
 
-        ``policy`` (an :class:`~repro.circuit.resilience.
-        ExecutionPolicy`) runs the sweep under the fault-tolerant
-        supervisor — chunk timeouts, retries, pool rebuilds, serial
-        degradation, checkpoint/resume — with bitwise-identical
-        results; a result row is validated against the engine's schema
-        before it may merge.  Zero instances return a well-formed empty
-        result.
+        The run goes through :meth:`SweepPlan.run` and so the
+        fault-tolerant supervisor, configured by ``policy`` (an
+        :class:`~repro.circuit.resilience.ExecutionPolicy`; chunk
+        timeouts, retries, pool rebuilds, serial degradation,
+        checkpoint/resume); a result row is validated against the
+        engine's schema before it may merge.  Zero instances return a
+        well-formed empty result.
         """
-        variation = self._check_variation(variation, n_instances)
-        n = variation.n_instances
-        if n == 0:
-            return _concat_results(
-                [],
-                size=self.plan.size,
-                node_index=self.node_index,
-                branch_index=self.branch_index,
-            )
-        x0 = self.nominal_solution()
-        if chunk_size is None:
-            chunk_size = DEFAULT_CIRCUIT_CHUNK
-            if workers is not None and workers > 1:
-                # A pooled run needs at least one chunk per worker to
-                # parallelise at all.
-                chunk_size = min(chunk_size, -(-n // workers))
-
-        if (workers is not None and workers > 1) or policy is not None:
-            # Route chunk dispatch through the generic engine: the
-            # kernel rebuilds (and caches) this engine in each worker.
-            sweep = SweepPlan(
-                _circuit_chunk_kernel,
-                vectorized=True,
-                payload=(pickle.dumps(self.circuit), x0.copy()),
-                substream_block=chunk_size,
-                validate=_mc_entry_validator(self.plan.size),
-            )
-            rows = list(zip(variation.drive_scale, variation.vth_shift_v))
-            per_instance = sweep.run(
-                rows, chunk_size=chunk_size, workers=workers, policy=policy
-            )
-            x = np.stack([row[0] for row in per_instance])
-            converged = np.array([row[1] for row in per_instance], dtype=bool)
-            return MonteCarloResult(
-                x=x,
-                converged=converged,
-                node_index=self.node_index,
-                branch_index=self.branch_index,
-            )
-
-        parts = [
-            self._solve_chunk(variation.take(slice(start, stop)), x0)
-            for start, stop in _as_blocks(n, chunk_size)
-        ]
-        return _concat_results(
-            parts,
-            size=self.plan.size,
-            node_index=self.node_index,
-            branch_index=self.branch_index,
+        x, converged = self._sweep(
+            variation,
+            n_instances,
+            args=(self.nominal_solution(),),
+            row_shape=(self.plan.size,),
+            n_flags=1,
+            chunk_size=chunk_size,
+            workers=workers,
+            policy=policy,
         )
-
-    def _solve_chunk(
-        self, variation: FETVariation, x0: np.ndarray
-    ) -> MonteCarloResult:
-        """Batched Newton from the nominal seed, with a gmin rescue ladder."""
-        m = variation.n_instances
-        x_start = np.tile(x0, (m, 1))
-        x, converged, _, _ = newton_many(self.plan, x_start, variation=variation)
-        self._rescue_batch(x0, x, converged, variation)
         return MonteCarloResult(
             x=x,
             converged=converged,
@@ -1071,34 +965,22 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
             branch_index=self.branch_index,
         )
 
+    def _solve_chunk(
+        self, variation: FETVariation, x0: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched Newton from the nominal seed, with a gmin rescue ladder.
+
+        Returns the ``(m, size)`` solutions and per-instance convergence.
+        """
+        x_start = np.tile(x0, (variation.n_instances, 1))
+        x, converged, _, _ = newton_many(self.plan, x_start, variation=variation)
+        self._rescue_batch(x0, x, converged, variation)
+        return x, converged
+
 
 # ---------------------------------------------------------------------------
 # Batched transient Monte Carlo: N instances time-stepped in lockstep.
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=4)
-def _transient_engine_from_pickle(circuit_bytes: bytes) -> "CircuitTransientMC":
-    """Rebuild (and cache) a transient engine inside a pool worker process."""
-    return CircuitTransientMC(pickle.loads(circuit_bytes))
-
-
-def _transient_chunk_kernel(params_block, rng, payload):
-    """SweepPlan kernel: march one block of variation rows (pool-safe)."""
-    circuit_bytes, t_stop_s, dt_s, integrator = payload
-    engine = _transient_engine_from_pickle(circuit_bytes)
-    scale = np.stack([row[0] for row in params_block])
-    shift = np.stack([row[1] for row in params_block])
-    part = engine._march_chunk(
-        FETVariation(drive_scale=scale, vth_shift_v=shift),
-        t_stop_s,
-        dt_s,
-        integrator,
-    )
-    return [
-        (part.samples[i], bool(part.converged[i]), bool(part.fallback[i]))
-        for i in range(part.n_instances)
-    ]
 
 
 class CircuitTransientMC(_BatchedNewtonEngine):
@@ -1138,82 +1020,41 @@ class CircuitTransientMC(_BatchedNewtonEngine):
         """March all instances to ``t_stop_s``; samples in input order.
 
         Results are bitwise independent of ``chunk_size``, instance
-        order and ``workers``.  ``policy`` runs the sweep under the
-        fault-tolerant supervisor (see :class:`CircuitMonteCarlo.run`);
-        zero instances return a well-formed empty result.
+        order and ``workers``.  The run is supervised like
+        :meth:`CircuitMonteCarlo.run`, configured by ``policy``; zero
+        instances return a well-formed empty result.
         """
         if t_stop_s is None or dt_s is None:
             raise ValueError("give t_stop_s and dt_s")
         n_steps = validate_grid(t_stop_s, dt_s, integrator)
-        variation = self._check_variation(variation, n_instances)
-        n = variation.n_instances
-        if n == 0:
-            return _concat_transient(
-                [],
-                size=self.plan.size,
-                n_samples=n_steps + 1,
-                dt_s=dt_s,
-                node_index=self.node_index,
-                branch_index=self.branch_index,
-            )
-
-        if chunk_size is None:
-            chunk_size = DEFAULT_CIRCUIT_CHUNK
-            if workers is not None and workers > 1:
-                chunk_size = min(chunk_size, -(-n // workers))
-
-        if (workers is not None and workers > 1) or policy is not None:
-            sweep = SweepPlan(
-                _transient_chunk_kernel,
-                vectorized=True,
-                payload=(
-                    pickle.dumps(self.circuit),
-                    t_stop_s,
-                    dt_s,
-                    integrator,
-                ),
-                substream_block=chunk_size,
-                validate=_transient_entry_validator(self.plan.size, n_steps + 1),
-            )
-            rows = list(zip(variation.drive_scale, variation.vth_shift_v))
-            per_instance = sweep.run(
-                rows, chunk_size=chunk_size, workers=workers, policy=policy
-            )
-            return TransientMCResult(
-                samples=np.stack([row[0] for row in per_instance]),
-                dt_s=dt_s,
-                converged=np.array([row[1] for row in per_instance], dtype=bool),
-                fallback=np.array([row[2] for row in per_instance], dtype=bool),
-                node_index=self.node_index,
-                branch_index=self.branch_index,
-            )
-
-        parts = [
-            self._march_chunk(
-                variation.take(slice(start, stop)),
-                t_stop_s,
-                dt_s,
-                integrator,
-            )
-            for start, stop in _as_blocks(n, chunk_size)
-        ]
-        return _concat_transient(
-            parts,
-            size=self.plan.size,
-            n_samples=n_steps + 1,
+        samples, converged, fallback = self._sweep(
+            variation,
+            n_instances,
+            args=(t_stop_s, dt_s, integrator),
+            row_shape=(n_steps + 1, self.plan.size),
+            n_flags=2,
+            chunk_size=chunk_size,
+            workers=workers,
+            policy=policy,
+        )
+        return TransientMCResult(
+            samples=samples,
             dt_s=dt_s,
+            converged=converged,
+            fallback=fallback,
             node_index=self.node_index,
             branch_index=self.branch_index,
         )
 
     # -- the lockstep march -----------------------------------------------------
-    def _march_chunk(
+    def _solve_chunk(
         self,
         variation: FETVariation,
         t_stop_s: float,
         dt_s: float,
         integrator: str,
-    ) -> TransientMCResult:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """March one chunk; ``(samples, converged, fallback)`` per instance."""
         n_steps = validate_grid(t_stop_s, dt_s, integrator)
         m = variation.n_instances
         fallback = np.zeros(m, dtype=bool)
@@ -1260,11 +1101,4 @@ class CircuitTransientMC(_BatchedNewtonEngine):
             variation=variation.take(alive),
         )
         ok[alive[~marched]] = False
-        return TransientMCResult(
-            samples=samples,
-            dt_s=dt_s,
-            converged=ok,
-            fallback=fallback,
-            node_index=self.node_index,
-            branch_index=self.branch_index,
-        )
+        return samples, ok, fallback

@@ -25,7 +25,12 @@ from repro.circuit.resilience import (
     SweepExecutionError,
     fingerprint,
 )
-from repro.circuit.sweep import CircuitMonteCarlo, FETVariation, SweepPlan
+from repro.circuit.sweep import (
+    CircuitMonteCarlo,
+    CircuitTransientMC,
+    FETVariation,
+    SweepPlan,
+)
 from repro.circuit.waveforms import DC
 from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import build_inverter_chain
@@ -45,17 +50,21 @@ def _scale_kernel(value, rng, payload):
     return value * payload
 
 
+def _failing_kernel(value, rng, payload):
+    raise ValueError(f"kernel rejects {value}")
+
+
 def _fast_policy(**overrides):
     """Millisecond backoff so retry ladders don't slow the suite."""
     overrides.setdefault("backoff_s", 0.001)
     return ExecutionPolicy(**overrides)
 
 
-def _engine(n_stages=2):
+def _engine(n_stages=2, engine_type=CircuitMonteCarlo):
     chain = build_inverter_chain(
         AlphaPowerFET(), n_stages=n_stages, input_waveform=DC(0.4)
     )
-    return CircuitMonteCarlo(chain)
+    return engine_type(chain)
 
 
 class TestFaultPlan:
@@ -94,8 +103,8 @@ class TestRunReport:
     def _report(self):
         sweep = SweepPlan(_square_kernel)
         policy = _fast_policy(fault_plan=FaultPlan.single(1, "raise"))
-        _, report = sweep.run_supervised(range(8), chunk_size=2, policy=policy)
-        return report
+        sweep.run(range(8), chunk_size=2, policy=policy)
+        return policy.reports[-1]
 
     def test_counts_and_taxonomy(self):
         report = self._report()
@@ -123,9 +132,9 @@ class TestSupervisedSerialRecovery:
     def test_matches_plain_run_bitwise(self):
         sweep = SweepPlan(_draw_kernel)
         plain = sweep.run(range(20), seed=11, chunk_size=5)
-        supervised, report = sweep.run_supervised(
-            range(20), seed=11, chunk_size=5, policy=_fast_policy()
-        )
+        policy = _fast_policy()
+        supervised = sweep.run(range(20), seed=11, chunk_size=5, policy=policy)
+        report = policy.reports[-1]
         assert supervised == plain
         assert report.counts() == {"ok": 4}
 
@@ -133,9 +142,8 @@ class TestSupervisedSerialRecovery:
         sweep = SweepPlan(_draw_kernel)
         plain = sweep.run(range(20), seed=11, chunk_size=5)
         policy = _fast_policy(fault_plan=FaultPlan.single(2, "raise"))
-        supervised, report = sweep.run_supervised(
-            range(20), seed=11, chunk_size=5, policy=policy
-        )
+        supervised = sweep.run(range(20), seed=11, chunk_size=5, policy=policy)
+        report = policy.reports[-1]
         assert supervised == plain
         assert report.failure_taxonomy() == {"error": 1}
 
@@ -143,9 +151,8 @@ class TestSupervisedSerialRecovery:
         sweep = SweepPlan(_draw_kernel)
         plain = sweep.run(range(20), seed=11, chunk_size=5)
         policy = _fast_policy(fault_plan=FaultPlan.single(0, "corrupt"))
-        supervised, report = sweep.run_supervised(
-            range(20), seed=11, chunk_size=5, policy=policy
-        )
+        supervised = sweep.run(range(20), seed=11, chunk_size=5, policy=policy)
+        report = policy.reports[-1]
         assert supervised == plain
         assert report.failure_taxonomy() == {"corrupt": 1}
 
@@ -159,9 +166,8 @@ class TestSupervisedSerialRecovery:
                 {0: FaultSpec("crash", times=99), 1: FaultSpec("hang", times=99)}
             )
         )
-        results, report = sweep.run_supervised(
-            range(8), chunk_size=2, policy=policy
-        )
+        results = sweep.run(range(8), chunk_size=2, policy=policy)
+        report = policy.reports[-1]
         assert results == [v * v for v in range(8)]
         assert report.ok and report.failure_taxonomy() == {}
 
@@ -173,7 +179,7 @@ class TestSupervisedSerialRecovery:
             fault_plan=FaultPlan.single(1, "raise", times=99),
         )
         with pytest.raises(SweepExecutionError) as excinfo:
-            sweep.run_supervised(range(8), chunk_size=2, policy=policy)
+            sweep.run(range(8), chunk_size=2, policy=policy)
         report = excinfo.value.report
         assert not report.ok
         assert report.counts() == {"ok": 3, "failed": 1}
@@ -184,11 +190,23 @@ class TestSupervisedSerialRecovery:
         assert partial[2] == [16, 25]
         assert partial[3] == [36, 49]
 
+    def test_failed_run_chains_the_kernel_exception(self):
+        # No policy: the default supervisor retries, then raises with
+        # the kernel's own exception as the cause and named in the line.
+        with pytest.raises(SweepExecutionError) as excinfo:
+            SweepPlan(_failing_kernel).run([7])
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ValueError)
+        assert str(cause) == "kernel rejects 7"
+        line = excinfo.value.report.one_line()
+        assert "chunk 0 raised ValueError: kernel rejects 7" in line
+        assert excinfo.value.report.chunks[0].failures == ("error",) * 3
+
     def test_validator_applies_to_every_chunk(self):
         sweep = SweepPlan(_square_kernel, validate=lambda entry: 1 / 0)
         policy = _fast_policy(max_retries=0, degrade_serial=False)
         with pytest.raises(SweepExecutionError) as excinfo:
-            sweep.run_supervised(range(4), chunk_size=2, policy=policy)
+            sweep.run(range(4), chunk_size=2, policy=policy)
         assert excinfo.value.report.failure_taxonomy() == {"corrupt": 2}
 
 
@@ -202,9 +220,10 @@ class TestPooledChaosRecovery:
         sweep = SweepPlan(_draw_kernel)
         plain = sweep.run(range(16), seed=5, chunk_size=4)
         policy = _fast_policy(fault_plan=FaultPlan.single(0, "crash"))
-        supervised, report = sweep.run_supervised(
+        supervised = sweep.run(
             range(16), seed=5, chunk_size=4, workers=2, policy=policy
         )
+        report = policy.reports[-1]
         assert supervised == plain
         assert report.pool_rebuilds >= 1
         assert report.failure_taxonomy().get("crash", 0) >= 1
@@ -217,9 +236,10 @@ class TestPooledChaosRecovery:
             timeout_s=2.0,
             fault_plan=FaultPlan.single(1, "hang", hang_s=8.0),
         )
-        supervised, report = sweep.run_supervised(
+        supervised = sweep.run(
             range(16), seed=5, chunk_size=4, workers=2, policy=policy
         )
+        report = policy.reports[-1]
         assert supervised == plain
         assert report.failure_taxonomy() == {"timeout": 1}
         assert report.pool_rebuilds == 1
@@ -234,9 +254,10 @@ class TestPooledChaosRecovery:
             max_retries=1,
             fault_plan=FaultPlan.single(2, "crash", times=99),
         )
-        supervised, report = sweep.run_supervised(
+        supervised = sweep.run(
             range(16), seed=5, chunk_size=4, workers=2, policy=policy
         )
+        report = policy.reports[-1]
         assert supervised == plain
         assert report.chunks[2].status == "serial"
         assert report.ok
@@ -257,6 +278,20 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path, "run-a")
         store.store(0, "digest", [1.0])
         store.chunk_path(0).write_bytes(b"not a pickle")
+        assert store.load(0, "digest") is None
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            b"\x80\x09.",  # unsupported protocol: ValueError
+            b"\x80\x04cno_such_mod\nFoo\n.",  # ModuleNotFoundError
+            b"\x80\x04\x95garbage-bytes-here",  # absurd frame: MemoryError
+        ],
+    )
+    def test_unloadable_file_misses(self, tmp_path, garbage):
+        store = CheckpointStore(tmp_path, "run-a")
+        store.store(0, "digest", [1.0])
+        store.chunk_path(0).write_bytes(garbage)
         assert store.load(0, "digest") is None
 
     def test_runs_do_not_collide(self, tmp_path):
@@ -283,13 +318,10 @@ class TestCheckpointRecovery:
             fault_plan=FaultPlan.single(4, "raise", times=99),
         )
         with pytest.raises(SweepExecutionError):
-            sweep.run_supervised(range(24), seed=9, chunk_size=4, policy=dying)
-        resumed, report = sweep.run_supervised(
-            range(24),
-            seed=9,
-            chunk_size=4,
-            policy=_fast_policy(checkpoint_root=tmp_path),
-        )
+            sweep.run(range(24), seed=9, chunk_size=4, policy=dying)
+        policy = _fast_policy(checkpoint_root=tmp_path)
+        resumed = sweep.run(range(24), seed=9, chunk_size=4, policy=policy)
+        report = policy.reports[-1]
         assert resumed == plain
         assert report.counts() == {"cached": 5, "ok": 1}
         assert report.chunks[4].status == "ok"
@@ -297,12 +329,9 @@ class TestCheckpointRecovery:
     def test_checkpoints_are_keyed_by_seed(self, tmp_path):
         sweep = SweepPlan(_draw_kernel)
         policy = _fast_policy(checkpoint_root=tmp_path)
-        first, _ = sweep.run_supervised(
-            range(8), seed=1, chunk_size=4, policy=policy
-        )
-        other, report = sweep.run_supervised(
-            range(8), seed=2, chunk_size=4, policy=policy
-        )
+        sweep.run(range(8), seed=1, chunk_size=4, policy=policy)
+        other = sweep.run(range(8), seed=2, chunk_size=4, policy=policy)
+        report = policy.reports[-1]
         # A different seed must never serve the old seed's chunks.
         assert report.counts() == {"ok": 2}
         assert other == sweep.run(range(8), seed=2, chunk_size=4)
@@ -311,8 +340,9 @@ class TestCheckpointRecovery:
         policy = _fast_policy(checkpoint_root=tmp_path)
         scaled = SweepPlan(_scale_kernel, payload=2)
         tripled = SweepPlan(_scale_kernel, payload=3)
-        assert scaled.run_supervised(range(4), policy=policy)[0] == [0, 2, 4, 6]
-        results, report = tripled.run_supervised(range(4), policy=policy)
+        assert scaled.run(range(4), policy=policy) == [0, 2, 4, 6]
+        results = tripled.run(range(4), policy=policy)
+        report = policy.reports[-1]
         assert results == [0, 3, 6, 9]
         assert report.counts() == {"ok": 1}
 
@@ -418,3 +448,34 @@ class TestPolicyThreading:
         policy = _fast_policy(fault_plan=FaultPlan.single(0, "raise"))
         supervised = run_fabric_density(policy=policy, **kwargs)
         assert supervised == plain
+
+
+class TestEveryRunReports:
+    """Every sweep is supervised: each run appends exactly one report."""
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_sweep_plan(self, n):
+        policy = ExecutionPolicy()
+        assert SweepPlan(_square_kernel).run(range(n), policy=policy) == [
+            v * v for v in range(n)
+        ]
+        assert len(policy.reports) == 1
+        assert policy.reports[0].n_chunks == (1 if n else 0)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_dc_engine(self, n):
+        engine = _engine()
+        policy = ExecutionPolicy()
+        variation = FETVariation.nominal(n, len(engine.fet_names))
+        result = engine.run(variation, policy=policy)
+        assert result.x.shape == (n, engine.plan.size)
+        assert len(policy.reports) == 1 and policy.reports[0].ok
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_transient_engine(self, n):
+        engine = _engine(engine_type=CircuitTransientMC)
+        policy = ExecutionPolicy()
+        variation = FETVariation.nominal(n, len(engine.fet_names))
+        result = engine.run(variation, 1e-10, 1e-11, policy=policy)
+        assert result.samples.shape == (n, 11, engine.plan.size)
+        assert len(policy.reports) == 1 and policy.reports[0].ok

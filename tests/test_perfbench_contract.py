@@ -3,12 +3,15 @@
 ``perfbench/tracing.py`` wraps named functions and methods of the
 circuit core (``solver.newton_solve``, ``solver.solve_dc``,
 ``solver.splu``, ``solver.dgesv``, ``sweep._BatchedNewtonEngine``,
-``continuation.solve_dc_robust``, ...) and ``perfbench/checks.py``
+``continuation.solve_dc_robust``, ``sweep._run_chunk``,
+``resilience.run_supervised``, ...) and ``perfbench/checks.py``
 replays transient Monte Carlo rows through
 ``MNASystem.evaluate_dense``/``update_capacitor_state`` on
 ``perturbed_circuit`` clones.  A rename under ``src/`` breaks the
 benchmark, not the program, so this smoke test runs both in a fresh
-interpreter (the tracer rebinds module attributes process-wide).
+interpreter (the tracer rebinds module attributes process-wide).  A
+plain DC Monte Carlo run must reach the sweep layer too: every engine
+run is a supervised sweep.
 """
 
 import os
@@ -28,7 +31,7 @@ tracer.active = True
 
 from checks import MNA_TOLERANCE, _check_transient_kcl
 from workloads import MonteCarlo
-from repro.circuit.sweep import CircuitTransientMC, FETVariation
+from repro.circuit.sweep import CircuitMonteCarlo, CircuitTransientMC, FETVariation
 from repro.circuit.waveforms import Pulse
 from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import build_inverter_chain
@@ -48,6 +51,13 @@ metrics = tracer.metrics()
 for name in ("newton.solves", "assembly.calls", "assembly.rows", "solve.dense",
              "devices.linearize_points"):
     assert metrics[name] > 0, (name, metrics)
+
+tracer.active = True
+CircuitMonteCarlo(chain).run(variation)
+tracer.active = False
+after = tracer.metrics()
+for name in ("sweep.runs", "sweep.chunks"):
+    assert after[name] > metrics[name], (name, metrics[name], after[name])
 print("ok")
 """
 
