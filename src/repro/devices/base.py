@@ -19,10 +19,18 @@ helpers and the surrogate compiler all program against:
 once per device-model instance per Newton iteration, with all of that
 model's FET bias points batched into one array call;
 ``linearize_point`` is its scalar fast path for single-device groups.
-The default derivatives are central differences with a model-owned step
-(``fd_delta_v``); models with analytic small-signal behaviour — notably
-:class:`repro.devices.surrogate.SurrogateFET` — override both
-``linearize`` entry points and never see a finite-difference step.
+Models with closed-form or tabulated characteristics override both
+entry points with one analytic pass returning ``(id, gm, gds)``
+together: :class:`repro.devices.surrogate.SurrogateFET` (per-cell
+bicubic kernel), :class:`repro.devices.empirical.AlphaPowerFET` and
+:class:`repro.devices.reference.TrigateFET` (exact alpha-power
+derivatives) and :class:`repro.devices.empirical.NonSaturatingFET`
+(``G vds``, ``G' vds``, ``G``).  Mirror-symmetric models apply the
+source/drain chain rule through :func:`mirror_symmetric_linearize`.
+The default here — central differences with a model-owned step
+(``fd_delta_v``) — is for the physical models (ballistic CNT/GNR FETs,
+the contact wrappers, the tunnel FET), whose currents are solver
+output with no closed form to differentiate.
 
 Vectorised models implement ``_forward_currents`` (elementwise currents
 on the ``vds >= 0`` quadrant); the base ``currents`` wraps it in the
@@ -45,6 +53,7 @@ __all__ = [
     "OperatingBox",
     "PType",
     "mirror_symmetric_currents",
+    "mirror_symmetric_linearize",
     "transfer_curve",
     "output_curve",
     "transconductance",
@@ -98,6 +107,40 @@ def mirror_symmetric_currents(forward, vgs_values, vds_values) -> np.ndarray:
         np.where(mirrored, vgs - vds, vgs), np.where(mirrored, -vds, vds)
     )
     return np.where(mirrored, -current, current)
+
+
+def mirror_symmetric_linearize(forward, vgs_values, vds_values):
+    """``(id, gm, gds)`` under the source/drain exchange, from the forward quadrant.
+
+    ``forward(vgs, vds)`` returns the forward-quadrant ``(id, gm, gds)``.
+    At a mirrored point (``vds < 0``) it is called at
+    ``(vgs - vds, -vds)`` and the chain rule of
+    ``I(vgs, vds) = -I(vgs - vds, -vds)`` gives ``id -> -id'``,
+    ``gm -> -gm'`` and ``gds -> gm' + gds'``.  A float ``vds`` takes
+    the scalar route (``forward`` then sees floats), anything else the
+    elementwise one.  This is the one copy of the rule; every analytic
+    mirror-symmetric ``linearize``/``linearize_point`` goes through it.
+    """
+    if isinstance(vds_values, float):
+        if vds_values < 0.0:
+            current, gm, gds = forward(vgs_values - vds_values, -vds_values)
+            return -current, -gm, gm + gds
+        return forward(vgs_values, vds_values)
+    vgs = np.asarray(vgs_values, dtype=float)
+    vds = np.asarray(vds_values, dtype=float)
+    if vgs.shape != vds.shape:
+        vgs, vds = np.broadcast_arrays(vgs, vds)
+    mirrored = vds < 0.0
+    if not mirrored.any():
+        return forward(vgs, vds)
+    current, gm, gds = forward(
+        np.where(mirrored, vgs - vds, vgs), np.where(mirrored, -vds, vds)
+    )
+    return (
+        np.where(mirrored, -current, current),
+        np.where(mirrored, -gm, gm),
+        np.where(mirrored, gm + gds, gds),
+    )
 
 
 class FETModel(abc.ABC):
@@ -187,7 +230,8 @@ class FETModel(abc.ABC):
         (nominal, vgs +/- delta, vds +/- delta) are stacked into a
         single ``currents`` call so vectorised models pay the
         array-dispatch overhead once, not five times.  Models with
-        analytic derivatives override and ignore ``delta_v``.
+        analytic derivatives override (with :meth:`linearize_point`)
+        and ignore ``delta_v``.
         """
         delta_v = self.fd_delta_v if delta_v is None else delta_v
         vgs = np.asarray(vgs_values, dtype=float)

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from repro.devices.base import FETModel, OperatingBox
+from repro.devices.base import FETModel, OperatingBox, mirror_symmetric_linearize
 from repro.devices.surrogate import TabulatedFET
 from repro.physics.constants import thermal_voltage
 
@@ -39,13 +40,53 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def _softplus_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_softplus` with identical branch thresholds."""
+def _softplus_array(x: np.ndarray, with_slope: bool = False):
+    """Elementwise :func:`_softplus` with identical branch thresholds.
+
+    ``with_slope`` also returns the derivative (see
+    :func:`_softplus_with_slope`).
+    """
     x = np.asarray(x, dtype=float)
     # exp(min(x, 35)) equals exp(x) exactly on the x < -35 branch, so one
     # exponential serves both the mid (log1p) and deep-subthreshold cases.
     exp_x = np.exp(np.minimum(x, 35.0))
-    return np.where(x > 35.0, x, np.where(x < -35.0, exp_x, np.log1p(exp_x)))
+    value = np.where(x > 35.0, x, np.where(x < -35.0, exp_x, np.log1p(exp_x)))
+    if not with_slope:
+        return value
+    return value, exp_x / (1.0 + exp_x)
+
+
+def _softplus_with_slope(x: float) -> tuple[float, float]:
+    """:func:`_softplus` and its derivative ``e / (1 + e)``, ``e = exp(min(x, 35))``.
+
+    The capped exponential cannot overflow, and the one expression is
+    each branch's own derivative to within 7e-16 relative: it reads
+    ``1 - 6.3e-16`` on the linear branch above 35 and ``e^x`` times
+    ``1 / (1 + e^x)`` (within 7e-16 of 1) on the exponential branch
+    below -35.
+    """
+    exp_x = math.exp(min(x, 35.0))
+    return _softplus(x), exp_x / (1.0 + exp_x)
+
+
+# The elementwise primitives of the two linearization routes — floats for
+# ``linearize_point`` (bitwise the scalar ``current``), arrays for
+# ``linearize`` (bitwise ``currents``) — so one derivative formula serves
+# both.
+_FLOAT_OPS = SimpleNamespace(
+    softplus=_softplus_with_slope,
+    tanh=math.tanh,
+    cosh=math.cosh,
+    minimum=min,
+    maximum=max,
+)
+_ARRAY_OPS = SimpleNamespace(
+    softplus=lambda x: _softplus_array(x, with_slope=True),
+    tanh=np.tanh,
+    cosh=np.cosh,
+    minimum=np.minimum,
+    maximum=np.maximum,
+)
 
 
 @dataclass(frozen=True)
@@ -144,6 +185,59 @@ class AlphaPowerFET(FETModel):
             * (1.0 + self.channel_modulation * vds)
         )
 
+    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
+        """Exact ``(id, gm, gds)`` in one pass; ``delta_v`` is ignored.
+
+        ``id`` is bitwise :meth:`currents`; the derivatives are those of
+        :meth:`_forward_linearize` under the mirror chain rule.
+        """
+        return mirror_symmetric_linearize(
+            self._forward_linearize, vgs_values, vds_values
+        )
+
+    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
+        return mirror_symmetric_linearize(
+            self._forward_linearize_point, float(vgs), float(vds)
+        )
+
+    def _forward_linearize_point(self, vgs: float, vds: float):
+        return self._forward_linearize(vgs, vds, _FLOAT_OPS)
+
+    def _forward_linearize(self, vgs, vds, ops=_ARRAY_OPS):
+        """``(I, dI/dvgs, dI/dvds)`` on the vds >= 0 quadrant.
+
+        With ``T = tanh(vds / vdsat)`` and ``C = 1 + lambda vds``:
+
+            dI/dvgs = C softplus' [k alpha Vov^(alpha-1) T
+                                   - k Vov^alpha sech^2 (vds/vdsat) vdsat'/vdsat]
+            dI/dvds = k Vov^alpha [sech^2 C / vdsat + lambda T]
+
+        ``vdsat' = sat_fraction`` above the 1e-6 V clamp and 0 on it.
+        Nothing divides by ``Vov``, which underflows to 0 in deep
+        subthreshold, and ``vds/vdsat`` (huge where ``vdsat`` is
+        clamped) only enters through the capped ``cosh``.
+        """
+        width = self._softplus_width
+        softplus, slope = ops.softplus((vgs - self.vt) / width)
+        overdrive = width * softplus
+        scaled = self.sat_fraction * overdrive
+        vdsat = ops.maximum(scaled, 1e-6)
+        ratio = vds / vdsat
+        saturation = ops.tanh(ratio)
+        clm = 1.0 + self.channel_modulation * vds
+        drive = self.k_a_per_v_alpha * overdrive**self.alpha
+        current = drive * saturation * clm
+        # k Vov^alpha sech^2(ratio) / vdsat, shared by both derivatives;
+        # capping cosh's argument keeps cosh^2 finite (sech^2 < 1e-303
+        # beyond the cap).
+        cosh = ops.cosh(ops.minimum(ratio, 350.0))
+        sat_slope = drive / (vdsat * cosh * cosh)
+        d_drive = self.k_a_per_v_alpha * self.alpha * overdrive ** (self.alpha - 1.0)
+        d_vdsat = self.sat_fraction * (scaled > 1e-6)
+        gm = clm * slope * (d_drive * saturation - sat_slope * ratio * d_vdsat)
+        gds = sat_slope * clm + self.channel_modulation * drive * saturation
+        return current, gm, gds
+
 
 @dataclass(frozen=True)
 class NonSaturatingFET(FETModel):
@@ -175,6 +269,11 @@ class NonSaturatingFET(FETModel):
             raise ValueError(f"smoothing must be positive, got {self.smoothing_v}")
         if self.v_on <= self.vt:
             raise ValueError("v_on must exceed vt")
+        object.__setattr__(
+            self,
+            "_conductance_norm",
+            _softplus((self.v_on - self.vt) / self.smoothing_v),
+        )
 
     def operating_box(self) -> OperatingBox:
         # Both drain polarities are physical operating territory for the
@@ -190,8 +289,7 @@ class NonSaturatingFET(FETModel):
     def conductance(self, vgs: float) -> float:
         """Channel conductance G(V_GS) [S]."""
         shape = _softplus((vgs - self.vt) / self.smoothing_v)
-        norm = _softplus((self.v_on - self.vt) / self.smoothing_v)
-        return self.g_on_s * shape / norm
+        return self.g_on_s * shape / self._conductance_norm
 
     def current(self, vgs: float, vds: float) -> float:
         return self.conductance(vgs) * vds
@@ -200,5 +298,20 @@ class NonSaturatingFET(FETModel):
         vgs = np.asarray(vgs_values, dtype=float)
         vds = np.asarray(vds_values, dtype=float)
         shape = _softplus_array((vgs - self.vt) / self.smoothing_v)
-        norm = _softplus((self.v_on - self.vt) / self.smoothing_v)
-        return self.g_on_s * shape / norm * vds
+        return self.g_on_s * shape / self._conductance_norm * vds
+
+    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
+        """Exact ``(G vds, G' vds, G)``; ``delta_v`` is ignored."""
+        vgs, vds = np.broadcast_arrays(
+            np.asarray(vgs_values, dtype=float), np.asarray(vds_values, dtype=float)
+        )
+        return self._linearize(vgs, vds, _ARRAY_OPS)
+
+    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
+        return self._linearize(float(vgs), float(vds), _FLOAT_OPS)
+
+    def _linearize(self, vgs, vds, ops):
+        shape, slope = ops.softplus((vgs - self.vt) / self.smoothing_v)
+        conductance = self.g_on_s * shape / self._conductance_norm
+        d_conductance = self.g_on_s * slope / self._conductance_norm / self.smoothing_v
+        return conductance * vds, d_conductance * vds, conductance

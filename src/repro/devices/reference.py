@@ -62,6 +62,12 @@ class TrigateFET(FETModel):
         # ``currents`` applies the shared mirror transform exactly once.
         return self.core._forward_currents(vgs_values, vds_values)
 
+    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
+        return self.core.linearize(vgs_values, vds_values)
+
+    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
+        return self.core.linearize_point(vgs, vds)
+
     def current_density_a_per_m(self, vgs: float, vds: float) -> float:
         """Current per effective width [A/m]."""
         return self.current(vgs, vds) / (self.effective_width_nm * 1e-9)

@@ -19,8 +19,15 @@ k-space integrals per bias point — hundreds of microseconds per call,
   therefore uniformly accurate in *relative* current from the on-state
   down through the exponential turn-off, and ``I = vds * H`` is exact
   at ``vds = 0`` by construction;
-* ``gm``/``gds`` come **analytically** from the spline's partial
-  derivatives — no finite-difference step anywhere on the hot path;
+* the fitted spline is converted, once per table, into a **per-cell
+  kernel**: ``(n_vgs - 1) * (n_vds - 1)`` bicubic polynomials of 16
+  power-basis coefficients each, derived exactly from the spline's
+  B-spline coefficients.  An evaluation is two ``searchsorted`` calls,
+  one 16-coefficient gather and Horner's rule for ``s``, ``ds/dvgs``
+  and ``ds/dvds`` together, so ``I``, ``gm`` and ``gds`` come from one
+  analytic pass — no finite-difference step anywhere on the hot path.
+  fitpack (:class:`~scipy.interpolate.RectBivariateSpline`) runs only at
+  compile and load time: in the adaptive fill and in the conversion;
 * outside the box the surface continues by bounded first-order
   extrapolation, keeping stray Newton iterates finite.
 
@@ -45,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 import weakref
@@ -52,13 +60,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, RectBivariateSpline
 
 from repro.devices.base import (
     FETModel,
     OperatingBox,
     PType,
     mirror_symmetric_currents,
+    mirror_symmetric_linearize,
 )
 
 __all__ = [
@@ -183,6 +192,73 @@ class TabulatedFET(_TableFET):
         )
 
 
+#: vgs cell rows converted per block in :func:`_bicubic_cells`.
+_CELL_BLOCK = 8
+
+
+def _axis_cells(knots: np.ndarray, degree: int, nodes: np.ndarray):
+    """One axis of a B-spline basis as per-cell Taylor rows.
+
+    Returns ``(first, rows)``: on the cell ``[nodes[j], nodes[j + 1]]``
+    the ``degree + 1`` basis functions from ``first[j]`` on are the
+    nonzero ones, and ``rows[j, p, i]`` is the ``(x - nodes[j])**p``
+    coefficient of the ``i``-th of them (``p > degree`` rows stay 0).
+    Every node is a knot or lies inside a knot interval, so each cell
+    is one polynomial piece; derivatives at a knot are taken from the
+    right, i.e. from the piece the cell belongs to.
+    """
+    n_basis = knots.size - degree - 1
+    cells = nodes[:-1]
+    interval = np.searchsorted(knots, cells, side="right") - 1
+    first = np.clip(interval, degree, n_basis - 1) - degree
+    basis = BSpline(knots, np.eye(n_basis), degree)
+    take = first[:, None] + np.arange(degree + 1)
+    rows = np.zeros((cells.size, 4, degree + 1))
+    for p in range(degree + 1):
+        values = np.take_along_axis(basis(cells, nu=p), take, axis=1)
+        rows[:, p] = values / math.factorial(p)
+    return first, rows
+
+
+def _bicubic_cells(vgs: np.ndarray, vds: np.ndarray, s_table: np.ndarray) -> np.ndarray:
+    """Interpolating tensor spline of ``s_table`` as per-cell polynomials.
+
+    ``cells[i, j, p, q]`` multiplies ``(vgs - vgs[i])**p *
+    (vds - vds[j])**q`` on grid cell ``(i, j)``.  fitpack fits the
+    spline (bicubic where both axes have >= 4 nodes); the conversion
+    is exact algebra on its B-spline coefficients, one axis at a time
+    (the vgs axis one cell row at a time), so no temporary reaches the
+    size of the result.
+    """
+    kx = min(3, vgs.size - 1)
+    ky = min(3, vds.size - 1)
+    spline = RectBivariateSpline(vgs, vds, s_table, kx=kx, ky=ky, s=0)
+    knots_g, knots_d, coef = spline.tck
+    coef = coef.reshape(knots_g.size - kx - 1, knots_d.size - ky - 1)
+    first_g, rows_g = _axis_cells(knots_g, kx, vgs)
+    first_d, rows_d = _axis_cells(knots_d, ky, vds)
+    # The basis sums to 1 and its derivatives to 0, so each axis contracts
+    # the differences from a window's first coefficient and adds that
+    # coefficient back to the value term: the derivative terms then see
+    # small differences, not large cancelling coefficients (the way
+    # fitpack differentiates).  vds axis first: (vgs coefficient, vds
+    # cell, q) rows.
+    window = coef[:, first_d[:, None] + np.arange(ky + 1)]
+    half = np.einsum("iql,qrl->iqr", window - window[..., :1], rows_d)
+    half[..., 0] += window[..., 0]
+    half = half.reshape(coef.shape[0], -1)
+    # Then the vgs axis, a few cell rows at a time (cache-sized blocks).
+    n_g, n_d = vgs.size - 1, vds.size - 1
+    cells = np.empty((n_g, n_d, 4, 4))
+    for lo in range(0, n_g, _CELL_BLOCK):
+        hi = min(lo + _CELL_BLOCK, n_g)
+        block = half[first_g[lo:hi, None] + np.arange(kx + 1)]
+        taylor = rows_g[lo:hi] @ (block - block[:, :1])
+        taylor[:, 0] += block[:, 0]
+        cells[lo:hi] = taylor.reshape(hi - lo, 4, n_d, 4).transpose(0, 2, 1, 3)
+    return cells
+
+
 class SurrogateFET(_TableFET):
     """Bicubic-spline I-V surrogate with analytic small-signal derivatives.
 
@@ -190,17 +266,18 @@ class SurrogateFET(_TableFET):
     (``H(vgs, 0)`` is the exact ``dI/dvds`` limit), and the spline
     interpolates ``s = asinh(H / h_ref)`` — uniformly accurate in
     *relative* current across the subthreshold decades with no
-    singularity at the ``vds = 0`` zero crossing.  ``gm``/``gds`` are
-    the exact derivatives of the reconstructed surface
+    singularity at the ``vds = 0`` zero crossing.  The spline is held
+    as per-cell power-basis coefficients (``_cells``), and ``gm``/``gds``
+    are the exact derivatives of the reconstructed surface
     ``I = vds * h_ref * sinh(s)`` — the ``linearize`` entry points never
     take a finite-difference step.  Outside the tabulated box the
     surface continues with a first-order Taylor expansion from the
     clamped edge point, so stray Newton iterates see finite currents
     and conductances.
 
-    Instances pickle by table (the spline is rebuilt on load), which
-    keeps them safe to ship to :class:`~repro.circuit.sweep.SweepPlan`
-    process-pool workers.
+    Instances pickle by table (the cell coefficients are rebuilt on
+    load), which keeps them safe to ship to
+    :class:`~repro.circuit.sweep.SweepPlan` process-pool workers.
     """
 
     def __init__(
@@ -225,26 +302,23 @@ class SurrogateFET(_TableFET):
         self.fit_error = None if fit_error is None else float(fit_error)
         self.source = source  # repro-lint: ok[FPR001] -- provenance only; the physics lives in the tabulated grids
         self.token_hash = token_hash  # repro-lint: ok[FPR001] -- cache bookkeeping, not a physics parameter
-        self._build_spline()
+        self._build_cells()
 
-    def _build_spline(self) -> None:
-        kx = min(3, self._vgs.size - 1)
-        ky = min(3, self._vds.size - 1)
-        s_table = np.arcsinh(self._id / self._h_ref)
-        self._spline = RectBivariateSpline(
-            self._vgs, self._vds, s_table, kx=kx, ky=ky, s=0
+    def _build_cells(self) -> None:
+        self._cells = _bicubic_cells(
+            self._vgs, self._vds, np.arcsinh(self._id / self._h_ref)
         )
 
-    # -- pickling: ship the table, rebuild the spline -----------------------
+    # -- pickling: ship the table, rebuild the cell coefficients -------------
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_spline", None)
+        state.pop("_cells", None)
         state["source"] = None  # keep pool payloads small and picklable
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._build_spline()
+        self._build_cells()
 
     @property
     def h_ref(self) -> float:
@@ -266,13 +340,33 @@ class SurrogateFET(_TableFET):
         )
 
     # -- evaluation ---------------------------------------------------------
+    def _cell_polynomial(self, vg: np.ndarray, vd: np.ndarray):
+        """``(s, ds/dvgs, ds/dvds)`` at in-box points, in one kernel pass.
+
+        Locate each point's cell, gather its 16 power-basis
+        coefficients and Horner-evaluate the value and both partials
+        together.
+        """
+        grid_g, grid_d = self._vgs, self._vds
+        # Searching the interior nodes yields the cell index directly,
+        # with the right edge folded into the last cell.
+        i = np.searchsorted(grid_g[1:-1], vg, side="right")
+        j = np.searchsorted(grid_d[1:-1], vd, side="right")
+        u = vg - grid_g[i]
+        v = (vd - grid_d[j])[..., None]
+        c = self._cells[i, j]  # c[..., p, q] multiplies u**p * v**q
+        a = ((c[..., 3] * v + c[..., 2]) * v + c[..., 1]) * v + c[..., 0]
+        b = (3.0 * c[..., 3] * v + 2.0 * c[..., 2]) * v + c[..., 1]
+        s = ((a[..., 3] * u + a[..., 2]) * u + a[..., 1]) * u + a[..., 0]
+        s_g = (3.0 * a[..., 3] * u + 2.0 * a[..., 2]) * u + a[..., 1]
+        s_d = ((b[..., 3] * u + b[..., 2]) * u + b[..., 1]) * u + b[..., 0]
+        return s, s_g, s_d
+
     def _eval_forward(self, vgs: np.ndarray, vds: np.ndarray):
         """(I, dI/dvgs, dI/dvds) on the tabulated quadrant (clamp + Taylor)."""
         vg = np.clip(vgs, self._vgs[0], self._vgs[-1])
         vd = np.clip(vds, self._vds[0], self._vds[-1])
-        s = self._spline.ev(vg, vd)
-        s_g = self._spline.ev(vg, vd, dx=1)
-        s_d = self._spline.ev(vg, vd, dy=1)
+        s, s_g, s_d = self._cell_polynomial(vg, vd)
         h = self._h_ref * np.sinh(s)
         slope = self._h_ref * np.cosh(s)
         gm = vd * slope * s_g
@@ -303,37 +397,26 @@ class SurrogateFET(_TableFET):
         return self._eval_forward(vgs, vds)[0]
 
     def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
-        """Analytic ``(id, gm, gds)`` from the spline derivatives.
+        """Analytic ``(id, gm, gds)`` from the kernel's derivatives.
 
         ``delta_v`` is accepted for interface compatibility and ignored
-        — there is no finite-difference step.  At mirrored points
-        (``vds < 0`` of a symmetric device) the chain rule of the
-        source/drain exchange applies: ``gm -> -gm'`` and
-        ``gds -> gm' + gds'`` of the forward-quadrant derivatives,
-        matching what central differences on the mirrored surface
-        produce.
+        — there is no finite-difference step.  Symmetric tables take
+        mirrored points through :func:`mirror_symmetric_linearize`.
         """
-        vgs = np.asarray(vgs_values, dtype=float)
-        vds = np.asarray(vds_values, dtype=float)
-        if vgs.shape != vds.shape:
-            vgs, vds = np.broadcast_arrays(vgs, vds)
-        if not self.mirror_symmetric:
-            return self._eval_forward(vgs, vds)
-        mirrored = vds < 0.0
-        if not mirrored.any():
-            return self._eval_forward(vgs, vds)
-        a = np.where(mirrored, vgs - vds, vgs)
-        b = np.where(mirrored, -vds, vds)
-        current_f, gm_f, gds_f = self._eval_forward(a, b)
-        current = np.where(mirrored, -current_f, current_f)
-        gm = np.where(mirrored, -gm_f, gm_f)
-        gds = np.where(mirrored, gm_f + gds_f, gds_f)
-        return current, gm, gds
+        if self.mirror_symmetric:
+            return mirror_symmetric_linearize(self._eval_forward, vgs_values, vds_values)
+        vgs, vds = np.broadcast_arrays(
+            np.asarray(vgs_values, dtype=float), np.asarray(vds_values, dtype=float)
+        )
+        return self._eval_forward(vgs, vds)
 
     def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
-        if self.mirror_symmetric and vds < 0.0:
-            current, gm_f, gds_f = self.linearize_point(vgs - vds, -vds)
-            return -current, -gm_f, gm_f + gds_f
+        if self.mirror_symmetric:
+            return mirror_symmetric_linearize(self._eval_point, float(vgs), float(vds))
+        return self._eval_point(vgs, vds)
+
+    def _eval_point(self, vgs: float, vds: float):
+        """:meth:`_eval_forward` at one point, as floats (bitwise the same)."""
         current, gm, gds = self._eval_forward(
             np.asarray(vgs, dtype=float), np.asarray(vds, dtype=float)
         )

@@ -11,6 +11,7 @@ from repro.analysis.rf import (
     rf_metrics_batch,
     small_signal,
 )
+from repro.devices.base import FETModel
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
 
 
@@ -82,7 +83,9 @@ class TestRFMetrics:
             rf_metrics(saturating, 0.8, 0.8, 100e-18, c_gate_drain_f=200e-18)
 
     def test_off_device_rejected(self, saturating):
-        class NoGm(AlphaPowerFET):
+        # A bare FETModel: the default finite-difference linearization
+        # sees the flat current (AlphaPowerFET's derivatives are analytic).
+        class NoGm(FETModel):
             def current(self, vgs, vds):
                 return 1e-6  # flat: zero transconductance
 

@@ -8,13 +8,19 @@ Covers the tentpole contracts of :mod:`repro.devices.surrogate`:
   the surrogate without recompilation);
 * analytic ``linearize``/``linearize_point`` consistency (no
   finite-difference step on the hot path);
+* the per-cell kernel against a fitpack ``RectBivariateSpline.ev``
+  oracle on the same table (in box, on nodes and edges, outside the box,
+  mirrored, after a pickle round trip);
 * content-addressed caching: memory hits, disk round-trips that are
   bitwise deterministic, corrupt- and stale-file recovery, cache
   disabling, and the identity fallback for unfingerprintable models.
 """
 
+import pickle
+
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from repro.circuit.sweep import FETVariation, CircuitMonteCarlo, ScaledShiftedFET, perturbed_circuit
 from repro.circuit.netlist import Circuit
@@ -142,6 +148,126 @@ class TestAnalyticDerivatives:
         assert np.isfinite(current).all() and np.isfinite(gm).all()
         assert gm[0] == edge_gm[0]  # derivative frozen at the clamped edge
         assert current[0] == pytest.approx(edge_c[0] + 0.5 * edge_gm[0], rel=1e-12)
+
+
+KERNEL_ATOL = 1e-12  # asinh space
+
+
+class _SplineOracle:
+    """fitpack evaluation of a surrogate's table: the pre-kernel reference.
+
+    Fits the same interpolating spline and evaluates it with three
+    ``RectBivariateSpline.ev`` calls, then applies the clamp, the
+    ``I = vds * h_ref * sinh(s)`` reconstruction and the first-order
+    continuation exactly as the surrogate documents them.
+    """
+
+    def __init__(self, surrogate):
+        self.vgs, self.vds = surrogate.vgs_grid, surrogate.vds_grid
+        self.h_ref = surrogate.h_ref
+        self.spline = RectBivariateSpline(
+            self.vgs,
+            self.vds,
+            np.arcsinh(surrogate.table / self.h_ref),
+            kx=min(3, self.vgs.size - 1),
+            ky=min(3, self.vds.size - 1),
+            s=0,
+        )
+
+    def asinh(self, vg, vd):
+        return (
+            self.spline.ev(vg, vd),
+            self.spline.ev(vg, vd, dx=1),
+            self.spline.ev(vg, vd, dy=1),
+        )
+
+    def forward(self, vgs, vds):
+        vg = np.clip(vgs, self.vgs[0], self.vgs[-1])
+        vd = np.clip(vds, self.vds[0], self.vds[-1])
+        s, s_g, s_d = self.asinh(vg, vd)
+        h = self.h_ref * np.sinh(s)
+        slope = self.h_ref * np.cosh(s)
+        gm = vd * slope * s_g
+        gds = h + vd * slope * s_d
+        return vd * h + (vgs - vg) * gm + (vds - vd) * gds, gm, gds
+
+
+def _box_probes(surrogate, n=400, seed=13):
+    """Random in-box points, every node, and the box edges and corners."""
+    rng = np.random.default_rng(seed)
+    grid_g, grid_d = surrogate.vgs_grid, surrogate.vds_grid
+    nodes_g, nodes_d = np.meshgrid(grid_g, grid_d, indexing="ij")
+    edge_g = np.concatenate([grid_g, grid_g, np.full(grid_d.size, grid_g[0]), np.full(grid_d.size, grid_g[-1])])
+    edge_d = np.concatenate([np.full(grid_g.size, grid_d[0]), np.full(grid_g.size, grid_d[-1]), grid_d, grid_d])
+    vgs = np.concatenate([rng.uniform(grid_g[0], grid_g[-1], n), nodes_g.ravel(), edge_g])
+    vds = np.concatenate([rng.uniform(grid_d[0], grid_d[-1], n), nodes_d.ravel(), edge_d])
+    return vgs, vds
+
+
+def _kernel_surrogates():
+    # A bicubic symmetric table, a two-sided one, and a hand-built table
+    # whose 3-node vgs axis makes the spline quadratic along vgs.
+    vgs = np.array([0.0, 0.5, 1.0])
+    vds = np.linspace(0.0, 1.0, 6)
+    small = SurrogateFET(
+        vgs, vds, 1e-6 * (1.0 + vgs[:, None] ** 2) * (1.0 + vds[None, :]), h_ref=1e-12
+    )
+    return {
+        "alpha_power": compile_surrogate(AlphaPowerFET()),
+        "non_saturating": compile_surrogate(NonSaturatingFET()),
+        "quadratic_axis": small,
+    }
+
+
+@pytest.mark.parametrize("name", ["alpha_power", "non_saturating", "quadratic_axis"])
+class TestCellKernel:
+    """The per-cell kernel reproduces fitpack's spline to rounding."""
+
+    def test_asinh_space_matches_fitpack(self, name):
+        surrogate = _kernel_surrogates()[name]
+        oracle = _SplineOracle(surrogate)
+        vgs, vds = _box_probes(surrogate)
+        kernel = surrogate._cell_polynomial(vgs, vds)
+        for got, want in zip(kernel, oracle.asinh(vgs, vds)):
+            np.testing.assert_allclose(got, want, rtol=KERNEL_ATOL, atol=KERNEL_ATOL)
+
+    def test_outside_box_continuation_matches_fitpack(self, name):
+        surrogate = _kernel_surrogates()[name]
+        oracle = _SplineOracle(surrogate)
+        lo_g, hi_g = surrogate.vgs_grid[0], surrogate.vgs_grid[-1]
+        lo_d, hi_d = surrogate.vds_grid[0], surrogate.vds_grid[-1]
+        vgs = np.array([lo_g - 0.4, hi_g + 0.3, hi_g + 0.2, lo_g - 0.1, 0.5 * (lo_g + hi_g)])
+        vds = np.array([0.5 * (lo_d + hi_d), hi_d + 0.2, lo_d + 0.01, hi_d + 0.5, hi_d + 0.05])
+        got = surrogate._eval_forward(vgs, vds)
+        for value, want in zip(got, oracle.forward(vgs, vds)):
+            np.testing.assert_allclose(value, want, rtol=1e-11)
+
+    def test_pickle_round_trip_ships_the_table_only(self, name):
+        surrogate = _kernel_surrogates()[name]
+        assert "_cells" not in surrogate.__getstate__()
+        clone = pickle.loads(pickle.dumps(surrogate))
+        vgs, vds = _box_probes(surrogate, n=50)
+        vds = np.concatenate([vds, -vds])
+        vgs = np.concatenate([vgs, vgs])
+        for got, want in zip(clone.linearize(vgs, vds), surrogate.linearize(vgs, vds)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["alpha_power", "quadratic_axis"])  # symmetric tables
+def test_mirrored_points_apply_the_chain_rule(name):
+    surrogate = _kernel_surrogates()[name]
+    oracle = _SplineOracle(surrogate)
+    rng = np.random.default_rng(17)
+    vgs = rng.uniform(surrogate.vgs_grid[0], surrogate.vgs_grid[-1], 200)
+    vds = -rng.uniform(0.0, surrogate.vds_grid[-1], 200)
+    current, gm, gds = surrogate.linearize(vgs, vds)
+    current_f, gm_f, gds_f = oracle.forward(vgs - vds, -vds)
+    np.testing.assert_allclose(current, -current_f, rtol=1e-11)
+    np.testing.assert_allclose(gm, -gm_f, rtol=1e-11)
+    np.testing.assert_allclose(gds, gm_f + gds_f, rtol=1e-11)
+    for k in range(0, 200, 17):
+        point = surrogate.linearize_point(float(vgs[k]), float(vds[k]))
+        assert point == (float(current[k]), float(gm[k]), float(gds[k]))
 
 
 class TestComposition:

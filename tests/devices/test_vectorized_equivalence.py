@@ -11,7 +11,7 @@ silently diverge from the other.
 import numpy as np
 import pytest
 
-from repro.devices.base import PType
+from repro.devices.base import FETModel, PType
 from repro.devices.cntfet import CNTFET
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET, TabulatedFET
 from repro.devices.fabric import CNTFabricFET
@@ -71,8 +71,25 @@ def test_physical_model_currents_match_scalar(name):
     np.testing.assert_allclose(batch, scalar, rtol=1e-9, atol=1e-30)
 
 
+class _FiniteDifferenceOnly(FETModel):
+    """Alpha-power currents through ``_forward_currents`` alone.
+
+    It inherits the default central-difference ``linearize`` and
+    ``linearize_point``, which the closed-form models override.
+    """
+
+    def __init__(self):
+        self._core = AlphaPowerFET()
+
+    def current(self, vgs, vds):
+        return self._core.current(vgs, vds)
+
+    def _forward_currents(self, vgs, vds):
+        return self._core._forward_currents(vgs, vds)
+
+
 def test_linearize_matches_scalar_finite_differences():
-    device = PType(AlphaPowerFET())
+    device = PType(_FiniteDifferenceOnly())
     vgs, vds = _bias_grid(40)
     delta_v = 1e-5
     current, gm, gds = device.linearize(vgs, vds, delta_v)

@@ -11,7 +11,9 @@ replays transient Monte Carlo rows through
 benchmark, not the program, so this smoke test runs both in a fresh
 interpreter (the tracer rebinds module attributes process-wide).  A
 plain DC Monte Carlo run must reach the sweep layer too: every engine
-run is a supervised sweep.
+run is a supervised sweep.  A DC solve on a ``SurrogateFET`` and one on
+an ``AlphaPowerFET`` must each raise the device counters, which the
+tracer takes by wrapping the models' own ``linearize`` methods.
 """
 
 import os
@@ -58,6 +60,24 @@ tracer.active = False
 after = tracer.metrics()
 for name in ("sweep.runs", "sweep.chunks"):
     assert after[name] > metrics[name], (name, metrics[name], after[name])
+
+# The analytic linearize/linearize_point overrides stay visible to the
+# device counters: one solve on a surrogate and one on the closed form.
+from repro.circuit import operating_point
+from repro.circuit.waveforms import DC
+from repro.devices.surrogate import GridSpec, compile_surrogate
+
+surrogate = compile_surrogate(
+    AlphaPowerFET(), GridSpec(initial_points=(8, 8), max_refinements=0), cache_dir=None
+)
+for device in (surrogate, AlphaPowerFET()):
+    before = tracer.metrics()
+    tracer.active = True
+    operating_point(build_inverter_chain(device, n_stages=2, input_waveform=DC(0.4)))
+    tracer.active = False
+    solved = tracer.metrics()
+    for name in ("devices.linearize_calls", "devices.linearize_points"):
+        assert solved[name] > before[name], (type(device).__name__, name)
 print("ok")
 """
 
