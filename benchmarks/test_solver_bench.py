@@ -1,21 +1,22 @@
 """Bench SOLVER: MNA assembly/Newton throughput on inverter chains.
 
 The perf baseline for the compiled stamp-plan assembly engine
-(:mod:`repro.circuit.assembly`): ``evaluate()`` throughput and full
-Newton-solve wall-clock on 1/5/20-stage complementary inverter chains,
-plus a 200-step trapezoidal transient of the 20-stage chain.  Future
-solver PRs should quote before/after numbers from this file.
+(:mod:`repro.circuit.assembly`): ``evaluate()`` throughput in a DC and
+a transient (capacitor companion) context and full Newton-solve
+wall-clock on 1/5/20-stage complementary inverter chains, plus a
+200-step trapezoidal transient of the 20-stage chain.  Future solver
+changes should quote before/after numbers from this file.
 
-Seed-implementation reference numbers (same machine class as the
-introduction of this benchmark): 20-stage ``evaluate()`` ~359 us, Newton
-~0.72 ms, 200-step transient ~0.218 s; the compiled engine landed at
-~52 us / ~0.13 ms / ~0.041 s (6.9x / 5.4x / 5.3x).
-
-The Newton benchmarks start from an alternating-rails guess so the
-measured work is identical across implementations; the transient
-benchmark cold-starts with no ``x0`` — the continuation subsystem's
-structural seeder (:mod:`repro.circuit.continuation`) reconstructs the
-rails automatically, which is the bug fix this file guards the cost of.
+Seed-implementation reference numbers: Newton ~0.72 ms and 200-step
+transient ~0.218 s on the 20-stage chain; the compiled engine landed at
+~0.13 ms / ~0.041 s.  ``evaluate()`` is the one-row call of the one
+stamp kernel, ``StampPlan.evaluate_many``, and returns fresh arrays.
+On a 2-vCPU VM (both versions loaded in one process, alternating timed
+batches, best of 21), 1/5/20 stages: DC 14.9/49.1/51.0 us and
+transient 23.4/57.7/63.1 us through the former scalar
+``StampPlan.evaluate``, which returned reused buffers; DC
+18.5/51.8/54.6 us and transient 29.6/63.7/67.5 us as the one-row call.
+The Newton and time-step loops call ``evaluate_many`` directly.
 """
 
 import numpy as np
@@ -53,15 +54,31 @@ def _rails_guess(system, n_stages):
     return guess
 
 
-@pytest.mark.parametrize("n_stages", CHAIN_SIZES)
-def test_evaluate_throughput(benchmark, n_stages):
+# The DC cases keep their bare stage-count ids; the transient ones time
+# the one-row capacitor companion path (history vector and currents).
+EVALUATE_CASES = [pytest.param(n, "dc", id=str(n)) for n in CHAIN_SIZES] + [
+    pytest.param(n, "transient", id=f"{n}-transient") for n in CHAIN_SIZES
+]
+
+
+@pytest.mark.parametrize(("n_stages", "context"), EVALUATE_CASES)
+def test_evaluate_throughput(benchmark, n_stages, context):
     system = _chain(n_stages).build_system()
     x, converged = newton_solve(system, _rails_guess(system, n_stages))
     assert converged
+    kwargs = {}
+    if context == "transient":
+        # At the DC point with zero history currents the companion
+        # stamps cancel, so the residual stays at the DC solution's.
+        caps = system._plan.cap_names
+        kwargs = dict(
+            time_s=0.0, dt_s=DT_S, previous_x=x, integrator="trapezoidal",
+            state=dict.fromkeys(caps, 0.0),
+        )
 
-    residual, _ = benchmark(system.evaluate, x)
+    residual, _ = benchmark(system.evaluate, x, **kwargs)
     print_rows(
-        f"evaluate() throughput — {n_stages}-stage chain",
+        f"evaluate() throughput — {n_stages}-stage chain, {context}",
         [("unknowns", float(system.size)),
          ("mean evaluate [us]", benchmark.stats.stats.mean * 1e6)],
     )

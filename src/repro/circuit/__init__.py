@@ -21,16 +21,19 @@ key — and a *nonlinear* FET group linearized per Newton iteration
 through batched :meth:`repro.devices.base.FETModel.linearize` calls (one
 per device-model instance) and scattered with precomputed index arrays.
 Systems below :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` (128)
-unknowns reuse preallocated dense buffers; larger systems assemble
+unknowns assemble dense Jacobians; larger systems assemble
 ``scipy.sparse`` CSR Jacobians on one canonical sparsity pattern whose
 symbolic LU ordering is analyzed once and reused by every numeric
 refactorization.  Every circuit compiles: an element type the plan does
-not know raises ``UnsupportedElement`` at ``build_system()``.  The
+not know raises ``UnsupportedElement`` at ``build_system()``, and a loop
+made only of voltage sources raises :class:`VoltageSourceLoop` naming
+its sources, both before any numerics.  The
 original element-walking evaluator survives as
 ``MNASystem.evaluate_dense`` — the independent reference the
-equivalence test suite holds the compiled path to (1e-12).  One batched
-kernel, ``StampPlan.evaluate_many``, serves the Newton line search and
-the sweep engines.
+equivalence test suite holds the compiled path to (1e-12).  One stamp
+kernel, ``StampPlan.evaluate_many``, serves every evaluation: a scalar
+``MNASystem.evaluate`` is its one-row call, and the Newton line search
+and the sweep engines stack their rows.
 
 Many-instance work goes through the batched sweep engine
 (:mod:`repro.circuit.sweep`): :class:`SweepPlan` chunks any
@@ -94,7 +97,7 @@ from repro.circuit.cells import (
     ring_oscillator_frequency,
 )
 from repro.circuit.dc import OperatingPointResult, SweepResult, dc_sweep, operating_point
-from repro.circuit.netlist import Circuit, CircuitError
+from repro.circuit.netlist import Circuit, CircuitError, VoltageSourceLoop
 from repro.circuit.resilience import (
     CheckpointStore,
     ExecutionPolicy,
@@ -147,6 +150,7 @@ __all__ = [
     "SweepStatistics",
     "TransientMCResult",
     "TransientResult",
+    "VoltageSourceLoop",
     "ac_analysis",
     "ac_monte_carlo",
     "build_inverter",

@@ -27,23 +27,19 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
   Newton step refactorizes only numerically against it — this is also
   what lets the sweep engines stack N instances' CSR ``data`` arrays
   as ``(m, nnz)`` and batch sparse Monte Carlo.  Smaller systems — all
-  the seed circuits — reuse preallocated dense buffers.
+  the seed circuits — assemble dense ``(size, size)`` Jacobians.
 
-Two kernels evaluate a plan: :meth:`StampPlan.evaluate` at one iterate
-(with a scalar per-FET path for small groups), and
-:meth:`StampPlan.evaluate_many` — the one batched kernel — at a stack
-of iterates, optionally with per-row device variation and companion
-state.  The one Newton loop (:func:`repro.circuit.solver.newton_many`)
-evaluates only through :meth:`StampPlan.evaluate_many`, which hands a
-one-row stack without variation to :meth:`StampPlan.evaluate`.
+One kernel evaluates a plan: :meth:`StampPlan.evaluate_many`, at a
+stack of iterates, optionally with per-row device variation and
+companion state.  A scalar evaluation is its one-row call
+(:meth:`repro.circuit.netlist.MNASystem.evaluate`); on a one-row dense
+stack without variation, small FET groups stamp through a scalar
+per-FET path instead of the array one.  Every call returns fresh
+arrays.
 
 The compiled path is numerically equivalent to the reference path (same
 stamps, same finite-difference linearization arithmetic); the test suite
 asserts residual/Jacobian agreement to 1e-12 on representative circuits.
-
-Buffer-reuse contract: in dense mode :meth:`StampPlan.evaluate` returns
-views of preallocated buffers that are overwritten by the next call —
-copy them if you need to keep results across evaluations.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - sweep imports this module
 __all__ = ["StampPlan", "UnsupportedElement", "SPARSE_THRESHOLD"]
 
 # Unknown-count at which assembly (and the Newton solve) switch from
-# preallocated dense buffers to scipy.sparse CSR matrices.
+# dense Jacobian stacks to scipy.sparse CSR matrices.
 SPARSE_THRESHOLD = 128
 
 # Diagonal regularization applied before any factorization — shared
@@ -79,9 +75,10 @@ SPARSE_THRESHOLD = 128
 DIAG_REGULARIZATION = 1e-14
 
 # FET groups at or below this size stamp through the scalar
-# ``linearize_point`` path in dense mode: array dispatch does not
-# amortise below ~4 FETs (the seed's small-circuit advantage; a
-# 2-stage complementary chain is one group of 4).  Devices whose
+# ``linearize_point`` path on a one-row dense stack without variation:
+# array dispatch does not amortise below ~4 FETs (the seed's
+# small-circuit advantage; a 2-stage complementary chain is one group
+# of 4).  Devices whose
 # scalar ``current`` is itself a solver call opt out via
 # ``FETModel.prefer_batched_points``.
 SCALAR_GROUP_MAX = 4
@@ -109,12 +106,20 @@ def _unwrap_polarity(device) -> tuple[object, float]:
     return device, sign
 
 
+# Each of a FET's six Jacobian entries as (index into the
+# ``(gds, gm, gm + gds)`` triple, sign), in _FETGroup's slot order.
+_JACOBIAN_SLOTS = np.array([0, 1, 2, 0, 1, 2], dtype=np.intp)
+_JACOBIAN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
+
+
 class _FETGroup:
     """All FETs sharing one (polarity-unwrapped) device-model instance.
 
-    ``gather_*`` index the padded voltage vector (ground at index
+    ``gather_dsg`` index the padded voltage vector (ground at index
     ``size``); ``rows``/``cols``/``take`` address the 6-entry-per-FET
-    Jacobian stamp pattern with ground rows/columns masked out.
+    Jacobian stamp pattern with ground rows/columns masked out, and
+    ``target`` (set by the plan) is where those entries land in one
+    row's Jacobian.
 
     Groups of at most :data:`SCALAR_GROUP_MAX` FETs additionally
     precompute plain-int indices for :meth:`stamp_points` — a
@@ -127,10 +132,9 @@ class _FETGroup:
     """
 
     __slots__ = (
-        "device", "delta_v", "count", "sign",
-        "gather_dgs", "scatter_idx", "flat",
-        "rows", "cols", "take", "_vals6", "_vals", "_scatter_vals",
-        "use_points", "point_fets", "columns",
+        "device", "delta_v", "count", "sign", "gather_dsg", "flat",
+        "rows", "cols", "take", "pick", "pick_sign", "target", "use_points",
+        "point_fets", "columns",
     )
 
     def __init__(
@@ -147,12 +151,12 @@ class _FETGroup:
         gather_d = np.array([pad(f.drain) for f in fets], dtype=np.intp)
         gather_g = np.array([pad(f.gate) for f in fets], dtype=np.intp)
         gather_s = np.array([pad(f.source) for f in fets], dtype=np.intp)
-        self.gather_dgs = np.stack((gather_d, gather_g, gather_s))
-        self.scatter_idx = np.concatenate((gather_d, gather_s))
+        # Drain, source, gate: the first two rows are the residual targets.
+        self.gather_dsg = np.stack((gather_d, gather_s, gather_g))
         jd = np.array([jac_idx(f.drain) for f in fets], dtype=np.intp)
         jg = np.array([jac_idx(f.gate) for f in fets], dtype=np.intp)
         js = np.array([jac_idx(f.source) for f in fets], dtype=np.intp)
-        # Entry order matches the per-call value stack in evaluate():
+        # Entry order matches _JACOBIAN_SLOTS:
         # (d,d)=gds (d,g)=gm (d,s)=-(gm+gds) (s,d)=-gds (s,g)=-gm (s,s)=gm+gds
         rows6 = np.stack((jd, jd, jd, js, js, js))
         cols6 = np.stack((jd, jg, js, jd, jg, js))
@@ -161,9 +165,11 @@ class _FETGroup:
         self.rows = rows6.ravel()[self.take]
         self.cols = cols6.ravel()[self.take]
         self.flat = self.rows * size + self.cols
-        self._vals6 = np.empty((6, self.count))
-        self._vals = np.empty(self.take.size)
-        self._scatter_vals = np.empty(2 * self.count)
+        # Each surviving entry's pick from a row's (gds, gm, gm + gds)
+        # triples, and its sign.
+        slot, fet = np.divmod(self.take, self.count)
+        self.pick = _JACOBIAN_SLOTS[slot] * self.count + fet
+        self.pick_sign = _JACOBIAN_SIGNS[slot]
         self.use_points = self.count <= SCALAR_GROUP_MAX and not getattr(
             device, "prefer_batched_points", False
         )
@@ -171,34 +177,14 @@ class _FETGroup:
             # Per-FET scalar stamp schedule: padded terminal indices,
             # polarity sign, and this FET's surviving Jacobian entries
             # as (flat index, slot in the 6-value pattern) pairs.
-            flat_by_pos = dict(zip(self.take.tolist(), self.flat.tolist()))
             self.point_fets = [
                 (
-                    int(gather_d[i]),
-                    int(gather_g[i]),
-                    int(gather_s[i]),
+                    *(int(g[i]) for g in (gather_d, gather_g, gather_s)),
                     float(signs[i]),
-                    [
-                        (flat_by_pos[slot * self.count + i], slot)
-                        for slot in range(6)
-                        if slot * self.count + i in flat_by_pos
-                    ],
+                    list(zip(self.flat[fet == i].tolist(), slot[fet == i].tolist())),
                 )
                 for i in range(self.count)
             ]
-
-    def linearize(self, xpad: np.ndarray):
-        """Batched device linearization at the padded iterate ``xpad``."""
-        v_dgs = xpad[self.gather_dgs]
-        vs = v_dgs[2]
-        vgs = v_dgs[1] - vs
-        vds = v_dgs[0] - vs
-        if self.sign is None:
-            return self.device.linearize(vgs, vds, self.delta_v)
-        current, gm, gds = self.device.linearize(
-            self.sign * vgs, self.sign * vds, self.delta_v
-        )
-        return self.sign * current, gm, gds
 
     def stamp_points(self, xpad: np.ndarray, rpad: np.ndarray, jac_flat: np.ndarray):
         """Scalar fast path: stamp a small group FET by FET, no arrays.
@@ -228,22 +214,80 @@ class _FETGroup:
             for flat_index, slot in entries:
                 jac_flat[flat_index] += vals[slot]
 
-    def residual_values(self, current: np.ndarray) -> np.ndarray:
-        """Stack ``[+I, -I]`` matching ``scatter_idx`` (drains then sources)."""
-        vals = self._scatter_vals
-        vals[: self.count] = current
-        np.negative(current, out=vals[self.count :])
-        return vals
 
-    def jacobian_values(self, gm: np.ndarray, gds: np.ndarray) -> np.ndarray:
-        vals6 = self._vals6
-        vals6[0] = gds
-        vals6[1] = gm
-        np.add(gm, gds, out=vals6[5])
-        np.negative(vals6[5], out=vals6[2])
-        np.negative(gds, out=vals6[3])
-        np.negative(gm, out=vals6[4])
-        return np.take(vals6.ravel(), self.take, out=self._vals)
+def _per_row(values: np.ndarray, m: int) -> np.ndarray:
+    """Flat values of an ``m``-row stack from ``(m, k)`` or shared ``(k,)`` ones."""
+    if values.ndim > 1:
+        return values.reshape(-1)
+    return values if m == 1 else np.tile(values, m)
+
+
+class _StackLayout:
+    """Flat scatter/gather indices of an ``m``-row evaluation stack.
+
+    Each array lists row 0's indices, then row 1's, and so on (row
+    ``r`` of the residual starts at flat offset ``r * (size + 1)``, of
+    the Jacobian at ``r * stride``), so the first rows of a tall layout
+    are the layout of a shorter stack (:meth:`head`).  ``sources``: the
+    voltage-source rows and the current-source and capacitor scatters.
+    Per FET group, ``groups`` holds drain/source/gate voltage gathers
+    ``(3, m * count)`` (the first two rows are the residual targets)
+    and polarity signs (or None); :meth:`stamp` gives each Jacobian
+    entry's pick from its row's ``(gds, gm, gm + gds)`` triples, its
+    sign and its target.  A layout built with ``keep=False`` makes
+    those on demand, so they never coexist with the device's
+    temporaries.
+    """
+
+    __slots__ = ("m", "rows", "stride", "sources", "groups", "stamps")
+
+    def __init__(self, plan, m: int, keep: bool = True):
+        rows = np.arange(m, dtype=np.intp)[:, None]
+        pad = rows * (plan.size + 1)
+        schedule = plan.sparse_schedule
+        self.m = m
+        self.rows = rows
+        self.stride = plan.size * plan.size if schedule is None else schedule.nnz
+        self.sources = [
+            (pad + index).reshape(-1)
+            for index in (plan.vsrc_branch, plan.isrc_scatter, plan.cap_scatter)
+        ]
+        self.groups = [
+            (
+                (pad + group.gather_dsg[:, None, :]).reshape(3, -1),
+                None if group.sign is None else np.tile(group.sign, m),
+            )
+            for group in plan.fet_groups
+        ]
+        self.stamps = (
+            [self._stamp(group) for group in plan.fet_groups] if keep else None
+        )
+
+    def _stamp(self, group: _FETGroup) -> tuple:
+        return (
+            (self.rows * (3 * group.count) + group.pick).reshape(-1),
+            np.tile(group.pick_sign, self.m),
+            (self.rows * self.stride + group.target).reshape(-1),
+        )
+
+    def stamp(self, i: int, group: _FETGroup) -> tuple:
+        """``(pick, sign, target)`` of group ``i``'s Jacobian entries."""
+        return self._stamp(group) if self.stamps is None else self.stamps[i]
+
+    def head(self, m: int) -> "_StackLayout":
+        """The layout of the first ``m`` rows (views)."""
+        if m == self.m:
+            return self
+
+        def cut(a):
+            return None if a is None else a[..., : a.shape[-1] // self.m * m]
+
+        head = object.__new__(_StackLayout)
+        head.m, head.rows, head.stride = m, self.rows[:m], self.stride
+        head.sources = [cut(a) for a in self.sources]
+        head.groups = [tuple(map(cut, arrays)) for arrays in self.groups]
+        head.stamps = [tuple(map(cut, arrays)) for arrays in self.stamps]
+        return head
 
 
 class _LinearSystem:
@@ -547,6 +591,7 @@ class StampPlan:
         self.isources = isources
         self.isrc_p = np.array([pad(el.p) for el in isources], dtype=np.intp)
         self.isrc_n = np.array([pad(el.n) for el in isources], dtype=np.intp)
+        self.isrc_scatter = np.concatenate((self.isrc_p, self.isrc_n))
 
         self.capacitors = capacitors
         self.cap_names = [el.name for el in capacitors]
@@ -554,7 +599,6 @@ class StampPlan:
         self.cap_n = np.array([pad(el.n) for el in capacitors], dtype=np.intp)
         self.cap_c = np.array([el.capacitance_f for el in capacitors], dtype=float)
         self.cap_scatter = np.concatenate((self.cap_p, self.cap_n))
-        self._cap_vals = np.empty(2 * len(capacitors))
 
         self.fet_groups = [
             _FETGroup(
@@ -568,24 +612,22 @@ class StampPlan:
         # factorization instead of refactorizing every iteration.
         self.linear_only = not self.fet_groups
 
-        # -- per-call buffers ---------------------------------------------------
-        self._xpad = np.zeros(size + 1)
-        self._prevpad = np.zeros(size + 1)
-        self._rpad = np.zeros(size + 1)
-        if self.use_sparse:
-            self._jac = self._jac_flat = None
-        else:
-            self._jac = np.zeros((size, size))
-            self._jac_flat = self._jac.ravel()
         self._lin_cache: dict[object, _LinearSystem] = {}
         self._cap_stamp: np.ndarray | None = None
-        # Flat-index base of each row in evaluate_many's residual and
-        # Jacobian scatters, per stack height.
-        self._row_bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
         # Shared canonical pattern + one-time symbolic ordering for
         # every sparse Jacobian this plan (or a sweep over it) builds.
         self.sparse_schedule = _SparseSchedule(self) if self.use_sparse else None
+        # Where each FET group's Jacobian entries land in one row.
+        targets = (
+            self.sparse_schedule.group_pos
+            if self.sparse_schedule
+            else [group.flat for group in self.fet_groups]
+        )
+        for group, target in zip(self.fet_groups, targets):
+            group.target = target
+        # The one-row layout, and the tallest stack's: shorter stacks
+        # use its first rows, so one layout serves every height.
+        self._one_row = self._tallest = _StackLayout(self, 1)
 
     def capacitance_stamp(self) -> np.ndarray:
         """The capacitance matrix C of the AC system ``(G + j w C) x = b``.
@@ -683,91 +725,6 @@ class StampPlan:
         return step if np.all(np.isfinite(step)) else None
 
     # -- evaluation ---------------------------------------------------------------
-    def evaluate(
-        self,
-        x: np.ndarray,
-        time_s: float | None = None,
-        dt_s: float | None = None,
-        previous_x: np.ndarray | None = None,
-        integrator: str = "trapezoidal",
-        state: dict | np.ndarray | None = None,
-        source_scale: float = 1.0,
-        gmin: float = 0.0,
-        gmin_ref: np.ndarray | None = None,
-    ):
-        """Residual F(x) and Jacobian dF/dx via the compiled plan.
-
-        Dense mode returns views of reused buffers; sparse mode returns a
-        fresh ``scipy.sparse`` CSR Jacobian and a reused residual view.
-        ``state`` holds the trapezoidal history currents, as a dict by
-        capacitor name or an ``(n_caps,)`` array in ``cap_names`` order.
-        ``gmin`` adds a shunt conductance from every node to ground;
-        with ``gmin_ref`` the shunt anchors at that reference vector
-        instead — the pseudo-transient continuation stamp
-        ``gmin * (x - gmin_ref)`` (the Jacobian term is identical).
-        """
-        size = self.size
-        xpad = self._xpad
-        xpad[:size] = x
-        linear = self._linear_system(dt_s, integrator)
-
-        rpad = self._rpad
-        rpad[:] = 0.0
-        residual = rpad[:size]
-        residual += linear.matrix @ x
-
-        if self.vsrc_branch.size:
-            levels = np.array([el.level(time_s) for el in self.vsources])
-            residual[self.vsrc_branch] -= source_scale * levels
-        if self.isrc_p.size:
-            currents = source_scale * np.array(
-                [el.level(time_s) for el in self.isources]
-            )
-            np.add.at(rpad, self.isrc_p, currents)
-            np.add.at(rpad, self.isrc_n, -currents)
-
-        if dt_s is not None and self.cap_c.size:
-            prevpad = self._prevpad
-            prevpad[:size] = x if previous_x is None else previous_x
-            if isinstance(state, dict):
-                state = self.cap_state_array(state) if state else None
-            rhs = self.cap_history_rhs(prevpad, linear.cap_geq, integrator, state)
-            cap_vals = self._cap_vals
-            cap_vals[: rhs.size] = rhs
-            np.negative(rhs, out=cap_vals[rhs.size :])
-            np.add.at(rpad, self.cap_scatter, cap_vals)
-
-        if self.use_sparse:
-            schedule = self.sparse_schedule
-            data = schedule.linear_data(linear).copy()
-            for group, pos in zip(self.fet_groups, schedule.group_pos):
-                current, gm, gds = group.linearize(xpad)
-                np.add.at(rpad, group.scatter_idx, group.residual_values(current))
-                np.add.at(data, pos, group.jacobian_values(gm, gds))
-            if gmin > 0.0:
-                data[schedule.node_diag_pos] += gmin
-            jacobian = schedule.matrix(data)
-        else:
-            jacobian = self._jac
-            np.copyto(jacobian, linear.matrix)
-            jac_flat = self._jac_flat
-            for group in self.fet_groups:
-                if group.use_points:
-                    group.stamp_points(xpad, rpad, jac_flat)
-                    continue
-                current, gm, gds = group.linearize(xpad)
-                np.add.at(rpad, group.scatter_idx, group.residual_values(current))
-                np.add.at(jac_flat, group.flat, group.jacobian_values(gm, gds))
-            if gmin > 0.0:
-                diag = np.einsum("ii->i", jacobian)
-                diag[: self.n_nodes] += gmin
-
-        if gmin > 0.0:
-            residual[: self.n_nodes] += gmin * x[: self.n_nodes]
-            if gmin_ref is not None:
-                residual[: self.n_nodes] -= gmin * gmin_ref[: self.n_nodes]
-        return residual, jacobian
-
     def evaluate_many(
         self,
         x_stack: np.ndarray,
@@ -783,80 +740,72 @@ class StampPlan:
     ):
         """Residuals ``(m, size)`` and Jacobians at a stack of iterates.
 
-        The one batched stamp kernel, and the only evaluation the Newton
-        loop (:func:`repro.circuit.solver.newton_many`) makes: one row
-        per pending iterate, or one per sweep instance.  A one-row stack
-        with no variation is the scalar :meth:`evaluate` call, so scalar
-        solves keep its cost.  Jacobians are dense ``(m, size, size)``
-        buffers, or ``(m, nnz)`` canonical-pattern CSR ``data`` stacks
-        for sparse plans (wrap a row with ``sparse_schedule.matrix``).
-        Returns fresh arrays — rows survive subsequent calls.
+        The one stamp kernel: one row per Newton iterate or sweep
+        instance, and a scalar evaluation is a one-row stack.  Returns
+        fresh arrays; Jacobians are dense ``(m, size, size)`` stacks, or
+        ``(m, nnz)`` canonical-pattern CSR ``data`` for sparse plans
+        (wrap a row with ``sparse_schedule.matrix``).
 
-        Keyword arguments follow :meth:`evaluate`.  ``previous_x`` is
-        one shared ``(size,)`` vector or one row per iterate; ``state``
-        is the scalar path's history dict, or an ``(m, n_caps)`` array
-        of per-row trapezoidal history currents in ``cap_names``
-        order.  ``variation`` (a
+        Keyword arguments follow
+        :meth:`~repro.circuit.netlist.MNASystem.evaluate_dense`.
+        ``previous_x`` is shared ``(size,)`` or per row ``(m, size)``;
+        ``state`` (trapezoidal history currents) is a shared dict or
+        ``(n_caps,)`` array, or per row ``(m, n_caps)`` in
+        ``cap_names`` order.  ``gmin`` shunts every node to ground, or
+        with ``gmin_ref`` to that reference vector (the pseudo-transient
+        stamp ``gmin * (x - gmin_ref)``).  ``variation`` (a
         :class:`~repro.circuit.sweep.FETVariation` with ``m`` rows)
-        scales each FET's current and shifts its underlying n-type
-        threshold per row.
+        scales each FET's current and shifts its n-type threshold.
 
         Every step is elementwise per row — a batched gemv (CSR
-        column-wise matvecs for sparse plans) for the linear part,
-        per-row scatters, elementwise device math — so each row is
-        bitwise independent of its neighbours; that is the root of the
-        sweep engines' chunking/order/pool invariance.
+        column-wise matvecs for sparse plans), per-row scatters,
+        elementwise device math on flat ``(m * count,)`` biases — so
+        each row is bitwise independent of its neighbours: the root of
+        the sweep engines' chunking/order/pool invariance.  The one
+        exception is a one-row dense stack without variation, whose
+        small FET groups take :meth:`_FETGroup.stamp_points`.
         """
         x_stack = np.asarray(x_stack, dtype=float)
         m = x_stack.shape[0]
         size = self.size
         schedule = self.sparse_schedule
-        if m == 1 and variation is None:
-            if previous_x is not None:
-                previous_x = np.asarray(previous_x).reshape(size)
-            if isinstance(state, np.ndarray):
-                state = state.reshape(-1)
-            residual, jacobian = self.evaluate(
-                x_stack[0], time_s, dt_s, previous_x, integrator, state,
-                source_scale, gmin, gmin_ref,
-            )
-            jacobian = jacobian.data if schedule is not None else jacobian.copy()
-            return residual[None].copy(), jacobian[None]
-        bases = self._row_bases.get(m)
-        if bases is None:
-            stride = size * size if schedule is None else schedule.nnz
-            rows = np.arange(m, dtype=np.intp)[:, None]
-            bases = self._row_bases[m] = (rows * (size + 1), rows * stride)
-        row_pad, row_jac = bases
+        if m == 1:
+            layout = self._one_row
+        elif self._tallest.m >= m:
+            layout = self._tallest.head(m)
+        elif schedule is None:
+            layout = self._tallest = _StackLayout(self, m)
+        else:
+            # A sparse layout grows with FET count times stack height:
+            # rebuilt per call, it never outlives the stack it serves.
+            # (Cached, or with its picks built before the device call,
+            # it raised a process's peak RSS by 12 % or 8 % over
+            # 1024-row sparse Monte Carlo chunks.)
+            layout = _StackLayout(self, m, keep=False)
         linear = self._linear_system(dt_s, integrator)
 
         xpad = np.zeros((m, size + 1))
         xpad[:, :size] = x_stack
+        xflat = xpad.reshape(-1)
         rpad = np.zeros((m, size + 1))
         if schedule is not None:
             # scipy's CSR matvecs kernel runs the scalar matvec per
-            # column, so each row matches evaluate()'s ``matrix @ x``.
+            # column, so each row matches a one-row ``matrix @ x``.
             rpad[:, :size] = (linear.matrix @ x_stack.T).T
         else:
-            rpad[:, :size] = np.matmul(linear.matrix, x_stack[..., None])[..., 0]
+            np.matmul(linear.matrix, x_stack[..., None], out=rpad[:, :size, None])
         rflat = rpad.reshape(-1)
         if self.vsrc_branch.size:
             levels = np.array([el.level(time_s) for el in self.vsources])
-            rpad[:, self.vsrc_branch] -= source_scale * levels
+            rflat[layout.sources[0]] -= _per_row(source_scale * levels, m)
         if self.isrc_p.size:
-            currents = source_scale * np.array(
-                [el.level(time_s) for el in self.isources]
-            )
-            # ufunc.at does not broadcast shared values against a stack
-            # of per-row indices (it reads out of bounds); broadcast
-            # explicitly.
-            shared = np.broadcast_to(currents, (m, currents.size))
-            np.add.at(rflat, row_pad + self.isrc_p, shared)
-            np.add.at(rflat, row_pad + self.isrc_n, -shared)
+            levels = np.array([el.level(time_s) for el in self.isources])
+            currents = source_scale * np.concatenate((levels, -levels))
+            np.add.at(rflat, layout.sources[1], _per_row(currents, m))
         if dt_s is not None and self.cap_c.size:
             if previous_x is None:
-                # evaluate() anchors the companion model at the iterate
-                # itself when no previous solution is given.
+                # The companion model anchors at the iterate itself when
+                # no previous solution is given.
                 prevpad = xpad
             else:
                 previous_x = np.asarray(previous_x, dtype=float)
@@ -864,46 +813,53 @@ class StampPlan:
                 prevpad[..., :size] = previous_x
             if isinstance(state, dict):
                 state = self.cap_state_array(state) if state else None
-            rhs = self.cap_history_rhs(prevpad, linear.cap_geq, integrator, state)
+            # Companion history per capacitor, -geq v_prev - i_prev; the
+            # history current i_prev is trapezoidal only.
+            v_prev = prevpad[..., self.cap_p] - prevpad[..., self.cap_n]
+            rhs = -linear.cap_geq * v_prev
+            if integrator != "backward-euler" and state is not None:
+                rhs = rhs - state
             cap_vals = np.concatenate((rhs, -rhs), axis=-1)
-            if cap_vals.ndim == 1:
-                # Shared companion state: one value row for every iterate.
-                cap_vals = np.broadcast_to(cap_vals, (m, cap_vals.size))
-            np.add.at(rflat, row_pad + self.cap_scatter, cap_vals)
+            np.add.at(rflat, layout.sources[2], _per_row(cap_vals, m))
 
-        if schedule is not None:
-            jac = np.empty((m, schedule.nnz))
-            jac[:] = schedule.linear_data(linear)
-            targets = schedule.group_pos
-        else:
-            jac = np.empty((m, size, size))
-            jac[:] = linear.matrix
-            targets = [group.flat for group in self.fet_groups]
+        base = linear.matrix if schedule is None else schedule.linear_data(linear)
+        jac = np.empty((m, *base.shape))
+        jac[:] = base
         jflat = jac.reshape(-1)
-        for group, target in zip(self.fet_groups, targets):
-            v = xpad[:, group.gather_dgs]  # (m, 3, count)
-            vgs = v[:, 1] - v[:, 2]
-            vds = v[:, 0] - v[:, 2]
-            if group.sign is not None:
-                vgs = group.sign * vgs
-                vds = group.sign * vds
+        points = m == 1 and variation is None and schedule is None
+        groups = zip(self.fet_groups, layout.groups)
+        for i, (group, (gather, sign)) in enumerate(groups):
+            if points and group.use_points:
+                group.stamp_points(xflat, rflat, jflat)
+                continue
+            # The device sees flat (m * count,) biases: its math is
+            # elementwise, and 1-D calls dispatch faster than (m, count).
+            vd, vs, vg = xflat[gather]
+            vgs = vg - vs
+            vds = vd - vs
+            if sign is not None:
+                vgs = sign * vgs
+                vds = sign * vds
             if variation is not None:
-                vgs = vgs - variation.vth_shift_v[:, group.columns]
+                vgs = vgs - variation.vth_shift_v[:, group.columns].reshape(-1)
             current, gm, gds = group.device.linearize(vgs, vds, group.delta_v)
-            if group.sign is not None:
-                current = group.sign * current
+            if sign is not None:
+                current = sign * current
             if variation is not None:
-                scale = variation.drive_scale[:, group.columns]
+                scale = variation.drive_scale[:, group.columns].reshape(-1)
                 current = current * scale
                 gm = gm * scale
                 gds = gds * scale
-            rvals = np.concatenate((current, -current), axis=1)
-            np.add.at(rflat, row_pad + group.scatter_idx, rvals)
-            vals6 = np.stack(
-                (gds, gm, -(gm + gds), -gds, -gm, gm + gds), axis=1
-            )  # (m, 6, count), entry order matching group.take
-            entries = vals6.reshape(m, 6 * group.count)[:, group.take]
-            np.add.at(jflat, row_jac + target, entries)
+            residual_at = gather[:2].reshape(-1)  # drains, then sources
+            np.add.at(rflat, residual_at, np.concatenate((current, -current)))
+            triples = np.concatenate((gds, gm, gm + gds))
+            if m > 1:
+                # Each row's (gds, gm, gm + gds) triples in turn.
+                triples = triples.reshape(3, m, -1).transpose(1, 0, 2).reshape(-1)
+            pick, pick_sign, jacobian_at = layout.stamp(i, group)
+            entries = triples[pick]
+            entries *= pick_sign
+            np.add.at(jflat, jacobian_at, entries)
 
         residual = rpad[:, :size]
         if gmin > 0.0:
@@ -914,8 +870,7 @@ class StampPlan:
             if schedule is not None:
                 jac[:, schedule.node_diag_pos] += gmin
             else:
-                diag = np.einsum("ijj->ij", jac)
-                diag[:, :n_nodes] += gmin
+                np.einsum("ijj->ij", jac)[:, :n_nodes] += gmin
         return residual, jac
 
     # -- transient support ----------------------------------------------------------
@@ -924,28 +879,6 @@ class StampPlan:
         if not state:
             return np.zeros(len(self.cap_names))
         return np.array([state.get(name, 0.0) for name in self.cap_names])
-
-    def cap_history_rhs(
-        self,
-        prevpad: np.ndarray,
-        cap_geq: np.ndarray,
-        integrator: str,
-        state_currents: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Companion-model history RHS per capacitor: ``-geq v_prev - i_prev``.
-
-        Batchable: ``prevpad`` is a padded previous-solution stack of
-        shape ``(..., size + 1)`` (ground in the trailing slot) and
-        ``state_currents`` — the trapezoidal history currents, ignored
-        under backward Euler — broadcasts as ``(..., n_caps)``.  The
-        scalar :meth:`evaluate` path and the batched sweep engine share
-        this arithmetic, so their residuals agree bitwise.
-        """
-        v_prev = prevpad[..., self.cap_p] - prevpad[..., self.cap_n]
-        rhs = -cap_geq * v_prev
-        if integrator != "backward-euler" and state_currents is not None:
-            rhs = rhs - state_currents
-        return rhs
 
     def cap_state_update(
         self,
@@ -959,8 +892,9 @@ class StampPlan:
 
         ``xpad``/``prevpad`` are padded solution stacks ``(..., size +
         1)``; returns ``(..., n_caps)`` trapezoidal (or backward-Euler)
-        capacitor currents.  The scalar per-step update and the batched
-        transient engine both route through this method.
+        capacitor currents.  The time-step loop
+        (:func:`repro.circuit.transient.march`) routes every accepted
+        step through this method.
         """
         v_now = xpad[..., self.cap_p] - xpad[..., self.cap_n]
         v_prev = prevpad[..., self.cap_p] - prevpad[..., self.cap_n]
@@ -978,15 +912,9 @@ class StampPlan:
         integrator: str,
         state: dict,
     ) -> None:
-        """Vectorised trapezoidal/backward-Euler history update (in place)."""
-        if not self.cap_c.size:
-            return
-        size = self.size
-        xpad = self._xpad
-        xpad[:size] = x
-        prevpad = self._prevpad
-        prevpad[:size] = previous_x
+        """History-dict form of :meth:`cap_state_update` (in place)."""
         i_prev = self.cap_state_array(state) if integrator != "backward-euler" else None
-        i_new = self.cap_state_update(xpad, prevpad, dt_s, integrator, i_prev)
-        for name, value in zip(self.cap_names, i_new):
-            state[name] = float(value)
+        i_new = self.cap_state_update(
+            np.append(x, 0.0), np.append(previous_x, 0.0), dt_s, integrator, i_prev
+        )
+        state.update(zip(self.cap_names, i_new.tolist()))

@@ -6,18 +6,15 @@ voltage source a branch-current index after the nodes.  Analyses
 (:mod:`repro.circuit.dc`, :mod:`repro.circuit.transient`) consume the
 assembled system through :meth:`Circuit.build_system`.
 
-:meth:`MNASystem.evaluate` runs on the compiled stamp plan of
-:mod:`repro.circuit.assembly` (constant linear matrix assembled once,
-batched FET linearization, ``np.add.at`` scatter; above
-:data:`~repro.circuit.assembly.SPARSE_THRESHOLD` unknowns, CSR
-Jacobians on one canonical sparsity pattern whose symbolic LU ordering
-is computed once and shared by every Newton refactorization — scalar
-solves and the batched sweep engines alike).  Every circuit compiles:
-an element type the plan does not know raises
-:class:`~repro.circuit.assembly.UnsupportedElement` at
-:meth:`Circuit.build_system`.  The original element-walking evaluator
-is retained as :meth:`MNASystem.evaluate_dense` — the independent
-reference the equivalence tests compare against.
+:meth:`MNASystem.evaluate` is a one-row call of the compiled stamp plan
+of :mod:`repro.circuit.assembly`.  :meth:`Circuit.build_system` rejects
+structurally invalid input before any numerics: an element type the
+plan does not know raises
+:class:`~repro.circuit.assembly.UnsupportedElement`, and a loop made
+only of voltage sources raises :class:`VoltageSourceLoop`.  The
+original element-walking evaluator is retained as
+:meth:`MNASystem.evaluate_dense` — the independent reference the
+equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -37,11 +34,61 @@ from repro.circuit.elements import (
 )
 from repro.devices.base import FETModel
 
-__all__ = ["Circuit", "CircuitError"]
+__all__ = ["Circuit", "CircuitError", "VoltageSourceLoop"]
 
 
 class CircuitError(RuntimeError):
     """Raised for malformed netlists or failed analyses."""
+
+
+class VoltageSourceLoop(CircuitError):
+    """A loop made only of voltage sources, named in ``sources``.
+
+    Raised at ``build_system()``: the loop fixes no branch current and,
+    unless its levels sum to zero, has no solution.
+    """
+
+    def __init__(self, sources: list[str]):
+        self.sources = sources
+        names = ", ".join(map(repr, sources))
+        super().__init__(f"voltage sources form a loop: {names}")
+
+
+def _voltage_source_loop(elements: list[Element]) -> list[str] | None:
+    """Names of the sources on the first loop made only of voltage sources.
+
+    Union-find over the source edges, every ground alias one node.  The
+    accepted edges form a forest, so a source whose terminals are
+    already joined closes a loop with the forest path between them.
+    """
+    root: dict[str, str] = {}
+    forest: dict[str, list[tuple[str, str]]] = {}
+
+    def find(node: str) -> str:
+        while root.get(node, node) != node:
+            node = root[node]
+        return node
+
+    for element in elements:
+        if not isinstance(element, VoltageSource):
+            continue
+        p, n = ("0" if node in GROUND_NAMES else node for node in element.nodes)
+        if find(p) == find(n):
+            # Depth-first walk of the tree from p, carrying each path.
+            pending = [(p, "", [element.name])]
+            while pending:
+                node, came_from, names = pending.pop()
+                if node == n:
+                    return names
+                pending += [
+                    (next_node, node, names + [name])
+                    for next_node, name in forest.get(node, [])
+                    if next_node != came_from
+                ]
+        root[find(p)] = find(n)
+        forest.setdefault(p, []).append((n, element.name))
+        forest.setdefault(n, []).append((p, element.name))
+    return None
 
 
 class Circuit:
@@ -115,6 +162,9 @@ class Circuit:
             raise CircuitError("empty circuit")
         if not self._node_order:
             raise CircuitError("circuit has no non-ground nodes")
+        loop = _voltage_source_loop(self.elements)
+        if loop is not None:
+            raise VoltageSourceLoop(loop)
         branch_base = len(self._node_order)
         offset = 0
         for element in self.elements:
@@ -130,17 +180,10 @@ class MNASystem:
     Compiles a :class:`~repro.circuit.assembly.StampPlan` at
     construction (raising
     :class:`~repro.circuit.assembly.UnsupportedElement` for element
-    types the plan does not know).  ``evaluate(x, **kwargs)`` — residual
-    F(x) and Jacobian dF/dx, keyword arguments as
-    :meth:`evaluate_dense` — is the plan's :meth:`StampPlan.evaluate`.
-    Its Jacobian is a dense ndarray for small systems and, at or above
-    :data:`~repro.circuit.assembly.SPARSE_THRESHOLD` unknowns, a
-    ``scipy.sparse`` CSR matrix on the plan's canonical sparsity
-    pattern (fixed ``indices``/``indptr``, fresh ``data``).  In the
-    dense mode it returns views of buffers reused by the next call —
-    copy them if results must outlive the next evaluation.
-    ``update_capacitor_state`` refreshes capacitor history currents at
-    an accepted transient solution.
+    types the plan does not know).  :meth:`evaluate` is the plan's
+    :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` at one
+    iterate.  ``update_capacitor_state`` refreshes capacitor history
+    currents at an accepted transient solution.
     """
 
     def __init__(self, circuit: Circuit):
@@ -148,13 +191,23 @@ class MNASystem:
         self.size = circuit.size
         self.n_nodes = len(circuit.node_names)
         self._plan = StampPlan(self)
-        # The plan's bound methods, set on the instance: one less Python
-        # frame on the hottest call in the package.
-        self.evaluate = self._plan.evaluate
         self.update_capacitor_state = self._plan.update_capacitor_state
 
     def node_index(self, node: str) -> int | None:
         return self.circuit.node_index(node)
+
+    def evaluate(self, x: np.ndarray, **kwargs):
+        """Fresh residual F(x) and Jacobian dF/dx: a one-row ``evaluate_many``.
+
+        Keyword arguments as :meth:`evaluate_dense`.  Sparse plans
+        return the Jacobian as CSR on the plan's canonical pattern.
+        """
+        plan = self._plan
+        x_stack = np.asarray(x, dtype=float)[None]
+        residual, jacobian = plan.evaluate_many(x_stack, **kwargs)
+        if plan.sparse_schedule is None:
+            return residual[0], jacobian[0]
+        return residual[0], plan.sparse_schedule.matrix(jacobian[0])
 
     def evaluate_dense(
         self,

@@ -300,14 +300,11 @@ def operating_point(
     the device protocol's ``linearize`` (analytic for models that
     provide derivatives, central differences with the model-owned step
     otherwise), so no caller ever re-derives them by finite
-    differences.  Dense compiled plans hand back a reused evaluation
-    buffer, so the dense result is copied; sparse plans return the
-    canonical-pattern CSR matrix, whose ``data`` vector is fresh per
-    evaluation.  This is the one linearization the compiled AC path
-    (:mod:`repro.circuit.ac`) performs per analysis.
+    differences.  It is a fresh dense array, or for sparse plans a CSR
+    matrix on the plan's canonical pattern.  This is the one
+    linearization the compiled AC path (:mod:`repro.circuit.ac`)
+    performs per analysis.
     """
     x = solve_dc(system, x0, **eval_kwargs)
     _, jacobian = system.evaluate(x)
-    if sparse.issparse(jacobian):
-        return x, jacobian
-    return x, np.array(jacobian)
+    return x, jacobian

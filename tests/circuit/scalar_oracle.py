@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.circuit.assembly import DIAG_REGULARIZATION
 from repro.circuit.continuation import solve_dc_robust, structural_seed
+from repro.circuit.elements import Capacitor, StampContext
 from repro.circuit.netlist import MNASystem
 from repro.circuit.solver import (
     _MAX_ITERATIONS,
@@ -86,9 +87,9 @@ def sequential_march(
     The t=0 point is :func:`sequential_newton` from the structural seed
     (the production paths' starting point); every step runs
     :func:`sequential_newton` from the previous solution with a dict of
-    capacitor history currents, refreshed by
-    :meth:`~repro.circuit.netlist.MNASystem.update_capacitor_state`
-    after each accepted trapezoidal step.  Raises ``AssertionError``
+    capacitor history currents, refreshed element by element through
+    :meth:`~repro.circuit.elements.Capacitor.update_state` after each
+    accepted trapezoidal step.  Raises ``AssertionError``
     when a solve fails.  Returns ``(n_steps + 1, size)`` samples.
     """
     n_steps = validate_grid(t_stop_s, dt_s, integrator)
@@ -111,7 +112,15 @@ def sequential_march(
         )
         assert converged, f"oracle step failed at t = {time_s:.3e} s"
         if integrator == "trapezoidal":
-            system.update_capacitor_state(x_next, x, dt_s, integrator, state)
+            ctx = StampContext(
+                system=system, x=x_next, residual=None, jacobian=None,
+                dt_s=dt_s, previous_x=x, integrator=integrator, state=state,
+            )
+            state = {
+                el.name: el.update_state(ctx)
+                for el in system.circuit.elements
+                if isinstance(el, Capacitor)
+            }
         samples.append(x_next)
         x = x_next
     return np.array(samples)

@@ -10,9 +10,10 @@ and both the dense and sparse assembly regimes.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.circuit.assembly import SPARSE_THRESHOLD, StampPlan, UnsupportedElement
-from repro.circuit.elements import Element
+from repro.circuit.elements import Capacitor, Element, StampContext
 from repro.circuit.netlist import Circuit
 from repro.circuit.solver import _solve_stack, newton_solve, solve_dc
 from repro.circuit.waveforms import DC, Pulse, Sine
@@ -196,27 +197,43 @@ def test_plan_reuses_across_waveform_mutation():
 
 
 def test_capacitor_state_update_matches_reference():
+    """Both compiled history updates against the element walk.
+
+    ``update_capacitor_state`` (the dict form) and ``cap_state_update``
+    on a padded ``(m, size + 1)`` stack — the update the time-step loop
+    makes — must agree with ``Capacitor.update_state``.
+    """
     circuit = rc_ladder()
     system = circuit.build_system()
+    plan = system._plan
     rng = np.random.default_rng(7)
-    x = rng.normal(size=system.size)
-    previous = rng.normal(size=system.size)
-    state_plan = {f"C{i}": rng.normal() * 1e-7 for i in range(4)}
-    state_ref = dict(state_plan)
+    x = rng.normal(size=(3, system.size))
+    previous = rng.normal(size=(3, system.size))
+    states = rng.normal(size=(3, len(plan.cap_names))) * 1e-7
 
-    system.update_capacitor_state(x, previous, 1e-12, "trapezoidal", state_plan)
-
-    from repro.circuit.elements import Capacitor, StampContext
-
-    ctx = StampContext(
-        system=system, x=x, residual=None, jacobian=None,
-        dt_s=1e-12, previous_x=previous, integrator="trapezoidal", state=state_ref,
-    )
-    for el in circuit.elements:
-        if isinstance(el, Capacitor):
-            state_ref[el.name] = el.update_state(ctx)
-    for name in state_ref:
-        assert state_plan[name] == pytest.approx(state_ref[name], abs=1e-18)
+    pad = np.zeros((3, 1))
+    for integrator in ("trapezoidal", "backward-euler"):
+        stacked = plan.cap_state_update(
+            np.hstack((x, pad)), np.hstack((previous, pad)), 1e-12, integrator, states
+        )
+        for row in range(3):
+            state_ref = dict(zip(plan.cap_names, states[row]))
+            state_plan = dict(state_ref)
+            system.update_capacitor_state(
+                x[row], previous[row], 1e-12, integrator, state_plan
+            )
+            ctx = StampContext(
+                system=system, x=x[row], residual=None, jacobian=None, dt_s=1e-12,
+                previous_x=previous[row], integrator=integrator, state=state_ref,
+            )
+            walked = [
+                el.update_state(ctx)
+                for el in circuit.elements
+                if isinstance(el, Capacitor)
+            ]
+            # Same expression on both sides, so the agreement is exact.
+            assert stacked[row].tolist() == walked
+            assert [state_plan[name] for name in plan.cap_names] == walked
 
 
 def test_unsupported_element_rejected_at_build():
@@ -240,8 +257,118 @@ def test_standalone_plan_compiles_small_circuits():
     system = inverter().build_system()
     plan = StampPlan(system)
     x = np.full(system.size, 0.3)
-    res_p, jac_p = plan.evaluate(x, gmin=1e-9)
-    res_p, jac_p = res_p.copy(), _as_dense(jac_p)
+    res_p, jac_p = plan.evaluate_many(x[None], gmin=1e-9)
+    res_p, jac_p = res_p[0], jac_p[0]
     res_d, jac_d = system.evaluate_dense(x, gmin=1e-9)
     np.testing.assert_allclose(res_p, res_d, atol=ATOL, rtol=0.0)
     np.testing.assert_allclose(jac_p, jac_d, atol=ATOL, rtol=0.0)
+
+
+def _has_point_groups(plan) -> bool:
+    return not plan.use_sparse and any(g.use_points for g in plan.fet_groups)
+
+
+@pytest.mark.parametrize("context", CONTEXTS)
+@pytest.mark.parametrize("circuit_name", CIRCUITS)
+def test_one_row_call_matches_stacked_row(circuit_name, context):
+    """A one-row ``evaluate_many`` is the same row of a 3-row stack.
+
+    Bitwise where every FET group takes the array path (dense and
+    sparse).  Small dense groups stamp through the scalar point path on
+    a one-row stack — libm ``math`` calls instead of numpy's SIMD loops
+    and a per-FET accumulation order — so plans with such a group are
+    held to 1e-15 of each output's scale.
+    """
+    system = CIRCUITS[circuit_name]().build_system()
+    plan = system._plan
+    rng = np.random.default_rng(list(CIRCUITS).index(circuit_name))
+    kwargs = dict(CONTEXTS[context])
+    if "dt_s" in kwargs:
+        kwargs["previous_x"] = rng.normal(scale=0.5, size=(3, system.size))
+        kwargs["state"] = rng.normal(size=(3, len(plan.cap_names))) * 1e-7
+    x = rng.normal(scale=0.7, size=(3, system.size))
+    stacked = plan.evaluate_many(x, **kwargs)
+    for row in range(3):
+        row_kwargs = {
+            key: value[row : row + 1] if key in ("previous_x", "state") else value
+            for key, value in kwargs.items()
+        }
+        single = plan.evaluate_many(x[row : row + 1], **row_kwargs)
+        for got, want in zip(single, stacked):
+            if _has_point_groups(plan):
+                scale = np.max(np.abs(want[row]))
+                np.testing.assert_allclose(got[0], want[row], rtol=0.0, atol=1e-15 * scale)
+            else:
+                assert np.array_equal(got[0], want[row])
+
+
+@pytest.mark.parametrize("circuit_name", ["mixed_chain", "rc_ladder", "big_ladder"])
+def test_stack_heights_agree_row_by_row(circuit_name):
+    """Any stack height gives every row the same bits, in any call order.
+
+    Dense plans keep the index layout of the tallest stack and serve
+    shorter ones from its first rows; sparse plans rebuild it per call.
+    """
+    system = CIRCUITS[circuit_name]().build_system()
+    rng = np.random.default_rng(11)
+    x = rng.normal(scale=0.7, size=(5, system.size))
+    kwargs = dict(CONTEXTS["trapezoidal"], previous_x=x[::-1].copy())
+    reference = system._plan.evaluate_many(x, **kwargs)
+    for rows in (slice(0, 2), slice(0, 5), slice(1, 4), slice(0, 3)):
+        sub = dict(kwargs, previous_x=kwargs["previous_x"][rows])
+        for got, want in zip(system._plan.evaluate_many(x[rows], **sub), reference):
+            assert np.array_equal(got, want[rows])
+
+
+@pytest.mark.parametrize("circuit_name", ["inverter", "big_ladder"])
+def test_system_evaluate_returns_fresh_arrays(circuit_name):
+    """Successive ``MNASystem.evaluate`` results never share memory."""
+    system = CIRCUITS[circuit_name]().build_system()
+    x = np.full(system.size, 0.3)
+    first = system.evaluate(x)
+    kept = [_as_dense(a) for a in first]
+    second = system.evaluate(x + 0.1)
+    for a, b, before in zip(first, second, kept):
+        np.testing.assert_array_equal(_as_dense(a), before)
+        a, b = (m.data if sparse.issparse(m) else m for m in (a, b))
+        assert not np.shares_memory(a, b)
+
+
+def test_point_path_only_for_one_row_without_variation(monkeypatch, sparse_fet_ladder):
+    """A small dense group takes ``stamp_points`` only at m == 1, no variation."""
+    from repro.circuit.assembly import SCALAR_GROUP_MAX, _FETGroup
+    from repro.circuit.sweep import FETVariation
+
+    calls = []
+    stamp_points = _FETGroup.stamp_points
+
+    def counting(self, *args):
+        calls.append(self.count)
+        return stamp_points(self, *args)
+
+    monkeypatch.setattr(_FETGroup, "stamp_points", counting)
+
+    plan = inverter().build_system()._plan
+    (group,) = plan.fet_groups
+    assert group.count <= SCALAR_GROUP_MAX and group.use_points
+    x = np.full((3, plan.size), 0.3)
+    plain = FETVariation(drive_scale=np.ones((1, 2)), vth_shift_v=np.zeros((1, 2)))
+    for stack, variation, expected in (
+        (x[:1], None, [2]),
+        (x, None, []),
+        (x[:1], plain, []),
+    ):
+        calls.clear()
+        plan.evaluate_many(stack, variation=variation)
+        assert calls == expected
+
+    big = mixed_chain().build_system()._plan
+    assert [g.use_points for g in big.fet_groups] == [
+        g.count <= SCALAR_GROUP_MAX for g in big.fet_groups
+    ]
+
+    sparse_plan = sparse_fet_ladder().build_system()._plan
+    assert sparse_plan.use_sparse and sparse_plan.fet_groups[0].count == 1
+    calls.clear()
+    sparse_plan.evaluate_many(np.zeros((1, sparse_plan.size)))
+    assert calls == []

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS
+from repro.cli import EXPERIMENTS, PHYSICAL_EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -41,6 +41,13 @@ GOLDEN_EXPERIMENTS = (
     "rf",
 )
 
+# Each ``--physical`` run (the same artefact on the surrogate-compiled
+# ballistic CNT-FET) is pinned as ``<name>_physical``.
+GOLDEN_RUNNERS = {
+    **{name: EXPERIMENTS[name][1] for name in GOLDEN_EXPERIMENTS},
+    **{f"{name}_physical": runner for name, runner in PHYSICAL_EXPERIMENTS.items()},
+}
+
 # Tight by design: these runs are deterministic (fixed seeds, fixed
 # grids); the relative slack only absorbs BLAS/libm rounding drift.
 RELATIVE_TOLERANCE = 1e-6
@@ -56,9 +63,9 @@ def _rows_as_json(rows) -> list[list]:
     return [[row[0], *[float(v) for v in row[1:]]] for row in rows]
 
 
-@pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
+@pytest.mark.parametrize("name", GOLDEN_RUNNERS)
 def test_cli_output_matches_golden(name, request):
-    rows = _rows_as_json(EXPERIMENTS[name][1]())
+    rows = _rows_as_json(GOLDEN_RUNNERS[name]())
     path = GOLDEN_DIR / f"{name}.json"
 
     if request.config.getoption("--update-golden", default=False):
@@ -89,7 +96,7 @@ def test_golden_files_are_committed():
     """Every snapshotted experiment has its golden file in the tree."""
     missing = [
         name
-        for name in GOLDEN_EXPERIMENTS
+        for name in GOLDEN_RUNNERS
         if not (GOLDEN_DIR / f"{name}.json").exists()
     ]
     assert not missing, f"golden files missing for: {missing}"
