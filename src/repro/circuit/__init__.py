@@ -13,6 +13,15 @@ recorded in a :class:`ConvergenceReport` — deep FET chains and ring
 oscillators solve with no hand-fed initial guess, and failures raise
 :class:`ConvergenceError` carrying the full ladder history.
 
+Every analysis returns a :class:`Solution`: a stack of unknown vectors
+plus the one :class:`SolutionLayout` that ``build_system()`` derives
+from the netlist.  The seven result types (operating point, DC sweep,
+transient, the two Monte Carlo results, AC and batched AC) are thin
+subclasses, so ``voltage``, ``source_current`` and ``transfer`` behave
+the same on all of them: every ground alias reads 0 V and an unknown
+name raises :class:`UnknownName`, a ``CircuitError`` that is also a
+``KeyError``.
+
 Assembly architecture (see :mod:`repro.circuit.assembly`): at
 ``build_system()`` time the netlist is compiled into a stamp plan that
 splits elements into a *linear* group (R, C companion models, V/I
@@ -97,7 +106,14 @@ from repro.circuit.cells import (
     ring_oscillator_frequency,
 )
 from repro.circuit.dc import OperatingPointResult, SweepResult, dc_sweep, operating_point
-from repro.circuit.netlist import Circuit, CircuitError, VoltageSourceLoop
+from repro.circuit.netlist import (
+    Circuit,
+    CircuitError,
+    Solution,
+    SolutionLayout,
+    UnknownName,
+    VoltageSourceLoop,
+)
 from repro.circuit.resilience import (
     CheckpointStore,
     ExecutionPolicy,
@@ -146,10 +162,13 @@ __all__ = [
     "Sine",
     "SweepExecutionError",
     "SweepPlan",
+    "Solution",
+    "SolutionLayout",
     "SweepResult",
     "SweepStatistics",
     "TransientMCResult",
     "TransientResult",
+    "UnknownName",
     "VoltageSourceLoop",
     "ac_analysis",
     "ac_monte_carlo",

@@ -39,7 +39,10 @@ feed one stacked linearization
 each corner's grid solves as a ``(chunk, size, size)`` stacked complex
 LAPACK solve (dense) or pattern refactorization (sparse), and every
 corner's frequency response lands in a :class:`BatchedACResult` — the
-variation-aware RF workload of ``experiments/rf_comparison.py``.
+variation-aware RF workload of ``experiments/rf_comparison.py``.  Both
+results are :class:`~repro.circuit.netlist.Solution` stacks over the
+system's layout: ``transfer`` reads any node or ground alias, and
+``source_current`` any source's branch response.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import qz
 
-from repro.circuit.elements import VoltageSource
-from repro.circuit.netlist import Circuit, CircuitError
+from repro.circuit.netlist import Circuit, CircuitError, EnsembleSolution, Solution
 from repro.circuit.solver import operating_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports nothing here)
@@ -124,18 +126,13 @@ def _unity_gain_crossing(
 
 
 @dataclass(frozen=True)
-class ACResult:
-    """Frequency response of every node to the unit AC excitation."""
+class ACResult(Solution):
+    """Frequency response to the unit AC excitation.
+
+    ``samples[k]`` is the response at ``frequencies_hz[k]``.
+    """
 
     frequencies_hz: np.ndarray
-    voltages: dict[str, np.ndarray]
-
-    def transfer(self, node: str) -> np.ndarray:
-        """Complex transfer function H(f) at a node."""
-        try:
-            return self.voltages[node]
-        except KeyError:
-            raise CircuitError(f"unknown node {node!r}") from None
 
     def magnitude_db(self, node: str) -> np.ndarray:
         return 20.0 * np.log10(np.clip(np.abs(self.transfer(node)), 1e-300, None))
@@ -328,7 +325,7 @@ class ACPlan:
     def __init__(self, circuit: Circuit, source_name: str):
         self.circuit = circuit
         self.system = circuit.build_system()
-        self.source = _find_source(circuit, source_name)
+        self.source = circuit.source(source_name)
         self.size = self.system.size
         plan = self.system._plan
         x_dc, conductance = operating_point(self.system)
@@ -349,9 +346,6 @@ class ACPlan:
         rhs[self.source.branch_index] = 1.0
         self.rhs = rhs
         self._schur: tuple[np.ndarray, ...] | None = None
-        self._node_columns = {
-            node: self.system.node_index(node) for node in circuit.node_names
-        }
 
     @property
     def use_sparse(self) -> bool:
@@ -361,12 +355,11 @@ class ACPlan:
     def sweep(self, frequencies_hz) -> ACResult:
         """Swept response to the unit excitation on the plan's source."""
         frequencies = _validate_frequencies(frequencies_hz)
-        samples = self.sweep_samples(frequencies)
-        voltages = {
-            node: samples[:, column]
-            for node, column in self._node_columns.items()
-        }
-        return ACResult(frequencies_hz=frequencies, voltages=voltages)
+        return ACResult(
+            self.system.layout,
+            self.sweep_samples(frequencies),
+            frequencies_hz=frequencies,
+        )
 
     def sweep_samples(self, frequencies: np.ndarray) -> np.ndarray:
         """Raw ``(n_freq, size)`` complex solution stack (validated grid)."""
@@ -419,7 +412,7 @@ def ac_analysis(circuit: Circuit, source_name: str, frequencies_hz) -> ACResult:
 
 
 @dataclass(frozen=True)
-class BatchedACResult:
+class BatchedACResult(EnsembleSolution):
     """Stacked frequency responses over Monte-Carlo process corners.
 
     ``samples[i]`` is corner ``i``'s ``(n_freq, size)`` complex response
@@ -429,33 +422,12 @@ class BatchedACResult:
     """
 
     frequencies_hz: np.ndarray
-    samples: np.ndarray
-    converged: np.ndarray
-    node_index: dict[str, int]
-
-    @property
-    def n_instances(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_converged(self) -> int:
-        return int(np.count_nonzero(self.converged))
-
-    def transfer(self, node: str) -> np.ndarray:
-        """Per-corner complex transfer functions, shape ``(m, n_freq)``."""
-        try:
-            column = self.node_index[node]
-        except KeyError:
-            raise CircuitError(f"unknown node {node!r}") from None
-        return self.samples[:, :, column]
 
     def instance(self, i: int) -> ACResult:
         """One corner's response as a scalar :class:`ACResult`."""
-        voltages = {
-            node: self.samples[i, :, column]
-            for node, column in self.node_index.items()
-        }
-        return ACResult(frequencies_hz=self.frequencies_hz, voltages=voltages)
+        return ACResult(
+            self.layout, self.samples[i], frequencies_hz=self.frequencies_hz
+        )
 
     def low_frequency_gain(self, node: str) -> np.ndarray:
         """|H| at the first swept frequency per corner (NaN if unconverged)."""
@@ -507,7 +479,7 @@ def ac_monte_carlo(
     if chunk < 1:
         raise CircuitError(f"chunk_size must be >= 1, got {chunk_size}")
     engine = CircuitMonteCarlo(circuit)
-    source = _find_source(circuit, source_name)
+    source = circuit.source(source_name)
     corners = engine.run(variation)
     jacobians = engine.small_signal_jacobians(corners.x, variation)
     plan = engine.plan
@@ -529,19 +501,9 @@ def ac_monte_carlo(
             samples[i] = _sweep_dense(
                 jacobians[i], capacitance, rhs, frequencies, chunk
             )
-    node_index = {
-        node: engine.system.node_index(node) for node in circuit.node_names
-    }
     return BatchedACResult(
+        engine.system.layout,
+        samples,
+        corners.converged.copy(),
         frequencies_hz=frequencies,
-        samples=samples,
-        converged=corners.converged.copy(),
-        node_index=node_index,
     )
-
-
-def _find_source(circuit: Circuit, name: str) -> VoltageSource:
-    for element in circuit.elements:
-        if isinstance(element, VoltageSource) and element.name == name:
-            return element
-    raise CircuitError(f"no voltage source named {name!r}")

@@ -132,17 +132,16 @@ class _FETGroup:
     """
 
     __slots__ = (
-        "device", "delta_v", "count", "sign", "gather_dsg", "flat",
+        "device", "count", "sign", "gather_dsg", "flat",
         "rows", "cols", "take", "pick", "pick_sign", "target", "use_points",
         "point_fets", "columns",
     )
 
     def __init__(
-        self, device, delta_v: float | None, fets: list, columns: list[int],
+        self, device, fets: list, columns: list[int],
         pad, jac_idx, size: int,
     ):
         self.device = device
-        self.delta_v = delta_v
         self.count = len(fets)
         # Each slot's column in a FETVariation (the circuit's FET order).
         self.columns = np.array(columns, dtype=np.intp)
@@ -196,17 +195,14 @@ class _FETGroup:
         circuits.
         """
         device = self.device
-        delta_v = self.delta_v
         for d, g, s, sign, entries in self.point_fets:
             vs = xpad[s]
             vgs = xpad[g] - vs
             vds = xpad[d] - vs
             if sign == 1.0:
-                current, gm, gds = device.linearize_point(vgs, vds, delta_v)
+                current, gm, gds = device.linearize_point(vgs, vds)
             else:
-                current, gm, gds = device.linearize_point(
-                    sign * vgs, sign * vds, delta_v
-                )
+                current, gm, gds = device.linearize_point(sign * vgs, sign * vds)
                 current = sign * current
             rpad[d] += current
             rpad[s] -= current
@@ -538,8 +534,8 @@ class StampPlan:
         vsources: list[VoltageSource] = []
         isources: list[CurrentSource] = []
         capacitors: list[Capacitor] = []
-        fet_bins: dict[tuple[int, float | None], list[FET]] = {}
-        fet_devices: dict[tuple[int, float | None], object] = {}
+        fet_bins: dict[int, list[FET]] = {}
+        fet_devices: dict[int, object] = {}
         fet_columns: dict[int, int] = {}
 
         for element in circuit.elements:
@@ -570,7 +566,7 @@ class StampPlan:
                 capacitors.append(element)
             else:  # FET
                 base_device, _ = _unwrap_polarity(element.device)
-                key = (id(base_device), element.delta_v)
+                key = id(base_device)
                 fet_bins.setdefault(key, []).append(element)
                 fet_devices[key] = base_device
                 fet_columns[id(element)] = len(fet_columns)
@@ -602,7 +598,7 @@ class StampPlan:
 
         self.fet_groups = [
             _FETGroup(
-                fet_devices[key], key[1], fets,
+                fet_devices[key], fets,
                 [fet_columns[id(f)] for f in fets], pad, jac_idx, size,
             )
             for key, fets in fet_bins.items()
@@ -842,7 +838,7 @@ class StampPlan:
                 vds = sign * vds
             if variation is not None:
                 vgs = vgs - variation.vth_shift_v[:, group.columns].reshape(-1)
-            current, gm, gds = group.device.linearize(vgs, vds, group.delta_v)
+            current, gm, gds = group.device.linearize(vgs, vds)
             if sign is not None:
                 current = sign * current
             if variation is not None:

@@ -235,10 +235,6 @@ class FET(Element):
     :class:`repro.devices.PType` before building the element.  Gate
     current is zero (insulated gate); gate capacitance, when needed, is
     modelled with explicit Capacitor elements.
-
-    ``delta_v`` is an optional override of the device's own
-    finite-difference step; the default ``None`` lets the model choose
-    (and analytic models — spline surrogates — ignore it entirely).
     """
 
     name: str
@@ -246,7 +242,6 @@ class FET(Element):
     gate: str
     source: str
     device: FETModel
-    delta_v: float | None = None
 
     def __post_init__(self) -> None:
         self.nodes = (self.drain, self.gate, self.source)
@@ -255,9 +250,7 @@ class FET(Element):
         vd = ctx.voltage(self.drain)
         vg = ctx.voltage(self.gate)
         vs = ctx.voltage(self.source)
-        current, gm, gds = self.device.linearize_point(
-            vg - vs, vd - vs, self.delta_v
-        )
+        current, gm, gds = self.device.linearize_point(vg - vs, vd - vs)
         current, gm, gds = float(current), float(gm), float(gds)
 
         ctx.add_current(self.drain, current)

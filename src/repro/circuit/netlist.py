@@ -4,7 +4,15 @@ A :class:`Circuit` collects elements (builder-style ``add_*`` methods),
 assigns every non-ground node an index in the unknown vector and every
 voltage source a branch-current index after the nodes.  Analyses
 (:mod:`repro.circuit.dc`, :mod:`repro.circuit.transient`) consume the
-assembled system through :meth:`Circuit.build_system`.
+assembled system through :meth:`Circuit.build_system`, which also
+builds the one :class:`SolutionLayout` naming those columns.
+
+Every analysis result is a :class:`Solution`: a stack of unknown
+vectors, shape ``(..., size)``, plus that layout.  Its ``voltage``,
+``source_current`` and ``transfer`` lookups select one column over the
+last axis, read every ground alias as 0 V, and raise
+:class:`UnknownName` (a :class:`CircuitError` and a ``KeyError``) for a
+name the circuit does not have.
 
 :meth:`MNASystem.evaluate` is a one-row call of the compiled stamp plan
 of :mod:`repro.circuit.assembly`.  :meth:`Circuit.build_system` rejects
@@ -18,6 +26,8 @@ equivalence tests compare against.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,11 +44,26 @@ from repro.circuit.elements import (
 )
 from repro.devices.base import FETModel
 
-__all__ = ["Circuit", "CircuitError", "VoltageSourceLoop"]
+__all__ = [
+    "Circuit",
+    "CircuitError",
+    "EnsembleSolution",
+    "Solution",
+    "SolutionLayout",
+    "UnknownName",
+    "VoltageSourceLoop",
+]
 
 
 class CircuitError(RuntimeError):
     """Raised for malformed netlists or failed analyses."""
+
+
+class UnknownName(CircuitError, KeyError):
+    """A node or voltage-source name the circuit does not have."""
+
+    # The plain message, not KeyError's quoted repr of it.
+    __str__ = CircuitError.__str__
 
 
 class VoltageSourceLoop(CircuitError):
@@ -91,6 +116,86 @@ def _voltage_source_loop(elements: list[Element]) -> list[str] | None:
     return None
 
 
+@dataclass(frozen=True)
+class SolutionLayout:
+    """The unknown-vector layout: node columns, then source branch columns.
+
+    Built once by :meth:`Circuit.build_system`.  ``nodes`` maps each
+    non-ground node and ``branches`` each voltage source to its column;
+    every ground alias has no column (it is 0 V).
+    """
+
+    nodes: dict[str, int]
+    branches: dict[str, int]
+
+    def node_column(self, node: str) -> int | None:
+        """Column of a node, or None for ground."""
+        if node in GROUND_NAMES:
+            return None
+        try:
+            return self.nodes[node]
+        except KeyError:
+            raise UnknownName(f"unknown node {node!r}") from None
+
+    def branch_column(self, name: str) -> int:
+        """Column of a voltage source's branch current."""
+        try:
+            return self.branches[name]
+        except KeyError:
+            raise UnknownName(f"unknown voltage source {name!r}") from None
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Solved unknown vectors ``samples`` (shape ``(..., size)``) and their layout.
+
+    The leading axes index whatever the analysis stacks (sweep points,
+    time samples, frequencies, instances; none for an operating
+    point).  Each lookup returns one column over the last axis: an
+    array of the leading shape, or a Python scalar when there is none.
+    """
+
+    layout: SolutionLayout
+    samples: np.ndarray
+
+    def voltage(self, node: str):
+        """Voltage of a node [V] (zeros for a ground alias)."""
+        return self._column(self.layout.node_column(node))
+
+    def source_current(self, name: str):
+        """Branch current through a voltage source [A] (positive p -> n inside)."""
+        return self._column(self.layout.branch_column(name))
+
+    def transfer(self, node: str):
+        """Complex transfer function H(f) at a node of an AC solution."""
+        return self.voltage(node)
+
+    def _column(self, column: int | None):
+        if column is None:
+            trace = np.zeros(self.samples.shape[:-1], dtype=self.samples.dtype)
+        else:
+            trace = self.samples[..., column]
+        return trace if trace.ndim else trace.item()
+
+
+@dataclass(frozen=True)
+class EnsembleSolution(Solution):
+    """Solutions of many circuit instances: ``samples[i]`` is instance ``i``'s.
+
+    ``converged[i]`` is False for an instance whose solve failed.
+    """
+
+    converged: np.ndarray
+
+    @property
+    def n_instances(self) -> int:
+        return self.samples.shape[0]
+
+    @property
+    def n_converged(self) -> int:
+        return int(np.count_nonzero(self.converged))
+
+
 class Circuit:
     """A flat netlist with named nodes (ground: '0' / 'gnd')."""
 
@@ -100,7 +205,7 @@ class Circuit:
         self._names: set[str] = set()
         self._node_order: list[str] = []
         self._node_index: dict[str, int] = {}
-        self._n_branches = 0
+        self._sources: dict[str, VoltageSource] = {}
 
     # -- construction -----------------------------------------------------------
     def add(self, element: Element) -> Element:
@@ -111,7 +216,7 @@ class Circuit:
             self._register_node(node)
         if isinstance(element, VoltageSource):
             element.branch_index = -1  # assigned in build_system
-            self._n_branches += 1
+            self._sources[element.name] = element
         self.elements.append(element)
         return element
 
@@ -146,16 +251,14 @@ class Circuit:
     @property
     def size(self) -> int:
         """Total number of unknowns (node voltages + source branch currents)."""
-        return len(self._node_order) + self._n_branches
+        return len(self._node_order) + len(self._sources)
 
-    def node_index(self, node: str) -> int | None:
-        """Unknown-vector index of a node, or None for ground."""
-        if node in GROUND_NAMES:
-            return None
+    def source(self, name: str) -> VoltageSource:
+        """The voltage source named ``name``."""
         try:
-            return self._node_index[node]
+            return self._sources[name]
         except KeyError:
-            raise CircuitError(f"unknown node {node!r}") from None
+            raise UnknownName(f"unknown voltage source {name!r}") from None
 
     def build_system(self) -> "MNASystem":
         if not self.elements:
@@ -165,13 +268,15 @@ class Circuit:
         loop = _voltage_source_loop(self.elements)
         if loop is not None:
             raise VoltageSourceLoop(loop)
-        branch_base = len(self._node_order)
-        offset = 0
-        for element in self.elements:
-            if isinstance(element, VoltageSource):
-                element.branch_index = branch_base + offset
-                offset += 1
-        return MNASystem(self)
+        for column, source in enumerate(self._sources.values(), len(self._node_order)):
+            source.branch_index = column
+        layout = SolutionLayout(
+            nodes=dict(self._node_index),
+            branches={
+                name: source.branch_index for name, source in self._sources.items()
+            },
+        )
+        return MNASystem(self, layout)
 
 
 class MNASystem:
@@ -183,18 +288,18 @@ class MNASystem:
     types the plan does not know).  :meth:`evaluate` is the plan's
     :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` at one
     iterate.  ``update_capacitor_state`` refreshes capacitor history
-    currents at an accepted transient solution.
+    currents at an accepted transient solution.  ``layout`` names the
+    unknown vector's columns; ``node_index`` is its node lookup.
     """
 
-    def __init__(self, circuit: Circuit):
+    def __init__(self, circuit: Circuit, layout: SolutionLayout):
         self.circuit = circuit
+        self.layout = layout
+        self.node_index = layout.node_column
         self.size = circuit.size
-        self.n_nodes = len(circuit.node_names)
+        self.n_nodes = len(layout.nodes)
         self._plan = StampPlan(self)
         self.update_capacitor_state = self._plan.update_capacitor_state
-
-    def node_index(self, node: str) -> int | None:
-        return self.circuit.node_index(node)
 
     def evaluate(self, x: np.ndarray, **kwargs):
         """Fresh residual F(x) and Jacobian dF/dx: a one-row ``evaluate_many``.
@@ -252,5 +357,4 @@ class MNASystem:
         return residual, jacobian
 
     def voltage_of(self, x: np.ndarray, node: str) -> float:
-        idx = self.node_index(node)
-        return 0.0 if idx is None else float(x[idx])
+        return Solution(self.layout, x).voltage(node)

@@ -41,6 +41,10 @@ compiled stamp plan already exposes.  Three layers fix that:
   anchored at its previous solution and companion state) instead of
   poisoning the rest of the batch.
 
+Both engines return a :class:`~repro.circuit.netlist.EnsembleSolution`
+(:class:`MonteCarloResult`, :class:`TransientMCResult`): one row of
+``samples`` per instance, named by the compiled system's layout.
+
 Perturbation semantics: for a FET with unwrapped base model ``I_n`` and
 polarity sign ``s`` (see ``assembly._unwrap_polarity``), instance ``i``
 evaluates ``drive_scale[i] * s * I_n(s*vgs - vth_shift[i], s*vds)`` —
@@ -77,13 +81,12 @@ from repro.circuit.continuation import (
 )
 from repro.circuit.elements import (
     FET,
-    GROUND_NAMES,
     Capacitor,
     CurrentSource,
     Resistor,
     VoltageSource,
 )
-from repro.circuit.netlist import Circuit
+from repro.circuit.netlist import Circuit, EnsembleSolution
 from repro.circuit.resilience import ExecutionPolicy, fingerprint, run_supervised
 from repro.circuit.solver import newton_many, solve_dc
 from repro.circuit.transient import TransientResult, march, validate_grid
@@ -471,11 +474,9 @@ class ScaledShiftedFET(FETModel):
             np.asarray(vgs_values, dtype=float) - self.vth_shift_v, vds_values
         )
 
-    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
+    def linearize(self, vgs_values, vds_values):
         current, gm, gds = self.base.linearize(
-            np.asarray(vgs_values, dtype=float) - self.vth_shift_v,
-            vds_values,
-            delta_v,
+            np.asarray(vgs_values, dtype=float) - self.vth_shift_v, vds_values
         )
         return (
             current * self.drive_scale,
@@ -483,10 +484,8 @@ class ScaledShiftedFET(FETModel):
             gds * self.drive_scale,
         )
 
-    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
-        current, gm, gds = self.base.linearize_point(
-            vgs - self.vth_shift_v, vds, delta_v
-        )
+    def linearize_point(self, vgs: float, vds: float):
+        current, gm, gds = self.base.linearize_point(vgs - self.vth_shift_v, vds)
         return (
             current * self.drive_scale,
             gm * self.drive_scale,
@@ -525,7 +524,7 @@ def perturbed_circuit(
             )
             if sign < 0.0:
                 wrapped = PType(wrapped)
-            clone.add(FET(el.name, el.drain, el.gate, el.source, wrapped, el.delta_v))
+            clone.add_fet(el.name, el.drain, el.gate, el.source, wrapped)
         elif isinstance(el, Resistor):
             clone.add_resistor(el.name, el.p, el.n, el.resistance_ohm)
         elif isinstance(el, Capacitor):
@@ -557,61 +556,36 @@ class SweepStatistics:
     n_instances: int
     n_converged: int
 
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    """Stacked DC solutions of a circuit Monte Carlo run."""
-
-    x: np.ndarray
-    converged: np.ndarray
-    node_index: dict[str, int]
-    branch_index: dict[str, int]
-
-    @property
-    def n_instances(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_converged(self) -> int:
-        return int(np.count_nonzero(self.converged))
-
-    def voltage(self, node: str) -> np.ndarray:
-        """Per-instance voltage trace of one node [V]."""
-        if node in GROUND_NAMES:
-            return np.zeros(self.n_instances)
-        try:
-            return self.x[:, self.node_index[node]]
-        except KeyError:
-            raise KeyError(f"unknown node {node!r}") from None
-
-    def source_current(self, name: str) -> np.ndarray:
-        """Per-instance branch current of one voltage source [A]."""
-        try:
-            return self.x[:, self.branch_index[name]]
-        except KeyError:
-            raise KeyError(f"unknown voltage source {name!r}") from None
-
-    def take_instance(self, i: int) -> tuple[np.ndarray, bool]:
-        """(solution row, converged flag) of one instance."""
-        return self.x[i], bool(self.converged[i])
-
-    def statistics(self, node: str) -> SweepStatistics:
-        """Converged-instance statistics of one node voltage."""
-        values = self.voltage(node)[self.converged]
+    @classmethod
+    def of(cls, values: np.ndarray, n_instances: int) -> "SweepStatistics":
+        """Statistics of the converged instances' ``values``."""
         if values.size == 0:
             raise ValueError("no converged instances to summarise")
-        return SweepStatistics(
+        return cls(
             mean=float(values.mean()),
             std=float(values.std()),
             minimum=float(values.min()),
             maximum=float(values.max()),
-            n_instances=self.n_instances,
-            n_converged=self.n_converged,
+            n_instances=n_instances,
+            n_converged=values.size,
         )
 
 
+class MonteCarloResult(EnsembleSolution):
+    """Stacked DC solutions of a circuit Monte Carlo run, one row per instance."""
+
+    @property
+    def x(self) -> np.ndarray:
+        """The ``(n_instances, size)`` solutions (``samples``)."""
+        return self.samples
+
+    def statistics(self, node: str) -> SweepStatistics:
+        """Converged-instance statistics of one node voltage."""
+        return SweepStatistics.of(self.voltage(node)[self.converged], self.n_instances)
+
+
 @dataclass(frozen=True)
-class TransientMCResult:
+class TransientMCResult(EnsembleSolution):
     """Stacked transient sample trajectories of a circuit Monte Carlo run.
 
     ``samples[i, k]`` is instance ``i``'s full unknown vector at time
@@ -622,24 +596,12 @@ class TransientMCResult:
     instance's samples are NaN.
     """
 
-    samples: np.ndarray
     dt_s: float
-    converged: np.ndarray
     fallback: np.ndarray
-    node_index: dict[str, int]
-    branch_index: dict[str, int]
-
-    @property
-    def n_instances(self) -> int:
-        return self.samples.shape[0]
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def n_converged(self) -> int:
-        return int(np.count_nonzero(self.converged))
 
     @property
     def n_fallback(self) -> int:
@@ -650,44 +612,14 @@ class TransientMCResult:
         """The shared time grid [s] (one row for every instance)."""
         return self.dt_s * np.arange(self.n_samples)
 
-    def voltage(self, node: str) -> np.ndarray:
-        """(n_instances, n_samples) waveforms of one node [V]."""
-        if node in GROUND_NAMES:
-            return np.zeros((self.n_instances, self.n_samples))
-        try:
-            return self.samples[:, :, self.node_index[node]]
-        except KeyError:
-            raise KeyError(f"unknown node {node!r}") from None
-
-    def source_current(self, name: str) -> np.ndarray:
-        """(n_instances, n_samples) branch currents of one voltage source [A]."""
-        try:
-            return self.samples[:, :, self.branch_index[name]]
-        except KeyError:
-            raise KeyError(f"unknown voltage source {name!r}") from None
-
     def instance_waveforms(self, i: int) -> TransientResult:
         """One instance's trajectory as a scalar :class:`TransientResult`."""
-        w = self.samples[i]
-        voltages = {node: w[:, idx] for node, idx in self.node_index.items()}
-        currents = {name: w[:, idx] for name, idx in self.branch_index.items()}
-        return TransientResult(
-            time_s=self.time_s, voltages=voltages, source_currents=currents
-        )
+        return TransientResult(self.layout, self.samples[i], time_s=self.time_s)
 
     def statistics(self, node: str, sample: int = -1) -> SweepStatistics:
         """Converged-instance statistics of one node voltage at one sample."""
         values = self.voltage(node)[self.converged, sample]
-        if values.size == 0:
-            raise ValueError("no converged instances to summarise")
-        return SweepStatistics(
-            mean=float(values.mean()),
-            std=float(values.std()),
-            minimum=float(values.min()),
-            maximum=float(values.max()),
-            n_instances=self.n_instances,
-            n_converged=self.n_converged,
-        )
+        return SweepStatistics.of(values, self.n_instances)
 
 
 # ---------------------------------------------------------------------------
@@ -711,14 +643,6 @@ class _BatchedNewtonEngine:
         if not self.fets:
             raise ValueError("circuit has no FETs to perturb")
         self.fet_names = tuple(f.name for f in self.fets)
-        self.node_index = {
-            node: self.system.node_index(node) for node in circuit.node_names
-        }
-        self.branch_index = {
-            el.name: el.branch_index
-            for el in circuit.elements
-            if isinstance(el, VoltageSource)
-        }
 
     def _check_variation(
         self, variation: FETVariation | None, n_instances: int | None
@@ -958,12 +882,7 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
             workers=workers,
             policy=policy,
         )
-        return MonteCarloResult(
-            x=x,
-            converged=converged,
-            node_index=self.node_index,
-            branch_index=self.branch_index,
-        )
+        return MonteCarloResult(self.system.layout, x, converged)
 
     def _solve_chunk(
         self, variation: FETVariation, x0: np.ndarray
@@ -1038,12 +957,7 @@ class CircuitTransientMC(_BatchedNewtonEngine):
             policy=policy,
         )
         return TransientMCResult(
-            samples=samples,
-            dt_s=dt_s,
-            converged=converged,
-            fallback=fallback,
-            node_index=self.node_index,
-            branch_index=self.branch_index,
+            self.system.layout, samples, converged, dt_s=dt_s, fallback=fallback
         )
 
     # -- the lockstep march -----------------------------------------------------

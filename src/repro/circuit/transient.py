@@ -18,8 +18,8 @@ share three pieces:
   solutions, a caller-supplied rescue for each row that fails, and the
   companion-state update on ``(m, n_caps)`` arrays.  The scalar
   :func:`transient_samples` is its one-row case;
-* :func:`result_from_samples` — the mapping from a sample matrix to the
-  named-waveform :class:`TransientResult`.
+* :class:`TransientResult` — a :class:`~repro.circuit.netlist.Solution`
+  whose rows are the time samples, named by the system's layout.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.continuation import ConvergenceError, solve_dc_robust
-from repro.circuit.elements import GROUND_NAMES, VoltageSource
-from repro.circuit.netlist import Circuit, CircuitError, MNASystem
+from repro.circuit.netlist import Circuit, CircuitError, MNASystem, Solution
 from repro.circuit.solver import newton_many, solve_dc
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "transient",
     "march",
     "transient_samples",
-    "result_from_samples",
     "validate_grid",
 ]
 
@@ -46,26 +44,10 @@ _INTEGRATORS = ("trapezoidal", "backward-euler")
 
 
 @dataclass(frozen=True)
-class TransientResult:
-    """Waveforms from a transient run."""
+class TransientResult(Solution):
+    """Waveforms from a transient run: ``samples[k]`` is the state at ``time_s[k]``."""
 
     time_s: np.ndarray
-    voltages: dict[str, np.ndarray]
-    source_currents: dict[str, np.ndarray]
-
-    def voltage(self, node: str) -> np.ndarray:
-        if node in GROUND_NAMES:
-            return np.zeros(self.time_s.size)
-        try:
-            return self.voltages[node]
-        except KeyError:
-            raise CircuitError(f"unknown node {node!r}") from None
-
-    def source_current(self, name: str) -> np.ndarray:
-        try:
-            return self.source_currents[name]
-        except KeyError:
-            raise CircuitError(f"unknown voltage source {name!r}") from None
 
 
 def validate_grid(t_stop_s: float, dt_s: float, integrator: str) -> int:
@@ -198,25 +180,6 @@ def transient_samples(
     return samples[0]
 
 
-def result_from_samples(
-    system: MNASystem, samples: np.ndarray, dt_s: float
-) -> TransientResult:
-    """Name the columns of a raw sample matrix as waveforms."""
-    circuit = system.circuit
-    times = dt_s * np.arange(samples.shape[0])
-    voltages = {
-        node: samples[:, system.node_index(node)] for node in circuit.node_names
-    }
-    currents = {
-        el.name: samples[:, el.branch_index]
-        for el in circuit.elements
-        if isinstance(el, VoltageSource)
-    }
-    return TransientResult(
-        time_s=times, voltages=voltages, source_currents=currents
-    )
-
-
 def transient(
     circuit: Circuit,
     t_stop_s: float,
@@ -235,4 +198,6 @@ def transient(
     """
     system = circuit.build_system()
     samples = transient_samples(system, t_stop_s, dt_s, integrator, x0)
-    return result_from_samples(system, samples, dt_s)
+    return TransientResult(
+        system.layout, samples, time_s=dt_s * np.arange(samples.shape[0])
+    )

@@ -27,10 +27,10 @@ bicubic kernel), :class:`repro.devices.empirical.AlphaPowerFET` and
 derivatives) and :class:`repro.devices.empirical.NonSaturatingFET`
 (``G vds``, ``G' vds``, ``G``).  Mirror-symmetric models apply the
 source/drain chain rule through :func:`mirror_symmetric_linearize`.
-The default here — central differences with a model-owned step
-(``fd_delta_v``) — is for the physical models (ballistic CNT/GNR FETs,
-the contact wrappers, the tunnel FET), whose currents are solver
-output with no closed form to differentiate.
+The default here — central differences with step
+:data:`DEFAULT_FD_STEP` — is for the physical models (ballistic
+CNT/GNR FETs, the contact wrappers, the tunnel FET), whose currents
+are solver output with no closed form to differentiate.
 
 Vectorised models implement ``_forward_currents`` (elementwise currents
 on the ``vds >= 0`` quadrant); the base ``currents`` wraps it in the
@@ -60,8 +60,8 @@ __all__ = [
     "output_conductance",
 ]
 
-# Central-difference step [V] used when a model relies on the default
-# finite-difference linearization and the caller does not insist on one.
+# Central-difference step [V] of the default finite-difference
+# linearization.
 DEFAULT_FD_STEP = 1e-5
 
 
@@ -150,9 +150,6 @@ class FETModel(abc.ABC):
     #: symmetric-terminal FETs of this package; gated diodes set False).
     mirror_symmetric: bool = True
 
-    #: Default finite-difference step of the fallback linearization.
-    fd_delta_v: float = DEFAULT_FD_STEP
-
     #: True for models whose scalar ``current`` is itself an iterative
     #: solve (physical top-of-barrier / root-finding devices): the
     #: compiled stamp plan then keeps the batched ``linearize`` path
@@ -220,20 +217,17 @@ class FETModel(abc.ABC):
         vds = np.asarray(vds_grid, dtype=float)
         return self.currents(vgs[:, None], vds[None, :])
 
-    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
+    def linearize(self, vgs_values, vds_values):
         """Batched linearization: ``(id, gm, gds)`` at each bias point.
 
-        The default is central differences on :meth:`currents` with the
-        model-owned step ``fd_delta_v`` (callers no longer need to
-        thread a step through the hot path; passing ``delta_v``
-        explicitly remains possible for tests).  The five probe biases
-        (nominal, vgs +/- delta, vds +/- delta) are stacked into a
-        single ``currents`` call so vectorised models pay the
-        array-dispatch overhead once, not five times.  Models with
-        analytic derivatives override (with :meth:`linearize_point`)
-        and ignore ``delta_v``.
+        The default is central differences on :meth:`currents` with
+        step :data:`DEFAULT_FD_STEP`.  The five probe biases (nominal,
+        vgs +/- delta, vds +/- delta) are stacked into a single
+        ``currents`` call so vectorised models pay the array-dispatch
+        overhead once, not five times.  Models with analytic
+        derivatives override it (with :meth:`linearize_point`).
         """
-        delta_v = self.fd_delta_v if delta_v is None else delta_v
+        delta_v = DEFAULT_FD_STEP
         vgs = np.asarray(vgs_values, dtype=float)
         vds = np.asarray(vds_values, dtype=float)
         if vgs.shape != vds.shape:
@@ -251,7 +245,7 @@ class FETModel(abc.ABC):
         gds = (probes[3] - probes[4]) / (2 * delta_v)
         return probes[0], gm, gds
 
-    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
+    def linearize_point(self, vgs: float, vds: float):
         """Scalar linearization fast path: floats in, floats out.
 
         Same arithmetic as :meth:`linearize` restricted to one bias
@@ -261,7 +255,7 @@ class FETModel(abc.ABC):
         through here; analytic models override it alongside
         ``linearize``.
         """
-        delta_v = self.fd_delta_v if delta_v is None else delta_v
+        delta_v = DEFAULT_FD_STEP
         current = self.current(vgs, vds)
         gm = (
             self.current(vgs + delta_v, vds) - self.current(vgs - delta_v, vds)
@@ -315,17 +309,16 @@ class PType(FETModel):
             -np.asarray(vgs_values, dtype=float), -np.asarray(vds_values, dtype=float)
         )
 
-    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
+    def linearize(self, vgs_values, vds_values):
         # d/dv [-I_n(-v)] = +I_n'(-v): conductances carry over unsigned.
         current, gm, gds = self.nfet.linearize(
             -np.asarray(vgs_values, dtype=float),
             -np.asarray(vds_values, dtype=float),
-            delta_v,
         )
         return -current, gm, gds
 
-    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
-        current, gm, gds = self.nfet.linearize_point(-vgs, -vds, delta_v)
+    def linearize_point(self, vgs: float, vds: float):
+        current, gm, gds = self.nfet.linearize_point(-vgs, -vds)
         return -current, gm, gds
 
 

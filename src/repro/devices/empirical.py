@@ -185,8 +185,8 @@ class AlphaPowerFET(FETModel):
             * (1.0 + self.channel_modulation * vds)
         )
 
-    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
-        """Exact ``(id, gm, gds)`` in one pass; ``delta_v`` is ignored.
+    def linearize(self, vgs_values, vds_values):
+        """Exact ``(id, gm, gds)`` in one pass.
 
         ``id`` is bitwise :meth:`currents`; the derivatives are those of
         :meth:`_forward_linearize` under the mirror chain rule.
@@ -195,7 +195,7 @@ class AlphaPowerFET(FETModel):
             self._forward_linearize, vgs_values, vds_values
         )
 
-    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
+    def linearize_point(self, vgs: float, vds: float):
         return mirror_symmetric_linearize(
             self._forward_linearize_point, float(vgs), float(vds)
         )
@@ -300,14 +300,14 @@ class NonSaturatingFET(FETModel):
         shape = _softplus_array((vgs - self.vt) / self.smoothing_v)
         return self.g_on_s * shape / self._conductance_norm * vds
 
-    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
-        """Exact ``(G vds, G' vds, G)``; ``delta_v`` is ignored."""
+    def linearize(self, vgs_values, vds_values):
+        """Exact ``(G vds, G' vds, G)``."""
         vgs, vds = np.broadcast_arrays(
             np.asarray(vgs_values, dtype=float), np.asarray(vds_values, dtype=float)
         )
         return self._linearize(vgs, vds, _ARRAY_OPS)
 
-    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
+    def linearize_point(self, vgs: float, vds: float):
         return self._linearize(float(vgs), float(vds), _FLOAT_OPS)
 
     def _linearize(self, vgs, vds, ops):

@@ -62,10 +62,10 @@ class TrigateFET(FETModel):
         # ``currents`` applies the shared mirror transform exactly once.
         return self.core._forward_currents(vgs_values, vds_values)
 
-    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
+    def linearize(self, vgs_values, vds_values):
         return self.core.linearize(vgs_values, vds_values)
 
-    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
+    def linearize_point(self, vgs: float, vds: float):
         return self.core.linearize_point(vgs, vds)
 
     def current_density_a_per_m(self, vgs: float, vds: float) -> float:

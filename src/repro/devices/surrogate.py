@@ -396,11 +396,10 @@ class SurrogateFET(_TableFET):
         )
         return self._eval_forward(vgs, vds)[0]
 
-    def linearize(self, vgs_values, vds_values, delta_v: float | None = None):
+    def linearize(self, vgs_values, vds_values):
         """Analytic ``(id, gm, gds)`` from the kernel's derivatives.
 
-        ``delta_v`` is accepted for interface compatibility and ignored
-        — there is no finite-difference step.  Symmetric tables take
+        There is no finite-difference step.  Symmetric tables take
         mirrored points through :func:`mirror_symmetric_linearize`.
         """
         if self.mirror_symmetric:
@@ -410,7 +409,7 @@ class SurrogateFET(_TableFET):
         )
         return self._eval_forward(vgs, vds)
 
-    def linearize_point(self, vgs: float, vds: float, delta_v: float | None = None):
+    def linearize_point(self, vgs: float, vds: float):
         if self.mirror_symmetric:
             return mirror_symmetric_linearize(self._eval_point, float(vgs), float(vds))
         return self._eval_point(vgs, vds)

@@ -10,6 +10,7 @@ from repro.analysis.timing import (
     supply_energy_j,
 )
 from repro.circuit.cells import build_inverter
+from repro.circuit.netlist import SolutionLayout
 from repro.circuit.transient import TransientResult, transient
 from repro.circuit.waveforms import Pulse
 from repro.devices.empirical import AlphaPowerFET
@@ -22,9 +23,9 @@ def synthetic_result():
     v_out = 1.0 - np.where(t > 1.2e-9, 1.0, 0.0) * np.where(t < 3.3e-9, 1.0, 0.0)
     i_vdd = np.full_like(t, -1e-6)
     return TransientResult(
+        layout=SolutionLayout(nodes={"in": 0, "out": 1}, branches={"VDD": 2}),
+        samples=np.column_stack([v_in, v_out, i_vdd]),
         time_s=t,
-        voltages={"in": v_in, "out": v_out},
-        source_currents={"VDD": i_vdd},
     )
 
 
@@ -38,9 +39,9 @@ class TestPropagationDelays:
     def test_missing_transition_raises(self):
         t = np.linspace(0, 1e-9, 11)
         flat = TransientResult(
+            layout=SolutionLayout(nodes={"in": 0, "out": 1}, branches={}),
+            samples=np.column_stack([np.zeros_like(t), np.ones_like(t)]),
             time_s=t,
-            voltages={"in": np.zeros_like(t), "out": np.ones_like(t)},
-            source_currents={},
         )
         with pytest.raises(ValueError):
             propagation_delays(flat, "in", "out", vdd=1.0)

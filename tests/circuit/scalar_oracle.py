@@ -146,10 +146,7 @@ def dc_scalar_reference(
         x[i], report = solve_dc_robust(system)
         converged[i] = report.converged
     return MonteCarloResult(
-        x=x,
-        converged=converged,
-        node_index=engine.node_index,
-        branch_index=engine.branch_index,
+        layout=engine.system.layout, samples=x, converged=converged
     )
 
 

@@ -20,7 +20,7 @@ from repro.circuit.ac import (
 )
 from repro.circuit.cells import build_inverter
 from repro.circuit.elements import Capacitor, VoltageSource
-from repro.circuit.netlist import Circuit, CircuitError
+from repro.circuit.netlist import Circuit, CircuitError, SolutionLayout
 from repro.circuit.solver import solve_dc
 from repro.circuit.sweep import FETVariation
 from repro.circuit.waveforms import DC
@@ -117,8 +117,9 @@ def synthetic_response(magnitudes):
     magnitudes = np.asarray(magnitudes, dtype=float)
     frequencies = np.logspace(6, 6 + magnitudes.size - 1, magnitudes.size)
     return ACResult(
+        layout=SolutionLayout(nodes={"out": 0}, branches={}),
+        samples=magnitudes.astype(complex)[:, None],
         frequencies_hz=frequencies,
-        voltages={"out": magnitudes.astype(complex)},
     )
 
 
@@ -229,10 +230,11 @@ def legacy_ac(circuit, source, frequencies):
     samples = dense_frequency_loop(
         conductance, _dense_capacitance(circuit, system), rhs, frequencies
     )
-    voltages = {
-        node: samples[:, system.node_index(node)] for node in circuit.node_names
-    }
-    return ACResult(frequencies_hz=np.asarray(frequencies), voltages=voltages)
+    return ACResult(
+        layout=system.layout,
+        samples=samples,
+        frequencies_hz=np.asarray(frequencies),
+    )
 
 
 def _equivalence(circuit, source, frequencies, tolerance=1e-9):
@@ -357,10 +359,10 @@ class TestBatchedAC:
         samples[1, :, 0] = [0.5, 0.4, 0.3]
         samples[2, :, 0] = np.nan
         result = BatchedACResult(
-            frequencies_hz=frequencies,
+            layout=SolutionLayout(nodes={"out": 0}, branches={}),
             samples=samples,
             converged=np.array([True, True, False]),
-            node_index={"out": 0},
+            frequencies_hz=frequencies,
         )
         crossings = result.unity_gain_frequencies_hz("out")
         assert crossings[0] == pytest.approx(np.sqrt(1e6 * 1e7), rel=1e-12)

@@ -1,12 +1,17 @@
-"""Every circuit result type reads every ground alias as 0 V."""
+"""Every circuit result type reads every ground alias as 0 V.
+
+All seven also reject a name the circuit does not have with the same
+error, which is both a ``CircuitError`` and a ``KeyError``.
+"""
 
 import numpy as np
 import pytest
 
+from repro.circuit.ac import ac_analysis, ac_monte_carlo
 from repro.circuit.dc import dc_sweep, operating_point
 from repro.circuit.elements import GROUND_NAMES
-from repro.circuit.netlist import Circuit
-from repro.circuit.sweep import CircuitMonteCarlo, CircuitTransientMC
+from repro.circuit.netlist import Circuit, CircuitError, UnknownName
+from repro.circuit.sweep import CircuitMonteCarlo, CircuitTransientMC, FETVariation
 from repro.circuit.transient import transient
 from repro.circuit.waveforms import DC
 from repro.devices.base import PType
@@ -14,6 +19,7 @@ from repro.devices.empirical import AlphaPowerFET
 
 T_STOP = 5e-11
 DT = 1e-11
+FREQUENCIES = [1e6, 1e8, 1e10]
 
 
 def _inverter():
@@ -37,6 +43,11 @@ RESULTS = {
         lambda c: CircuitTransientMC(c).run(n_instances=2, t_stop_s=T_STOP, dt_s=DT),
         (2, 6),
     ),
+    "ACResult": (lambda c: ac_analysis(c, "VIN", FREQUENCIES), (3,)),
+    "BatchedACResult": (
+        lambda c: ac_monte_carlo(c, "VIN", FREQUENCIES, FETVariation.nominal(2, 2)),
+        (2, 3),
+    ),
 }
 
 
@@ -55,3 +66,18 @@ def test_ground_alias_reads_zero(results, result_type, alias):
     assert np.all(np.asarray(voltage) == 0.0)
     # A real node has the same shape.
     assert np.shape(result.voltage("out")) == np.shape(voltage)
+
+
+@pytest.mark.parametrize("result_type", sorted(RESULTS))
+def test_unknown_names_raise_one_error(results, result_type):
+    result = results[result_type]
+    lookups = {
+        "node": (result.voltage, result.transfer),
+        "voltage source": (result.source_current,),
+    }
+    for kind, functions in lookups.items():
+        for lookup in functions:
+            with pytest.raises(UnknownName, match=f"^unknown {kind} 'nope'$") as info:
+                lookup("nope")
+            assert isinstance(info.value, CircuitError)
+            assert isinstance(info.value, KeyError)

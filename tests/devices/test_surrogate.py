@@ -121,15 +121,6 @@ class TestAnalyticDerivatives:
         np.testing.assert_allclose(gm[interior], gm_fd[interior], rtol=1e-6, atol=1e-12)
         np.testing.assert_allclose(gds[interior], gds_fd[interior], rtol=1e-6, atol=1e-12)
 
-    def test_delta_v_knob_is_ignored(self):
-        surrogate = compile_surrogate(NonSaturatingFET())
-        vgs = np.array([0.3, 0.9])
-        vds = np.array([0.2, -0.7])
-        base = surrogate.linearize(vgs, vds)
-        huge_step = surrogate.linearize(vgs, vds, delta_v=0.25)
-        for a, b in zip(base, huge_step):
-            assert np.array_equal(a, b)
-
     def test_linearize_point_bitwise_matches_array_path(self):
         surrogate = compile_surrogate(AlphaPowerFET())
         rng = np.random.default_rng(11)

@@ -92,7 +92,7 @@ def test_linearize_matches_scalar_finite_differences():
     device = PType(_FiniteDifferenceOnly())
     vgs, vds = _bias_grid(40)
     delta_v = 1e-5
-    current, gm, gds = device.linearize(vgs, vds, delta_v)
+    current, gm, gds = device.linearize(vgs, vds)
     for k in range(vgs.size):
         g, d = float(vgs[k]), float(vds[k])
         assert float(current[k]) == pytest.approx(device.current(g, d), rel=1e-12)

@@ -25,26 +25,12 @@ from repro.cli import EXPERIMENTS, PHYSICAL_EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# The experiments snapshotted: the two circuit-level artefacts the
-# solver/assembly refactors must not move, the ablation sweeps, the
-# seeded Section V Monte-Carlo pipeline, the transient-MC timing rows
-# (corner sweep + device-spread delay/energy distribution), the
-# spline-surrogate accuracy report, and the variation-aware RF
-# comparison (nominal table + seeded corner/batched-AC distributions).
-GOLDEN_EXPERIMENTS = (
-    "fig2",
-    "cascade",
-    "ablations",
-    "integration",
-    "timing",
-    "surrogate",
-    "rf",
-)
-
-# Each ``--physical`` run (the same artefact on the surrogate-compiled
-# ballistic CNT-FET) is pinned as ``<name>_physical``.
+# Every CLI experiment is pinned, and each ``--physical`` run (the same
+# artefact on the surrogate-compiled ballistic CNT-FET) as
+# ``<name>_physical``; an experiment added to the registry without its
+# golden file fails ``test_golden_files_are_committed``.
 GOLDEN_RUNNERS = {
-    **{name: EXPERIMENTS[name][1] for name in GOLDEN_EXPERIMENTS},
+    **{name: runner for name, (_, runner) in EXPERIMENTS.items()},
     **{f"{name}_physical": runner for name, runner in PHYSICAL_EXPERIMENTS.items()},
 }
 
@@ -88,7 +74,7 @@ def test_cli_output_matches_golden(name, request):
             )
             continue
         assert current[1:] == pytest.approx(
-            expected[1:], rel=RELATIVE_TOLERANCE, abs=ABSOLUTE_TOLERANCE
+            expected[1:], rel=RELATIVE_TOLERANCE, abs=ABSOLUTE_TOLERANCE, nan_ok=True
         ), f"{name}: row {current[0]!r} drifted from golden"
 
 
