@@ -11,7 +11,9 @@ structural seeder plus adaptive gmin stepping, adaptive source
 ramping, and pseudo-transient continuation, with every Newton attempt
 recorded in a :class:`ConvergenceReport` — deep FET chains and ring
 oscillators solve with no hand-fed initial guess, and failures raise
-:class:`ConvergenceError` carrying the full ladder history.
+:class:`ConvergenceError` carrying the full ladder history.  The
+ladder runs on stacks, so a scalar solve, a transient step rescue and
+a Monte Carlo straggler take the same attempts.
 
 Every analysis returns a :class:`Solution`: a stack of unknown vectors
 plus the one :class:`SolutionLayout` that ``build_system()`` derives
@@ -55,9 +57,10 @@ factorized per instance against the plan's shared symbolic ordering —
 with one batched ``linearize`` call per device group either way; and
 :class:`CircuitTransientMC` extends
 the same batched Newton through time-stepping — N instances marched in
-lockstep over one shared ``(dt, integrator)`` grid, with per-instance
-scalar fallback for instances that fail a step — the substrate for the
-paper's variability/yield statistics and delay/energy distributions.
+lockstep over one shared ``(dt, integrator)`` grid, with the stacked
+continuation ladder for the instances that fail a step — the substrate
+for the paper's variability/yield statistics and delay/energy
+distributions.
 Waveforms are bitwise invariant to chunk size, instance order, and
 serial vs. process-pool execution.
 

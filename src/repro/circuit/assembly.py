@@ -729,8 +729,8 @@ class StampPlan:
         previous_x: np.ndarray | None = None,
         integrator: str = "trapezoidal",
         state: dict | np.ndarray | None = None,
-        source_scale: float = 1.0,
-        gmin: float = 0.0,
+        source_scale: float | np.ndarray = 1.0,
+        gmin: float | np.ndarray = 0.0,
         gmin_ref: np.ndarray | None = None,
         variation: FETVariation | None = None,
     ):
@@ -749,7 +749,9 @@ class StampPlan:
         ``(n_caps,)`` array, or per row ``(m, n_caps)`` in
         ``cap_names`` order.  ``gmin`` shunts every node to ground, or
         with ``gmin_ref`` to that reference vector (the pseudo-transient
-        stamp ``gmin * (x - gmin_ref)``).  ``variation`` (a
+        stamp ``gmin * (x - gmin_ref)``); ``gmin`` and ``source_scale``
+        are shared scalars or per row ``(m,)``, ``gmin_ref`` shared
+        ``(size,)`` or per row ``(m, size)``.  ``variation`` (a
         :class:`~repro.circuit.sweep.FETVariation` with ``m`` rows)
         scales each FET's current and shifts its n-type threshold.
 
@@ -791,6 +793,8 @@ class StampPlan:
         else:
             np.matmul(linear.matrix, x_stack[..., None], out=rpad[:, :size, None])
         rflat = rpad.reshape(-1)
+        if isinstance(source_scale, np.ndarray):
+            source_scale = source_scale[:, None]
         if self.vsrc_branch.size:
             levels = np.array([el.level(time_s) for el in self.vsources])
             rflat[layout.sources[0]] -= _per_row(source_scale * levels, m)
@@ -858,15 +862,21 @@ class StampPlan:
             np.add.at(jflat, jacobian_at, entries)
 
         residual = rpad[:, :size]
-        if gmin > 0.0:
+        if isinstance(gmin, np.ndarray) or gmin > 0.0:
+            # Only shunted rows are touched, so a row's arithmetic does
+            # not depend on whether its neighbours carry a shunt.
             n_nodes = self.n_nodes
-            residual[:, :n_nodes] += gmin * x_stack[:, :n_nodes]
+            gmin = np.broadcast_to(gmin, (m,))
+            shunted = np.flatnonzero(gmin > 0.0)
+            g = gmin[shunted, None]
+            residual[shunted, :n_nodes] += g * x_stack[shunted, :n_nodes]
             if gmin_ref is not None:
-                residual[:, :n_nodes] -= gmin * gmin_ref[:n_nodes]
+                ref = np.broadcast_to(gmin_ref, (m, size))[shunted, :n_nodes]
+                residual[shunted, :n_nodes] -= g * ref
             if schedule is not None:
-                jac[:, schedule.node_diag_pos] += gmin
+                jac[shunted[:, None], schedule.node_diag_pos] += g
             else:
-                np.einsum("ijj->ij", jac)[:, :n_nodes] += gmin
+                np.einsum("ijj->ij", jac)[shunted, :n_nodes] += g
         return residual, jac
 
     # -- transient support ----------------------------------------------------------

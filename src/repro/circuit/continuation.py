@@ -27,27 +27,33 @@ guess.  This module replaces them with a proper continuation subsystem:
   gmin stamp with a reference vector (``gmin_ref``), stamped by both
   the compiled plan and the reference evaluator.
 
-Every Newton attempt is recorded in a :class:`ConvergenceReport`
-(strategy, continuation parameter, iteration count, final residual), so
-a failed solve raises :class:`ConvergenceError` carrying the full
-ladder history instead of a bare message.
+:func:`ladder_many` walks every row of a stack through the ladder on
+its own continuation parameter; :func:`solve_dc_robust` is its one-row
+call.  Every Newton attempt is recorded in the row's
+:class:`ConvergenceReport` (strategy, continuation parameter, iteration
+count, final residual), so a failed solve raises
+:class:`ConvergenceError` carrying the full ladder history instead of a
+bare message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.circuit.assembly import _unwrap_polarity
 from repro.circuit.elements import FET, GROUND_NAMES, Resistor, VoltageSource
 from repro.circuit.netlist import CircuitError, MNASystem
-from repro.circuit.solver import newton_solve
+from repro.circuit.solver import NewtonRows, newton_many, take_rows
 
 __all__ = [
     "ConvergenceError",
     "ConvergenceReport",
+    "LadderRows",
     "StageAttempt",
+    "ladder_many",
     "solve_dc_robust",
     "structural_seed",
 ]
@@ -92,7 +98,7 @@ class StageAttempt:
 
 @dataclass
 class ConvergenceReport:
-    """Ladder history threaded through ``newton_solve``/``solve_dc``."""
+    """One row's ladder history, as :func:`ladder_many` recorded it."""
 
     attempts: list[StageAttempt] = field(default_factory=list)
     converged: bool = False
@@ -187,9 +193,8 @@ def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarra
     fets = [el for el in circuit.elements if isinstance(el, FET)]
     resistors = [el for el in circuit.elements if isinstance(el, Resistor)]
 
-    # Pin source-determined nodes (fixpoint handles stacked sources).
-    changed = True
-    while changed:
+    def pin_sources() -> bool:
+        """Pin every node a source fixes from a known terminal (one pass)."""
         changed = False
         for el in vsources:
             vp, vn = get(el.p), get(el.n)
@@ -197,6 +202,11 @@ def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarra
                 changed |= put(el.p, vn + el.level(time_s))
             elif vn is None and vp is not None:
                 changed |= put(el.n, vp - el.level(time_s))
+        return changed
+
+    # Pin source-determined nodes (fixpoint handles stacked sources).
+    while pin_sources():
+        pass
 
     rails = [0.0, *known.values()]
     v_lo, v_hi = min(rails), max(rails)
@@ -217,15 +227,9 @@ def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarra
     threshold = _SEED_ON_FRACTION * span
     max_passes = system.n_nodes + len(circuit.elements) + 1
     for _ in range(max_passes):
-        changed = False
-        for el in vsources:
-            vp, vn = get(el.p), get(el.n)
-            if vp is None and vn is not None:
-                changed |= put(el.p, vn + el.level(time_s))
-            elif vn is None and vp is not None:
-                changed |= put(el.n, vp - el.level(time_s))
-        if changed:
+        if pin_sources():
             continue
+        changed = False
         for el in fets:
             vg, vs = get(el.gate), get(el.source)
             if vg is None or vs is None or get(el.drain) is not None:
@@ -253,59 +257,134 @@ def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarra
     return x
 
 
+class _Attempt(NamedTuple):
+    """One Newton attempt a row's ladder asks for."""
+
+    stage: str
+    parameter: float | None
+    x_from: np.ndarray
+    gmin: float = 0.0
+    source_scale: float = 1.0
+    anchored: bool = False  # PTC: the gmin shunt pulls toward ``x_from``
+
+
+class LadderRows(NamedTuple):
+    """Per-row outcome of :func:`ladder_many`."""
+
+    x: np.ndarray  # (m, size) solutions, or each failed row's best iterate
+    converged: np.ndarray  # (m,) bool
+    first: NewtonRows  # every row's plain-Newton attempt
+    reports: dict[int, ConvergenceReport]  # the rows that walked the ladder
+
+    @property
+    def entered(self) -> np.ndarray:
+        """Rows whose plain Newton failed, so they walked the ladder."""
+        return ~self.first.converged
+
+    def report(self, i: int) -> ConvergenceReport:
+        """Row ``i``'s ladder history (built on demand for plain-Newton rows)."""
+        report = self.reports.get(i)
+        if report is None:
+            report = ConvergenceReport(converged=True, strategy="newton")
+            report.record(
+                "newton", None, int(self.first.iterations[i]), self.first.norm[i], True
+            )
+        return report
+
+
+def ladder_many(plan, x0: np.ndarray, **eval_kwargs) -> LadderRows:
+    """Continuation ladder on every row of the ``(m, size)`` stack ``x0``.
+
+    Each row tries, in order: plain Newton from its ``x0`` row, adaptive
+    gmin stepping, adaptive source ramping and pseudo-transient
+    continuation, walking its own continuation parameter.  A round is
+    one :func:`~repro.circuit.solver.newton_many` call over the rows
+    still walking, each at its own ``gmin``/``source_scale`` (and PTC
+    anchor), so row ``i`` takes exactly the attempts a one-row call on
+    it takes; with a ``variation`` its results are bitwise those of the
+    one-row call.  ``eval_kwargs`` follow ``newton_many``; per-row
+    values (``variation``, ``(m, size)`` ``previous_x``, ``(m,
+    n_caps)`` ``state``) narrow with the walking rows.  Rows that
+    converge on plain Newton cost no per-row Python work: their
+    reports are built only when asked for.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    first = newton_many(plan, x0, **eval_kwargs)
+    x, converged = first.x.copy(), first.converged.copy()
+    reports: dict[int, ConvergenceReport] = {}
+    walks: dict[int, tuple] = {}  # row -> (its walk, the attempt it asks next)
+    for i in np.flatnonzero(~converged).tolist():
+        reports[i] = ConvergenceReport()
+        reports[i].record("newton", None, int(first.iterations[i]), first.norm[i], False)
+        walk = _walk(x0[i])
+        walks[i] = (walk, next(walk))
+    while walks:
+        rows = np.fromiter(walks, dtype=np.intp, count=len(walks))
+        attempts = [attempt for _, attempt in walks.values()]
+        x_from = np.array([a.x_from for a in attempts])
+        anchored = np.array([a.anchored for a in attempts])
+        result = newton_many(
+            plan,
+            x_from,
+            **take_rows(eval_kwargs, rows),
+            gmin=np.array([a.gmin for a in attempts]),
+            source_scale=np.array([a.source_scale for a in attempts]),
+            gmin_ref=np.where(anchored[:, None], x_from, 0.0) if anchored.any() else None,
+        )
+        for k, (i, (walk, attempt)) in enumerate(list(walks.items())):
+            ok = bool(result.converged[k])
+            reports[i].record(
+                attempt.stage, attempt.parameter, int(result.iterations[k]), result.norm[k], ok
+            )
+            try:
+                walks[i] = (walk, walk.send((result.x[k], ok)))
+            except StopIteration as done:
+                del walks[i]
+                x[i], converged[i] = done.value
+                if converged[i]:
+                    reports[i].converged, reports[i].strategy = True, attempt.stage
+    return LadderRows(x, converged, first, reports)
+
+
 def solve_dc_robust(
     system: MNASystem, x0: np.ndarray | None = None, **eval_kwargs
 ) -> tuple[np.ndarray, ConvergenceReport]:
     """DC solve through the continuation ladder; never raises.
 
-    Tries, in order: plain Newton from ``x0`` (or the structural seed),
-    adaptive gmin stepping, adaptive source ramping, pseudo-transient
-    continuation.  Returns the best iterate and the full
+    The one-row call of :func:`ladder_many`, from ``x0`` or the
+    structural seed.  Returns the best iterate and the full
     :class:`ConvergenceReport`; check ``report.converged``.
     """
-    report = ConvergenceReport()
     seed = (
         structural_seed(system, eval_kwargs.get("time_s"))
         if x0 is None
         else np.array(x0, dtype=float)
     )
-
-    x, ok = newton_solve(system, seed, report=report, stage="newton", **eval_kwargs)
-    if not ok:
-        for strategy, runner in (
-            ("gmin", _gmin_stepping),
-            ("source", _source_ramping),
-            ("ptc", _pseudo_transient),
-        ):
-            x, ok = runner(system, seed, report, **eval_kwargs)
-            if ok:
-                break
-    if ok:
-        report.converged = True
-        report.strategy = report.attempts[-1].stage if report.attempts else "newton"
-    return x, report
+    rows = ladder_many(system._plan, seed[None], **eval_kwargs)
+    return rows.x[0], rows.report(0)
 
 
-def _gmin_stepping(
-    system: MNASystem,
-    seed: np.ndarray,
-    report: ConvergenceReport,
-    **eval_kwargs,
-) -> tuple[np.ndarray, bool]:
+# Each strategy below is one row's walk: it yields the :class:`_Attempt`
+# it needs next and receives that attempt's ``(x, converged)``.
+
+
+def _walk(seed: np.ndarray):
+    """A row's ladder after plain Newton failed; returns ``(x, converged)``."""
+    for strategy in (_gmin_stepping, _source_ramping, _pseudo_transient):
+        x, ok = yield from strategy(seed)
+        if ok:
+            break
+    return x, ok
+
+
+def _gmin_stepping(seed: np.ndarray):
     """Adaptive gmin ladder: backtrack and refine the schedule on failure."""
-
-    def solve(x_from, gmin):
-        return newton_solve(
-            system, x_from, gmin=gmin, report=report, stage="gmin",
-            parameter=gmin, **eval_kwargs,
-        )
-
-    x = np.array(seed)
+    x = seed
     gmin = _GMIN_START
     solves = 0
     # Anchor the ladder: escalate gmin until Newton lands somewhere.
     while True:
-        x_try, ok = solve(x, gmin)
+        x_try, ok = yield _Attempt("gmin", gmin, x, gmin=gmin)
         solves += 1
         if ok:
             x = x_try
@@ -316,7 +395,7 @@ def _gmin_stepping(
 
     factor = 10.0
     while gmin > _GMIN_FLOOR and solves < _MAX_STAGE_SOLVES:
-        x_try, ok = solve(x, gmin / factor)
+        x_try, ok = yield _Attempt("gmin", gmin / factor, x, gmin=gmin / factor)
         solves += 1
         if ok:
             x, gmin = x_try, gmin / factor
@@ -326,32 +405,20 @@ def _gmin_stepping(
             if factor < _GMIN_FACTOR_MIN:
                 return x, False
 
-    x_final, ok = solve(x, 0.0)
+    x_final, ok = yield _Attempt("gmin", 0.0, x)
     return (x_final, True) if ok else (x, False)
 
 
-def _source_ramping(
-    system: MNASystem,
-    seed: np.ndarray,
-    report: ConvergenceReport,
-    **eval_kwargs,
-) -> tuple[np.ndarray, bool]:
+def _source_ramping(seed: np.ndarray):
     """Adaptive source ramp 0 -> 100 % with step refinement on failure."""
-
-    def solve(x_from, scale):
-        return newton_solve(
-            system, x_from, source_scale=scale, report=report, stage="source",
-            parameter=scale, **eval_kwargs,
-        )
-
-    x, ok = solve(np.zeros(system.size), 0.0)
+    x, ok = yield _Attempt("source", 0.0, np.zeros_like(seed), source_scale=0.0)
     if not ok:
         return x, False
     scale, step = 0.0, _SOURCE_STEP_START
     solves = 0
     while scale < 1.0 and solves < _MAX_STAGE_SOLVES:
         target = min(1.0, scale + step)
-        x_try, ok = solve(x, target)
+        x_try, ok = yield _Attempt("source", target, x, source_scale=target)
         solves += 1
         if ok:
             x, scale = x_try, target
@@ -363,12 +430,7 @@ def _source_ramping(
     return x, scale >= 1.0
 
 
-def _pseudo_transient(
-    system: MNASystem,
-    seed: np.ndarray,
-    report: ConvergenceReport,
-    **eval_kwargs,
-) -> tuple[np.ndarray, bool]:
+def _pseudo_transient(seed: np.ndarray):
     """Pseudo-transient continuation: relax F(x) + alpha (x - x_k) = 0.
 
     The damping term anchors each solve at the previous pseudo-time
@@ -376,23 +438,17 @@ def _pseudo_transient(
     relaxes toward zero on success and stiffens on failure, like an
     adaptive implicit-Euler startup transient with node capacitors.
     """
-    x = np.array(seed)
+    x = seed
     alpha = _PTC_ALPHA_START
     solves = 0
     while solves < _MAX_STAGE_SOLVES:
-        x_try, ok = newton_solve(
-            system, x, gmin=alpha, gmin_ref=x, report=report, stage="ptc",
-            parameter=alpha, **eval_kwargs,
-        )
+        x_try, ok = yield _Attempt("ptc", alpha, x, gmin=alpha, anchored=True)
         solves += 1
         if ok:
             moved = float(np.max(np.abs(x_try - x)))
             x = x_try
             if alpha <= _PTC_ALPHA_FLOOR:
-                x_final, ok = newton_solve(
-                    system, x, report=report, stage="ptc", parameter=0.0,
-                    **eval_kwargs,
-                )
+                x_final, ok = yield _Attempt("ptc", 0.0, x)
                 return (x_final, True) if ok else (x, False)
             # Relax faster once the pseudo-transient has settled.
             alpha /= 4.0 if moved < 1e-6 else 2.0

@@ -92,6 +92,8 @@ _CHECKPOINT_VERSION = 1
 
 #: Upper bound on the backoff sleep between pool rebuilds [s].
 _BACKOFF_CAP_S = 2.0
+#: Growth of the backoff sleep per successive pool rebuild.
+_BACKOFF_FACTOR = 2.0
 
 
 def fingerprint(obj) -> str:
@@ -310,8 +312,8 @@ class ExecutionPolicy:
     ``timeout_s`` bounds each pooled chunk attempt (None = wait
     forever; serial execution is never preempted).  A chunk gets
     ``max_retries + 1`` pooled attempts before degrading to the serial
-    rung (``degrade_serial``); ``backoff_s``/``backoff_factor`` shape
-    the exponential wait before each pool rebuild.  ``checkpoint_root``
+    rung (``degrade_serial``); ``backoff_s`` is the base of the
+    exponential wait before each pool rebuild.  ``checkpoint_root``
     enables chunk-granular persistence/resume; ``fault_plan`` injects
     deterministic faults (tests and the CI chaos smoke).  Completed
     :class:`RunReport` objects are appended to ``reports``, including
@@ -321,7 +323,6 @@ class ExecutionPolicy:
     timeout_s: float | None = None
     max_retries: int = 2
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     degrade_serial: bool = True
     checkpoint_root: str | Path | None = None
     fault_plan: FaultPlan | None = None
@@ -332,13 +333,13 @@ class ExecutionPolicy:
             raise ValueError("timeout_s must be positive (or None)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_s < 0.0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff_s >= 0 and backoff_factor >= 1 required")
+        if self.backoff_s < 0.0:
+            raise ValueError("backoff_s must be >= 0")
 
     def backoff_for(self, rebuild: int) -> float:
         """Sleep before the ``rebuild``-th pool reconstruction [s]."""
         return min(
-            self.backoff_s * self.backoff_factor ** max(rebuild - 1, 0),
+            self.backoff_s * _BACKOFF_FACTOR ** max(rebuild - 1, 0),
             _BACKOFF_CAP_S,
         )
 

@@ -2,13 +2,14 @@
 
 :func:`newton_many` is the one damped-Newton iteration in the package,
 on an ``(m, size)`` stack of iterates: :func:`newton_solve` is its
-one-row call, and the sweep engines (:mod:`repro.circuit.sweep`) and
-the time-step loop (:mod:`repro.circuit.transient`) call it with one
-row per instance.  Convergence is a single relative+absolute test on
-the max-norm residual — the same criterion at the main exit, on step
-stall and at iteration exhaustion, so "converged" means one thing
-everywhere.  The line search halves the damping: each round evaluates
-one candidate per pending row in one
+one-row call, and the continuation ladder
+(:func:`repro.circuit.continuation.ladder_many`) and the time-step loop
+(:mod:`repro.circuit.transient`) call it with one row per instance.
+Convergence is a single relative+absolute test on the max-norm
+residual — the same criterion at the main exit, on step stall and at
+iteration exhaustion, so "converged" means one thing everywhere.
+The line search halves the damping: each round evaluates one
+candidate per pending row in one
 :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` call and
 accepts the first candidate that reduces the row's residual — the one
 a sequential halving ladder would accept.
@@ -41,7 +42,14 @@ from scipy.sparse.linalg import splu  # noqa: F401
 from repro.circuit.assembly import DIAG_REGULARIZATION
 from repro.circuit.netlist import MNASystem
 
-__all__ = ["NewtonRows", "newton_many", "newton_solve", "solve_dc", "operating_point"]
+__all__ = [
+    "NewtonRows",
+    "newton_many",
+    "newton_solve",
+    "operating_point",
+    "solve_dc",
+    "take_rows",
+]
 
 _MAX_ITERATIONS = 120
 _RESIDUAL_ATOL = 1e-10
@@ -49,9 +57,9 @@ _RESIDUAL_RTOL = 1e-9
 _STEP_TOL = 1e-10
 _MAX_TRIALS = 30
 
-# Evaluation keywords that may carry one row per iterate; the line
-# search narrows them to its pending rows.
-_ROW_KWARGS = ("previous_x", "state")
+# Evaluation keywords that may carry one value per row, by the ndim
+# of their per-row form (shared values have one dimension less).
+_ROW_NDIM = {"previous_x": 2, "state": 2, "gmin_ref": 2, "gmin": 1, "source_scale": 1}
 
 
 class NewtonRows(NamedTuple):
@@ -61,6 +69,22 @@ class NewtonRows(NamedTuple):
     converged: np.ndarray  # (m,) bool
     iterations: np.ndarray  # (m,) Newton steps taken
     norm: np.ndarray  # (m,) final max-norm residuals
+
+
+def take_rows(eval_kwargs: dict, rows: np.ndarray) -> dict:
+    """The evaluation keywords of stack rows ``rows``.
+
+    ``variation`` and the per-row arrays (``previous_x``, ``state``,
+    ``gmin_ref``, ``gmin``, ``source_scale``) are narrowed to ``rows``;
+    shared values pass through.
+    """
+    kwargs = dict(eval_kwargs)
+    for key, value in eval_kwargs.items():
+        if key == "variation":
+            kwargs[key] = None if value is None else value.take(rows)
+        elif isinstance(value, np.ndarray) and value.ndim == _ROW_NDIM.get(key):
+            kwargs[key] = value[rows]
+    return kwargs
 
 
 def _solve_stack(plan, jacobians, residuals, linear, dt_s, integrator):
@@ -104,8 +128,6 @@ def newton_many(
     plan,
     x0: np.ndarray,
     *,
-    variation=None,
-    gmin: float = 0.0,
     max_iterations: int = _MAX_ITERATIONS,
     **eval_kwargs,
 ) -> NewtonRows:
@@ -120,19 +142,17 @@ def newton_many(
 
     ``eval_kwargs`` follow
     :meth:`~repro.circuit.assembly.StampPlan.evaluate_many`:
-    ``previous_x`` ``(m, size)`` and ``state`` ``(m, n_caps)`` are per
-    row, like ``variation`` (a
-    :class:`~repro.circuit.sweep.FETVariation` with ``m`` rows); a
-    ``(size,)`` ``previous_x`` or a ``state`` dict is shared.  Every
+    ``previous_x``/``gmin_ref`` ``(m, size)``, ``state`` ``(m,
+    n_caps)`` and ``gmin``/``source_scale`` ``(m,)`` are per row, like
+    ``variation`` (a :class:`~repro.circuit.sweep.FETVariation` with
+    ``m`` rows); :func:`take_rows` narrows them.  Every
     step is elementwise per row, so a row's result does not depend on
     its neighbours; a lone dense row calls the same LAPACK ``gesv`` as
     a batched stack (the chunk-size suites hold the two bitwise equal).
     """
     x_out = np.array(x0, dtype=float)
     m = x_out.shape[0]
-    residual, jacobian = plan.evaluate_many(
-        x_out, gmin=gmin, variation=variation, **eval_kwargs
-    )
+    residual, jacobian = plan.evaluate_many(x_out, **eval_kwargs)
     norm_out = np.abs(residual).max(axis=1)
     tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm_out
     iterations = np.zeros(m, dtype=int)
@@ -148,16 +168,8 @@ def newton_many(
 
     def evaluate(x_rows, rows):
         """Evaluate at ``x_rows``, the iterates of working rows ``rows``."""
-        kwargs, sub = eval_kwargs, variation
-        if rows.size < m:
-            rows = idx[rows]
-            kwargs = dict(eval_kwargs)
-            for key in _ROW_KWARGS:
-                value = kwargs.get(key)
-                if isinstance(value, np.ndarray) and value.ndim == 2:
-                    kwargs[key] = value[rows]
-            sub = None if variation is None else variation.take(rows)
-        return plan.evaluate_many(x_rows, gmin=gmin, variation=sub, **kwargs)
+        kwargs = eval_kwargs if rows.size == m else take_rows(eval_kwargs, idx[rows])
+        return plan.evaluate_many(x_rows, **kwargs)
 
     def retire(leave, steps_taken):
         """Write the leaving rows' final state out; compact the rest."""
@@ -176,7 +188,7 @@ def newton_many(
 
     # Linear-only circuits reuse the plan's cached LU of the constant
     # matrix instead of refactorizing the identical Jacobian every step.
-    linear = plan.linear_only and gmin == 0.0
+    linear = plan.linear_only and not np.any(eval_kwargs.get("gmin", 0.0))
     dt_s = eval_kwargs.get("dt_s")
     integrator = eval_kwargs.get("integrator", "trapezoidal")
 
@@ -239,35 +251,16 @@ def newton_many(
 
 
 def newton_solve(
-    system: MNASystem,
-    x0: np.ndarray,
-    source_scale: float = 1.0,
-    gmin: float = 0.0,
-    report=None,
-    stage: str = "newton",
-    parameter: float | None = None,
-    **eval_kwargs,
+    system: MNASystem, x0: np.ndarray, **eval_kwargs
 ) -> tuple[np.ndarray, bool]:
     """Damped Newton from ``x0``; returns (solution, converged).
 
-    The one-row call of :func:`newton_many`.  When ``report`` (a
-    :class:`~repro.circuit.continuation.ConvergenceReport`) is given,
-    the attempt is recorded under ``stage``/``parameter`` with its
-    iteration count and final residual.
+    The one-row call of :func:`newton_many`.
     """
     rows = newton_many(
-        system._plan,
-        np.asarray(x0, dtype=float)[None],
-        source_scale=source_scale,
-        gmin=gmin,
-        **eval_kwargs,
+        system._plan, np.asarray(x0, dtype=float)[None], **eval_kwargs
     )
-    converged = bool(rows.converged[0])
-    if report is not None:
-        report.record(
-            stage, parameter, int(rows.iterations[0]), rows.norm[0], converged
-        )
-    return rows.x[0], converged
+    return rows.x[0], bool(rows.converged[0])
 
 
 def solve_dc(

@@ -23,23 +23,25 @@ compiled stamp plan already exposes.  Three layers fix that:
   only configures it.
 * :class:`CircuitMonteCarlo` — the DC circuit engine.  It compiles a
   circuit's stamp plan **once** and solves N parameter-perturbed
-  instances with the package's one damped-Newton loop,
-  :func:`repro.circuit.solver.newton_many`, one row per instance:
-  stacked residuals and Jacobians (dense ``(m, size, size)``, or CSR
-  ``data`` stacks ``(m, nnz)`` on the plan's canonical sparse
-  pattern), every FET group's bias points across *all* instances
-  batched into a single ``linearize`` call.  Per-instance
-  device-parameter arrays (:class:`FETVariation`: drive-strength scale
-  and threshold shift) thread through without touching the device
-  models.
+  instances with the package's one continuation ladder,
+  :func:`repro.circuit.continuation.ladder_many`, one row per
+  instance: plain damped Newton
+  (:func:`repro.circuit.solver.newton_many`) on stacked residuals and
+  Jacobians (dense ``(m, size, size)``, or CSR ``data`` stacks ``(m,
+  nnz)`` on the plan's canonical sparse pattern), every FET group's
+  bias points across *all* instances batched into a single
+  ``linearize`` call, and the adaptive gmin / source / pseudo-transient
+  ladder, still stacked, for the instances plain Newton leaves behind.
+  Per-instance device-parameter arrays (:class:`FETVariation`:
+  drive-strength scale and threshold shift) thread through without
+  touching the device models.
 * :class:`CircuitTransientMC` — the transient circuit engine.  It
   marches all N instances through one shared ``(dt, integrator)`` time
   grid in lockstep with the one time-step loop,
-  :func:`repro.circuit.transient.march`.  An instance whose time step
-  fails batched Newton **falls back to the scalar continuation rescue
-  individually** (on an explicitly perturbed clone of the circuit,
-  anchored at its previous solution and companion state) instead of
-  poisoning the rest of the batch.
+  :func:`repro.circuit.transient.march`.  The instances whose time
+  step fails batched Newton walk the same stacked ladder, anchored at
+  their previous solutions and companion state, instead of poisoning
+  the rest of the batch.
 
 Both engines return a :class:`~repro.circuit.netlist.EnsembleSolution`
 (:class:`MonteCarloResult`, :class:`TransientMCResult`): one row of
@@ -52,8 +54,7 @@ a multiplicative drive variation (tube count / mobility) plus a shift
 of the underlying n-type threshold, both of which preserve the shared
 sparsity structure and the batched linearize call.  The scalar
 reference of those semantics is :class:`ScaledShiftedFET` /
-:func:`perturbed_circuit`, used by the per-instance fallbacks and the
-equivalence test suite.
+:func:`perturbed_circuit`, used by the equivalence test suites.
 
 Determinism contract: every batched arithmetic step is elementwise per
 instance (batched gemv for the linear residual, per-matrix LAPACK
@@ -75,10 +76,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.circuit.assembly import UnsupportedElement, _unwrap_polarity
-from repro.circuit.continuation import (
-    solve_dc_robust,
-    structural_seed,
-)
+from repro.circuit.continuation import ladder_many, structural_seed
 from repro.circuit.elements import (
     FET,
     Capacitor,
@@ -88,7 +86,7 @@ from repro.circuit.elements import (
 )
 from repro.circuit.netlist import Circuit, EnsembleSolution
 from repro.circuit.resilience import ExecutionPolicy, fingerprint, run_supervised
-from repro.circuit.solver import newton_many, solve_dc
+from repro.circuit.solver import solve_dc
 from repro.circuit.transient import TransientResult, march, validate_grid
 from repro.devices.base import FETModel, PType
 
@@ -117,10 +115,6 @@ DEFAULT_SUBSTREAM_BLOCK = 256
 # Monte Carlo engines: wide enough to amortize the per-Newton-iteration
 # Python overhead, small enough to keep the stacked Jacobians in cache.
 DEFAULT_CIRCUIT_CHUNK = 1024
-
-# gmin staircase for batch stragglers (same spirit as continuation's
-# adaptive stepping, fixed schedule — only ever runs on failures).
-_GMIN_RESCUE_LADDER = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 0.0)
 
 
 def _as_blocks(n: int, block: int) -> list[tuple[int, int]]:
@@ -450,8 +444,8 @@ class ScaledShiftedFET(FETModel):
     The multiplication/subtraction order matches the batched engines'
     arithmetic exactly, so a circuit rebuilt from these wrappers (see
     :func:`perturbed_circuit`) evaluates bitwise-identically to the
-    corresponding batch row and serves both as the per-instance scalar
-    fallback and as the reference side of the equivalence tests.
+    corresponding batch row: the reference side of the equivalence
+    tests.
     """
 
     def __init__(self, base: FETModel, drive_scale: float, vth_shift_v: float):
@@ -590,10 +584,10 @@ class TransientMCResult(EnsembleSolution):
 
     ``samples[i, k]`` is instance ``i``'s full unknown vector at time
     sample ``k`` (``k = 0`` is the t=0 operating point).  ``fallback``
-    marks instances whose batched time-stepping failed a step and were
-    re-integrated through the scalar per-instance path; ``converged``
-    is False only where even that path raised, in which case the
-    instance's samples are NaN.
+    marks instances that entered the continuation ladder because plain
+    Newton failed, at t=0 or at a time step; ``converged`` is False
+    only where the ladder failed too, in which case the instance's
+    samples are NaN.
     """
 
     dt_s: float
@@ -630,9 +624,9 @@ class TransientMCResult(EnsembleSolution):
 class _BatchedNewtonEngine:
     """Shared core of the circuit engines: one compiled plan, N instances.
 
-    Owns the compiled stamp plan and the gmin rescue ladder; every
-    solve is one :func:`~repro.circuit.solver.newton_many` call with
-    the instances' :class:`FETVariation` rows.
+    Owns the compiled stamp plan; every solve is one
+    :func:`~repro.circuit.continuation.ladder_many` call with the
+    instances' :class:`FETVariation` rows on that plan.
     """
 
     def __init__(self, circuit: Circuit):
@@ -748,33 +742,6 @@ class _BatchedNewtonEngine:
         _, jacobian = self.plan.evaluate_many(x, variation=variation)
         return jacobian
 
-    def _rescue_batch(
-        self,
-        x_seed: np.ndarray,
-        x: np.ndarray,
-        converged: np.ndarray,
-        variation: FETVariation,
-        **eval_kwargs,
-    ) -> None:
-        """Walk unconverged instances down the gmin rescue ladder (in place).
-
-        Same spirit as continuation's adaptive stepping, fixed schedule
-        — only ever runs on the few failed instances.  Only the final
-        unshunted stage decides: its entry point is already near the
-        solution, so the relative criterion is meaningful there.
-        """
-        failed = np.flatnonzero(~converged)
-        if not failed.size:
-            return
-        sub = variation.take(failed)
-        x_fail = np.tile(x_seed, (failed.size, 1))
-        for gmin in _GMIN_RESCUE_LADDER:
-            x_fail, stage_ok, _, _ = newton_many(
-                self.plan, x_fail, variation=sub, gmin=gmin, **eval_kwargs
-            )
-        x[failed[stage_ok]] = x_fail[stage_ok]
-        converged[failed[stage_ok]] = True
-
 
 @lru_cache(maxsize=4)
 def _engine_from_pickle(cls, circuit_bytes: bytes) -> _BatchedNewtonEngine:
@@ -797,8 +764,8 @@ def _mc_entry_validator(row_shape: tuple[int, ...], n_flags: int):
     Applied by the supervisor before a chunk may merge, so a corrupt
     worker payload is rejected (and the chunk retried) at the boundary
     instead of poisoning the stacked result.  NaN rows are legitimate
-    (a transient instance that failed even the scalar rescue), so only
-    type and shape are checked.
+    (a transient instance the continuation ladder could not rescue), so
+    only type and shape are checked.
     """
     width = 1 + n_flags
 
@@ -824,8 +791,10 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
     one ``linearize`` call per device-model group (over *all* active
     instances' bias points at once) plus one batched LAPACK solve over
     the stacked Jacobians.  Convergence is judged per instance with the
-    scalar solver's relative+absolute criterion; stragglers get a gmin
-    retry ladder, and anything still unconverged is reported as such in
+    scalar solver's relative+absolute criterion; stragglers walk the
+    stacked continuation ladder, each taking exactly the attempts
+    :func:`~repro.circuit.continuation.solve_dc_robust` takes on it,
+    and anything still unconverged is reported as such in
     :class:`MonteCarloResult` rather than raising.
 
     Sparse plans (``size >= SPARSE_THRESHOLD``) batch the same way:
@@ -887,14 +856,13 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
     def _solve_chunk(
         self, variation: FETVariation, x0: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched Newton from the nominal seed, with a gmin rescue ladder.
+        """The continuation ladder from the nominal solution, row per instance.
 
         Returns the ``(m, size)`` solutions and per-instance convergence.
         """
         x_start = np.tile(x0, (variation.n_instances, 1))
-        x, converged, _, _ = newton_many(self.plan, x_start, variation=variation)
-        self._rescue_batch(x0, x, converged, variation)
-        return x, converged
+        rows = ladder_many(self.plan, x_start, variation=variation)
+        return rows.x, rows.converged
 
 
 # ---------------------------------------------------------------------------
@@ -905,17 +873,15 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
 class CircuitTransientMC(_BatchedNewtonEngine):
     """Time-step N parameter-perturbed instances of one compiled circuit.
 
-    The t=0 operating point is solved batched from the structural seed
-    (gmin rescue ladder for stragglers, scalar continuation for anything
-    left); then :func:`repro.circuit.transient.march` steps all
-    instances in lockstep on one shared ``(t_stop, dt, integrator)``
-    grid.  An instance whose step fails batched Newton **falls back to
-    the scalar path individually** — the adaptive continuation rescue
-    the scalar ``transient()`` applies to a failed step, on a
-    :func:`perturbed_circuit` clone — and then rejoins the lockstep
-    batch.  Such instances are reported in
-    ``TransientMCResult.fallback``; only an instance that fails *even
-    the scalar rescue* comes back ``converged=False`` (with NaN
+    The t=0 operating point is solved through the stacked continuation
+    ladder from the structural seed; then
+    :func:`repro.circuit.transient.march` steps all instances in
+    lockstep on one shared ``(t_stop, dt, integrator)`` grid.  The
+    instances whose step fails batched Newton walk the same ladder the
+    scalar ``transient()`` applies to a failed step, stacked, and then
+    rejoin the lockstep batch.  Instances that entered the ladder are
+    reported in ``TransientMCResult.fallback``; only an instance the
+    ladder cannot rescue comes back ``converged=False`` (with NaN
     samples).
 
     Determinism: per-instance arithmetic is elementwise throughout, so
@@ -971,48 +937,23 @@ class CircuitTransientMC(_BatchedNewtonEngine):
         """March one chunk; ``(samples, converged, fallback)`` per instance."""
         n_steps = validate_grid(t_stop_s, dt_s, integrator)
         m = variation.n_instances
-        fallback = np.zeros(m, dtype=bool)
-
-        # Cached: a stiff instance tends to need rescuing at several
-        # steps of the same switching edge.
-        @lru_cache(maxsize=None)
-        def scalar_system(instance: int):
-            return perturbed_circuit(self.circuit, variation, instance).build_system()
-
-        # t=0 operating point: batched Newton from the same structural
-        # seed the scalar path's continuation ladder starts from, gmin
-        # ladder for stragglers, full scalar continuation for the rest.
+        # t=0 operating point: the continuation ladder from the same
+        # structural seed the scalar path starts from.
         seed = structural_seed(self.system, time_s=0.0)
-        x, ok, _, _ = newton_many(
+        rows = ladder_many(
             self.plan, np.tile(seed, (m, 1)), variation=variation, time_s=0.0
         )
-        self._rescue_batch(seed, x, ok, variation, time_s=0.0)
-        for i in np.flatnonzero(~ok):
-            fallback[i] = True
-            x_i, report = solve_dc_robust(scalar_system(int(i)), time_s=0.0)
-            if report.converged:
-                x[i], ok[i] = x_i, True
+        ok, fallback = rows.converged, rows.entered
         alive = np.flatnonzero(ok)
-
-        def rescue(row, **step_kwargs):
-            # The adaptive continuation rescue transient() applies to a
-            # failed step, on this instance's perturbed clone.
-            instance = int(alive[row])
-            fallback[instance] = True
-            x_rescued, report = solve_dc_robust(
-                scalar_system(instance), step_kwargs["previous_x"], **step_kwargs
-            )
-            return x_rescued if report.converged else None
-
         samples = np.full((m, n_steps + 1, self.plan.size), np.nan)
-        samples[alive], marched = march(
+        samples[alive], rescued, errors = march(
             self.plan,
-            x[alive],
+            rows.x[alive],
             n_steps,
             dt_s,
             integrator,
-            rescue,
             variation=variation.take(alive),
         )
-        ok[alive[~marched]] = False
+        fallback[alive] |= rescued
+        ok[alive[list(errors)]] = False
         return samples, ok, fallback

@@ -15,9 +15,10 @@ share three pieces:
 * :func:`march` — the one time-step loop.  It steps an ``(m, size)``
   stack of t=0 solutions in lockstep: per step one
   :func:`~repro.circuit.solver.newton_many` call from the previous
-  solutions, a caller-supplied rescue for each row that fails, and the
-  companion-state update on ``(m, n_caps)`` arrays.  The scalar
-  :func:`transient_samples` is its one-row case;
+  solutions, one stacked continuation-ladder call
+  (:func:`~repro.circuit.continuation.ladder_many`) for the rows that
+  fail, and the companion-state update on ``(m, n_caps)`` arrays.  The
+  scalar :func:`transient_samples` is its one-row case;
 * :class:`TransientResult` — a :class:`~repro.circuit.netlist.Solution`
   whose rows are the time samples, named by the system's layout.
 """
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.continuation import ConvergenceError, solve_dc_robust
+from repro.circuit.continuation import ConvergenceError, ladder_many
 from repro.circuit.netlist import Circuit, CircuitError, MNASystem, Solution
-from repro.circuit.solver import newton_many, solve_dc
+from repro.circuit.solver import newton_many, solve_dc, take_rows
 
 __all__ = [
     "TransientResult",
@@ -82,27 +83,26 @@ def march(
     n_steps: int,
     dt_s: float,
     integrator: str,
-    rescue,
     variation=None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, ConvergenceError]]:
     """Step the ``(m, size)`` t=0 solutions ``x0`` through ``n_steps``.
 
-    Returns ``(samples, ok)``: samples ``(m, n_steps + 1, size)`` with
-    ``samples[:, 0] = x0``, and ``ok[i]`` False for a row whose rescue
-    failed (all its samples are NaN).  Each step runs damped Newton on
-    the live rows from their previous solutions, with per-row companion
-    state ``(m, n_caps)`` and ``variation`` rows.  A row whose Newton
-    fails calls ``rescue(row, **step_kwargs)`` —
-    ``row`` indexes ``x0``; the keywords are that row's evaluation
-    context (``time_s``, ``dt_s``, ``previous_x``, ``integrator`` and
-    ``state``, its history currents in ``plan.cap_names`` order) —
-    which returns the accepted solution, or None to drop the row; a
-    rescued row rejoins the lockstep batch.
+    Returns ``(samples, rescued, errors)``: samples ``(m, n_steps + 1,
+    size)`` with ``samples[:, 0] = x0``, ``rescued[i]`` True for a row
+    that entered the continuation ladder at some step, and ``errors``
+    the ladder failure of each dropped row (its samples are NaN).  Each
+    step runs damped Newton on the live rows from their previous
+    solutions, with per-row companion state ``(m, n_caps)`` and
+    ``variation`` rows; the rows whose Newton fails go through one
+    :func:`~repro.circuit.continuation.ladder_many` call anchored at
+    their previous solutions and companion state, and a rescued row
+    rejoins the lockstep batch.
     """
     m, size = x0.shape
     samples = np.full((m, n_steps + 1, size), np.nan)
     samples[:, 0] = x0
-    ok = np.ones(m, dtype=bool)
+    rescued = np.zeros(m, dtype=bool)
+    errors: dict[int, ConvergenceError] = {}
     alive = np.arange(m)
     x = x0
     prevpad = np.zeros((m, size + 1))
@@ -112,29 +112,25 @@ def march(
         if not alive.size:
             break
         context = {"time_s": step * dt_s, "dt_s": dt_s, "integrator": integrator}
-        previous_x = prevpad[:, :size]
-        x, converged, _, _ = newton_many(
-            plan,
-            x,
-            variation=None if variation is None else variation.take(alive),
-            previous_x=previous_x,
-            state=state,
-            **context,
-        )
+        row_kwargs = {
+            "variation": None if variation is None else variation.take(alive),
+            "previous_x": prevpad[:, :size],
+            "state": state,
+        }
+        x, converged, _, _ = newton_many(plan, x, **row_kwargs, **context)
         if np.count_nonzero(converged) < alive.size:
-            for row in np.flatnonzero(~converged):
-                x_rescued = rescue(
-                    int(alive[row]),
-                    previous_x=previous_x[row],
-                    state=state[row],
-                    **context,
+            failed = np.flatnonzero(~converged)
+            rescued[alive[failed]] = True
+            kwargs = take_rows(row_kwargs, failed)
+            ladder = ladder_many(plan, kwargs["previous_x"], **kwargs, **context)
+            x[failed] = ladder.x
+            converged[failed] = ladder.converged
+            for k in np.flatnonzero(~ladder.converged).tolist():
+                errors[int(alive[failed[k]])] = ConvergenceError(
+                    f"transient Newton failed at t = {context['time_s']:.3e} s",
+                    ladder.report(k),
                 )
-                if x_rescued is not None:
-                    x[row] = x_rescued
-                    converged[row] = True
-            dropped = alive[~converged]
-            ok[dropped] = False
-            samples[dropped] = np.nan
+            samples[alive[~converged]] = np.nan
             alive, x = alive[converged], x[converged]
             prevpad, state = prevpad[converged], state[converged]
         xpad = np.zeros((alive.size, size + 1))
@@ -144,7 +140,7 @@ def march(
             state = plan.cap_state_update(xpad, prevpad, dt_s, integrator, state)
         samples[alive, step] = x
         prevpad = xpad
-    return samples, ok
+    return samples, rescued, errors
 
 
 def transient_samples(
@@ -164,19 +160,9 @@ def transient_samples(
     """
     n_steps = validate_grid(t_stop_s, dt_s, integrator)
     x = solve_dc(system, x0, time_s=0.0)
-
-    def rescue(_row, **step_kwargs):
-        x_next, report = solve_dc_robust(
-            system, step_kwargs["previous_x"], **step_kwargs
-        )
-        if not report.converged:
-            raise ConvergenceError(
-                f"transient Newton failed at t = {step_kwargs['time_s']:.3e} s",
-                report,
-            )
-        return x_next
-
-    samples, _ = march(system._plan, x[None], n_steps, dt_s, integrator, rescue)
+    samples, _, errors = march(system._plan, x[None], n_steps, dt_s, integrator)
+    if errors:
+        raise errors[0]
     return samples[0]
 
 

@@ -14,7 +14,6 @@ import pytest
 from repro.circuit.cells import build_ring_oscillator
 from repro.circuit.continuation import (
     ConvergenceError,
-    ConvergenceReport,
     solve_dc_robust,
     structural_seed,
 )
@@ -133,19 +132,6 @@ class TestConvergenceReport:
         assert report.total_iterations >= 1
         assert report.final_residual < 1e-9
         assert "converged via newton" in report.describe()
-
-    def test_newton_solve_records_attempt(self):
-        circuit = build_inverter_chain(AlphaPowerFET(), n_stages=2)
-        system = circuit.build_system()
-        report = ConvergenceReport()
-        _, converged = newton_solve(
-            system, np.zeros(system.size), report=report, stage="newton"
-        )
-        assert len(report.attempts) == 1
-        attempt = report.attempts[0]
-        assert attempt.stage == "newton"
-        assert attempt.converged == converged
-        assert attempt.iterations > 0
 
     def test_exhausted_ladder_raises_with_report(self):
         # A current source into a floating FET gate: no DC path to

@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.circuit.sweep as sweep_module
-from repro.circuit.continuation import ConvergenceReport
+from repro.circuit.continuation import ConvergenceReport, LadderRows
 from repro.circuit.netlist import CircuitError
-from repro.circuit.solver import newton_many
+from repro.circuit.solver import NewtonRows, newton_many
 from repro.circuit.sweep import (
     CircuitTransientMC,
     FETVariation,
@@ -196,10 +195,15 @@ class TestScalarFallback:
     def test_failed_scalar_rescue_reports_unconverged(
         self, engine, variation, monkeypatch, starved_steps
     ):
-        def no_rescue(system, x0=None, **eval_kwargs):
-            return np.zeros(system.size), ConvergenceReport()  # converged=False
+        def no_rescue(plan, x0, **eval_kwargs):
+            m = x0.shape[0]
+            failed = NewtonRows(
+                x0, np.zeros(m, dtype=bool), np.zeros(m, dtype=int), np.full(m, np.inf)
+            )
+            reports = {k: ConvergenceReport() for k in range(m)}  # converged=False
+            return LadderRows(x0, failed.converged, failed, reports)
 
-        monkeypatch.setattr(sweep_module, "solve_dc_robust", no_rescue)
+        monkeypatch.setattr(transient_module, "ladder_many", no_rescue)
         result = engine.run(variation.take([0, 1]), T_STOP, DT)
         assert result.fallback.all()
         assert not result.converged.any()
