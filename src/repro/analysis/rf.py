@@ -16,14 +16,16 @@ A device without saturation has gds of the same order as gm at its bias
 point, so A_v <~ 1 and f_max collapses far below f_T, no matter how
 short the gate.
 
-gm and gds come from the device protocol's linearization
-(:func:`small_signal` -> ``linearize_point``): analytic derivatives for
-models that provide them (the PR 5 surrogates, every analytic FET),
-central differences with the model-owned step only as the protocol's
-explicit fallback — this module owns no finite-difference stepping of
-its own.  :func:`rf_metrics_batch` evaluates the same figures over
-process corners with one batched ``linearize`` call, feeding the
-variation-aware distributions of ``experiments/rf_comparison.py``.
+gm and gds come from the device protocol's linearization: analytic
+derivatives for models that provide them (the surrogates, every
+analytic FET), central differences with the model-owned step only as
+the protocol's explicit fallback — this module owns no
+finite-difference stepping of its own.  :func:`rf_metrics_batch`
+evaluates the figures over process corners with one batched
+``linearize`` call, feeding the variation-aware distributions of
+``experiments/rf_comparison.py``; :func:`rf_metrics` is its
+nominal one-corner call, and :func:`small_signal` the scalar
+``linearize_point`` read behind :func:`intrinsic_gain`.
 """
 
 from __future__ import annotations
@@ -66,20 +68,6 @@ def intrinsic_gain(device: FETModel, vgs: float, vds: float) -> float:
     return gm / gds
 
 
-def _validate_parasitics(
-    c_gate_total_f: float, c_gate_drain_f: float | None, gate_resistance_ohm: float
-) -> float:
-    """Check the parasitic triple; returns the resolved C_gd."""
-    if c_gate_total_f <= 0.0:
-        raise ValueError(f"gate capacitance must be positive, got {c_gate_total_f}")
-    if gate_resistance_ohm <= 0.0:
-        raise ValueError(f"gate resistance must be positive, got {gate_resistance_ohm}")
-    c_gd = c_gate_total_f / 3.0 if c_gate_drain_f is None else c_gate_drain_f
-    if c_gd <= 0.0 or c_gd > c_gate_total_f:
-        raise ValueError("gate-drain capacitance must be in (0, C_gg]")
-    return c_gd
-
-
 @dataclass(frozen=True)
 class RFMetrics:
     """Quasi-static RF figures of merit at one bias point."""
@@ -110,6 +98,8 @@ def rf_metrics(
 ) -> RFMetrics:
     """Compute f_T and f_max for a device at a bias point.
 
+    The one nominal-corner call of :func:`rf_metrics_batch`.
+
     Parameters
     ----------
     c_gate_total_f:
@@ -120,15 +110,16 @@ def rf_metrics(
     gate_resistance_ohm:
         Series gate resistance entering the f_max expression.
     """
-    c_gd = _validate_parasitics(c_gate_total_f, c_gate_drain_f, gate_resistance_ohm)
-    gm, gds = small_signal(device, vgs, vds)
-    gds = max(gds, 0.0)
-    if gm <= 0.0:
-        raise ValueError("device has no transconductance at this bias")
-    ft = gm / (2.0 * math.pi * c_gate_total_f)
-    denominator = gate_resistance_ohm * (gds + 2.0 * math.pi * ft * c_gd)
-    fmax = ft / (2.0 * math.sqrt(denominator)) if denominator > 0.0 else math.inf
-    return RFMetrics(gm_s=gm, gds_s=gds, ft_hz=ft, fmax_hz=fmax)
+    return rf_metrics_batch(
+        device,
+        vgs,
+        vds,
+        c_gate_total_f,
+        drive_scale=np.ones(1),
+        vth_shift_v=np.zeros(1),
+        c_gate_drain_f=c_gate_drain_f,
+        gate_resistance_ohm=gate_resistance_ohm,
+    ).corner(0)
 
 
 @dataclass(frozen=True)
@@ -157,6 +148,15 @@ class RFDistribution:
         gain[positive] = self.gm_s[positive] / self.gds_s[positive]
         return gain
 
+    def corner(self, i: int) -> RFMetrics:
+        """Corner ``i``'s figures of merit as floats."""
+        return RFMetrics(
+            gm_s=float(self.gm_s[i]),
+            gds_s=float(self.gds_s[i]),
+            ft_hz=float(self.ft_hz[i]),
+            fmax_hz=float(self.fmax_hz[i]),
+        )
+
 
 def rf_metrics_batch(
     device: FETModel,
@@ -178,10 +178,16 @@ def rf_metrics_batch(
     overdrive.  All corners go through one batched
     :meth:`~repro.devices.base.FETModel.linearize` call (analytic for
     models that provide derivatives); with nominal variation
-    (scale 1, shift 0) every entry matches the scalar
-    :func:`rf_metrics` value to rounding.
+    (scale 1, shift 0) every entry is bitwise the scalar
+    :func:`rf_metrics` value, its one-corner call.
     """
-    c_gd = _validate_parasitics(c_gate_total_f, c_gate_drain_f, gate_resistance_ohm)
+    if c_gate_total_f <= 0.0:
+        raise ValueError(f"gate capacitance must be positive, got {c_gate_total_f}")
+    if gate_resistance_ohm <= 0.0:
+        raise ValueError(f"gate resistance must be positive, got {gate_resistance_ohm}")
+    c_gd = c_gate_total_f / 3.0 if c_gate_drain_f is None else c_gate_drain_f
+    if c_gd <= 0.0 or c_gd > c_gate_total_f:
+        raise ValueError("gate-drain capacitance must be in (0, C_gg]")
     scale = np.atleast_1d(np.asarray(drive_scale, dtype=float))
     shift = np.atleast_1d(np.asarray(vth_shift_v, dtype=float))
     if scale.shape != shift.shape or scale.ndim != 1:

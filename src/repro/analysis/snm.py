@@ -28,9 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.sweep import SweepPlan
-
-__all__ = ["ButterflyResult", "SNMCornerSweep", "butterfly_snm", "snm_corner_sweep"]
+__all__ = ["ButterflyResult", "butterfly_snm"]
 
 
 @dataclass(frozen=True)
@@ -83,65 +81,6 @@ def butterfly_snm(v_in, v_out, n_grid: int = 801) -> ButterflyResult:
     if not is_bistable:
         return ButterflyResult(snm_low=0.0, snm_high=0.0, is_bistable=False)
     return ButterflyResult(snm_low=snm_low, snm_high=snm_high, is_bistable=True)
-
-
-@dataclass(frozen=True)
-class SNMCornerSweep:
-    """Butterfly SNM across device corners of a cross-coupled cell."""
-
-    labels: tuple[str, ...]
-    results: tuple[ButterflyResult, ...]
-
-    @property
-    def snm_v(self) -> np.ndarray:
-        """Worst-case SNM [V] per corner, in label order."""
-        return np.array([r.snm for r in self.results])
-
-    def worst_corner(self) -> tuple[str, ButterflyResult]:
-        """The corner with the smallest noise margin."""
-        index = int(np.argmin(self.snm_v))
-        return self.labels[index], self.results[index]
-
-    def all_bistable(self) -> bool:
-        return all(r.is_bistable for r in self.results)
-
-
-def _snm_corner_kernel(corner, rng, payload):
-    """Butterfly analysis of one (label, nfet, pfet) corner."""
-    from repro.circuit.cells import inverter_vtc
-
-    _label, nfet, pfet = corner
-    vdd, n_points = payload
-    v_in, v_out, _ = inverter_vtc(nfet, pfet, vdd=vdd, n_points=n_points)
-    return butterfly_snm(v_in, v_out)
-
-
-def snm_corner_sweep(
-    corners,
-    vdd: float = 1.0,
-    n_points: int = 201,
-    chunk_size: int | None = None,
-    workers: int | None = None,
-) -> SNMCornerSweep:
-    """Butterfly SNM of a latch at every device corner, via the sweep engine.
-
-    ``corners`` maps a label to either an n-type :class:`~repro.devices.
-    base.FETModel` (the p-type is derived by mirroring) or an explicit
-    ``(nfet, pfet)`` pair — e.g. slow/typical/fast drive corners of the
-    paper's Fig. 2 devices.  Each corner solves its own continuation DC
-    sweep, so large corner grids benefit from ``workers``.
-    """
-    labels: list[str] = []
-    resolved: list[tuple] = []
-    for label, devices in dict(corners).items():
-        nfet, pfet = devices if isinstance(devices, tuple) else (devices, None)
-        labels.append(str(label))
-        resolved.append((str(label), nfet, pfet))
-    if not resolved:
-        raise ValueError("need at least one corner")
-    sweep = SweepPlan(_snm_corner_kernel, payload=(vdd, n_points))
-    results = sweep.run(resolved, chunk_size=chunk_size, workers=workers)
-    return SNMCornerSweep(labels=tuple(labels), results=tuple(results))
 
 
 def _is_bistable(x: np.ndarray, f) -> bool:

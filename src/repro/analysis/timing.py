@@ -6,40 +6,34 @@ first-order CV/I delay estimator used to compare device technologies
 before running full transients.
 
 Monte-Carlo-scale timing rides the batched transient engine
-(:class:`repro.circuit.sweep.CircuitTransientMC`):
-:func:`transient_delay_corner_sweep` time-steps every process corner of
-one inverter in a single lockstep batch (actual switching waveforms,
-not CV/I), and :func:`delay_energy_distribution` turns a device-spread
-:class:`~repro.circuit.sweep.FETVariation` into the paper's delay and
-energy-per-transition distributions.
+(:class:`repro.circuit.sweep.CircuitTransientMC`) through one helper
+that time-steps every varied copy of a switching inverter in a single
+lockstep batch (actual switching waveforms, not CV/I) and times each
+copy.  Both callers return a :class:`DelayEnergyDistribution`:
+:func:`transient_delay_corner_sweep` for named slow/typical/fast
+corners (with ``labels``), and :func:`delay_energy_distribution` for a
+sampled device spread (:class:`~repro.circuit.sweep.FETVariation`) —
+the paper's delay and energy-per-transition distributions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.circuit.cells import build_inverter
-from repro.circuit.sweep import (
-    CircuitTransientMC,
-    ExecutionPolicy,
-    FETVariation,
-    SweepPlan,
-)
+from repro.circuit.sweep import CircuitTransientMC, ExecutionPolicy, FETVariation
 from repro.circuit.transient import TransientResult
 from repro.circuit.waveforms import Pulse
 from repro.devices.base import FETModel
 
 __all__ = [
     "DelayMetrics",
-    "DelayCornerSweep",
-    "TransientDelaySweep",
     "DelayEnergyDistribution",
     "propagation_delays",
     "supply_energy_j",
     "cv_over_i_delay_s",
-    "delay_corner_sweep",
     "transient_delay_corner_sweep",
     "delay_energy_distribution",
     "intrinsic_energy_delay",
@@ -146,57 +140,6 @@ def intrinsic_energy_delay(
     return load_f * vdd * vdd, cv_over_i_delay_s(device, load_f, vdd)
 
 
-@dataclass(frozen=True)
-class DelayCornerSweep:
-    """CV/I delay and switching energy across device corners."""
-
-    labels: tuple[str, ...]
-    delays_s: np.ndarray
-    energies_j: np.ndarray
-
-    def worst_corner(self) -> tuple[str, float]:
-        """The slowest corner and its delay [s]."""
-        index = int(np.argmax(self.delays_s))
-        return self.labels[index], float(self.delays_s[index])
-
-    def spread(self) -> float:
-        """Max/min delay ratio across the corners."""
-        return float(self.delays_s.max() / self.delays_s.min())
-
-
-def _delay_corner_kernel(corner, rng, payload):
-    """(energy, delay) of one (label, device) corner."""
-    _label, device = corner
-    load_f, vdd = payload
-    return intrinsic_energy_delay(device, load_f, vdd)
-
-
-def delay_corner_sweep(
-    corners,
-    load_f: float,
-    vdd: float,
-    chunk_size: int | None = None,
-    workers: int | None = None,
-) -> DelayCornerSweep:
-    """First-order delay/energy at every device corner, via the sweep engine.
-
-    ``corners`` maps a label to a device model (slow/typical/fast
-    process corners, different technologies, ...); the corner loop
-    routes through :meth:`repro.circuit.sweep.SweepPlan.run` like every
-    other sweep-shaped analysis.
-    """
-    items = [(str(label), device) for label, device in dict(corners).items()]
-    if not items:
-        raise ValueError("need at least one corner")
-    sweep = SweepPlan(_delay_corner_kernel, payload=(load_f, vdd))
-    points = sweep.run(items, chunk_size=chunk_size, workers=workers)
-    return DelayCornerSweep(
-        labels=tuple(label for label, _ in items),
-        delays_s=np.array([p[1] for p in points]),
-        energies_j=np.array([p[0] for p in points]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Transient timing at Monte Carlo scale (batched CircuitTransientMC).
 # ---------------------------------------------------------------------------
@@ -218,114 +161,21 @@ def _switching_inverter(device: FETModel, load_f: float, vdd: float, t_stop_s: f
     )
 
 
-def _instance_timing(
-    result, cell, vdd: float, instance: int
-) -> tuple[float, float, float, bool]:
-    """(tp_hl, tp_lh, energy, valid) of one transient MC instance."""
-    if not result.converged[instance]:
-        return np.nan, np.nan, np.nan, False
-    waves = result.instance_waveforms(instance)
-    try:
-        delays = propagation_delays(waves, cell.input_node, cell.output_node, vdd)
-    except ValueError:
-        return np.nan, np.nan, np.nan, False
-    energy = supply_energy_j(waves, cell.vdd_source, vdd)
-    return delays.tp_hl_s, delays.tp_lh_s, energy, True
-
-
-@dataclass(frozen=True)
-class TransientDelaySweep:
-    """Transient-accurate delay/energy across device corners.
-
-    Unlike :class:`DelayCornerSweep` (first-order CV/I), every corner
-    here is a full switching transient — all corners time-stepped in
-    one lockstep batch.
-    """
-
-    labels: tuple[str, ...]
-    tp_hl_s: np.ndarray
-    tp_lh_s: np.ndarray
-    energies_j: np.ndarray
-
-    @property
-    def average_delays_s(self) -> np.ndarray:
-        return 0.5 * (self.tp_hl_s + self.tp_lh_s)
-
-    def worst_corner(self) -> tuple[str, float]:
-        """The slowest corner and its average delay [s]."""
-        index = int(np.argmax(self.average_delays_s))
-        return self.labels[index], float(self.average_delays_s[index])
-
-    def spread(self) -> float:
-        """Max/min average-delay ratio across the corners."""
-        delays = self.average_delays_s
-        return float(delays.max() / delays.min())
-
-
-def transient_delay_corner_sweep(
-    device: FETModel,
-    corners,
-    load_f: float = 10e-15,
-    vdd: float = 1.0,
-    *,
-    t_stop_s: float = 2e-9,
-    dt_s: float = 5e-12,
-    chunk_size: int | None = None,
-    workers: int | None = None,
-) -> TransientDelaySweep:
-    """Switching delays/energy of an inverter at every process corner.
-
-    ``corners`` maps a label to a ``(drive_scale, vth_shift_v)`` pair
-    applied uniformly to both inverter FETs (slow/typical/fast).  All
-    corners become rows of one :class:`~repro.circuit.sweep.
-    FETVariation` and are time-stepped together by a single batched
-    :class:`~repro.circuit.sweep.CircuitTransientMC` run.
-    """
-    items = [
-        (str(label), float(scale), float(shift))
-        for label, (scale, shift) in dict(corners).items()
-    ]
-    if not items:
-        raise ValueError("need at least one corner")
-    cell = _switching_inverter(device, load_f, vdd, t_stop_s)
-    engine = CircuitTransientMC(cell.circuit)
-    n_fets = len(engine.fet_names)
-    variation = FETVariation(
-        drive_scale=np.array([[scale] * n_fets for _, scale, _ in items]),
-        vth_shift_v=np.array([[shift] * n_fets for _, _, shift in items]),
-    )
-    result = engine.run(
-        variation, t_stop_s, dt_s, chunk_size=chunk_size, workers=workers
-    )
-    tp_hl = np.empty(len(items))
-    tp_lh = np.empty(len(items))
-    energy = np.empty(len(items))
-    for i, (label, _, _) in enumerate(items):
-        tp_hl[i], tp_lh[i], energy[i], valid = _instance_timing(result, cell, vdd, i)
-        if not valid:
-            raise ValueError(
-                f"corner {label!r} produced no full output transition pair"
-            )
-    return TransientDelaySweep(
-        labels=tuple(label for label, _, _ in items),
-        tp_hl_s=tp_hl,
-        tp_lh_s=tp_lh,
-        energies_j=energy,
-    )
-
-
 @dataclass(frozen=True)
 class DelayEnergyDistribution:
-    """Per-instance switching delays and energies under device spread.
+    """Per-instance switching delays and energies of a batched transient.
 
     ``valid`` marks instances that converged and produced a full output
     transition pair; the summary statistics run over those only.
+    ``labels`` names each instance of a corner sweep, in input order
+    (None for a sampled distribution).
     """
 
     tp_hl_s: np.ndarray
     tp_lh_s: np.ndarray
     energies_j: np.ndarray
     valid: np.ndarray
+    labels: tuple[str, ...] | None = None
 
     @property
     def n_instances(self) -> int:
@@ -361,6 +211,103 @@ class DelayEnergyDistribution:
     def energy_sigma_j(self) -> float:
         return float(self._valid(self.energies_j).std())
 
+    def spread(self) -> float:
+        """Max/min average-delay ratio across the valid instances."""
+        delays = self._valid(self.average_delays_s)
+        return float(delays.max() / delays.min())
+
+
+def _timed_switching(
+    device: FETModel,
+    variation_for,
+    load_f: float,
+    vdd: float,
+    t_stop_s: float,
+    dt_s: float,
+    **run_kwargs,
+) -> DelayEnergyDistribution:
+    """Time-step every varied copy of the switching inverter and time it.
+
+    ``variation_for(n_fets)`` builds the :class:`~repro.circuit.sweep.
+    FETVariation` for the inverter's FET count; all its rows run as one
+    batched :class:`~repro.circuit.sweep.CircuitTransientMC` transient
+    (``run_kwargs`` pass to ``run``), and each instance is timed on its
+    own waveforms.
+    """
+    cell = _switching_inverter(device, load_f, vdd, t_stop_s)
+    engine = CircuitTransientMC(cell.circuit)
+    variation = variation_for(len(engine.fet_names))
+    result = engine.run(variation, t_stop_s, dt_s, **run_kwargs)
+    n = variation.n_instances
+    tp_hl = np.full(n, np.nan)
+    tp_lh = np.full(n, np.nan)
+    energy = np.full(n, np.nan)
+    valid = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(result.converged):
+        waves = result.instance_waveforms(i)
+        try:
+            delays = propagation_delays(waves, cell.input_node, cell.output_node, vdd)
+        except ValueError:
+            continue
+        tp_hl[i], tp_lh[i] = delays.tp_hl_s, delays.tp_lh_s
+        energy[i] = supply_energy_j(waves, cell.vdd_source, vdd)
+        valid[i] = True
+    return DelayEnergyDistribution(
+        tp_hl_s=tp_hl, tp_lh_s=tp_lh, energies_j=energy, valid=valid
+    )
+
+
+def transient_delay_corner_sweep(
+    device: FETModel,
+    corners,
+    load_f: float = 10e-15,
+    vdd: float = 1.0,
+    *,
+    t_stop_s: float = 2e-9,
+    dt_s: float = 5e-12,
+    chunk_size: int | None = None,
+    workers: int | None = None,
+) -> DelayEnergyDistribution:
+    """Switching delays/energy of an inverter at every process corner.
+
+    ``corners`` maps a label to a ``(drive_scale, vth_shift_v)`` pair
+    applied uniformly to both inverter FETs (slow/typical/fast).  All
+    corners become rows of one :class:`~repro.circuit.sweep.
+    FETVariation` and are time-stepped together by a single batched
+    :class:`~repro.circuit.sweep.CircuitTransientMC` run.  The result
+    carries the corner labels in input order; a corner that does not
+    switch raises ``ValueError`` naming it.
+    """
+    items = [
+        (str(label), float(scale), float(shift))
+        for label, (scale, shift) in dict(corners).items()
+    ]
+    if not items:
+        raise ValueError("need at least one corner")
+
+    def variation_for(n_fets: int) -> FETVariation:
+        return FETVariation(
+            drive_scale=np.array([[scale] * n_fets for _, scale, _ in items]),
+            vth_shift_v=np.array([[shift] * n_fets for _, _, shift in items]),
+        )
+
+    timed = _timed_switching(
+        device,
+        variation_for,
+        load_f,
+        vdd,
+        t_stop_s,
+        dt_s,
+        chunk_size=chunk_size,
+        workers=workers,
+    )
+    for (label, _, _), valid in zip(items, timed.valid):
+        if not valid:
+            raise ValueError(
+                f"corner {label!r} produced no full output transition pair"
+            )
+    return replace(timed, labels=tuple(label for label, _, _ in items))
+
 
 def delay_energy_distribution(
     device: FETModel,
@@ -387,31 +334,24 @@ def delay_energy_distribution(
     :func:`repro.experiments.integration_stats.inverter_variability_sigma_v`.
     Deterministic in ``seed`` regardless of chunking or pooling.
     """
-    cell = _switching_inverter(device, load_f, vdd, t_stop_s)
-    engine = CircuitTransientMC(cell.circuit)
-    variation = FETVariation.sample(
-        n_instances,
-        len(engine.fet_names),
-        seed=seed,
-        drive_sigma=drive_sigma,
-        vth_sigma_v=vth_sigma_v,
-    )
-    result = engine.run(
-        variation,
+
+    def variation_for(n_fets: int) -> FETVariation:
+        return FETVariation.sample(
+            n_instances,
+            n_fets,
+            seed=seed,
+            drive_sigma=drive_sigma,
+            vth_sigma_v=vth_sigma_v,
+        )
+
+    return _timed_switching(
+        device,
+        variation_for,
+        load_f,
+        vdd,
         t_stop_s,
         dt_s,
         chunk_size=chunk_size,
         workers=workers,
         policy=policy,
-    )
-    tp_hl = np.empty(n_instances)
-    tp_lh = np.empty(n_instances)
-    energy = np.empty(n_instances)
-    valid = np.zeros(n_instances, dtype=bool)
-    for i in range(n_instances):
-        tp_hl[i], tp_lh[i], energy[i], valid[i] = _instance_timing(
-            result, cell, vdd, i
-        )
-    return DelayEnergyDistribution(
-        tp_hl_s=tp_hl, tp_lh_s=tp_lh, energies_j=energy, valid=valid
     )

@@ -67,11 +67,12 @@ serial vs. process-pool execution.
 Small-signal AC (:mod:`repro.circuit.ac`) compiles onto the same
 stamp plan: one linearization at the continuation-solved operating
 point (analytic gm/gds through the device protocol), the capacitance
-stamp as pattern-aligned data, and the frequency sweep as a stacked
-complex solve — batched LAPACK dense, numeric-only complex
-refactorization sparse.  :func:`ac_monte_carlo` pushes the sweep over
-:class:`CircuitMonteCarlo` corners for variation-aware frequency
-responses (:class:`BatchedACResult`).
+stamp as pattern-aligned data, and the frequency sweep as one kernel
+per plan kind — a QZ reduction plus all-frequency triangular
+backsubstitution dense, numeric-only complex refactorization sparse.
+:func:`ac_monte_carlo` runs every :class:`CircuitMonteCarlo` corner
+through the same kernel for variation-aware frequency responses
+(:class:`BatchedACResult`).
 
 Fault tolerance (:mod:`repro.circuit.resilience`): every sweep runs
 its chunks through one supervisor, configured by an optional

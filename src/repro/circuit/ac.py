@@ -36,9 +36,11 @@ against.
 operating points from :class:`~repro.circuit.sweep.CircuitMonteCarlo`
 feed one stacked linearization
 (:meth:`~repro.circuit.sweep._BatchedNewtonEngine.small_signal_jacobians`),
-each corner's grid solves as a ``(chunk, size, size)`` stacked complex
-LAPACK solve (dense) or pattern refactorization (sparse), and every
-corner's frequency response lands in a :class:`BatchedACResult` — the
+and each corner's grid runs through the same kernel as an
+:class:`ACPlan` sweep — its own QZ reduction and the all-frequency
+triangular backsubstitution (dense) or pattern refactorization
+(sparse) — with no frequency chunking.  Every corner's frequency
+response lands in a :class:`BatchedACResult` — the
 variation-aware RF workload of ``experiments/rf_comparison.py``.  Both
 results are :class:`~repro.circuit.netlist.Solution` stacks over the
 system's layout: ``transfer`` reads any node or ground alias, and
@@ -69,13 +71,6 @@ __all__ = [
     "dense_frequency_loop",
 ]
 
-# Frequencies per stacked complex solve in the dense batched-corner
-# path: bounds the (chunk, size, size) complex working set without
-# changing results — every frequency's solve is independent, so
-# chunking is bitwise-neutral (asserted by the hypothesis invariance
-# suite).
-DEFAULT_FREQUENCY_CHUNK = 64
-
 # Row-block size of the generalized-Schur backsubstitution: cross-block
 # updates run as one stacked BLAS product per block instead of one
 # vector op per row.  Purely a constant-factor knob — results do not
@@ -102,6 +97,13 @@ def _validate_frequencies(frequencies_hz) -> np.ndarray:
             "(unity-gain extraction interpolates along an ascending grid)"
         )
     return frequencies
+
+
+def _unit_drive(size: int, source) -> np.ndarray:
+    """Right-hand side of the unit AC excitation on ``source``."""
+    rhs = np.zeros(size)
+    rhs[source.branch_index] = 1.0
+    return rhs
 
 
 def _unity_gain_crossing(
@@ -179,32 +181,6 @@ def dense_frequency_loop(
     for i, frequency in enumerate(frequencies):
         matrix = conductance + 1j * 2.0 * np.pi * frequency * capacitance
         samples[i] = np.linalg.solve(matrix, rhs)
-    return samples
-
-
-def _sweep_dense(
-    conductance: np.ndarray,
-    capacitance: np.ndarray,
-    rhs: np.ndarray,
-    frequencies: np.ndarray,
-    chunk_size: int,
-) -> np.ndarray:
-    """Stacked complex solves: ``(chunk, size, size)`` batched LAPACK.
-
-    The batched-corner kernel (:func:`ac_monte_carlo`): each corner has
-    its own G, so there is nothing to pre-factor — instead each chunk
-    assembles its matrices in one broadcast and solves them in one
-    gufunc call (LAPACK ``zgesv`` per stack member), so the
-    python-level cost is per chunk, not per frequency.  Chunking only
-    bounds the complex working set — member solves are independent, so
-    the samples are bitwise identical for every chunk size.
-    """
-    samples = np.empty((frequencies.size, conductance.shape[0]), dtype=complex)
-    b = rhs.astype(complex)[None, :, None]
-    for start in range(0, frequencies.size, chunk_size):
-        omega = 2j * np.pi * frequencies[start : start + chunk_size]
-        matrices = conductance + omega[:, None, None] * capacitance
-        samples[start : start + omega.size] = np.linalg.solve(matrices, b)[..., 0]
     return samples
 
 
@@ -331,26 +307,19 @@ class ACPlan:
         x_dc, conductance = operating_point(self.system)
         self.x_dc = x_dc
         self._schedule = plan.sparse_schedule
+        # The pencil (G, C) in the plan's own form: canonical-pattern
+        # data vectors when sparse (G + jwC is elementwise), matrices
+        # when dense.
         if sparse.issparse(conductance):
-            # Canonical-pattern data vectors: G + jwC is elementwise.
-            self._conductance_data: np.ndarray | None = np.asarray(conductance.data)
-            self._conductance: np.ndarray | None = None
-            self._capacitance: np.ndarray | None = None
-            self._capacitance_data: np.ndarray | None = plan.capacitance_stamp()
-        else:
-            self._conductance = np.asarray(conductance)
-            self._conductance_data = None
-            self._capacitance_data = None
-            self._capacitance = plan.capacitance_stamp()
-        rhs = np.zeros(self.size)
-        rhs[self.source.branch_index] = 1.0
-        self.rhs = rhs
+            conductance = conductance.data
+        self._pencil = (np.asarray(conductance), plan.capacitance_stamp())
+        self.rhs = _unit_drive(self.size, self.source)
         self._schur: tuple[np.ndarray, ...] | None = None
 
     @property
     def use_sparse(self) -> bool:
         """Whether sweeps refactorize on the canonical sparse pattern."""
-        return self._conductance_data is not None
+        return self._schedule is not None
 
     def sweep(self, frequencies_hz) -> ACResult:
         """Swept response to the unit excitation on the plan's source."""
@@ -364,17 +333,9 @@ class ACPlan:
     def sweep_samples(self, frequencies: np.ndarray) -> np.ndarray:
         """Raw ``(n_freq, size)`` complex solution stack (validated grid)."""
         if self.use_sparse:
-            return _sweep_sparse(
-                self._schedule,
-                self._conductance_data,
-                self._capacitance_data,
-                self.rhs,
-                frequencies,
-            )
+            return _sweep_sparse(self._schedule, *self._pencil, self.rhs, frequencies)
         if self._schur is None:
-            self._schur = _schur_reduce(
-                self._conductance, self._capacitance, self.rhs
-            )
+            self._schur = _schur_reduce(*self._pencil, self.rhs)
         return _sweep_schur(*self._schur, frequencies)
 
     def dense_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,12 +347,12 @@ class ACPlan:
         solve-path, not operating-point noise.
         """
         if self.use_sparse:
-            return (
-                self._schedule.matrix(self._conductance_data).toarray(),
-                self._schedule.matrix(self._capacitance_data).toarray(),
-                self.rhs.copy(),
+            conductance, capacitance = (
+                self._schedule.matrix(data).toarray() for data in self._pencil
             )
-        return self._conductance.copy(), self._capacitance.copy(), self.rhs.copy()
+        else:
+            conductance, capacitance = (matrix.copy() for matrix in self._pencil)
+        return conductance, capacitance, self.rhs.copy()
 
 
 def ac_analysis(circuit: Circuit, source_name: str, frequencies_hz) -> ACResult:
@@ -402,8 +363,7 @@ def ac_analysis(circuit: Circuit, source_name: str, frequencies_hz) -> ACResult:
     held by the equivalence suite to the per-frequency dense loop
     (:func:`dense_frequency_loop`) at 1e-9.
     """
-    frequencies = _validate_frequencies(frequencies_hz)
-    return ACPlan(circuit, source_name).sweep(frequencies)
+    return ACPlan(circuit, source_name).sweep(frequencies_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +417,6 @@ def ac_monte_carlo(
     source_name: str,
     frequencies_hz,
     variation: "FETVariation",
-    *,
-    chunk_size: int | None = None,
 ) -> BatchedACResult:
     """Batched AC over process corners: variation-aware frequency response.
 
@@ -466,41 +424,36 @@ def ac_monte_carlo(
     engine (:class:`~repro.circuit.sweep.CircuitMonteCarlo`),
     linearizes all corners in one stacked evaluation
     (:meth:`~repro.circuit.sweep._BatchedNewtonEngine.small_signal_jacobians`)
-    and sweeps each corner's ``(G_i + j w C) x = b`` through the same
-    compiled kernels as :class:`ACPlan` — the capacitance stamp is
-    shared across corners because process variation perturbs the FETs
-    only.  Results are bitwise invariant to frequency chunking and to
-    corner (instance) order; unconverged corners yield NaN samples.
+    and sweeps each converged corner's ``(G_i + j w C) x = b`` through
+    :class:`ACPlan`'s kernels: one QZ reduction and the all-frequency
+    Schur backsubstitution per corner when dense, per-frequency
+    refactorization when sparse.  The capacitance stamp is shared
+    across corners because process variation perturbs the FETs only.
+    Results are bitwise invariant to corner (instance) order;
+    unconverged corners yield NaN samples.
     """
     from repro.circuit.sweep import CircuitMonteCarlo
 
     frequencies = _validate_frequencies(frequencies_hz)
-    chunk = DEFAULT_FREQUENCY_CHUNK if chunk_size is None else int(chunk_size)
-    if chunk < 1:
-        raise CircuitError(f"chunk_size must be >= 1, got {chunk_size}")
     engine = CircuitMonteCarlo(circuit)
     source = circuit.source(source_name)
     corners = engine.run(variation)
     jacobians = engine.small_signal_jacobians(corners.x, variation)
     plan = engine.plan
     capacitance = plan.capacitance_stamp()
-    rhs = np.zeros(plan.size)
-    rhs[source.branch_index] = 1.0
+    rhs = _unit_drive(plan.size, source)
 
     samples = np.full(
         (corners.n_instances, frequencies.size, plan.size), np.nan, dtype=complex
     )
-    for i in range(corners.n_instances):
-        if not corners.converged[i]:
-            continue
+    for i in np.flatnonzero(corners.converged):
         if plan.use_sparse:
             samples[i] = _sweep_sparse(
                 plan.sparse_schedule, jacobians[i], capacitance, rhs, frequencies
             )
         else:
-            samples[i] = _sweep_dense(
-                jacobians[i], capacitance, rhs, frequencies, chunk
-            )
+            reduction = _schur_reduce(jacobians[i], capacitance, rhs)
+            samples[i] = _sweep_schur(*reduction, frequencies)
     return BatchedACResult(
         engine.system.layout,
         samples,

@@ -134,7 +134,8 @@ def newton_many(
     """Damped Newton on every row of the ``(m, size)`` stack ``x0``.
 
     Row ``i`` converges when ``norm <= _RESIDUAL_ATOL + _RESIDUAL_RTOL *
-    norm0`` with ``norm0`` its residual at ``x0[i]``.  Rows leave the
+    norm0`` with ``norm0`` its residual at ``x0[i]``; a row whose
+    ``norm0`` is not finite never converges.  Rows leave the
     working set as they converge, stall (step below ``_STEP_TOL``), hit
     a singular Jacobian or a non-finite step, or find no
     residual-reducing damping, so late iterations pay only for the
@@ -155,6 +156,9 @@ def newton_many(
     residual, jacobian = plan.evaluate_many(x_out, **eval_kwargs)
     norm_out = np.abs(residual).max(axis=1)
     tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm_out
+    # A non-finite start gets a NaN tolerance, which no norm is above or
+    # within: the row leaves unconverged before the first step.
+    tolerance[~np.isfinite(tolerance)] = np.nan
     iterations = np.zeros(m, dtype=int)
     # The working set: input rows ``idx`` and their compacted state.
     idx = (norm_out > tolerance).nonzero()[0]

@@ -650,6 +650,16 @@ class _BatchedNewtonEngine:
                 f"variation has {variation.n_fets} FET columns, "
                 f"circuit has {len(self.fets)} FETs"
             )
+        scale, shift = variation.drive_scale, variation.vth_shift_v
+        bad = ~(np.isfinite(scale) & np.isfinite(shift) & (scale >= 0.0))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"variation instance {i}, FET {self.fet_names[j]!r}: "
+                f"drive_scale {float(scale[i, j])} and "
+                f"vth_shift_v {float(shift[i, j])} "
+                "must be finite, with drive_scale >= 0"
+            )
         return variation
 
     def __reduce__(self):

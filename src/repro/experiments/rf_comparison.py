@@ -137,8 +137,8 @@ def _inverter_ac_distribution(
 
     Builds a complementary inverter biased mid-rail and sweeps every
     process corner through the compiled batched AC path — batched DC
-    operating points, one stacked linearization, stacked complex
-    solves.  Unity-gain frequencies are NaN where the corner never
+    operating points, one stacked linearization, one Schur sweep per
+    corner.  Unity-gain frequencies are NaN where the corner never
     crosses unity (the non-saturating case, by the paper's argument).
     """
     cell = build_inverter(nfet, input_waveform=DC(INVERTER_BIAS_V))

@@ -98,13 +98,20 @@ class TestAnalyticRouting:
 
     def test_no_finite_difference_probing(self, saturating):
         class AnalyticOnly(AlphaPowerFET):
-            """Raises on any current() probe; serves derivatives directly."""
+            """Raises on any current probe; serves derivatives directly."""
 
             def current(self, vgs, vds):
                 raise AssertionError("RF path fell back to FD current probes")
 
+            def currents(self, vgs_values, vds_values):
+                raise AssertionError("RF path fell back to FD current probes")
+
             def linearize_point(self, vgs, vds, delta_v=None):
                 return 1e-4, 5e-4, 3e-5
+
+            def linearize(self, vgs_values, vds_values):
+                shape = np.shape(vgs_values)
+                return np.full(shape, 1e-4), np.full(shape, 5e-4), np.full(shape, 3e-5)
 
         metrics = rf_metrics(AnalyticOnly(), 0.8, 0.8, c_gate_total_f=60e-18)
         assert metrics.gm_s == pytest.approx(5e-4)
@@ -119,26 +126,25 @@ class TestAnalyticRouting:
 
 
 class TestRFMetricsBatch:
-    def test_nominal_corners_match_scalar(self, saturating):
-        scalar = rf_metrics(saturating, 0.8, 0.8, c_gate_total_f=60e-18)
-        batch = rf_metrics_batch(
-            saturating,
-            0.8,
-            0.8,
-            60e-18,
-            drive_scale=np.ones(5),
-            vth_shift_v=np.zeros(5),
-        )
-        assert batch.n_instances == 5
-        # linearize (vectorised currents) and linearize_point (scalar
-        # current) may round differently at the last few ulps.
-        np.testing.assert_allclose(batch.gm_s, scalar.gm_s, rtol=1e-9)
-        np.testing.assert_allclose(batch.gds_s, scalar.gds_s, rtol=1e-9)
-        np.testing.assert_allclose(batch.ft_hz, scalar.ft_hz, rtol=1e-9)
-        np.testing.assert_allclose(batch.fmax_hz, scalar.fmax_hz, rtol=1e-9)
-        np.testing.assert_allclose(
-            batch.intrinsic_gain, scalar.intrinsic_gain, rtol=1e-9
-        )
+    def test_nominal_corners_match_scalar(self, saturating, linear):
+        # The scalar call is the batch's one-corner call: bitwise, for
+        # both the saturating and the non-saturating device.
+        for device in (saturating, linear):
+            scalar = rf_metrics(device, 0.8, 0.8, c_gate_total_f=60e-18)
+            batch = rf_metrics_batch(
+                device,
+                0.8,
+                0.8,
+                60e-18,
+                drive_scale=np.ones(5),
+                vth_shift_v=np.zeros(5),
+            )
+            assert batch.n_instances == 5
+            for i in range(batch.n_instances):
+                assert batch.corner(i) == scalar
+            np.testing.assert_array_equal(
+                batch.intrinsic_gain, scalar.intrinsic_gain
+            )
 
     def test_drive_scale_doubles_gm_keeps_gain(self, saturating):
         batch = rf_metrics_batch(

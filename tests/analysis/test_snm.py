@@ -61,59 +61,3 @@ class TestDeviceVTCs:
         result = butterfly_snm(v_in, v_out)
         assert not result.is_bistable
         assert result.snm == 0.0
-
-
-class TestSNMCornerSweep:
-    """Corner sweeps of the butterfly analysis through the sweep engine."""
-
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        from repro.analysis.snm import snm_corner_sweep
-        from repro.devices.empirical import AlphaPowerFET
-
-        corners = {
-            "slow": AlphaPowerFET(k_a_per_v_alpha=2.0e-4),
-            "typical": AlphaPowerFET(),
-            "fast": AlphaPowerFET(k_a_per_v_alpha=8.0e-4),
-        }
-        return snm_corner_sweep(corners, vdd=1.0, n_points=101)
-
-    def test_all_corners_bistable(self, sweep):
-        assert sweep.all_bistable()
-        assert np.all(sweep.snm_v > 0.05)
-
-    def test_labels_follow_input_order(self, sweep):
-        assert sweep.labels == ("slow", "typical", "fast")
-
-    def test_worst_corner_is_minimum(self, sweep):
-        label, result = sweep.worst_corner()
-        assert result.snm == sweep.snm_v.min()
-        assert label in sweep.labels
-
-    def test_non_saturating_corner_kills_snm(self):
-        from repro.analysis.snm import snm_corner_sweep
-        from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
-
-        # Same smoothed non-saturating device the butterfly tests use for
-        # the sub-unity-gain (non-bistable) case.
-        sweep = snm_corner_sweep(
-            {"sat": AlphaPowerFET(), "linear": NonSaturatingFET(vt=0.2, smoothing_v=0.3)},
-            vdd=1.0,
-            n_points=161,
-        )
-        assert not sweep.all_bistable()
-        label, result = sweep.worst_corner()
-        assert label == "linear" and result.snm == 0.0
-
-    def test_explicit_pair_and_validation(self):
-        from repro.analysis.snm import snm_corner_sweep
-        from repro.devices.base import PType
-        from repro.devices.empirical import AlphaPowerFET
-
-        nfet = AlphaPowerFET()
-        paired = snm_corner_sweep(
-            {"pair": (nfet, PType(nfet))}, vdd=1.0, n_points=101
-        )
-        assert paired.results[0].is_bistable
-        with pytest.raises(ValueError):
-            snm_corner_sweep({})

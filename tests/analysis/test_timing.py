@@ -111,36 +111,35 @@ class TestEstimators:
         assert delay > 0.0
 
 
-class TestDelayCornerSweep:
-    """Corner sweeps of the CV/I estimator through the sweep engine."""
+class TestTransientDelayCornerSweep:
+    """Named corners time-stepped in one batched transient."""
+
+    CORNERS = {"typical": (1.0, 0.0), "slow": (0.7, 0.05), "fast": (1.3, -0.05)}
 
     @pytest.fixture(scope="class")
     def sweep(self):
-        from repro.analysis.timing import delay_corner_sweep
-        from repro.devices.empirical import AlphaPowerFET
+        from repro.analysis.timing import transient_delay_corner_sweep
 
-        corners = {
-            "slow": AlphaPowerFET(k_a_per_v_alpha=2.0e-4),
-            "typical": AlphaPowerFET(),
-            "fast": AlphaPowerFET(k_a_per_v_alpha=8.0e-4),
-        }
-        return delay_corner_sweep(corners, load_f=10e-15, vdd=1.0)
+        return transient_delay_corner_sweep(AlphaPowerFET(), self.CORNERS)
 
-    def test_weaker_drive_is_slower(self, sweep):
-        slow, typical, fast = sweep.delays_s
-        assert slow > typical > fast
+    def test_labels_follow_input_order(self, sweep):
+        assert sweep.labels == ("typical", "slow", "fast")
+        assert sweep.n_valid == 3
 
-    def test_energy_is_corner_independent_for_fixed_load(self, sweep):
-        assert np.allclose(sweep.energies_j, sweep.energies_j[0])
+    def test_slow_slower_than_typical_slower_than_fast(self, sweep):
+        delays = dict(zip(sweep.labels, sweep.average_delays_s))
+        assert delays["slow"] > delays["typical"] > delays["fast"]
+        assert sweep.spread() == delays["slow"] / delays["fast"]
 
-    def test_worst_corner_and_spread(self, sweep):
-        label, delay = sweep.worst_corner()
-        assert label == "slow"
-        assert delay == sweep.delays_s.max()
-        assert sweep.spread() == pytest.approx(4.0, rel=0.3)
+    def test_corner_that_never_switches_raises(self):
+        from repro.analysis.timing import transient_delay_corner_sweep
 
-    def test_validation(self):
-        from repro.analysis.timing import delay_corner_sweep
+        corners = {"typical": (1.0, 0.0), "stuck": (1.0, 5.0)}
+        with pytest.raises(ValueError, match="'stuck'"):
+            transient_delay_corner_sweep(AlphaPowerFET(), corners)
 
-        with pytest.raises(ValueError):
-            delay_corner_sweep({}, load_f=1e-15, vdd=1.0)
+    def test_no_corners_rejected(self):
+        from repro.analysis.timing import transient_delay_corner_sweep
+
+        with pytest.raises(ValueError, match="at least one corner"):
+            transient_delay_corner_sweep(AlphaPowerFET(), {})

@@ -2,8 +2,8 @@
 
 Plus the compiled-path contracts: the stacked complex sweep
 (:class:`ACPlan`) is pinned to a per-frequency dense-loop oracle at
-1e-9 in both the dense and sparse regimes, and the batched paths are
-bitwise invariant to frequency chunking and corner order.
+1e-9 in both the dense and sparse regimes, and the batched corners
+are bitwise invariant to corner order.
 """
 
 import numpy as np
@@ -181,17 +181,6 @@ class TestFrequencyGridValidation:
         with pytest.raises(CircuitError, match="positive and finite"):
             ac_analysis(rc_lowpass(), "VIN", [1e3, np.inf])
 
-    def test_bad_chunk_size_rejected(self):
-        cell = build_inverter(AlphaPowerFET(), input_waveform=DC(0.5))
-        with pytest.raises(CircuitError, match="chunk_size"):
-            ac_monte_carlo(
-                cell.circuit,
-                "VIN",
-                [1e3, 1e4],
-                FETVariation.nominal(1, 2),
-                chunk_size=0,
-            )
-
 
 def _dense_capacitance(circuit, system):
     """Element-walk capacitance build, independent of the stamp plan."""
@@ -298,16 +287,7 @@ def _batched_reference() -> tuple[Circuit, FETVariation, BatchedACResult, np.nda
 
 
 class TestBatchedInvariance:
-    """Chunking and corner order never change a bit of the results."""
-
-    @settings(deadline=None, max_examples=8)
-    @given(st.integers(1, 60))
-    def test_frequency_chunking_bitwise_invariant(self, chunk_size):
-        circuit, variation, base, frequencies = _batched_reference()
-        chunked = ac_monte_carlo(
-            circuit, "VIN", frequencies, variation, chunk_size=chunk_size
-        )
-        assert np.array_equal(chunked.samples, base.samples)
+    """Corner order never changes a bit of the results."""
 
     @settings(deadline=None, max_examples=6)
     @given(st.permutations(list(range(16))))
@@ -323,10 +303,10 @@ class TestBatchedInvariance:
 
 class TestBatchedAC:
     def test_nominal_matches_scalar_plan(self):
-        # The corner kernel (stacked LAPACK) and the plan kernel (Schur
-        # backsubstitution) solve the same system by different routes:
-        # nominal variation must land on the same response at the
-        # equivalence bar.
+        # Both sides run the same Schur kernel; only their
+        # linearizations differ (the engine's stacked evaluation under
+        # nominal variation against the plan's one-row Jacobian), so
+        # they meet at the equivalence bar, not bitwise.
         cell = build_inverter(AlphaPowerFET(), input_waveform=DC(0.5))
         frequencies = np.logspace(6, 11, 13)
         batched = ac_monte_carlo(
@@ -338,6 +318,25 @@ class TestBatchedAC:
             batched.transfer(cell.output_node)[0] - single.transfer(cell.output_node)
         ).max()
         assert deviation < 1e-9
+
+    def test_every_corner_matches_dense_loop(self):
+        # Each corner's Schur sweep against the per-frequency oracle on
+        # that corner's own linearization.
+        from repro.circuit.sweep import CircuitMonteCarlo
+
+        circuit, variation, base, frequencies = _batched_reference()
+        engine = CircuitMonteCarlo(circuit)
+        corners = engine.run(variation)
+        jacobians = engine.small_signal_jacobians(corners.x, variation)
+        rhs = np.zeros(engine.plan.size)
+        rhs[circuit.source("VIN").branch_index] = 1.0
+        assert base.converged.all()
+        for i in range(base.n_instances):
+            reference = dense_frequency_loop(
+                jacobians[i], engine.plan.capacitance_stamp(), rhs, frequencies
+            )
+            error = np.abs(base.samples[i] - reference).max()
+            assert error / np.abs(reference).max() < 1e-9
 
     def test_instance_accessor_round_trips(self):
         _, _, base, frequencies = _batched_reference()

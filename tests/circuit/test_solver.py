@@ -5,7 +5,8 @@ import pytest
 
 from repro.circuit.assembly import SPARSE_THRESHOLD
 from repro.circuit.netlist import Circuit
-from repro.circuit.solver import newton_solve, solve_dc
+from repro.circuit.solver import newton_many, newton_solve, solve_dc
+from repro.circuit.sweep import FETVariation
 from repro.circuit.waveforms import DC
 from repro.devices.base import PType
 from repro.devices.empirical import AlphaPowerFET
@@ -71,6 +72,34 @@ class TestNewton:
         x_half, ok = newton_solve(system, np.zeros(system.size), source_scale=0.5)
         assert ok
         assert system.voltage_of(x_half, "a") == pytest.approx(1.0)
+
+
+class TestNonFiniteStart:
+    """A row whose starting residual is not finite never converges."""
+
+    def _chain(self):
+        c = Circuit()
+        c.add_voltage_source("VDD", "vdd", "0", DC(1.0))
+        c.add_voltage_source("VIN", "s0", "0", DC(0.2))
+        fet = AlphaPowerFET()
+        for i in range(2):
+            c.add_fet(f"MP{i}", f"s{i+1}", f"s{i}", "vdd", PType(fet))
+            c.add_fet(f"MN{i}", f"s{i+1}", f"s{i}", "0", fet)
+        return c
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_row_leaves_unconverged(self, value):
+        system = self._chain().build_system()
+        x_nominal = solve_dc(system)
+        variation = FETVariation.nominal(2, 4)
+        variation.drive_scale[1, 0] = value
+        rows = newton_many(
+            system._plan, np.stack([x_nominal, x_nominal]), variation=variation
+        )
+        assert rows.converged.tolist() == [True, False]
+        assert rows.iterations[1] == 0
+        assert not np.isfinite(rows.norm[1])
+        np.testing.assert_array_equal(rows.x[1], x_nominal)
 
 
 class TestBatchedLineSearch:

@@ -287,6 +287,27 @@ class TestCircuitMonteCarlo:
         with pytest.raises(ValueError):
             engine.run()
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [("drive_scale", np.nan), ("drive_scale", np.inf), ("drive_scale", -0.5),
+         ("vth_shift_v", np.nan), ("vth_shift_v", -np.inf)],
+    )
+    def test_rejects_bad_variation_values(self, column, value):
+        from repro.circuit.sweep import CircuitTransientMC
+
+        circuit = _chain()
+        engine = CircuitMonteCarlo(circuit)
+        variation = FETVariation.nominal(3, len(engine.fet_names))
+        getattr(variation, column)[2, 1] = value
+        name = engine.fet_names[1]
+        message = f"instance 2, FET '{name}'"
+        with pytest.raises(ValueError, match=message):
+            engine.run(variation)
+        with pytest.raises(ValueError, match=message):
+            engine.small_signal_jacobians(np.zeros((3, engine.plan.size)), variation)
+        with pytest.raises(ValueError, match=message):
+            CircuitTransientMC(circuit).run(variation, 1e-10, 1e-11)
+
     def test_sparse_plan_batches_silently(self, caplog, sparse_fet_ladder):
         import logging
 
