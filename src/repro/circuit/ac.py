@@ -27,7 +27,10 @@ cross-row updates run as stacked BLAS products.  Above
 refactorization per frequency against the plan's cached symbolic
 ordering (:meth:`~repro.circuit.assembly._SparseSchedule.factor`) —
 G and C share one canonical pattern, so each system is an elementwise
-``data`` combination.  The pre-compile per-frequency dense loop
+``data`` combination, factored with its columns in the fill-reducing
+order SuperLU chose for that pattern (``A[:, argsort(perm_c)]``; on a
+600-stage chain every frequency's factor holds 1.25x the pattern's
+nonzeros).  The pre-compile per-frequency dense loop
 survives verbatim as :func:`dense_frequency_loop`: it is the reference
 the equivalence suite and the AC benchmarks pin the compiled sweep
 against.

@@ -323,7 +323,11 @@ class _SparseSchedule:
       column ordering — is computed **once** (:attr:`n_symbolic`
       counts these); :meth:`factor` then refactorizes numerically by
       permuting the canonical ``data`` into a pre-gathered CSC layout
-      and factoring with ``permc_spec="NATURAL"``.
+      and factoring with ``permc_spec="NATURAL"``.  The layout holds
+      the columns in the order SuperLU analysed: its ``perm_c``
+      satisfies ``Pr A Pc = L U`` with ``Pc[k, perm_c[k]] = 1``, so
+      the factored matrix is ``A[:, q]`` with ``q = argsort(perm_c)``
+      (``A[:, perm_c]`` is a scrambled order with up to 40x the fill).
 
     That split is what lets the sweep engines batch sparse plans: one
     schedule serves every instance's refactorization, and a stacked
@@ -368,7 +372,7 @@ class _SparseSchedule:
         self._cap_which = plan._cap_which
         # Symbolic state, built lazily by _ensure_symbolic().
         self.n_symbolic = 0
-        self._perm_c: np.ndarray | None = None
+        self._col_order: np.ndarray | None = None
         self._b_gather: np.ndarray | None = None
         self._b_indices: np.ndarray | None = None
         self._b_indptr: np.ndarray | None = None
@@ -418,7 +422,7 @@ class _SparseSchedule:
         return data
 
     def _ensure_symbolic(self) -> None:
-        if self._perm_c is not None:
+        if self._col_order is not None:
             return
         # Fill-reducing ordering from one splu of a diagonally-dominant
         # placeholder on the canonical pattern (ones everywhere, the
@@ -428,8 +432,10 @@ class _SparseSchedule:
         data = np.ones(self.nnz)
         data[self.diag_pos] += float(self.size)
         lu = splu(self.matrix(data).tocsc())
-        self._perm_c = lu.perm_c.astype(np.intp)
-        # Pre-gathered CSC layout of B = A[:, perm_c]: b_gather maps
+        # SuperLU factors A Pc with Pc[k, perm_c[k]] = 1: column j of
+        # A Pc is column argsort(perm_c)[j] of A.
+        self._col_order = np.argsort(lu.perm_c).astype(np.intp)
+        # Pre-gathered CSC layout of B = A[:, col_order]: b_gather maps
         # canonical CSR data positions into B's CSC data order, so a
         # refactorization is one fancy-index plus a NATURAL-order splu.
         acsc = sparse.csr_matrix(
@@ -438,11 +444,11 @@ class _SparseSchedule:
         ).tocsc()
         starts, ends = acsc.indptr[:-1], acsc.indptr[1:]
         order = np.concatenate(
-            [np.arange(starts[c], ends[c]) for c in self._perm_c]
+            [np.arange(starts[c], ends[c]) for c in self._col_order]
         )
         self._b_gather = acsc.data[order]
         self._b_indices = acsc.indices[order]
-        lengths = (ends - starts)[self._perm_c]
+        lengths = (ends - starts)[self._col_order]
         self._b_indptr = np.concatenate(
             ([0], np.cumsum(lengths))
         ).astype(acsc.indptr.dtype)
@@ -468,12 +474,13 @@ class _SparseSchedule:
             lu = splu(permuted, permc_spec="NATURAL")
         except RuntimeError:
             return None
-        perm_c = self._perm_c
+        col_order = self._col_order
 
         def solve(rhs: np.ndarray) -> np.ndarray:
+            # B y = rhs with B = A[:, col_order], so x[col_order] = y.
             y = lu.solve(rhs)
             x = np.empty_like(y)
-            x[perm_c] = y
+            x[col_order] = y
             return x
 
         return solve

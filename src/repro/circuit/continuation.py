@@ -39,6 +39,7 @@ bare message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -174,6 +175,18 @@ def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarra
     resistors copy a known voltage onto an unknown neighbour.  Nodes the
     propagation cannot reach settle at mid-rail; branch currents start
     at zero.
+
+    Rules fire in priority order — voltage sources (exact) > FET
+    switches > resistor wires (both heuristic).  Sources are pinned to
+    a fixpoint before any heuristic fires, the heuristics fire one
+    assignment at a time (the first eligible FET in element order, else
+    the first eligible resistor), and the sources are pinned again
+    after each one: a source whose terminals only become known through
+    propagation is still pinned exactly, never left at mid-rail.  A
+    worklist drives this — a node → element adjacency built once, and a
+    min-index heap per rule class fed only by the elements a newly
+    known node touches — so a netlist of N nodes and E elements seeds
+    in O((N + E) log E).
     """
     circuit = system.circuit
     known: dict[str, float] = {}
@@ -183,31 +196,81 @@ def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarra
             return 0.0
         return known.get(node)
 
-    def put(node: str, value: float) -> bool:
-        if node in GROUND_NAMES or node in known:
-            return False
-        known[node] = float(value)
-        return True
-
     vsources = [el for el in circuit.elements if isinstance(el, VoltageSource)]
     fets = [el for el in circuit.elements if isinstance(el, FET)]
     resistors = [el for el in circuit.elements if isinstance(el, Resistor)]
+    source_at: dict[str, list[int]] = {}
+    fet_at: dict[str, list[int]] = {}  # gate and source terminals only
+    resistor_at: dict[str, list[int]] = {}
+    for i, el in enumerate(vsources):
+        for node in (el.p, el.n):
+            source_at.setdefault(node, []).append(i)
+    for i, el in enumerate(fets):
+        for node in (el.gate, el.source):
+            fet_at.setdefault(node, []).append(i)
+    for i, el in enumerate(resistors):
+        for node in (el.p, el.n):
+            resistor_at.setdefault(node, []).append(i)
 
-    def pin_sources() -> bool:
-        """Pin every node a source fixes from a known terminal (one pass)."""
-        changed = False
-        for el in vsources:
+    # One min-index heap per rule class, fed by the elements a newly
+    # known node touches; every entry is re-checked when popped.
+    # Sources need no sweep order: build_system rejects source loops,
+    # so they form a forest, and the first known node of a tree fixes
+    # every other node's value along its one path from that node.
+    source_heap = list(range(len(vsources)))  # sorted, so already a heap
+    fet_heap: list[int] = []
+    resistor_heap: list[int] = []
+    signs = [_unwrap_polarity(el.device)[1] for el in fets]
+    threshold = np.inf  # no FET switches until the exact rails are pinned
+
+    def fet_ready(i: int) -> bool:
+        el = fets[i]
+        vg, vs = get(el.gate), get(el.source)
+        if vg is None or vs is None:
+            return False
+        return signs[i] * (vg - vs) >= threshold
+
+    def put(node: str, value: float) -> None:
+        known[node] = float(value)
+        for i in source_at.get(node, ()):
+            heappush(source_heap, i)
+        for i in fet_at.get(node, ()):
+            if fet_ready(i):
+                heappush(fet_heap, i)
+        for i in resistor_at.get(node, ()):
+            heappush(resistor_heap, i)
+
+    def pin_sources() -> None:
+        """Pin every node a source fixes from a known terminal."""
+        while source_heap:
+            el = vsources[heappop(source_heap)]
             vp, vn = get(el.p), get(el.n)
             if vp is None and vn is not None:
-                changed |= put(el.p, vn + el.level(time_s))
+                put(el.p, vn + el.level(time_s))
             elif vn is None and vp is not None:
-                changed |= put(el.n, vp - el.level(time_s))
-        return changed
+                put(el.n, vp - el.level(time_s))
 
-    # Pin source-determined nodes (fixpoint handles stacked sources).
-    while pin_sources():
-        pass
+    def switch() -> tuple[str, float] | None:
+        """The first FET in element order that closes onto an unknown drain."""
+        while fet_heap:
+            el = fets[heappop(fet_heap)]
+            vs = get(el.source)
+            if vs is not None and get(el.drain) is None:
+                return el.drain, vs
+        return None
 
+    def wire() -> tuple[str, float] | None:
+        """The first resistor in element order with one known terminal."""
+        while resistor_heap:
+            el = resistors[heappop(resistor_heap)]
+            vp, vn = get(el.p), get(el.n)
+            if vp is None and vn is not None:
+                return el.p, vn
+            if vn is None and vp is not None:
+                return el.n, vp
+        return None
+
+    pin_sources()
     rails = [0.0, *known.values()]
     v_lo, v_hi = min(rails), max(rails)
     span = v_hi - v_lo
@@ -218,38 +281,15 @@ def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarra
             x[system.node_index(node)] = value
         return x
 
-    # Switch-level propagation to a fixpoint.  Rules fire in priority
-    # order — voltage sources (exact) > FET switches > resistor wires
-    # (both heuristic) — and the heuristic sweeps stop after their
-    # first assignment so the exact rules are re-checked before any
-    # further guess: a source whose terminals only become known through
-    # propagation is still pinned exactly, never left at mid-rail.
     threshold = _SEED_ON_FRACTION * span
-    max_passes = system.n_nodes + len(circuit.elements) + 1
-    for _ in range(max_passes):
-        if pin_sources():
-            continue
-        changed = False
-        for el in fets:
-            vg, vs = get(el.gate), get(el.source)
-            if vg is None or vs is None or get(el.drain) is not None:
-                continue
-            _, sign = _unwrap_polarity(el.device)
-            if sign * (vg - vs) >= threshold and put(el.drain, vs):
-                changed = True
-                break
-        if changed:
-            continue
-        for el in resistors:
-            vp, vn = get(el.p), get(el.n)
-            if vp is None and vn is not None:
-                changed = put(el.p, vn)
-            elif vn is None and vp is not None:
-                changed = put(el.n, vp)
-            if changed:
-                break
-        if not changed:
+    fet_heap = [i for i in range(len(fets)) if fet_ready(i)]
+    resistor_heap = list(range(len(resistors)))
+    while True:
+        pin_sources()
+        step = switch() or wire()
+        if step is None:
             break
+        put(*step)
 
     mid = v_lo + 0.5 * span
     for node in circuit.node_names:

@@ -11,6 +11,10 @@ Two kinds of reference live here:
   :mod:`repro.circuit.transient`, so the production loops are checked
   against something other than themselves (``test_solver.py``,
   ``test_march_oracle.py``).
+* :func:`fixpoint_seed` — the rescanning fixpoint form of the
+  structural seeder, which the worklist
+  :func:`~repro.circuit.continuation.structural_seed` must reproduce
+  bitwise (``test_seed_oracle.py``).
 * :func:`dc_scalar_reference` and :func:`transient_scalar_reference` —
   the per-instance scalar loop the Monte Carlo engines replace, run on
   explicitly perturbed circuit clones.  Shared by ``test_sweep.py``,
@@ -19,9 +23,20 @@ Two kinds of reference live here:
 
 import numpy as np
 
-from repro.circuit.assembly import DIAG_REGULARIZATION
-from repro.circuit.continuation import solve_dc_robust, structural_seed
-from repro.circuit.elements import Capacitor, StampContext
+from repro.circuit.assembly import DIAG_REGULARIZATION, _unwrap_polarity
+from repro.circuit.continuation import (
+    _SEED_ON_FRACTION,
+    solve_dc_robust,
+    structural_seed,
+)
+from repro.circuit.elements import (
+    FET,
+    GROUND_NAMES,
+    Capacitor,
+    Resistor,
+    StampContext,
+    VoltageSource,
+)
 from repro.circuit.netlist import MNASystem
 from repro.circuit.solver import (
     _MAX_ITERATIONS,
@@ -171,3 +186,100 @@ def transient_scalar_reference(
         system = perturbed_circuit(engine.circuit, variation, i).build_system()
         out[i] = transient_samples(system, t_stop_s, dt_s, integrator)
     return out
+
+
+def fixpoint_seed(system: MNASystem, time_s: float | None = None) -> np.ndarray:
+    """Oracle: the rescanning fixpoint form of :func:`structural_seed`.
+
+    Each pass fires the first eligible rule and rescans every element
+    from the start, so it costs O(N (N + E)); the production seed must
+    match it bitwise on every input.
+
+    Nodes pinned by voltage sources (evaluated at ``time_s``, or their DC
+    level when ``None``) seed the propagation; FETs whose gate drive
+    exceeds :data:`_SEED_ON_FRACTION` of the rail span act as closed
+    switches copying the source rail onto an undriven drain, and
+    resistors copy a known voltage onto an unknown neighbour.  Nodes the
+    propagation cannot reach settle at mid-rail; branch currents start
+    at zero.
+    """
+    circuit = system.circuit
+    known: dict[str, float] = {}
+
+    def get(node: str) -> float | None:
+        if node in GROUND_NAMES:
+            return 0.0
+        return known.get(node)
+
+    def put(node: str, value: float) -> bool:
+        if node in GROUND_NAMES or node in known:
+            return False
+        known[node] = float(value)
+        return True
+
+    vsources = [el for el in circuit.elements if isinstance(el, VoltageSource)]
+    fets = [el for el in circuit.elements if isinstance(el, FET)]
+    resistors = [el for el in circuit.elements if isinstance(el, Resistor)]
+
+    def pin_sources() -> bool:
+        """Pin every node a source fixes from a known terminal (one pass)."""
+        changed = False
+        for el in vsources:
+            vp, vn = get(el.p), get(el.n)
+            if vp is None and vn is not None:
+                changed |= put(el.p, vn + el.level(time_s))
+            elif vn is None and vp is not None:
+                changed |= put(el.n, vp - el.level(time_s))
+        return changed
+
+    # Pin source-determined nodes (fixpoint handles stacked sources).
+    while pin_sources():
+        pass
+
+    rails = [0.0, *known.values()]
+    v_lo, v_hi = min(rails), max(rails)
+    span = v_hi - v_lo
+
+    x = np.zeros(system.size)
+    if span <= 0.0:
+        for node, value in known.items():
+            x[system.node_index(node)] = value
+        return x
+
+    # Switch-level propagation to a fixpoint.  Rules fire in priority
+    # order — voltage sources (exact) > FET switches > resistor wires
+    # (both heuristic) — and the heuristic sweeps stop after their
+    # first assignment so the exact rules are re-checked before any
+    # further guess: a source whose terminals only become known through
+    # propagation is still pinned exactly, never left at mid-rail.
+    threshold = _SEED_ON_FRACTION * span
+    max_passes = system.n_nodes + len(circuit.elements) + 1
+    for _ in range(max_passes):
+        if pin_sources():
+            continue
+        changed = False
+        for el in fets:
+            vg, vs = get(el.gate), get(el.source)
+            if vg is None or vs is None or get(el.drain) is not None:
+                continue
+            _, sign = _unwrap_polarity(el.device)
+            if sign * (vg - vs) >= threshold and put(el.drain, vs):
+                changed = True
+                break
+        if changed:
+            continue
+        for el in resistors:
+            vp, vn = get(el.p), get(el.n)
+            if vp is None and vn is not None:
+                changed = put(el.p, vn)
+            elif vn is None and vp is not None:
+                changed = put(el.n, vp)
+            if changed:
+                break
+        if not changed:
+            break
+
+    mid = v_lo + 0.5 * span
+    for node in circuit.node_names:
+        x[system.node_index(node)] = known.get(node, mid)
+    return x
