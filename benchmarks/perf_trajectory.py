@@ -20,12 +20,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
+# One BLAS/OpenMP thread, pinned before numpy loads (the same variables
+# as perfbench/run.py): a thread pool sized by the host's idle cores
+# would move every timing with the host's load.
+THREAD_PINS = {
+    name: "1"
+    for name in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    )
+}
+os.environ.update(THREAD_PINS)
+
+import numpy as np  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -280,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "thread_pins": THREAD_PINS,
         "results": kept + results,
     }
 

@@ -1,20 +1,16 @@
 """Figure-of-merit extraction: I-V metrics, VTC metrics, timing/energy."""
 
 from repro.analysis.iv import (
-    dibl_mv_per_v,
     ion_at_fixed_ioff,
     ion_ioff_ratio,
     saturation_index,
     subthreshold_swing_mv_per_decade,
-    threshold_voltage,
 )
 from repro.analysis.rf import (
     RFDistribution,
     RFMetrics,
-    intrinsic_gain,
     rf_metrics,
     rf_metrics_batch,
-    small_signal,
 )
 from repro.analysis.snm import ButterflyResult, butterfly_snm
 from repro.analysis.timing import (
@@ -35,17 +31,13 @@ __all__ = [
     "analyze_vtc",
     "butterfly_snm",
     "cv_over_i_delay_s",
-    "dibl_mv_per_v",
     "intrinsic_energy_delay",
-    "intrinsic_gain",
     "rf_metrics",
     "rf_metrics_batch",
-    "small_signal",
     "ion_at_fixed_ioff",
     "ion_ioff_ratio",
     "propagation_delays",
     "saturation_index",
     "subthreshold_swing_mv_per_decade",
     "supply_energy_j",
-    "threshold_voltage",
 ]

@@ -1,4 +1,4 @@
-"""I-V curve metrics: SS, DIBL, on/off currents, saturation quality.
+"""I-V curve metrics: SS, on/off currents, saturation quality.
 
 These are the figure-of-merit extractors the paper's comparisons rely
 on, including the del Alamo benchmarking methodology used in Fig. 5:
@@ -12,8 +12,6 @@ import numpy as np
 
 __all__ = [
     "subthreshold_swing_mv_per_decade",
-    "threshold_voltage",
-    "dibl_mv_per_v",
     "ion_ioff_ratio",
     "ion_at_fixed_ioff",
     "saturation_index",
@@ -35,45 +33,6 @@ def subthreshold_swing_mv_per_decade(vgs, current_a) -> float:
     if not np.any(valid):
         raise ValueError("transfer curve never increases; no swing defined")
     return float(np.min(dv[valid] / dlog[valid])) * 1e3
-
-
-def threshold_voltage(vgs, current_a, criterion_a: float) -> float:
-    """Constant-current threshold: V_GS at which I_D crosses ``criterion_a``."""
-    vgs = np.asarray(vgs, dtype=float)
-    current = np.clip(np.asarray(current_a, dtype=float), _CURRENT_FLOOR_A, None)
-    log_i = np.log10(current)
-    target = np.log10(criterion_a)
-    if target < log_i.min() or target > log_i.max():
-        raise ValueError(
-            f"criterion {criterion_a:g} A outside curve range "
-            f"[{current.min():g}, {current.max():g}]"
-        )
-    return float(np.interp(target, log_i, vgs))
-
-
-def dibl_mv_per_v(
-    vgs,
-    current_low_vds_a,
-    current_high_vds_a,
-    vds_low: float,
-    vds_high: float,
-    criterion_a: float | None = None,
-) -> float:
-    """DIBL [mV/V]: threshold shift between two drain biases.
-
-    Uses a constant-current criterion (default: geometric mid-decade of
-    the low-V_DS curve).
-    """
-    if vds_high <= vds_low:
-        raise ValueError("vds_high must exceed vds_low")
-    current_low = np.asarray(current_low_vds_a, dtype=float)
-    if criterion_a is None:
-        log_lo = np.log10(max(current_low.min(), _CURRENT_FLOOR_A))
-        log_hi = np.log10(current_low.max())
-        criterion_a = 10.0 ** ((log_lo + log_hi) / 2.0)
-    vt_low = threshold_voltage(vgs, current_low_vds_a, criterion_a)
-    vt_high = threshold_voltage(vgs, current_high_vds_a, criterion_a)
-    return (vt_low - vt_high) / (vds_high - vds_low) * 1e3
 
 
 def ion_ioff_ratio(vgs, current_a, v_off: float, v_on: float) -> float:

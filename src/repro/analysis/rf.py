@@ -24,8 +24,7 @@ finite-difference stepping of its own.  :func:`rf_metrics_batch`
 evaluates the figures over process corners with one batched
 ``linearize`` call, feeding the variation-aware distributions of
 ``experiments/rf_comparison.py``; :func:`rf_metrics` is its
-nominal one-corner call, and :func:`small_signal` the scalar
-``linearize_point`` read behind :func:`intrinsic_gain`.
+nominal one-corner call.
 """
 
 from __future__ import annotations
@@ -40,32 +39,9 @@ from repro.devices.base import FETModel
 __all__ = [
     "RFDistribution",
     "RFMetrics",
-    "intrinsic_gain",
     "rf_metrics",
     "rf_metrics_batch",
-    "small_signal",
 ]
-
-
-def small_signal(device: FETModel, vgs: float, vds: float) -> tuple[float, float]:
-    """(gm, gds) [S] at one bias point via the device protocol.
-
-    Routes through :meth:`~repro.devices.base.FETModel.linearize_point`:
-    analytic derivatives wherever the model overrides it, the
-    protocol's model-owned central-difference step as the explicit
-    fallback.  The single linearization entry for every RF consumer in
-    this module.
-    """
-    _, gm, gds = device.linearize_point(vgs, vds)
-    return float(gm), float(gds)
-
-
-def intrinsic_gain(device: FETModel, vgs: float, vds: float) -> float:
-    """Intrinsic voltage gain A_v = gm / gds at a bias point."""
-    gm, gds = small_signal(device, vgs, vds)
-    if gds <= 0.0:
-        return math.inf
-    return gm / gds
 
 
 @dataclass(frozen=True)
@@ -82,10 +58,6 @@ class RFMetrics:
         if self.gds_s <= 0.0:
             return math.inf
         return self.gm_s / self.gds_s
-
-    @property
-    def fmax_over_ft(self) -> float:
-        return self.fmax_hz / self.ft_hz
 
 
 def rf_metrics(

@@ -3,7 +3,7 @@
 Built from scratch as the substrate for the paper's Fig. 2 inverter
 study: netlist construction (:class:`Circuit`), DC operating point and
 swept DC with continuation, trapezoidal/backward-Euler transient, and
-standard-cell builders for inverters and ring oscillators.
+the standard-cell inverter builder.
 
 Cold-start DC robustness comes from the adaptive continuation
 subsystem (:mod:`repro.circuit.continuation`): a logic-aware
@@ -105,9 +105,7 @@ from repro.circuit.continuation import (
 from repro.circuit.cells import (
     InverterCell,
     build_inverter,
-    build_ring_oscillator,
     inverter_vtc,
-    ring_oscillator_frequency,
 )
 from repro.circuit.dc import OperatingPointResult, SweepResult, dc_sweep, operating_point
 from repro.circuit.netlist import (
@@ -177,12 +175,10 @@ __all__ = [
     "ac_analysis",
     "ac_monte_carlo",
     "build_inverter",
-    "build_ring_oscillator",
     "dc_sweep",
     "inverter_vtc",
     "operating_point",
     "perturbed_circuit",
-    "ring_oscillator_frequency",
     "solve_dc_robust",
     "structural_seed",
     "transient",

@@ -85,8 +85,8 @@ def _validate_frequencies(frequencies_hz) -> np.ndarray:
     """The boundary check of every AC entry point.
 
     Rejects empty, non-positive, non-finite and unsorted grids:
-    :meth:`ACResult.unity_gain_frequency_hz` interpolates along an
-    ascending axis, so a shuffled grid would silently fabricate
+    :meth:`BatchedACResult.unity_gain_frequencies_hz` interpolates along
+    an ascending axis, so a shuffled grid would silently fabricate
     crossings instead of failing loudly here.
     """
     frequencies = np.atleast_1d(np.asarray(frequencies_hz, dtype=float))
@@ -115,9 +115,10 @@ def _unity_gain_crossing(
     """Log-log interpolated falling unity crossing of one |H| trace.
 
     Only genuine falling edges count (above at i-1, below at i, no
-    wrap-around); returns None when the trace never crosses.  Shared by
-    the scalar raise-on-missing accessor and the batched NaN-on-missing
-    one, so both report the identical interpolated value.
+    wrap-around): a sweep that *starts* below unity (e.g. a band-pass
+    response) contributes no crossing at its first point, and a response
+    still above unity at the last point does not wrap around to
+    fabricate one.  Returns None when the trace never crosses.
     """
     above = magnitude >= 1.0
     falling = above[:-1] & ~above[1:]
@@ -138,28 +139,6 @@ class ACResult(Solution):
     """
 
     frequencies_hz: np.ndarray
-
-    def magnitude_db(self, node: str) -> np.ndarray:
-        return 20.0 * np.log10(np.clip(np.abs(self.transfer(node)), 1e-300, None))
-
-    def phase_deg(self, node: str) -> np.ndarray:
-        return np.degrees(np.angle(self.transfer(node)))
-
-    def unity_gain_frequency_hz(self, node: str) -> float:
-        """First frequency where |H| falls to 1 (interpolated on log f).
-
-        Only genuine falling edges count: a sweep that *starts* below
-        unity (e.g. a band-pass response) contributes no crossing at
-        its first point, and a response that is still above unity at
-        the last point does not wrap around to fabricate one.
-        """
-        magnitude = np.abs(self.transfer(node))
-        crossing = _unity_gain_crossing(self.frequencies_hz, magnitude)
-        if crossing is None:
-            if not (magnitude >= 1.0).any():
-                raise CircuitError("response never reaches unity in the swept range")
-            raise CircuitError("response never crosses unity in the swept range")
-        return crossing
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +378,9 @@ class BatchedACResult(EnsembleSolution):
     def unity_gain_frequencies_hz(self, node: str) -> np.ndarray:
         """Per-corner falling-edge unity crossing; NaN where there is none.
 
-        Unlike the scalar accessor this does not raise: a corner whose
-        response never crosses unity (the paper's non-saturating
-        devices) or whose DC solve failed reports NaN, so distribution
-        consumers can summarise the crossings that exist.
+        A corner whose response never crosses unity (the paper's
+        non-saturating devices) or whose DC solve failed reports NaN, so
+        distribution consumers can summarise the crossings that exist.
         """
         magnitudes = np.abs(self.transfer(node))
         out = np.full(self.n_instances, np.nan)

@@ -48,7 +48,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
+# Unused here; perfbench/tracing.py::_install_solve resolves
+# ``assembly.lu_factor``/``assembly.lu_solve`` when it installs.
+from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 from scipy.sparse.linalg import splu
 
 from repro.circuit.elements import (
@@ -69,9 +71,8 @@ __all__ = ["StampPlan", "UnsupportedElement", "SPARSE_THRESHOLD"]
 # dense Jacobian stacks to scipy.sparse CSR matrices.
 SPARSE_THRESHOLD = 128
 
-# Diagonal regularization applied before any factorization — shared
-# with the Newton solver (which imports it), so linear-only cached-LU
-# solves and per-iteration nonlinear solves get identical conditioning.
+# Diagonal regularization added to every Newton Jacobian before it is
+# factorized (the Newton solver imports it).
 DIAG_REGULARIZATION = 1e-14
 
 # FET groups at or below this size stamp through the scalar
@@ -289,19 +290,15 @@ class _StackLayout:
 class _LinearSystem:
     """Cached constant linear part for one ``(dt, integrator)`` key.
 
-    ``solve`` holds a lazily-built LU-backed ``solve(rhs)`` callable for
-    linear-only circuits, so transient steps and sweep points reuse one
-    factorization instead of refactorizing the identical matrix.
     ``sparse_base`` caches this linear part scattered onto the plan's
     canonical sparse pattern (see :class:`_SparseSchedule`).
     """
 
-    __slots__ = ("matrix", "cap_geq", "solve", "sparse_base")
+    __slots__ = ("matrix", "cap_geq", "sparse_base")
 
     def __init__(self, matrix, cap_geq):
         self.matrix = matrix
         self.cap_geq = cap_geq
-        self.solve = None
         self.sparse_base = None
 
 
@@ -610,10 +607,6 @@ class StampPlan:
             )
             for key, fets in fet_bins.items()
         ]
-        # Linear-only circuits have a bias-independent Jacobian: the
-        # Newton solver then routes steps through linear_step()'s cached
-        # factorization instead of refactorizing every iteration.
-        self.linear_only = not self.fet_groups
 
         self._lin_cache: dict[object, _LinearSystem] = {}
         self._cap_stamp: np.ndarray | None = None
@@ -693,39 +686,6 @@ class StampPlan:
         linear = _LinearSystem(matrix, cap_geq)
         self._lin_cache[key] = linear
         return linear
-
-    def linear_step(
-        self,
-        residual: np.ndarray,
-        dt_s: float | None = None,
-        integrator: str = "trapezoidal",
-    ) -> np.ndarray | None:
-        """Newton step ``A^-1 (-residual)`` from the cached factorization.
-
-        Only meaningful for linear-only plans (``self.linear_only``),
-        whose Jacobian equals the constant matrix for every iterate.
-        The LU factors are built once per ``(dt, integrator)`` key with
-        the solver's tiny diagonal regularization.  Returns None when
-        the matrix cannot be factorized or the solve is non-finite.
-        """
-        linear = self._linear_system(dt_s, integrator)
-        if linear.solve is None:
-            if self.use_sparse:
-                schedule = self.sparse_schedule
-                data = schedule.linear_data(linear).copy()
-                data[schedule.diag_pos] += DIAG_REGULARIZATION
-                solve = schedule.factor(data)
-                if solve is None:
-                    return None
-                linear.solve = solve
-            else:
-                matrix = linear.matrix.copy()
-                diagonal = np.einsum("ii->i", matrix)
-                diagonal += DIAG_REGULARIZATION
-                factors = lu_factor(matrix, check_finite=False)
-                linear.solve = lambda rhs: lu_solve(factors, rhs, check_finite=False)
-        step = linear.solve(-residual)
-        return step if np.all(np.isfinite(step)) else None
 
     # -- evaluation ---------------------------------------------------------------
     def evaluate_many(

@@ -1,4 +1,4 @@
-"""Standard cells: CMOS-style inverter, NAND/NOR, and ring oscillators.
+"""Standard cells: the CMOS-style inverter and its transfer curve.
 
 Builders assemble complementary logic from any pair of n/p device models
 (the p-type is derived by mirroring the n-type unless given explicitly),
@@ -14,11 +14,10 @@ import numpy as np
 
 from repro.circuit.dc import dc_sweep
 from repro.circuit.netlist import Circuit
-from repro.circuit.transient import TransientResult
-from repro.circuit.waveforms import DC, Pulse
+from repro.circuit.waveforms import DC
 from repro.devices.base import FETModel, PType
 
-__all__ = ["InverterCell", "build_inverter", "inverter_vtc", "build_ring_oscillator"]
+__all__ = ["InverterCell", "build_inverter", "inverter_vtc"]
 
 
 @dataclass(frozen=True)
@@ -76,57 +75,3 @@ def inverter_vtc(
     v_out = sweep.voltage(cell.output_node)
     i_supply = -sweep.source_current(cell.vdd_source)  # current delivered by VDD
     return values, v_out, i_supply
-
-
-def build_ring_oscillator(
-    nfet: FETModel,
-    pfet: FETModel | None = None,
-    n_stages: int = 5,
-    vdd: float = 1.0,
-    stage_capacitance_f: float = 1e-15,
-    kick_v: float = 0.02,
-) -> Circuit:
-    """An odd-stage ring oscillator with per-stage load capacitors.
-
-    A small asymmetric kick source at stage 0 breaks the metastable
-    all-at-VDD/2 DC solution so the oscillation starts deterministically.
-    """
-    if n_stages < 3 or n_stages % 2 == 0:
-        raise ValueError(f"need an odd stage count >= 3, got {n_stages}")
-    if pfet is None:
-        pfet = PType(nfet)
-    circuit = Circuit(f"ro{n_stages}")
-    circuit.add_voltage_source("VDD", "vdd", "0", DC(vdd))
-    for stage in range(n_stages):
-        node_in = f"n{stage}"
-        node_out = f"n{(stage + 1) % n_stages}"
-        circuit.add_fet(f"MP{stage}", node_out, node_in, "vdd", pfet)
-        circuit.add_fet(f"MN{stage}", node_out, node_in, "0", nfet)
-        circuit.add_capacitor(f"C{stage}", node_out, "0", stage_capacitance_f)
-    # Startup kick: brief pulse injected at n0 through a small source.
-    circuit.add_voltage_source(
-        "VKICK",
-        "kick",
-        "0",
-        Pulse(v1=0.0, v2=kick_v, delay_s=0.0, rise_s=1e-12, fall_s=1e-12, width_s=20e-12),
-    )
-    circuit.add_resistor("RKICK", "kick", "n0", 1e4)
-    return circuit
-
-
-def ring_oscillator_frequency(
-    result: TransientResult, node: str = "n0", vdd: float = 1.0
-) -> float:
-    """Oscillation frequency [Hz] from mid-supply crossings of one node."""
-    v = result.voltage(node)
-    t = result.time_s
-    mid = vdd / 2.0
-    above = v > mid
-    crossings = t[1:][above[1:] & ~above[:-1]]  # rising crossings
-    if crossings.size < 3:
-        raise ValueError("not enough oscillation periods captured")
-    periods = np.diff(crossings[-max(3, crossings.size // 2):])
-    return float(1.0 / np.mean(periods))
-
-
-__all__.append("ring_oscillator_frequency")

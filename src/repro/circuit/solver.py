@@ -15,10 +15,9 @@ accepts the first candidate that reduces the row's residual — the one
 a sequential halving ladder would accept.
 
 Linear algebra follows the compiled stamp plan: dense Jacobian stacks
-solve in one batched LAPACK call (``dgesv`` for a single row), sparse
-``(m, nnz)`` stacks refactorize each row numerically against the
-plan's one-time symbolic ordering, and linear-only circuits reuse the
-plan's cached LU of the constant matrix.
+solve in one batched LAPACK call (``dgesv`` for a single row), and
+sparse ``(m, nnz)`` stacks refactorize each row numerically against the
+plan's one-time symbolic ordering.  Linear circuits take the same path.
 
 Cold-start robustness lives in :mod:`repro.circuit.continuation`:
 :func:`solve_dc` delegates to its adaptive ladder (structural seeding,
@@ -87,33 +86,29 @@ def take_rows(eval_kwargs: dict, rows: np.ndarray) -> dict:
     return kwargs
 
 
-def _solve_stack(plan, jacobians, residuals, linear, dt_s, integrator):
+def _solve_stack(plan, jacobians, residuals):
     """Regularized Newton steps for a row stack; NaN rows where none exists.
 
     ``jacobians`` is regularized in place (the caller replaces a row
     before reading it again).  Dense stacks of several rows solve in one
     batched LAPACK call; single rows, sparse rows (refactorized against
-    the plan's one-time symbolic ordering), linear-only plans
-    (``linear``: the plan's cached LU) and a stack with a singular
+    the plan's one-time symbolic ordering) and a stack with a singular
     member go row by row.
     """
-    if not linear:
-        if plan.use_sparse:
-            jacobians[:, plan.sparse_schedule.diag_pos] += DIAG_REGULARIZATION
-        else:
-            np.einsum("ijj->ij", jacobians)[...] += DIAG_REGULARIZATION
-            if residuals.shape[0] > 1:
-                try:
-                    # RHS as (k, size, 1) column matrices: the batched-solve
-                    # gufunc otherwise misreads a (k, size) stack as one matrix.
-                    return np.linalg.solve(jacobians, -residuals[:, :, None])[..., 0]
-                except np.linalg.LinAlgError:
-                    pass
+    if plan.use_sparse:
+        jacobians[:, plan.sparse_schedule.diag_pos] += DIAG_REGULARIZATION
+    else:
+        np.einsum("ijj->ij", jacobians)[...] += DIAG_REGULARIZATION
+        if residuals.shape[0] > 1:
+            try:
+                # RHS as (k, size, 1) column matrices: the batched-solve
+                # gufunc otherwise misreads a (k, size) stack as one matrix.
+                return np.linalg.solve(jacobians, -residuals[:, :, None])[..., 0]
+            except np.linalg.LinAlgError:
+                pass
     steps = np.empty_like(residuals)
     for i, (jacobian, residual) in enumerate(zip(jacobians, residuals)):
-        if linear:
-            step = plan.linear_step(residual, dt_s, integrator)
-        elif plan.use_sparse:
+        if plan.use_sparse:
             solve = plan.sparse_schedule.factor(jacobian)
             step = None if solve is None else solve(-residual)
         else:
@@ -190,14 +185,8 @@ def newton_many(
         norm, tol = norm[stay], tol[stay]
         return stay
 
-    # Linear-only circuits reuse the plan's cached LU of the constant
-    # matrix instead of refactorizing the identical Jacobian every step.
-    linear = plan.linear_only and not np.any(eval_kwargs.get("gmin", 0.0))
-    dt_s = eval_kwargs.get("dt_s")
-    integrator = eval_kwargs.get("integrator", "trapezoidal")
-
     for n in range(1, max_iterations + 1):
-        step = _solve_stack(plan, jacobian, residual, linear, dt_s, integrator)
+        step = _solve_stack(plan, jacobian, residual)
         step_norm = np.abs(step).max(axis=1)
         solved = np.isfinite(step_norm)
         if np.count_nonzero(solved) < idx.size:

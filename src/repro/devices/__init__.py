@@ -6,9 +6,7 @@ from repro.devices.base import (
     FETModel,
     OperatingBox,
     PType,
-    output_conductance,
     output_curve,
-    transconductance,
     transfer_curve,
 )
 from repro.devices.cntfet import CNTFET
@@ -26,7 +24,7 @@ from repro.devices.surrogate import (
     surrogate_cache_dir,
     surrogate_fidelity,
 )
-from repro.devices.tfet import CNTTunnelFET, GatedDiodeFET
+from repro.devices.tfet import CNTTunnelFET
 
 __all__ = [
     "AlphaPowerFET",
@@ -36,7 +34,6 @@ __all__ = [
     "ContactModel",
     "FETModel",
     "GNRFET",
-    "GatedDiodeFET",
     "GridSpec",
     "NonSaturatingFET",
     "OperatingBox",
@@ -51,9 +48,7 @@ __all__ = [
     "sample_fabric",
     "surrogate_cache_dir",
     "surrogate_fidelity",
-    "output_conductance",
     "output_curve",
-    "transconductance",
     "transfer_curve",
     "trigate_intel_22nm",
 ]

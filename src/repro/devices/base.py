@@ -56,8 +56,6 @@ __all__ = [
     "mirror_symmetric_linearize",
     "transfer_curve",
     "output_curve",
-    "transconductance",
-    "output_conductance",
 ]
 
 # Central-difference step [V] of the default finite-difference
@@ -331,20 +329,3 @@ def output_curve(device: FETModel, vds_values, vgs: float) -> np.ndarray:
     """I_D(V_DS) at fixed V_GS (one batched ``currents`` call)."""
     return device.currents(vgs, np.asarray(vds_values, dtype=float))
 
-
-def transconductance(
-    device: FETModel, vgs: float, vds: float, delta_v: float = 1e-4
-) -> float:
-    """g_m = dI_D/dV_GS [S] via central differences."""
-    upper = device.current(vgs + delta_v, vds)
-    lower = device.current(vgs - delta_v, vds)
-    return (upper - lower) / (2.0 * delta_v)
-
-
-def output_conductance(
-    device: FETModel, vgs: float, vds: float, delta_v: float = 1e-4
-) -> float:
-    """g_ds = dI_D/dV_DS [S] via central differences."""
-    upper = device.current(vgs, vds + delta_v)
-    lower = device.current(vgs, vds - delta_v)
-    return (upper - lower) / (2.0 * delta_v)

@@ -27,7 +27,9 @@ k-space integrals per bias point — hundreds of microseconds per call,
   and ``ds/dvds`` together, so ``I``, ``gm`` and ``gds`` come from one
   analytic pass — no finite-difference step anywhere on the hot path.
   fitpack (:class:`~scipy.interpolate.RectBivariateSpline`) runs only at
-  compile and load time: in the adaptive fill and in the conversion;
+  compile and load time: in the adaptive fill and in the conversion,
+  which import :mod:`scipy.interpolate` themselves, so importing this
+  module (and the CLI) does not load fitpack;
 * outside the box the surface continues by bounded first-order
   extrapolation, keeping stray Newton iterates finite.
 
@@ -60,7 +62,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import BSpline, RectBivariateSpline
 
 from repro.devices.base import (
     FETModel,
@@ -207,6 +208,8 @@ def _axis_cells(knots: np.ndarray, degree: int, nodes: np.ndarray):
     is one polynomial piece; derivatives at a knot are taken from the
     right, i.e. from the piece the cell belongs to.
     """
+    from scipy.interpolate import BSpline
+
     n_basis = knots.size - degree - 1
     cells = nodes[:-1]
     interval = np.searchsorted(knots, cells, side="right") - 1
@@ -230,6 +233,8 @@ def _bicubic_cells(vgs: np.ndarray, vds: np.ndarray, s_table: np.ndarray) -> np.
     (the vgs axis one cell row at a time), so no temporary reaches the
     size of the result.
     """
+    from scipy.interpolate import RectBivariateSpline
+
     kx = min(3, vgs.size - 1)
     ky = min(3, vds.size - 1)
     spline = RectBivariateSpline(vgs, vds, s_table, kx=kx, ky=ky, s=0)
@@ -519,6 +524,8 @@ def _fill_table(model: FETModel, spec: GridSpec, box: OperatingBox, symmetric: b
     error measure is the asinh-space mismatch at cell-center points the
     spline has never seen.
     """
+    from scipy.interpolate import RectBivariateSpline
+
     n_g, n_d = spec.initial_points
     vds_lo = 0.0 if symmetric else box.vds_min
     eps_v = 1e-4 * (box.vds_max - vds_lo)

@@ -37,7 +37,6 @@ import math
 
 import numpy as np
 
-from repro.devices.base import FETModel, OperatingBox
 from repro.physics.cnt import Chirality
 from repro.physics.constants import H, KB_EV, Q, VFERMI
 from repro.transport.tunneling import (
@@ -46,7 +45,7 @@ from repro.transport.tunneling import (
     wkb_transmission_uniform_field,
 )
 
-__all__ = ["CNTTunnelFET", "GatedDiodeFET"]
+__all__ = ["CNTTunnelFET"]
 
 
 class CNTTunnelFET:
@@ -263,58 +262,6 @@ class CNTTunnelFET:
             self.diode_saturation_a,
             self.temperature_k,
             self.screening_length_nm,
-        )
-
-    def as_fet(
-        self,
-        v_gate_range: tuple[float, float] = (-2.0, 1.0),
-        v_diode_range: tuple[float, float] = (-0.6, 0.6),
-    ) -> "GatedDiodeFET":
-        """This diode as a circuit-usable :class:`GatedDiodeFET` adapter."""
-        return GatedDiodeFET(self, v_gate_range, v_diode_range)
-
-
-class GatedDiodeFET(FETModel):
-    """The gated PIN diode mapped onto the three-terminal FET protocol.
-
-    Terminal mapping: the back gate plays "gate" (``vgs`` = V_G) and the
-    diode bias plays "drain" (``vds`` = V_P - V_N), both referenced to
-    the grounded p-segment source.  The device is **not** source/drain
-    symmetric (reverse-bias BTBT vs forward diode conduction), so it
-    declares ``mirror_symmetric = False`` and a genuinely two-sided
-    ``vds`` operating box — the surrogate compiler tabulates both diode
-    polarities directly instead of mirroring.
-    """
-
-    mirror_symmetric = False
-
-    def __init__(
-        self,
-        diode: CNTTunnelFET,
-        v_gate_range: tuple[float, float] = (-2.0, 1.0),
-        v_diode_range: tuple[float, float] = (-0.6, 0.6),
-    ):
-        self.diode = diode
-        self.v_gate_range = (float(v_gate_range[0]), float(v_gate_range[1]))
-        self.v_diode_range = (float(v_diode_range[0]), float(v_diode_range[1]))
-
-    def operating_box(self) -> OperatingBox:
-        return OperatingBox(
-            vgs_min=self.v_gate_range[0],
-            vgs_max=self.v_gate_range[1],
-            vds_min=self.v_diode_range[0],
-            vds_max=self.v_diode_range[1],
-        )
-
-    def current(self, vgs: float, vds: float) -> float:
-        return self.diode.current(vgs, vds)
-
-    def surrogate_token(self):
-        return (
-            "GatedDiodeFET",
-            self.diode.surrogate_token(),
-            self.v_gate_range,
-            self.v_diode_range,
         )
 
 

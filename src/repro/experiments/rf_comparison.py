@@ -73,10 +73,6 @@ class RFComparisonResult:
     nonsat_ac_gain: np.ndarray
 
     @property
-    def gain_ratio(self) -> float:
-        return self.saturating.intrinsic_gain / self.non_saturating.intrinsic_gain
-
-    @property
     def fmax_ratio(self) -> float:
         return self.saturating.fmax_hz / self.non_saturating.fmax_hz
 

@@ -14,7 +14,6 @@ from repro.physics.bands import BandStructure1D, Subband
 from repro.physics.cnt import Chirality, chirality_for_gap, enumerate_chiralities
 from repro.physics.fermi import fermi_dirac, fermi_integral_f0
 from repro.physics.gnr import ArmchairGNR, gnr_for_gap
-from repro.physics.graphene import exact_subband_edges_ev, graphene_energy_ev
 
 __all__ = [
     "ArmchairGNR",
@@ -23,9 +22,7 @@ __all__ = [
     "Subband",
     "chirality_for_gap",
     "enumerate_chiralities",
-    "exact_subband_edges_ev",
     "fermi_dirac",
     "fermi_integral_f0",
-    "graphene_energy_ev",
     "gnr_for_gap",
 ]

@@ -56,11 +56,6 @@ class Subband:
         """
         return self.edge_ev * Q / (self.fermi_velocity**2)
 
-    def energy_ev(self, k_per_m):
-        """Dispersion E(k) [eV above midgap] for wavevector k [1/m]."""
-        hbar_v_k = HBAR * self.fermi_velocity * np.asarray(k_per_m, dtype=float) / Q
-        return np.sqrt(self.edge_ev**2 + hbar_v_k**2)
-
     def wavevector_per_m(self, energy_ev):
         """Inverse dispersion k(E) [1/m] for energies at/above the edge."""
         energy_ev = np.asarray(energy_ev, dtype=float)
@@ -146,15 +141,3 @@ class BandStructure1D:
         for band in self.subbands:
             total = total + band.dos_per_ev_per_m(energy_ev)
         return total
-
-    def mode_count(self, energy_ev):
-        """Number of conducting modes M(E) = sum_j g_j * [E > E_j] at energy E.
-
-        This is the Landauer mode count; the ballistic conductance is
-        (q^2/h) * M(E_F) at zero temperature.
-        """
-        energy_ev = np.asarray(energy_ev, dtype=float)
-        modes = np.zeros_like(energy_ev, dtype=float)
-        for band in self.subbands:
-            modes = modes + band.degeneracy * (energy_ev > band.edge_ev)
-        return modes

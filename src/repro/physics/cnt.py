@@ -71,14 +71,6 @@ class Chirality:
     def is_semiconducting(self) -> bool:
         return not self.is_metallic
 
-    @property
-    def is_zigzag(self) -> bool:
-        return self.m == 0
-
-    @property
-    def is_armchair(self) -> bool:
-        return self.n == self.m
-
     def bandgap_ev(self, gamma0_ev: float = GAMMA0_EV) -> float:
         """Band gap E_g = 2 a_cc gamma0 / d [eV]; zero for metallic tubes."""
         if self.is_metallic:

@@ -23,13 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.physics.bands import BandStructure1D
 from repro.physics.constants import (
     EPS0,
-    KB_EV,
-    Q,
     ROOM_TEMPERATURE_K,
     subthreshold_limit_mv_per_decade,
 )
@@ -83,36 +78,6 @@ def ribbon_plate_capacitance(
         raise ValueError(f"fringe factor must be >= 0, got {fringe_factor}")
     effective_width = width_nm * (1.0 + fringe_factor * t_ox_nm / width_nm)
     return EPS0 * eps_r * (effective_width * 1e-9) / (t_ox_nm * 1e-9)
-
-
-def quantum_capacitance_per_m(
-    bands: BandStructure1D,
-    mu_ev: float,
-    temperature_k: float = ROOM_TEMPERATURE_K,
-) -> float:
-    """Quantum capacitance C_Q = q^2 dN/dmu of a 1D channel [F/m].
-
-    Integrated in k-space per subband to sidestep the van Hove
-    singularities of the DOS.  Only conduction-band electrons are counted
-    (mirror-band holes would add symmetrically).
-    """
-    kt = KB_EV * temperature_k
-    total = 0.0
-    for band in bands.subbands:
-        # Integrate g/(pi) * dk * (-df/dE); sample k out to where the band
-        # sits ~25 kT above max(mu, edge) so the tail is fully covered.
-        e_top = max(mu_ev, band.edge_ev) + 25.0 * kt
-        k_max = float(band.wavevector_per_m(e_top))
-        k = np.linspace(0.0, k_max, 4001)
-        energy = band.energy_ev(k)
-        x = np.clip((energy - mu_ev) / kt, -250.0, 250.0)
-        # -df/dE = 1 / (4 kT cosh^2(x/2))  [1/eV]
-        dfde = 1.0 / (4.0 * kt * np.cosh(x / 2.0) ** 2)
-        integrand = band.degeneracy / math.pi * dfde  # per unit k
-        total += float(np.trapezoid(integrand, k))  # [1 / (eV m)]
-    # C_Q = q^2 dN/dmu; converting dN/dmu from 1/(eV m) to 1/(J m) divides
-    # by Q, so the net prefactor is a single factor of Q.
-    return Q * total
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,11 @@
-"""Transport models: Landauer currents, ballistic FET solver, MFP, tunneling."""
+"""Transport models: Landauer subband current, ballistic FET solver, MFP, tunneling."""
 
 from repro.transport.ballistic import (
     BallisticParameters,
     OperatingPoint,
     TopOfBarrierSolver,
 )
-from repro.transport.landauer import (
-    ballistic_current,
-    numeric_landauer_current,
-    quantum_conductance,
-    subband_ballistic_current,
-)
+from repro.transport.landauer import subband_ballistic_current
 from repro.transport.scattering import MeanFreePath, ballisticity
 from repro.transport.tunneling import (
     JunctionProfile,
@@ -25,12 +20,9 @@ __all__ = [
     "MeanFreePath",
     "OperatingPoint",
     "TopOfBarrierSolver",
-    "ballistic_current",
     "ballisticity",
     "imaginary_dispersion_per_m",
     "junction_btbt_transmission",
-    "numeric_landauer_current",
-    "quantum_conductance",
     "subband_ballistic_current",
     "wkb_transmission_uniform_field",
 ]

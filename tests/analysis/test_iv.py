@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.iv import (
-    dibl_mv_per_v,
     ion_at_fixed_ioff,
     ion_ioff_ratio,
     saturation_index,
     subthreshold_swing_mv_per_decade,
-    threshold_voltage,
 )
 
 
@@ -44,33 +42,6 @@ class TestSubthresholdSwing:
         vgs = np.linspace(0, 0.5, 20)
         with pytest.raises(ValueError):
             subthreshold_swing_mv_per_decade(vgs, np.full(20, 1e-9))
-
-
-class TestThresholdVoltage:
-    def test_log_interpolation(self):
-        vgs, current = exponential_transfer(ss_mv=60.0, i0=1e-9)
-        # I = 1e-7 requires two decades: vgs = 0.12.
-        assert threshold_voltage(vgs, current, 1e-7) == pytest.approx(0.12, abs=1e-4)
-
-    def test_criterion_out_of_range(self):
-        vgs, current = exponential_transfer()
-        with pytest.raises(ValueError):
-            threshold_voltage(vgs, current, 1e3)
-
-
-class TestDIBL:
-    def test_recovers_shift(self):
-        vgs = np.linspace(0.0, 0.5, 201)
-        low = 1e-9 * 10 ** (vgs / 0.060)
-        # 50 mV threshold shift at +0.45 V drain: DIBL = 111 mV/V.
-        high = 1e-9 * 10 ** ((vgs + 0.050) / 0.060)
-        dibl = dibl_mv_per_v(vgs, low, high, vds_low=0.05, vds_high=0.5)
-        assert dibl == pytest.approx(50.0 / 0.45, rel=1e-3)
-
-    def test_order_validation(self):
-        vgs, current = exponential_transfer()
-        with pytest.raises(ValueError):
-            dibl_mv_per_v(vgs, current, current, 0.5, 0.05)
 
 
 class TestIonIoff:

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.rf import (
-    intrinsic_gain,
-    rf_metrics,
-    rf_metrics_batch,
-    small_signal,
-)
+from repro.analysis.rf import rf_metrics, rf_metrics_batch
 from repro.devices.base import FETModel
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
 
@@ -23,6 +18,11 @@ def saturating():
 @pytest.fixture
 def linear():
     return NonSaturatingFET(g_on_s=4e-4, vt=0.2, smoothing_v=0.3)
+
+
+def intrinsic_gain(device, vgs, vds):
+    # A_v = gm / gds does not depend on the gate capacitance.
+    return rf_metrics(device, vgs, vds, c_gate_total_f=60e-18).intrinsic_gain
 
 
 class TestIntrinsicGain:
@@ -70,10 +70,6 @@ class TestRFMetrics:
         assert fmax_ratio > ft_ratio
         assert sat.intrinsic_gain > 5.0 > lin.intrinsic_gain
 
-    def test_fmax_over_ft_property(self, saturating):
-        metrics = rf_metrics(saturating, 0.8, 0.8, c_gate_total_f=60e-18)
-        assert metrics.fmax_over_ft == pytest.approx(metrics.fmax_hz / metrics.ft_hz)
-
     def test_validation(self, saturating):
         with pytest.raises(ValueError):
             rf_metrics(saturating, 0.8, 0.8, c_gate_total_f=0.0)
@@ -116,13 +112,13 @@ class TestAnalyticRouting:
         metrics = rf_metrics(AnalyticOnly(), 0.8, 0.8, c_gate_total_f=60e-18)
         assert metrics.gm_s == pytest.approx(5e-4)
         assert metrics.gds_s == pytest.approx(3e-5)
-        assert intrinsic_gain(AnalyticOnly(), 0.8, 0.8) == pytest.approx(5e-4 / 3e-5)
+        assert metrics.intrinsic_gain == pytest.approx(5e-4 / 3e-5)
 
     def test_small_signal_matches_protocol(self, saturating):
-        gm, gds = small_signal(saturating, 0.8, 0.8)
+        metrics = rf_metrics(saturating, 0.8, 0.8, c_gate_total_f=60e-18)
         _, gm_ref, gds_ref = saturating.linearize_point(0.8, 0.8)
-        assert gm == pytest.approx(gm_ref, rel=1e-15)
-        assert gds == pytest.approx(gds_ref, rel=1e-15)
+        assert metrics.gm_s == pytest.approx(gm_ref, rel=1e-15)
+        assert metrics.gds_s == pytest.approx(gds_ref, rel=1e-15)
 
 
 class TestRFMetricsBatch:

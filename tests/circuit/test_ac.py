@@ -14,6 +14,7 @@ from repro.circuit.ac import (
     ACPlan,
     ACResult,
     BatchedACResult,
+    _unity_gain_crossing,
     ac_analysis,
     ac_monte_carlo,
     dense_frequency_loop,
@@ -48,7 +49,7 @@ class TestRCLowpass:
 
     def test_phase_approaches_minus_90(self):
         result = ac_analysis(rc_lowpass(), "VIN", np.logspace(3, 9, 61))
-        phase = result.phase_deg("b")
+        phase = np.degrees(np.angle(result.transfer("b")))
         assert phase[0] == pytest.approx(0.0, abs=1.0)
         assert phase[-1] == pytest.approx(-90.0, abs=2.0)
 
@@ -107,9 +108,24 @@ class TestAmplifier:
     def test_unity_gain_frequency(self):
         circuit = self.make_common_source(load_c=1e-12)
         result = ac_analysis(circuit, "VIN", np.logspace(5, 12, 141))
-        ugf = result.unity_gain_frequency_hz("out")
+        ugf = unity_gain_frequency_hz(result, "out")
         # gm/(2 pi C) scale: a few hundred MHz for ~0.5 mS into 1 pF.
         assert 1e7 < ugf < 1e10
+
+
+def unity_gain_frequency_hz(result: ACResult, node: str) -> float:
+    """First falling unity crossing of one response; raises when none.
+
+    The scalar reading of the crossing kernel that
+    :meth:`BatchedACResult.unity_gain_frequencies_hz` applies per corner.
+    """
+    magnitude = np.abs(result.transfer(node))
+    crossing = _unity_gain_crossing(result.frequencies_hz, magnitude)
+    if crossing is None:
+        if not (magnitude >= 1.0).any():
+            raise CircuitError("response never reaches unity in the swept range")
+        raise CircuitError("response never crosses unity in the swept range")
+    return crossing
 
 
 def synthetic_response(magnitudes):
@@ -130,7 +146,7 @@ class TestUnityGainEdgeCases:
         # 10x above at 1e6 Hz, 10x below at 1e7 Hz: the log-log
         # interpolated crossing sits at the geometric mean.
         result = synthetic_response([10.0, 0.1, 0.01])
-        ugf = result.unity_gain_frequency_hz("out")
+        ugf = unity_gain_frequency_hz(result, "out")
         assert ugf == pytest.approx(np.sqrt(1e6 * 1e7), rel=1e-12)
 
     def test_start_below_end_above_raises(self):
@@ -138,25 +154,25 @@ class TestUnityGainEdgeCases:
         # and fabricated a crossing at the first sweep point.
         result = synthetic_response([0.5, 2.0, 4.0, 8.0])
         with pytest.raises(CircuitError, match="never crosses"):
-            result.unity_gain_frequency_hz("out")
+            unity_gain_frequency_hz(result, "out")
 
     def test_band_pass_finds_real_falling_edge(self):
         # Rises through unity, then falls back below: only the falling
         # edge (between the last two points) counts.  The wrap used to
         # mask it with a spurious edge at index 0.
         result = synthetic_response([0.5, 2.0, 2.0, 0.5])
-        ugf = result.unity_gain_frequency_hz("out")
+        ugf = unity_gain_frequency_hz(result, "out")
         assert ugf == pytest.approx(np.sqrt(1e8 * 1e9), rel=1e-12)
 
     def test_never_reaching_unity_raises(self):
         result = synthetic_response([0.1, 0.2, 0.3])
         with pytest.raises(CircuitError, match="never reaches"):
-            result.unity_gain_frequency_hz("out")
+            unity_gain_frequency_hz(result, "out")
 
     def test_entirely_above_unity_raises(self):
         result = synthetic_response([5.0, 4.0, 3.0])
         with pytest.raises(CircuitError, match="never crosses"):
-            result.unity_gain_frequency_hz("out")
+            unity_gain_frequency_hz(result, "out")
 
 
 class TestFrequencyGridValidation:

@@ -175,9 +175,7 @@ def test_sparse_newton_caches_symbolic_analysis():
     residual, jacobian = system.evaluate(x + 0.01)
     residual = residual.copy()
     regularized = jacobian + DIAG_REGULARIZATION * identity(system.size)
-    steps = _solve_stack(
-        plan, jacobian.data[None].copy(), residual[None], False, None, "trapezoidal"
-    )
+    steps = _solve_stack(plan, jacobian.data[None].copy(), residual[None])
     reference = spsolve(regularized.tocsc(), -residual)
     np.testing.assert_allclose(steps[0], reference, rtol=1e-9, atol=1e-12)
     assert plan.sparse_schedule.n_symbolic == 1

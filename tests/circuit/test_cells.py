@@ -5,15 +5,11 @@ import pytest
 
 from repro.analysis.timing import propagation_delays
 from repro.analysis.vtc import analyze_vtc
-from repro.circuit.cells import (
-    build_inverter,
-    build_ring_oscillator,
-    inverter_vtc,
-    ring_oscillator_frequency,
-)
+from repro.circuit.cells import build_inverter, inverter_vtc
 from repro.circuit.transient import transient
 from repro.circuit.waveforms import Pulse
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
+from ring_oscillator import build_ring_oscillator, ring_oscillator_frequency
 
 
 @pytest.fixture(scope="module")

@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.circuit.cells import build_ring_oscillator
 from repro.circuit.continuation import structural_seed
 from repro.circuit.netlist import Circuit
 from repro.circuit.waveforms import DC, Pulse
 from repro.devices.base import PType
 from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import build_inverter_chain
-
+from ring_oscillator import build_ring_oscillator
 from scalar_oracle import fixpoint_seed
 
 

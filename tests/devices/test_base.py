@@ -1,4 +1,4 @@
-"""FET interface helpers: p-type mirror, curves, derivatives."""
+"""FET interface helpers: p-type mirror, curves, protocol derivatives."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.devices.base import (
     PType,
-    output_conductance,
     output_curve,
-    transconductance,
     transfer_curve,
 )
 from repro.devices.empirical import AlphaPowerFET
@@ -64,14 +62,16 @@ class TestCurveHelpers:
 
 class TestDerivatives:
     def test_gm_positive_above_threshold(self, nfet):
-        assert transconductance(nfet, 0.8, 0.5) > 0.0
+        _, gm, _ = nfet.linearize_point(0.8, 0.5)
+        assert gm > 0.0
 
     def test_gds_positive_and_small_in_saturation(self, nfet):
-        g_sat = output_conductance(nfet, 0.8, 0.9)
-        g_lin = output_conductance(nfet, 0.8, 0.05)
+        _, _, g_sat = nfet.linearize_point(0.8, 0.9)
+        _, _, g_lin = nfet.linearize_point(0.8, 0.05)
         assert 0.0 < g_sat < g_lin
 
     def test_gm_matches_manual_difference(self, nfet):
         dv = 1e-4
         manual = (nfet.current(0.8 + dv, 0.5) - nfet.current(0.8 - dv, 0.5)) / (2 * dv)
-        assert transconductance(nfet, 0.8, 0.5, dv) == pytest.approx(manual)
+        _, gm, _ = nfet.linearize_point(0.8, 0.5)
+        assert gm == pytest.approx(manual)

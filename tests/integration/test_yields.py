@@ -5,11 +5,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gate_yield_oracle import monte_carlo_gate_yield
 from repro.integration.yields import (
     GateYieldModel,
     SHULAKER_TRANSISTOR_COUNT,
     circuit_yield,
-    monte_carlo_gate_yield,
     purity_required_for_yield,
     shulaker_computer_yield,
 )

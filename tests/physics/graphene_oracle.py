@@ -1,15 +1,17 @@
 """Exact nearest-neighbour graphene tight binding and CNT zone folding.
 
-The rest of the package uses the linearised (Dirac-cone) subband ladder
-E_q = a_cc gamma0 / d * |3q + nu|.  This module provides the *exact*
+The package uses the linearised (Dirac-cone) subband ladder
+E_q = a_cc gamma0 / d * |3q + nu| (:meth:`repro.physics.cnt.Chirality.
+subband_edges_ev`).  This test reference provides the *exact*
 nearest-neighbour dispersion
 
     E(k) = gamma0 * sqrt(3 + 2 cos(k . a1) + 2 cos(k . a2) + 2 cos(k . (a1 - a2)))
 
 and folds it onto a tube's allowed cutting lines, so the linearisation
-can be validated (tests assert the ladder is exact to a few % for the
-low subbands of ~1.5 nm tubes) and trigonal-warping corrections can be
-quantified for small-diameter tubes where they matter.
+can be validated (the tests assert the ladder is exact to a few % for
+the low subbands of ~1.5 nm tubes) and trigonal-warping corrections can
+be quantified for small-diameter tubes where they matter.  Only tests
+import this module.
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ import numpy as np
 
 from repro.physics.cnt import Chirality
 from repro.physics.constants import A_LATTICE_NM, GAMMA0_EV
-
-__all__ = [
-    "graphene_energy_ev",
-    "dirac_points",
-    "cnt_cutting_line_energies",
-    "exact_subband_edges_ev",
-]
 
 
 def graphene_energy_ev(kx_per_nm, ky_per_nm, gamma0_ev: float = GAMMA0_EV):
@@ -140,7 +135,7 @@ def exact_subband_edges_ev(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not (chirality.is_zigzag or chirality.is_armchair):
+    if not (chirality.m == 0 or chirality.n == chirality.m):  # zigzag or armchair
         raise ValueError(
             f"exact folding supports achiral tubes only, got ({chirality.n},"
             f"{chirality.m}); use Chirality.subband_edges_ev for chiral tubes"

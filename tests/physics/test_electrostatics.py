@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from band_oracle import quantum_capacitance_per_m
 from repro.physics.cnt import Chirality
+from repro.physics.constants import Q
 from repro.physics.electrostatics import (
     CNT_CHANNEL,
     ChannelMaterial,
@@ -17,12 +20,12 @@ from repro.physics.electrostatics import (
     dibl_mv_per_v,
     gate_all_around_capacitance,
     inversion_eot_nm,
-    quantum_capacitance_per_m,
     ribbon_plate_capacitance,
     scale_length_nm,
     subthreshold_swing_mv_per_decade,
     wire_over_plane_capacitance,
 )
+from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
 
 
 class TestGeometricCapacitances:
@@ -79,6 +82,24 @@ class TestQuantumCapacitance:
         edge = bands.subbands[0].edge_ev
         assert quantum_capacitance_per_m(bands, edge + 0.1) > quantum_capacitance_per_m(
             bands, edge - 0.2
+        )
+
+    @pytest.mark.parametrize("barrier_ev", [-0.6, -0.3, 0.0, 0.2])
+    def test_is_solver_charge_derivative(self, chirality_056: Chirality, barrier_ev):
+        # The barrier Newton's analytic dN/dU (256-point unit grid, both
+        # reservoirs at equilibrium) is -C_Q / q on a dense k grid.
+        bands = chirality_056.band_structure(3)
+        params = BallisticParameters(
+            c_ins_f_per_m=gate_all_around_capacitance(chirality_056.diameter_nm, 2.0, 16.0)
+        )
+        solver = TopOfBarrierSolver(bands, params)
+        barrier = np.array([barrier_ev])
+        density, cache = solver._density_batch(barrier, np.zeros(1))
+        dn_du = solver._density_derivative_batch(cache, np.ones(1, dtype=bool), density)
+        # Edges sit at E_c1 - ef_offset + U above the source Fermi level.
+        mu_ev = bands.subbands[0].edge_ev + params.ef_offset_ev - barrier_ev
+        assert -Q * dn_du[0] == pytest.approx(
+            quantum_capacitance_per_m(bands, mu_ev), rel=1e-9
         )
 
 

