@@ -33,9 +33,9 @@ One kernel evaluates a plan: :meth:`StampPlan.evaluate_many`, at a
 stack of iterates, optionally with per-row device variation and
 companion state.  A scalar evaluation is its one-row call
 (:meth:`repro.circuit.netlist.MNASystem.evaluate`); on a one-row dense
-stack without variation, small FET groups stamp through a scalar
-per-FET path instead of the array one.  Every call returns fresh
-arrays.
+stack without variation, small FET groups of closed-form models stamp
+through a scalar per-FET path instead of the array one.  Every call
+returns fresh arrays.
 
 The compiled path is numerically equivalent to the reference path (same
 stamps, same finite-difference linearization arithmetic); the test suite
@@ -60,7 +60,7 @@ from repro.circuit.elements import (
     Resistor,
     VoltageSource,
 )
-from repro.devices.base import PType
+from repro.devices.base import FETModel, PType
 
 if TYPE_CHECKING:  # pragma: no cover - sweep imports this module
     from repro.circuit.sweep import FETVariation
@@ -76,12 +76,12 @@ SPARSE_THRESHOLD = 128
 DIAG_REGULARIZATION = 1e-14
 
 # FET groups at or below this size stamp through the scalar
-# ``linearize_point`` path on a one-row dense stack without variation:
-# array dispatch does not amortise below ~4 FETs (the seed's
-# small-circuit advantage; a 2-stage complementary chain is one group
-# of 4).  Devices whose
-# scalar ``current`` is itself a solver call opt out via
-# ``FETModel.prefer_batched_points``.
+# ``linearize_point`` path on a one-row dense stack without variation,
+# when their device class overrides ``FETModel.linearize_point`` with a
+# closed form: array dispatch does not amortise below ~4 FETs (a 2-stage
+# complementary chain is one group of 4).  Finite-difference models
+# (tables, solvers) keep the batched path, where the base
+# ``linearize_point`` would land anyway.
 SCALAR_GROUP_MAX = 4
 
 _COMPILED_TYPES = (Resistor, Capacitor, VoltageSource, CurrentSource, FET)
@@ -122,14 +122,14 @@ class _FETGroup:
     ``target`` (set by the plan) is where those entries land in one
     row's Jacobian.
 
-    Groups of at most :data:`SCALAR_GROUP_MAX` FETs additionally
-    precompute plain-int indices for :meth:`stamp_points` — a
-    pure-scalar stamp through
-    :meth:`repro.devices.base.FETModel.linearize_point` that skips the
-    array dispatch entirely (array math does not amortise below ~4
-    FETs; see the ROADMAP's small-circuit trade-off note).  Devices
-    that set ``prefer_batched_points`` (scalar evaluation is a solver
-    call) keep the batched path at every group size.
+    Groups of at most :data:`SCALAR_GROUP_MAX` FETs whose device
+    class overrides :meth:`repro.devices.base.FETModel.linearize_point`
+    (a closed-form scalar pass) additionally precompute plain-int
+    indices for :meth:`stamp_points` — a pure-scalar stamp that skips
+    the array dispatch entirely (array math does not amortise below ~4
+    FETs).  Finite-difference models keep the batched path at every
+    group size: their ``linearize_point`` is the one-point call of
+    ``linearize``.
     """
 
     __slots__ = (
@@ -170,8 +170,9 @@ class _FETGroup:
         slot, fet = np.divmod(self.take, self.count)
         self.pick = _JACOBIAN_SLOTS[slot] * self.count + fet
         self.pick_sign = _JACOBIAN_SIGNS[slot]
-        self.use_points = self.count <= SCALAR_GROUP_MAX and not getattr(
-            device, "prefer_batched_points", False
+        self.use_points = (
+            self.count <= SCALAR_GROUP_MAX
+            and type(device).linearize_point is not FETModel.linearize_point
         )
         if self.use_points:
             # Per-FET scalar stamp schedule: padded terminal indices,

@@ -453,12 +453,6 @@ class ScaledShiftedFET(FETModel):
         self.drive_scale = float(drive_scale)
         self.vth_shift_v = float(vth_shift_v)
 
-    @property
-    def prefer_batched_points(self) -> bool:
-        # A wrapper around a solver-backed model is as expensive per
-        # scalar call as the model itself.
-        return self.base.prefer_batched_points
-
     def current(self, vgs: float, vds: float) -> float:
         return self.drive_scale * self.base.current(vgs - self.vth_shift_v, vds)
 

@@ -1,48 +1,55 @@
 """Device-model interface shared by physical and empirical FET models.
 
-Every FET in this package exposes one scalar method:
-
-    current(vgs, vds) -> drain current [A]
-
-with n-type sign conventions (positive ``vds`` drives positive drain
-current; current is zero at ``vds = 0``).  On top of it sits one
-vectorized evaluation protocol the circuit simulator, the analysis
-helpers and the surrogate compiler all program against:
+Every FET in this package is an n-type-convention model (positive
+``vds`` drives positive drain current; current is zero at
+``vds = 0``) behind one vectorized evaluation protocol the circuit
+simulator, the analysis helpers and the surrogate compiler all program
+against:
 
     currents(vgs_array, vds_array)   -> elementwise drain currents
     grid_currents(vgs_grid, vds_grid)-> I on the outer-product grid
     linearize(vgs, vds)              -> (id, gm, gds) arrays
-    linearize_point(vgs, vds)        -> (id, gm, gds) floats
     operating_box()                  -> declared (vgs, vds) bias box
+
+and their one-point forms, floats in and floats out:
+
+    current(vgs, vds)                -> drain current [A]
+    linearize_point(vgs, vds)        -> (id, gm, gds) floats
+
+A model states its I-V once.  Vectorised models implement
+``_forward_currents`` (elementwise currents on the ``vds >= 0``
+quadrant); the base ``currents`` wraps it in the shared source/drain
+mirror transform, so the symmetry convention lives in exactly one
+place, and the base ``current`` is the one-point call of ``currents``.
+Models with only a scalar form (a closed-form or per-point integral)
+implement ``current`` instead and ``currents`` loops over it.
 
 ``linearize`` is the small-signal API the compiled MNA stamp plan calls
 once per device-model instance per Newton iteration, with all of that
-model's FET bias points batched into one array call;
-``linearize_point`` is its scalar fast path for single-device groups.
-Models with closed-form or tabulated characteristics override both
-entry points with one analytic pass returning ``(id, gm, gds)``
-together: :class:`repro.devices.surrogate.SurrogateFET` (per-cell
-bicubic kernel), :class:`repro.devices.empirical.AlphaPowerFET` and
+model's FET bias points batched into one array call.  The default here
+— central differences on ``currents`` with step
+:data:`DEFAULT_FD_STEP` — is the one finite-difference formula of the
+package; the base ``linearize_point`` is its one-point call.  It serves
+the bilinear :class:`repro.devices.surrogate.TabulatedFET` and the
+physical models (ballistic CNT/GNR FETs, the contact wrappers), whose
+currents are table reads or solver output.  Models with closed-form
+characteristics override both entry points with one analytic pass
+returning ``(id, gm, gds)`` together:
+:class:`repro.devices.surrogate.SurrogateFET` (per-cell bicubic
+kernel), :class:`repro.devices.empirical.AlphaPowerFET` and
 :class:`repro.devices.reference.TrigateFET` (exact alpha-power
 derivatives) and :class:`repro.devices.empirical.NonSaturatingFET`
 (``G vds``, ``G' vds``, ``G``).  Mirror-symmetric models apply the
 source/drain chain rule through :func:`mirror_symmetric_linearize`.
-The default here — central differences with step
-:data:`DEFAULT_FD_STEP` — is for the physical models (ballistic
-CNT/GNR FETs, the contact wrappers, the tunnel FET), whose currents
-are solver output with no closed form to differentiate.
+The stamp plan gives small FET groups of exactly those models — the
+ones overriding ``linearize_point`` — a scalar point path.
 
-Vectorised models implement ``_forward_currents`` (elementwise currents
-on the ``vds >= 0`` quadrant); the base ``currents`` wraps it in the
-shared source/drain mirror transform, so the symmetry convention lives
-in exactly one place.  Models without it fall back to a scalar loop.
 A ballistic CNT-FET, an empirical non-saturating GNR model and a
 spline-compiled surrogate therefore stay interchangeable everywhere.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,26 +148,28 @@ def mirror_symmetric_linearize(forward, vgs_values, vds_values):
     )
 
 
-class FETModel(abc.ABC):
-    """Abstract three-terminal FET (source-referenced)."""
+class FETModel:
+    """Three-terminal FET (source-referenced).
+
+    A subclass defines ``_forward_currents`` (array kernel) or
+    ``current`` (scalar form); everything else derives from it.
+    """
 
     #: Whether I(vgs, vds < 0) = -I(vgs - vds, -vds) holds (true for the
     #: symmetric-terminal FETs of this package; gated diodes set False).
     mirror_symmetric: bool = True
 
-    #: True for models whose scalar ``current`` is itself an iterative
-    #: solve (physical top-of-barrier / root-finding devices): the
-    #: compiled stamp plan then keeps the batched ``linearize`` path
-    #: even for small FET groups instead of the scalar point stamp.
-    prefer_batched_points: bool = False
-
     #: Elementwise currents on the vds >= 0 quadrant, or None to fall
     #: back to a scalar loop.  Subclasses override with a method.
     _forward_currents = None
 
-    @abc.abstractmethod
     def current(self, vgs: float, vds: float) -> float:
-        """Drain current I_D [A] at the given source-referenced bias."""
+        """Drain current I_D [A] at the given source-referenced bias.
+
+        The one-point call of :meth:`currents`; models with only a
+        scalar form override it.
+        """
+        return float(self.currents(vgs, vds))
 
     @property
     def polarity(self) -> str:
@@ -187,6 +196,11 @@ class FETModel(abc.ABC):
         if self._forward_currents is not None and self.mirror_symmetric:
             return mirror_symmetric_currents(
                 self._forward_currents, vgs_values, vds_values
+            )
+        if type(self).current is FETModel.current:
+            raise TypeError(
+                f"{type(self).__name__} defines neither current() nor a "
+                "mirror-symmetric _forward_currents hook"
             )
         vgs_values, vds_values = np.broadcast_arrays(
             np.asarray(vgs_values, dtype=float), np.asarray(vds_values, dtype=float)
@@ -244,24 +258,13 @@ class FETModel(abc.ABC):
         return probes[0], gm, gds
 
     def linearize_point(self, vgs: float, vds: float):
-        """Scalar linearization fast path: floats in, floats out.
+        """:meth:`linearize` at one bias point, as floats.
 
-        Same arithmetic as :meth:`linearize` restricted to one bias
-        point, but built from plain scalar ``current`` calls — no array
-        dispatch.  The compiled stamp plan routes single-device FET
-        groups (and the reference element walker routes every FET)
-        through here; analytic models override it alongside
-        ``linearize``.
+        Models with analytic derivatives override it alongside
+        ``linearize`` with a scalar pass of their own.
         """
-        delta_v = DEFAULT_FD_STEP
-        current = self.current(vgs, vds)
-        gm = (
-            self.current(vgs + delta_v, vds) - self.current(vgs - delta_v, vds)
-        ) / (2.0 * delta_v)
-        gds = (
-            self.current(vgs, vds + delta_v) - self.current(vgs, vds - delta_v)
-        ) / (2.0 * delta_v)
-        return current, gm, gds
+        current, gm, gds = self.linearize(vgs, vds)
+        return float(current), float(gm), float(gds)
 
     def surrogate(self, spec=None, **kwargs):
         """Compile this model into a cached spline :class:`SurrogateFET`.
@@ -290,10 +293,6 @@ class PType(FETModel):
     @property
     def polarity(self) -> str:
         return "p"
-
-    @property
-    def prefer_batched_points(self) -> bool:
-        return self.nfet.prefer_batched_points
 
     def operating_box(self) -> OperatingBox:
         return self.nfet.operating_box()

@@ -54,10 +54,6 @@ class CNTFET(FETModel):
         Number of conduction subbands retained.
     """
 
-    # Scalar evaluation is a self-consistent barrier solve: small FET
-    # groups should stay on the batched linearize path.
-    prefer_batched_points = True
-
     def __init__(
         self,
         chirality: Chirality,
@@ -117,12 +113,6 @@ class CNTFET(FETModel):
         return cls.for_bandgap(0.56)
 
     # -- device interface ------------------------------------------------------
-    def current(self, vgs: float, vds: float) -> float:
-        if vds < 0.0:
-            # Symmetric source/drain: exchange terminals.
-            return -self.current(vgs - vds, -vds)
-        return self._solver.current(vgs, vds)
-
     def _forward_currents(self, vgs, vds) -> np.ndarray:
         """Batched I_D through the vectorised top-of-barrier solver."""
         return self._solver.currents(vgs, vds)

@@ -46,10 +46,6 @@ class SeriesResistanceFET(FETModel):
     where Newton overshoots.  Scalar :meth:`current` is the one-point case.
     """
 
-    # Every evaluation is an iterative solve around the inner device:
-    # keep small FET groups on the batched linearize path.
-    prefer_batched_points = True
-
     def __init__(self, inner: FETModel, r_source_ohm: float, r_drain_ohm: float):
         if r_source_ohm < 0.0 or r_drain_ohm < 0.0:
             raise ValueError("contact resistances must be >= 0")

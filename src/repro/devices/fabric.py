@@ -30,9 +30,8 @@ __all__ = ["CNTFabricFET", "sample_fabric"]
 
 # Tabulated per-chirality devices are deterministic for a given channel
 # length; cache them across sample_fabric calls so a parameter sweep over
-# many fabrics does not re-run hundreds of Newton solves per tube.  The
-# key carries ``tabulate``: a tabulated and a direct device never alias.
-_TABULATED_CACHE: dict[tuple[int, int, float, bool], FETModel] = {}
+# many fabrics does not re-run hundreds of Newton solves per tube.
+_TABULATED_CACHE: dict[tuple[int, int, float], TabulatedFET] = {}
 
 
 class CNTFabricFET(FETModel):
@@ -80,12 +79,6 @@ class CNTFabricFET(FETModel):
     @property
     def metallic_conductance_s(self) -> float:
         return self.n_metallic / self.metallic_resistance_ohm
-
-    def current(self, vgs: float, vds: float) -> float:
-        semiconducting = sum(
-            device.current(vgs, vds) for device in self.tube_devices
-        )
-        return semiconducting + self.metallic_conductance_s * vds
 
     # repro-lint: ok[PRT001] -- parallel composition: each tube model applies its own mirror transform, the metallic shunt term is linear in vds
     def currents(self, vgs_values, vds_values) -> np.ndarray:
@@ -138,15 +131,14 @@ def sample_fabric(
     growth: GrowthDistribution | None = None,
     channel_length_nm: float = 20.0,
     rng: np.random.Generator | None = None,
-    tabulate: bool = True,
 ) -> CNTFabricFET:
     """Draw a fabric transistor from a material population.
 
     Chiralities are sampled from ``growth``; metallic draws (by the
     post-sorting purity, not the raw 1/3) become shunts.  Distinct
-    semiconducting chiralities are built as ballistic CNT-FETs and —
-    by default — frozen into bilinear tables so a many-tube fabric stays
-    cheap to evaluate inside circuit sweeps.
+    semiconducting chiralities are built as ballistic CNT-FETs and
+    frozen into bilinear tables so a many-tube fabric stays cheap to
+    evaluate inside circuit sweeps.
     """
     if width_um <= 0.0:
         raise ValueError(f"width must be positive, got {width_um}")
@@ -174,14 +166,13 @@ def sample_fabric(
     choices = rng.choice(len(semiconducting_pool), size=n_semi, p=weights)
     for index in choices:
         chirality = semiconducting_pool[int(index)]
-        key = (chirality.n, chirality.m, channel_length_nm, tabulate)
+        key = (chirality.n, chirality.m, channel_length_nm)
         if key not in _TABULATED_CACHE:
-            device: FETModel = CNTFET(chirality, channel_length_nm=channel_length_nm)
-            if tabulate:
-                vgs_grid = np.linspace(-0.2, 1.2, 29)
-                vds_grid = np.linspace(0.0, 1.2, 25)
-                device = TabulatedFET.from_model(device, vgs_grid, vds_grid)
-            _TABULATED_CACHE[key] = device
+            _TABULATED_CACHE[key] = TabulatedFET.from_model(
+                CNTFET(chirality, channel_length_nm=channel_length_nm),
+                np.linspace(-0.2, 1.2, 29),
+                np.linspace(0.0, 1.2, 25),
+            )
         tube_devices.append(_TABULATED_CACHE[key])
     return CNTFabricFET(
         tube_devices=tube_devices, n_metallic=n_metallic, pitch_nm=pitch_nm

@@ -34,10 +34,6 @@ class GNRFET(FETModel):
     emulated by passing a shorter ``mfp_override_nm``).
     """
 
-    # Scalar evaluation is a self-consistent barrier solve: small FET
-    # groups should stay on the batched linearize path.
-    prefer_batched_points = True
-
     def __init__(
         self,
         ribbon: ArmchairGNR,
@@ -80,11 +76,6 @@ class GNRFET(FETModel):
     def for_bandgap(cls, gap_ev: float, **kwargs) -> "GNRFET":
         """Device built on the ribbon whose gap best matches ``gap_ev``."""
         return cls(gnr_for_gap(gap_ev), **kwargs)
-
-    def current(self, vgs: float, vds: float) -> float:
-        if vds < 0.0:
-            return -self.current(vgs - vds, -vds)
-        return self._solver.current(vgs, vds)
 
     def _forward_currents(self, vgs, vds) -> np.ndarray:
         """Batched I_D through the vectorised top-of-barrier solver."""

@@ -28,6 +28,7 @@ import numpy as np
 from repro.devices.base import FETModel
 from repro.devices.cntfet import CNTFET
 from repro.physics.constants import H, KB_EV, Q
+from repro.physics.fermi import fermi_dirac
 
 __all__ = ["SchottkyBarrierCNTFET"]
 
@@ -48,10 +49,6 @@ class SchottkyBarrierCNTFET(FETModel):
         means a thicker barrier (less tunneling).  Thin-body CNT
         barriers are transparent, e00 ~ 50-100 meV.
     """
-
-    # Scalar evaluation runs the intrinsic barrier solve plus a
-    # Landauer integral: keep small FET groups on the batched path.
-    prefer_batched_points = True
 
     def __init__(
         self,
@@ -91,6 +88,7 @@ class SchottkyBarrierCNTFET(FETModel):
         solver = self.intrinsic._solver
         mu_s, mu_d = 0.0, -vds
         kt = self._kt
+        temperature_k = self.intrinsic.params.temperature_k
         total = 0.0
         for band, edge in zip(solver.bands.subbands, solver._edges_ev):
             edge_abs = edge + op.barrier_ev
@@ -100,7 +98,9 @@ class SchottkyBarrierCNTFET(FETModel):
                 self.intrinsic.params.transmission
                 * self.contact_transmission(energies, band_edge_ev=edge_abs)
             )
-            window = _fermi((energies - mu_s) / kt) - _fermi((energies - mu_d) / kt)
+            window = fermi_dirac(energies, mu_s, temperature_k) - fermi_dirac(
+                energies, mu_d, temperature_k
+            )
             integral_ev = float(np.trapezoid(transmission * window, energies))
             total += band.degeneracy * Q * Q / H * integral_ev
         return total
@@ -120,7 +120,3 @@ class SchottkyBarrierCNTFET(FETModel):
         if intrinsic_current <= 0.0:
             return 1.0
         return self.current(vgs, vds) / intrinsic_current
-
-
-def _fermi(x):
-    return 1.0 / (1.0 + np.exp(np.clip(x, -500.0, 500.0)))

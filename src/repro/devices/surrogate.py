@@ -168,15 +168,6 @@ class TabulatedFET(_TableFET):
         grid = np.asarray(model.currents(vgs_grid[:, None], vds_grid[None, :]))
         return cls(vgs_grid, vds_grid, grid)
 
-    def current(self, vgs: float, vds: float) -> float:
-        if vds < 0.0:
-            return -self.current(vgs - vds, -vds)
-        return float(
-            self._forward_currents(
-                np.asarray(vgs, dtype=float), np.asarray(vds, dtype=float)
-            )
-        )
-
     def _forward_currents(self, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
         """Elementwise clamped bilinear interpolation on the vds >= 0 quadrant."""
         vgs_c = np.clip(vgs, self._vgs[0], self._vgs[-1])
@@ -381,14 +372,6 @@ class SurrogateFET(_TableFET):
         # exact zeros, so the branch-free form stays bitwise clean.
         current = current + (vgs - vg) * gm + (vds - vd) * gds
         return current, gm, gds
-
-    def current(self, vgs: float, vds: float) -> float:
-        if self.mirror_symmetric and vds < 0.0:
-            return -self.current(vgs - vds, -vds)
-        current, _, _ = self._eval_forward(
-            np.asarray(vgs, dtype=float), np.asarray(vds, dtype=float)
-        )
-        return float(current)
 
     # repro-lint: ok[PRT001] -- polarity-aware spline evaluation: symmetric tables route through the shared mirror transform below, two-sided tables must not
     def currents(self, vgs_values, vds_values) -> np.ndarray:

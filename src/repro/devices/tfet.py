@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.physics.cnt import Chirality
 from repro.physics.constants import H, KB_EV, Q, VFERMI
+from repro.physics.fermi import fermi_dirac
 from repro.transport.tunneling import (
     JunctionProfile,
     junction_btbt_transmission,
@@ -164,8 +165,8 @@ class CNTTunnelFET:
         energies_local = np.linspace(window_lo, window_hi, 161)
         transmission = junction_btbt_transmission(profile, energies_local)
         energies_abs = energies_local + u_channel
-        occ_p = _fermi((energies_abs - 0.0) / self._kt)
-        occ_n = _fermi((energies_abs - v_diode) / self._kt)
+        occ_p = fermi_dirac(energies_abs, 0.0, self.temperature_k)
+        occ_n = fermi_dirac(energies_abs, v_diode, self.temperature_k)
         integral_ev = float(
             np.trapezoid(transmission * (occ_p - occ_n), energies_local)
         )
@@ -263,7 +264,3 @@ class CNTTunnelFET:
             self.temperature_k,
             self.screening_length_nm,
         )
-
-
-def _fermi(x):
-    return 1.0 / (1.0 + np.exp(np.clip(x, -500.0, 500.0)))

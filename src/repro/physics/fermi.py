@@ -1,12 +1,13 @@
-"""Fermi-Dirac statistics helpers used by the ballistic transport models.
+"""Fermi-Dirac statistics helpers used by the transport models.
 
-The ballistic top-of-barrier model needs the occupation function and the
-order-0 Fermi-Dirac integral
+The numerical Landauer integrals (the tunnel FET's band-to-band window,
+the Schottky-contact injection) need the occupation function, and the
+ballistic subband current needs the order-0 Fermi-Dirac integral
 
     F0(eta) = ln(1 + exp(eta)),
 
 which gives the Landauer current of a single 1D subband in closed form.
-All functions are numerically safe for large |eta| and vectorised over
+Both functions are numerically safe for large |eta| and vectorised over
 numpy arrays.
 """
 
@@ -19,8 +20,6 @@ from repro.physics.constants import KB_EV, ROOM_TEMPERATURE_K
 __all__ = [
     "fermi_dirac",
     "fermi_integral_f0",
-    "fermi_integral_fm1",
-    "occupation_window",
 ]
 
 
@@ -61,34 +60,3 @@ def fermi_integral_f0(eta):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def fermi_integral_fm1(eta):
-    """Order -1 Fermi-Dirac integral F_{-1}(eta) = 1/(1+exp(-eta)).
-
-    This is d F0 / d eta, used for analytic Jacobians of the
-    self-consistent charge equation.
-    """
-    eta = np.asarray(eta, dtype=float)
-    out = 1.0 / (1.0 + np.exp(np.clip(-eta, -500.0, 500.0)))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def occupation_window(
-    mu_source_ev: float,
-    mu_drain_ev: float,
-    temperature_k: float = ROOM_TEMPERATURE_K,
-    coverage: float = 20.0,
-):
-    """Energy window [eV] that contains all appreciable f_S - f_D weight.
-
-    Returns ``(e_lo, e_hi)`` spanning ``coverage`` thermal energies beyond
-    the two chemical potentials.  Useful for bounding numerical Landauer
-    integrals.
-    """
-    kt = KB_EV * temperature_k
-    lo = min(mu_source_ev, mu_drain_ev) - coverage * kt
-    hi = max(mu_source_ev, mu_drain_ev) + coverage * kt
-    return lo, hi

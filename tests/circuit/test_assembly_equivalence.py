@@ -18,7 +18,11 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.solver import _solve_stack, newton_solve, operating_point, solve_dc
 from repro.circuit.waveforms import DC, Pulse, Sine
 from repro.devices.base import PType
-from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
+from repro.devices.cntfet import CNTFET
+from repro.devices.contacts import SeriesResistanceFET
+from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET, TabulatedFET
+from repro.devices.reference import TrigateFET
+from repro.devices.surrogate import GridSpec, compile_surrogate
 from repro.experiments.cascade import build_inverter_chain
 
 ATOL = 1e-12
@@ -34,9 +38,9 @@ def rc_ladder(n_sections=4):
     return c
 
 
-def inverter():
+def inverter(nfet=None):
     c = Circuit("inverter")
-    nfet = AlphaPowerFET()
+    nfet = AlphaPowerFET() if nfet is None else nfet
     c.add_voltage_source("VDD", "vdd", "0", DC(1.0))
     c.add_voltage_source("VIN", "in", "0", DC(0.4))
     c.add_fet("MP", "out", "in", "vdd", PType(nfet))
@@ -364,6 +368,43 @@ def test_system_evaluate_returns_fresh_arrays(circuit_name):
         np.testing.assert_array_equal(_as_dense(a), before)
         a, b = (m.data if sparse.issparse(m) else m for m in (a, b))
         assert not np.shares_memory(a, b)
+
+
+_POINT_PATH_DEVICES = {
+    # Closed-form linearize_point overrides: the scalar point path.
+    "alpha_power": (AlphaPowerFET, True),
+    "trigate": (TrigateFET, True),
+    "non_saturating": (NonSaturatingFET, True),
+    "surrogate": (
+        lambda: compile_surrogate(
+            AlphaPowerFET(),
+            GridSpec(initial_points=(8, 8), max_refinements=0),
+            cache_dir=None,
+        ),
+        True,
+    ),
+    # Finite-difference models: always the batched path.
+    "tabulated": (
+        lambda: TabulatedFET.from_model(
+            AlphaPowerFET(), np.linspace(-0.3, 1.3, 9), np.linspace(0.0, 1.3, 9)
+        ),
+        False,
+    ),
+    "cntfet": (CNTFET.reference_device, False),
+    "series_resistance": (
+        lambda: SeriesResistanceFET(AlphaPowerFET(), 1e3, 1e3),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _POINT_PATH_DEVICES)
+def test_point_path_follows_the_device_class(name):
+    """Only classes that override ``linearize_point`` take the point path."""
+    make, expected = _POINT_PATH_DEVICES[name]
+    (group,) = inverter(make()).build_system()._plan.fet_groups
+    assert group.count == 2
+    assert group.use_points is expected
 
 
 def test_point_path_only_for_one_row_without_variation(monkeypatch, sparse_fet_ladder):

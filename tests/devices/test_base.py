@@ -5,11 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.devices.base import (
+    FETModel,
     PType,
     output_curve,
     transfer_curve,
 )
-from repro.devices.empirical import AlphaPowerFET
+from repro.devices.empirical import AlphaPowerFET, TabulatedFET
 
 
 @pytest.fixture
@@ -75,3 +76,39 @@ class TestDerivatives:
         manual = (nfet.current(0.8 + dv, 0.5) - nfet.current(0.8 - dv, 0.5)) / (2 * dv)
         _, gm, _ = nfet.linearize_point(0.8, 0.5)
         assert gm == pytest.approx(manual)
+
+
+class _ForwardOnly(FETModel):
+    """States its I-V only as the array kernel."""
+
+    def _forward_currents(self, vgs, vds):
+        return 1e-5 * np.tanh(4.0 * vds) * np.exp(2.0 * vgs)
+
+
+class _Neither(FETModel):
+    """States no I-V at all."""
+
+
+class TestDerivedScalarForms:
+    @pytest.mark.parametrize("vgs, vds", [(0.7, 0.4), (0.3, -0.6), (-0.2, 0.0)])
+    def test_current_is_one_point_currents(self, vgs, vds):
+        device = _ForwardOnly()
+        assert device.current(vgs, vds) == float(device.currents(vgs, vds))
+        assert type(device.current(vgs, vds)) is float
+
+    def test_missing_iv_raises_type_error(self):
+        device = _Neither()
+        with pytest.raises(TypeError, match="_Neither"):
+            device.current(0.5, 0.5)
+        with pytest.raises(TypeError, match="_Neither"):
+            device.currents(np.array([0.5]), np.array([0.5]))
+
+    @pytest.mark.parametrize("vgs, vds", [(0.7, 0.4), (0.3, -0.6), (1.0, 0.02)])
+    def test_linearize_point_is_one_point_linearize(self, vgs, vds):
+        table = TabulatedFET.from_model(
+            AlphaPowerFET(), np.linspace(-0.3, 1.3, 17), np.linspace(0.0, 1.3, 14)
+        )
+        point = table.linearize_point(vgs, vds)
+        batch = table.linearize(np.array([vgs, 0.1]), np.array([vds, 0.2]))
+        assert point == tuple(float(column[0]) for column in batch)
+        assert all(type(value) is float for value in point)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.devices import fabric as fabric_module
-from repro.devices.cntfet import CNTFET
 from repro.devices.empirical import AlphaPowerFET, TabulatedFET
 from repro.devices.fabric import CNTFabricFET, sample_fabric
 
@@ -101,20 +100,22 @@ class TestSampling:
         density = fabric.current_density_a_per_m(0.6, 0.5)
         assert density > 1e3  # > 1 mA/um
 
-    @pytest.mark.parametrize("order", [(True, False), (False, True)])
-    def test_device_cache_keys_on_tabulate(self, monkeypatch, order):
-        # Same chirality and length, both tabulate settings, either order:
-        # each call must get the device kind it asked for.
+    def test_draws_of_one_chirality_share_one_table(self, monkeypatch):
+        # Two one-tube draws from the same seed pick the same chirality:
+        # the second reuses the first's bilinear table, not a refill.
         monkeypatch.setattr(fabric_module, "_TABULATED_CACHE", {})
-        for tabulate in order:
-            fabric = sample_fabric(
+        first, second = (
+            sample_fabric(
                 width_um=0.008,
                 semiconducting_purity=1.0,
                 rng=np.random.default_rng(5),
-                tabulate=tabulate,
             )
-            expected = TabulatedFET if tabulate else CNTFET
-            assert {type(device) for device in fabric.tube_devices} == {expected}
+            for _ in range(2)
+        )
+        (device,) = first.tube_devices
+        assert isinstance(device, TabulatedFET)
+        assert second.tube_devices[0] is device
+        assert len(fabric_module._TABULATED_CACHE) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.physics.fermi import (
-    fermi_dirac,
-    fermi_integral_f0,
-    fermi_integral_fm1,
-    occupation_window,
-)
+from repro.physics.fermi import fermi_dirac, fermi_integral_f0
 
 
 class TestFermiDirac:
@@ -73,20 +68,3 @@ class TestF0Integral:
     @given(st.floats(-100, 100))
     def test_always_positive(self, eta):
         assert fermi_integral_f0(eta) > 0.0
-
-    @given(st.floats(-30, 30), st.floats(1e-4, 0.5))
-    def test_derivative_is_fm1(self, eta, h):
-        numeric = (fermi_integral_f0(eta + h) - fermi_integral_f0(eta - h)) / (2 * h)
-        analytic = fermi_integral_fm1(eta)
-        assert numeric == pytest.approx(analytic, rel=0.05, abs=1e-6)
-
-
-class TestOccupationWindow:
-    def test_contains_both_potentials(self):
-        lo, hi = occupation_window(0.0, -0.5)
-        assert lo < -0.5 and hi > 0.0
-
-    def test_coverage_scales_window(self):
-        lo1, hi1 = occupation_window(0.0, 0.0, coverage=10.0)
-        lo2, hi2 = occupation_window(0.0, 0.0, coverage=20.0)
-        assert lo2 < lo1 and hi2 > hi1
