@@ -83,19 +83,19 @@ def _raw_run(engine, variation):
 def test_supervised_overhead(engine, variation, tmp_path_factory):
     (raw_x, raw_converged), raw_s = _best_of(lambda: _raw_run(engine, variation))
     supervised, supervised_s = _best_of(
-        lambda: engine.run(variation, chunk_size=CHUNK, policy=ExecutionPolicy())
+        lambda: engine.run(variation, policy=ExecutionPolicy(chunk_size=CHUNK))
     )
 
     root = tmp_path_factory.mktemp("checkpoints")
     first_t = time.perf_counter()
     checkpointed = engine.run(
-        variation, chunk_size=CHUNK, policy=ExecutionPolicy(checkpoint_root=root)
+        variation, policy=ExecutionPolicy(chunk_size=CHUNK, checkpoint_root=root)
     )
     first_s = time.perf_counter() - first_t
 
-    resume_policy = ExecutionPolicy(checkpoint_root=root)
+    resume_policy = ExecutionPolicy(chunk_size=CHUNK, checkpoint_root=root)
     resume_t = time.perf_counter()
-    resumed = engine.run(variation, chunk_size=CHUNK, policy=resume_policy)
+    resumed = engine.run(variation, policy=resume_policy)
     resume_s = time.perf_counter() - resume_t
 
     # Supervision must never change the numbers.

@@ -30,7 +30,7 @@ import numpy as np
 
 from conftest import print_rows
 
-from repro.circuit.sweep import CircuitMonteCarlo, FETVariation
+from repro.circuit.sweep import CircuitMonteCarlo, ExecutionPolicy, FETVariation
 from repro.circuit.transient import transient
 from repro.circuit.waveforms import Pulse
 from repro.devices.cntfet import CNTFET
@@ -116,10 +116,10 @@ def test_batched_mc_on_surrogates_is_bitwise_invariant():
     )
 
     start = time.perf_counter()
-    baseline = engine.run(variation, chunk_size=96)
+    baseline = engine.run(variation, policy=ExecutionPolicy(chunk_size=96))
     batched_seconds = time.perf_counter() - start
 
-    chunked = engine.run(variation, chunk_size=17)
+    chunked = engine.run(variation, policy=ExecutionPolicy(chunk_size=17))
     assert np.array_equal(baseline.x, chunked.x)
     assert np.array_equal(baseline.converged, chunked.converged)
 
@@ -127,7 +127,7 @@ def test_batched_mc_on_surrogates_is_bitwise_invariant():
     shuffled = engine.run(variation.take(order))
     assert np.array_equal(baseline.x[order], shuffled.x)
 
-    pooled = engine.run(variation, chunk_size=24, workers=2)
+    pooled = engine.run(variation, policy=ExecutionPolicy(chunk_size=24, workers=2))
     assert np.array_equal(baseline.x, pooled.x)
     assert np.array_equal(baseline.converged, pooled.converged)
 

@@ -54,7 +54,12 @@ import pytest
 from conftest import print_rows
 
 from repro.circuit.ac import ACPlan, dense_frequency_loop
-from repro.circuit.sweep import CircuitMonteCarlo, CircuitTransientMC, FETVariation
+from repro.circuit.sweep import (
+    CircuitMonteCarlo,
+    CircuitTransientMC,
+    ExecutionPolicy,
+    FETVariation,
+)
 from repro.circuit.waveforms import DC, Pulse
 from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import build_inverter_chain
@@ -95,8 +100,8 @@ def variation(engine):
 
 
 def test_monte_carlo_per_trial_loop(benchmark, engine, variation):
-    """Baseline: one Newton solve per instance (chunk_size=1)."""
-    result = benchmark(engine.run, variation, chunk_size=1)
+    """Baseline: one Newton solve per instance (``chunk_size=1``)."""
+    result = benchmark(engine.run, variation, policy=ExecutionPolicy(chunk_size=1))
     print_rows(
         f"{N_INSTANCES}-instance chain MC — per-trial loop",
         [("mean run [ms]", benchmark.stats.stats.mean * 1e3),
@@ -107,7 +112,9 @@ def test_monte_carlo_per_trial_loop(benchmark, engine, variation):
 
 def test_monte_carlo_batched(benchmark, engine, variation):
     """The engine's batched path, one chunk for all 1000 instances."""
-    result = benchmark(engine.run, variation, chunk_size=N_INSTANCES)
+    result = benchmark(
+        engine.run, variation, policy=ExecutionPolicy(chunk_size=N_INSTANCES)
+    )
     print_rows(
         f"{N_INSTANCES}-instance chain MC — batched",
         [("mean run [ms]", benchmark.stats.stats.mean * 1e3),
@@ -118,7 +125,7 @@ def test_monte_carlo_batched(benchmark, engine, variation):
     # Seed-for-seed identical statistics vs the per-trial loop: the same
     # variation draws, and per-instance solutions equal to solver
     # tolerance regardless of batching.
-    loop = engine.run(variation, chunk_size=1)
+    loop = engine.run(variation, policy=ExecutionPolicy(chunk_size=1))
     for node in (f"s{CHAIN_STAGES}", "s1"):
         batched_stats = result.statistics(node)
         loop_stats = loop.statistics(node)
@@ -212,7 +219,7 @@ def test_transient_mc_bitwise_invariance(transient_engine, transient_variation):
     """Chunk size, instance order and pooling never change a single bit."""
     reference = transient_engine.run(transient_variation, T_STOP, DT)
     chunked = transient_engine.run(
-        transient_variation, T_STOP, DT, chunk_size=37
+        transient_variation, T_STOP, DT, policy=ExecutionPolicy(chunk_size=37)
     )
     assert np.array_equal(reference.samples, chunked.samples)
     permutation = np.random.default_rng(0).permutation(N_TRANSIENT)
@@ -221,7 +228,10 @@ def test_transient_mc_bitwise_invariance(transient_engine, transient_variation):
     )
     assert np.array_equal(permuted.samples, reference.samples[permutation])
     pooled = transient_engine.run(
-        transient_variation, T_STOP, DT, chunk_size=64, workers=2
+        transient_variation,
+        T_STOP,
+        DT,
+        policy=ExecutionPolicy(chunk_size=64, workers=2),
     )
     assert np.array_equal(pooled.samples, reference.samples)
 

@@ -224,20 +224,20 @@ def _timed_switching(
     vdd: float,
     t_stop_s: float,
     dt_s: float,
-    **run_kwargs,
+    policy: ExecutionPolicy | None,
 ) -> DelayEnergyDistribution:
     """Time-step every varied copy of the switching inverter and time it.
 
     ``variation_for(n_fets)`` builds the :class:`~repro.circuit.sweep.
     FETVariation` for the inverter's FET count; all its rows run as one
     batched :class:`~repro.circuit.sweep.CircuitTransientMC` transient
-    (``run_kwargs`` pass to ``run``), and each instance is timed on its
-    own waveforms.
+    run under ``policy``, and each instance is timed on its own
+    waveforms.
     """
     cell = _switching_inverter(device, load_f, vdd, t_stop_s)
     engine = CircuitTransientMC(cell.circuit)
     variation = variation_for(len(engine.fet_names))
-    result = engine.run(variation, t_stop_s, dt_s, **run_kwargs)
+    result = engine.run(variation, t_stop_s, dt_s, policy=policy)
     n = variation.n_instances
     tp_hl = np.full(n, np.nan)
     tp_lh = np.full(n, np.nan)
@@ -265,8 +265,7 @@ def transient_delay_corner_sweep(
     *,
     t_stop_s: float = 2e-9,
     dt_s: float = 5e-12,
-    chunk_size: int | None = None,
-    workers: int | None = None,
+    policy: ExecutionPolicy | None = None,
 ) -> DelayEnergyDistribution:
     """Switching delays/energy of an inverter at every process corner.
 
@@ -298,8 +297,7 @@ def transient_delay_corner_sweep(
         vdd,
         t_stop_s,
         dt_s,
-        chunk_size=chunk_size,
-        workers=workers,
+        policy,
     )
     for (label, _, _), valid in zip(items, timed.valid):
         if not valid:
@@ -320,8 +318,6 @@ def delay_energy_distribution(
     vdd: float = 1.0,
     t_stop_s: float = 2e-9,
     dt_s: float = 5e-12,
-    chunk_size: int | None = None,
-    workers: int | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> DelayEnergyDistribution:
     """Delay / energy-per-transition distributions of a varied inverter.
@@ -345,13 +341,5 @@ def delay_energy_distribution(
         )
 
     return _timed_switching(
-        device,
-        variation_for,
-        load_f,
-        vdd,
-        t_stop_s,
-        dt_s,
-        chunk_size=chunk_size,
-        workers=workers,
-        policy=policy,
+        device, variation_for, load_f, vdd, t_stop_s, dt_s, policy
     )

@@ -75,11 +75,12 @@ through the same kernel for variation-aware frequency responses
 (:class:`BatchedACResult`).
 
 Fault tolerance (:mod:`repro.circuit.resilience`): every sweep runs
-its chunks through one supervisor, configured by an optional
-:class:`ExecutionPolicy` — per-chunk timeouts, bounded retries with
-backoff, pool reconstruction after worker crashes, serial in-process
-execution as the last degradation rung, and optional chunk-granular
-checkpoints for kill-and-resume.  Because chunk substreams are position-keyed,
+its chunks through one supervisor, and one optional
+:class:`ExecutionPolicy` says how — pool size (``workers``),
+``chunk_size``, per-chunk timeouts, bounded retries with backoff, pool
+reconstruction after worker crashes, serial in-process execution as the
+last degradation rung, and optional chunk-granular checkpoints for
+kill-and-resume.  Because chunk substreams are position-keyed,
 a retried, degraded, or resumed chunk reproduces the pooled original
 bitwise; every run yields a :class:`RunReport` (per-chunk status,
 attempts, failure taxonomy), and irrecoverable runs raise

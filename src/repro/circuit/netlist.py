@@ -202,7 +202,10 @@ class Circuit:
     def __init__(self, title: str = ""):
         self.title = title
         self.elements: list[Element] = []
-        self._names: set[str] = set()
+        # A dict, not a set: it pickles in insertion order, so a circuit's
+        # pickle (and a checkpoint digest over it) is the same in every
+        # process whatever the string hash seed.
+        self._names: dict[str, None] = {}
         self._node_order: list[str] = []
         self._node_index: dict[str, int] = {}
         self._sources: dict[str, VoltageSource] = {}
@@ -211,7 +214,7 @@ class Circuit:
     def add(self, element: Element) -> Element:
         if element.name in self._names:
             raise CircuitError(f"duplicate element name {element.name!r}")
-        self._names.add(element.name)
+        self._names[element.name] = None
         for node in element.nodes:
             self._register_node(node)
         if isinstance(element, VoltageSource):

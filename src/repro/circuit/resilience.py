@@ -8,8 +8,8 @@ chunks is all-or-nothing: one worker segfault or OOM kill raises
 under study are measured for — graceful degradation.
 :func:`run_supervised` is the only sweep executor in the package:
 every ``SweepPlan.run`` (and so every circuit Monte Carlo run) goes
-through it, in-process or on a pool, and an :class:`ExecutionPolicy`
-only configures it.
+through it, in-process or on a pool, and one :class:`ExecutionPolicy`
+(workers, chunk size, timeout, retries, checkpoints) describes how.
 
 * **Supervised execution** (:func:`run_supervised`): chunks are
   submitted as individual futures with a per-chunk timeout; a crashed
@@ -25,10 +25,10 @@ only configures it.
 * **Chunk checkpoint/resume** (:class:`CheckpointStore`): completed
   chunk results are atomically persisted (unique temp file +
   ``os.replace``, the pattern proven by the surrogate disk cache) into
-  a run directory keyed by the content fingerprint of (kernel, payload,
-  seed, chunking).  A run killed mid-flight resumes by loading finished
-  chunks and computing only the rest; an unreadable chunk file is a
-  miss, never an error.
+  a run directory keyed by the digests of the run's chunk specs
+  (kernel, payload, parameter rows, seed substreams).  A run killed
+  mid-flight resumes by loading finished chunks and computing only the
+  rest; an unreadable chunk file is a miss, never an error.
 * **Deterministic fault injection** (:class:`FaultPlan`): tests (and
   the CI chaos smoke) make chosen chunks crash the worker, hang past
   the timeout, raise, or return schema-corrupt payloads on chosen
@@ -213,8 +213,9 @@ class CheckpointStore:
     """Atomic per-chunk result persistence for one supervised run.
 
     Chunk files live under ``<root>/<run_key>/chunk-NNNNN.pkl`` where
-    ``run_key`` fingerprints (kernel, payload, seed, chunking) — two
-    different sweeps sharing one checkpoint root can never collide.
+    ``run_key`` fingerprints the digests of every chunk spec of the run
+    — two different sweeps sharing one checkpoint root can never
+    collide.
     Each file records the chunk's own spec digest; a load whose digest
     does not match (stale file from edited code or parameters) is
     ignored and the chunk recomputed.  Writes are atomic (unique
@@ -258,30 +259,16 @@ class CheckpointStore:
             "results": results,
         }
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.directory, prefix=f".{path.stem}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(record, handle, protocol=4)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            _atomic_write_bytes(path, pickle.dumps(record, protocol=4))
         except OSError:
             _LOG.warning("checkpoint write failed for chunk %d at %s", index, path)
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
-    """Crash-safe text write: mkstemp in the target directory + ``os.replace``.
+def _atomic_write_bytes(path: Path | str, data: bytes) -> None:
+    """Crash-safe write: mkstemp in the target directory + ``os.replace``.
 
     Readers never observe a half-written file — they see either the old
-    content or the new, the same discipline the checkpoint store and the
-    surrogate cache follow for binary payloads.
+    content or the new, the same discipline the surrogate cache follows.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -289,8 +276,8 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         dir=target.parent, prefix=f".{target.stem}-", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -300,6 +287,11 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: Path | str, text: str) -> None:
+    """Crash-safe UTF-8 text write (see :func:`_atomic_write_bytes`)."""
+    _atomic_write_bytes(path, text.encode("utf-8"))
+
+
 # ---------------------------------------------------------------------------
 # Policy, per-chunk records, and the run report.
 # ---------------------------------------------------------------------------
@@ -307,28 +299,38 @@ def atomic_write_text(path: Path | str, text: str) -> None:
 
 @dataclass
 class ExecutionPolicy:
-    """Supervision knobs of one sweep run.
+    """How one sweep run executes: pool, chunking and supervision.
 
-    ``timeout_s`` bounds each pooled chunk attempt (None = wait
-    forever; serial execution is never preempted).  A chunk gets
-    ``max_retries + 1`` pooled attempts before degrading to the serial
-    rung (``degrade_serial``); ``backoff_s`` is the base of the
-    exponential wait before each pool rebuild.  ``checkpoint_root``
-    enables chunk-granular persistence/resume; ``fault_plan`` injects
-    deterministic faults (tests and the CI chaos smoke).  Completed
-    :class:`RunReport` objects are appended to ``reports``, including
-    the report carried by a :class:`SweepExecutionError`.
+    ``workers`` > 1 runs chunks on a process pool of that size (None or
+    1 = in-process).  ``chunk_size`` is the number of instances per
+    chunk, rounded down to whole substream blocks (at least one) for
+    block kernels (None = the sweep's default: one chunk in-process, an
+    even split across a pool).  Neither changes a result.  ``timeout_s``
+    bounds each pooled chunk attempt (None = wait forever; serial
+    execution is never preempted).  A chunk gets ``max_retries + 1``
+    pooled attempts before it falls to the serial rung; ``backoff_s``
+    is the base of the exponential wait before each pool rebuild.
+    ``checkpoint_root`` enables chunk-granular persistence/resume;
+    ``fault_plan`` injects deterministic faults (tests and the CI chaos
+    smoke).  Completed :class:`RunReport` objects are appended to
+    ``reports``, including the report carried by a
+    :class:`SweepExecutionError`.
     """
 
+    workers: int | None = None
+    chunk_size: int | None = None
     timeout_s: float | None = None
     max_retries: int = 2
     backoff_s: float = 0.05
-    degrade_serial: bool = True
     checkpoint_root: str | Path | None = None
     fault_plan: FaultPlan | None = None
     reports: list["RunReport"] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1 (or None), got {self.workers}")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ValueError(f"chunk size must be >= 1, got {self.chunk_size}")
         if self.timeout_s is not None and self.timeout_s <= 0.0:
             raise ValueError("timeout_s must be positive (or None)")
         if self.max_retries < 0:
@@ -505,10 +507,8 @@ def run_supervised(
     *,
     chunk_fn: Callable,
     expected_counts: list[int],
-    workers: int | None = None,
     policy: ExecutionPolicy | None = None,
     validate: Callable | None = None,
-    run_token=None,
 ) -> tuple[list, RunReport]:
     """Execute ``chunk_fn`` over ``chunks`` under full supervision.
 
@@ -517,8 +517,9 @@ def run_supervised(
     attached) if any chunk remains failed after the whole degradation
     ladder.  ``expected_counts[i]`` is the result-list length chunk
     ``i`` must produce; ``validate`` is an optional per-entry schema
-    check applied at the merge boundary.  ``run_token`` keys the
-    checkpoint directory when the policy has a ``checkpoint_root``.
+    check applied at the merge boundary.  Chunks run on a pool when
+    ``policy.workers`` > 1.  With a ``policy.checkpoint_root``, the
+    checkpoint directory is keyed by the digests of all chunk specs.
 
     The ladder, per chunk: checkpoint hit -> pooled attempts (with
     timeout, retry, pool rebuild on crash) -> in-process serial rung ->
@@ -537,12 +538,14 @@ def run_supervised(
         causes[i] = exc
 
     store = None
-    digests: list[str | None] = [None] * n
     if policy.checkpoint_root is not None:
-        run_key = fingerprint(("sweep-run", _CHECKPOINT_VERSION, run_token))
+        # A chunk spec holds the kernel, the payload, its parameter rows
+        # and its seed substreams, so its digest is the whole identity
+        # of that chunk; the run directory is keyed by all of them.
+        digests = [fingerprint(chunk) for chunk in chunks]
+        run_key = fingerprint(("sweep-run", _CHECKPOINT_VERSION, digests))
         store = CheckpointStore(policy.checkpoint_root, run_key)
         for i in range(n):
-            digests[i] = fingerprint(chunks[i])
             cached = store.load(i, digests[i])
             if cached is not None and _chunk_valid(
                 cached, expected_counts[i], validate
@@ -560,7 +563,7 @@ def run_supervised(
         records[i].status = status
         results[i] = payload
         if store is not None:
-            store.store(i, digests[i] or fingerprint(chunks[i]), payload)
+            store.store(i, digests[i], payload)
         return True
 
     pending = [i for i in range(n) if i not in results]
@@ -568,6 +571,7 @@ def run_supervised(
     submissions = [0] * n
     pool_rebuilds = 0
 
+    workers = policy.workers
     use_pool = bool(workers is not None and workers > 1 and pending)
     if use_pool:
         # Guard against supervisor stalls: every wave classifies at
@@ -654,9 +658,6 @@ def run_supervised(
     # -- the serial rung ----------------------------------------------------
     for i in serial_queue:
         degraded = use_pool  # reached here by falling off the pool ladder
-        if degraded and not policy.degrade_serial:
-            records[i].status = "failed"
-            continue
         for attempt in range(serial_budget):
             if attempt and policy.backoff_s > 0.0:
                 time.sleep(policy.backoff_for(attempt))

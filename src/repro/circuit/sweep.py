@@ -16,11 +16,11 @@ compiled stamp plan already exposes.  Three layers fix that:
   fixed-size *blocks* so results are bitwise identical across chunk
   sizes, worker counts, and serial vs. pooled execution.  Every run
   executes under the one supervisor,
-  :func:`repro.circuit.resilience.run_supervised` (in-process, or on a
-  process pool for ``workers`` > 1), which validates chunks at the
-  merge boundary and records a :class:`~repro.circuit.resilience.
-  RunReport`; an :class:`~repro.circuit.resilience.ExecutionPolicy`
-  only configures it.
+  :func:`repro.circuit.resilience.run_supervised`, which validates
+  chunks at the merge boundary and records a :class:`~repro.circuit.
+  resilience.RunReport`; one :class:`~repro.circuit.resilience.
+  ExecutionPolicy` says how it runs (``workers`` > 1 for a process
+  pool, ``chunk_size``, timeouts, retries, checkpoints).
 * :class:`CircuitMonteCarlo` — the DC circuit engine.  It compiles a
   circuit's stamp plan **once** and solves N parameter-perturbed
   instances with the package's one continuation ladder,
@@ -70,7 +70,7 @@ equivalence suites and benchmarks.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -85,7 +85,7 @@ from repro.circuit.elements import (
     VoltageSource,
 )
 from repro.circuit.netlist import Circuit, EnsembleSolution
-from repro.circuit.resilience import ExecutionPolicy, fingerprint, run_supervised
+from repro.circuit.resilience import ExecutionPolicy, run_supervised
 from repro.circuit.solver import solve_dc
 from repro.circuit.transient import TransientResult, march, validate_grid
 from repro.devices.base import FETModel, PType
@@ -181,12 +181,12 @@ class SweepPlan:
         Selects the kernel contract above.
     payload:
         Constant context handed to every kernel call; must pickle when
-        ``workers`` is used.
+        the policy runs a pool.
     substream_block:
         Instances per spawned substream in vectorized mode.  This is the
         randomness *and* batching granularity: results are independent
-        of ``chunk_size``/``workers`` because kernels always see whole
-        blocks.
+        of the policy's ``chunk_size`` and ``workers`` because kernels
+        always see whole blocks.
     validate:
         Optional per-entry schema check applied by the supervisor
         before a chunk's results may merge.
@@ -212,8 +212,8 @@ class SweepPlan:
         self.substream_block = substream_block
         self.validate = validate
 
-    def _prepare(self, params, seed, chunk_size, workers):
-        """Chunk ``params`` into pool specs; ``(specs, counts, seed_token, per_chunk)``.
+    def _prepare(self, params, seed, policy: ExecutionPolicy):
+        """Chunk ``params`` into pool specs; ``(specs, counts)``.
 
         ``counts[k]`` is the number of per-instance results chunk ``k``
         must return — the structural schema enforced at the supervised
@@ -239,14 +239,13 @@ class SweepPlan:
             blocks = list(zip(params, seqs))
             sizes = [1] * n
 
+        workers, chunk_size = policy.workers, policy.chunk_size
         use_pool = workers is not None and workers > 1 and len(blocks) > 1
         if chunk_size is None:
             # Pooled runs need more than one chunk to parallelise: split
             # the blocks evenly across the workers by default.
             per_chunk = max(1, -(-len(blocks) // workers) if use_pool else len(blocks))
         else:
-            if chunk_size < 1:
-                raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
             per_chunk = (
                 max(1, chunk_size // self.substream_block)
                 if self.vectorized
@@ -260,20 +259,13 @@ class SweepPlan:
             sum(sizes[i : i + per_chunk])
             for i in range(0, len(sizes), per_chunk)
         ]
-        seed_token = (
-            None
-            if root is None
-            else (int(root.entropy), tuple(root.spawn_key), root.pool_size)
-        )
-        return specs, counts, seed_token, per_chunk
+        return specs, counts
 
     def run(
         self,
         params,
         *,
         seed: int | None = None,
-        chunk_size: int | None = None,
-        workers: int | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> list:
         """Map the kernel over ``params``; results keep the input order.
@@ -283,16 +275,16 @@ class SweepPlan:
         independent sweeps from one user seed) derives one substream per
         instance (scalar kernels) or per block (vectorized kernels) via
         ``SeedSequence.spawn`` — the draws depend only on the instance
-        position, never on ``chunk_size`` or ``workers``.  ``workers`` >
-        1 dispatches whole chunks to a process pool (kernel, params and
-        payload must pickle).
+        position, never on the policy's ``chunk_size`` or ``workers``.
+        ``policy.workers`` > 1 dispatches whole chunks to a process pool
+        (kernel, params and payload must pickle).
 
         Every run executes under the fault-tolerant supervisor
         (:func:`repro.circuit.resilience.run_supervised`); ``policy``
-        configures it (``None`` means a default
-        :class:`~repro.circuit.resilience.ExecutionPolicy`): per-chunk
-        timeouts, bounded retries with pool rebuild, serial
-        degradation, chunk-granular checkpoint/resume.  The run's
+        (``None`` means a default
+        :class:`~repro.circuit.resilience.ExecutionPolicy`) sets the
+        pool, the chunking, per-chunk timeouts, bounded retries with
+        pool rebuild, and chunk-granular checkpoint/resume.  The run's
         :class:`~repro.circuit.resilience.RunReport` is appended to
         ``policy.reports``.  Results are bitwise identical on every
         rung — a chunk's output depends only on its spec, never on
@@ -300,38 +292,20 @@ class SweepPlan:
 
         Raises :class:`~repro.circuit.resilience.SweepExecutionError`
         (report and salvaged chunks attached, chained from the failed
-        chunk's last exception) if any chunk stays failed.  The
-        checkpoint run key fingerprints (kernel, payload, seed,
-        chunking), so resuming requires the same ``chunk_size``; a
+        chunk's last exception) if any chunk stays failed.  Checkpoints
+        are keyed by the chunk specs (kernel, payload, parameter rows,
+        seed substreams), so resuming requires the same chunking; a
         changed input simply misses the cache and recomputes.
         """
         params = list(params)
         policy = ExecutionPolicy() if policy is None else policy
-        specs, counts, seed_token, per_chunk = self._prepare(
-            params, seed, chunk_size, workers
-        )
-        run_token = None
-        if policy.checkpoint_root is not None:
-            # The payload digest keeps sweeps that differ only in payload
-            # (e.g. the same kernel over different compiled circuits) in
-            # separate checkpoint run directories.
-            run_token = (
-                f"{self.kernel.__module__}.{self.kernel.__qualname__}",
-                self.vectorized,
-                self.substream_block,
-                per_chunk,
-                len(params),
-                seed_token,
-                fingerprint(self.payload),
-            )
+        specs, counts = self._prepare(params, seed, policy)
         results, _ = run_supervised(
             specs,
             chunk_fn=_run_chunk,
             expected_counts=counts,
-            workers=workers,
             policy=policy,
             validate=self.validate,
-            run_token=run_token,
         )
         return results
 
@@ -390,7 +364,6 @@ class FETVariation:
         seed: int,
         drive_sigma: float = 0.1,
         vth_sigma_v: float = 0.0,
-        substream_block: int = DEFAULT_SUBSTREAM_BLOCK,
     ) -> "FETVariation":
         """Draw a lognormal-drive / normal-threshold variation.
 
@@ -398,9 +371,14 @@ class FETVariation:
         are lognormal with unit mean and relative spread ``drive_sigma``
         (same convention as
         :class:`repro.integration.variability.CNFETArrayModel`).  Draws
-        come from per-block substreams, so the variation for instance
-        ``i`` depends only on ``(seed, i)`` — not on how a later sweep
-        is chunked or parallelised.
+        come from one substream per block of
+        :data:`DEFAULT_SUBSTREAM_BLOCK` instances, and never depend on
+        how a later sweep is chunked or parallelised.  For given
+        ``n_fets`` and sigmas, instance ``i``'s drive scales depend only
+        on ``(seed, i)``.  Its threshold shifts are drawn from the same
+        substream after every drive scale of its block, so they also
+        depend on the block's size: on ``n_instances`` when ``i`` lies
+        in the last block.
         """
         if n_instances < 1 or n_fets < 1:
             raise ValueError("need at least one instance and one FET")
@@ -408,7 +386,7 @@ class FETVariation:
             raise ValueError("sigmas must be >= 0")
         scale = np.empty((n_instances, n_fets))
         shift = np.empty((n_instances, n_fets))
-        ranges = _as_blocks(n_instances, substream_block)
+        ranges = _as_blocks(n_instances, DEFAULT_SUBSTREAM_BLOCK)
         for (start, stop), seq in zip(
             ranges, np.random.SeedSequence(seed).spawn(len(ranges))
         ):
@@ -669,8 +647,6 @@ class _BatchedNewtonEngine:
         args: tuple,
         row_shape: tuple[int, ...],
         n_flags: int,
-        chunk_size: int | None,
-        workers: int | None,
         policy: ExecutionPolicy | None,
     ) -> tuple[np.ndarray, ...]:
         """Run :meth:`_solve_chunk` over the instances under the supervisor.
@@ -681,16 +657,22 @@ class _BatchedNewtonEngine:
         order (well-formed and empty for zero instances).  The sweep's
         parameters are instance indices; the engine and the variation
         ride in the payload, so nothing is pickled in-process and pool
-        workers rebuild the engine once each.
+        workers rebuild the engine once each.  Each chunk is one batch
+        of ``policy.chunk_size`` instances (default
+        :data:`DEFAULT_CIRCUIT_CHUNK`, or an even split across a pool).
         """
         variation = self._check_variation(variation, n_instances)
         n = variation.n_instances
+        policy = ExecutionPolicy() if policy is None else policy
+        chunk_size = policy.chunk_size
         if chunk_size is None:
             chunk_size = DEFAULT_CIRCUIT_CHUNK
-            if workers is not None and workers > 1:
+            if policy.workers is not None and policy.workers > 1:
                 # A pooled run needs at least one chunk per worker to
                 # parallelise at all.
-                chunk_size = max(1, min(chunk_size, -(-n // workers)))
+                chunk_size = max(1, min(chunk_size, -(-n // policy.workers)))
+            # The copy shares ``reports`` with the caller's policy.
+            policy = replace(policy, chunk_size=chunk_size)
         sweep = SweepPlan(
             _engine_chunk_kernel,
             vectorized=True,
@@ -698,9 +680,7 @@ class _BatchedNewtonEngine:
             substream_block=chunk_size,
             validate=_mc_entry_validator(row_shape, n_flags),
         )
-        entries = sweep.run(
-            range(n), chunk_size=chunk_size, workers=workers, policy=policy
-        )
+        entries = sweep.run(range(n), policy=policy)
         stack = (
             np.array([entry[0] for entry in entries])
             if entries
@@ -824,23 +804,21 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
         variation: FETVariation | None = None,
         *,
         n_instances: int | None = None,
-        chunk_size: int | None = None,
-        workers: int | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> MonteCarloResult:
         """Solve all instances; returns stacked solutions in input order.
 
-        ``chunk_size`` is the batch width (defaults to
-        :data:`DEFAULT_CIRCUIT_CHUNK`); ``workers`` > 1 ships chunks to
-        a process pool (workers rebuild and cache the compiled engine).
-        Results are bitwise independent of instance order, chunking and
-        pooling — each instance's Newton iteration is
+        ``policy`` (an :class:`~repro.circuit.resilience.
+        ExecutionPolicy`) sets the batch width ``chunk_size`` (default
+        :data:`DEFAULT_CIRCUIT_CHUNK`) and ``workers`` > 1 ships chunks
+        to a process pool (workers rebuild and cache the compiled
+        engine).  Results are bitwise independent of instance order,
+        chunking and pooling — each instance's Newton iteration is
         elementwise-independent of its batch neighbours.
 
         The run goes through :meth:`SweepPlan.run` and so the
-        fault-tolerant supervisor, configured by ``policy`` (an
-        :class:`~repro.circuit.resilience.ExecutionPolicy`; chunk
-        timeouts, retries, pool rebuilds, serial degradation,
+        fault-tolerant supervisor, which the same policy configures
+        (chunk timeouts, retries, pool rebuilds, serial degradation,
         checkpoint/resume); a result row is validated against the
         engine's schema before it may merge.  Zero instances return a
         well-formed empty result.
@@ -851,8 +829,6 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
             args=(self.nominal_solution(),),
             row_shape=(self.plan.size,),
             n_flags=1,
-            chunk_size=chunk_size,
-            workers=workers,
             policy=policy,
         )
         return MonteCarloResult(self.system.layout, x, converged)
@@ -902,14 +878,12 @@ class CircuitTransientMC(_BatchedNewtonEngine):
         *,
         integrator: str = "trapezoidal",
         n_instances: int | None = None,
-        chunk_size: int | None = None,
-        workers: int | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> TransientMCResult:
         """March all instances to ``t_stop_s``; samples in input order.
 
-        Results are bitwise independent of ``chunk_size``, instance
-        order and ``workers``.  The run is supervised like
+        Results are bitwise independent of the policy's ``chunk_size``
+        and ``workers`` and of instance order.  The run is supervised like
         :meth:`CircuitMonteCarlo.run`, configured by ``policy``; zero
         instances return a well-formed empty result.
         """
@@ -922,8 +896,6 @@ class CircuitTransientMC(_BatchedNewtonEngine):
             args=(t_stop_s, dt_s, integrator),
             row_shape=(n_steps + 1, self.plan.size),
             n_flags=2,
-            chunk_size=chunk_size,
-            workers=workers,
             policy=policy,
         )
         return TransientMCResult(

@@ -229,7 +229,7 @@ def _resume_policy(resume_dir: str):
     """Supervised execution with chunk checkpoints under ``resume_dir``."""
     from repro.circuit.resilience import ExecutionPolicy
 
-    return ExecutionPolicy(timeout_s=300.0, max_retries=2, checkpoint_root=resume_dir)
+    return ExecutionPolicy(checkpoint_root=resume_dir)
 
 
 def _persist_report(report, resume_dir: str | None) -> str:

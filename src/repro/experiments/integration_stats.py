@@ -21,10 +21,11 @@ discussion:
   :func:`repro.analysis.timing.delay_energy_distribution`) measures the
   gate-delay sigma the same spread implies for switching speed.
 
-Every Monte Carlo here runs through the batched sweep engine, so the
-whole pipeline is reproducible from the single ``seed`` regardless of
-chunking or process-pool execution, and ``workers`` parallelises the
-Python-heavy functional-yield trials.
+Every Monte Carlo here runs through the batched sweep engine under the
+one ``policy``, so the whole pipeline is reproducible from the single
+``seed`` regardless of chunking or process-pool execution, and a pooled
+policy (``workers`` > 1) parallelises every Monte Carlo stage, the
+Python-heavy functional-yield trials most of all.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ def inverter_variability_sigma_v(
     seed: int = 0,
     vdd: float = VDD,
     n_levels: int = 13,
-    chunk_size: int | None = None,
     device=None,
     policy: ExecutionPolicy | None = None,
 ) -> float:
@@ -123,7 +123,7 @@ def inverter_variability_sigma_v(
             variation = FETVariation.sample(
                 n_instances, len(engine.fet_names), seed=seed, drive_sigma=drive_sigma
             )
-        result = engine.run(variation, chunk_size=chunk_size, policy=policy)
+        result = engine.run(variation, policy=policy)
         outputs[row] = result.voltage(cell.output_node)
         solved &= result.converged
 
@@ -155,8 +155,6 @@ def run_integration_stats(
     seed: int = 20140312,
     n_circuit_instances: int = 256,
     n_delay_instances: int = 64,
-    chunk_size: int | None = None,
-    workers: int | None = None,
     device=None,
     policy: ExecutionPolicy | None = None,
 ) -> IntegrationResult:
@@ -185,8 +183,6 @@ def run_integration_stats(
         n_array_devices,
         spec=ArraySpec(),
         seed=seed,
-        chunk_size=chunk_size,
-        workers=workers,
         policy=policy,
     )
 
@@ -206,8 +202,6 @@ def run_integration_stats(
         gate_model,
         n_trials=n_functional_trials,
         seed=seed,
-        chunk_size=chunk_size,
-        workers=workers,
         policy=policy,
     )
 
@@ -216,7 +210,6 @@ def run_integration_stats(
         drive_sigma,
         n_instances=n_circuit_instances,
         seed=seed,
-        chunk_size=chunk_size,
         device=device,
         policy=policy,
     )
@@ -229,8 +222,6 @@ def run_integration_stats(
         drive_sigma=drive_sigma,
         seed=seed,
         vdd=VDD,
-        chunk_size=chunk_size,
-        workers=workers,
         policy=policy,
     )
 

@@ -310,16 +310,14 @@ class CNFETArrayModel:
         n_devices: int = 10000,
         spec: ArraySpec | None = None,
         seed: int | None = None,
-        chunk_size: int | None = None,
-        workers: int | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> ArrayResult:
         """Synthesize an array the size of the Park et al. dataset.
 
         Devices are drawn in vectorised substream blocks through the
         sweep engine: the result depends only on ``seed`` and
-        ``n_devices`` — never on ``chunk_size`` (execution granularity)
-        or ``workers`` (optional process pool).
+        ``n_devices`` — never on the ``policy``'s ``chunk_size``
+        (execution granularity) or ``workers`` (optional process pool).
         """
         if n_devices < 1:
             raise ValueError("need at least one device")
@@ -333,8 +331,6 @@ class CNFETArrayModel:
             sweep.run(
                 range(n_devices),
                 seed=ensure_seed(seed),
-                chunk_size=chunk_size,
-                workers=workers,
                 policy=policy,
             )
         )

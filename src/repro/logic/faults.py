@@ -122,8 +122,6 @@ def functional_yield(
     n_trials: int = 200,
     word_bits: int = 8,
     seed: int | None = 1234,
-    chunk_size: int | None = None,
-    workers: int | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> FunctionalYieldResult:
     """Fraction of fabricated machines that pass counting AND sorting.
@@ -133,7 +131,7 @@ def functional_yield(
     both reference programs correctly to count as functional.  Trials
     run in substream blocks through the sweep engine — gate-level
     program simulation is pure Python, so this is the one Monte Carlo
-    where ``workers`` (a process pool) buys real wall-clock on
+    where a pooled ``policy`` (``workers`` > 1) buys real wall-clock on
     multi-core machines; results are identical either way.
     """
     if n_trials < 1:
@@ -149,8 +147,6 @@ def functional_yield(
     outcomes = sweep.run(
         range(n_trials),
         seed=ensure_seed(seed),
-        chunk_size=chunk_size,
-        workers=workers,
         policy=policy,
     )
     return FunctionalYieldResult(

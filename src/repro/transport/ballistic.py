@@ -38,14 +38,14 @@ are e^-30 small at the far end.  256 samples match a 9600-sample
 reference to ~1e-14 relative (CNT gaps 0.35-1.0 eV, GNRs, 77-400 K);
 128 samples do not (a few 1e-10 at 77 K).
 
-:meth:`TopOfBarrierSolver.solve` and ``current`` run the batched kernel
-on a one-point slab.
+:meth:`TopOfBarrierSolver.solve` runs the batched kernel on a one-point
+slab.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,10 +157,6 @@ class TopOfBarrierSolver:
             iterations=int(iterations[0]),
         )
 
-    def current(self, vgs: float, vds: float) -> float:
-        """Drain current I_D [A] at the given bias."""
-        return self.solve(vgs, vds).current_a
-
     def currents(self, vgs_values, vds_values) -> np.ndarray:
         """Batched elementwise drain currents [A] (arrays must broadcast).
 
@@ -203,12 +199,6 @@ class TopOfBarrierSolver:
             )
         return out.reshape(vgs.shape), barriers.reshape(vgs.shape)
 
-    def iv_surface(self, vgs_values, vds_values) -> np.ndarray:
-        """I_D [A] on the outer product grid (len(vgs), len(vds))."""
-        vgs_values = np.asarray(vgs_values, dtype=float)
-        vds_values = np.asarray(vds_values, dtype=float)
-        return self.currents(vgs_values[:, None], vds_values[None, :])
-
     def grid_currents(self, vgs_values, vds_values) -> np.ndarray:
         """Warm-started table fill on the outer grid (len(vgs), len(vds)).
 
@@ -228,10 +218,6 @@ class TopOfBarrierSolver:
                 vgs, np.full(vgs.size, vds[j]), barrier_guess=barriers
             )
         return out
-
-    def with_transmission(self, transmission: float) -> "TopOfBarrierSolver":
-        """A copy of this solver with a different channel transmission."""
-        return TopOfBarrierSolver(self.bands, replace(self.params, transmission=transmission))
 
     # -- the solver kernel (one array axis = bias points) -----------------------
     def _solve_chunk(

@@ -13,6 +13,10 @@ Test names carry ``chaos``/``recovery`` so CI's chaos smoke step can
 select them with ``-k "chaos or recovery"``.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -102,8 +106,8 @@ class TestFingerprint:
 class TestRunReport:
     def _report(self):
         sweep = SweepPlan(_square_kernel)
-        policy = _fast_policy(fault_plan=FaultPlan.single(1, "raise"))
-        sweep.run(range(8), chunk_size=2, policy=policy)
+        policy = _fast_policy(chunk_size=2, fault_plan=FaultPlan.single(1, "raise"))
+        sweep.run(range(8), policy=policy)
         return policy.reports[-1]
 
     def test_counts_and_taxonomy(self):
@@ -131,27 +135,27 @@ class TestSupervisedSerialRecovery:
 
     def test_matches_plain_run_bitwise(self):
         sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(20), seed=11, chunk_size=5)
-        policy = _fast_policy()
-        supervised = sweep.run(range(20), seed=11, chunk_size=5, policy=policy)
+        plain = sweep.run(range(20), seed=11, policy=ExecutionPolicy(chunk_size=5))
+        policy = _fast_policy(chunk_size=5)
+        supervised = sweep.run(range(20), seed=11, policy=policy)
         report = policy.reports[-1]
         assert supervised == plain
         assert report.counts() == {"ok": 4}
 
     def test_raise_fault_is_retried_bitwise(self):
         sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(20), seed=11, chunk_size=5)
-        policy = _fast_policy(fault_plan=FaultPlan.single(2, "raise"))
-        supervised = sweep.run(range(20), seed=11, chunk_size=5, policy=policy)
+        plain = sweep.run(range(20), seed=11, policy=ExecutionPolicy(chunk_size=5))
+        policy = _fast_policy(chunk_size=5, fault_plan=FaultPlan.single(2, "raise"))
+        supervised = sweep.run(range(20), seed=11, policy=policy)
         report = policy.reports[-1]
         assert supervised == plain
         assert report.failure_taxonomy() == {"error": 1}
 
     def test_corrupt_payload_rejected_at_merge_and_retried(self):
         sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(20), seed=11, chunk_size=5)
-        policy = _fast_policy(fault_plan=FaultPlan.single(0, "corrupt"))
-        supervised = sweep.run(range(20), seed=11, chunk_size=5, policy=policy)
+        plain = sweep.run(range(20), seed=11, policy=ExecutionPolicy(chunk_size=5))
+        policy = _fast_policy(chunk_size=5, fault_plan=FaultPlan.single(0, "corrupt"))
+        supervised = sweep.run(range(20), seed=11, policy=policy)
         report = policy.reports[-1]
         assert supervised == plain
         assert report.failure_taxonomy() == {"corrupt": 1}
@@ -162,11 +166,12 @@ class TestSupervisedSerialRecovery:
         # plan must never take down the supervising process itself.
         sweep = SweepPlan(_square_kernel)
         policy = _fast_policy(
+            chunk_size=2,
             fault_plan=FaultPlan(
                 {0: FaultSpec("crash", times=99), 1: FaultSpec("hang", times=99)}
-            )
+            ),
         )
-        results = sweep.run(range(8), chunk_size=2, policy=policy)
+        results = sweep.run(range(8), policy=policy)
         report = policy.reports[-1]
         assert results == [v * v for v in range(8)]
         assert report.ok and report.failure_taxonomy() == {}
@@ -174,12 +179,12 @@ class TestSupervisedSerialRecovery:
     def test_exhausted_retries_raise_with_salvage(self):
         sweep = SweepPlan(_square_kernel)
         policy = _fast_policy(
+            chunk_size=2,
             max_retries=1,
-            degrade_serial=False,
             fault_plan=FaultPlan.single(1, "raise", times=99),
         )
         with pytest.raises(SweepExecutionError) as excinfo:
-            sweep.run(range(8), chunk_size=2, policy=policy)
+            sweep.run(range(8), policy=policy)
         report = excinfo.value.report
         assert not report.ok
         assert report.counts() == {"ok": 3, "failed": 1}
@@ -204,9 +209,9 @@ class TestSupervisedSerialRecovery:
 
     def test_validator_applies_to_every_chunk(self):
         sweep = SweepPlan(_square_kernel, validate=lambda entry: 1 / 0)
-        policy = _fast_policy(max_retries=0, degrade_serial=False)
+        policy = _fast_policy(chunk_size=2, max_retries=0)
         with pytest.raises(SweepExecutionError) as excinfo:
-            sweep.run(range(4), chunk_size=2, policy=policy)
+            sweep.run(range(4), policy=policy)
         assert excinfo.value.report.failure_taxonomy() == {"corrupt": 2}
 
 
@@ -218,11 +223,11 @@ class TestPooledChaosRecovery:
         # the pool breaks, is rebuilt, and the retried chunk must land
         # on exactly the fault-free numbers.
         sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(16), seed=5, chunk_size=4)
-        policy = _fast_policy(fault_plan=FaultPlan.single(0, "crash"))
-        supervised = sweep.run(
-            range(16), seed=5, chunk_size=4, workers=2, policy=policy
+        plain = sweep.run(range(16), seed=5, policy=ExecutionPolicy(chunk_size=4))
+        policy = _fast_policy(
+            workers=2, chunk_size=4, fault_plan=FaultPlan.single(0, "crash")
         )
+        supervised = sweep.run(range(16), seed=5, policy=policy)
         report = policy.reports[-1]
         assert supervised == plain
         assert report.pool_rebuilds >= 1
@@ -231,14 +236,14 @@ class TestPooledChaosRecovery:
 
     def test_hung_worker_times_out_and_recovers(self):
         sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(16), seed=5, chunk_size=4)
+        plain = sweep.run(range(16), seed=5, policy=ExecutionPolicy(chunk_size=4))
         policy = _fast_policy(
+            workers=2,
+            chunk_size=4,
             timeout_s=2.0,
             fault_plan=FaultPlan.single(1, "hang", hang_s=8.0),
         )
-        supervised = sweep.run(
-            range(16), seed=5, chunk_size=4, workers=2, policy=policy
-        )
+        supervised = sweep.run(range(16), seed=5, policy=policy)
         report = policy.reports[-1]
         assert supervised == plain
         assert report.failure_taxonomy() == {"timeout": 1}
@@ -249,14 +254,14 @@ class TestPooledChaosRecovery:
         # retries; the ladder's last rung runs it in-process, where the
         # pool-only crash fault is inert — same numbers, status "serial".
         sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(16), seed=5, chunk_size=4)
+        plain = sweep.run(range(16), seed=5, policy=ExecutionPolicy(chunk_size=4))
         policy = _fast_policy(
+            workers=2,
+            chunk_size=4,
             max_retries=1,
             fault_plan=FaultPlan.single(2, "crash", times=99),
         )
-        supervised = sweep.run(
-            range(16), seed=5, chunk_size=4, workers=2, policy=policy
-        )
+        supervised = sweep.run(range(16), seed=5, policy=policy)
         report = policy.reports[-1]
         assert supervised == plain
         assert report.chunks[2].status == "serial"
@@ -303,6 +308,35 @@ class TestCheckpointStore:
         assert b.load(0, "digest") == ["b"]
 
 
+class TestCheckpointKeys:
+    def test_engine_chunk_digest_does_not_depend_on_the_hash_seed(self):
+        # A resumed run is a new process with a new string hash seed; a
+        # circuit Monte Carlo chunk must still find its checkpoint.
+        script = (
+            "from repro.circuit.resilience import fingerprint\n"
+            "from repro.circuit.sweep import CircuitMonteCarlo\n"
+            "from repro.circuit.waveforms import DC\n"
+            "from repro.devices.empirical import AlphaPowerFET\n"
+            "from repro.experiments.cascade import build_inverter_chain\n"
+            "chain = build_inverter_chain(\n"
+            "    AlphaPowerFET(), n_stages=2, input_waveform=DC(0.4)\n"
+            ")\n"
+            "print(fingerprint(CircuitMonteCarlo(chain)))\n"
+        )
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for seed in (1, 2, 3)
+        }
+        assert len(digests) == 1
+
+
 class TestCheckpointRecovery:
     def test_killed_run_resumes_bitwise(self, tmp_path):
         # Run A dies mid-flight (an unrecoverable fault aborts the
@@ -310,17 +344,17 @@ class TestCheckpointRecovery:
         # same checkpoint root skips them and must finish on exactly
         # the numbers of a single uninterrupted run.
         sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(24), seed=9, chunk_size=4)
+        plain = sweep.run(range(24), seed=9, policy=ExecutionPolicy(chunk_size=4))
         dying = _fast_policy(
+            chunk_size=4,
             checkpoint_root=tmp_path,
             max_retries=0,
-            degrade_serial=False,
             fault_plan=FaultPlan.single(4, "raise", times=99),
         )
         with pytest.raises(SweepExecutionError):
-            sweep.run(range(24), seed=9, chunk_size=4, policy=dying)
-        policy = _fast_policy(checkpoint_root=tmp_path)
-        resumed = sweep.run(range(24), seed=9, chunk_size=4, policy=policy)
+            sweep.run(range(24), seed=9, policy=dying)
+        policy = _fast_policy(chunk_size=4, checkpoint_root=tmp_path)
+        resumed = sweep.run(range(24), seed=9, policy=policy)
         report = policy.reports[-1]
         assert resumed == plain
         assert report.counts() == {"cached": 5, "ok": 1}
@@ -328,13 +362,15 @@ class TestCheckpointRecovery:
 
     def test_checkpoints_are_keyed_by_seed(self, tmp_path):
         sweep = SweepPlan(_draw_kernel)
-        policy = _fast_policy(checkpoint_root=tmp_path)
-        sweep.run(range(8), seed=1, chunk_size=4, policy=policy)
-        other = sweep.run(range(8), seed=2, chunk_size=4, policy=policy)
+        policy = _fast_policy(chunk_size=4, checkpoint_root=tmp_path)
+        sweep.run(range(8), seed=1, policy=policy)
+        other = sweep.run(range(8), seed=2, policy=policy)
         report = policy.reports[-1]
         # A different seed must never serve the old seed's chunks.
         assert report.counts() == {"ok": 2}
-        assert other == sweep.run(range(8), seed=2, chunk_size=4)
+        assert other == sweep.run(
+            range(8), seed=2, policy=ExecutionPolicy(chunk_size=4)
+        )
 
     def test_checkpoints_are_keyed_by_payload(self, tmp_path):
         policy = _fast_policy(checkpoint_root=tmp_path)
@@ -364,7 +400,7 @@ class TestEngineChaosAcceptance:
         # The statistics must be bitwise those of the fault-free run.
         engine = _engine()
         variation = self._variation(engine)
-        clean = engine.run(variation, chunk_size=64)
+        clean = engine.run(variation, policy=ExecutionPolicy(chunk_size=64))
         faults = FaultPlan(
             {
                 0: FaultSpec("crash"),
@@ -372,8 +408,10 @@ class TestEngineChaosAcceptance:
                 3: FaultSpec("corrupt", times=2),
             }
         )
-        policy = _fast_policy(timeout_s=5.0, fault_plan=faults)
-        chaotic = engine.run(variation, chunk_size=64, workers=2, policy=policy)
+        policy = _fast_policy(
+            workers=2, chunk_size=64, timeout_s=5.0, fault_plan=faults
+        )
+        chaotic = engine.run(variation, policy=policy)
         assert np.array_equal(clean.x, chaotic.x)
         assert np.array_equal(clean.converged, chaotic.converged)
         report = policy.reports[-1]
@@ -390,20 +428,19 @@ class TestEngineChaosAcceptance:
         # them and reproduce the uninterrupted run exactly.
         engine = _engine()
         variation = self._variation(engine)
-        clean = engine.run(variation, chunk_size=64)
+        clean = engine.run(variation, policy=ExecutionPolicy(chunk_size=64))
         dying = _fast_policy(
+            chunk_size=64,
             checkpoint_root=tmp_path,
             max_retries=0,
-            degrade_serial=False,
             fault_plan=FaultPlan.single(3, "raise", times=99),
         )
         with pytest.raises(SweepExecutionError) as excinfo:
-            engine.run(variation, chunk_size=64, policy=dying)
+            engine.run(variation, policy=dying)
         assert excinfo.value.report.counts() == {"ok": 3, "failed": 1}
         resumed = engine.run(
             variation,
-            chunk_size=64,
-            policy=_fast_policy(checkpoint_root=tmp_path),
+            policy=_fast_policy(chunk_size=64, checkpoint_root=tmp_path),
         )
         assert np.array_equal(clean.x, resumed.x)
         assert np.array_equal(clean.converged, resumed.converged)
@@ -448,6 +485,23 @@ class TestPolicyThreading:
         policy = _fast_policy(fault_plan=FaultPlan.single(0, "raise"))
         supervised = run_fabric_density(policy=policy, **kwargs)
         assert supervised == plain
+
+    def test_integration_stats_pools_every_stage(self):
+        from repro.experiments.integration_stats import run_integration_stats
+
+        kwargs = dict(
+            n_array_devices=200,
+            n_functional_trials=8,
+            n_circuit_instances=16,
+            n_delay_instances=4,
+        )
+        serial = run_integration_stats(**kwargs)
+        policy = ExecutionPolicy(workers=2)
+        pooled = run_integration_stats(policy=policy, **kwargs)
+        assert pooled.rows() == serial.rows()
+        # The array, the functional yield, the 13 inverter-ladder levels
+        # and the delay distribution all ran on the pool.
+        assert [report.workers for report in policy.reports] == [2] * 16
 
 
 class TestEveryRunReports:

@@ -21,6 +21,7 @@ from repro.circuit.solver import solve_dc
 from repro.circuit.sweep import (
     CircuitMonteCarlo,
     DEFAULT_SUBSTREAM_BLOCK,
+    ExecutionPolicy,
     FETVariation,
     SweepPlan,
     ensure_seed,
@@ -132,24 +133,27 @@ class TestSweepPlan:
     def test_per_instance_streams_independent_of_chunking(self):
         plan = SweepPlan(_draw_kernel)
         whole = plan.run(range(20), seed=9)
-        chunked = plan.run(range(20), seed=9, chunk_size=3)
+        chunked = plan.run(range(20), seed=9, policy=ExecutionPolicy(chunk_size=3))
         assert whole == chunked
 
     def test_vectorized_block_draws_invariant_to_chunk_size(self):
         plan = SweepPlan(_block_draw_kernel, vectorized=True, substream_block=8)
         whole = plan.run(range(50), seed=1)
         for chunk_size in (8, 16, 21, 64):
-            assert plan.run(range(50), seed=1, chunk_size=chunk_size) == whole
+            policy = ExecutionPolicy(chunk_size=chunk_size)
+            assert plan.run(range(50), seed=1, policy=policy) == whole
 
     def test_vectorized_pool_matches_serial(self):
         plan = SweepPlan(_block_draw_kernel, vectorized=True, substream_block=8)
-        serial = plan.run(range(40), seed=2, chunk_size=8)
-        pooled = plan.run(range(40), seed=2, chunk_size=8, workers=2)
+        serial = plan.run(range(40), seed=2, policy=ExecutionPolicy(chunk_size=8))
+        pooled = plan.run(
+            range(40), seed=2, policy=ExecutionPolicy(chunk_size=8, workers=2)
+        )
         assert serial == pooled
 
     def test_scalar_pool_matches_serial(self):
         plan = SweepPlan(_square_kernel)
-        assert plan.run(range(9), chunk_size=2, workers=2) == [
+        assert plan.run(range(9), policy=ExecutionPolicy(chunk_size=2, workers=2)) == [
             v * v for v in range(9)
         ]
 
@@ -157,7 +161,7 @@ class TestSweepPlan:
         with pytest.raises(ValueError):
             SweepPlan(_square_kernel, substream_block=0)
         with pytest.raises(ValueError):
-            SweepPlan(_square_kernel).run([1], chunk_size=0)
+            SweepPlan(_square_kernel).run([1], policy=ExecutionPolicy(chunk_size=0))
 
     def test_ensure_seed_passthrough_and_entropy(self):
         assert ensure_seed(17) == 17
@@ -178,9 +182,15 @@ class TestFETVariation:
         assert np.all(var.vth_shift_v == 0.0)
 
     def test_draws_depend_only_on_position(self):
-        a = FETVariation.sample(40, 2, seed=3, substream_block=16)
-        b = FETVariation.sample(50, 2, seed=3, substream_block=16)
-        assert np.array_equal(a.drive_scale, b.drive_scale[:40])
+        # Within the first substream block, and across a block boundary;
+        # the drive scales hold with threshold shifts drawn too.
+        block = DEFAULT_SUBSTREAM_BLOCK
+        for short, long in ((40, 50), (block + 44, 2 * block + 8)):
+            for vth_sigma_v in (0.0, 0.02):
+                kwargs = dict(seed=3, drive_sigma=0.1, vth_sigma_v=vth_sigma_v)
+                a = FETVariation.sample(short, 2, **kwargs)
+                b = FETVariation.sample(long, 2, **kwargs)
+                assert np.array_equal(a.drive_scale, b.drive_scale[:short])
 
     def test_take_and_nominal(self):
         var = FETVariation.sample(10, 2, seed=0)
@@ -226,26 +236,30 @@ class TestCircuitMonteCarlo:
                 )
 
     def test_serial_loop_equals_batched(self, engine, variation):
-        batched = engine.run(variation, chunk_size=64)
-        looped = engine.run(variation, chunk_size=1)
+        batched = engine.run(variation, policy=ExecutionPolicy(chunk_size=64))
+        looped = engine.run(variation, policy=ExecutionPolicy(chunk_size=1))
         assert np.allclose(batched.x, looped.x, atol=1e-10)
         assert np.array_equal(batched.converged, looped.converged)
 
     def test_chunk_size_invariance(self, engine, variation):
-        reference = engine.run(variation, chunk_size=64)
+        reference = engine.run(variation, policy=ExecutionPolicy(chunk_size=64))
         for chunk_size in (7, 13, 32):
-            result = engine.run(variation, chunk_size=chunk_size)
+            result = engine.run(
+                variation, policy=ExecutionPolicy(chunk_size=chunk_size)
+            )
             assert np.allclose(reference.x, result.x, atol=1e-10)
 
     def test_instance_order_invariance(self, engine, variation):
-        reference = engine.run(variation, chunk_size=64)
+        reference = engine.run(variation, policy=ExecutionPolicy(chunk_size=64))
         permutation = np.random.default_rng(0).permutation(variation.n_instances)
-        permuted = engine.run(variation.take(permutation), chunk_size=64)
+        permuted = engine.run(
+            variation.take(permutation), policy=ExecutionPolicy(chunk_size=64)
+        )
         assert np.allclose(permuted.x, reference.x[permutation], atol=1e-10)
 
     def test_process_pool_matches_serial(self, engine, variation):
-        serial = engine.run(variation, chunk_size=32)
-        pooled = engine.run(variation, chunk_size=32, workers=2)
+        serial = engine.run(variation, policy=ExecutionPolicy(chunk_size=32))
+        pooled = engine.run(variation, policy=ExecutionPolicy(chunk_size=32, workers=2))
         assert np.allclose(serial.x, pooled.x, atol=1e-10)
         assert np.array_equal(serial.converged, pooled.converged)
 
@@ -387,8 +401,12 @@ class TestSparseBatchedNewton:
     def test_chunk_size_bitwise_invariant(
         self, sparse_engine, sparse_variation, chunk_size
     ):
-        reference = sparse_engine.run(sparse_variation, chunk_size=12)
-        result = sparse_engine.run(sparse_variation, chunk_size=chunk_size)
+        reference = sparse_engine.run(
+            sparse_variation, policy=ExecutionPolicy(chunk_size=12)
+        )
+        result = sparse_engine.run(
+            sparse_variation, policy=ExecutionPolicy(chunk_size=chunk_size)
+        )
         assert np.array_equal(reference.x, result.x)
         assert np.array_equal(reference.converged, result.converged)
 
@@ -408,8 +426,12 @@ class TestSparseBatchedNewton:
     def test_process_pool_bitwise_matches_serial(
         self, sparse_engine, sparse_variation
     ):
-        serial = sparse_engine.run(sparse_variation, chunk_size=6)
-        pooled = sparse_engine.run(sparse_variation, chunk_size=6, workers=2)
+        serial = sparse_engine.run(
+            sparse_variation, policy=ExecutionPolicy(chunk_size=6)
+        )
+        pooled = sparse_engine.run(
+            sparse_variation, policy=ExecutionPolicy(chunk_size=6, workers=2)
+        )
         assert np.array_equal(serial.x, pooled.x)
         assert np.array_equal(serial.converged, pooled.converged)
 
@@ -421,8 +443,10 @@ class TestSweepInvarianceProperties:
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_chunk_size_never_changes_solutions(self, engine, variation, chunk_size):
-        reference = engine.run(variation, chunk_size=variation.n_instances)
-        result = engine.run(variation, chunk_size=chunk_size)
+        reference = engine.run(
+            variation, policy=ExecutionPolicy(chunk_size=variation.n_instances)
+        )
+        result = engine.run(variation, policy=ExecutionPolicy(chunk_size=chunk_size))
         assert np.allclose(reference.x, result.x, atol=1e-10)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -430,8 +454,10 @@ class TestSweepInvarianceProperties:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_permutation_permutes_results(self, engine, variation, seed):
         permutation = np.random.default_rng(seed).permutation(variation.n_instances)
-        reference = engine.run(variation, chunk_size=64)
-        permuted = engine.run(variation.take(permutation), chunk_size=64)
+        reference = engine.run(variation, policy=ExecutionPolicy(chunk_size=64))
+        permuted = engine.run(
+            variation.take(permutation), policy=ExecutionPolicy(chunk_size=64)
+        )
         assert np.allclose(permuted.x, reference.x[permutation], atol=1e-10)
 
     @given(
@@ -442,21 +468,24 @@ class TestSweepInvarianceProperties:
     def test_vectorized_rng_tied_to_block_not_chunk(self, block, chunk):
         plan = SweepPlan(_block_draw_kernel, vectorized=True, substream_block=block)
         whole = plan.run(range(37), seed=11)
-        assert plan.run(range(37), seed=11, chunk_size=chunk) == whole
+        policy = ExecutionPolicy(chunk_size=chunk)
+        assert plan.run(range(37), seed=11, policy=policy) == whole
 
 
 class TestEngineDeterminism:
     """Satellite: same seed => identical statistics however executed."""
 
     def test_monte_carlo_statistics_identical_serial_vs_pool(self, engine, variation):
-        serial = engine.run(variation, chunk_size=16)
-        pooled = engine.run(variation, chunk_size=16, workers=2)
+        serial = engine.run(variation, policy=ExecutionPolicy(chunk_size=16))
+        pooled = engine.run(variation, policy=ExecutionPolicy(chunk_size=16, workers=2))
         for node in ("s1", "s2"):
             assert serial.statistics(node) == pooled.statistics(node)
 
     def test_monte_carlo_statistics_identical_across_chunks(self, engine, variation):
         stats = [
-            engine.run(variation, chunk_size=c).statistics("s2").mean
+            engine.run(variation, policy=ExecutionPolicy(chunk_size=c))
+            .statistics("s2")
+            .mean
             for c in (1, 9, 64)
         ]
         assert stats[0] == pytest.approx(stats[1], abs=1e-12)

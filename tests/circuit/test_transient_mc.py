@@ -22,6 +22,7 @@ from repro.circuit.netlist import CircuitError
 from repro.circuit.solver import NewtonRows, newton_many
 from repro.circuit.sweep import (
     CircuitTransientMC,
+    ExecutionPolicy,
     FETVariation,
     perturbed_circuit,
 )
@@ -136,7 +137,9 @@ class TestBitwiseInvariance:
 
     def test_chunk_size_bitwise_invariant(self, engine, variation, reference):
         for chunk_size in (1, 7, 24):
-            result = engine.run(variation, T_STOP, DT, chunk_size=chunk_size)
+            result = engine.run(
+                variation, T_STOP, DT, policy=ExecutionPolicy(chunk_size=chunk_size)
+            )
             assert np.array_equal(result.samples, reference.samples)
             assert np.array_equal(result.converged, reference.converged)
 
@@ -146,7 +149,9 @@ class TestBitwiseInvariance:
         assert np.array_equal(permuted.samples, reference.samples[permutation])
 
     def test_process_pool_bitwise_invariant(self, engine, variation, reference):
-        pooled = engine.run(variation, T_STOP, DT, chunk_size=8, workers=2)
+        pooled = engine.run(
+            variation, T_STOP, DT, policy=ExecutionPolicy(chunk_size=8, workers=2)
+        )
         assert np.array_equal(pooled.samples, reference.samples)
         assert np.array_equal(pooled.converged, reference.converged)
 
@@ -156,7 +161,9 @@ class TestBitwiseInvariance:
     def test_any_chunk_size_is_bitwise_identical(
         self, engine, variation, reference, chunk_size
     ):
-        result = engine.run(variation, T_STOP, DT, chunk_size=chunk_size)
+        result = engine.run(
+            variation, T_STOP, DT, policy=ExecutionPolicy(chunk_size=chunk_size)
+        )
         assert np.array_equal(result.samples, reference.samples)
 
 
@@ -245,7 +252,9 @@ class TestSparseBatched:
             6, 1, seed=9, drive_sigma=0.2, vth_sigma_v=0.02
         )
         reference = engine.run(variation, 5e-11, 1e-11)
-        chunked = engine.run(variation, 5e-11, 1e-11, chunk_size=2)
+        chunked = engine.run(
+            variation, 5e-11, 1e-11, policy=ExecutionPolicy(chunk_size=2)
+        )
         assert np.array_equal(chunked.samples, reference.samples)
         permutation = np.random.default_rng(1).permutation(6)
         permuted = engine.run(variation.take(permutation), 5e-11, 1e-11)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.sweep import SweepPlan, ensure_seed
+from repro.circuit.sweep import ExecutionPolicy, SweepPlan, ensure_seed
 from repro.integration.yields import GateYieldModel
 
 
@@ -71,15 +71,14 @@ def monte_carlo_gate_yield(
     gate_model: GateYieldModel,
     n_gates: int = 10000,
     seed: int | None = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
+    policy: ExecutionPolicy | None = None,
 ) -> MonteCarloGateYield:
     """Fabricate ``n_gates`` gates tube-by-tube through the sweep engine.
 
     The sampled short/open/functional fractions converge on the
     analytic :class:`GateYieldModel` properties; like every engine-run
     Monte Carlo, the result depends only on ``seed`` and ``n_gates``,
-    not on chunking or worker count.
+    not on the ``policy``'s chunking or worker count.
     """
     if n_gates < 1:
         raise ValueError("need at least one gate")
@@ -90,12 +89,7 @@ def monte_carlo_gate_yield(
         validate=_gate_entry_validator,
     )
     rows = np.asarray(
-        sweep.run(
-            range(n_gates),
-            seed=ensure_seed(seed),
-            chunk_size=chunk_size,
-            workers=workers,
-        )
+        sweep.run(range(n_gates), seed=ensure_seed(seed), policy=policy)
     )
     shorted = rows[:, 0]
     opened = rows[:, 1]

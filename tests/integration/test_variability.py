@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuit.resilience import ExecutionPolicy
 from repro.integration.variability import (
     ArrayResult,
     ArraySpec,
@@ -152,7 +153,9 @@ class TestSampleArrayDeterminism:
         model = CNFETArrayModel()
         reference = model.sample_array(1500, seed=3)
         for chunk_size in (97, 256, 1024):
-            result = model.sample_array(1500, seed=3, chunk_size=chunk_size)
+            result = model.sample_array(
+                1500, seed=3, policy=ExecutionPolicy(chunk_size=chunk_size)
+            )
             assert np.array_equal(
                 reference.on_currents_a(), result.on_currents_a()
             )
@@ -160,6 +163,6 @@ class TestSampleArrayDeterminism:
     def test_process_pool_invariance(self):
         model = CNFETArrayModel()
         reference = model.sample_array(1200, seed=8)
-        pooled = model.sample_array(1200, seed=8, workers=2)
+        pooled = model.sample_array(1200, seed=8, policy=ExecutionPolicy(workers=2))
         assert np.array_equal(reference.on_currents_a(), pooled.on_currents_a())
         assert reference.pass_fraction == pooled.pass_fraction

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gate_yield_oracle import monte_carlo_gate_yield
+from repro.circuit.resilience import ExecutionPolicy
 from repro.integration.yields import (
     GateYieldModel,
     SHULAKER_TRANSISTOR_COUNT,
@@ -168,8 +169,12 @@ class TestMonteCarloGateYield:
         assert sampled.n_functional >= sampled.n_gates - sampled.n_shorted - sampled.n_open
 
     def test_execution_shape_invariance(self, model, sampled):
-        chunked = monte_carlo_gate_yield(model, n_gates=20000, seed=3, chunk_size=777)
-        pooled = monte_carlo_gate_yield(model, n_gates=20000, seed=3, workers=2)
+        chunked = monte_carlo_gate_yield(
+            model, n_gates=20000, seed=3, policy=ExecutionPolicy(chunk_size=777)
+        )
+        pooled = monte_carlo_gate_yield(
+            model, n_gates=20000, seed=3, policy=ExecutionPolicy(workers=2)
+        )
         assert chunked == sampled
         assert pooled == sampled
 

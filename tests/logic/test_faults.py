@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuit.resilience import ExecutionPolicy
 from repro.integration.yields import GateYieldModel
 from repro.logic.faults import (
     functional_yield,
@@ -101,6 +102,10 @@ class TestFunctionalYieldDeterminism:
             semiconducting_purity=0.99, removal_efficiency=0.9, tubes_per_gate=5.0
         )
         serial = functional_yield(model, n_trials=48, seed=7)
-        chunked = functional_yield(model, n_trials=48, seed=7, chunk_size=32)
-        pooled = functional_yield(model, n_trials=48, seed=7, workers=2)
+        chunked = functional_yield(
+            model, n_trials=48, seed=7, policy=ExecutionPolicy(chunk_size=32)
+        )
+        pooled = functional_yield(
+            model, n_trials=48, seed=7, policy=ExecutionPolicy(workers=2)
+        )
         assert serial == chunked == pooled

@@ -4,12 +4,19 @@ These property-based tests run the same physical sanity checks over the
 whole device zoo: passivity at zero drain bias, current sign following
 the drain bias, monotonicity in gate drive, and the p-type mirror
 symmetry.  A new device model added to the package gets this safety net
-by being listed in the fixtures below.
+by being listed in the fixtures below.  One API invariant rides along:
+how a sweep executes is set only through ``ExecutionPolicy``.
 """
+
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.solver import solve_dc
@@ -174,3 +181,38 @@ class TestStampInvariants:
         x = solve_dc(system)
         residual, _ = system.evaluate(x)
         assert float(np.max(np.abs(residual))) < 1e-8
+
+
+# Execution settings live on ``ExecutionPolicy`` (its dataclass fields),
+# never as loose per-call parameters.
+EXECUTION_PARAMETERS = frozenset({"workers", "chunk_size"})
+
+
+def _public_callables():
+    """``(qualified name, callable)`` of every public function and method
+    defined in ``repro`` (the ``repro.lint`` tool excluded)."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.lint" or info.name.startswith("repro.lint."):
+            continue
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != info.name:
+                continue
+            if inspect.isfunction(value):
+                yield f"{info.name}.{name}", value
+            elif inspect.isclass(value):
+                for attr, member in vars(value).items():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+def test_no_public_signature_takes_loose_execution_knobs():
+    offenders = [
+        f"{name}({param})"
+        for name, fn in _public_callables()
+        for param in inspect.signature(fn).parameters
+        if param in EXECUTION_PARAMETERS
+    ]
+    assert offenders == []
