@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         "results": kept + results,
     }
 
-    from repro.circuit.resilience import atomic_write_text
+    from repro.store import atomic_write_text
 
     atomic_write_text(target, json.dumps(payload, indent=1) + "\n")
     for row in results:

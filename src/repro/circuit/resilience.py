@@ -23,9 +23,10 @@ through it, in-process or on a pool, and one :class:`ExecutionPolicy`
   every salvaged chunk, chained from the failed chunk's last
   exception.
 * **Chunk checkpoint/resume** (:class:`CheckpointStore`): completed
-  chunk results are atomically persisted (unique temp file +
-  ``os.replace``, the pattern proven by the surrogate disk cache) into
-  a run directory keyed by the digests of the run's chunk specs
+  chunk results are atomically persisted
+  (:func:`repro.store.atomic_write_bytes`, the writer the surrogate
+  disk cache shares) into a run directory keyed by the
+  :func:`repro.store.fingerprint` digests of the run's chunk specs
   (kernel, payload, parameter rows, seed substreams).  A run killed
   mid-flight resumes by loading finished chunks and computing only the
   rest; an unreadable chunk file is a miss, never an error.
@@ -55,18 +56,18 @@ both execution modes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import pickle
-import tempfile
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
+
+from repro.store import atomic_write_bytes, fingerprint
 
 __all__ = [
     "ExecutionPolicy",
@@ -78,8 +79,6 @@ __all__ = [
     "RunReport",
     "SweepExecutionError",
     "run_supervised",
-    "fingerprint",
-    "atomic_write_text",
 ]
 
 _LOG = logging.getLogger(__name__)
@@ -94,17 +93,6 @@ _CHECKPOINT_VERSION = 1
 _BACKOFF_CAP_S = 2.0
 #: Growth of the backoff sleep per successive pool rebuild.
 _BACKOFF_FACTOR = 2.0
-
-
-def fingerprint(obj) -> str:
-    """Content hash (32 hex chars) of a picklable object tree.
-
-    Stability contract: identical values built the same way pickle to
-    identical bytes, so a resume under the same kernel/params/seed hits
-    its checkpoints; any drift in the inputs changes the key and the
-    chunk is recomputed — the safe direction.
-    """
-    return hashlib.sha256(pickle.dumps(obj, protocol=4)).hexdigest()[:32]
 
 
 # ---------------------------------------------------------------------------
@@ -259,37 +247,9 @@ class CheckpointStore:
             "results": results,
         }
         try:
-            _atomic_write_bytes(path, pickle.dumps(record, protocol=4))
+            atomic_write_bytes(path, pickle.dumps(record, protocol=4))
         except OSError:
             _LOG.warning("checkpoint write failed for chunk %d at %s", index, path)
-
-
-def _atomic_write_bytes(path: Path | str, data: bytes) -> None:
-    """Crash-safe write: mkstemp in the target directory + ``os.replace``.
-
-    Readers never observe a half-written file — they see either the old
-    content or the new, the same discipline the surrogate cache follows.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=f".{target.stem}-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_text(path: Path | str, text: str) -> None:
-    """Crash-safe UTF-8 text write (see :func:`_atomic_write_bytes`)."""
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

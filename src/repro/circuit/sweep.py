@@ -415,7 +415,6 @@ class FETVariation:
         )
 
 
-# repro-lint: ok[FPR003] -- ephemeral per-instance wrapper for equivalence tests; never surrogate-compiled
 class ScaledShiftedFET(FETModel):
     """``scale * I_base(vgs - shift, vds)`` — FETVariation's scalar reference.
 

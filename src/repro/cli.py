@@ -236,7 +236,7 @@ def _persist_report(report, resume_dir: str | None) -> str:
     """Write the salvaged RunReport next to the checkpoints (or in cwd)."""
     from pathlib import Path
 
-    from repro.circuit.resilience import atomic_write_text
+    from repro.store import atomic_write_text
 
     target = Path(resume_dir) if resume_dir is not None else Path(".")
     path = target / "run-report.json"

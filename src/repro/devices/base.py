@@ -266,7 +266,7 @@ class FETModel:
         current, gm, gds = self.linearize(vgs, vds)
         return float(current), float(gm), float(gds)
 
-    def surrogate(self, spec=None, **kwargs):
+    def surrogate(self, spec=None):
         """Compile this model into a cached spline :class:`SurrogateFET`.
 
         Convenience wrapper around
@@ -274,7 +274,7 @@ class FETModel:
         """
         from repro.devices.surrogate import compile_surrogate
 
-        return compile_surrogate(self, spec, **kwargs)
+        return compile_surrogate(self, spec)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ CNT-FET behaviour the paper highlights:
 
 from __future__ import annotations
 
-import dataclasses
 
 import numpy as np
 
@@ -123,20 +122,6 @@ class CNTFET(FETModel):
         if np.any(vds_grid < 0.0):
             return super().grid_currents(vgs_grid, vds_grid)
         return self._solver.grid_currents(vgs_grid, vds_grid)
-
-    def surrogate_token(self):
-        """Stable parameter fingerprint for surrogate content addressing."""
-        return (
-            "CNTFET",
-            self.chirality.n,
-            self.chirality.m,
-            self.channel_length_nm,
-            self.t_ox_nm,
-            self.eps_ox,
-            self.gate_geometry,
-            len(self.bands.subbands),
-            dataclasses.astuple(self.params),
-        )
 
     def operating_point(self, vgs: float, vds: float) -> OperatingPoint:
         """Full self-consistent solution (barrier height, charge, current)."""

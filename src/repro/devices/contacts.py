@@ -68,15 +68,6 @@ class SeriesResistanceFET(FETModel):
             vds_max=box.vds_max,
         )
 
-    def surrogate_token(self):
-        """Stable parameter fingerprint for surrogate content addressing."""
-        return (
-            "SeriesResistanceFET",
-            self.inner,
-            self.r_source_ohm,
-            self.r_drain_ohm,
-        )
-
     @property
     def total_resistance_ohm(self) -> float:
         return self.r_source_ohm + self.r_drain_ohm

@@ -101,20 +101,6 @@ class CNTFabricFET(FETModel):
         """Drive current per unit fabric width [A/m]."""
         return self.current(vgs, vds) / (self.width_nm * 1e-9)
 
-    def surrogate_token(self):
-        """Stable parameter fingerprint for surrogate content addressing.
-
-        Delegates per-tube fingerprints to the tube models themselves —
-        a fabric of tabulated or physical tubes stays disk-cacheable.
-        """
-        return (
-            "CNTFabricFET",
-            tuple(self.tube_devices),
-            self.n_metallic,
-            self.pitch_nm,
-            self.metallic_resistance_ohm,
-        )
-
     def on_off_ratio(self, vdd: float, v_off: float = 0.0) -> float:
         """I_on / I_off at supply ``vdd`` — collapses with metallic shunts."""
         i_on = self.current(vdd, vdd)

@@ -11,7 +11,6 @@ separately as :class:`repro.devices.empirical.NonSaturatingFET`.
 
 from __future__ import annotations
 
-import dataclasses
 
 import numpy as np
 
@@ -87,16 +86,6 @@ class GNRFET(FETModel):
         if np.any(vds_grid < 0.0):
             return super().grid_currents(vgs_grid, vds_grid)
         return self._solver.grid_currents(vgs_grid, vds_grid)
-
-    def surrogate_token(self):
-        """Stable parameter fingerprint for surrogate content addressing."""
-        return (
-            "GNRFET",
-            self.ribbon.n_dimer,
-            self.channel_length_nm,
-            len(self.bands.subbands),
-            dataclasses.astuple(self.params),
-        )
 
     def operating_point(self, vgs: float, vds: float) -> OperatingPoint:
         """Full self-consistent solution (barrier height, charge, current)."""

@@ -105,15 +105,6 @@ class SchottkyBarrierCNTFET(FETModel):
             total += band.degeneracy * Q * Q / H * integral_ev
         return total
 
-    def surrogate_token(self):
-        """Stable parameter fingerprint for surrogate content addressing."""
-        return (
-            "SchottkyBarrierCNTFET",
-            self.intrinsic.surrogate_token(),
-            self.barrier_ev,
-            self.tunneling_energy_ev,
-        )
-
     def injection_limited_fraction(self, vgs: float, vds: float) -> float:
         """I_schottky / I_intrinsic at a bias point, in (0, 1]."""
         intrinsic_current = self.intrinsic.current(vgs, vds)

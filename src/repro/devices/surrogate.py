@@ -33,16 +33,20 @@ k-space integrals per bias point — hundreds of microseconds per call,
 * outside the box the surface continues by bounded first-order
   extrapolation, keeping stray Newton iterates finite.
 
-Tables are content-addressed: the cache key hashes the model's
-parameter fingerprint (``surrogate_token``; dataclass fields are
-fingerprinted automatically) together with the grid spec.  Compiled
-tables live in an in-process memory cache and — when the model is
-fingerprintable — on disk under ``~/.cache/repro-surrogates/``
-(override with the ``REPRO_SURROGATE_CACHE`` environment variable; set
-it to ``off`` to disable).  Disk writes are atomic (temp file +
-``os.replace``), so the process-pool workers of
-:class:`repro.circuit.sweep.SweepPlan` can share one cache directory;
-corrupt or stale files are silently recompiled and replaced.
+Tables are content-addressed: the cache key is
+:func:`repro.store.fingerprint` of the pickled model state together
+with the grid spec, the box and the symmetry flag, the same digest the
+sweep checkpoints use.  Compiled tables live in an in-process memory
+cache and — when the model pickles — on disk under
+``~/.cache/repro-surrogates/`` (override with the
+``REPRO_SURROGATE_CACHE`` environment variable; set it to ``off`` to
+disable).  Each file stores its key and is rejected on load when the
+key differs.  Disk writes are atomic
+(:func:`repro.store.atomic_write_bytes`), so the process-pool workers
+of :class:`repro.circuit.sweep.SweepPlan` can share one cache
+directory; corrupt or stale files are silently recompiled and
+replaced.  A model that does not pickle is memoised in memory by
+identity and grid request only.
 
 :class:`TabulatedFET` (the package's original bilinear grid device)
 lives here too, sharing the grid validation and fill machinery through
@@ -51,12 +55,11 @@ lives here too, sharing the grid validation and fill machinery through
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
+import io
 import json
 import math
 import os
-import tempfile
+import pickle
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,6 +73,7 @@ from repro.devices.base import (
     mirror_symmetric_currents,
     mirror_symmetric_linearize,
 )
+from repro.store import atomic_write_bytes, fingerprint
 
 __all__ = [
     "GridSpec",
@@ -87,7 +91,7 @@ __all__ = [
 CACHE_ENV = "REPRO_SURROGATE_CACHE"
 
 #: On-disk format version; bumping it invalidates every cached table.
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 _CACHE_OFF_VALUES = frozenset({"", "0", "off", "none", "disabled"})
 
@@ -139,14 +143,6 @@ class _TableFET(FETModel):
             vgs_max=float(self._vgs[-1]),
             vds_min=float(self._vds[0]),
             vds_max=float(self._vds[-1]),
-        )
-
-    def surrogate_token(self):
-        return (
-            type(self).__name__,
-            _array_digest(self._vgs),
-            _array_digest(self._vds),
-            _array_digest(self._id),
         )
 
 
@@ -286,7 +282,6 @@ class SurrogateFET(_TableFET):
         symmetric: bool = True,
         fit_error: float | None = None,
         source: FETModel | None = None,
-        token_hash: str | None = None,
     ):
         super().__init__(vgs_grid, vds_grid, conductance_grid)
         if h_ref <= 0.0:
@@ -296,8 +291,7 @@ class SurrogateFET(_TableFET):
         self._h_ref = float(h_ref)
         self.mirror_symmetric = bool(symmetric)
         self.fit_error = None if fit_error is None else float(fit_error)
-        self.source = source  # repro-lint: ok[FPR001] -- provenance only; the physics lives in the tabulated grids
-        self.token_hash = token_hash  # repro-lint: ok[FPR001] -- cache bookkeeping, not a physics parameter
+        self.source = source
         self._build_cells()
 
     def _build_cells(self) -> None:
@@ -320,20 +314,6 @@ class SurrogateFET(_TableFET):
     def h_ref(self) -> float:
         """Scale conductance of the asinh transform [S]."""
         return self._h_ref
-
-    def surrogate_token(self):
-        """Table digests of the base class plus the surrogate's own state.
-
-        ``h_ref`` and the symmetry flag change the reconstructed I-V
-        surface for the same stored table, so they must be part of the
-        fingerprint; ``fit_error``/``source``/``token_hash`` are
-        provenance metadata and deliberately excluded.
-        """
-        return (
-            *super().surrogate_token(),
-            self._h_ref,
-            self.mirror_symmetric,
-        )
 
     # -- evaluation ---------------------------------------------------------
     def _cell_polynomial(self, vg: np.ndarray, vd: np.ndarray):
@@ -545,70 +525,35 @@ def _fill_table(model: FETModel, spec: GridSpec, box: OperatingBox, symmetric: b
 
 
 # ---------------------------------------------------------------------------
-# Content addressing: model fingerprints and the cache key.
+# Content addressing: the cache key.
 # ---------------------------------------------------------------------------
 
 
-class _Unfingerprintable(TypeError):
-    """The model has no stable parameter fingerprint (memory cache only)."""
+def _cache_key(
+    model: FETModel, spec: GridSpec, box: OperatingBox, symmetric: bool
+) -> str | None:
+    """Fingerprint of a compile request, or None for an unpicklable model.
 
-
-def _array_digest(value: np.ndarray) -> str:
-    payload = np.ascontiguousarray(np.asarray(value, dtype=float))
-    return hashlib.sha256(payload.tobytes()).hexdigest()
-
-
-def _tokenize(value):
-    """Canonical, JSON-serialisable fingerprint of a parameter value."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return float(value).hex()
-    if isinstance(value, np.ndarray):
-        return ["ndarray", list(value.shape), _array_digest(value)]
-    if isinstance(value, (tuple, list)):
-        return [_tokenize(item) for item in value]
-    if isinstance(value, dict):
-        return [[_tokenize(k), _tokenize(v)] for k, v in sorted(value.items())]
-    token_method = getattr(value, "surrogate_token", None)
-    if callable(token_method):
-        return [type(value).__name__, _tokenize(token_method())]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return [
-            type(value).__name__,
-            [
-                [field.name, _tokenize(getattr(value, field.name))]
-                for field in dataclasses.fields(value)
-            ],
-        ]
-    raise _Unfingerprintable(
-        f"{type(value).__name__} has no surrogate_token() and is not a dataclass"
-    )
-
-
-def _cache_key(model: FETModel, spec: GridSpec, box: OperatingBox, symmetric: bool):
-    """(payload json, sha key) of a compile request, or (None, None)."""
+    The model's pickled state is its identity: every attribute it
+    stores reaches the key (``SurrogateFET.__getstate__`` drops only
+    the derived cells and the provenance ``source``).
+    """
     try:
-        token = [
-            "surrogate",
-            _CACHE_VERSION,
-            _tokenize(model),
-            [
-                _tokenize(box.vgs_min),
-                _tokenize(box.vgs_max),
-                _tokenize(box.vds_min),
-                _tokenize(box.vds_max),
-            ],
-            list(spec.initial_points),
-            _tokenize(spec.tolerance),
-            spec.max_refinements,
-            _tokenize(spec.asinh_scale_rel),
-            bool(symmetric),
-        ]
-    except _Unfingerprintable:
-        return None, None
-    payload = json.dumps(token, separators=(",", ":"), sort_keys=True)
-    return payload, hashlib.sha256(payload.encode()).hexdigest()[:32]
+        return fingerprint(
+            (
+                "surrogate",
+                _CACHE_VERSION,
+                model,
+                spec.initial_points,
+                spec.tolerance,
+                spec.max_refinements,
+                spec.asinh_scale_rel,
+                box,
+                symmetric,
+            )
+        )
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +561,12 @@ def _cache_key(model: FETModel, spec: GridSpec, box: OperatingBox, symmetric: bo
 # ---------------------------------------------------------------------------
 
 _MEMORY_CACHE: dict[str, SurrogateFET] = {}
-# Unfingerprintable models memoise by identity.  The entry holds the
-# surrogate *weakly*: while any caller keeps the surrogate alive, its
-# ``source`` reference pins the model id against reuse; once the last
-# reference drops, the entry dies instead of growing the cache forever.
-_MEMORY_BY_ID: dict[int, weakref.ref] = {}
+# Unpicklable models memoise by identity plus the fingerprint of the
+# grid request.  The entry holds the surrogate *weakly*: while any
+# caller keeps the surrogate alive, its ``source`` reference pins the
+# model id against reuse; once the last reference drops, the entry dies
+# instead of growing the cache forever.
+_MEMORY_BY_ID: dict[tuple[int, str], weakref.ref] = {}
 
 
 def clear_surrogate_memory() -> None:
@@ -639,12 +585,12 @@ def surrogate_cache_dir() -> Path | None:
     return Path.home() / ".cache" / "repro-surrogates"
 
 
-def _load_cached(path: Path, payload: str) -> SurrogateFET | None:
+def _load_cached(path: Path, key: str) -> SurrogateFET | None:
     """Rebuild a surrogate from one cache file; None on any defect."""
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
-            if meta.get("version") != _CACHE_VERSION or meta.get("key") != payload:
+            if meta.get("version") != _CACHE_VERSION or meta.get("key") != key:
                 return None
             return SurrogateFET(
                 data["vgs"],
@@ -653,52 +599,35 @@ def _load_cached(path: Path, payload: str) -> SurrogateFET | None:
                 h_ref=float(meta["h_ref"]),
                 symmetric=bool(meta["symmetric"]),
                 fit_error=meta.get("fit_error"),
-                token_hash=path.stem,
             )
     except Exception:
         # Corrupt, truncated, stale or unreadable: recompile and replace.
         return None
 
 
-def _store_cached(path: Path, surrogate: SurrogateFET, payload: str) -> None:
+def _store_cached(path: Path, surrogate: SurrogateFET, key: str) -> None:
     """Atomically write one cache file (best effort; failures are ignored)."""
     meta = json.dumps(
         {
             "version": _CACHE_VERSION,
-            "key": payload,
+            "key": key,
             "h_ref": surrogate.h_ref,
             "symmetric": bool(surrogate.mirror_symmetric),
             "fit_error": surrogate.fit_error,
         }
     )
+    buffer = io.BytesIO()
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # mkstemp opens with O_EXCL so concurrent writers each get a private
-        # temp file; os.replace then publishes atomically, and the last
-        # writer wins with every intermediate state a complete file.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.stem + "-", suffix=".tmp"
+        np.savez(
+            buffer,
+            vgs=surrogate.vgs_grid,
+            vds=surrogate.vds_grid,
+            table=surrogate.table,
+            meta=np.asarray(meta),
         )
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(
-                handle,
-                vgs=surrogate.vgs_grid,
-                vds=surrogate.vds_grid,
-                table=surrogate.table,
-                meta=np.asarray(meta),
-            )
-        os.replace(tmp_name, path)
+        atomic_write_bytes(path, buffer.getvalue())
     except OSError:
         pass
-    finally:
-        # Gone already when os.replace succeeded; never leave .tmp litter.
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -706,51 +635,44 @@ def _store_cached(path: Path, surrogate: SurrogateFET, payload: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def compile_surrogate(
-    model: FETModel,
-    spec: GridSpec | None = None,
-    *,
-    cache_dir: str | Path | None = "auto",
-) -> FETModel:
+def compile_surrogate(model: FETModel, spec: GridSpec | None = None) -> FETModel:
     """Compile ``model`` into a cached :class:`SurrogateFET`.
 
-    ``cache_dir="auto"`` resolves through :func:`surrogate_cache_dir`
-    (honouring ``REPRO_SURROGATE_CACHE``); pass a path to pin the
-    directory or ``None`` to skip the disk entirely.  :class:`PType`
-    mirrors compile their wrapped n-type model and re-wrap, so the
-    stamp plan's polarity unwrapping sees the shared surrogate
-    instance; an input that is already a surrogate is returned as-is.
+    The disk cache lives in :func:`surrogate_cache_dir` (set
+    ``REPRO_SURROGATE_CACHE`` to pin it or turn it off).
+    :class:`PType` mirrors compile their wrapped n-type model and
+    re-wrap, so the stamp plan's polarity unwrapping sees the shared
+    surrogate instance; an input that is already a surrogate is
+    returned as-is.
     """
     if isinstance(model, SurrogateFET):
         return model
     if isinstance(model, PType):
-        return PType(compile_surrogate(model.nfet, spec, cache_dir=cache_dir))
+        return PType(compile_surrogate(model.nfet, spec))
     spec = GridSpec() if spec is None else spec
     box = model.operating_box() if spec.box is None else spec.box
     symmetric = bool(getattr(model, "mirror_symmetric", True))
 
-    payload, key = _cache_key(model, spec, box, symmetric)
-    if key is not None:
+    key = _cache_key(model, spec, box, symmetric)
+    path: Path | None = None
+    if key is None:
+        identity = (id(model), fingerprint((spec, box, symmetric)))
+        reference = _MEMORY_BY_ID.get(identity)
+        cached = None if reference is None else reference()
+        if cached is not None and cached.source is model:
+            return cached
+    else:
         cached = _MEMORY_CACHE.get(key)
         if cached is not None:
             return cached
-    else:
-        reference = _MEMORY_BY_ID.get(id(model))
-        if reference is not None:
-            cached = reference()
-            if cached is not None and cached.source is model:
-                return cached
-
-    directory = surrogate_cache_dir() if cache_dir == "auto" else (
-        Path(cache_dir) if cache_dir is not None else None
-    )
-    path = None if (directory is None or key is None) else directory / f"{key}.npz"
-    if path is not None and path.exists():
-        loaded = _load_cached(path, payload)
-        if loaded is not None:
-            loaded.source = model
-            _MEMORY_CACHE[key] = loaded
-            return loaded
+        directory = surrogate_cache_dir()
+        path = None if directory is None else directory / f"{key}.npz"
+        if path is not None and path.exists():
+            loaded = _load_cached(path, key)
+            if loaded is not None:
+                loaded.source = model
+                _MEMORY_CACHE[key] = loaded
+                return loaded
 
     vgs, vds, table, h_ref, fit_error = _fill_table(model, spec, box, symmetric)
     surrogate = SurrogateFET(
@@ -761,16 +683,15 @@ def compile_surrogate(
         symmetric=symmetric,
         fit_error=fit_error,
         source=model,
-        token_hash=key,
     )
-    if key is not None:
-        _MEMORY_CACHE[key] = surrogate
-        if path is not None:
-            _store_cached(path, surrogate, payload)
-    else:
+    if key is None:
         for dead in [k for k, ref in _MEMORY_BY_ID.items() if ref() is None]:
             del _MEMORY_BY_ID[dead]
-        _MEMORY_BY_ID[id(model)] = weakref.ref(surrogate)
+        _MEMORY_BY_ID[identity] = weakref.ref(surrogate)
+    else:
+        _MEMORY_CACHE[key] = surrogate
+        if path is not None:
+            _store_cached(path, surrogate, key)
     return surrogate
 
 

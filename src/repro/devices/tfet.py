@@ -246,21 +246,3 @@ class CNTTunnelFET:
             f"Eg={self.gap_ev:.3f} eV, t_ox={self.t_ox_nm} nm, "
             f"lambda={self.screening_length_nm:.2f} nm)"
         )
-
-    def surrogate_token(self):
-        """Stable parameter fingerprint for surrogate content addressing."""
-        return (
-            "CNTTunnelFET",
-            self.chirality.n,
-            self.chirality.m,
-            self.t_ox_nm,
-            self.eps_ox,
-            self.gate_efficiency,
-            self.n_degeneracy_ev,
-            self.p_degeneracy_ev,
-            self.flatband_v,
-            self.urbach_ev,
-            self.diode_saturation_a,
-            self.temperature_k,
-            self.screening_length_nm,
-        )

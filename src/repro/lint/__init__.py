@@ -2,10 +2,10 @@
 
 The repo's value rests on three contracts nothing used to check by
 machine: bitwise determinism of the sweep engines (seed-substream
-discipline), content-addressed cache correctness (``surrogate_token``
-must cover every physics-affecting parameter), and the consolidated
-vectorized device protocol.  This package walks the ``src/repro`` ASTs
-and introspects the imported device registry to enforce them:
+discipline), crash-safe cache and checkpoint writes, and the
+consolidated vectorized device protocol.  This package walks the
+``src/repro`` ASTs and introspects the imported device registry to
+enforce them:
 
 ========  ==============================================================
 rule      invariant guarded
@@ -14,9 +14,6 @@ RNG001    no seedless ``np.random.default_rng()`` in library code
 RNG002    no entropy-seeded ``np.random.SeedSequence()``
 RNG003    no stdlib ``random`` module (unseedable global state)
 RNG004    no wall-clock reads (``time.time``, ``datetime.now``, ...)
-FPR001    ``surrogate_token()`` covers every constructor parameter
-FPR002    subclasses with new state must override ``surrogate_token``
-FPR003    registered FETModels are fingerprintable (disk cache works)
 PRT001    mirror-symmetric models use ``_forward_currents``, not
           a ``currents`` override
 PRT002    ``linearize``/``linearize_point`` are overridden together

@@ -1,5 +1,5 @@
-"""AST rule families: RNG discipline, fingerprint completeness,
-protocol coherence, atomic writes, pool-kernel safety, merge validation.
+"""AST rule families: RNG discipline, protocol coherence, atomic
+writes, pool-kernel safety, merge validation.
 
 Each public entry point takes a parsed module and returns diagnostics;
 :func:`check_module` runs them all.  The rules are deliberately
@@ -28,10 +28,6 @@ _WALL_CLOCK = {
     "utcnow": {"datetime"},
     "today": {"date", "datetime"},
 }
-
-# Simple coercions: ``self.x = float(x)`` still counts as storing the
-# constructor parameter ``x`` verbatim for fingerprint purposes.
-_CASTS = {"float", "int", "bool", "str", "tuple", "frozenset"}
 
 
 def check_module(path: str, tree: ast.Module) -> list[Diagnostic]:
@@ -151,7 +147,7 @@ class _FileChecker(ast.NodeVisitor):
                 node,
                 "IOW001",
                 f"direct {name}() is not crash-safe; route through "
-                "repro.circuit.resilience.atomic_write_text "
+                "repro.store.atomic_write_text "
                 "(mkstemp + os.replace)",
             )
         if isinstance(node.func, ast.Name) and node.func.id == "SweepPlan":
@@ -191,7 +187,7 @@ class _FileChecker(ast.NodeVisitor):
                 "IOW001",
                 f"open(..., {mode.value!r}) writes in place; a crash or "
                 "concurrent reader sees a torn file — write to a mkstemp "
-                "temp and os.replace() it (see resilience.atomic_write_text)",
+                "temp and os.replace() it (see repro.store.atomic_write_text)",
             )
 
     def _check_sweep_plan(self, node: ast.Call) -> None:
@@ -268,104 +264,15 @@ class _FileChecker(ast.NodeVisitor):
                         )
                     )
 
-    # -- classes: fingerprints and protocol coherence --------------------------
+    # -- classes: protocol coherence -------------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         methods = {
             stmt.name: stmt
             for stmt in node.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        token = methods.get("surrogate_token")
-        init = methods.get("__init__")
-        param_attrs = self._param_attrs(node, init)
-        if token is not None:
-            reads = {
-                child.attr
-                for child in ast.walk(token)
-                if isinstance(child, ast.Attribute)
-                and isinstance(child.value, ast.Name)
-                and child.value.id == "self"
-            }
-            for attr, assign_line in param_attrs:
-                if attr not in reads:
-                    self.findings.append(
-                        Diagnostic(
-                            self.path,
-                            assign_line,
-                            "FPR001",
-                            f"constructor parameter stored as self.{attr} "
-                            "never reaches surrogate_token(): two models "
-                            f"differing only in {attr!r} would share a "
-                            "cache entry",
-                        )
-                    )
-        elif param_attrs and self._ancestor_defines(node, "surrogate_token"):
-            self._report(
-                node,
-                "FPR002",
-                f"{node.name} stores new constructor state "
-                f"({', '.join(a for a, _ in param_attrs)}) but inherits "
-                "surrogate_token() from its base: instances differing in "
-                "the new state fingerprint identically",
-            )
-
-        self._check_mirror_coherence(node, methods, init)
+        self._check_mirror_coherence(node, methods, methods.get("__init__"))
         self.generic_visit(node)
-
-    def _param_attrs(
-        self, node: ast.ClassDef, init: ast.FunctionDef | None
-    ) -> list[tuple[str, int]]:
-        """(attr, line) for state stored verbatim from constructor params.
-
-        Covers ``self.x = x`` and simple coercions ``self.x = float(x)``
-        in ``__init__``, plus dataclass field declarations.  Attributes
-        computed from other values are treated as derived and exempt.
-        """
-        out: list[tuple[str, int]] = []
-        if init is not None:
-            params = {
-                arg.arg
-                for arg in (
-                    init.args.posonlyargs + init.args.args + init.args.kwonlyargs
-                )
-                if arg.arg != "self"
-            }
-            for stmt in ast.walk(init):
-                if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                    continue
-                target = stmt.targets[0]
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                value = stmt.value
-                if isinstance(value, ast.Call) and (
-                    isinstance(value.func, ast.Name)
-                    and value.func.id in _CASTS
-                    and len(value.args) == 1
-                ):
-                    value = value.args[0]
-                if isinstance(value, ast.Name) and value.id in params:
-                    out.append((target.attr, stmt.lineno))
-        if self._is_dataclass(node):
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and "ClassVar" not in ast.unparse(stmt.annotation)
-                ):
-                    out.append((stmt.target.id, stmt.lineno))
-        return out
-
-    @staticmethod
-    def _is_dataclass(node: ast.ClassDef) -> bool:
-        for deco in node.decorator_list:
-            name = _func_name(deco.func if isinstance(deco, ast.Call) else deco)
-            if name == "dataclass":
-                return True
-        return False
 
     def _ancestors(self, node: ast.ClassDef) -> list[ast.ClassDef]:
         """Base classes resolvable inside this module, transitively."""

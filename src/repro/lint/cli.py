@@ -23,7 +23,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="Contract-enforcing static analysis for src/repro: "
-        "determinism, cache-fingerprint and device-protocol invariants.",
+        "determinism, atomic-write and device-protocol invariants.",
     )
     parser.add_argument(
         "paths",
@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
         "--no-registry",
         action="store_true",
         help="skip import-time FETModel registry introspection "
-        "(FPR003/PRT001/PRT002)",
+        "(PRT001/PRT002)",
     )
     args = parser.parse_args(argv)
 

@@ -30,27 +30,8 @@ RULES: dict[str, tuple[str, str]] = {
     "RNG004": (
         "wall-clock read in library code",
         "time.time()/datetime.now() make results depend on when they ran, "
-        "which poisons fingerprints and golden files (perf_counter / "
+        "which poisons cache keys and golden files (perf_counter / "
         "monotonic for durations are fine).",
-    ),
-    "FPR001": (
-        "constructor parameter missing from surrogate_token()",
-        "A physics parameter not in the token means two differently "
-        "parameterised models share a cache entry: silent stale-cache hits. "
-        "Every attribute assigned verbatim from a constructor parameter "
-        "must appear in the token (derived attributes are exempt).",
-    ),
-    "FPR002": (
-        "subclass state invisible to the inherited surrogate_token()",
-        "A subclass that stores new constructor state but inherits its "
-        "parent's token fingerprints identically to the parent: override "
-        "surrogate_token to extend the parent tuple.",
-    ),
-    "FPR003": (
-        "registered FETModel is not fingerprintable",
-        "A concrete device that is neither a dataclass nor provides "
-        "surrogate_token cannot be content-addressed: the disk surrogate "
-        "cache is silently disabled for it.",
     ),
     "PRT001": (
         "mirror-symmetric model overrides currents()",
@@ -75,7 +56,7 @@ RULES: dict[str, tuple[str, str]] = {
         "open(..., 'w')/Path.write_text under cache or checkpoint roots "
         "can be seen half-written by concurrent readers and leaves torn "
         "files after a crash; use mkstemp + os.replace (see "
-        "resilience.atomic_write_text, surrogate._store_cached).",
+        "repro.store.atomic_write_bytes / atomic_write_text).",
     ),
     "PKN001": (
         "sweep kernel is not a module-level function",
@@ -109,7 +90,7 @@ RULES: dict[str, tuple[str, str]] = {
 }
 
 # Rules produced by import-time registry introspection (vs pure AST).
-REGISTRY_RULES = frozenset({"FPR003", "PRT001", "PRT002"})
+REGISTRY_RULES = frozenset({"PRT001", "PRT002"})
 AST_RULES = frozenset(RULES) - REGISTRY_RULES - {"LNT001", "LNT002"}
 
 

@@ -1,4 +1,4 @@
-"""Import-time device-registry rules: FPR003, PRT001, PRT002.
+"""Import-time device-registry rules: PRT001, PRT002.
 
 AST walkers cannot see classes assembled dynamically or inherited
 across modules, so these rules import the device modules and walk the
@@ -9,7 +9,6 @@ working for them too.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -71,20 +70,6 @@ def check_registry(
         path, class_line = location
         if not any(path.startswith(str(root)) for root in resolved_roots):
             continue
-
-        if not dataclasses.is_dataclass(cls) and not hasattr(
-            cls, "surrogate_token"
-        ):
-            findings.append(
-                Diagnostic(
-                    path,
-                    class_line,
-                    "FPR003",
-                    f"{cls.__name__} is neither a dataclass nor provides "
-                    "surrogate_token(): it cannot be content-addressed and "
-                    "the disk surrogate cache is silently disabled for it",
-                )
-            )
 
         if "currents" in cls.__dict__ and getattr(cls, "mirror_symmetric", True):
             method_location = _source_location(cls.__dict__["currents"])

@@ -63,7 +63,7 @@ def run_lint(
     """Run every rule family over ``paths`` (default: the repro package).
 
     ``registry=False`` skips the import-time FETModel introspection
-    (FPR003/PRT001/PRT002) — useful when linting code that is not
+    (PRT001/PRT002) — useful when linting code that is not
     importable.  Markers covering only registry rules are then exempt
     from the unused-marker check.
     """

@@ -379,7 +379,6 @@ _POINT_PATH_DEVICES = {
         lambda: compile_surrogate(
             AlphaPowerFET(),
             GridSpec(initial_points=(8, 8), max_refinements=0),
-            cache_dir=None,
         ),
         True,
     ),
@@ -399,8 +398,9 @@ _POINT_PATH_DEVICES = {
 
 
 @pytest.mark.parametrize("name", _POINT_PATH_DEVICES)
-def test_point_path_follows_the_device_class(name):
+def test_point_path_follows_the_device_class(name, monkeypatch):
     """Only classes that override ``linearize_point`` take the point path."""
+    monkeypatch.setenv("REPRO_SURROGATE_CACHE", "off")
     make, expected = _POINT_PATH_DEVICES[name]
     (group,) = inverter(make()).build_system()._plan.fet_groups
     assert group.count == 2

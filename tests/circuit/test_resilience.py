@@ -27,7 +27,6 @@ from repro.circuit.resilience import (
     FaultSpec,
     RunReport,
     SweepExecutionError,
-    fingerprint,
 )
 from repro.circuit.sweep import (
     CircuitMonteCarlo,
@@ -38,6 +37,7 @@ from repro.circuit.sweep import (
 from repro.circuit.waveforms import DC
 from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import build_inverter_chain
+from repro.store import fingerprint
 
 
 # -- pool-safe kernels (module level so ProcessPoolExecutor can pickle) -------
@@ -313,7 +313,7 @@ class TestCheckpointKeys:
         # A resumed run is a new process with a new string hash seed; a
         # circuit Monte Carlo chunk must still find its checkpoint.
         script = (
-            "from repro.circuit.resilience import fingerprint\n"
+            "from repro.store import fingerprint\n"
             "from repro.circuit.sweep import CircuitMonteCarlo\n"
             "from repro.circuit.waveforms import DC\n"
             "from repro.devices.empirical import AlphaPowerFET\n"

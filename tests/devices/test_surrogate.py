@@ -13,10 +13,14 @@ Covers the tentpole contracts of :mod:`repro.devices.surrogate`:
   mirrored, after a pickle round trip);
 * content-addressed caching: memory hits, disk round-trips that are
   bitwise deterministic, corrupt- and stale-file recovery, cache
-  disabling, and the identity fallback for unfingerprintable models.
+  disabling, keys derived from the pickled model state, and the
+  identity fallback for models that do not pickle.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +31,11 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.waveforms import DC
 from repro.devices.base import FETModel, OperatingBox, PType
 from repro.devices.cntfet import CNTFET
+from repro.devices.contacts import SeriesResistanceFET
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
+from repro.devices.fabric import CNTFabricFET
+from repro.devices.gnrfet import GNRFET
+from repro.devices.schottky import SchottkyBarrierCNTFET
 from repro.devices import surrogate as surrogate_module
 from repro.devices.surrogate import (
     GridSpec,
@@ -37,6 +45,7 @@ from repro.devices.surrogate import (
     surrogate_fidelity,
 )
 from repro.physics.cnt import Chirality
+from repro.physics.gnr import ArmchairGNR
 
 
 @pytest.fixture(autouse=True)
@@ -323,10 +332,7 @@ class TestCache:
     def _key_of(self, model, spec=None):
         spec = spec or GridSpec()
         box = spec.box or model.operating_box()
-        payload, key = surrogate_module._cache_key(
-            model, spec, box, model.mirror_symmetric
-        )
-        return payload, key
+        return surrogate_module._cache_key(model, spec, box, model.mirror_symmetric)
 
     def test_disk_round_trip_is_bitwise_deterministic(self):
         first = compile_surrogate(NonSaturatingFET())
@@ -378,9 +384,9 @@ class TestCache:
         compile_surrogate(NonSaturatingFET())
         directory = surrogate_cache_dir()
         (path,) = directory.glob("*.npz")
-        payload, key = self._key_of(AlphaPowerFET())
+        key = self._key_of(AlphaPowerFET())
         # Pretend the alpha-power table already exists by renaming the
-        # nonsat file onto the alpha key: the stored payload disagrees,
+        # nonsat file onto the alpha key: the stored key disagrees,
         # so the loader must recompile instead of serving a wrong table.
         stale = directory / f"{key}.npz"
         path.rename(stale)
@@ -407,12 +413,110 @@ class TestCache:
         directory = surrogate_cache_dir()
         assert not list(directory.glob("*.npz"))
 
+    def test_identity_memo_keys_on_the_grid_request(self):
+        class Opaque(FETModel):
+            def current(self, vgs, vds):
+                if vds < 0.0:
+                    return -self.current(vgs - vds, -vds)
+                return 1e-4 * max(vgs, 0.0) * np.tanh(vds / 0.3)
+
+        model = Opaque()
+        coarse = compile_surrogate(
+            model, GridSpec(initial_points=(8, 8), max_refinements=0)
+        )
+        fine = compile_surrogate(
+            model, GridSpec(initial_points=(8, 8), max_refinements=1)
+        )
+        assert fine is not coarse
+        assert coarse.table.shape == (8, 8)
+        assert fine.table.shape == (15, 15)
+
     def test_compiling_a_surrogate_is_a_no_op(self):
         surrogate = compile_surrogate(NonSaturatingFET())
         assert compile_surrogate(surrogate) is surrogate
 
+    @pytest.mark.parametrize(
+        "build, changed",
+        [
+            (
+                lambda: CNTFET.for_bandgap(0.56),
+                lambda: CNTFET.for_bandgap(0.56, channel_length_nm=30.0),
+            ),
+            (
+                lambda: CNTFET.for_bandgap(0.56),
+                lambda: CNTFET.for_bandgap(0.56, t_ox_nm=2.0),
+            ),
+            (
+                lambda: CNTFET.for_bandgap(0.56),
+                lambda: CNTFET.for_bandgap(0.56, gate_geometry="back-gate"),
+            ),
+            (
+                lambda: GNRFET(ArmchairGNR(18)),
+                lambda: GNRFET(ArmchairGNR(18), mfp_override_nm=50.0),
+            ),
+            (
+                lambda: SeriesResistanceFET(AlphaPowerFET(), 1e3, 2e3),
+                lambda: SeriesResistanceFET(AlphaPowerFET(), 3e3, 2e3),
+            ),
+            (
+                lambda: SchottkyBarrierCNTFET(CNTFET.for_bandgap(0.56)),
+                lambda: SchottkyBarrierCNTFET(CNTFET.for_bandgap(0.56), barrier_ev=0.2),
+            ),
+            (
+                lambda: CNTFabricFET([AlphaPowerFET(), AlphaPowerFET()]),
+                lambda: CNTFabricFET([AlphaPowerFET(), AlphaPowerFET(vt=0.3)]),
+            ),
+        ],
+        ids=[
+            "cntfet-channel_length_nm",
+            "cntfet-t_ox_nm",
+            "cntfet-gate_geometry",
+            "gnrfet-mfp_override_nm",
+            "series-r_source_ohm",
+            "schottky-barrier_ev",
+            "fabric-one-tube",
+        ],
+    )
+    def test_one_changed_parameter_changes_the_key(self, build, changed):
+        base, other = build(), changed()
+        # Keyed over one box: only the model's own state may differ.
+        spec = GridSpec(box=base.operating_box())
+        assert self._key_of(base, spec) == self._key_of(build(), spec)
+        assert self._key_of(base, spec) != self._key_of(other, spec)
 
-def _hammer_compile(cache_dir):
+    def test_key_does_not_depend_on_the_hash_seed(self):
+        # Another process (a pool worker, the next CLI run) must find the
+        # table this one wrote.
+        script = (
+            "from repro.devices.cntfet import CNTFET\n"
+            "from repro.devices.surrogate import GridSpec, _cache_key\n"
+            "model = CNTFET.reference_device()\n"
+            "print(_cache_key(model, GridSpec(), model.operating_box(), True))\n"
+        )
+        keys = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for seed in (1, 2, 3)
+        }
+        assert len(keys) == 1
+        (key,) = keys
+        assert len(key.strip()) == 32
+
+    def test_key_is_unchanged_by_evaluation(self):
+        model = CNTFET.reference_device()
+        before = self._key_of(model)
+        model.currents(np.linspace(0.0, 0.8, 5)[:, None], np.linspace(0.0, 0.8, 4))
+        model.linearize(0.4, 0.3)
+        assert self._key_of(model) == before
+
+
+def _hammer_compile():
     """Pool worker: compile the same device into the same disk cache.
 
     Module level so ProcessPoolExecutor can pickle it; clears the
@@ -421,7 +525,7 @@ def _hammer_compile(cache_dir):
     """
     surrogate_module.clear_surrogate_memory()
     spec = GridSpec(initial_points=(8, 8), max_refinements=1)
-    surrogate = compile_surrogate(AlphaPowerFET(), spec, cache_dir=cache_dir)
+    surrogate = compile_surrogate(AlphaPowerFET(), spec)
     return surrogate.table
 
 
@@ -432,8 +536,10 @@ class TestConcurrentCacheWriters:
         from concurrent.futures import ProcessPoolExecutor
 
         directory = surrogate_cache_dir()
+        # The workers inherit the cache directory through the environment.
         with ProcessPoolExecutor(max_workers=4) as pool:
-            tables = list(pool.map(_hammer_compile, [str(directory)] * 8))
+            futures = [pool.submit(_hammer_compile) for _ in range(8)]
+            tables = [future.result() for future in futures]
         for table in tables[1:]:
             assert np.array_equal(table, tables[0])
         # Exactly one published cache file, and no temp-file litter
@@ -442,7 +548,7 @@ class TestConcurrentCacheWriters:
         assert not list(directory.glob("*.tmp"))
         surrogate_module.clear_surrogate_memory()
         spec = GridSpec(initial_points=(8, 8), max_refinements=1)
-        reloaded = compile_surrogate(AlphaPowerFET(), spec, cache_dir=directory)
+        reloaded = compile_surrogate(AlphaPowerFET(), spec)
         assert np.array_equal(reloaded.table, tables[0])
 
     def test_interrupted_write_leaves_no_litter(self, monkeypatch):
@@ -480,9 +586,6 @@ class GatedDiode(FETModel):
         gate_on = 1.0 / (1.0 + np.exp((vgs + 1.0) / 0.05))
         reverse = 0.05 * np.logaddexp(0.0, -vds / 0.05)
         return float(forward - 1e-6 * gate_on * reverse)
-
-    def surrogate_token(self):
-        return ("GatedDiode",)
 
 
 class TestAsymmetricDevices:

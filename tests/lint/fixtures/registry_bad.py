@@ -1,4 +1,4 @@
-"""Seeded device-registry violations (FPR003/PRT001/PRT002).
+"""Seeded device-registry violations (PRT001/PRT002).
 
 Unlike the AST fixtures this module IS imported (by the registry pass),
 so the classes must be real, concrete FETModel subclasses.
@@ -24,9 +24,6 @@ class ShadowingFET(FETModel):
         )
         return 1e-6 * vgs * vds
 
-    def surrogate_token(self):
-        return ("ShadowingFET",)
-
 
 class HalfLinearizedFET(FETModel):
     """Overrides the batched small-signal path but not the scalar one."""
@@ -36,13 +33,3 @@ class HalfLinearizedFET(FETModel):
 
     def linearize(self, vgs_values, vds_values):  # seeded: PRT002
         raise NotImplementedError("fixture device")
-
-    def surrogate_token(self):
-        return ("HalfLinearizedFET",)
-
-
-class TokenlessFET(FETModel):  # seeded: FPR003
-    """Neither a dataclass nor content-addressable."""
-
-    def current(self, vgs: float, vds: float) -> float:
-        return 1e-6 * vgs * vds

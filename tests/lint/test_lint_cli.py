@@ -41,7 +41,6 @@ def test_list_rules_covers_every_family(capsys):
     out = capsys.readouterr().out
     for rule in (
         "RNG001",
-        "FPR001",
         "PRT001",
         "IOW001",
         "PKN001",

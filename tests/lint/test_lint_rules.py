@@ -21,7 +21,6 @@ _SEEDED = re.compile(r"#\s*seeded:\s*([A-Z]+\d+)")
 
 AST_FIXTURES = [
     "rng_bad.py",
-    "fingerprint_bad.py",
     "protocol_bad.py",
     "io_bad.py",
     "pool_bad.py",
@@ -85,7 +84,6 @@ def test_every_rule_family_is_exercised():
     exercised |= {"LNT001", "LNT002"}  # seeded by markers_bad.py
     assert {rule[:3] for rule in exercised} >= {
         "RNG",
-        "FPR",
         "PRT",
         "IOW",
         "PKN",
@@ -99,3 +97,5 @@ def test_src_repro_is_clean():
     result = run_lint()
     assert result.findings == [], "\n".join(f.render() for f in result.findings)
     assert all(marker.reason for _, marker in result.suppressed)
+    # The allowlist budget: every marker is a reviewed exception.
+    assert len(result.suppressed) <= 5

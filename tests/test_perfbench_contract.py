@@ -68,7 +68,7 @@ from repro.circuit.waveforms import DC
 from repro.devices.surrogate import GridSpec, compile_surrogate
 
 surrogate = compile_surrogate(
-    AlphaPowerFET(), GridSpec(initial_points=(8, 8), max_refinements=0), cache_dir=None
+    AlphaPowerFET(), GridSpec(initial_points=(8, 8), max_refinements=0)
 )
 for device in (surrogate, AlphaPowerFET()):
     before = tracer.metrics()
@@ -84,7 +84,12 @@ print("ok")
 
 def test_tracer_installs_and_transient_kcl_check_passes():
     script = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"))
-    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    env = {
+        **os.environ,
+        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": "1",
+        "REPRO_SURROGATE_CACHE": "off",
+    }
     completed = subprocess.run(
         [sys.executable, "-c", script],
         cwd=ROOT,
