@@ -59,6 +59,7 @@ from repro.circuit.sweep import (
     CircuitTransientMC,
     ExecutionPolicy,
     FETVariation,
+    lognormal_unit_mean,
 )
 from repro.circuit.waveforms import DC, Pulse
 from repro.devices.empirical import AlphaPowerFET
@@ -408,13 +409,30 @@ def test_ac_sweep_sparse_compiled(benchmark):
     _bench_ac_sweep(benchmark, AC_SPARSE_STAGES, "compiled (sparse)")
 
 
+def _sample_device(model, rng):
+    """One device ``(n_tubes, n_metallic, i_on, i_off)``, drawn on its own."""
+    n_tubes = int(rng.poisson(model.mean_tubes_per_device))
+    if n_tubes == 0:
+        return (0, 0, 0.0, 0.0)
+    n_metallic = int(rng.binomial(n_tubes, 1.0 - model.semiconducting_purity))
+    n_semi = n_tubes - n_metallic
+    i_semi_on = i_semi_off = 0.0
+    if n_semi > 0:
+        sigma = max(model.on_current_sigma_fraction, 1e-9)
+        draws = lognormal_unit_mean(rng, sigma, n_semi)
+        i_semi_on = float((model.mean_on_current_per_tube_a * draws).sum())
+        i_semi_off = n_semi * model.semiconducting_off_current_a
+    i_metal = n_metallic * model.read_voltage_v / model.metallic_resistance_ohm
+    return (n_tubes, n_metallic, i_semi_on + i_metal, i_semi_off + i_metal)
+
+
 def test_sample_array_device_loop(benchmark):
     """Baseline: the seed implementation's device-by-device sampling loop."""
     model = CNFETArrayModel()
 
     def loop():
         rng = np.random.default_rng(SEED)
-        return tuple(model.sample_device(rng) for _ in range(N_ARRAY_DEVICES))
+        return tuple(_sample_device(model, rng) for _ in range(N_ARRAY_DEVICES))
 
     devices = benchmark(loop)
     print_rows(

@@ -16,7 +16,6 @@ from repro.analysis.snm import ButterflyResult, butterfly_snm
 from repro.analysis.timing import (
     DelayMetrics,
     cv_over_i_delay_s,
-    intrinsic_energy_delay,
     propagation_delays,
     supply_energy_j,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "analyze_vtc",
     "butterfly_snm",
     "cv_over_i_delay_s",
-    "intrinsic_energy_delay",
     "rf_metrics",
     "rf_metrics_batch",
     "ion_at_fixed_ioff",

@@ -36,7 +36,6 @@ __all__ = [
     "cv_over_i_delay_s",
     "transient_delay_corner_sweep",
     "delay_energy_distribution",
-    "intrinsic_energy_delay",
 ]
 
 
@@ -133,13 +132,6 @@ def cv_over_i_delay_s(
     return load_f * vdd / i_on
 
 
-def intrinsic_energy_delay(
-    device: FETModel, load_f: float, vdd: float
-) -> tuple[float, float]:
-    """(switching energy C V^2, CV/I delay) of a device-load stage."""
-    return load_f * vdd * vdd, cv_over_i_delay_s(device, load_f, vdd)
-
-
 # ---------------------------------------------------------------------------
 # Transient timing at Monte Carlo scale (batched CircuitTransientMC).
 # ---------------------------------------------------------------------------
@@ -176,14 +168,6 @@ class DelayEnergyDistribution:
     energies_j: np.ndarray
     valid: np.ndarray
     labels: tuple[str, ...] | None = None
-
-    @property
-    def n_instances(self) -> int:
-        return self.valid.size
-
-    @property
-    def n_valid(self) -> int:
-        return int(np.count_nonzero(self.valid))
 
     @property
     def average_delays_s(self) -> np.ndarray:

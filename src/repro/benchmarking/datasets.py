@@ -50,21 +50,8 @@ class TechnologySeries:
     name: str
     points: tuple[BenchmarkPoint, ...]
 
-    def gate_lengths_nm(self) -> list[float]:
-        return [p.gate_length_nm for p in self.points]
-
-    def ion_ua_per_um(self) -> list[float]:
-        return [p.ion_ua_per_um for p in self.points]
-
     def best_ion(self) -> float:
         return max(p.ion_ua_per_um for p in self.points)
-
-    def ion_near(self, gate_length_nm: float, tolerance: float = 0.5) -> float | None:
-        """Best on-current within +-tolerance (fractional) of a gate length."""
-        lo = gate_length_nm * (1.0 - tolerance)
-        hi = gate_length_nm * (1.0 + tolerance)
-        near = [p.ion_ua_per_um for p in self.points if lo <= p.gate_length_nm <= hi]
-        return max(near) if near else None
 
 
 FIG5_REFERENCE: dict[str, TechnologySeries] = {

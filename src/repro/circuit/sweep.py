@@ -373,12 +373,10 @@ class FETVariation:
         :class:`repro.integration.variability.CNFETArrayModel`).  Draws
         come from one substream per block of
         :data:`DEFAULT_SUBSTREAM_BLOCK` instances, and never depend on
-        how a later sweep is chunked or parallelised.  For given
-        ``n_fets`` and sigmas, instance ``i``'s drive scales depend only
-        on ``(seed, i)``.  Its threshold shifts are drawn from the same
-        substream after every drive scale of its block, so they also
-        depend on the block's size: on ``n_instances`` when ``i`` lies
-        in the last block.
+        how a later sweep is chunked or parallelised.  The threshold
+        shifts come from a child of the block's substream, so for given
+        ``n_fets`` and sigmas instance ``i``'s drive scales and shifts
+        both depend only on ``(seed, i)``.
         """
         if n_instances < 1 or n_fets < 1:
             raise ValueError("need at least one instance and one FET")
@@ -399,7 +397,7 @@ class FETVariation:
             else:
                 scale[start:stop] = 1.0
             if vth_sigma_v > 0.0:
-                shift[start:stop] = rng.normal(
+                shift[start:stop] = np.random.default_rng(seq.spawn(1)[0]).normal(
                     0.0, vth_sigma_v, size=(count, n_fets)
                 )
             else:

@@ -1,6 +1,6 @@
 """Device models: ballistic carbon FETs, empirical FETs, TFETs, contacts,
-and the spline-surrogate compiler that makes the physical ones
-circuit-affordable."""
+the trigate reference, and the spline-surrogate compiler that makes the
+physical ones circuit-affordable."""
 
 from repro.devices.base import (
     FETModel,
@@ -14,8 +14,7 @@ from repro.devices.contacts import ContactModel, SeriesResistanceFET
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
 from repro.devices.fabric import CNTFabricFET, sample_fabric
 from repro.devices.gnrfet import GNRFET
-from repro.devices.schottky import SchottkyBarrierCNTFET
-from repro.devices.reference import TrigateFET, inas_hemt_reference, trigate_intel_22nm
+from repro.devices.reference import TrigateFET, trigate_intel_22nm
 from repro.devices.surrogate import (
     GridSpec,
     SurrogateFET,
@@ -38,13 +37,11 @@ __all__ = [
     "NonSaturatingFET",
     "OperatingBox",
     "PType",
-    "SchottkyBarrierCNTFET",
     "SeriesResistanceFET",
     "SurrogateFET",
     "TabulatedFET",
     "TrigateFET",
     "compile_surrogate",
-    "inas_hemt_reference",
     "sample_fabric",
     "surrogate_cache_dir",
     "surrogate_fidelity",

@@ -22,7 +22,7 @@ from repro.physics.electrostatics import (
     gate_all_around_capacitance,
     wire_over_plane_capacitance,
 )
-from repro.transport.ballistic import BallisticParameters, OperatingPoint, TopOfBarrierSolver
+from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
 from repro.transport.scattering import MeanFreePath, ballisticity
 
 __all__ = ["CNTFET"]
@@ -122,10 +122,6 @@ class CNTFET(FETModel):
         if np.any(vds_grid < 0.0):
             return super().grid_currents(vgs_grid, vds_grid)
         return self._solver.grid_currents(vgs_grid, vds_grid)
-
-    def operating_point(self, vgs: float, vds: float) -> OperatingPoint:
-        """Full self-consistent solution (barrier height, charge, current)."""
-        return self._solver.solve(vgs, vds)
 
     @property
     def transmission(self) -> float:

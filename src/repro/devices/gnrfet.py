@@ -17,7 +17,7 @@ import numpy as np
 from repro.devices.base import FETModel
 from repro.physics.electrostatics import ribbon_plate_capacitance
 from repro.physics.gnr import ArmchairGNR, gnr_for_gap
-from repro.transport.ballistic import BallisticParameters, OperatingPoint, TopOfBarrierSolver
+from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
 from repro.transport.scattering import MeanFreePath, ballisticity
 
 __all__ = ["GNRFET"]
@@ -79,29 +79,3 @@ class GNRFET(FETModel):
     def _forward_currents(self, vgs, vds) -> np.ndarray:
         """Batched I_D through the vectorised top-of-barrier solver."""
         return self._solver.currents(vgs, vds)
-
-    def grid_currents(self, vgs_grid, vds_grid) -> np.ndarray:
-        """Outer-grid fill via the solver's warm-started column sweep."""
-        vds_grid = np.asarray(vds_grid, dtype=float)
-        if np.any(vds_grid < 0.0):
-            return super().grid_currents(vgs_grid, vds_grid)
-        return self._solver.grid_currents(vgs_grid, vds_grid)
-
-    def operating_point(self, vgs: float, vds: float) -> OperatingPoint:
-        """Full self-consistent solution (barrier height, charge, current)."""
-        return self._solver.solve(vgs, vds)
-
-    @property
-    def transmission(self) -> float:
-        """Channel ballisticity lambda / (lambda + L)."""
-        return self.params.transmission
-
-    def current_density_a_per_m(self, vgs: float, vds: float) -> float:
-        """Width-normalised current I / W [A/m]."""
-        return self.current(vgs, vds) / (self.ribbon.width_nm * 1e-9)
-
-    def __repr__(self) -> str:
-        return (
-            f"GNRFET(AGNR-{self.ribbon.n_dimer}, W={self.ribbon.width_nm:.2f} nm, "
-            f"L={self.channel_length_nm} nm, T_channel={self.transmission:.3f})"
-        )

@@ -2,14 +2,13 @@
 
 Section III.E of the paper benchmarks the CNT-FET against:
 
-* Intel's 22 nm-class **trigate** transistor — fin height 35 nm, bottom fin
-  width 18 nm, 30 nm gate length, delivering ~66 uA at V_DS = V_GS = 1 V;
-* **InAs / InGaAs HEMTs** from del Alamo's Nature 479 review (Ref. [18]);
-* ITRS-projected silicon.
-
-These are empirical compact models (alpha-power law) with parameters
-chosen so that the headline operating points quoted in the paper are met;
-they exist to reproduce comparisons, not to design silicon.
+Intel's 22 nm-class **trigate** transistor — fin height 35 nm, bottom
+fin width 18 nm, 30 nm gate length, delivering ~66 uA at
+V_DS = V_GS = 1 V.  It is an empirical compact model (alpha-power law)
+with parameters chosen so that the headline operating point quoted in
+the paper is met; it exists to reproduce comparisons, not to design
+silicon.  The measured InAs/InGaAs HEMT field of del Alamo's review
+(Ref. [18]) is data, in :mod:`repro.benchmarking.datasets`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from repro.devices.base import FETModel
 from repro.devices.empirical import AlphaPowerFET
 
-__all__ = ["TrigateFET", "trigate_intel_22nm", "inas_hemt_reference"]
+__all__ = ["TrigateFET", "trigate_intel_22nm"]
 
 
 @dataclass(frozen=True)
@@ -76,21 +75,3 @@ class TrigateFET(FETModel):
 def trigate_intel_22nm() -> TrigateFET:
     """The paper's trigate comparison device: ~66 uA at V_GS = V_DS = 1 V."""
     return TrigateFET()
-
-
-def inas_hemt_reference() -> AlphaPowerFET:
-    """An InAs HEMT-like device: high gm, low V_T, per-um current factor.
-
-    Calibrated so that I_on ~ 0.5 mA/um at V_DS = 0.5 V when normalised
-    to I_off = 100 nA/um — the level of the best InAs HEMTs in del
-    Alamo's benchmark at ~30-60 nm gate length.  The returned model's
-    current is per micrometre of gate width [A/um].
-    """
-    return AlphaPowerFET(
-        k_a_per_v_alpha=1.35e-3,
-        vt=0.12,
-        alpha=1.25,
-        sat_fraction=0.5,
-        channel_modulation=0.25,
-        subthreshold_ideality=1.4,
-    )

@@ -389,14 +389,6 @@ class SurrogateFET(_TableFET):
         )
         return float(current), float(gm), float(gds)
 
-    def __repr__(self) -> str:
-        fit = "?" if self.fit_error is None else f"{self.fit_error:.2e}"
-        return (
-            f"SurrogateFET({self._vgs.size}x{self._vds.size} grid, "
-            f"vgs=[{self._vgs[0]:g}, {self._vgs[-1]:g}], "
-            f"vds=[{self._vds[0]:g}, {self._vds[-1]:g}], fit={fit})"
-        )
-
 
 # ---------------------------------------------------------------------------
 # Grid specification and adaptive table fill.

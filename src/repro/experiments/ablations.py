@@ -124,10 +124,6 @@ class ContactLengthAblation:
     contact_lengths_nm: np.ndarray
     series_resistance_ohm: np.ndarray
 
-    @property
-    def floor_ohm(self) -> float:
-        return float(self.series_resistance_ohm[-1])
-
 
 def _contact_kernel(length, rng, model):
     """Series resistance of one contact length."""

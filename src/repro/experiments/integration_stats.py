@@ -13,6 +13,10 @@ discussion:
   metallic-CNT removal, plus the *functional* yield measured by actually
   running the counting and sorting programs on fault-injected gate-level
   hardware;
+* the metallic fraction a wafer-scale (10^6-gate) circuit can afford at
+  50 % yield with the same gate model — the abstract's point that
+  without high-yield wafer-scale integration SWCNT circuits stay an
+  "illusionary dream";
 * the same tube statistics pushed down to circuit level: a batched
   inverter Monte Carlo (:class:`repro.circuit.sweep.CircuitMonteCarlo`)
   measures how the array's on-current spread widens the mid-swing
@@ -47,12 +51,17 @@ from repro.integration.variability import (
     CNFETArrayModel,
     array_drive_sigma,
 )
-from repro.integration.yields import GateYieldModel, shulaker_computer_yield
+from repro.integration.yields import (
+    GateYieldModel,
+    purity_required_for_yield,
+    shulaker_computer_yield,
+)
 from repro.logic.faults import functional_yield
 
 __all__ = ["IntegrationResult", "run_integration_stats", "inverter_variability_sigma_v"]
 
 VDD = 1.0
+WAFER_SCALE_GATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,7 @@ class IntegrationResult:
     functional_yield_mc: float
     inverter_vm_sigma_mv: float
     inverter_delay_sigma_ps: float
+    wafer_scale_metallic_budget: float
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -86,6 +96,10 @@ class IntegrationResult:
             ("functional yield (program MC)", self.functional_yield_mc),
             ("inverter V_M sigma [mV]", self.inverter_vm_sigma_mv),
             ("inverter delay sigma [ps]", self.inverter_delay_sigma_ps),
+            (
+                "1M-gate 50 % yield: allowed metallic fraction",
+                self.wafer_scale_metallic_budget,
+            ),
         ]
 
 
@@ -238,4 +252,10 @@ def run_integration_stats(
         functional_yield_mc=functional.functional_yield,
         inverter_vm_sigma_mv=sigma_v * 1e3,
         inverter_delay_sigma_ps=delay_dist.delay_sigma_s * 1e12,
+        wafer_scale_metallic_budget=1.0 - purity_required_for_yield(
+            0.5,
+            WAFER_SCALE_GATES,
+            tubes_per_gate=gate_model.tubes_per_gate,
+            removal_efficiency=gate_model.removal_efficiency,
+        ),
     )

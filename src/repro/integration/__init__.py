@@ -1,9 +1,9 @@
 """Wafer-scale integration statistics (Section V of the paper).
 
 Growth chirality populations, separation (sorting) processes, placement
-models (quartz-aligned growth and trench deposition), Monte-Carlo CNFET
-array variability, and circuit yield models including the Shulaker
-one-bit-computer scenario.
+site statistics (quartz-aligned growth and trench deposition), the
+Monte-Carlo CNFET array, and circuit yield models: the Shulaker
+one-bit computer and the purity a wafer-scale circuit needs.
 """
 
 from repro.integration.growth import GrowthDistribution
@@ -24,7 +24,6 @@ from repro.integration.variability import (
     ArrayResult,
     ArraySpec,
     CNFETArrayModel,
-    DeviceSample,
 )
 from repro.integration.yields import (
     CircuitYield,
@@ -43,7 +42,6 @@ __all__ = [
     "CircuitYield",
     "DENSITY_GRADIENT",
     "DNA_SORTING",
-    "DeviceSample",
     "GEL_CHROMATOGRAPHY",
     "GateYieldModel",
     "GrowthDistribution",

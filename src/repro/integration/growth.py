@@ -67,35 +67,3 @@ class GrowthDistribution:
         """Probability that a grown tube is semiconducting (~2/3)."""
         mask = np.array([c.is_semiconducting for c in self._chiralities])
         return float(self._weights[mask].sum())
-
-    def mean_bandgap_ev(self) -> float:
-        """Population-averaged band gap of the semiconducting tubes [eV]."""
-        gaps = np.array([c.bandgap_ev() for c in self._chiralities])
-        mask = gaps > 0.0
-        weight = self._weights[mask]
-        return float((gaps[mask] * weight).sum() / weight.sum())
-
-    def sample(self, n: int, rng: np.random.Generator | None = None) -> list[Chirality]:
-        """Draw ``n`` tubes from the population (``rng`` is required)."""
-        if n < 1:
-            raise ValueError(f"sample size must be >= 1, got {n}")
-        rng = _require_rng(rng)
-        indices = rng.choice(len(self._chiralities), size=n, p=self._weights)
-        return [self._chiralities[int(i)] for i in indices]
-
-    def sample_diameters_nm(
-        self, n: int, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Diameters [nm] of ``n`` sampled tubes (``rng`` is required)."""
-        return np.array([c.diameter_nm for c in self.sample(n, rng)])
-
-
-def _require_rng(rng: np.random.Generator | None) -> np.random.Generator:
-    """Reject the implicit-entropy path: callers own the seed."""
-    if rng is None:
-        raise ValueError(
-            "pass an explicit numpy Generator (e.g. np.random.default_rng(seed) "
-            "or a SeedSequence substream): library code never draws OS entropy "
-            "implicitly"
-        )
-    return rng

@@ -22,20 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["AlignedGrowth", "TrenchDeposition", "PlacementStatistics"]
-
-
-def _require_rng(rng: np.random.Generator | None) -> np.random.Generator:
-    """Reject the implicit-entropy path: callers own the seed."""
-    if rng is None:
-        raise ValueError(
-            "pass an explicit numpy Generator (e.g. np.random.default_rng(seed) "
-            "or a SeedSequence substream): library code never draws OS entropy "
-            "implicitly"
-        )
-    return rng
 
 
 @dataclass(frozen=True)
@@ -112,15 +99,6 @@ class AlignedGrowth:
             p_misaligned=p_any_stray,
         )
 
-    def sample_tube_counts(
-        self, device_width_um: float, n_devices: int, rng=None
-    ) -> np.ndarray:
-        """Monte-Carlo tube counts for ``n_devices`` sites (``rng`` required)."""
-        if n_devices < 1:
-            raise ValueError("need at least one device")
-        rng = _require_rng(rng)
-        return rng.poisson(self.expected_tubes(device_width_um), size=n_devices)
-
 
 @dataclass(frozen=True)
 class TrenchDeposition:
@@ -153,13 +131,6 @@ class TrenchDeposition:
             p_multiple=max(1.0 - p0 - p1, 0.0),
             p_misaligned=self.misplacement_probability,
         )
-
-    def sample_tube_counts(self, n_sites: int, rng=None) -> np.ndarray:
-        """Monte-Carlo tube counts for ``n_sites`` trenches (``rng`` required)."""
-        if n_sites < 1:
-            raise ValueError("need at least one site")
-        rng = _require_rng(rng)
-        return rng.poisson(self.mean_tubes_per_site, size=n_sites)
 
     def concentration_for_fill(self, target_fill: float) -> float:
         """Mean tubes/site needed to reach a target fill fraction."""

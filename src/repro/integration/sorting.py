@@ -63,24 +63,6 @@ class SeparationProcess:
         _check_probability("purity", purity)
         return purity * self.retain_semiconducting + (1.0 - purity) * self.retain_metallic
 
-    def run(self, initial_purity: float, n_passes: int) -> "SortingResult":
-        """Apply ``n_passes`` and track purity and cumulative yield."""
-        if n_passes < 0:
-            raise ValueError(f"pass count must be >= 0, got {n_passes}")
-        purity = initial_purity
-        cumulative_yield = 1.0
-        purity_history = [purity]
-        for _ in range(n_passes):
-            cumulative_yield *= self.yield_of_pass(purity)
-            purity = self.purity_after_pass(purity)
-            purity_history.append(purity)
-        return SortingResult(
-            process=self,
-            purity=purity,
-            cumulative_yield=cumulative_yield,
-            purity_history=tuple(purity_history),
-        )
-
 
 @dataclass(frozen=True)
 class SortingResult:

@@ -14,9 +14,7 @@ Sampling runs through the batched sweep engine
 (:class:`repro.circuit.sweep.SweepPlan`): devices are drawn in
 vectorised blocks, each block from its own substream spawned from the
 single user seed, so an array is reproducible seed-for-seed regardless
-of chunk size, worker count, or serial vs. process-pool execution.  The
-scalar :meth:`CNFETArrayModel.sample_device` survives as the one-device
-reference implementation of the same distributions.
+of chunk size, worker count, or serial vs. process-pool execution.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.physics.constants import CNT_QUANTUM_RESISTANCE_OHM
 
 __all__ = [
     "ArraySpec",
-    "DeviceSample",
     "ArrayResult",
     "CNFETArrayModel",
     "array_drive_sigma",
@@ -50,84 +47,34 @@ class ArraySpec:
     min_on_off_ratio: float = 1e3
 
 
-@dataclass(frozen=True)
-class DeviceSample:
-    """One synthesized device."""
-
-    n_tubes: int
-    n_metallic: int
-    i_on_a: float
-    i_off_a: float
-
-    @property
-    def on_off_ratio(self) -> float:
-        return self.i_on_a / self.i_off_a if self.i_off_a > 0.0 else np.inf
-
-    @property
-    def is_open(self) -> bool:
-        return self.n_tubes == 0
-
-    @property
-    def is_shorted(self) -> bool:
-        return self.n_metallic > 0
-
-
 class ArrayResult:
     """Aggregate statistics of a synthesized array.
 
     Array-backed: the four per-device columns (tube count, metallic
     count, on/off currents) are the storage, so every statistic below is
-    one vectorised pass even for Park-scale arrays.  The ``devices``
-    tuple of :class:`DeviceSample` objects is materialised lazily for
-    callers that want per-device records.  An empty array (``n_devices
-    == 0``) is a valid result whose fractions are all 0.0.
+    one vectorised pass even for Park-scale arrays.  An empty array
+    (``n_devices == 0``) is a valid result whose fractions are all 0.0.
     """
 
     def __init__(
         self,
-        devices: tuple[DeviceSample, ...] | None = None,
-        spec: ArraySpec | None = None,
         *,
-        n_tubes: np.ndarray | None = None,
-        n_metallic: np.ndarray | None = None,
-        i_on_a: np.ndarray | None = None,
-        i_off_a: np.ndarray | None = None,
+        n_tubes: np.ndarray,
+        n_metallic: np.ndarray,
+        i_on_a: np.ndarray,
+        i_off_a: np.ndarray,
+        spec: ArraySpec | None = None,
     ):
         self.spec = spec or ArraySpec()
-        if devices is not None:
-            self._devices: tuple[DeviceSample, ...] | None = tuple(devices)
-            self._n_tubes = np.array([d.n_tubes for d in self._devices], dtype=np.intp)
-            self._n_metallic = np.array(
-                [d.n_metallic for d in self._devices], dtype=np.intp
-            )
-            self._i_on = np.array([d.i_on_a for d in self._devices], dtype=float)
-            self._i_off = np.array([d.i_off_a for d in self._devices], dtype=float)
-        else:
-            if n_tubes is None or n_metallic is None or i_on_a is None or i_off_a is None:
-                raise ValueError("give either devices or all four column arrays")
-            self._devices = None
-            self._n_tubes = np.asarray(n_tubes, dtype=np.intp)
-            self._n_metallic = np.asarray(n_metallic, dtype=np.intp)
-            self._i_on = np.asarray(i_on_a, dtype=float)
-            self._i_off = np.asarray(i_off_a, dtype=float)
-            lengths = {
-                arr.shape for arr in (self._n_tubes, self._n_metallic, self._i_on, self._i_off)
-            }
-            if len(lengths) != 1 or self._n_tubes.ndim != 1:
-                raise ValueError("column arrays must share one 1-D shape")
-
-    @property
-    def devices(self) -> tuple[DeviceSample, ...]:
-        if self._devices is None:
-            self._devices = tuple(
-                DeviceSample(
-                    n_tubes=int(t), n_metallic=int(m), i_on_a=float(on), i_off_a=float(off)
-                )
-                for t, m, on, off in zip(
-                    self._n_tubes, self._n_metallic, self._i_on, self._i_off
-                )
-            )
-        return self._devices
+        self._n_tubes = np.asarray(n_tubes, dtype=np.intp)
+        self._n_metallic = np.asarray(n_metallic, dtype=np.intp)
+        self._i_on = np.asarray(i_on_a, dtype=float)
+        self._i_off = np.asarray(i_off_a, dtype=float)
+        lengths = {
+            arr.shape for arr in (self._n_tubes, self._n_metallic, self._i_on, self._i_off)
+        }
+        if len(lengths) != 1 or self._n_tubes.ndim != 1:
+            raise ValueError("column arrays must share one 1-D shape")
 
     @property
     def n_devices(self) -> int:
@@ -280,30 +227,6 @@ class CNFETArrayModel:
         self.semiconducting_off_current_a = semiconducting_off_current_a
         self.metallic_resistance_ohm = metallic_resistance_ohm
         self.read_voltage_v = read_voltage_v
-
-    def sample_device(self, rng: np.random.Generator) -> DeviceSample:
-        """Draw one device — the scalar reference for :func:`_sample_block`."""
-        n_tubes = int(rng.poisson(self.mean_tubes_per_device))
-        if n_tubes == 0:
-            return DeviceSample(n_tubes=0, n_metallic=0, i_on_a=0.0, i_off_a=0.0)
-        n_metallic = int(rng.binomial(n_tubes, 1.0 - self.semiconducting_purity))
-        n_semi = n_tubes - n_metallic
-        if n_semi > 0:
-            sigma = max(self.on_current_sigma_fraction, 1e-9)
-            draws = self.mean_on_current_per_tube_a * lognormal_unit_mean(
-                rng, sigma, n_semi
-            )
-            i_semi_on = float(draws.sum())
-            i_semi_off = n_semi * self.semiconducting_off_current_a
-        else:
-            i_semi_on = i_semi_off = 0.0
-        i_metal = n_metallic * self.read_voltage_v / self.metallic_resistance_ohm
-        return DeviceSample(
-            n_tubes=n_tubes,
-            n_metallic=n_metallic,
-            i_on_a=i_semi_on + i_metal,
-            i_off_a=i_semi_off + i_metal,
-        )
 
     def sample_array(
         self,

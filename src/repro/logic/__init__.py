@@ -1,4 +1,9 @@
-"""Gate-level logic and the SUBNEG one-bit computer (Shulaker scenario)."""
+"""Gate-level logic and the SUBNEG one-bit computer (Shulaker scenario).
+
+The fault runners are :func:`functional_yield`'s trial kernel: a trial
+that draws a stuck-at fault runs the counting and sorting programs on
+the faulty ripple subtractor.
+"""
 
 from repro.logic.faults import (
     FunctionalYieldResult,
@@ -15,7 +20,6 @@ from repro.logic.gates import (
     build_full_subtractor,
     build_ripple_subtractor,
 )
-from repro.logic.technology import LogicTechnology, subneg_cycle_estimate
 from repro.logic.subneg import (
     Instruction,
     SubnegMachine,
@@ -30,7 +34,6 @@ __all__ = [
     "GATE_FUNCTIONS",
     "Gate",
     "Instruction",
-    "LogicTechnology",
     "LogicNetlist",
     "SubnegMachine",
     "assemble",
@@ -44,5 +47,4 @@ __all__ = [
     "sample_stuck_faults",
     "sort_with_machine",
     "sorting_program",
-    "subneg_cycle_estimate",
 ]

@@ -1,9 +1,7 @@
-"""Gate-level combinational logic with device-derived timing.
+"""Gate-level combinational logic for the SUBNEG computer's datapath.
 
 A :class:`LogicNetlist` is a DAG of boolean gates evaluated in
-topological order.  Gate delays come from the driving FET technology via
-the CV/I estimator, so a netlist built "in CNT technology" and one built
-"in trigate technology" can be compared on critical path directly.
+topological order, with optional stuck-at faults on any net.
 
 The builders include the arithmetic cells a SUBNEG one-instruction
 computer needs (full subtractor, ripple-borrow subtractor, zero/negative
@@ -32,18 +30,6 @@ GATE_FUNCTIONS = {
     "nor": lambda a, b: not (a or b),
     "xor": lambda a, b: a != b,
     "xnor": lambda a, b: a == b,
-}
-
-# Relative drive cost (series stacks) of each gate in inverter-delay units.
-GATE_DELAY_UNITS = {
-    "not": 1.0,
-    "buf": 2.0,
-    "and": 2.4,
-    "or": 2.4,
-    "nand": 1.4,
-    "nor": 1.4,
-    "xor": 3.0,
-    "xnor": 3.0,
 }
 
 
@@ -140,21 +126,6 @@ class LogicNetlist:
     def transistor_count(self) -> int:
         """CMOS transistor count (2 per input per gate, inverter = 2)."""
         return sum(2 * max(len(g.inputs), 1) for g in self.gates.values())
-
-    def critical_path_units(self) -> float:
-        """Longest path in inverter-delay units."""
-        depth: dict[str, float] = {net: 0.0 for net in self.primary_inputs}
-        for net in self._topo_order():
-            gate = self.gates[net]
-            arrival = max((depth.get(i, 0.0) for i in gate.inputs), default=0.0)
-            depth[net] = arrival + GATE_DELAY_UNITS[gate.kind]
-        return max((depth[o] for o in self.primary_outputs), default=0.0)
-
-    def critical_path_delay_s(self, inverter_delay_s: float) -> float:
-        """Critical path in seconds, given the technology's inverter delay."""
-        if inverter_delay_s <= 0.0:
-            raise ValueError("inverter delay must be positive")
-        return self.critical_path_units() * inverter_delay_s
 
 
 def build_full_subtractor(netlist: LogicNetlist, a: str, b: str, bin_: str, prefix: str):

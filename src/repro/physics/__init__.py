@@ -5,9 +5,10 @@ Public surface:
 * :mod:`repro.physics.constants` — physical constants, graphene parameters.
 * :class:`repro.physics.cnt.Chirality` — SWCNT geometry and zone-folded bands.
 * :class:`repro.physics.gnr.ArmchairGNR` — armchair-ribbon tight-binding bands.
-* :class:`repro.physics.bands.BandStructure1D` — shared 1D subband container.
-* :mod:`repro.physics.electrostatics` — gate capacitances, dark space,
-  scale length, SS/DIBL models.
+* :class:`repro.physics.bands.BandStructure1D` — shared 1D subband container
+  (edges, degeneracy, dispersion).
+* :mod:`repro.physics.electrostatics` — gate capacitances, dark space and
+  scale length; the SS and DIBL that ``table1`` prints at 9 nm.
 """
 
 from repro.physics.bands import BandStructure1D, Subband

@@ -1,10 +1,6 @@
 """Transport models: Landauer subband current, ballistic FET solver, MFP, tunneling."""
 
-from repro.transport.ballistic import (
-    BallisticParameters,
-    OperatingPoint,
-    TopOfBarrierSolver,
-)
+from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
 from repro.transport.landauer import subband_ballistic_current
 from repro.transport.scattering import MeanFreePath, ballisticity
 from repro.transport.tunneling import (
@@ -18,7 +14,6 @@ __all__ = [
     "BallisticParameters",
     "JunctionProfile",
     "MeanFreePath",
-    "OperatingPoint",
     "TopOfBarrierSolver",
     "ballisticity",
     "imaginary_dispersion_per_m",

@@ -38,8 +38,6 @@ are e^-30 small at the far end.  256 samples match a 9600-sample
 reference to ~1e-14 relative (CNT gaps 0.35-1.0 eV, GNRs, 77-400 K);
 128 samples do not (a few 1e-10 at 77 K).
 
-:meth:`TopOfBarrierSolver.solve` runs the batched kernel on a one-point
-slab.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from repro.physics.bands import BandStructure1D
 from repro.physics.constants import KB_EV, Q, ROOM_TEMPERATURE_K
 from repro.transport.landauer import subband_ballistic_current
 
-__all__ = ["BallisticParameters", "OperatingPoint", "TopOfBarrierSolver"]
+__all__ = ["BallisticParameters", "TopOfBarrierSolver"]
 
 _K_SAMPLES = 256
 _MAX_NEWTON_ITERATIONS = 200
@@ -108,18 +106,6 @@ class BallisticParameters:
             raise ValueError(f"transmission must be in (0, 1], got {self.transmission}")
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Solution of the self-consistent barrier problem at one bias point."""
-
-    vgs: float
-    vds: float
-    barrier_ev: float
-    charge_per_m: float
-    current_a: float
-    iterations: int
-
-
 class TopOfBarrierSolver:
     """Self-consistent ballistic FET solver for a 1D band structure.
 
@@ -143,20 +129,6 @@ class TopOfBarrierSolver:
         self._n0 = float(self._density_batch(zero, zero)[0][0])
 
     # -- public API --------------------------------------------------------
-    def solve(self, vgs: float, vds: float) -> OperatingPoint:
-        """Solve the barrier self-consistency at (V_GS, V_DS) and report I_D."""
-        vds_row = np.array([vds], dtype=float)
-        current, barrier, iterations = self._solve_chunk(np.array([vgs], dtype=float), vds_row)
-        density, _ = self._density_batch(barrier, -vds_row)
-        return OperatingPoint(
-            vgs=vgs,
-            vds=vds,
-            barrier_ev=float(barrier[0]),
-            charge_per_m=float(density[0]),
-            current_a=float(current[0]),
-            iterations=int(iterations[0]),
-        )
-
     def currents(self, vgs_values, vds_values) -> np.ndarray:
         """Batched elementwise drain currents [A] (arrays must broadcast).
 
@@ -164,10 +136,9 @@ class TopOfBarrierSolver:
         once: every k-space integral covers all still-unconverged points
         of a slab, and points drop out of the active set as their
         residual passes the tolerance.  A point's iterates do not depend
-        on the rest of its slab, so this matches :meth:`solve` (a
-        one-point slab) point for point — this is the entry the
-        vectorised device models (and through them the compiled circuit
-        assembly and curve tabulation) call.
+        on the rest of its slab — this is the entry the vectorised device
+        models (and through them the compiled circuit assembly and curve
+        tabulation) call.
         """
         currents, _ = self.solve_currents(vgs_values, vds_values)
         return currents
@@ -179,7 +150,7 @@ class TopOfBarrierSolver:
         sweep smoothly varying bias families (the surrogate table fill)
         can feed one solve's barriers back as ``barrier_guess`` for the
         next, cutting the iteration count roughly in half.  With no
-        guess the iterates are identical to :meth:`solve`.
+        guess the iterates are identical to :meth:`currents`.
         """
         vgs = np.asarray(vgs_values, dtype=float)
         vds = np.asarray(vds_values, dtype=float)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.timing import (
     cv_over_i_delay_s,
-    intrinsic_energy_delay,
     propagation_delays,
     supply_energy_j,
 )
@@ -104,12 +103,6 @@ class TestEstimators:
         slow = AlphaPowerFET(vt=5.0)
         assert cv_over_i_delay_s(slow, 1e-15, 1.0) > 1.0
 
-    def test_energy_delay_pair(self):
-        fet = AlphaPowerFET()
-        energy, delay = intrinsic_energy_delay(fet, 10e-15, 1.0)
-        assert energy == pytest.approx(10e-15)
-        assert delay > 0.0
-
 
 class TestTransientDelayCornerSweep:
     """Named corners time-stepped in one batched transient."""
@@ -124,7 +117,7 @@ class TestTransientDelayCornerSweep:
 
     def test_labels_follow_input_order(self, sweep):
         assert sweep.labels == ("typical", "slow", "fast")
-        assert sweep.n_valid == 3
+        assert sweep.valid.all()
 
     def test_slow_slower_than_typical_slower_than_fast(self, sweep):
         delays = dict(zip(sweep.labels, sweep.average_delays_s))

@@ -56,7 +56,7 @@ def test_stacked_rows_take_the_one_row_attempts():
     # Rows picked so the four strategies each end one walk; the stack
     # rounds mix gmin, source and PTC rows in one newton_many call.
     engine = _chain_engine(0.5)
-    variation = _spread(engine, [91, 244, 202, 232])
+    variation = _spread(engine, [0, 5, 43, 146])
     x0 = np.tile(engine.nominal_solution(), (4, 1))
     rows = ladder_many(engine.plan, x0, variation=variation)
     strategies = [rows.report(k).strategy for k in range(4)]
@@ -74,7 +74,7 @@ def test_stacked_transient_step_rows_take_the_one_row_attempts():
     # Newton like the DC rows do; row 0 converges without the ladder.
     engine = _chain_engine(0.5)
     plan = engine.plan
-    variation = _spread(engine, [91, 244, 5, 21])
+    variation = _spread(engine, [0, 5, 7, 8])
     x0 = np.tile(engine.nominal_solution(), (4, 1))
     rng = np.random.default_rng(0)
     previous_x = x0 + rng.normal(0.0, 1e-3, x0.shape)

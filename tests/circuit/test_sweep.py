@@ -182,15 +182,18 @@ class TestFETVariation:
         assert np.all(var.vth_shift_v == 0.0)
 
     def test_draws_depend_only_on_position(self):
-        # Within the first substream block, and across a block boundary;
-        # the drive scales hold with threshold shifts drawn too.
+        # Within the first substream block, and across a block boundary:
+        # the drive scales and the threshold shifts of instance i depend
+        # on (seed, i) only, not on how many instances were drawn.
         block = DEFAULT_SUBSTREAM_BLOCK
         for short, long in ((40, 50), (block + 44, 2 * block + 8)):
-            for vth_sigma_v in (0.0, 0.02):
-                kwargs = dict(seed=3, drive_sigma=0.1, vth_sigma_v=vth_sigma_v)
-                a = FETVariation.sample(short, 2, **kwargs)
-                b = FETVariation.sample(long, 2, **kwargs)
-                assert np.array_equal(a.drive_scale, b.drive_scale[:short])
+            for seed in (3, 11):
+                for vth_sigma_v in (0.0, 0.02):
+                    kwargs = dict(seed=seed, drive_sigma=0.1, vth_sigma_v=vth_sigma_v)
+                    a = FETVariation.sample(short, 2, **kwargs)
+                    b = FETVariation.sample(long, 2, **kwargs)
+                    assert np.array_equal(a.drive_scale, b.drive_scale[:short])
+                    assert np.array_equal(a.vth_shift_v, b.vth_shift_v[:short])
 
     def test_take_and_nominal(self):
         var = FETVariation.sample(10, 2, seed=0)

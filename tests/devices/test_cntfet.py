@@ -87,10 +87,5 @@ class TestSymmetryAndScaling:
         assert long.current(0.6, 0.5) < short.current(0.6, 0.5)
         assert long.transmission < short.transmission
 
-    def test_operating_point_exposed(self, reference_cntfet):
-        op = reference_cntfet.operating_point(0.5, 0.5)
-        assert op.current_a == pytest.approx(reference_cntfet.current(0.5, 0.5))
-        assert op.charge_per_m > 0.0
-
     def test_repr_mentions_chirality(self, reference_cntfet):
         assert "15" in repr(reference_cntfet)

@@ -20,7 +20,7 @@ class TestConstruction:
     def test_mfp_override(self):
         clean = GNRFET(ArmchairGNR(18), channel_length_nm=100.0)
         dirty = GNRFET(ArmchairGNR(18), channel_length_nm=100.0, mfp_override_nm=20.0)
-        assert dirty.transmission < clean.transmission
+        assert dirty.params.transmission < clean.params.transmission
 
     def test_mfp_override_validation(self):
         with pytest.raises(ValueError):
@@ -40,12 +40,6 @@ class TestBehaviour:
     def test_negative_vds_antisymmetry(self, reference_gnrfet):
         assert reference_gnrfet.current(0.4, -0.3) == pytest.approx(
             -reference_gnrfet.current(0.7, 0.3), rel=1e-9
-        )
-
-    def test_current_density_per_width(self, reference_gnrfet):
-        density = reference_gnrfet.current_density_a_per_m(0.5, 0.5)
-        assert density == pytest.approx(
-            reference_gnrfet.current(0.5, 0.5) / (reference_gnrfet.ribbon.width_nm * 1e-9)
         )
 
 

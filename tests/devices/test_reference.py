@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.devices.reference import TrigateFET, inas_hemt_reference, trigate_intel_22nm
+from repro.devices.reference import trigate_intel_22nm
 
 
 class TestTrigate:
@@ -38,20 +38,3 @@ class TestTrigate:
         i_knee = trigate.current(1.0, 0.6)
         i_full = trigate.current(1.0, 1.0)
         assert (i_full - i_knee) / i_full < 0.2
-
-
-class TestInAsReference:
-    def test_per_um_current_scale(self):
-        hemt = inas_hemt_reference()
-        # ~0.5 mA/um class at the 0.5 V benchmark conditions.
-        i = hemt.current(0.5, 0.5)
-        assert 2e-4 < i < 2e-3
-
-    def test_low_threshold(self):
-        hemt = inas_hemt_reference()
-        assert hemt.vt < 0.2
-
-    def test_softer_saturation_than_si(self):
-        hemt = inas_hemt_reference()
-        trigate = trigate_intel_22nm()
-        assert hemt.channel_modulation > trigate.core.channel_modulation

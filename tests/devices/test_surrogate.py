@@ -35,7 +35,7 @@ from repro.devices.contacts import SeriesResistanceFET
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
 from repro.devices.fabric import CNTFabricFET
 from repro.devices.gnrfet import GNRFET
-from repro.devices.schottky import SchottkyBarrierCNTFET
+from repro.devices.reference import TrigateFET
 from repro.devices import surrogate as surrogate_module
 from repro.devices.surrogate import (
     GridSpec,
@@ -459,8 +459,8 @@ class TestCache:
                 lambda: SeriesResistanceFET(AlphaPowerFET(), 3e3, 2e3),
             ),
             (
-                lambda: SchottkyBarrierCNTFET(CNTFET.for_bandgap(0.56)),
-                lambda: SchottkyBarrierCNTFET(CNTFET.for_bandgap(0.56), barrier_ev=0.2),
+                lambda: TrigateFET(),
+                lambda: TrigateFET(fin_height_nm=40.0),
             ),
             (
                 lambda: CNTFabricFET([AlphaPowerFET(), AlphaPowerFET()]),
@@ -473,7 +473,7 @@ class TestCache:
             "cntfet-gate_geometry",
             "gnrfet-mfp_override_nm",
             "series-r_source_ohm",
-            "schottky-barrier_ev",
+            "trigate-fin_height_nm",
             "fabric-one-tube",
         ],
     )

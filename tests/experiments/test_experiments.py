@@ -5,6 +5,8 @@ sentence from the paper and checks the regenerated experiment satisfies
 it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from repro.experiments import (
     run_table1,
     run_tfet_oxide_ablation,
 )
+from repro.physics.constants import subthreshold_limit_mv_per_decade
+from repro.physics.electrostatics import CNT_CHANNEL, scale_length_nm
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +190,17 @@ class TestTable1:
         # Section III.C: no dark space -> best short-channel SS.
         assert table1.ss_cnt_9nm_mv < table1.ss_si_9nm_mv < table1.ss_inas_9nm_mv
 
+    def test_cnt_dibl_from_the_ss_scale_length(self, table1):
+        # Section I: the GAA scale length that sets the 9 nm SS leaves the
+        # CNT-FET's DIBL negligible, room for further V_DD/L_g scaling.
+        scale = scale_length_nm(CNT_CHANNEL, 0.7, geometry="gaa")
+        decay = 2.0 * math.exp(-9.0 / (2.0 * scale))
+        assert table1.ss_cnt_9nm_mv == pytest.approx(
+            subthreshold_limit_mv_per_decade() / (1.0 - decay), rel=1e-12
+        )
+        assert table1.dibl_cnt_9nm_mv_per_v == pytest.approx(1000.0 * decay, rel=1e-12)
+        assert table1.dibl_cnt_9nm_mv_per_v < 1e-6
+
 
 class TestIntegrationStats:
     @pytest.fixture(scope="class")
@@ -209,6 +224,12 @@ class TestIntegrationStats:
         # Program-level MC should not wildly contradict the analytic model.
         assert stats.functional_yield_mc >= stats.computer_yield_with_removal - 0.3
 
+    def test_wafer_scale_needs_more_than_four_nines(self, stats):
+        # Abstract: without high-yield wafer-scale integration SWCNT
+        # circuits stay a dream.  Gel sorting to 99.99 % leaves 1e-4
+        # metallic tubes, more than a 10^6-gate circuit can afford.
+        assert 0.0 < stats.wafer_scale_metallic_budget < 1.0 - 0.9999
+
 
 class TestAblations:
     def test_dark_space_penalty_ordering(self):
@@ -227,7 +248,7 @@ class TestAblations:
     def test_contact_length_floor(self):
         ablation = run_contact_length_ablation()
         assert np.all(np.diff(ablation.series_resistance_ohm) < 0.0)
-        assert ablation.floor_ohm == pytest.approx(10.5e3, rel=0.1)
+        assert ablation.series_resistance_ohm[-1] == pytest.approx(10.5e3, rel=0.1)
 
     def test_tfet_oxide_scaling(self):
         ablation = run_tfet_oxide_ablation(t_ox_values_nm=(3.0, 10.0, 20.0))

@@ -6,6 +6,12 @@ import pytest
 from repro.integration.growth import GrowthDistribution
 
 
+def _draw(dist, n, rng):
+    """``n`` tubes drawn from the population, as ``sample_fabric`` draws them."""
+    indices = rng.choice(len(dist.chiralities), size=n, p=dist.probabilities)
+    return [dist.chiralities[int(i)] for i in indices]
+
+
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -38,22 +44,11 @@ class TestSemiconductingFraction:
         assert small.semiconducting_fraction() == pytest.approx(2.0 / 3.0, abs=0.08)
 
 
-class TestMeanGap:
-    def test_tracks_diameter(self):
-        thin = GrowthDistribution(mean_diameter_nm=1.0, sigma_diameter_nm=0.1)
-        thick = GrowthDistribution(mean_diameter_nm=2.0, sigma_diameter_nm=0.1)
-        assert thin.mean_bandgap_ev() > thick.mean_bandgap_ev()
-
-    def test_15nm_recipe_near_056(self):
-        gap = GrowthDistribution(mean_diameter_nm=1.52, sigma_diameter_nm=0.1).mean_bandgap_ev()
-        assert gap == pytest.approx(0.56, abs=0.06)
-
-
 class TestSampling:
     def test_sample_size_and_window(self):
         dist = GrowthDistribution()
         rng = np.random.default_rng(42)
-        tubes = dist.sample(500, rng)
+        tubes = _draw(dist, 500, rng)
         assert len(tubes) == 500
         lo, hi = dist.diameter_window_nm
         assert all(lo <= t.diameter_nm <= hi for t in tubes)
@@ -61,22 +56,18 @@ class TestSampling:
     def test_sample_mean_diameter(self):
         dist = GrowthDistribution(mean_diameter_nm=1.5, sigma_diameter_nm=0.2)
         rng = np.random.default_rng(7)
-        diameters = dist.sample_diameters_nm(4000, rng)
+        diameters = np.array([t.diameter_nm for t in _draw(dist, 4000, rng)])
         assert diameters.mean() == pytest.approx(1.5, abs=0.05)
 
     def test_sampled_semiconducting_share(self):
         dist = GrowthDistribution()
         rng = np.random.default_rng(3)
-        tubes = dist.sample(3000, rng)
+        tubes = _draw(dist, 3000, rng)
         share = sum(t.is_semiconducting for t in tubes) / len(tubes)
         assert share == pytest.approx(dist.semiconducting_fraction(), abs=0.03)
 
     def test_reproducible_with_seed(self):
         dist = GrowthDistribution()
-        a = dist.sample_diameters_nm(50, np.random.default_rng(5))
-        b = dist.sample_diameters_nm(50, np.random.default_rng(5))
-        assert np.array_equal(a, b)
-
-    def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            GrowthDistribution().sample(0)
+        a = _draw(dist, 50, np.random.default_rng(5))
+        b = _draw(dist, 50, np.random.default_rng(5))
+        assert a == b

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,11 +52,6 @@ class TestAlignedGrowth:
         assert stats.p_single == pytest.approx(2.0 * math.exp(-2.0))
         assert stats.p_empty + stats.p_single + stats.p_multiple == pytest.approx(1.0)
 
-    def test_sampled_counts_match_mean(self):
-        growth = AlignedGrowth(density_per_um=5.0)
-        counts = growth.sample_tube_counts(1.0, 5000, np.random.default_rng(1))
-        assert counts.mean() == pytest.approx(5.0, abs=0.2)
-
     @given(st.floats(0.5, 10.0), st.floats(0.1, 3.0))
     @settings(max_examples=25)
     def test_statistics_are_probabilities(self, density, width):
@@ -95,10 +89,3 @@ class TestTrenchDeposition:
         stats = trench.statistics()
         assert stats.p_empty == pytest.approx(math.exp(-1.0))
         assert stats.p_misaligned == 0.02
-
-    def test_sampling(self):
-        counts = TrenchDeposition(mean_tubes_per_site=2.5).sample_tube_counts(
-            10000, np.random.default_rng(2)
-        )
-        filled = (counts > 0).mean()
-        assert filled == pytest.approx(1.0 - math.exp(-2.5), abs=0.02)

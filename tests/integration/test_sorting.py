@@ -57,29 +57,26 @@ class TestSinglePass:
 
 class TestMultiPass:
     def test_run_tracks_history(self):
-        result = GEL_CHROMATOGRAPHY.run(2 / 3, 3)
-        assert result.n_passes == 3
-        assert len(result.purity_history) == 4
+        result = passes_to_reach_purity(GEL_CHROMATOGRAPHY, 0.9999)
+        assert len(result.purity_history) == result.n_passes + 1
         assert result.purity == result.purity_history[-1]
 
     def test_yield_compounds(self):
-        one = GEL_CHROMATOGRAPHY.run(2 / 3, 1).cumulative_yield
-        three = GEL_CHROMATOGRAPHY.run(2 / 3, 3).cumulative_yield
-        assert three < one
+        fewer = passes_to_reach_purity(GEL_CHROMATOGRAPHY, 0.99)
+        more = passes_to_reach_purity(GEL_CHROMATOGRAPHY, 0.9999)
+        assert more.n_passes > fewer.n_passes
+        assert more.cumulative_yield < fewer.cumulative_yield
 
     def test_zero_passes_identity(self):
-        result = GEL_CHROMATOGRAPHY.run(0.5, 0)
+        result = passes_to_reach_purity(GEL_CHROMATOGRAPHY, 0.5, initial_purity=0.5)
+        assert result.n_passes == 0
         assert result.purity == 0.5
         assert result.cumulative_yield == 1.0
-
-    def test_negative_passes_rejected(self):
-        with pytest.raises(ValueError):
-            GEL_CHROMATOGRAPHY.run(0.5, -1)
 
     def test_nines_metric(self):
         import math
 
-        result = GEL_CHROMATOGRAPHY.run(2 / 3, 4)
+        result = passes_to_reach_purity(GEL_CHROMATOGRAPHY, 0.9999)
         assert result.nines() == pytest.approx(-math.log10(1.0 - result.purity))
         assert result.nines() == pytest.approx(-math.log10(result.metallic_fraction))
 

@@ -8,20 +8,28 @@ from repro.integration.variability import (
     ArrayResult,
     ArraySpec,
     CNFETArrayModel,
-    DeviceSample,
 )
 
 
+def _columns(*devices, spec=None):
+    """An ArrayResult from ``(n_tubes, n_metallic, i_on_a, i_off_a)`` rows."""
+    rows = np.array(devices, dtype=float).reshape(-1, 4)
+    return ArrayResult(
+        n_tubes=rows[:, 0], n_metallic=rows[:, 1], i_on_a=rows[:, 2], i_off_a=rows[:, 3], spec=spec
+    )
+
+
 class TestDeviceSample:
+    """Per-device flags, read from the array columns."""
+
     def test_flags(self):
-        empty = DeviceSample(n_tubes=0, n_metallic=0, i_on_a=0.0, i_off_a=0.0)
-        assert empty.is_open and not empty.is_shorted
-        shorted = DeviceSample(n_tubes=3, n_metallic=1, i_on_a=1e-5, i_off_a=5e-5)
-        assert shorted.is_shorted
+        empty = _columns((0, 0, 0.0, 0.0))
+        assert empty.open_fraction == 1.0 and empty.shorted_fraction == 0.0
+        shorted = _columns((3, 1, 1e-5, 5e-5))
+        assert shorted.shorted_fraction == 1.0 and shorted.open_fraction == 0.0
 
     def test_ratio_handles_zero_off(self):
-        device = DeviceSample(n_tubes=1, n_metallic=0, i_on_a=1e-5, i_off_a=0.0)
-        assert device.on_off_ratio == np.inf
+        assert _columns((1, 0, 1e-5, 0.0)).on_off_ratios()[0] == np.inf
 
 
 class TestModelValidation:
@@ -71,16 +79,16 @@ class TestArrayStatistics:
 
     def test_metallic_tube_kills_on_off(self):
         dirty = CNFETArrayModel(semiconducting_purity=0.5).sample_array(2000, seed=9)
-        shorted = [d for d in dirty.devices if d.is_shorted]
-        assert shorted
-        ratios = np.array([d.on_off_ratio for d in shorted])
-        assert np.median(ratios) < 100.0
+        shorted = dirty._n_metallic > 0
+        assert shorted.any()
+        assert np.median(dirty.on_off_ratios()[shorted]) < 100.0
 
     def test_spec_tightening_reduces_pass(self, clean_array):
         loose = clean_array.pass_fraction
-        tight = type(clean_array)(
-            devices=clean_array.devices,
-            spec=ArraySpec(min_on_current_a=1e-6, min_on_off_ratio=1e6),
+        tight = CNFETArrayModel(
+            semiconducting_purity=0.9999, mean_tubes_per_device=3.0
+        ).sample_array(
+            5000, seed=11, spec=ArraySpec(min_on_current_a=1e-6, min_on_off_ratio=1e6)
         ).pass_fraction
         assert tight <= loose
 
@@ -99,10 +107,10 @@ class TestArrayStatistics:
 
 
 class TestArrayResultEdgeCases:
-    """The n_devices == 0 divide-by-zero fix plus array/tuple storage parity."""
+    """The n_devices == 0 divide-by-zero fix and column validation."""
 
     def test_empty_array_fractions_are_zero(self):
-        empty = ArrayResult(devices=(), spec=ArraySpec())
+        empty = _columns(spec=ArraySpec())
         assert empty.n_devices == 0
         assert empty.pass_fraction == 0.0
         assert empty.open_fraction == 0.0
@@ -120,30 +128,18 @@ class TestArrayResultEdgeCases:
         assert empty.pass_fraction == 0.0 and empty.n_devices == 0
 
     def test_all_open_array(self):
-        opens = tuple(
-            DeviceSample(n_tubes=0, n_metallic=0, i_on_a=0.0, i_off_a=0.0)
-            for _ in range(5)
-        )
-        result = ArrayResult(devices=opens, spec=ArraySpec())
+        result = _columns(*[(0, 0, 0.0, 0.0)] * 5, spec=ArraySpec())
         assert result.open_fraction == 1.0
         assert result.pass_fraction == 0.0
         assert result.shorted_fraction == 0.0
         assert np.all(np.isinf(result.on_off_ratios()))
 
     def test_constructor_requires_devices_or_columns(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ArrayResult(spec=ArraySpec())
         with pytest.raises(ValueError):
             ArrayResult(n_tubes=np.zeros(3), n_metallic=np.zeros(2),
                         i_on_a=np.zeros(3), i_off_a=np.zeros(3))
-
-    def test_devices_tuple_matches_columns(self):
-        sampled = CNFETArrayModel().sample_array(64, seed=1)
-        devices = sampled.devices
-        assert len(devices) == 64
-        rebuilt = ArrayResult(devices=devices, spec=sampled.spec)
-        assert rebuilt.pass_fraction == sampled.pass_fraction
-        assert np.array_equal(rebuilt.on_currents_a(), sampled.on_currents_a())
 
 
 class TestSampleArrayDeterminism:

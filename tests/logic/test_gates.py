@@ -122,16 +122,3 @@ class TestMetrics:
         assert netlist.gate_count > 8 * 7  # seven gates per full subtractor
         # CMOS: inverter 2T, 2-input gate 4T.
         assert netlist.transistor_count() > 2 * netlist.gate_count
-
-    def test_critical_path_grows_with_width(self):
-        d4 = build_ripple_subtractor(4).critical_path_units()
-        d8 = build_ripple_subtractor(8).critical_path_units()
-        assert d8 > d4
-
-    def test_critical_path_delay_scaling(self):
-        netlist = build_ripple_subtractor(4)
-        assert netlist.critical_path_delay_s(10e-12) == pytest.approx(
-            netlist.critical_path_units() * 10e-12
-        )
-        with pytest.raises(ValueError):
-            netlist.critical_path_delay_s(0.0)

@@ -117,7 +117,7 @@ class TestBandStructureFactory:
 
     def test_band_structure_gap_matches(self):
         c = Chirality(15, 7)
-        assert c.band_structure().gap_ev == pytest.approx(c.bandgap_ev())
+        assert 2.0 * c.band_structure().subbands[0].edge_ev == pytest.approx(c.bandgap_ev())
 
 
 class TestEnumeration:

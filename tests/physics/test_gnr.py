@@ -67,7 +67,9 @@ class TestSubbands:
 
     def test_band_structure_gap(self):
         ribbon = ArmchairGNR(18)
-        assert ribbon.band_structure().gap_ev == pytest.approx(ribbon.bandgap_ev())
+        assert 2.0 * ribbon.band_structure().subbands[0].edge_ev == pytest.approx(
+            ribbon.bandgap_ev()
+        )
 
 
 class TestGnrForGap:

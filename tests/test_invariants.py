@@ -25,7 +25,7 @@ from repro.devices.base import PType
 from repro.devices.contacts import SeriesResistanceFET
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET, TabulatedFET
 from repro.devices.fabric import CNTFabricFET
-from repro.devices.reference import inas_hemt_reference, trigate_intel_22nm
+from repro.devices.reference import trigate_intel_22nm
 from repro.experiments.cascade import build_inverter_chain
 
 
@@ -35,7 +35,15 @@ def _device_zoo():
         "alpha-power": alpha,
         "non-saturating": NonSaturatingFET(),
         "trigate": trigate_intel_22nm(),
-        "inas-hemt": inas_hemt_reference(),
+        # An InAs-HEMT-like point: high gm, low V_T, soft saturation.
+        "inas-hemt": AlphaPowerFET(
+            k_a_per_v_alpha=1.35e-3,
+            vt=0.12,
+            alpha=1.25,
+            sat_fraction=0.5,
+            channel_modulation=0.25,
+            subthreshold_ideality=1.4,
+        ),
         "series-r": SeriesResistanceFET(alpha, 10e3, 10e3),
         "tabulated": TabulatedFET.from_model(
             alpha, np.linspace(-0.2, 1.2, 25), np.linspace(0.0, 1.2, 21)

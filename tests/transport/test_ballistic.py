@@ -1,6 +1,7 @@
 """Self-consistent top-of-barrier solver: convergence, physics, invariants."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,19 @@ from repro.physics.cnt import Chirality
 from repro.physics.electrostatics import gate_all_around_capacitance
 from repro.transport import ballistic
 from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
+
+
+def solve(solver, vgs, vds):
+    """One bias point as a one-point slab of the batched barrier Newton."""
+    vds_row = np.array([vds], dtype=float)
+    current, barrier, iterations = solver._solve_chunk(np.array([vgs], dtype=float), vds_row)
+    density, _ = solver._density_batch(barrier, -vds_row)
+    return SimpleNamespace(
+        current_a=float(current[0]),
+        barrier_ev=float(barrier[0]),
+        charge_per_m=float(density[0]),
+        iterations=int(iterations[0]),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -44,53 +58,53 @@ class TestParameterValidation:
 
 class TestConvergence:
     def test_converges_quickly_at_typical_bias(self, solver):
-        op = solver.solve(0.5, 0.5)
+        op = solve(solver, 0.5, 0.5)
         assert op.iterations < 30
 
     def test_equilibrium_barrier_is_zero(self, solver):
-        op = solver.solve(0.0, 0.0)
+        op = solve(solver, 0.0, 0.0)
         assert op.barrier_ev == pytest.approx(0.0, abs=1e-6)
         assert op.current_a == pytest.approx(0.0, abs=1e-15)
 
     def test_extreme_bias_still_converges(self, solver):
-        op = solver.solve(1.5, 1.0)
+        op = solve(solver, 1.5, 1.0)
         assert op.iterations < 150
         assert np.isfinite(op.current_a)
 
 
 class TestPhysics:
     def test_gate_lowers_barrier(self, solver):
-        u0 = solver.solve(0.0, 0.5).barrier_ev
-        u1 = solver.solve(0.5, 0.5).barrier_ev
+        u0 = solve(solver, 0.0, 0.5).barrier_ev
+        u1 = solve(solver, 0.5, 0.5).barrier_ev
         assert u1 < u0
 
     def test_charging_feedback_weakens_gate(self, solver):
         # |dU/dVg| < alpha_g once charge builds up (quantum capacitance).
-        u1 = solver.solve(0.5, 0.5).barrier_ev
-        u2 = solver.solve(0.6, 0.5).barrier_ev
+        u1 = solve(solver, 0.5, 0.5).barrier_ev
+        u2 = solve(solver, 0.6, 0.5).barrier_ev
         assert abs(u2 - u1) < solver.params.alpha_g * 0.1
 
     def test_subthreshold_swing_near_thermal(self, solver):
         # In subthreshold the barrier follows alpha_g * Vg, so SS ~ 60/alpha_g.
-        i1 = solver.solve(0.05, 0.5).current_a
-        i2 = solver.solve(0.15, 0.5).current_a
+        i1 = solve(solver, 0.05, 0.5).current_a
+        i2 = solve(solver, 0.15, 0.5).current_a
         decades = np.log10(i2 / i1)
         ss_mv = 100.0 / decades
         assert 59.0 < ss_mv < 75.0
 
     def test_current_saturates_with_vds(self, solver):
-        i_knee = solver.solve(0.6, 0.3).current_a
-        i_high = solver.solve(0.6, 0.6).current_a
+        i_knee = solve(solver, 0.6, 0.3).current_a
+        i_high = solve(solver, 0.6, 0.6).current_a
         assert (i_high - i_knee) / i_high < 0.1
 
     def test_ohmic_at_low_vds(self, solver):
-        i1 = solver.solve(0.6, 0.01).current_a
-        i2 = solver.solve(0.6, 0.02).current_a
+        i1 = solve(solver, 0.6, 0.01).current_a
+        i2 = solve(solver, 0.6, 0.02).current_a
         assert i2 == pytest.approx(2 * i1, rel=0.1)
 
     def test_charge_increases_with_gate(self, solver):
-        n1 = solver.solve(0.2, 0.5).charge_per_m
-        n2 = solver.solve(0.6, 0.5).charge_per_m
+        n1 = solve(solver, 0.2, 0.5).charge_per_m
+        n2 = solve(solver, 0.6, 0.5).charge_per_m
         assert n2 > n1
 
     def test_transmission_scales_current(self, solver):
@@ -98,20 +112,20 @@ class TestPhysics:
             solver.bands, replace(solver.params, transmission=0.5)
         )
         # Same barrier physics, half the current (charge unchanged).
-        assert half.solve(0.6, 0.5).current_a == pytest.approx(
-            solver.solve(0.6, 0.5).current_a / 2.0, rel=1e-6
+        assert solve(half, 0.6, 0.5).current_a == pytest.approx(
+            solve(solver, 0.6, 0.5).current_a / 2.0, rel=1e-6
         )
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 0.8))
     @settings(max_examples=20, deadline=None)
     def test_current_nonnegative_forward(self, solver, vgs, vds):
-        assert solver.solve(vgs, vds).current_a >= 0.0
+        assert solve(solver, vgs, vds).current_a >= 0.0
 
     @given(st.floats(0.1, 0.9))
     @settings(max_examples=15, deadline=None)
     def test_monotone_in_gate(self, solver, vgs):
-        higher = solver.solve(vgs + 0.05, 0.5).current_a
-        assert higher > solver.solve(vgs, 0.5).current_a
+        higher = solve(solver, vgs + 0.05, 0.5).current_a
+        assert higher > solve(solver, vgs, 0.5).current_a
 
 
 class TestIVSurface:
@@ -160,7 +174,7 @@ class TestQuadrature:
 
 
 class TestOneKernel:
-    """Scalar ``solve``/``current`` are one-point rows of the batched kernel."""
+    """A bias point's solution does not depend on the slab it is solved in."""
 
     VGS = np.array([0.0, 0.05, 0.3, 0.6, 1.5, 0.5, -0.3])
     VDS = np.array([0.0, 0.5, 0.05, 0.6, 1.0, -0.2, 0.8])
@@ -170,7 +184,7 @@ class TestOneKernel:
         densities, _ = solver._density_batch(barriers, -self.VDS)
         _, _, iterations = solver._solve_chunk(self.VGS, self.VDS)
         for i, (vgs, vds) in enumerate(zip(self.VGS, self.VDS)):
-            op = solver.solve(float(vgs), float(vds))
+            op = solve(solver, float(vgs), float(vds))
             assert op.current_a == currents[i]
             assert op.barrier_ev == barriers[i]
             assert op.charge_per_m == densities[i]

@@ -82,12 +82,12 @@ class TestTotalCurrent:
         params = BallisticParameters(
             c_ins_f_per_m=gate_all_around_capacitance(1.0, 2.0, 16.0), transmission=0.8
         )
-        op = TopOfBarrierSolver(cnt_like_bands, params).solve(vgs, vds)
-        shift = op.barrier_ev - cnt_like_bands.subbands[0].edge_ev - params.ef_offset_ev
+        current, barrier = TopOfBarrierSolver(cnt_like_bands, params).solve_currents(vgs, vds)
+        shift = float(barrier) - cnt_like_bands.subbands[0].edge_ev - params.ef_offset_ev
         reference = ballistic_current(
             cnt_like_bands, shift, 0.0, -vds, params.temperature_k, params.transmission
         )
-        assert op.current_a == pytest.approx(reference, rel=1e-12)
+        assert float(current) == pytest.approx(reference, rel=1e-12)
 
 
 class TestQuantumConductance:
