@@ -1,8 +1,8 @@
 """Bench RESILIENCE: supervised execution overhead over the raw sweep.
 
 The supervisor (:mod:`repro.circuit.resilience`) wraps every chunk in
-per-future bookkeeping — fault lookup, merge-boundary validation,
-attempt accounting, optional checkpoint writes.  Every engine run goes
+bookkeeping — merge-boundary validation, attempt accounting, optional
+checkpoint writes.  Every engine run goes
 through it, so the "raw" side here is a local reference loop of the
 engine's own chunk solver (``_solve_chunk`` over the same blocks, no
 supervisor).  The fault-free fast path must stay cheap: this benchmark

@@ -77,17 +77,16 @@ through the same kernel for variation-aware frequency responses
 Fault tolerance (:mod:`repro.circuit.resilience`): every sweep runs
 its chunks through one supervisor, and one optional
 :class:`ExecutionPolicy` says how — pool size (``workers``),
-``chunk_size``, per-chunk timeouts, bounded retries with backoff, pool
-reconstruction after worker crashes, serial in-process execution as the
-last degradation rung, and optional chunk-granular checkpoints for
-kill-and-resume.  Because chunk substreams are position-keyed,
-a retried, degraded, or resumed chunk reproduces the pooled original
-bitwise; every run yields a :class:`RunReport` (per-chunk status,
-attempts, failure taxonomy), and irrecoverable runs raise
-:class:`SweepExecutionError` carrying the report plus salvaged
-partial results.  A deterministic :class:`FaultPlan` injects worker
-crashes, hangs, raises, and corrupt payloads at chosen chunks so the
-recovery ladder itself is under test.
+``chunk_size`` and an optional ``checkpoint_root`` for chunk-granular
+kill-and-resume.  A worker crash breaks the pool; the pool is rebuilt
+and the unfinished chunks resubmitted, and a chunk charged with three
+breakages runs in-process as the last rung.  A chunk that raises or
+returns a malformed payload fails at once.  Because chunk substreams
+are position-keyed, a resubmitted, degraded, or resumed chunk
+reproduces the pooled original bitwise; every run yields a
+:class:`RunReport` (per-chunk status, attempts, failure taxonomy), and
+irrecoverable runs raise :class:`SweepExecutionError` carrying the
+report plus salvaged partial results.
 """
 
 from repro.circuit.ac import (
@@ -120,8 +119,6 @@ from repro.circuit.netlist import (
 from repro.circuit.resilience import (
     CheckpointStore,
     ExecutionPolicy,
-    FaultPlan,
-    FaultSpec,
     RunReport,
     SweepExecutionError,
 )
@@ -152,8 +149,6 @@ __all__ = [
     "ConvergenceReport",
     "DC",
     "ExecutionPolicy",
-    "FaultPlan",
-    "FaultSpec",
     "FETVariation",
     "InverterCell",
     "MonteCarloResult",

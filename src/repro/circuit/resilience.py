@@ -1,4 +1,4 @@
-"""Fault-tolerant sweep execution: supervision, checkpoints, fault injection.
+"""Fault-tolerant sweep execution: one supervisor, chunk checkpoints.
 
 The paper's argument is imperfection tolerance — yield under stuck-at
 faults — yet a plain ``ProcessPoolExecutor.map`` over Monte Carlo
@@ -9,19 +9,22 @@ under study are measured for — graceful degradation.
 :func:`run_supervised` is the only sweep executor in the package:
 every ``SweepPlan.run`` (and so every circuit Monte Carlo run) goes
 through it, in-process or on a pool, and one :class:`ExecutionPolicy`
-(workers, chunk size, timeout, retries, checkpoints) describes how.
+(workers, chunk size, checkpoint root) describes how.
 
 * **Supervised execution** (:func:`run_supervised`): chunks are
-  submitted as individual futures with a per-chunk timeout; a crashed
-  pool is rebuilt and the surviving chunks resubmitted with exponential
-  backoff; results already computed are harvested before every
-  teardown; chunks that exhaust their pooled retries fall down one rung
-  to in-process serial execution.  Every outcome is recorded in a
+  submitted as individual futures.  The one failure a retry can
+  mend is a dead worker: a broken pool is rebuilt (with a short
+  exponential backoff) and the unfinished chunks resubmitted, the
+  breakage charged once, to the earliest of them; a chunk charged
+  :data:`POOL_ATTEMPTS` times falls down one rung to in-process
+  execution.  A chunk that raises, or whose payload fails the
+  merge-boundary check, fails on its first attempt — rerunning it
+  would only repeat the same answer.  Every outcome is recorded in a
   :class:`RunReport` (per-chunk status, attempts, timings, failure
-  taxonomy, the last exception of a failed chunk) and an irrecoverable
-  run raises :class:`SweepExecutionError` carrying the report plus
-  every salvaged chunk, chained from the failed chunk's last
-  exception.
+  taxonomy, the last exception of a failed chunk) and an
+  irrecoverable run raises :class:`SweepExecutionError` carrying the
+  report plus every salvaged chunk, chained from the failed chunk's
+  last exception.
 * **Chunk checkpoint/resume** (:class:`CheckpointStore`): completed
   chunk results are atomically persisted
   (:func:`repro.store.atomic_write_bytes`, the writer the surrogate
@@ -30,50 +33,35 @@ through it, in-process or on a pool, and one :class:`ExecutionPolicy`
   (kernel, payload, parameter rows, seed substreams).  A run killed
   mid-flight resumes by loading finished chunks and computing only the
   rest; an unreadable chunk file is a miss, never an error.
-* **Deterministic fault injection** (:class:`FaultPlan`): tests (and
-  the CI chaos smoke) make chosen chunks crash the worker, hang past
-  the timeout, raise, or return schema-corrupt payloads on chosen
-  attempts — deterministically, so every recovery path is exercised as
-  a tier-1 assertion rather than hoped-for behaviour.
 * **Merge-boundary validation**: a chunk's payload is validated
   *before* it is merged (result-list shape plus an optional per-entry
-  schema check) — corrupt payloads are classified and retried at the
+  schema check), so a malformed payload fails its chunk at the
   boundary instead of being patched downstream.
 
 Why recovery is *provably* correct here: chunk results depend only on
 the chunk's spec (parameter rows plus position-keyed
 ``SeedSequence.spawn`` substreams), never on which process executes it
-or on the attempt number.  A retried, resubmitted, or
-serially-degraded chunk is therefore bitwise identical to the pooled
-original — asserted by the recovery test suite.
-
-Scope notes: per-chunk timeouts apply to pooled execution (an
-in-process kernel cannot be preempted); ``crash``/``hang`` faults are
-likewise injected only into pool workers so a test plan can never take
-down the supervisor itself, while ``raise``/``corrupt`` faults fire in
-both execution modes.
+or on the attempt number.  A resubmitted, serially-degraded or resumed
+chunk is therefore bitwise identical to the pooled original — the
+recovery tests assert it, injecting worker crashes, raises and
+malformed entries through their own sweep kernels.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import pickle
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.store import atomic_write_bytes, fingerprint
 
 __all__ = [
     "ExecutionPolicy",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultInjected",
     "CheckpointStore",
     "ChunkRecord",
     "RunReport",
@@ -84,112 +72,17 @@ __all__ = [
 _LOG = logging.getLogger(__name__)
 
 #: Failure taxonomy recorded per attempt in :class:`ChunkRecord.failures`.
-FAILURE_KINDS = ("crash", "timeout", "error", "corrupt")
+FAILURE_KINDS = ("crash", "error", "corrupt")
 
 #: On-disk checkpoint format version; bumping invalidates old run dirs.
 _CHECKPOINT_VERSION = 1
 
+#: Pool breakages a chunk may be charged before it runs in-process.
+POOL_ATTEMPTS = 3
+#: Sleep before the first pool rebuild [s]; it doubles per rebuild.
+_BACKOFF_S = 0.05
 #: Upper bound on the backoff sleep between pool rebuilds [s].
 _BACKOFF_CAP_S = 2.0
-#: Growth of the backoff sleep per successive pool rebuild.
-_BACKOFF_FACTOR = 2.0
-
-
-# ---------------------------------------------------------------------------
-# Deterministic fault injection.
-# ---------------------------------------------------------------------------
-
-
-class FaultInjected(RuntimeError):
-    """Raised by an injected ``raise`` fault (stands in for a kernel bug)."""
-
-
-#: What a ``corrupt`` fault returns instead of the chunk's result list —
-#: guaranteed to fail merge-boundary validation.
-_CORRUPT_PAYLOAD = "<corrupt-chunk-payload>"
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """One injected fault: what happens, and on how many attempts.
-
-    ``kind`` is one of ``crash`` (``os._exit`` the worker — the
-    segfault/OOM-kill stand-in), ``hang`` (sleep ``hang_s``, past the
-    supervisor timeout), ``raise`` (a kernel exception), or ``corrupt``
-    (return a payload that fails merge-boundary validation).  The fault
-    fires on the first ``times`` submissions of its chunk and then
-    stops, so a bounded-retry supervisor recovers deterministically.
-    """
-
-    kind: str
-    times: int = 1
-    hang_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("crash", "hang", "raise", "corrupt"):
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.times < 1:
-            raise ValueError("a fault must fire at least once")
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Chunk-index-keyed fault schedule for supervisor tests.
-
-    Deterministic by construction: whether a fault fires depends only
-    on ``(chunk index, submission number)``, never on timing — so a
-    chaos test asserts exact recovery, not probabilistic survival.
-    """
-
-    faults: Mapping[int, FaultSpec]
-
-    def fault_for(self, chunk_index: int, submission: int) -> FaultSpec | None:
-        spec = self.faults.get(chunk_index)
-        if spec is not None and submission < spec.times:
-            return spec
-        return None
-
-    @classmethod
-    def single(
-        cls, chunk_index: int, kind: str, *, times: int = 1, hang_s: float = 30.0
-    ) -> "FaultPlan":
-        return cls({chunk_index: FaultSpec(kind, times=times, hang_s=hang_s)})
-
-
-def _apply_inprocess_fault(fault: FaultSpec | None):
-    """Fire the in-process-safe fault kinds; ``(handled, payload)``.
-
-    ``crash``/``hang`` are pool-only (a test plan must never take down
-    the supervisor process itself) and are skipped here.
-    """
-    if fault is None:
-        return False, None
-    if fault.kind == "raise":
-        raise FaultInjected(f"injected kernel failure ({fault.times} time(s))")
-    if fault.kind == "corrupt":
-        return True, _CORRUPT_PAYLOAD
-    return False, None
-
-
-def _supervised_chunk(job):
-    """Pool-side chunk target: inject the scheduled fault, then run.
-
-    Top-level so process pools can pickle it.  ``job`` is
-    ``(chunk_fn, spec, fault)``; the fault, if any, fires *inside the
-    worker* — a crash here is indistinguishable from a real segfault as
-    far as the supervising parent is concerned.
-    """
-    chunk_fn, spec, fault = job
-    if fault is not None:
-        if fault.kind == "crash":
-            os._exit(17)
-        if fault.kind == "hang":
-            time.sleep(fault.hang_s)
-        else:
-            handled, payload = _apply_inprocess_fault(fault)
-            if handled:
-                return payload
-    return chunk_fn(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -259,31 +152,21 @@ class CheckpointStore:
 
 @dataclass
 class ExecutionPolicy:
-    """How one sweep run executes: pool, chunking and supervision.
+    """How one sweep run executes: pool, chunking and checkpoints.
 
     ``workers`` > 1 runs chunks on a process pool of that size (None or
     1 = in-process).  ``chunk_size`` is the number of instances per
     chunk, rounded down to whole substream blocks (at least one) for
     block kernels (None = the sweep's default: one chunk in-process, an
-    even split across a pool).  Neither changes a result.  ``timeout_s``
-    bounds each pooled chunk attempt (None = wait forever; serial
-    execution is never preempted).  A chunk gets ``max_retries + 1``
-    pooled attempts before it falls to the serial rung; ``backoff_s``
-    is the base of the exponential wait before each pool rebuild.
-    ``checkpoint_root`` enables chunk-granular persistence/resume;
-    ``fault_plan`` injects deterministic faults (tests and the CI chaos
-    smoke).  Completed :class:`RunReport` objects are appended to
-    ``reports``, including the report carried by a
-    :class:`SweepExecutionError`.
+    even split across a pool).  Neither changes a result.
+    ``checkpoint_root`` enables chunk-granular persistence/resume.
+    Completed :class:`RunReport` objects are appended to ``reports``,
+    including the report carried by a :class:`SweepExecutionError`.
     """
 
     workers: int | None = None
     chunk_size: int | None = None
-    timeout_s: float | None = None
-    max_retries: int = 2
-    backoff_s: float = 0.05
     checkpoint_root: str | Path | None = None
-    fault_plan: FaultPlan | None = None
     reports: list["RunReport"] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -291,19 +174,6 @@ class ExecutionPolicy:
             raise ValueError(f"workers must be >= 1 (or None), got {self.workers}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk size must be >= 1, got {self.chunk_size}")
-        if self.timeout_s is not None and self.timeout_s <= 0.0:
-            raise ValueError("timeout_s must be positive (or None)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_s < 0.0:
-            raise ValueError("backoff_s must be >= 0")
-
-    def backoff_for(self, rebuild: int) -> float:
-        """Sleep before the ``rebuild``-th pool reconstruction [s]."""
-        return min(
-            self.backoff_s * _BACKOFF_FACTOR ** max(rebuild - 1, 0),
-            _BACKOFF_CAP_S,
-        )
 
 
 @dataclass
@@ -314,6 +184,8 @@ class ChunkRecord:
     ``cached`` (loaded from a checkpoint), ``serial`` (recovered on the
     degradation rung), or ``failed``.  ``failures`` lists the taxonomy
     kind of every failed attempt, in order (see :data:`FAILURE_KINDS`);
+    ``attempts`` counts the charged ones plus the one that merged (a
+    resubmission after another chunk broke the pool is free).
     ``error`` names the last exception an attempt raised, if any.
     """
 
@@ -462,6 +334,17 @@ def _chunk_valid(payload, expected: int, validate: Callable | None) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _submit(pool: ProcessPoolExecutor, chunk_fn: Callable, spec) -> Future:
+    """``pool.submit``, or an already-failed future if the pool broke."""
+    try:
+        return pool.submit(chunk_fn, spec)
+    except BrokenExecutor as exc:
+        # A worker died while the wave was still being submitted.
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
 def run_supervised(
     chunks: list,
     *,
@@ -469,22 +352,24 @@ def run_supervised(
     expected_counts: list[int],
     policy: ExecutionPolicy | None = None,
     validate: Callable | None = None,
-) -> tuple[list, RunReport]:
-    """Execute ``chunk_fn`` over ``chunks`` under full supervision.
+) -> list:
+    """Execute ``chunk_fn`` over ``chunks`` under supervision.
 
-    Returns ``(flat results, report)`` with results in chunk order;
-    raises :class:`SweepExecutionError` (report + salvaged chunks
-    attached) if any chunk remains failed after the whole degradation
-    ladder.  ``expected_counts[i]`` is the result-list length chunk
-    ``i`` must produce; ``validate`` is an optional per-entry schema
-    check applied at the merge boundary.  Chunks run on a pool when
-    ``policy.workers`` > 1.  With a ``policy.checkpoint_root``, the
-    checkpoint directory is keyed by the digests of all chunk specs.
+    Returns the flat results in chunk order; the run's
+    :class:`RunReport` is appended to ``policy.reports``.  Raises
+    :class:`SweepExecutionError` (report + salvaged chunks attached) if
+    any chunk fails.  ``expected_counts[i]`` is the result-list length
+    chunk ``i`` must produce; ``validate`` is an optional per-entry
+    schema check applied at the merge boundary.  Chunks run on a pool
+    when ``policy.workers`` > 1.  With a ``policy.checkpoint_root``,
+    the checkpoint directory is keyed by the digests of all chunk specs.
 
-    The ladder, per chunk: checkpoint hit -> pooled attempts (with
-    timeout, retry, pool rebuild on crash) -> in-process serial rung ->
-    failed.  Chunk results depend only on the chunk spec, so every rung
-    produces bitwise-identical output.
+    The ladder, per chunk: checkpoint hit -> pooled attempts (a pool
+    breakage is charged to the earliest unfinished chunk; the others
+    resubmit free) -> one in-process attempt -> failed.  A raise or a
+    malformed payload fails the chunk on the attempt that produced it.
+    Chunk results depend only on the chunk spec, so every rung produces
+    bitwise-identical output.
     """
     policy = ExecutionPolicy() if policy is None else policy
     n = len(chunks)
@@ -492,10 +377,6 @@ def run_supervised(
     records = [ChunkRecord(index=i, n_items=expected_counts[i]) for i in range(n)]
     results: dict[int, list] = {}
     causes: dict[int, BaseException] = {}  # last exception raised per chunk
-
-    def fail(i: int, kind: str, started_s: float, exc: BaseException) -> None:
-        records[i].record_failure(kind, time.perf_counter() - started_s, exc)
-        causes[i] = exc
 
     store = None
     if policy.checkpoint_root is not None:
@@ -513,134 +394,76 @@ def run_supervised(
                 results[i] = cached
                 records[i].status = "cached"
 
-    def finish(i: int, payload, wall_s: float, status: str) -> bool:
-        """Validate at the merge boundary; True once the chunk is merged."""
-        if not _chunk_valid(payload, expected_counts[i], validate):
-            records[i].record_failure("corrupt", wall_s)
-            return False
-        records[i].attempts += 1
-        records[i].wall_s += wall_s
-        records[i].status = status
-        results[i] = payload
-        if store is not None:
-            store.store(i, digests[i], payload)
-        return True
+    def settle(i: int, t0: float, status: str, payload=None, exc=None) -> None:
+        """Merge one finished attempt at the boundary, or fail its chunk."""
+        wall_s = time.perf_counter() - t0
+        if exc is None and _chunk_valid(payload, expected_counts[i], validate):
+            records[i].attempts += 1
+            records[i].wall_s += wall_s
+            records[i].status = status
+            results[i] = payload
+            if store is not None:
+                store.store(i, digests[i], payload)
+            return
+        records[i].record_failure("corrupt" if exc is None else "error", wall_s, exc)
+        records[i].status = "failed"
+        if exc is not None:
+            causes[i] = exc
 
     pending = [i for i in range(n) if i not in results]
-    serial_queue: list[int] = []
-    submissions = [0] * n
     pool_rebuilds = 0
-
     workers = policy.workers
-    use_pool = bool(workers is not None and workers > 1 and pending)
-    if use_pool:
-        # Guard against supervisor stalls: every wave classifies at
-        # least one outcome, so this bound is never reached by a run
-        # that is making progress.
-        max_waves = n * (policy.max_retries + 2) + 2
-        wave = 0
-        while pending and wave < max_waves:
-            wave += 1
-            if pool_rebuilds:
-                time.sleep(policy.backoff_for(pool_rebuilds))
-            pool = ProcessPoolExecutor(max_workers=workers)
-            futures = {}
-            for i in pending:
-                fault = (
-                    policy.fault_plan.fault_for(i, submissions[i])
-                    if policy.fault_plan is not None
-                    else None
-                )
-                submissions[i] += 1
-                futures[i] = pool.submit(
-                    _supervised_chunk, (chunk_fn, chunks[i], fault)
-                )
-            dirty = False
-            wave_started = time.perf_counter()
-            order = iter(pending)
-            for i in order:
+    pooled = bool(workers is not None and workers > 1 and pending)
+    while pooled and pending:
+        if pool_rebuilds:
+            time.sleep(min(_BACKOFF_S * 2.0 ** (pool_rebuilds - 1), _BACKOFF_CAP_S))
+        broken = False
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [_submit(pool, chunk_fn, chunks[i]) for i in pending]
+            for i, future in zip(pending, futures):
                 t0 = time.perf_counter()
                 try:
-                    payload = futures[i].result(timeout=policy.timeout_s)
-                except _FutureTimeout as exc:
-                    fail(i, "timeout", t0, exc)
-                    dirty = True
-                    # Harvest siblings that DID finish before tearing
-                    # the (possibly hung) pool down; the rest go back
-                    # to pending without burning an attempt.
-                    for j in order:
-                        if futures[j].done():
-                            t1 = time.perf_counter()
-                            try:
-                                sibling = futures[j].result(timeout=0)
-                            except Exception as exc:
-                                fail(j, _failure_kind(exc), t1, exc)
-                            else:
-                                finish(j, sibling, time.perf_counter() - t1, "ok")
-                    break
+                    payload = future.result()
                 except BrokenExecutor as exc:
-                    # The pool died under this chunk (worker crash /
-                    # OOM kill).  Siblings' futures resolve instantly
-                    # now — completed ones still carry their results.
-                    fail(i, "crash", t0, exc)
-                    dirty = True
+                    # The pool died (worker crash / OOM kill).  Siblings
+                    # that finished first still carry their results; of
+                    # the rest, only the earliest is charged the breakage.
+                    if not broken:
+                        wall_s = time.perf_counter() - t0
+                        records[i].record_failure("crash", wall_s, exc)
+                        causes[i] = exc
+                        broken = True
                 except Exception as exc:
-                    fail(i, "error", t0, exc)
+                    settle(i, t0, "ok", exc=exc)
                 else:
-                    finish(i, payload, time.perf_counter() - t0, "ok")
-            if dirty:
-                pool_rebuilds += 1
-                pool.shutdown(wait=False, cancel_futures=True)
-                _LOG.warning(
-                    "sweep pool torn down (wave %d, %.2fs): rebuilding for "
-                    "%d unfinished chunk(s)",
-                    wave,
-                    time.perf_counter() - wave_started,
-                    sum(1 for i in pending if i not in results),
-                )
-            else:
-                pool.shutdown(wait=True)
-            next_pending = []
-            for i in pending:
-                if i in results:
-                    continue
-                if len(records[i].failures) > policy.max_retries:
-                    serial_queue.append(i)
-                else:
-                    next_pending.append(i)
-            pending = next_pending
-        serial_queue = sorted(set(serial_queue) | set(pending))
-        serial_budget = 1  # last rung: one in-process attempt each
-    else:
-        serial_queue = list(pending)
-        serial_budget = policy.max_retries + 1
-
-    # -- the serial rung ----------------------------------------------------
-    for i in serial_queue:
-        degraded = use_pool  # reached here by falling off the pool ladder
-        for attempt in range(serial_budget):
-            if attempt and policy.backoff_s > 0.0:
-                time.sleep(policy.backoff_for(attempt))
-            fault = (
-                policy.fault_plan.fault_for(i, submissions[i])
-                if policy.fault_plan is not None
-                else None
+                    settle(i, t0, "ok", payload)
+        if broken:
+            pool_rebuilds += 1
+            _LOG.warning(
+                "sweep pool broke (rebuild %d): resubmitting %d unfinished chunk(s)",
+                pool_rebuilds,
+                sum(1 for i in pending if records[i].status == "pending"),
             )
-            submissions[i] += 1
-            t0 = time.perf_counter()
-            try:
-                handled, payload = _apply_inprocess_fault(fault)
-                if not handled:
-                    payload = chunk_fn(chunks[i])
-            except Exception as exc:
-                fail(i, "error", t0, exc)
-                continue
-            if finish(
-                i, payload, time.perf_counter() - t0, "serial" if degraded else "ok"
-            ):
-                break
-        if i not in results:
-            records[i].status = "failed"
+        pending = [
+            i
+            for i in pending
+            if records[i].status == "pending"
+            and len(records[i].failures) < POOL_ATTEMPTS
+        ]
+
+    # -- the in-process rung: every chunk without a pool, and each chunk
+    # that used up its pooled attempts, runs once here.
+    status = "serial" if pooled else "ok"
+    for i in range(n):
+        if records[i].status != "pending":
+            continue
+        t0 = time.perf_counter()
+        try:
+            payload = chunk_fn(chunks[i])
+        except Exception as exc:
+            settle(i, t0, status, exc=exc)
+        else:
+            settle(i, t0, status, payload)
 
     report = RunReport(
         chunks=records,
@@ -656,14 +479,4 @@ def run_supervised(
         raise SweepExecutionError(
             f"supervised sweep failed: {report.one_line()}", report, results
         ) from next((causes[i] for i in failed if i in causes), None)
-    flat = [entry for i in range(n) for entry in results[i]]
-    return flat, report
-
-
-def _failure_kind(exc: BaseException) -> str:
-    """Taxonomy bucket of an exception raised by a chunk future."""
-    if isinstance(exc, BrokenExecutor):
-        return "crash"
-    if isinstance(exc, _FutureTimeout):
-        return "timeout"
-    return "error"
+    return [entry for i in range(n) for entry in results[i]]

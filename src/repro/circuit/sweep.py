@@ -20,7 +20,7 @@ compiled stamp plan already exposes.  Three layers fix that:
   chunks at the merge boundary and records a :class:`~repro.circuit.
   resilience.RunReport`; one :class:`~repro.circuit.resilience.
   ExecutionPolicy` says how it runs (``workers`` > 1 for a process
-  pool, ``chunk_size``, timeouts, retries, checkpoints).
+  pool, ``chunk_size``, ``checkpoint_root``).
 * :class:`CircuitMonteCarlo` — the DC circuit engine.  It compiles a
   circuit's stamp plan **once** and solves N parameter-perturbed
   instances with the package's one continuation ladder,
@@ -283,8 +283,9 @@ class SweepPlan:
         (:func:`repro.circuit.resilience.run_supervised`); ``policy``
         (``None`` means a default
         :class:`~repro.circuit.resilience.ExecutionPolicy`) sets the
-        pool, the chunking, per-chunk timeouts, bounded retries with
-        pool rebuild, and chunk-granular checkpoint/resume.  The run's
+        pool, the chunking and chunk-granular checkpoint/resume.  A
+        chunk whose worker dies is resubmitted on a rebuilt pool and,
+        after its pooled attempts, run in-process.  The run's
         :class:`~repro.circuit.resilience.RunReport` is appended to
         ``policy.reports``.  Results are bitwise identical on every
         rung — a chunk's output depends only on its spec, never on
@@ -292,7 +293,9 @@ class SweepPlan:
 
         Raises :class:`~repro.circuit.resilience.SweepExecutionError`
         (report and salvaged chunks attached, chained from the failed
-        chunk's last exception) if any chunk stays failed.  Checkpoints
+        chunk's last exception) if a chunk raises, returns a payload
+        that fails the merge-boundary check, or fails in-process after
+        its pooled attempts; such a chunk is not rerun.  Checkpoints
         are keyed by the chunk specs (kernel, payload, parameter rows,
         seed substreams), so resuming requires the same chunking; a
         changed input simply misses the cache and recomputes.
@@ -300,14 +303,13 @@ class SweepPlan:
         params = list(params)
         policy = ExecutionPolicy() if policy is None else policy
         specs, counts = self._prepare(params, seed, policy)
-        results, _ = run_supervised(
+        return run_supervised(
             specs,
             chunk_fn=_run_chunk,
             expected_counts=counts,
             policy=policy,
             validate=self.validate,
         )
-        return results
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +745,8 @@ def _mc_entry_validator(row_shape: tuple[int, ...], n_flags: int):
     """Merge-boundary schema of one engine entry: ``(array, *flags)``.
 
     Applied by the supervisor before a chunk may merge, so a corrupt
-    worker payload is rejected (and the chunk retried) at the boundary
-    instead of poisoning the stacked result.  NaN rows are legitimate
+    worker payload fails its chunk at the boundary instead of
+    poisoning the stacked result.  NaN rows are legitimate
     (a transient instance the continuation ladder could not rescue), so
     only type and shape are checked.
     """
@@ -814,11 +816,11 @@ class CircuitMonteCarlo(_BatchedNewtonEngine):
         elementwise-independent of its batch neighbours.
 
         The run goes through :meth:`SweepPlan.run` and so the
-        fault-tolerant supervisor, which the same policy configures
-        (chunk timeouts, retries, pool rebuilds, serial degradation,
-        checkpoint/resume); a result row is validated against the
-        engine's schema before it may merge.  Zero instances return a
-        well-formed empty result.
+        fault-tolerant supervisor (pool rebuild after a worker crash,
+        in-process degradation, and checkpoint/resume when the policy
+        sets ``checkpoint_root``); a result row is validated against
+        the engine's schema before it may merge.  Zero instances return
+        a well-formed empty result.
         """
         x, converged = self._sweep(
             variation,

@@ -1,21 +1,31 @@
-"""Supervised sweep execution: fault injection, recovery, checkpoint/resume.
+"""Supervised sweep execution: crash recovery, merge-boundary rejection, resume.
 
 The contract under test is the one that makes robustness *checkable*:
-chunk seed substreams are position-keyed, so a chunk that is retried
-after a crash, degraded to in-process serial execution, or reloaded
-from a checkpoint must reproduce the fault-free pooled result bitwise.
-Every recovery rung is driven by the deterministic
-:class:`~repro.circuit.resilience.FaultPlan` harness — worker crash
-(``os._exit``), hang past the timeout, raised exception, and
-schema-corrupt payload rejected at the merge boundary.
+chunk seed substreams are position-keyed, so a chunk that is
+resubmitted after a worker crash, degraded to in-process execution, or
+reloaded from a checkpoint must reproduce the fault-free pooled result
+bitwise.
+
+Faults enter through the sweeps' own kernel seam, never through the
+package: ``_draw_kernel`` (a ``SweepPlan`` kernel) and
+``_FaultyMonteCarlo._solve_chunk`` (the DC engine's chunk solver) read
+a fault plan from the directory named by ``REPRO_TEST_FAULT_DIR``.  On
+a chosen key's first calls they kill the worker (``os._exit``, in pool
+workers only), raise, or return a malformed entry.  The clean, faulty
+and resumed runs share one kernel and payload, so their chunk specs —
+and their checkpoint keys — are equal.
 
 Test names carry ``chaos``/``recovery`` so CI's chaos smoke step can
 select them with ``-k "chaos or recovery"``.
 """
 
+import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +33,8 @@ import pytest
 from repro.circuit.resilience import (
     CheckpointStore,
     ExecutionPolicy,
-    FaultPlan,
-    FaultSpec,
-    RunReport,
     SweepExecutionError,
+    _submit,
 )
 from repro.circuit.sweep import (
     CircuitMonteCarlo,
@@ -39,6 +47,57 @@ from repro.devices.empirical import AlphaPowerFET
 from repro.experiments.cascade import build_inverter_chain
 from repro.store import fingerprint
 
+FAULT_DIR = "REPRO_TEST_FAULT_DIR"
+
+
+class InjectedFault(RuntimeError):
+    """Raised by a ``raise`` fault (stands in for a kernel bug)."""
+
+
+def _fault(key) -> bool:
+    """Fire the fault planned for this call of ``key``; True = malformed.
+
+    ``plan.json`` in the ``REPRO_TEST_FAULT_DIR`` directory maps a key
+    to the fault kinds of its first calls, in order (``crash``,
+    ``raise`` or ``malformed``).  Each call claims the next
+    ``<key>-<call>`` marker file with ``O_CREAT | O_EXCL``, so the
+    count is shared by the supervisor and every pool worker.  A
+    ``crash`` in the supervising process itself is inert.
+    """
+    directory = os.environ.get(FAULT_DIR)
+    if directory is None:
+        return False
+    plan = json.loads(Path(directory, "plan.json").read_text())
+    for call, kind in enumerate(plan.get(str(key), ())):
+        marker = Path(directory, f"{key}-{call}")
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            continue
+        if kind == "crash":
+            if multiprocessing.parent_process() is not None:
+                os._exit(17)
+            return False
+        if kind == "raise":
+            raise InjectedFault(f"injected fault at {key} (call {call})")
+        return True
+    return False
+
+
+@pytest.fixture
+def inject(tmp_path, monkeypatch):
+    """``inject({key: [kind, ...]})`` arms the kernels' fault plan."""
+
+    def arm(plan):
+        directory = tmp_path / "faults"
+        directory.mkdir()
+        (directory / "plan.json").write_text(
+            json.dumps({str(key): kinds for key, kinds in plan.items()})
+        )
+        monkeypatch.setenv(FAULT_DIR, str(directory))
+
+    return arm
+
 
 # -- pool-safe kernels (module level so ProcessPoolExecutor can pickle) -------
 
@@ -47,7 +106,16 @@ def _square_kernel(value, rng, payload):
 
 
 def _draw_kernel(value, rng, payload):
+    if _fault(value):
+        return "<malformed>"
     return float(rng.normal())
+
+
+def _is_float(entry):
+    return isinstance(entry, float)
+
+
+DRAW = SweepPlan(_draw_kernel, validate=_is_float)
 
 
 def _scale_kernel(value, rng, payload):
@@ -58,10 +126,18 @@ def _failing_kernel(value, rng, payload):
     raise ValueError(f"kernel rejects {value}")
 
 
-def _fast_policy(**overrides):
-    """Millisecond backoff so retry ladders don't slow the suite."""
-    overrides.setdefault("backoff_s", 0.001)
-    return ExecutionPolicy(**overrides)
+def _chunk_key(variation, start):
+    """Fault key of the engine chunk whose first instance is ``start``."""
+    return f"mc{float(variation.drive_scale[start, 0])!r}"
+
+
+class _FaultyMonteCarlo(CircuitMonteCarlo):
+    """The DC engine with faults keyed by each chunk's first drive scale."""
+
+    def _solve_chunk(self, variation, x0):
+        malformed = _fault(_chunk_key(variation, 0))
+        x, converged = super()._solve_chunk(variation, x0)
+        return (x[:, :-1] if malformed else x), converged
 
 
 def _engine(n_stages=2, engine_type=CircuitMonteCarlo):
@@ -69,28 +145,6 @@ def _engine(n_stages=2, engine_type=CircuitMonteCarlo):
         AlphaPowerFET(), n_stages=n_stages, input_waveform=DC(0.4)
     )
     return engine_type(chain)
-
-
-class TestFaultPlan:
-    def test_fires_for_the_first_n_submissions(self):
-        plan = FaultPlan.single(3, "raise", times=2)
-        assert plan.fault_for(3, 0) is not None
-        assert plan.fault_for(3, 1) is not None
-        assert plan.fault_for(3, 2) is None
-        assert plan.fault_for(0, 0) is None
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            FaultSpec("oom")
-
-    def test_rejects_nonpositive_times(self):
-        with pytest.raises(ValueError):
-            FaultSpec("raise", times=0)
-
-    def test_is_deterministic_state_free(self):
-        plan = FaultPlan.single(1, "corrupt")
-        # Querying must not consume anything: same answer every time.
-        assert plan.fault_for(1, 0) == plan.fault_for(1, 0)
 
 
 class TestFingerprint:
@@ -104,100 +158,104 @@ class TestFingerprint:
 
 
 class TestRunReport:
-    def _report(self):
-        sweep = SweepPlan(_square_kernel)
-        policy = _fast_policy(chunk_size=2, fault_plan=FaultPlan.single(1, "raise"))
-        sweep.run(range(8), policy=policy)
-        return policy.reports[-1]
+    def _report(self, inject):
+        inject({2: ["raise"]})
+        with pytest.raises(SweepExecutionError) as excinfo:
+            DRAW.run(range(8), seed=1, policy=ExecutionPolicy(chunk_size=2))
+        return excinfo.value.report
 
-    def test_counts_and_taxonomy(self):
-        report = self._report()
-        assert report.ok
-        assert report.counts() == {"ok": 4}
+    def test_counts_and_taxonomy(self, inject):
+        report = self._report(inject)
+        assert not report.ok
+        assert report.counts() == {"ok": 3, "failed": 1}
         assert report.failure_taxonomy() == {"error": 1}
-        assert report.chunks[1].attempts == 2
-        assert list(report.chunks[1].failures) == ["error"]
+        assert report.chunks[1].attempts == 1
+        assert report.chunks[1].failures == ("error",)
 
-    def test_one_line_and_json_round_trip(self):
-        import json
-
-        report = self._report()
+    def test_one_line_and_json_round_trip(self, inject):
+        report = self._report(inject)
         line = report.one_line()
-        assert "4/4 chunks completed" in line
+        assert "3/4 chunks completed" in line
+        assert "1 failed" in line
         assert "error=1" in line
+        assert "chunk 1 raised InjectedFault: injected fault at 2" in line
         payload = json.loads(report.to_json())
         assert payload["chunks"][1]["failures"] == ["error"]
         assert payload["chunks"][0]["status"] == "ok"
 
 
 class TestSupervisedSerialRecovery:
-    """The supervisor without a pool: retries, merge validation, salvage."""
+    """The in-process rung: one attempt per chunk, salvage of the rest."""
 
     def test_matches_plain_run_bitwise(self):
-        sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(20), seed=11, policy=ExecutionPolicy(chunk_size=5))
-        policy = _fast_policy(chunk_size=5)
-        supervised = sweep.run(range(20), seed=11, policy=policy)
-        report = policy.reports[-1]
+        plain = DRAW.run(range(20), seed=11)
+        policy = ExecutionPolicy(chunk_size=5)
+        supervised = DRAW.run(range(20), seed=11, policy=policy)
         assert supervised == plain
-        assert report.counts() == {"ok": 4}
+        assert policy.reports[-1].counts() == {"ok": 4}
 
-    def test_raise_fault_is_retried_bitwise(self):
-        sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(20), seed=11, policy=ExecutionPolicy(chunk_size=5))
-        policy = _fast_policy(chunk_size=5, fault_plan=FaultPlan.single(2, "raise"))
-        supervised = sweep.run(range(20), seed=11, policy=policy)
-        report = policy.reports[-1]
-        assert supervised == plain
-        assert report.failure_taxonomy() == {"error": 1}
-
-    def test_corrupt_payload_rejected_at_merge_and_retried(self):
-        sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(20), seed=11, policy=ExecutionPolicy(chunk_size=5))
-        policy = _fast_policy(chunk_size=5, fault_plan=FaultPlan.single(0, "corrupt"))
-        supervised = sweep.run(range(20), seed=11, policy=policy)
-        report = policy.reports[-1]
-        assert supervised == plain
-        assert report.failure_taxonomy() == {"corrupt": 1}
-
-    def test_crash_and_hang_faults_cannot_kill_the_supervisor(self):
-        # crash/hang are pool-only injections: running serially (the
-        # last degradation rung) they are inert, by design — a fault
-        # plan must never take down the supervising process itself.
-        sweep = SweepPlan(_square_kernel)
-        policy = _fast_policy(
-            chunk_size=2,
-            fault_plan=FaultPlan(
-                {0: FaultSpec("crash", times=99), 1: FaultSpec("hang", times=99)}
-            ),
-        )
-        results = sweep.run(range(8), policy=policy)
-        report = policy.reports[-1]
-        assert results == [v * v for v in range(8)]
-        assert report.ok and report.failure_taxonomy() == {}
-
-    def test_exhausted_retries_raise_with_salvage(self):
-        sweep = SweepPlan(_square_kernel)
-        policy = _fast_policy(
-            chunk_size=2,
-            max_retries=1,
-            fault_plan=FaultPlan.single(1, "raise", times=99),
-        )
+    def test_raising_chunk_fails_first_attempt_with_salvage(self, inject):
+        plain = DRAW.run(range(8), seed=3)
+        inject({2: ["raise", "raise"]})
+        policy = ExecutionPolicy(chunk_size=2)
         with pytest.raises(SweepExecutionError) as excinfo:
-            sweep.run(range(8), policy=policy)
+            DRAW.run(range(8), seed=3, policy=policy)
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
         report = excinfo.value.report
-        assert not report.ok
+        assert report is policy.reports[-1]
         assert report.counts() == {"ok": 3, "failed": 1}
+        assert report.chunks[1].failures == ("error",)
         # Salvage: the three good chunks' results survive.
         partial = excinfo.value.partial
         assert 1 not in partial
-        assert partial[0] == [0, 1]
-        assert partial[2] == [16, 25]
-        assert partial[3] == [36, 49]
+        assert partial[0] == plain[0:2]
+        assert partial[2] == plain[4:6]
+        assert partial[3] == plain[6:8]
+
+    def test_exhausted_retries_raise_with_salvage(self, inject):
+        # Chunk 0 crashes its worker on all three pooled attempts, then
+        # raises on the in-process rung: it fails with every rung on
+        # record, and the other chunks survive.
+        plain = DRAW.run(range(16), seed=5)
+        inject({0: ["crash"] * 3 + ["raise"]})
+        policy = ExecutionPolicy(workers=2, chunk_size=4)
+        with pytest.raises(SweepExecutionError) as excinfo:
+            DRAW.run(range(16), seed=5, policy=policy)
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
+        report = excinfo.value.report
+        assert report.counts() == {"ok": 3, "failed": 1}
+        assert report.chunks[0].failures == ("crash",) * 3 + ("error",)
+        partial = excinfo.value.partial
+        assert [v for k in (1, 2, 3) for v in partial[k]] == plain[4:]
+
+    def test_corrupt_payload_rejected_at_merge_and_never_merged(self, inject):
+        plain = DRAW.run(range(20), seed=11)
+        inject({0: ["malformed"]})
+        with pytest.raises(SweepExecutionError) as excinfo:
+            DRAW.run(range(20), seed=11, policy=ExecutionPolicy(chunk_size=5))
+        report = excinfo.value.report
+        assert report.failure_taxonomy() == {"corrupt": 1}
+        assert report.chunks[0].status == "failed"
+        assert report.chunks[0].attempts == 1
+        assert excinfo.value.__cause__ is None
+        partial = excinfo.value.partial
+        assert sorted(partial) == [1, 2, 3]
+        assert [v for k in (1, 2, 3) for v in partial[k]] == plain[5:]
+
+    def test_crash_fault_cannot_kill_the_supervisor(self, inject):
+        # A crash fault fires only inside a pool worker: run in-process
+        # (the last rung) it is inert, so the kernel can never take
+        # down the supervising process itself.
+        plain = DRAW.run(range(8), seed=2)
+        inject({0: ["crash"] * 3})
+        policy = ExecutionPolicy(chunk_size=2)
+        assert DRAW.run(range(8), seed=2, policy=policy) == plain
+        report = policy.reports[-1]
+        assert report.ok and report.failure_taxonomy() == {}
 
     def test_failed_run_chains_the_kernel_exception(self):
-        # No policy: the default supervisor retries, then raises with
-        # the kernel's own exception as the cause and named in the line.
+        # No policy: the one in-process attempt raises, and the sweep
+        # error chains the kernel's own exception and names it.
         with pytest.raises(SweepExecutionError) as excinfo:
             SweepPlan(_failing_kernel).run([7])
         cause = excinfo.value.__cause__
@@ -205,68 +263,92 @@ class TestSupervisedSerialRecovery:
         assert str(cause) == "kernel rejects 7"
         line = excinfo.value.report.one_line()
         assert "chunk 0 raised ValueError: kernel rejects 7" in line
-        assert excinfo.value.report.chunks[0].failures == ("error",) * 3
+        assert excinfo.value.report.chunks[0].failures == ("error",)
 
     def test_validator_applies_to_every_chunk(self):
         sweep = SweepPlan(_square_kernel, validate=lambda entry: 1 / 0)
-        policy = _fast_policy(chunk_size=2, max_retries=0)
         with pytest.raises(SweepExecutionError) as excinfo:
-            sweep.run(range(4), policy=policy)
+            sweep.run(range(4), policy=ExecutionPolicy(chunk_size=2))
         assert excinfo.value.report.failure_taxonomy() == {"corrupt": 2}
 
 
 class TestPooledChaosRecovery:
-    """Real worker processes: crash, hang, corrupt — recover bitwise."""
+    """Real worker processes: a dead worker is the one retried failure.
 
-    def test_worker_crash_triggers_pool_rebuild_and_recovery(self):
-        # The os._exit(17) injection is a true mid-chunk worker death:
-        # the pool breaks, is rebuilt, and the retried chunk must land
+    Crash faults sit in chunk 0.  A breakage is charged to the earliest
+    unfinished chunk, and chunk 0 never finishes before its own crash,
+    so which chunk pays is deterministic.
+    """
+
+    def test_worker_crash_triggers_pool_rebuild_and_recovery(self, inject):
+        # The os._exit(17) fault is a true mid-chunk worker death: the
+        # pool breaks, is rebuilt, and the resubmitted chunk must land
         # on exactly the fault-free numbers.
-        sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(16), seed=5, policy=ExecutionPolicy(chunk_size=4))
-        policy = _fast_policy(
-            workers=2, chunk_size=4, fault_plan=FaultPlan.single(0, "crash")
-        )
-        supervised = sweep.run(range(16), seed=5, policy=policy)
+        plain = DRAW.run(range(16), seed=5, policy=ExecutionPolicy(chunk_size=4))
+        inject({0: ["crash"]})
+        policy = ExecutionPolicy(workers=2, chunk_size=4)
+        supervised = DRAW.run(range(16), seed=5, policy=policy)
         report = policy.reports[-1]
         assert supervised == plain
-        assert report.pool_rebuilds >= 1
-        assert report.failure_taxonomy().get("crash", 0) >= 1
         assert report.ok
-
-    def test_hung_worker_times_out_and_recovers(self):
-        sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(16), seed=5, policy=ExecutionPolicy(chunk_size=4))
-        policy = _fast_policy(
-            workers=2,
-            chunk_size=4,
-            timeout_s=2.0,
-            fault_plan=FaultPlan.single(1, "hang", hang_s=8.0),
-        )
-        supervised = sweep.run(range(16), seed=5, policy=policy)
-        report = policy.reports[-1]
-        assert supervised == plain
-        assert report.failure_taxonomy() == {"timeout": 1}
         assert report.pool_rebuilds == 1
+        assert report.failure_taxonomy() == {"crash": 1}
+        assert report.chunks[0].attempts == 2
 
-    def test_persistent_crasher_degrades_to_serial_rung(self):
-        # A chunk that kills every worker it touches exhausts its pooled
-        # retries; the ladder's last rung runs it in-process, where the
-        # pool-only crash fault is inert — same numbers, status "serial".
-        sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(16), seed=5, policy=ExecutionPolicy(chunk_size=4))
-        policy = _fast_policy(
-            workers=2,
-            chunk_size=4,
-            max_retries=1,
-            fault_plan=FaultPlan.single(2, "crash", times=99),
-        )
-        supervised = sweep.run(range(16), seed=5, policy=policy)
+    def test_persistent_crasher_degrades_to_serial_rung(self, inject):
+        # A chunk that kills every worker it touches uses up its pooled
+        # attempts; the last rung runs it in-process, where the crash
+        # fault is inert — same numbers, status "serial".
+        plain = DRAW.run(range(16), seed=5, policy=ExecutionPolicy(chunk_size=4))
+        inject({0: ["crash"] * 99})
+        policy = ExecutionPolicy(workers=2, chunk_size=4)
+        supervised = DRAW.run(range(16), seed=5, policy=policy)
         report = policy.reports[-1]
         assert supervised == plain
-        assert report.chunks[2].status == "serial"
+        assert report.chunks[0].status == "serial"
+        assert report.chunks[0].failures == ("crash",) * 3
         assert report.ok
 
+    def test_pool_breakage_is_charged_once_recovery(self, inject):
+        # Eight chunks on two workers, chunk 0 crashing every pooled
+        # attempt: each breakage costs only chunk 0 an attempt, and
+        # its unfinished siblings resubmit for free.
+        plain = DRAW.run(range(16), seed=5)
+        inject({0: ["crash"] * 99})
+        policy = ExecutionPolicy(workers=2, chunk_size=2)
+        supervised = DRAW.run(range(16), seed=5, policy=policy)
+        report = policy.reports[-1]
+        assert supervised == plain
+        assert report.chunks[0].status == "serial"
+        assert [(c.status, c.attempts) for c in report.chunks[1:]] == [("ok", 1)] * 7
+        assert report.failure_taxonomy() == {"crash": 3}
+        assert report.pool_rebuilds == 3
+
+    def test_raising_pooled_chunk_is_not_rerun_recovery(self, inject):
+        plain = DRAW.run(range(16), seed=5)
+        inject({4: ["raise"]})
+        policy = ExecutionPolicy(workers=2, chunk_size=4)
+        with pytest.raises(SweepExecutionError) as excinfo:
+            DRAW.run(range(16), seed=5, policy=policy)
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
+        report = excinfo.value.report
+        assert report.counts() == {"ok": 3, "failed": 1}
+        assert report.chunks[1].failures == ("error",)
+        assert report.pool_rebuilds == 0
+        assert excinfo.value.partial[3] == plain[12:]
+
+
+    def test_submit_to_a_broken_pool_returns_a_failed_future(self):
+        # A worker can die while a wave is still being submitted; the
+        # rest of the wave must fail like any unfinished chunk instead
+        # of escaping the supervisor as BrokenProcessPool.
+        pool = ProcessPoolExecutor(max_workers=1)
+        with pytest.raises(BrokenExecutor):
+            pool.submit(os._exit, 17).result()
+        future = _submit(pool, _square_kernel, 3)
+        pool.shutdown()
+        with pytest.raises(BrokenExecutor):
+            future.result()
 
 class TestCheckpointStore:
     def test_round_trip(self, tmp_path):
@@ -338,42 +420,35 @@ class TestCheckpointKeys:
 
 
 class TestCheckpointRecovery:
-    def test_killed_run_resumes_bitwise(self, tmp_path):
-        # Run A dies mid-flight (an unrecoverable fault aborts the
-        # process with chunks 0..k already persisted); run B with the
-        # same checkpoint root skips them and must finish on exactly
-        # the numbers of a single uninterrupted run.
-        sweep = SweepPlan(_draw_kernel)
-        plain = sweep.run(range(24), seed=9, policy=ExecutionPolicy(chunk_size=4))
-        dying = _fast_policy(
-            chunk_size=4,
-            checkpoint_root=tmp_path,
-            max_retries=0,
-            fault_plan=FaultPlan.single(4, "raise", times=99),
-        )
+    def test_killed_run_resumes_bitwise(self, tmp_path, inject):
+        # Run A dies mid-flight (chunk 4 raises, the other five are
+        # persisted); run B with the same checkpoint root skips them
+        # and must finish on exactly the numbers of a single
+        # uninterrupted run.
+        plain = DRAW.run(range(24), seed=9, policy=ExecutionPolicy(chunk_size=4))
+        inject({16: ["raise"]})
+        dying = ExecutionPolicy(chunk_size=4, checkpoint_root=tmp_path)
         with pytest.raises(SweepExecutionError):
-            sweep.run(range(24), seed=9, policy=dying)
-        policy = _fast_policy(chunk_size=4, checkpoint_root=tmp_path)
-        resumed = sweep.run(range(24), seed=9, policy=policy)
+            DRAW.run(range(24), seed=9, policy=dying)
+        assert dying.reports[-1].counts() == {"ok": 5, "failed": 1}
+        policy = ExecutionPolicy(chunk_size=4, checkpoint_root=tmp_path)
+        resumed = DRAW.run(range(24), seed=9, policy=policy)
         report = policy.reports[-1]
         assert resumed == plain
         assert report.counts() == {"cached": 5, "ok": 1}
         assert report.chunks[4].status == "ok"
 
     def test_checkpoints_are_keyed_by_seed(self, tmp_path):
-        sweep = SweepPlan(_draw_kernel)
-        policy = _fast_policy(chunk_size=4, checkpoint_root=tmp_path)
-        sweep.run(range(8), seed=1, policy=policy)
-        other = sweep.run(range(8), seed=2, policy=policy)
+        policy = ExecutionPolicy(chunk_size=4, checkpoint_root=tmp_path)
+        DRAW.run(range(8), seed=1, policy=policy)
+        other = DRAW.run(range(8), seed=2, policy=policy)
         report = policy.reports[-1]
         # A different seed must never serve the old seed's chunks.
         assert report.counts() == {"ok": 2}
-        assert other == sweep.run(
-            range(8), seed=2, policy=ExecutionPolicy(chunk_size=4)
-        )
+        assert other == DRAW.run(range(8), seed=2, policy=ExecutionPolicy(chunk_size=4))
 
     def test_checkpoints_are_keyed_by_payload(self, tmp_path):
-        policy = _fast_policy(checkpoint_root=tmp_path)
+        policy = ExecutionPolicy(checkpoint_root=tmp_path)
         scaled = SweepPlan(_scale_kernel, payload=2)
         tripled = SweepPlan(_scale_kernel, payload=3)
         assert scaled.run(range(4), policy=policy) == [0, 2, 4, 6]
@@ -384,68 +459,52 @@ class TestCheckpointRecovery:
 
 
 class TestEngineChaosAcceptance:
-    """The issue's acceptance bar, on the real Monte Carlo engine."""
+    """Crash recovery and resume on the real Monte Carlo engine."""
 
     N_INSTANCES = 256
 
-    def _variation(self, engine):
-        return FETVariation.sample(
+    def _setup(self):
+        engine = _engine(engine_type=_FaultyMonteCarlo)
+        variation = FETVariation.sample(
             self.N_INSTANCES, len(engine.fet_names), seed=42, drive_sigma=0.12
         )
-
-    def test_chaos_mc_crash_hang_corrupt_bitwise_identical(self):
-        # 256 instances in 4 chunks of 64 on 2 workers, with a worker
-        # crash, a hang past the timeout, and a corrupt payload all
-        # injected (times=2 so the crash wave cannot mask the others).
-        # The statistics must be bitwise those of the fault-free run.
-        engine = _engine()
-        variation = self._variation(engine)
         clean = engine.run(variation, policy=ExecutionPolicy(chunk_size=64))
-        faults = FaultPlan(
-            {
-                0: FaultSpec("crash"),
-                2: FaultSpec("hang", times=2, hang_s=12.0),
-                3: FaultSpec("corrupt", times=2),
-            }
-        )
-        policy = _fast_policy(
-            workers=2, chunk_size=64, timeout_s=5.0, fault_plan=faults
-        )
+        return engine, variation, clean
+
+    def test_chaos_mc_crash_recovers_bitwise_identical(self, inject):
+        # 256 instances in 4 chunks of 64 on 2 workers, with chunk 0's
+        # worker killed once: the statistics must be bitwise those of
+        # the fault-free run.
+        engine, variation, clean = self._setup()
+        inject({_chunk_key(variation, 0): ["crash"]})
+        policy = ExecutionPolicy(workers=2, chunk_size=64)
         chaotic = engine.run(variation, policy=policy)
         assert np.array_equal(clean.x, chaotic.x)
         assert np.array_equal(clean.converged, chaotic.converged)
         report = policy.reports[-1]
         assert report.ok
-        taxonomy = report.failure_taxonomy()
-        assert taxonomy.get("crash", 0) >= 1
-        assert taxonomy.get("timeout", 0) >= 1
-        assert taxonomy.get("corrupt", 0) >= 1
-        assert report.pool_rebuilds >= 2
+        assert report.failure_taxonomy() == {"crash": 1}
+        assert report.pool_rebuilds == 1
 
-    def test_chaos_mc_killed_midflight_resumes_bitwise(self, tmp_path):
-        # Same engine run killed mid-flight: the first attempt aborts
-        # with three of four chunks checkpointed; the resume must skip
-        # them and reproduce the uninterrupted run exactly.
-        engine = _engine()
-        variation = self._variation(engine)
-        clean = engine.run(variation, policy=ExecutionPolicy(chunk_size=64))
-        dying = _fast_policy(
-            chunk_size=64,
-            checkpoint_root=tmp_path,
-            max_retries=0,
-            fault_plan=FaultPlan.single(3, "raise", times=99),
-        )
+    def test_chaos_mc_killed_midflight_resumes_bitwise(self, tmp_path, inject):
+        # The first run returns a malformed chunk 3, which the engine's
+        # schema rejects at the merge boundary; the other three chunks
+        # are checkpointed.  The resume must skip them and reproduce
+        # the uninterrupted run exactly.
+        engine, variation, clean = self._setup()
+        inject({_chunk_key(variation, 192): ["malformed"]})
+        dying = ExecutionPolicy(chunk_size=64, checkpoint_root=tmp_path)
         with pytest.raises(SweepExecutionError) as excinfo:
             engine.run(variation, policy=dying)
-        assert excinfo.value.report.counts() == {"ok": 3, "failed": 1}
-        resumed = engine.run(
-            variation,
-            policy=_fast_policy(chunk_size=64, checkpoint_root=tmp_path),
-        )
+        report = excinfo.value.report
+        assert report.counts() == {"ok": 3, "failed": 1}
+        assert report.failure_taxonomy() == {"corrupt": 1}
+        assert report.checkpoint_dir is not None
+        policy = ExecutionPolicy(chunk_size=64, checkpoint_root=tmp_path)
+        resumed = engine.run(variation, policy=policy)
         assert np.array_equal(clean.x, resumed.x)
         assert np.array_equal(clean.converged, resumed.converged)
-        report = dying.reports[-1]
-        assert report.checkpoint_dir is not None
+        assert policy.reports[-1].counts() == {"cached": 3, "ok": 1}
 
 
 class TestPolicyThreading:
@@ -460,10 +519,10 @@ class TestPolicyThreading:
             removal_efficiency=0.999,
         )
         plain = functional_yield(model, n_trials=40, seed=3)
-        policy = _fast_policy(fault_plan=FaultPlan.single(0, "raise"))
+        policy = ExecutionPolicy(chunk_size=32)
         supervised = functional_yield(model, n_trials=40, seed=3, policy=policy)
-        assert supervised.functional_yield == plain.functional_yield
-        assert policy.reports[-1].failure_taxonomy() == {"error": 1}
+        assert supervised == plain
+        assert policy.reports[-1].counts() == {"ok": 2}
 
     def test_sample_array_supervised_matches(self):
         from repro.integration.variability import CNFETArrayModel
@@ -472,19 +531,20 @@ class TestPolicyThreading:
             semiconducting_purity=0.999, mean_tubes_per_device=4.0
         )
         plain = model.sample_array(200, seed=8)
-        policy = _fast_policy(fault_plan=FaultPlan.single(0, "corrupt"))
+        policy = ExecutionPolicy(chunk_size=64)
         supervised = model.sample_array(200, seed=8, policy=policy)
         assert np.array_equal(plain.on_currents_a(), supervised.on_currents_a())
-        assert policy.reports[-1].failure_taxonomy() == {"corrupt": 1}
+        assert [report.counts() for report in policy.reports] == [{"ok": 1}]
 
     def test_fabric_density_supervised_matches(self):
         from repro.experiments.fabric_density import run_fabric_density
 
         kwargs = dict(pitches_nm=(8.0,), purities=(0.9,), n_samples=2, seed=7)
         plain = run_fabric_density(**kwargs)
-        policy = _fast_policy(fault_plan=FaultPlan.single(0, "raise"))
+        policy = ExecutionPolicy()
         supervised = run_fabric_density(policy=policy, **kwargs)
         assert supervised == plain
+        assert policy.reports and all(report.ok for report in policy.reports)
 
     def test_integration_stats_pools_every_stage(self):
         from repro.experiments.integration_stats import run_integration_stats

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.circuit.resilience import ExecutionPolicy
+from repro.integration.sorting import GEL_CHROMATOGRAPHY, passes_to_reach_purity
 from repro.integration.yields import GateYieldModel
+from repro.logic import faults
 from repro.logic.faults import (
     functional_yield,
     machine_with_faults,
@@ -109,3 +111,33 @@ class TestFunctionalYieldDeterminism:
             model, n_trials=48, seed=7, policy=ExecutionPolicy(workers=2)
         )
         assert serial == chunked == pooled
+
+
+class TestFunctionalYieldFaultPath:
+    """The program runners, at the integration pipeline's own gate model.
+
+    There p_fail is ~7.5e-5, so the CLI's 30 trials and the default 120
+    draw no fault and never run a program; 64 trials at seed 7 do.
+    """
+
+    def test_fault_draw_runs_the_programs_pooled_or_not(self, monkeypatch):
+        sorting = passes_to_reach_purity(GEL_CHROMATOGRAPHY, target_purity=0.9999)
+        model = GateYieldModel(
+            semiconducting_purity=sorting.purity,
+            tubes_per_gate=10.0,
+            removal_efficiency=0.999,
+        )
+        reached = []
+
+        def counting(fault_map, *args):
+            reached.append(fault_map)
+            return runs_counting_program(fault_map, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(faults, "runs_counting_program", counting)
+            serial = functional_yield(model, n_trials=64, seed=7)
+        assert reached and all(reached)
+        pooled = functional_yield(
+            model, n_trials=64, seed=7, policy=ExecutionPolicy(workers=2)
+        )
+        assert pooled.n_functional == serial.n_functional
