@@ -219,6 +219,23 @@ def bench_ballistic_grid_fill(repeat: int) -> dict:
     }
 
 
+def bench_fabric_density(repeat: int) -> dict:
+    from repro.devices import fabric
+    from repro.experiments.fabric_density import run_fabric_density
+
+    def cold_run() -> None:
+        # Every repeat starts without tables, as a fresh process does.
+        fabric._TABULATED_CACHE.clear()
+        run_fabric_density()
+
+    seconds = _timed(cold_run, repeat)
+    return {
+        "case": "fabric_density",
+        "detail": "run_fabric_density() at its defaults, per-chirality tables cleared",
+        "seconds": seconds,
+    }
+
+
 def bench_contact_transfer_curve(repeat: int) -> dict:
     from conftest import fig5_contact_transfer_case
     from repro.devices.base import transfer_curve
@@ -278,6 +295,7 @@ def main(argv: list[str] | None = None) -> int:
             bench_ac_sweep_dense,
             bench_ac_sweep_sparse,
             bench_ballistic_grid_fill,
+            bench_fabric_density,
             bench_contact_transfer_curve,
             bench_btbt_transfer_curve,
             bench_contract_lint,

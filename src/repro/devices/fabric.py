@@ -12,6 +12,10 @@ metallic tubes acting as gate-independent shunts.
 width-normalised drive current; :func:`sample_fabric` draws a fabric
 from a growth/sorting population so the material statistics of
 :mod:`repro.integration` flow directly into a circuit-usable device.
+Each tube chirality is a bilinear :class:`TabulatedFET` over a 29 x 25
+bias grid that solves a node of its ballistic CNT-FET only when an
+evaluation first reads a cell around it: an on/off probe at two biases
+solves eight nodes of the 725.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from repro.physics.constants import CNT_QUANTUM_RESISTANCE_OHM
 __all__ = ["CNTFabricFET", "sample_fabric"]
 
 # Tabulated per-chirality devices are deterministic for a given channel
-# length; cache them across sample_fabric calls so a parameter sweep over
-# many fabrics does not re-run hundreds of Newton solves per tube.
+# length; cache them across sample_fabric calls so every fabric of a
+# sweep reads the nodes earlier fabrics already solved.
 _TABULATED_CACHE: dict[tuple[int, int, float], TabulatedFET] = {}
 
 
@@ -122,9 +126,11 @@ def sample_fabric(
 
     Chiralities are sampled from ``growth``; metallic draws (by the
     post-sorting purity, not the raw 1/3) become shunts.  Distinct
-    semiconducting chiralities are built as ballistic CNT-FETs and
-    frozen into bilinear tables so a many-tube fabric stays cheap to
-    evaluate inside circuit sweeps.
+    semiconducting chiralities are built as ballistic CNT-FETs behind
+    bilinear tables, so a many-tube fabric stays cheap to evaluate
+    inside circuit sweeps.  A table solves nothing when it is built;
+    each evaluation solves the corner nodes of the cells it reads that
+    no earlier evaluation of that chirality solved.
     """
     if width_um <= 0.0:
         raise ValueError(f"width must be positive, got {width_um}")

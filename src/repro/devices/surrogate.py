@@ -49,8 +49,11 @@ replaced.  A model that does not pickle is memoised in memory by
 identity and grid request only.
 
 :class:`TabulatedFET` (the package's original bilinear grid device)
-lives here too, sharing the grid validation and fill machinery through
-:class:`_TableFET`.
+lives here too, sharing the grid validation through :class:`_TableFET`.
+Built from a model (:meth:`TabulatedFET.from_model`) it solves no node
+up front: each evaluation solves, in one batched ``currents`` call, the
+unsolved corner nodes of the cells it reads, and reading
+:attr:`TabulatedFET.table` solves the rest.
 """
 
 from __future__ import annotations
@@ -117,8 +120,17 @@ class _TableFET(FETModel):
             )
         if np.any(np.diff(self._vgs) <= 0.0) or np.any(np.diff(self._vds) <= 0.0):
             raise ValueError("bias grids must be strictly increasing")
-        if not np.all(np.isfinite(self._id)):
-            raise ValueError("current grid contains non-finite values")
+        self._require_finite(*np.indices(self._id.shape).reshape(2, -1))
+
+    def _require_finite(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Reject the table if any of the nodes ``(rows, cols)`` is non-finite."""
+        bad = np.flatnonzero(~np.isfinite(self._id[rows, cols]))
+        if bad.size:
+            i, j = rows[bad[0]], cols[bad[0]]
+            raise ValueError(
+                f"current grid contains non-finite values, first at node "
+                f"[{i}, {j}] (vgs = {self._vgs[i]:g} V, vds = {self._vds[j]:g} V)"
+            )
 
     @property
     def vgs_grid(self) -> np.ndarray:
@@ -154,15 +166,60 @@ class TabulatedFET(_TableFET):
     symmetric-device transformation, so only the vds >= 0 quadrant needs
     tabulating.  For analytic derivatives and adaptive sampling use
     :func:`compile_surrogate` / :class:`SurrogateFET` instead.
+
+    A table built by :meth:`from_model` fills on demand: each
+    evaluation solves, in one batched ``currents`` call of the model,
+    the corner nodes of the queried cells that no earlier evaluation
+    solved.  A node's value does not depend on the batch that solves
+    it, so every read is bitwise what a full up-front fill gives.
     """
+
+    #: The model a :meth:`from_model` table solves its nodes with (None
+    #: for a table built from an explicit current grid), and which of
+    #: its nodes are solved so far.
+    _model: FETModel | None = None
+    _filled: np.ndarray
 
     @classmethod
     def from_model(cls, model: FETModel, vgs_grid, vds_grid) -> "TabulatedFET":
-        """Tabulate any model on the given grid (useful to freeze slow solvers)."""
+        """Tabulate ``model`` on the given grid, solving nodes as they are read.
+
+        Nothing is solved here; the bilinear reads of
+        :meth:`_forward_currents` solve the corners of their cells, and
+        :attr:`table` solves the rest.
+        """
         vgs_grid = np.asarray(vgs_grid, dtype=float)
         vds_grid = np.asarray(vds_grid, dtype=float)
-        grid = np.asarray(model.currents(vgs_grid[:, None], vds_grid[None, :]))
-        return cls(vgs_grid, vds_grid, grid)
+        table = cls(vgs_grid, vds_grid, np.zeros((vgs_grid.size, vds_grid.size)))
+        table._model = model
+        table._filled = np.zeros(table._id.shape, dtype=bool)
+        return table
+
+    @property
+    def table(self) -> np.ndarray:
+        """The tabulated currents, shape ``(n_vgs, n_vds)`` (completes the fill)."""
+        self._solve_nodes(np.ones(self._id.shape, dtype=bool))
+        return self._id
+
+    def _solve_nodes(self, nodes: np.ndarray) -> None:
+        """Solve the unfilled nodes of the boolean mask ``nodes`` in one batch."""
+        model = self._model
+        if model is None:
+            return
+        rows, cols = np.nonzero(nodes & ~self._filled)
+        if rows.size == 0:
+            return
+        self._id[rows, cols] = model.currents(self._vgs[rows], self._vds[cols])
+        self._require_finite(rows, cols)
+        self._filled[rows, cols] = True
+
+    def __reduce__(self):
+        # A table pickles as its recipe: a lazy one as model and grids,
+        # never its fill state, so its fingerprint does not change as it
+        # fills (and an unpickled copy starts empty).
+        if self._model is None:
+            return type(self), (self._vgs, self._vds, self._id)
+        return type(self).from_model, (self._model, self._vgs, self._vds)
 
     def _forward_currents(self, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
         """Elementwise clamped bilinear interpolation on the vds >= 0 quadrant."""
@@ -170,6 +227,11 @@ class TabulatedFET(_TableFET):
         vds_c = np.clip(vds, self._vds[0], self._vds[-1])
         i = np.clip(np.searchsorted(self._vgs, vgs_c) - 1, 0, self._vgs.size - 2)
         j = np.clip(np.searchsorted(self._vds, vds_c) - 1, 0, self._vds.size - 2)
+        if self._model is not None:
+            corners = np.zeros(self._id.shape, dtype=bool)
+            corners[i, j] = corners[i + 1, j] = True
+            corners[i, j + 1] = corners[i + 1, j + 1] = True
+            self._solve_nodes(corners)
         tx = (vgs_c - self._vgs[i]) / (self._vgs[i + 1] - self._vgs[i])
         ty = (vds_c - self._vds[j]) / (self._vds[j + 1] - self._vds[j])
         return (

@@ -115,8 +115,10 @@ def _scaling_point(
 def run_voltage_scaling(supplies_v=SUPPLIES_V) -> ScalingResult:
     """Sweep complementary inverters over supply voltage.
 
-    The physical CNT-FET is frozen into a bilinear table before the
-    sweeps (hundreds of Newton solves otherwise); the drive device is an
+    The physical CNT-FET sits behind a 77 x 53 bilinear table that
+    solves a node only when a VTC or drive evaluation first reads a
+    cell around it, so the sweeps solve the few hundred nodes near
+    their bias paths instead of the whole grid; the drive device is an
     iso-footprint fabric — as many tubes at 8 nm pitch as fit in the
     trigate's effective width.  Noise margins use the single-tube VTC
     (ratios are unchanged by parallel composition of identical tubes).

@@ -1,15 +1,32 @@
 """Empirical device models: alpha-power, non-saturating, tabulated."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.iv import saturation_index
-from repro.devices.base import PType
+from repro.devices import fabric as fabric_module
+from repro.devices.base import FETModel, PType
+from repro.devices.cntfet import CNTFET
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET, TabulatedFET
 from repro.devices.reference import TrigateFET
+from repro.experiments.fabric_density import run_fabric_density
+from repro.store import fingerprint
+
+
+class _NaNAtNode(FETModel):
+    """A model whose current is NaN at one bias point."""
+
+    def __init__(self, inner: FETModel, vgs: float, vds: float):
+        self.inner, self.vgs, self.vds = inner, vgs, vds
+
+    def _forward_currents(self, vgs, vds):
+        current = self.inner.currents(vgs, vds)
+        bad = np.isclose(vgs, self.vgs) & np.isclose(vds, self.vds)
+        return np.where(bad, np.nan, current)
 
 
 class TestAlphaPowerFET:
@@ -138,6 +155,69 @@ class TestTabulatedFET:
             TabulatedFET([0, 1], [0, 1], np.zeros((3, 2)))
         with pytest.raises(ValueError):
             TabulatedFET([1, 0], [0, 1], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "model, vgs, vds",
+        [
+            pytest.param(
+                CNTFET.reference_device(),
+                np.linspace(-0.2, 1.2, 29),
+                np.linspace(0.0, 1.2, 25),
+                id="cntfet-fabric-grid",
+            ),
+            pytest.param(
+                AlphaPowerFET(),
+                np.linspace(0.0, 1.0, 21),
+                np.linspace(0.0, 1.0, 21),
+                id="alpha-power",
+            ),
+        ],
+    )
+    def test_lazy_fill_is_bitwise_the_eager_fill(self, model, vgs, vds):
+        eager = TabulatedFET(vgs, vds, model.currents(vgs[:, None], vds[None, :]))
+        lazy = TabulatedFET.from_model(model, vgs, vds)
+        assert not lazy._filled.any()
+        rng = np.random.default_rng(28)
+        # Mirrored (vds < 0) and clamped (beyond either edge) biases too.
+        q_vgs = rng.uniform(vgs[0] - 0.3, vgs[-1] + 0.3, 200)
+        q_vds = rng.uniform(-vds[-1] - 0.3, vds[-1] + 0.3, 200)
+        order = rng.permutation(q_vgs.size)
+        start = 0
+        for size in (1, 2, 17, 5, 60, 115):
+            batch = order[start : start + size]
+            start += size
+            got = lazy.currents(q_vgs[batch], q_vds[batch])
+            assert np.array_equal(got, eager.currents(q_vgs[batch], q_vds[batch]))
+        assert 0 < lazy._filled.sum() < lazy._filled.size
+        assert np.array_equal(lazy.table, eager.table)
+        assert lazy._filled.all()
+
+    def test_fingerprint_ignores_the_fill_state(self):
+        vgs = np.linspace(0.0, 1.0, 11)
+        lazy = TabulatedFET.from_model(AlphaPowerFET(), vgs, vgs)
+        before = fingerprint(lazy)
+        lazy.current(0.5, 0.5)
+        assert lazy._filled.any()
+        assert fingerprint(lazy) == before
+        clone = pickle.loads(pickle.dumps(lazy))
+        assert not clone._filled.any()
+        assert clone.current(0.5, 0.5) == lazy.current(0.5, 0.5)
+
+    def test_non_finite_node_raises_when_filled(self):
+        vgs = np.linspace(0.0, 1.0, 11)
+        lazy = TabulatedFET.from_model(_NaNAtNode(AlphaPowerFET(), 0.7, 0.3), vgs, vgs)
+        lazy.current(0.2, 0.2)  # far from the bad node
+        with pytest.raises(ValueError, match="vgs = 0.7 V, vds = 0.3 V"):
+            lazy.current(0.65, 0.35)
+        with pytest.raises(ValueError, match="non-finite"):
+            lazy.table
+
+    def test_fabric_reads_at_most_eight_nodes_per_table(self, monkeypatch):
+        monkeypatch.setattr(fabric_module, "_TABULATED_CACHE", {})
+        run_fabric_density()
+        assert fabric_module._TABULATED_CACHE
+        for table in fabric_module._TABULATED_CACHE.values():
+            assert table._filled.sum() <= 8
 
 
 # ---------------------------------------------------------------------------

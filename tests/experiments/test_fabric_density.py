@@ -10,7 +10,7 @@ from repro.experiments.fabric_density import run_fabric_density
 @pytest.fixture(scope="module")
 def result():
     # Reduced sweep: the shared device cache makes repeats cheap, but the
-    # first tabulations dominate, so keep the grid small in unit tests.
+    # first node solves of each chirality dominate, so keep it small.
     return run_fabric_density(
         pitches_nm=(8.0, 32.0),
         purities=(0.9, 1.0),
