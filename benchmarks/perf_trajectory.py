@@ -264,6 +264,26 @@ def bench_btbt_transfer_curve(repeat: int) -> dict:
     }
 
 
+def bench_cli_startup(repeat: int) -> dict:
+    import subprocess
+
+    # A fresh interpreter per run, with this process's environment: the
+    # thread pins above and the PYTHONPATH whose src is being measured.
+    def run() -> None:
+        subprocess.run(
+            [sys.executable, "-m", "repro", "table1"],
+            check=True,
+            stdout=subprocess.DEVNULL,
+        )
+
+    seconds = _timed(run, repeat)
+    return {
+        "case": "cli_startup",
+        "detail": "fresh `python -m repro table1` process (imports + a 3 ms experiment)",
+        "seconds": seconds,
+    }
+
+
 def bench_contract_lint(repeat: int) -> dict:
     from repro.lint import run_lint
 
@@ -298,6 +318,7 @@ def main(argv: list[str] | None = None) -> int:
             bench_fabric_density,
             bench_contact_transfer_curve,
             bench_btbt_transfer_curve,
+            bench_cli_startup,
             bench_contract_lint,
         )
     ]

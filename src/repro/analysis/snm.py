@@ -103,18 +103,34 @@ def _is_bistable(x: np.ndarray, f) -> bool:
 
 
 def _lobe_snm(x: np.ndarray, f, f_inverse, n_grid: int) -> float:
-    """Largest inscribed square in one lobe (see module docstring)."""
+    """Largest inscribed square in one lobe (see module docstring).
+
+    The side is the largest ``s_grid[j]`` for which some ``x0`` on the
+    grid has ``headroom(x0, s) = f(x0 + s) - s - y0_min(x0) >= 0``.
+    ``f`` is monotone decreasing, so headroom falls as ``s`` grows: a
+    square that fits still fits when made smaller, and bisection over
+    ``j`` finds that side from ~log2(n_grid) columns of ``n_grid``
+    points, each computed as the full grid would compute it.
+    """
     span = float(x[-1] - x[0])
     if span <= 0.0:
         return 0.0
     x0_grid = np.linspace(x[0], x[-1], n_grid)
     s_grid = np.linspace(0.0, span, n_grid)
     y0_min = f_inverse(x0_grid)  # smallest y0 right of curve B
-    # headroom(x0, s) = f(x0 + s) - s - y0_min(x0); feasible where >= 0.
-    corner_x = x0_grid[:, None] + s_grid[None, :]
-    headroom = f(corner_x) - s_grid[None, :] - y0_min[:, None]
-    feasible = headroom >= 0.0
-    if not feasible.any():
+
+    def fits(j: int) -> bool:
+        side = s_grid[j]
+        return bool(np.any(f(x0_grid + side) - side - y0_min >= 0.0))
+
+    if not fits(0):
         return 0.0
-    best_index = np.max(np.where(feasible.any(axis=0))[0])
-    return float(s_grid[best_index])
+    # Invariant: column ``lo`` fits and every column from ``hi`` on does not.
+    lo, hi = 0, n_grid
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(s_grid[lo])

@@ -52,17 +52,18 @@ system's layout: ``transfer`` reads any node or ground alias, and
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import qz
 
 from repro.circuit.netlist import Circuit, CircuitError, EnsembleSolution, Solution
 from repro.circuit.solver import operating_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports nothing here)
+    from scipy.linalg import qz
+
     from repro.circuit.sweep import FETVariation
 
 __all__ = [
@@ -73,6 +74,22 @@ __all__ = [
     "ac_monte_carlo",
     "dense_frequency_loop",
 ]
+
+
+def __getattr__(name: str):
+    """Import ``qz`` on first access and keep it here (PEP 562).
+
+    Only a dense pencil reduction (:func:`_schur_reduce`) uses it, so
+    importing this module does not load scipy.  The name stays in the
+    module globals, where the reduction looks it up at call time and
+    where a tracer may wrap it.
+    """
+    if name != "qz":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module("scipy.linalg").qz
+    globals()[name] = value
+    return value
+
 
 # Row-block size of the generalized-Schur backsubstitution: cross-block
 # updates run as one stacked BLAS product per block instead of one
@@ -179,6 +196,8 @@ def _schur_reduce(
     A singular C (nodes without capacitors) is fine: QZ operates on the
     pencil, not on C alone.
     """
+    if "qz" not in globals():
+        __getattr__("qz")
     s_tri, t_tri, q, z = qz(conductance, capacitance, output="complex")
     return s_tri, t_tri, z.T, q.conj().T @ rhs.astype(complex)
 
@@ -292,7 +311,7 @@ class ACPlan:
         # The pencil (G, C) in the plan's own form: canonical-pattern
         # data vectors when sparse (G + jwC is elementwise), matrices
         # when dense.
-        if sparse.issparse(conductance):
+        if self.use_sparse:
             conductance = conductance.data
         self._pencil = (np.asarray(conductance), plan.capacitance_stamp())
         self.rhs = _unit_drive(self.size, self.source)

@@ -19,7 +19,8 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
   ``(id, gm, gds)`` out), then scattered into the residual/Jacobian with
   ``np.add.at`` through index arrays laid out at compile time.
 * Systems with ``size >= SPARSE_THRESHOLD`` assemble ``scipy.sparse``
-  CSR matrices through a :class:`_SparseSchedule`: one canonical
+  CSR matrices through a :class:`_SparseSchedule` (the first one built
+  in a process imports scipy; dense plans never do): one canonical
   sparsity pattern (linear stamps ∪ FET stamps ∪ full diagonal) shared
   by every evaluation, with precomputed scatter positions so a
   Jacobian is just a ``data`` vector.  The schedule computes the
@@ -44,14 +45,10 @@ asserts residual/Jacobian agreement to 1e-12 on representative circuits.
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-# Unused here; perfbench/tracing.py::_install_solve resolves
-# ``assembly.lu_factor``/``assembly.lu_solve`` when it installs.
-from scipy.linalg import lu_factor, lu_solve  # noqa: F401
-from scipy.sparse.linalg import splu
 
 from repro.circuit.elements import (
     FET,
@@ -63,9 +60,37 @@ from repro.circuit.elements import (
 from repro.devices.base import FETModel, PType
 
 if TYPE_CHECKING:  # pragma: no cover - sweep imports this module
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     from repro.circuit.sweep import FETVariation
 
 __all__ = ["StampPlan", "UnsupportedElement", "SPARSE_THRESHOLD"]
+
+# The scipy modules of the names :func:`__getattr__` binds on first
+# access.  Sparse plans use ``sparse`` and ``splu``; ``lu_factor`` and
+# ``lu_solve`` exist only for perfbench's tracer, which wraps them here.
+_SCIPY = {
+    "sparse": "scipy",
+    "splu": "scipy.sparse.linalg",
+    "lu_factor": "scipy.linalg",
+    "lu_solve": "scipy.linalg",
+}
+
+
+def __getattr__(name: str):
+    """Import a scipy name of ``_SCIPY`` on first access and keep it here (PEP 562).
+
+    Dense plans never touch scipy, so importing this module does not
+    load it.  The name stays in the module globals, where the sparse
+    code looks it up at call time and where a tracer may wrap it.
+    """
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SCIPY[name]), name)
+    globals()[name] = value
+    return value
+
 
 # Unknown-count at which assembly (and the Newton solve) switch from
 # dense Jacobian stacks to scipy.sparse CSR matrices.
@@ -333,6 +358,11 @@ class _SparseSchedule:
     """
 
     def __init__(self, plan):
+        # The first sparse plan of a process loads scipy; a name already
+        # bound (and perhaps wrapped by a tracer) is kept.
+        for name in ("sparse", "splu"):
+            if name not in globals():
+                __getattr__(name)
         size = plan.size
         self.size = size
         diag = np.arange(size, dtype=np.intp)

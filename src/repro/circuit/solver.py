@@ -14,10 +14,12 @@ candidate per pending row in one
 accepts the first candidate that reduces the row's residual — the one
 a sequential halving ladder would accept.
 
-Linear algebra follows the compiled stamp plan: dense Jacobian stacks
-solve in one batched LAPACK call (``dgesv`` for a single row), and
-sparse ``(m, nnz)`` stacks refactorize each row numerically against the
-plan's one-time symbolic ordering.  Linear circuits take the same path.
+Linear algebra follows the compiled stamp plan: dense Jacobian stacks,
+a single row included, solve in one batched ``np.linalg.solve`` call,
+and sparse ``(m, nnz)`` stacks refactorize each row numerically against
+the plan's one-time symbolic ordering.  Linear circuits take the same
+path.  Nothing here imports scipy: sparse plans bring it in through
+:mod:`repro.circuit.assembly`.
 
 Cold-start robustness lives in :mod:`repro.circuit.continuation`:
 :func:`solve_dc` delegates to its adaptive ladder (structural seeding,
@@ -29,17 +31,16 @@ is exhausted.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import importlib
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import dgesv
-
-# Unused here; perfbench's tracer resolves ``solver.splu`` when it installs.
-from scipy.sparse.linalg import splu  # noqa: F401
 
 from repro.circuit.assembly import DIAG_REGULARIZATION
 from repro.circuit.netlist import MNASystem
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from scipy import sparse
 
 __all__ = [
     "NewtonRows",
@@ -55,6 +56,24 @@ _RESIDUAL_ATOL = 1e-10
 _RESIDUAL_RTOL = 1e-9
 _STEP_TOL = 1e-10
 _MAX_TRIALS = 30
+
+# The scipy modules of the names :func:`__getattr__` binds on first access.
+_SCIPY = {"dgesv": "scipy.linalg.lapack", "splu": "scipy.sparse.linalg"}
+
+
+def __getattr__(name: str):
+    """Import ``dgesv``/``splu`` on first access and keep them here (PEP 562).
+
+    The Newton solve uses neither; perfbench's tracer wraps both names
+    in this module, and the hook lets it find them without loading
+    scipy into every process that imports the solver.
+    """
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SCIPY[name]), name)
+    globals()[name] = value
+    return value
+
 
 # Evaluation keywords that may carry one value per row, by the ndim
 # of their per-row form (shared values have one dimension less).
@@ -90,32 +109,31 @@ def _solve_stack(plan, jacobians, residuals):
     """Regularized Newton steps for a row stack; NaN rows where none exists.
 
     ``jacobians`` is regularized in place (the caller replaces a row
-    before reading it again).  Dense stacks of several rows solve in one
-    batched LAPACK call; single rows, sparse rows (refactorized against
-    the plan's one-time symbolic ordering) and a stack with a singular
-    member go row by row.
+    before reading it again).  Dense stacks, a single row included,
+    solve in one batched ``np.linalg.solve`` call; a stack with a
+    singular member retries row by row, and each singular row gets NaN.
+    Sparse rows refactorize one by one against the plan's one-time
+    symbolic ordering.
     """
+    steps = np.empty_like(residuals)
     if plan.use_sparse:
         jacobians[:, plan.sparse_schedule.diag_pos] += DIAG_REGULARIZATION
-    else:
-        np.einsum("ijj->ij", jacobians)[...] += DIAG_REGULARIZATION
-        if residuals.shape[0] > 1:
-            try:
-                # RHS as (k, size, 1) column matrices: the batched-solve
-                # gufunc otherwise misreads a (k, size) stack as one matrix.
-                return np.linalg.solve(jacobians, -residuals[:, :, None])[..., 0]
-            except np.linalg.LinAlgError:
-                pass
-    steps = np.empty_like(residuals)
-    for i, (jacobian, residual) in enumerate(zip(jacobians, residuals)):
-        if plan.use_sparse:
+        for i, (jacobian, residual) in enumerate(zip(jacobians, residuals)):
             solve = plan.sparse_schedule.factor(jacobian)
-            step = None if solve is None else solve(-residual)
-        else:
-            # -residual is a fresh temporary, so LAPACK may solve into it.
-            _, _, step, info = dgesv(jacobian, -residual, overwrite_b=True)
-            step = step if info == 0 else None
-        steps[i] = np.nan if step is None else step
+            steps[i] = np.nan if solve is None else solve(-residual)
+        return steps
+    np.einsum("ijj->ij", jacobians)[...] += DIAG_REGULARIZATION
+    try:
+        # RHS as (k, size, 1) column matrices: the batched-solve
+        # gufunc otherwise misreads a (k, size) stack as one matrix.
+        return np.linalg.solve(jacobians, -residuals[:, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    for i, (jacobian, residual) in enumerate(zip(jacobians, residuals)):
+        try:
+            steps[i] = np.linalg.solve(jacobian, -residual)
+        except np.linalg.LinAlgError:
+            steps[i] = np.nan
     return steps
 
 
@@ -143,8 +161,9 @@ def newton_many(
     ``variation`` (a :class:`~repro.circuit.sweep.FETVariation` with
     ``m`` rows); :func:`take_rows` narrows them.  Every
     step is elementwise per row, so a row's result does not depend on
-    its neighbours; a lone dense row calls the same LAPACK ``gesv`` as
-    a batched stack (the chunk-size suites hold the two bitwise equal).
+    its neighbours; a lone dense row takes the same batched
+    ``np.linalg.solve`` call as a stack (the chunk-size suites hold the
+    two bitwise equal).
     """
     x_out = np.array(x0, dtype=float)
     m = x_out.shape[0]

@@ -23,6 +23,8 @@ IOW001    cache/checkpoint writes go through mkstemp + ``os.replace``
 PKN001    sweep kernels are module-level (picklable) functions
 PKN002    sweep kernels do not touch ``global`` state
 MRG001    vectorized ``SweepPlan`` consumers register an entry validator
+IMP001    no module-level scipy import (only the code that needs it
+          loads it)
 LNT001    allowlist markers are well-formed and carry a reason
 LNT002    allowlist markers actually suppress something
 ========  ==============================================================

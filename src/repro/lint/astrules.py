@@ -1,5 +1,5 @@
 """AST rule families: RNG discipline, protocol coherence, atomic
-writes, pool-kernel safety, merge validation.
+writes, pool-kernel safety, merge validation, import-time cost.
 
 Each public entry point takes a parsed module and returns diagnostics;
 :func:`check_module` runs them all.  The rules are deliberately
@@ -34,7 +34,50 @@ def check_module(path: str, tree: ast.Module) -> list[Diagnostic]:
     checker = _FileChecker(path, tree)
     checker.visit(tree)
     checker.finish()
-    return checker.findings
+    return checker.findings + _scipy_imports(path, tree)
+
+
+def _import_time(body: list) -> list[ast.AST]:
+    """The statements of ``body`` that run when the module is imported.
+
+    Function bodies run later, and ``if TYPE_CHECKING:`` blocks never.
+    """
+    out: list[ast.AST] = []
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        out.append(stmt)
+        if isinstance(stmt, ast.If) and _func_name(stmt.test) == "TYPE_CHECKING":
+            out.extend(_import_time(stmt.orelse))
+            continue
+        for field in ("body", "handlers", "orelse", "finalbody"):
+            out.extend(_import_time(getattr(stmt, field, [])))
+    return out
+
+
+def _scipy_imports(path: str, tree: ast.Module) -> list[Diagnostic]:
+    """IMP001: scipy imported while the module itself is imported."""
+    findings = []
+    for stmt in _import_time(tree.body):
+        if isinstance(stmt, ast.Import):
+            names = [alias.name for alias in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom) and not stmt.level:
+            names = [stmt.module or ""]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            findings.append(
+                Diagnostic(
+                    path,
+                    stmt.lineno,
+                    "IMP001",
+                    "module-level scipy import: every process that imports "
+                    "this module pays for scipy; import it in the function "
+                    "that uses it, or bind it on first access with a PEP 562 "
+                    "module __getattr__",
+                )
+            )
+    return findings
 
 
 def _func_name(node: ast.expr) -> str | None:

@@ -77,6 +77,13 @@ RULES: dict[str, tuple[str, str]] = {
         "as corrupted statistics instead of a SweepExecutionError at the "
         "merge boundary (the _mc_entry_validator pattern).",
     ),
+    "IMP001": (
+        "module-level scipy import",
+        "scipy costs a fresh process ~0.2 s to import, and the device "
+        "physics never uses it; only sparse plans and dense AC pencils "
+        "do, so scipy is imported inside the code that needs it (or "
+        "bound on first access by a PEP 562 module __getattr__).",
+    ),
     "LNT001": (
         "malformed repro-lint marker",
         "Allowlist markers must name known rules and carry a reason: "

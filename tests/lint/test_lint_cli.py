@@ -45,6 +45,7 @@ def test_list_rules_covers_every_family(capsys):
         "IOW001",
         "PKN001",
         "MRG001",
+        "IMP001",
         "LNT001",
     ):
         assert rule in out

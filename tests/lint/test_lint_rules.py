@@ -24,6 +24,7 @@ AST_FIXTURES = [
     "protocol_bad.py",
     "io_bad.py",
     "pool_bad.py",
+    "imports_bad.py",
 ]
 
 
@@ -88,6 +89,7 @@ def test_every_rule_family_is_exercised():
         "IOW",
         "PKN",
         "MRG",
+        "IMP",
         "LNT",
     }
 

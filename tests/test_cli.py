@@ -1,5 +1,6 @@
 """Command-line interface: listing, dispatch, output format, import cost."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -156,20 +157,114 @@ class TestPhysicalStack:
         assert "[--physical]" in out
 
 
+# The eight modules perfbench's paper_physics workload imports at set-up.
+PAPER_PHYSICS_MODULES = (
+    "repro.cli",
+    "repro.experiments.fig1",
+    "repro.experiments.fig4",
+    "repro.benchmarking.fig5",
+    "repro.experiments.fig6",
+    "repro.experiments.table1",
+    "repro.experiments.scaling",
+    "repro.experiments.fabric_density",
+    "repro.experiments.ablations",
+)
+
+# Runs a script in a fresh interpreter, which sees the imports as a
+# shell user does; the script's last output line is a JSON value.
+_PRELUDE = """
+import importlib, json, sys
+sys.path.insert(0, {src!r})
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+"""
+
+
+def _fresh_interpreter(body: str):
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", _PRELUDE.format(src=str(src)) + body],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
 class TestImportPath:
-    def test_cli_import_leaves_fitpack_unloaded(self):
-        # fitpack is needed only to compile or load a surrogate table;
-        # importing the CLI must not pay for scipy.interpolate (nor the
-        # scipy.optimize it pulls in).  A fresh interpreter sees the
-        # import as a shell user does.
-        src = Path(__file__).resolve().parents[1] / "src"
-        script = (
-            f"import sys; sys.path.insert(0, {str(src)!r}); import repro.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))"
+    def test_paper_physics_path_leaves_scipy_unloaded(self):
+        # The device artefacts factor no sparse matrix and reduce no AC
+        # pencil, so neither importing them nor a dense circuit solve
+        # may pay for scipy (fitpack, scipy.optimize, scipy.sparse and
+        # scipy.linalg included).
+        loaded = _fresh_interpreter(
+            f"""
+for module in {PAPER_PHYSICS_MODULES!r}:
+    importlib.import_module(module)
+from repro.cli import main
+from repro.circuit.cells import inverter_vtc
+from repro.devices.empirical import AlphaPowerFET
+
+assert main(["table1"]) == 0
+v_in, v_out, _ = inverter_vtc(AlphaPowerFET(), n_points=21)
+assert v_out[0] > 0.9 and v_out[-1] < 0.1
+print(json.dumps(scipy_loaded()))
+"""
         )
-        completed = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        assert loaded == []
+
+    def test_sparse_plan_and_ac_pencil_load_scipy(self):
+        # scipy arrives with the first sparse plan (scipy.sparse, splu)
+        # and the first dense AC pencil (qz), and both still solve.
+        result = _fresh_interpreter(
+            """
+import numpy as np
+from repro.circuit import ACPlan, Circuit
+from repro.circuit.solver import solve_dc
+from repro.circuit.waveforms import DC
+from repro.devices.empirical import AlphaPowerFET
+
+before = scipy_loaded()
+ladder = Circuit("ladder")
+ladder.add_voltage_source("VDD", "vdd", "0", DC(1.0))
+ladder.add_voltage_source("VIN", "n0", "0", DC(1.0))
+ladder.add_fet("MN", "n1", "n0", "0", AlphaPowerFET())
+ladder.add_resistor("RP", "vdd", "n1", 1e5)
+for i in range(1, 140):
+    ladder.add_resistor(f"R{i}", f"n{i}", f"n{i + 1}", 1e3)
+ladder.add_resistor("RT", "n140", "0", 1e6)
+system = ladder.build_system()
+x = solve_dc(system)
+residual, _ = system.evaluate(x)
+after_sparse = scipy_loaded()
+from repro.circuit import ac
+qz_before = "qz" in vars(ac)
+
+rc = Circuit("rc")
+rc.add_voltage_source("VIN", "a", "0", DC(0.0))
+rc.add_resistor("R", "a", "b", 1e3)
+rc.add_capacitor("C", "b", "0", 1e-9)
+plan = ACPlan(rc, "VIN")
+gain = np.abs(plan.sweep([1e3, 1e9]).transfer("b"))
+print(json.dumps({
+    "before": before,
+    "size": system.size,
+    "sparse": system._plan.use_sparse,
+    "residual": float(np.abs(residual).max()),
+    "after_sparse": after_sparse,
+    "ac_sparse": plan.use_sparse,
+    "gain": gain.tolist(),
+    "qz_bound": [qz_before, "qz" in vars(ac)],
+}))
+"""
         )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.strip() == "[]"
+        assert result["before"] == []
+        assert result["size"] >= 128 and result["sparse"]
+        assert result["residual"] < 1e-9
+        assert "scipy.sparse.linalg" in result["after_sparse"]
+        assert not result["ac_sparse"]
+        low, high = result["gain"]
+        assert abs(low - 1.0) < 1e-3 and high < 1e-3
+        assert result["qz_bound"] == [False, True]
