@@ -19,4 +19,4 @@ def test_cascade_regeneration(benchmark):
     assert all(s > 0.95 * result.vdd for s in result.stage_swings_sat)
     # Non-saturating chain attenuates geometrically: undefined levels.
     assert result.lin_attenuation_per_stage < 0.95
-    assert result.lin_final_swing_fraction < 0.6
+    assert result.stage_swings_lin[-1] / result.vdd < 0.6

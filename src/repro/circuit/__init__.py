@@ -7,8 +7,8 @@ the standard-cell inverter builder.
 
 Cold-start DC robustness comes from the adaptive continuation
 subsystem (:mod:`repro.circuit.continuation`): a logic-aware
-structural seeder plus adaptive gmin stepping, adaptive source
-ramping, and pseudo-transient continuation, with every Newton attempt
+structural seeder plus pseudo-transient continuation when plain
+Newton fails, with every Newton attempt
 recorded in a :class:`ConvergenceReport` — deep FET chains and ring
 oscillators solve with no hand-fed initial guess, and failures raise
 :class:`ConvergenceError` carrying the full ladder history.  The

@@ -727,7 +727,6 @@ class StampPlan:
         previous_x: np.ndarray | None = None,
         integrator: str = "trapezoidal",
         state: dict | np.ndarray | None = None,
-        source_scale: float | np.ndarray = 1.0,
         gmin: float | np.ndarray = 0.0,
         gmin_ref: np.ndarray | None = None,
         variation: FETVariation | None = None,
@@ -747,8 +746,8 @@ class StampPlan:
         ``(n_caps,)`` array, or per row ``(m, n_caps)`` in
         ``cap_names`` order.  ``gmin`` shunts every node to ground, or
         with ``gmin_ref`` to that reference vector (the pseudo-transient
-        stamp ``gmin * (x - gmin_ref)``); ``gmin`` and ``source_scale``
-        are shared scalars or per row ``(m,)``, ``gmin_ref`` shared
+        stamp ``gmin * (x - gmin_ref)``); ``gmin`` is a shared scalar
+        or per row ``(m,)``, ``gmin_ref`` shared
         ``(size,)`` or per row ``(m, size)``.  ``variation`` (a
         :class:`~repro.circuit.sweep.FETVariation` with ``m`` rows)
         scales each FET's current and shifts its n-type threshold.
@@ -791,14 +790,12 @@ class StampPlan:
         else:
             np.matmul(linear.matrix, x_stack[..., None], out=rpad[:, :size, None])
         rflat = rpad.reshape(-1)
-        if isinstance(source_scale, np.ndarray):
-            source_scale = source_scale[:, None]
         if self.vsrc_branch.size:
             levels = np.array([el.level(time_s) for el in self.vsources])
-            rflat[layout.sources[0]] -= _per_row(source_scale * levels, m)
+            rflat[layout.sources[0]] -= _per_row(levels, m)
         if self.isrc_p.size:
             levels = np.array([el.level(time_s) for el in self.isources])
-            currents = source_scale * np.concatenate((levels, -levels))
+            currents = np.concatenate((levels, -levels))
             np.add.at(rflat, layout.sources[1], _per_row(currents, m))
         if dt_s is not None and self.cap_c.size:
             if previous_x is None:

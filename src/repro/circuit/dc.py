@@ -45,9 +45,9 @@ def operating_point(
 ) -> OperatingPointResult:
     """Solve the DC operating point of the circuit.
 
-    Cold starts go through the adaptive continuation ladder of
-    :mod:`repro.circuit.continuation` (structural seeding, adaptive
-    gmin/source stepping, pseudo-transient fallback), so deep FET
+    Cold starts go through the continuation ladder of
+    :mod:`repro.circuit.continuation` (structural seeding, plain
+    Newton, pseudo-transient fallback), so deep FET
     chains need no ``x0``; the parameter remains as an override for
     selecting a branch of a multistable circuit.  Failures raise
     :class:`~repro.circuit.continuation.ConvergenceError` with the

@@ -61,8 +61,6 @@ class StampContext:
     previous_x: object = None
     integrator: str = "trapezoidal"
     state: dict = field(default_factory=dict)
-    source_scale: float = 1.0
-    gmin: float = 0.0
 
     def index(self, node: str) -> int | None:
         return self.system.node_index(node)
@@ -195,8 +193,7 @@ class VoltageSource(Element):
         ctx.add_jacobian(self.p, branch, 1.0)
         ctx.add_jacobian(self.n, branch, -1.0)
         vp, vn = ctx.voltage(self.p), ctx.voltage(self.n)
-        target = ctx.source_scale * self.level(ctx.time_s)
-        ctx.add_branch_residual(branch, vp - vn - target)
+        ctx.add_branch_residual(branch, vp - vn - self.level(ctx.time_s))
         ctx.add_branch_jacobian(branch, ctx.index(self.p), 1.0)
         ctx.add_branch_jacobian(branch, ctx.index(self.n), -1.0)
 
@@ -221,7 +218,7 @@ class CurrentSource(Element):
         return self.waveform.value(time_s)
 
     def contribute(self, ctx: StampContext) -> None:
-        current = ctx.source_scale * self.level(ctx.time_s)
+        current = self.level(ctx.time_s)
         ctx.add_current(self.p, current)
         ctx.add_current(self.n, -current)
 

@@ -325,7 +325,6 @@ class MNASystem:
         previous_x: np.ndarray | None = None,
         integrator: str = "trapezoidal",
         state: dict | None = None,
-        source_scale: float = 1.0,
         gmin: float = 0.0,
         gmin_ref: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -347,8 +346,6 @@ class MNASystem:
             previous_x=previous_x if previous_x is not None else x,
             integrator=integrator,
             state=state if state is not None else {},
-            source_scale=source_scale,
-            gmin=gmin,
         )
         for element in self.circuit.elements:
             element.contribute(ctx)

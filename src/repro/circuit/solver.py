@@ -22,9 +22,9 @@ path.  Nothing here imports scipy: sparse plans bring it in through
 :mod:`repro.circuit.assembly`.
 
 Cold-start robustness lives in :mod:`repro.circuit.continuation`:
-:func:`solve_dc` delegates to its adaptive ladder (structural seeding,
-adaptive gmin stepping, adaptive source ramping, pseudo-transient
-continuation) and raises a diagnostics-carrying
+:func:`solve_dc` delegates to its ladder (structural seeding, plain
+Newton, then pseudo-transient continuation) and raises a
+diagnostics-carrying
 :class:`~repro.circuit.continuation.ConvergenceError` when the ladder
 is exhausted.
 """
@@ -77,7 +77,7 @@ def __getattr__(name: str):
 
 # Evaluation keywords that may carry one value per row, by the ndim
 # of their per-row form (shared values have one dimension less).
-_ROW_NDIM = {"previous_x": 2, "state": 2, "gmin_ref": 2, "gmin": 1, "source_scale": 1}
+_ROW_NDIM = {"previous_x": 2, "state": 2, "gmin_ref": 2, "gmin": 1}
 
 
 class NewtonRows(NamedTuple):
@@ -93,8 +93,8 @@ def take_rows(eval_kwargs: dict, rows: np.ndarray) -> dict:
     """The evaluation keywords of stack rows ``rows``.
 
     ``variation`` and the per-row arrays (``previous_x``, ``state``,
-    ``gmin_ref``, ``gmin``, ``source_scale``) are narrowed to ``rows``;
-    shared values pass through.
+    ``gmin_ref``, ``gmin``) are narrowed to ``rows``; shared values
+    pass through.
     """
     kwargs = dict(eval_kwargs)
     for key, value in eval_kwargs.items():
@@ -157,7 +157,7 @@ def newton_many(
     ``eval_kwargs`` follow
     :meth:`~repro.circuit.assembly.StampPlan.evaluate_many`:
     ``previous_x``/``gmin_ref`` ``(m, size)``, ``state`` ``(m,
-    n_caps)`` and ``gmin``/``source_scale`` ``(m,)`` are per row, like
+    n_caps)`` and ``gmin`` ``(m,)`` are per row, like
     ``variation`` (a :class:`~repro.circuit.sweep.FETVariation` with
     ``m`` rows); :func:`take_rows` narrows them.  Every
     step is elementwise per row, so a row's result does not depend on
@@ -278,14 +278,13 @@ def newton_solve(
 def solve_dc(
     system: MNASystem, x0: np.ndarray | None = None, **eval_kwargs
 ) -> np.ndarray:
-    """DC solution via the adaptive continuation ladder.
+    """DC solution via the continuation ladder.
 
     Delegates to :func:`repro.circuit.continuation.solve_dc_robust`
-    (structural seed -> Newton -> adaptive gmin -> adaptive source ramp
-    -> pseudo-transient).  Raises
+    (structural seed -> Newton -> pseudo-transient).  Raises
     :class:`~repro.circuit.continuation.ConvergenceError` — carrying the
     full :class:`~repro.circuit.continuation.ConvergenceReport` — when
-    every strategy is exhausted.
+    pseudo-transient continuation is exhausted.
     """
     from repro.circuit.continuation import ConvergenceError, solve_dc_robust
 

@@ -30,8 +30,8 @@ compiled stamp plan already exposes.  Three layers fix that:
   Jacobians (dense ``(m, size, size)``, or CSR ``data`` stacks ``(m,
   nnz)`` on the plan's canonical sparse pattern), every FET group's
   bias points across *all* instances batched into a single
-  ``linearize`` call, and the adaptive gmin / source / pseudo-transient
-  ladder, still stacked, for the instances plain Newton leaves behind.
+  ``linearize`` call, and pseudo-transient continuation, still
+  stacked, for the instances plain Newton leaves behind.
   Per-instance device-parameter arrays (:class:`FETVariation`:
   drive-strength scale and threshold shift) thread through without
   touching the device models.

@@ -175,9 +175,9 @@ def transient(
 ) -> TransientResult:
     """Integrate the circuit from its t=0 operating point to ``t_stop_s``.
 
-    The initial DC solve cold-starts through the adaptive continuation
-    ladder of :mod:`repro.circuit.continuation` (structural seeding,
-    adaptive gmin/source stepping, pseudo-transient fallback), so
+    The initial DC solve cold-starts through the continuation ladder of
+    :mod:`repro.circuit.continuation` (structural seeding, plain Newton,
+    pseudo-transient fallback), so
     ``x0`` is no longer needed for long FET chains; it remains as an
     optional override for callers that want to select a particular
     operating point of a multistable circuit.

@@ -83,14 +83,6 @@ class CascadeResult:
     vdd: float
 
     @property
-    def sat_final_swing_fraction(self) -> float:
-        return self.stage_swings_sat[-1] / self.vdd
-
-    @property
-    def lin_final_swing_fraction(self) -> float:
-        return self.stage_swings_lin[-1] / self.vdd
-
-    @property
     def lin_attenuation_per_stage(self) -> float:
         """Geometric mean swing ratio of successive non-saturating stages."""
         swings = np.asarray(self.stage_swings_lin)

@@ -21,9 +21,7 @@ from repro.logic.gates import (
     build_ripple_subtractor,
 )
 from repro.logic.subneg import (
-    Instruction,
     SubnegMachine,
-    assemble,
     counting_program,
     sort_with_machine,
     sorting_program,
@@ -33,10 +31,8 @@ __all__ = [
     "FunctionalYieldResult",
     "GATE_FUNCTIONS",
     "Gate",
-    "Instruction",
     "LogicNetlist",
     "SubnegMachine",
-    "assemble",
     "build_full_subtractor",
     "build_ripple_subtractor",
     "counting_program",

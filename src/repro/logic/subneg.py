@@ -19,26 +19,10 @@ from dataclasses import dataclass, field
 from repro.logic.gates import LogicNetlist, build_ripple_subtractor
 
 __all__ = [
-    "Instruction",
     "SubnegMachine",
     "counting_program",
     "sorting_program",
-    "assemble",
 ]
-
-
-@dataclass(frozen=True)
-class Instruction:
-    """SUBNEG instruction: mem[b] -= mem[a]; if result <= 0 jump to c."""
-
-    a: int
-    b: int
-    c: int
-
-
-def assemble(triples) -> list[Instruction]:
-    """Build an instruction list from (a, b, c) triples."""
-    return [Instruction(*t) for t in triples]
 
 
 @dataclass

@@ -51,12 +51,6 @@ class Chirality:
         return A_LATTICE_NM * math.sqrt(n * n + n * m + m * m) / math.pi
 
     @property
-    def chiral_angle_deg(self) -> float:
-        """Chiral angle in degrees: 0 for zigzag (n, 0), 30 for armchair (n, n)."""
-        n, m = self.n, self.m
-        return math.degrees(math.atan2(math.sqrt(3.0) * m, 2.0 * n + m))
-
-    @property
     def family(self) -> int:
         """nu = (n - m) mod 3 mapped to {0, 1, -1}; 0 means metallic."""
         nu = (self.n - self.m) % 3

@@ -43,11 +43,6 @@ class ArmchairGNR:
         return (self.n_dimer - 1) * math.sqrt(3.0) / 2.0 * A_CC_NM
 
     @property
-    def family(self) -> int:
-        """N mod 3: families 0 and 1 are gapped, family 2 quasi-metallic."""
-        return self.n_dimer % 3
-
-    @property
     def is_semiconducting(self) -> bool:
         return self.bandgap_ev() > 1e-3
 

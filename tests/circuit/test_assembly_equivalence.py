@@ -107,7 +107,6 @@ CONTEXTS = {
     "dc": {},
     "dc_timed": dict(time_s=3e-10),
     "gmin": dict(gmin=1e-6),
-    "source_step": dict(source_scale=0.35),
     "trapezoidal": dict(time_s=1e-10, dt_s=1e-12, integrator="trapezoidal"),
     "backward_euler": dict(time_s=1e-10, dt_s=1e-12, integrator="backward-euler"),
 }

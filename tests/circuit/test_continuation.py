@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.continuation import (
+    _PTC_ALPHA_FLOOR,
     ConvergenceError,
     solve_dc_robust,
     structural_seed,
@@ -41,16 +42,20 @@ class TestColdStartChains:
 
     @pytest.mark.parametrize("n_stages", [8, 16])
     def test_chain_from_zeros_uses_adaptive_ladder(self, n_stages):
-        # Bypass the structural seeder: the adaptive gmin ladder itself
-        # must get through where the old fixed schedule aborted.
+        # Bypass the structural seeder: pseudo-transient continuation
+        # must get through where plain Newton and the old fixed
+        # schedules aborted.
         circuit = build_inverter_chain(AlphaPowerFET(), n_stages=n_stages)
         system = circuit.build_system()
         x, report = solve_dc_robust(system, np.zeros(system.size))
         assert report.converged
-        assert report.strategy != "newton"  # plain Newton can't do this
+        assert report.strategy == "ptc"  # plain Newton can't do this
         assert system.voltage_of(x, f"s{n_stages}") == pytest.approx(
             float(n_stages % 2), abs=1e-2
         )
+        # The reference evaluator agrees that the answer solves F(x) = 0.
+        residual, _ = system.evaluate_dense(x)
+        assert np.abs(residual).max() < 1e-9
 
     def test_chain_transient_cold_start(self):
         # End-to-end: the benchmark scenario, with the x0 seed removed.
@@ -135,8 +140,8 @@ class TestConvergenceReport:
 
     def test_exhausted_ladder_raises_with_report(self):
         # A current source into a floating FET gate: no DC path to
-        # ground, so the matrix is singular at gmin = 0 and every
-        # strategy must fail at its final homotopy-free solve.
+        # ground, so the matrix is singular at gmin = 0 and PTC must
+        # fail at its final homotopy-free solve.
         c = Circuit()
         c.add_current_source("I1", "0", "g", DC(1e-6))
         c.add_fet("M1", "d", "g", "0", AlphaPowerFET())
@@ -147,7 +152,7 @@ class TestConvergenceReport:
         assert isinstance(excinfo.value, ConvergenceError)
         report = excinfo.value.report
         assert not report.converged
-        assert set(report.stages_used) >= {"newton", "gmin", "source", "ptc"}
+        assert report.stages_used == ("newton", "ptc")
         assert "FAILED" in str(excinfo.value)
 
     def test_report_carries_full_ladder_history(self):
@@ -167,23 +172,22 @@ class TestConvergenceReport:
             solve_dc(system)
         report = excinfo.value.report
 
-        # Every strategy the ladder walked left multiple recorded rungs.
-        assert len(report.attempts) > len(report.stages_used)
+        # Plain Newton, then PTC's many rungs, each recording its alpha.
+        assert report.stages_used == ("newton", "ptc")
         assert report.total_iterations == sum(
             a.iterations for a in report.attempts
         )
-        # Stages appear in ladder order, and homotopy stages record the
-        # continuation parameter of each rung.
-        assert report.stages_used[0] == "newton"
+        newton, *ptc = report.attempts
+        assert newton.parameter is None and not newton.converged
         for attempt in report.attempts:
-            assert attempt.stage in {"newton", "gmin", "source", "ptc"}
             assert np.isfinite(attempt.residual) or attempt.residual == np.inf
-            if attempt.stage in {"gmin", "source", "ptc"}:
-                assert attempt.parameter is not None
-        gmin_params = [
-            a.parameter for a in report.attempts if a.stage == "gmin"
-        ]
-        assert len(set(gmin_params)) > 1  # the ladder actually stepped
+        alphas = [a.parameter for a in ptc]
+        assert len(set(alphas)) > 10  # PTC actually relaxed alpha
+        # The damped rungs relax below the floor; only the final
+        # undamped (alpha = 0) attempt fails.
+        assert all(a.converged for a in ptc[:-1])
+        assert min(alphas[:-1]) <= _PTC_ALPHA_FLOOR
+        assert alphas[-1] == 0.0 and not ptc[-1].converged
         # describe() names each stage with its attempt counts.
         text = report.describe()
         for stage in report.stages_used:

@@ -1,13 +1,13 @@
 """The stacked continuation ladder against its one-row call and oracle.
 
 :func:`~repro.circuit.continuation.ladder_many` walks every row of a
-stack through plain Newton, adaptive gmin, adaptive source ramping and
-pseudo-transient continuation, one ``newton_many`` call per round over
-the rows still walking.  Row ``i`` must take exactly the attempts the
-one-row call (:func:`~repro.circuit.continuation.solve_dc_robust`)
-takes on it: the same ``x`` bitwise and the same attempt history.  The
-Monte Carlo engines rescue their stragglers through it, so an instance
-the scalar oracle converges converges in the engine too.
+stack through plain Newton and then pseudo-transient continuation
+(PTC), one ``newton_many`` call per round over the rows still walking.
+Row ``i`` must take exactly the attempts the one-row call
+(:func:`~repro.circuit.continuation.solve_dc_robust`) takes on it: the
+same ``x`` bitwise and the same attempt history.  The Monte Carlo
+engines rescue their stragglers through it, so an instance the scalar
+oracle converges converges in the engine too.
 """
 
 import numpy as np
@@ -53,14 +53,14 @@ def _assert_rows_match_one_row_calls(system, rows, x0, variation, **eval_kwargs)
 
 
 def test_stacked_rows_take_the_one_row_attempts():
-    # Rows picked so the four strategies each end one walk; the stack
-    # rounds mix gmin, source and PTC rows in one newton_many call.
+    # One row converges on plain Newton; the other three walk PTC on
+    # their own alpha, mixed in each round's one newton_many call.
     engine = _chain_engine(0.5)
     variation = _spread(engine, [0, 5, 43, 146])
     x0 = np.tile(engine.nominal_solution(), (4, 1))
     rows = ladder_many(engine.plan, x0, variation=variation)
     strategies = [rows.report(k).strategy for k in range(4)]
-    assert strategies == ["newton", "gmin", "source", "ptc"]
+    assert strategies == ["newton", "ptc", "ptc", "ptc"]
     assert rows.converged.all()
     assert rows.entered.tolist() == [False, True, True, True]
     assert set(rows.reports) == {1, 2, 3}  # plain-Newton rows carry no report
@@ -93,7 +93,7 @@ def test_stacked_transient_step_rows_take_the_one_row_attempts():
 
 def test_engine_converges_every_instance_its_oracle_converges():
     # Instance 67 of the hard spread at DC(0.45) defeated the engines'
-    # old fixed gmin staircase, though the scalar ladder converges it.
+    # old fixed rescue schedule, though the scalar ladder converges it.
     engine = _chain_engine(0.45)
     variation = _spread(engine, [67, 2, 5])
     result = engine.run(variation)

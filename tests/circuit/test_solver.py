@@ -64,15 +64,6 @@ class TestNewton:
         # 1 uA into 1 MOhm || 1 MOhm (gmin) = 0.5 V.
         assert system.voltage_of(x_leaky, "x") == pytest.approx(0.5, rel=1e-6)
 
-    def test_source_scale_scales_solution(self):
-        c = Circuit()
-        c.add_voltage_source("V1", "a", "0", DC(2.0))
-        c.add_resistor("R1", "a", "0", 1e3)
-        system = c.build_system()
-        x_half, ok = newton_solve(system, np.zeros(system.size), source_scale=0.5)
-        assert ok
-        assert system.voltage_of(x_half, "a") == pytest.approx(1.0)
-
 
 class TestNonFiniteStart:
     """A row whose starting residual is not finite never converges."""

@@ -553,11 +553,7 @@ class TestCurrentSourceBatch:
             )
 
         def anchored_gmin(plan):
-            kwargs = dict(
-                gmin=1e-3,
-                gmin_ref=rng.normal(size=plan.size),
-                source_scale=0.7,
-            )
+            kwargs = dict(gmin=1e-3, gmin_ref=rng.normal(size=plan.size))
             return kwargs, lambda i: kwargs
 
         cases = [

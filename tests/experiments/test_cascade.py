@@ -36,8 +36,8 @@ class TestCascadeBehaviour:
         assert result.lin_attenuation_per_stage < 1.0
 
     def test_final_levels(self, result):
-        assert result.sat_final_swing_fraction > 0.95
-        assert result.lin_final_swing_fraction < 0.8
+        assert result.stage_swings_sat[-1] / result.vdd > 0.95
+        assert result.stage_swings_lin[-1] / result.vdd < 0.8
 
     def test_rows_cover_both_chains(self, result):
         rows = result.rows()

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.logic.subneg import (
-    Instruction,
     SubnegMachine,
-    assemble,
     counting_program,
     sort_with_machine,
     sorting_program,
@@ -105,10 +103,3 @@ class TestGateLevelArithmetic:
         result, negative = machine._subtract(minuend, subtrahend)
         assert result == (minuend - subtrahend) % 256
         assert negative == (minuend - subtrahend <= 0)
-
-
-class TestAssemble:
-    def test_builds_instructions(self):
-        program = assemble([(1, 2, 3), (4, 5, -1)])
-        assert program[0] == Instruction(1, 2, 3)
-        assert program[1].c == -1

@@ -1,7 +1,5 @@
 """CNT chirality: geometry, metallicity rule, zone-folded subbands."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,16 +30,10 @@ class TestGeometry:
         assert Chirality(17, 0).diameter_nm == pytest.approx(1.33, abs=0.01)
         assert Chirality(19, 0).diameter_nm == pytest.approx(1.49, abs=0.01)
 
-    def test_chiral_angles(self):
-        assert Chirality(10, 0).chiral_angle_deg == pytest.approx(0.0)
-        assert Chirality(10, 10).chiral_angle_deg == pytest.approx(30.0)
-        assert 0.0 < Chirality(10, 5).chiral_angle_deg < 30.0
-
     @given(chirality_indices)
     def test_diameter_positive_and_angle_bounded(self, nm):
         c = Chirality(*nm)
         assert c.diameter_nm > 0.0
-        assert -1e-9 <= c.chiral_angle_deg <= 30.0 + 1e-9
 
 
 class TestMetallicityRule:

@@ -30,10 +30,6 @@ class TestFamilies:
         for n in (6, 7, 9, 10, 12, 13):
             assert ArmchairGNR(n).bandgap_ev() > 0.05
 
-    @given(st.integers(3, 90))
-    def test_family_index(self, n):
-        assert ArmchairGNR(n).family == n % 3
-
     def test_gap_decreases_within_family(self):
         gaps = [ArmchairGNR(n).bandgap_ev() for n in (7, 10, 13, 16, 19)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
