@@ -29,6 +29,13 @@ exercises exactly that knob.
 Sign conventions: electron energies, p-segment (source) grounded, diode
 voltage ``v_diode`` = V_p - V_n (forward positive).  The n reservoir's
 chemical potential is therefore mu_n = +v_diode [eV].
+
+Numerics: the direct BTBT current is the Landauer integral of the exact
+WKB transmission (the junction's action in closed form, no position
+grid; see ``repro.transport.tunneling``), taken with a converged
+Gauss-Legendre energy rule.  :meth:`CNTTunnelFET.currents` evaluates a
+whole curve of biases in one array call; ``current`` is its one-point
+case and returns the same bits as the curve's element.
 """
 
 from __future__ import annotations
@@ -39,10 +46,10 @@ import numpy as np
 
 from repro.physics.cnt import Chirality
 from repro.physics.constants import H, KB_EV, Q, VFERMI
-from repro.physics.fermi import fermi_dirac
 from repro.transport.tunneling import (
     JunctionProfile,
-    junction_btbt_transmission,
+    _require_finite,
+    junction_btbt_integral_ev,
     wkb_transmission_uniform_field,
 )
 
@@ -71,6 +78,9 @@ class CNTTunnelFET:
     eps_channel:
         Effective channel/environment permittivity entering the
         screening length.
+
+    Every parameter must be finite; a NaN or infinite one raises
+    ``ValueError`` naming it, as does a non-finite bias.
     """
 
     def __init__(
@@ -90,11 +100,22 @@ class CNTTunnelFET:
         if not chirality.is_semiconducting:
             raise ValueError(f"TFET needs a semiconducting tube, got {chirality}")
         if not 0.0 < gate_efficiency <= 1.0:
-            raise ValueError(f"gate efficiency must be in (0,1], got {gate_efficiency}")
-        if t_ox_nm <= 0.0 or eps_ox <= 0.0 or eps_channel <= 0.0:
-            raise ValueError("oxide/channel parameters must be positive")
-        if urbach_ev <= 0.0:
-            raise ValueError(f"Urbach energy must be positive, got {urbach_ev}")
+            raise ValueError(f"gate_efficiency must be in (0, 1], got {gate_efficiency}")
+        for name, value in (
+            ("t_ox_nm", t_ox_nm),
+            ("eps_ox", eps_ox),
+            ("eps_channel", eps_channel),
+            ("urbach_ev", urbach_ev),
+            ("temperature_k", temperature_k),
+        ):
+            _require_finite(name, value, positive=True)
+        for name, value in (
+            ("n_degeneracy_ev", n_degeneracy_ev),
+            ("p_degeneracy_ev", p_degeneracy_ev),
+            ("flatband_v", flatband_v),
+            ("diode_saturation_a", diode_saturation_a),
+        ):
+            _require_finite(name, value)
         self.chirality = chirality
         self.gap_ev = chirality.bandgap_ev()
         self.t_ox_nm = t_ox_nm
@@ -111,19 +132,19 @@ class CNTTunnelFET:
         )
         self._kt = KB_EV * temperature_k
 
-    # -- band positions -------------------------------------------------------
-    def channel_midgap_ev(self, v_gate: float) -> float:
+    # -- band positions (scalars or arrays) -----------------------------------
+    def channel_midgap_ev(self, v_gate):
         """Midgap of the gated segment [eV], source-midgap referenced.
 
         Negative gate drive raises electron energies (bands move up).
         """
         return -self.gate_efficiency * (v_gate - self.flatband_v)
 
-    def n_conduction_edge_ev(self, v_diode: float) -> float:
+    def n_conduction_edge_ev(self, v_diode):
         """Conduction-band bottom of the n segment [eV]: mu_n - xi_n."""
         return v_diode - self.n_degeneracy_ev
 
-    def band_overlap_ev(self, v_gate: float, v_diode: float) -> float:
+    def band_overlap_ev(self, v_gate, v_diode):
         """Tunnel-window width [eV]: gated-segment E_v top minus n-segment E_c.
 
         Positive overlap means BTBT is energetically allowed.  Reverse
@@ -134,24 +155,23 @@ class CNTTunnelFET:
         ev_channel_top = self.channel_midgap_ev(v_gate) - self.gap_ev / 2.0
         return ev_channel_top - self.n_conduction_edge_ev(v_diode)
 
-    def junction_field_v_per_m(self, v_gate: float, v_diode: float) -> float:
+    def junction_field_v_per_m(self, v_gate, v_diode):
         """Characteristic junction field: (E_g + overdrive) / (2 lambda)."""
-        overdrive = max(self.band_overlap_ev(v_gate, v_diode), 0.0)
+        overdrive = np.maximum(self.band_overlap_ev(v_gate, v_diode), 0.0)
         return (self.gap_ev + overdrive) / (2.0 * self.screening_length_nm * 1e-9)
 
-    # -- current components -----------------------------------------------------
-    def btbt_current_a(self, v_gate: float, v_diode: float) -> float:
+    # -- current components (arrays over the broadcast biases) ----------------
+    def btbt_current_a(self, v_gate, v_diode) -> np.ndarray:
         """Direct BTBT current [A] (diode sign: reverse-bias BTBT < 0).
 
-        Landauer integral of the WKB transmission over the open tunnel
-        window.  Electrons tunnel between gated-segment valence states
-        (equilibrated with the grounded p source) and n-segment conduction
-        states (chemical potential +v_diode); the electron flow p -> n is
-        a *negative* diode current.
+        Landauer integral of the exact WKB transmission over the open
+        tunnel window (:func:`junction_btbt_integral_ev`, one call for
+        every bias).  Electrons tunnel between gated-segment valence
+        states (equilibrated with the grounded p source) and n-segment
+        conduction states (chemical potential +v_diode); the electron flow
+        p -> n is a *negative* diode current.  Energies are referenced to
+        the gated segment's midgap, the profile's source side.
         """
-        overlap = self.band_overlap_ev(v_gate, v_diode)
-        if overlap <= 0.0:
-            return 0.0
         u_channel = self.channel_midgap_ev(v_gate)
         u_n = self.n_conduction_edge_ev(v_diode) - self.gap_ev / 2.0
         profile = JunctionProfile(
@@ -159,20 +179,12 @@ class CNTTunnelFET:
             delta_ev=u_n - u_channel,
             lambda_nm=self.screening_length_nm,
         )
-        window_lo, window_hi = profile.tunnel_window_ev()
-        if window_lo >= window_hi:
-            return 0.0
-        energies_local = np.linspace(window_lo, window_hi, 161)
-        transmission = junction_btbt_transmission(profile, energies_local)
-        energies_abs = energies_local + u_channel
-        occ_p = fermi_dirac(energies_abs, 0.0, self.temperature_k)
-        occ_n = fermi_dirac(energies_abs, v_diode, self.temperature_k)
-        integral_ev = float(
-            np.trapezoid(transmission * (occ_p - occ_n), energies_local)
+        integral_ev = junction_btbt_integral_ev(
+            profile, -u_channel, v_diode - u_channel, self.temperature_k
         )
         return -4.0 * Q * Q / H * integral_ev
 
-    def assisted_current_a(self, v_gate: float, v_diode: float) -> float:
+    def assisted_current_a(self, v_gate, v_diode) -> np.ndarray:
         """Band-tail (phonon/trap) assisted tunneling current [A].
 
         Uses the analytic uniform-field two-band WKB transmission at the
@@ -183,37 +195,52 @@ class CNTTunnelFET:
         overlap = self.band_overlap_ev(v_gate, v_diode)
         field = self.junction_field_v_per_m(v_gate, v_diode)
         transmission = wkb_transmission_uniform_field(self.gap_ev, field, VFERMI)
-        activation = math.exp(min(overlap, 0.0) / self.urbach_ev)
+        activation = np.exp(np.minimum(overlap, 0.0) / self.urbach_ev)
         # Thermal occupancy asymmetry of the two reservoirs at the window
         # edge: full for a wide split, -> 0 as v_diode -> 0.
-        split = 1.0 - math.exp(-abs(v_diode) / self._kt)
+        split = 1.0 - np.exp(-np.abs(v_diode) / self._kt)
         magnitude = (
             4.0 * Q * Q / H * transmission * self.urbach_ev * activation * split
         )
         # Same sign as the bias: negative (n -> p electron deficit) in
         # reverse, positive Esaki-like addition in forward.
-        return math.copysign(magnitude, v_diode)
+        return np.copysign(magnitude, v_diode)
 
-    def diode_current_a(self, v_diode: float) -> float:
+    def diode_current_a(self, v_diode):
         """Thermionic PN-diode component [A]: I_s (exp(V/n vT) - 1), n ~ 1.2."""
         ideality = 1.2
-        exponent = v_diode / (ideality * self._kt)
-        return self.diode_saturation_a * (math.exp(min(exponent, 60.0)) - 1.0)
+        exponent = np.asarray(v_diode, dtype=float) / (ideality * self._kt)
+        return self.diode_saturation_a * (np.exp(np.minimum(exponent, 60.0)) - 1.0)
 
-    def current(self, v_gate: float, v_diode: float) -> float:
-        """Total terminal current [A] (diode convention: forward positive)."""
+    def currents(self, v_gate, v_diode) -> np.ndarray:
+        """Total terminal current [A] at every (broadcast) bias pair.
+
+        The one array kernel: diode, direct BTBT and assisted components
+        each evaluated once over all biases.  Each element depends only on
+        its own bias, so any sub-array gives the same bits.
+        """
+        v_gate, v_diode = np.broadcast_arrays(
+            np.asarray(v_gate, dtype=float), np.asarray(v_diode, dtype=float)
+        )
+        _require_finite("v_gate", v_gate)
+        _require_finite("v_diode", v_diode)
         return (
             self.diode_current_a(v_diode)
             + self.btbt_current_a(v_gate, v_diode)
             + self.assisted_current_a(v_gate, v_diode)
         )
 
+    def current(self, v_gate: float, v_diode: float) -> float:
+        """Total terminal current [A] (diode convention: forward positive).
+
+        The one-point case of :meth:`currents`.
+        """
+        return float(self.currents(np.array([v_gate], dtype=float), v_diode)[0])
+
     # -- figures of merit -------------------------------------------------------
     def transfer_curve(self, v_gate_values, v_diode: float) -> np.ndarray:
         """|I|(V_G) at fixed diode bias [A]."""
-        return np.array(
-            [abs(self.current(float(vg), v_diode)) for vg in np.asarray(v_gate_values)]
-        )
+        return np.abs(self.currents(v_gate_values, v_diode))
 
     def subthreshold_swing_mv_per_decade(
         self,

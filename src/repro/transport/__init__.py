@@ -5,7 +5,7 @@ from repro.transport.landauer import subband_ballistic_current
 from repro.transport.scattering import MeanFreePath, ballisticity
 from repro.transport.tunneling import (
     JunctionProfile,
-    imaginary_dispersion_per_m,
+    junction_btbt_integral_ev,
     junction_btbt_transmission,
     wkb_transmission_uniform_field,
 )
@@ -16,7 +16,7 @@ __all__ = [
     "MeanFreePath",
     "TopOfBarrierSolver",
     "ballisticity",
-    "imaginary_dispersion_per_m",
+    "junction_btbt_integral_ev",
     "junction_btbt_transmission",
     "subband_ballistic_current",
     "wkb_transmission_uniform_field",

@@ -1,5 +1,7 @@
 """CNT tunnel FET: band alignment, turn-on, paper's Fig. 6 anchors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,27 @@ class TestConstruction:
     def test_rejects_bad_urbach(self, chirality_056):
         with pytest.raises(ValueError):
             CNTTunnelFET(chirality_056, urbach_ev=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("t_ox_nm", math.nan),
+            ("t_ox_nm", math.inf),
+            ("eps_ox", math.nan),
+            ("eps_channel", math.inf),
+            ("gate_efficiency", math.nan),
+            ("urbach_ev", math.inf),
+            ("urbach_ev", math.nan),
+            ("temperature_k", math.nan),
+            ("n_degeneracy_ev", math.nan),
+            ("p_degeneracy_ev", -math.inf),
+            ("flatband_v", math.nan),
+            ("diode_saturation_a", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_parameter(self, chirality_056, name, value):
+        with pytest.raises(ValueError, match=name):
+            CNTTunnelFET(chirality_056, **{name: value})
 
     def test_screening_length_scales_with_oxide(self, chirality_056):
         thin = CNTTunnelFET(chirality_056, t_ox_nm=2.0)
@@ -44,6 +67,41 @@ class TestBandAlignment:
         assert reference_tfet.band_overlap_ev(-1.5, -0.5) > reference_tfet.band_overlap_ev(
             -0.5, -0.5
         )
+
+
+class TestArrayKernel:
+    def test_one_point_current_is_the_kernel_element_bitwise(self, reference_tfet):
+        # 201 biases: more than one block of the BTBT integral's batches.
+        v_gate = np.linspace(-2.0, 1.0, 201)
+        for v_diode in (-0.5, 0.0, 0.4):
+            curve = reference_tfet.currents(v_gate, v_diode)
+            points = [reference_tfet.current(float(v), v_diode) for v in v_gate]
+            np.testing.assert_array_equal(curve, points)
+
+    def test_transfer_curve_is_one_kernel_call(self, reference_tfet, monkeypatch):
+        calls = []
+        kernel = reference_tfet.currents
+        monkeypatch.setattr(
+            reference_tfet, "currents", lambda *a: calls.append(a) or kernel(*a)
+        )
+        reference_tfet.transfer_curve(np.linspace(-2.0, 1.0, 11), -0.5)
+        reference_tfet.subthreshold_swing_mv_per_decade(n_points=41)
+        assert len(calls) == 2
+
+    def test_broadcasts_gate_against_diode_bias(self, reference_tfet):
+        grid = reference_tfet.currents(np.array([-2.0, -1.0])[:, None], np.array([-0.5, 0.4]))
+        assert grid.shape == (2, 2)
+        assert grid[1, 0] == reference_tfet.current(-1.0, -0.5)
+
+    @pytest.mark.parametrize(
+        "v_gate, v_diode, name",
+        [(math.nan, -0.5, "v_gate"), (-2.0, math.inf, "v_diode"), ([-2.0, math.nan], -0.5, "v_gate")],
+    )
+    def test_rejects_non_finite_bias(self, reference_tfet, v_gate, v_diode, name):
+        with pytest.raises(ValueError, match=name):
+            reference_tfet.currents(v_gate, v_diode)
+        with pytest.raises(ValueError, match=name):
+            reference_tfet.current(np.atleast_1d(v_gate)[-1], v_diode)
 
 
 class TestReverseTurnOn:

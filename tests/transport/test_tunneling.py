@@ -1,4 +1,8 @@
-"""Two-band tunneling: imaginary dispersion, WKB, junction profiles."""
+"""Two-band tunneling: imaginary dispersion, WKB, junction profiles.
+
+The exact transmission and the energy rule are checked against the
+adaptive-quadrature references of ``tunneling_oracle``.
+"""
 
 import math
 
@@ -6,35 +10,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.devices.tfet import CNTTunnelFET
+from repro.physics.cnt import chirality_for_gap
 from repro.physics.constants import HBAR, Q, VFERMI
 from repro.transport.tunneling import (
     JunctionProfile,
-    imaginary_dispersion_per_m,
+    junction_btbt_integral_ev,
     junction_btbt_transmission,
     wkb_transmission_uniform_field,
 )
+from tunneling_oracle import (
+    imaginary_dispersion_per_m,
+    kappa_per_nm,
+    midgap_ev,
+    quad_btbt_current_a,
+    quad_transmission,
+    quad_window_integral_ev,
+)
 
-
-def loop_btbt_transmission(profile, energy_ev, fermi_velocity=VFERMI, n_points=400):
-    """Oracle: WKB transmission one energy at a time (the original loop).
-
-    The action integral is summed per energy; the exponential is numpy's,
-    as in production (``math.exp`` differs from it in the last ulp).
-    """
-    energy_ev = np.atleast_1d(np.asarray(energy_ev, dtype=float))
-    lo, hi = profile.tunnel_window_ev()
-    span = 12.0 * profile.lambda_nm
-    x_nm = np.linspace(-span, span, n_points)
-    midgap = profile.midgap_ev(x_nm)
-    dx_m = (x_nm[1] - x_nm[0]) * 1e-9
-    transmission = np.zeros_like(energy_ev)
-    for i, energy in enumerate(energy_ev):
-        if not lo < energy < hi:
-            continue
-        kappa = imaginary_dispersion_per_m(energy - midgap, profile.gap_ev, fermi_velocity)
-        transmission[i] = np.exp(-2.0 * float(np.sum(kappa) * dx_m))
-    return transmission
-
+# Measured worst relative errors against the oracle, with margin: T(E)
+# (closed-form action) and the energy rule over the tunnel window.
+TRANSMISSION_RTOL = 1e-10
+CURRENT_RTOL = 1e-8
 
 class TestImaginaryDispersion:
     def test_maximum_at_midgap(self):
@@ -101,9 +98,9 @@ class TestUniformFieldWKB:
 class TestJunctionProfile:
     def test_midgap_limits(self):
         profile = JunctionProfile(gap_ev=0.56, delta_ev=-0.8, lambda_nm=3.0)
-        assert profile.midgap_ev(-50.0) == pytest.approx(0.0, abs=1e-6)
-        assert profile.midgap_ev(50.0) == pytest.approx(-0.8, abs=1e-6)
-        assert profile.midgap_ev(0.0) == pytest.approx(-0.4)
+        assert midgap_ev(profile, -50.0) == pytest.approx(0.0, abs=1e-6)
+        assert midgap_ev(profile, 50.0) == pytest.approx(-0.8, abs=1e-6)
+        assert midgap_ev(profile, 0.0) == pytest.approx(-0.4)
 
     def test_window_closed_before_breakover(self):
         profile = JunctionProfile(gap_ev=0.56, delta_ev=-0.4, lambda_nm=3.0)
@@ -120,6 +117,23 @@ class TestJunctionProfile:
             JunctionProfile(gap_ev=0.0, delta_ev=-0.5, lambda_nm=3.0)
         with pytest.raises(ValueError):
             JunctionProfile(gap_ev=0.5, delta_ev=-0.5, lambda_nm=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gap_ev", math.nan),
+            ("gap_ev", math.inf),
+            ("lambda_nm", math.nan),
+            ("lambda_nm", math.inf),
+            ("delta_ev", math.nan),
+            ("delta_ev", -math.inf),
+            ("delta_ev", np.array([-1.0, math.nan])),
+        ],
+    )
+    def test_rejects_non_finite(self, field, value):
+        fields = {"gap_ev": 0.56, "delta_ev": -0.9, "lambda_nm": 3.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            JunctionProfile(**fields)
 
 
 class TestJunctionTransmission:
@@ -151,20 +165,113 @@ class TestJunctionTransmission:
         assert t.shape == (7,)
         assert np.all((t >= 0.0) & (t <= 1.0))
 
+    def test_rejects_non_finite_energy(self):
+        profile = JunctionProfile(gap_ev=0.56, delta_ev=-0.9, lambda_nm=3.0)
+        with pytest.raises(ValueError, match="energy_ev"):
+            junction_btbt_transmission(profile, [-0.4, math.nan])
+
+    def test_profile_array_broadcasts_against_energies(self):
+        deltas = np.array([-0.9, -1.3, -2.2])
+        energies = np.linspace(-0.5, -0.3, 5)
+        batched = junction_btbt_transmission(
+            JunctionProfile(0.56, deltas[:, None], 3.0), energies
+        )
+        for row, delta in zip(batched, deltas):
+            np.testing.assert_array_equal(
+                row, junction_btbt_transmission(JunctionProfile(0.56, delta, 3.0), energies)
+            )
+
     @given(
-        st.floats(0.2, 1.2),
-        st.floats(-2.5, 0.0),
-        st.floats(0.5, 10.0),
-        st.integers(1, 40),
-        st.integers(50, 500),
+        gap=st.floats(0.2, 1.2),
+        # Just past breakover (the window's two edges nearly meet, and the
+        # channel-side action's c sits at h) up to a wide-open window.
+        excess=st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 2.5)),
+        lam=st.floats(0.5, 10.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_vectorised_matches_loop_oracle(self, gap, delta, lam, n_energies, n_points):
-        profile = JunctionProfile(gap_ev=gap, delta_ev=delta, lambda_nm=lam)
+    def test_matches_quad_oracle(self, gap, excess, lam):
+        profile = JunctionProfile(gap_ev=gap, delta_ev=-gap - excess, lambda_nm=lam)
         lo, hi = profile.tunnel_window_ev()
-        # Straddle the window so in- and out-of-window energies both occur.
-        energies = np.linspace(min(lo, hi) - 0.1, max(lo, hi) + 0.1, n_energies)
-        got = np.atleast_1d(junction_btbt_transmission(profile, energies, n_points=n_points))
-        np.testing.assert_array_equal(
-            got, loop_btbt_transmission(profile, energies, n_points=n_points)
+        # Across the window, including within 1e-12 of it from both edges.
+        fractions = np.array([1e-12, 1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1 - 1e-6, 1 - 1e-12])
+        energies = lo + (hi - lo) * fractions
+        energies = energies[(lo < energies) & (energies < hi)]
+        expected = np.array([quad_transmission(profile, e) for e in energies])
+        np.testing.assert_allclose(
+            junction_btbt_transmission(profile, energies), expected, rtol=TRANSMISSION_RTOL
         )
+
+
+class TestOracleHelpers:
+    @pytest.mark.parametrize("x_nm", [-30.0, -3.0, -0.2, 0.0, 0.4, 2.0, 25.0])
+    def test_scalar_kappa_matches_array_helpers(self, x_nm):
+        profile = JunctionProfile(gap_ev=0.56, delta_ev=-1.1, lambda_nm=2.8)
+        energy = -0.45
+        expected = imaginary_dispersion_per_m(
+            energy - midgap_ev(profile, x_nm), profile.gap_ev
+        ) * 1e-9
+        assert kappa_per_nm(x_nm, profile, energy) == pytest.approx(float(expected), rel=1e-13)
+
+
+class TestWindowIntegral:
+    def test_closed_window_is_exactly_zero(self):
+        profile = JunctionProfile(gap_ev=0.56, delta_ev=np.array([-0.3, -0.56]), lambda_nm=3.0)
+        np.testing.assert_array_equal(junction_btbt_integral_ev(profile, 0.0, -0.5), [0.0, 0.0])
+
+    def test_equal_reservoirs_carry_no_current(self):
+        profile = JunctionProfile(gap_ev=0.56, delta_ev=-1.4, lambda_nm=3.0)
+        assert junction_btbt_integral_ev(profile, -0.8, -0.8) == 0.0
+
+    @pytest.mark.parametrize("name", ["mu_source_ev", "mu_channel_ev"])
+    def test_rejects_non_finite_fermi_level(self, name):
+        profile = JunctionProfile(gap_ev=0.56, delta_ev=-1.4, lambda_nm=3.0)
+        levels = {"mu_source_ev": -0.8, "mu_channel_ev": -1.0, name: math.nan}
+        with pytest.raises(ValueError, match=name):
+            junction_btbt_integral_ev(profile, **levels)
+
+    @given(
+        gap=st.floats(0.3, 1.0),
+        excess=st.one_of(st.floats(1e-6, 1e-2), st.floats(1e-2, 2.0)),
+        lam=st.floats(1.0, 10.0),
+        degeneracy=st.floats(0.0, 0.15),
+        v_diode=st.floats(-0.8, 0.6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_energy_rule_matches_quad(self, gap, excess, lam, degeneracy, v_diode):
+        # The tunnel FET's placement of the Fermi levels: the channel's sits
+        # `degeneracy` above its conduction edge, the source's `v_diode` below.
+        delta = -gap - excess
+        mu_channel = delta + gap / 2 + degeneracy
+        profile = JunctionProfile(gap_ev=gap, delta_ev=delta, lambda_nm=lam)
+        expected = quad_window_integral_ev(
+            profile, mu_channel - v_diode, mu_channel, 300.0, junction_btbt_transmission
+        )
+        got = junction_btbt_integral_ev(profile, mu_channel - v_diode, mu_channel)
+        assert float(got) == pytest.approx(expected, rel=CURRENT_RTOL, abs=1e-300)
+
+
+_FIG6 = CNTTunnelFET(chirality_for_gap(0.56))
+# The same tube with lambda = 6 nm (lambda^2 grows with t_ox).
+_WIDE = CNTTunnelFET(
+    chirality_for_gap(0.56), t_ox_nm=10.0 * (6.0 / _FIG6.screening_length_nm) ** 2
+)
+_BIASES = [(float(v), -0.5) for v in np.linspace(-2.0, 0.15, 10)] + [(-2.0, 0.4), (-1.0, 0.4)]
+
+
+class TestCurrentOracle:
+    """The tunnel FET's BTBT current against the nested-quad oracle.
+
+    Ten reverse biases span fig6's open window (it opens near V_G = 0.2 V),
+    plus two forward ones; at the fig6 tube's lambda and at lambda = 6 nm.
+    """
+
+    def test_wide_device_has_six_nm_screening_length(self):
+        assert _WIDE.screening_length_nm == pytest.approx(6.0, rel=1e-12)
+
+    @pytest.mark.parametrize("device", [_FIG6, _WIDE], ids=["fig6", "lambda6nm"])
+    @pytest.mark.parametrize("v_gate, v_diode", _BIASES)
+    def test_btbt_current_matches_quad_oracle(self, device, v_gate, v_diode):
+        expected = quad_btbt_current_a(device, v_gate, v_diode)
+        assert expected != 0.0
+        got = float(device.btbt_current_a(np.array([v_gate]), v_diode)[0])
+        assert got == pytest.approx(expected, rel=CURRENT_RTOL)
