@@ -264,6 +264,25 @@ def bench_btbt_transfer_curve(repeat: int) -> dict:
     }
 
 
+def bench_vtc_sweep(repeat: int) -> dict:
+    from conftest import scaling_vtc_cases
+    from repro.circuit.dc import dc_sweep
+
+    cases = scaling_vtc_cases()
+
+    def run() -> None:
+        for _, circuit, values in cases:
+            dc_sweep(circuit, "VIN", values)
+
+    run()  # fills the CNT table cells the sweeps read
+    seconds = _timed(run, repeat)
+    return {
+        "case": "vtc_sweep",
+        "detail": "scaling's 6 inverter VTCs (CNT table + Si trigate at 0.4/0.5/1.0 V), 161 points each, table warm",
+        "seconds": seconds,
+    }
+
+
 def bench_cli_startup(repeat: int) -> dict:
     import subprocess
 
@@ -318,6 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             bench_fabric_density,
             bench_contact_transfer_curve,
             bench_btbt_transfer_curve,
+            bench_vtc_sweep,
             bench_cli_startup,
             bench_contract_lint,
         )

@@ -730,6 +730,7 @@ class StampPlan:
         gmin: float | np.ndarray = 0.0,
         gmin_ref: np.ndarray | None = None,
         variation: FETVariation | None = None,
+        source_levels: np.ndarray | None = None,
     ):
         """Residuals ``(m, size)`` and Jacobians at a stack of iterates.
 
@@ -751,14 +752,18 @@ class StampPlan:
         ``(size,)`` or per row ``(m, size)``.  ``variation`` (a
         :class:`~repro.circuit.sweep.FETVariation` with ``m`` rows)
         scales each FET's current and shifts its n-type threshold.
+        ``source_levels`` ``(m, n_vsources)`` gives each row its own
+        voltage-source levels, in ``vsources`` order, in place of the
+        waveforms' levels at ``time_s`` (a DC sweep's rows).
 
         Every step is elementwise per row — a batched gemv (CSR
         column-wise matvecs for sparse plans), per-row scatters,
         elementwise device math on flat ``(m * count,)`` biases — so
         each row is bitwise independent of its neighbours: the root of
         the sweep engines' chunking/order/pool invariance.  The one
-        exception is a one-row dense stack without variation, whose
-        small FET groups take :meth:`_FETGroup.stamp_points`.
+        exception is a one-row dense stack without per-row arguments
+        (``variation``, ``source_levels``), whose small FET groups take
+        :meth:`_FETGroup.stamp_points`.
         """
         x_stack = np.asarray(x_stack, dtype=float)
         m = x_stack.shape[0]
@@ -791,7 +796,9 @@ class StampPlan:
             np.matmul(linear.matrix, x_stack[..., None], out=rpad[:, :size, None])
         rflat = rpad.reshape(-1)
         if self.vsrc_branch.size:
-            levels = np.array([el.level(time_s) for el in self.vsources])
+            levels = source_levels
+            if levels is None:
+                levels = np.array([el.level(time_s) for el in self.vsources])
             rflat[layout.sources[0]] -= _per_row(levels, m)
         if self.isrc_p.size:
             levels = np.array([el.level(time_s) for el in self.isources])
@@ -821,7 +828,11 @@ class StampPlan:
         jac = np.empty((m, *base.shape))
         jac[:] = base
         jflat = jac.reshape(-1)
-        points = m == 1 and variation is None and schedule is None
+        # Rows with per-row arguments stay on the array path, so a
+        # row's arithmetic never depends on how many rows it rides with.
+        points = (
+            m == 1 and variation is None and source_levels is None and schedule is None
+        )
         groups = zip(self.fet_groups, layout.groups)
         for i, (group, (gather, sign)) in enumerate(groups):
             if points and group.use_points:

@@ -65,7 +65,9 @@ def inverter_vtc(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Voltage transfer curve of the inverter: (v_in, v_out, i_supply).
 
-    Runs a continuation DC sweep of the input source; the supply current
+    Sweeps the input source with :func:`~repro.circuit.dc.dc_sweep` (every
+    point an independent row of one Newton stack, polished to machine
+    precision); the supply current
     trace exposes the short-circuit ("burn dc power from VDD to ground")
     behaviour the paper highlights for non-saturating devices.
     """

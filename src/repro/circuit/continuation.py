@@ -149,16 +149,23 @@ class ConvergenceError(CircuitError):
         self.report = report
 
 
-def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarray:
+def structural_seed(
+    system: MNASystem,
+    time_s: float | None = None,
+    levels: np.ndarray | None = None,
+) -> np.ndarray:
     """Logic-aware initial guess: propagate rail values through the netlist.
 
-    Nodes pinned by voltage sources (evaluated at ``time_s``, or their DC
-    level when ``None``) seed the propagation; FETs whose gate drive
-    exceeds :data:`_SEED_ON_FRACTION` of the rail span act as closed
-    switches copying the source rail onto an undriven drain, and
-    resistors copy a known voltage onto an unknown neighbour.  Nodes the
-    propagation cannot reach settle at mid-rail; branch currents start
-    at zero.
+    Nodes pinned by voltage sources (at their waveforms' levels at
+    ``time_s``, or their DC levels when ``None``) seed the propagation;
+    FETs whose gate drive exceeds :data:`_SEED_ON_FRACTION` of the rail
+    span act as closed switches copying the source rail onto an
+    undriven drain, and resistors copy a known voltage onto an unknown
+    neighbour.  Nodes the propagation cannot reach settle at mid-rail;
+    branch currents start at zero.  ``levels`` replaces the waveforms: ``(n_vsources,)``
+    source levels in circuit order give one seed, and an ``(m,
+    n_vsources)`` stack of them (a DC sweep's rows) gives ``(m, size)``
+    seeds, each the seed of its row alone.
 
     Rules fire in priority order — voltage sources (exact) > FET
     switches > resistor wires (both heuristic).  Sources are pinned to
@@ -167,19 +174,12 @@ def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarra
     the first eligible resistor), and the sources are pinned again
     after each one: a source whose terminals only become known through
     propagation is still pinned exactly, never left at mid-rail.  A
-    worklist drives this — a node → element adjacency built once, and a
-    min-index heap per rule class fed only by the elements a newly
-    known node touches — so a netlist of N nodes and E elements seeds
-    in O((N + E) log E).
+    worklist drives this — a node → element adjacency built once per
+    call, and a min-index heap per rule class fed only by the elements
+    a newly known node touches — so a netlist of N nodes and E elements
+    seeds in O((N + E) log E).
     """
     circuit = system.circuit
-    known: dict[str, float] = {}
-
-    def get(node: str) -> float | None:
-        if node in GROUND_NAMES:
-            return 0.0
-        return known.get(node)
-
     vsources = [el for el in circuit.elements if isinstance(el, VoltageSource)]
     fets = [el for el in circuit.elements if isinstance(el, FET)]
     resistors = [el for el in circuit.elements if isinstance(el, Resistor)]
@@ -195,90 +195,107 @@ def structural_seed(system: MNASystem, time_s: float | None = None) -> np.ndarra
     for i, el in enumerate(resistors):
         for node in (el.p, el.n):
             resistor_at.setdefault(node, []).append(i)
-
-    # One min-index heap per rule class, fed by the elements a newly
-    # known node touches; every entry is re-checked when popped.
-    # Sources need no sweep order: build_system rejects source loops,
-    # so they form a forest, and the first known node of a tree fixes
-    # every other node's value along its one path from that node.
-    source_heap = list(range(len(vsources)))  # sorted, so already a heap
-    fet_heap: list[int] = []
-    resistor_heap: list[int] = []
     signs = [_unwrap_polarity(el.device)[1] for el in fets]
-    threshold = np.inf  # no FET switches until the exact rails are pinned
+    columns = [system.node_index(node) for node in circuit.node_names]
 
-    def fet_ready(i: int) -> bool:
-        el = fets[i]
-        vg, vs = get(el.gate), get(el.source)
-        if vg is None or vs is None:
-            return False
-        return signs[i] * (vg - vs) >= threshold
+    def seed(row: list[float]) -> np.ndarray:
+        """The seed at source levels ``row``."""
+        known: dict[str, float] = {}
 
-    def put(node: str, value: float) -> None:
-        known[node] = float(value)
-        for i in source_at.get(node, ()):
-            heappush(source_heap, i)
-        for i in fet_at.get(node, ()):
-            if fet_ready(i):
-                heappush(fet_heap, i)
-        for i in resistor_at.get(node, ()):
-            heappush(resistor_heap, i)
+        def get(node: str) -> float | None:
+            if node in GROUND_NAMES:
+                return 0.0
+            return known.get(node)
 
-    def pin_sources() -> None:
-        """Pin every node a source fixes from a known terminal."""
-        while source_heap:
-            el = vsources[heappop(source_heap)]
-            vp, vn = get(el.p), get(el.n)
-            if vp is None and vn is not None:
-                put(el.p, vn + el.level(time_s))
-            elif vn is None and vp is not None:
-                put(el.n, vp - el.level(time_s))
+        # One min-index heap per rule class, fed by the elements a newly
+        # known node touches; every entry is re-checked when popped.
+        # Sources need no sweep order: build_system rejects source loops,
+        # so they form a forest, and the first known node of a tree fixes
+        # every other node's value along its one path from that node.
+        source_heap = list(range(len(vsources)))  # sorted, so already a heap
+        fet_heap: list[int] = []
+        resistor_heap: list[int] = []
+        threshold = np.inf  # no FET switches until the exact rails are pinned
 
-    def switch() -> tuple[str, float] | None:
-        """The first FET in element order that closes onto an unknown drain."""
-        while fet_heap:
-            el = fets[heappop(fet_heap)]
-            vs = get(el.source)
-            if vs is not None and get(el.drain) is None:
-                return el.drain, vs
-        return None
+        def fet_ready(i: int) -> bool:
+            el = fets[i]
+            vg, vs = get(el.gate), get(el.source)
+            if vg is None or vs is None:
+                return False
+            return signs[i] * (vg - vs) >= threshold
 
-    def wire() -> tuple[str, float] | None:
-        """The first resistor in element order with one known terminal."""
-        while resistor_heap:
-            el = resistors[heappop(resistor_heap)]
-            vp, vn = get(el.p), get(el.n)
-            if vp is None and vn is not None:
-                return el.p, vn
-            if vn is None and vp is not None:
-                return el.n, vp
-        return None
+        def put(node: str, value: float) -> None:
+            known[node] = float(value)
+            for i in source_at.get(node, ()):
+                heappush(source_heap, i)
+            for i in fet_at.get(node, ()):
+                if fet_ready(i):
+                    heappush(fet_heap, i)
+            for i in resistor_at.get(node, ()):
+                heappush(resistor_heap, i)
 
-    pin_sources()
-    rails = [0.0, *known.values()]
-    v_lo, v_hi = min(rails), max(rails)
-    span = v_hi - v_lo
+        def pin_sources() -> None:
+            """Pin every node a source fixes from a known terminal."""
+            while source_heap:
+                i = heappop(source_heap)
+                el = vsources[i]
+                vp, vn = get(el.p), get(el.n)
+                if vp is None and vn is not None:
+                    put(el.p, vn + row[i])
+                elif vn is None and vp is not None:
+                    put(el.n, vp - row[i])
 
-    x = np.zeros(system.size)
-    if span <= 0.0:
-        for node, value in known.items():
-            x[system.node_index(node)] = value
+        def switch() -> tuple[str, float] | None:
+            """The first FET in element order that closes onto an unknown drain."""
+            while fet_heap:
+                el = fets[heappop(fet_heap)]
+                vs = get(el.source)
+                if vs is not None and get(el.drain) is None:
+                    return el.drain, vs
+            return None
+
+        def wire() -> tuple[str, float] | None:
+            """The first resistor in element order with one known terminal."""
+            while resistor_heap:
+                el = resistors[heappop(resistor_heap)]
+                vp, vn = get(el.p), get(el.n)
+                if vp is None and vn is not None:
+                    return el.p, vn
+                if vn is None and vp is not None:
+                    return el.n, vp
+            return None
+
+        pin_sources()
+        rails = [0.0, *known.values()]
+        v_lo, v_hi = min(rails), max(rails)
+        span = v_hi - v_lo
+
+        x = np.zeros(system.size)
+        if span <= 0.0:
+            for node, value in known.items():
+                x[system.node_index(node)] = value
+            return x
+
+        threshold = _SEED_ON_FRACTION * span
+        fet_heap = [i for i in range(len(fets)) if fet_ready(i)]
+        resistor_heap = list(range(len(resistors)))
+        while True:
+            pin_sources()
+            step = switch() or wire()
+            if step is None:
+                break
+            put(*step)
+
+        mid = v_lo + 0.5 * span
+        x[columns] = [known.get(node, mid) for node in circuit.node_names]
         return x
 
-    threshold = _SEED_ON_FRACTION * span
-    fet_heap = [i for i in range(len(fets)) if fet_ready(i)]
-    resistor_heap = list(range(len(resistors)))
-    while True:
-        pin_sources()
-        step = switch() or wire()
-        if step is None:
-            break
-        put(*step)
-
-    mid = v_lo + 0.5 * span
-    for node in circuit.node_names:
-        x[system.node_index(node)] = known.get(node, mid)
-    return x
+    if levels is None:
+        return seed([el.level(time_s) for el in vsources])
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim == 1:
+        return seed(levels.tolist())
+    return np.array([seed(row) for row in levels.tolist()])
 
 
 class _Attempt(NamedTuple):

@@ -4,10 +4,12 @@
 on an ``(m, size)`` stack of iterates: :func:`newton_solve` is its
 one-row call, and the continuation ladder
 (:func:`repro.circuit.continuation.ladder_many`) and the time-step loop
-(:mod:`repro.circuit.transient`) call it with one row per instance.
-Convergence is a single relative+absolute test on the max-norm
-residual — the same criterion at the main exit, on step stall and at
-iteration exhaustion, so "converged" means one thing everywhere.
+(:mod:`repro.circuit.transient`) call it with one row per instance;
+:func:`settle_many` follows it with a polish to machine precision for
+the DC sweep's rows.  Convergence is a single relative+absolute test
+on the max-norm residual — the same criterion at the main exit, on
+step stall and at iteration exhaustion, so "converged" means one thing
+everywhere.
 The line search halves the damping: each round evaluates one
 candidate per pending row in one
 :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` call and
@@ -47,6 +49,7 @@ __all__ = [
     "newton_many",
     "newton_solve",
     "operating_point",
+    "settle_many",
     "solve_dc",
     "take_rows",
 ]
@@ -56,6 +59,9 @@ _RESIDUAL_ATOL = 1e-10
 _RESIDUAL_RTOL = 1e-9
 _STEP_TOL = 1e-10
 _MAX_TRIALS = 30
+# Cap on settle_many's polish steps: from the damped loop's stopping
+# point, quadratic convergence reaches the rounding floor in ~3.
+_MAX_POLISH_STEPS = 8
 
 # The scipy modules of the names :func:`__getattr__` binds on first access.
 _SCIPY = {"dgesv": "scipy.linalg.lapack", "splu": "scipy.sparse.linalg"}
@@ -77,7 +83,9 @@ def __getattr__(name: str):
 
 # Evaluation keywords that may carry one value per row, by the ndim
 # of their per-row form (shared values have one dimension less).
-_ROW_NDIM = {"previous_x": 2, "state": 2, "gmin_ref": 2, "gmin": 1}
+_ROW_NDIM = {
+    "previous_x": 2, "state": 2, "gmin_ref": 2, "gmin": 1, "source_levels": 2
+}
 
 
 class NewtonRows(NamedTuple):
@@ -93,8 +101,8 @@ def take_rows(eval_kwargs: dict, rows: np.ndarray) -> dict:
     """The evaluation keywords of stack rows ``rows``.
 
     ``variation`` and the per-row arrays (``previous_x``, ``state``,
-    ``gmin_ref``, ``gmin``) are narrowed to ``rows``; shared values
-    pass through.
+    ``gmin_ref``, ``gmin``, ``source_levels``) are narrowed to
+    ``rows``; shared values pass through.
     """
     kwargs = dict(eval_kwargs)
     for key, value in eval_kwargs.items():
@@ -157,7 +165,8 @@ def newton_many(
     ``eval_kwargs`` follow
     :meth:`~repro.circuit.assembly.StampPlan.evaluate_many`:
     ``previous_x``/``gmin_ref`` ``(m, size)``, ``state`` ``(m,
-    n_caps)`` and ``gmin`` ``(m,)`` are per row, like
+    n_caps)``, ``gmin`` ``(m,)`` and ``source_levels`` ``(m,
+    n_vsources)`` (each row's voltage-source levels) are per row, like
     ``variation`` (a :class:`~repro.circuit.sweep.FETVariation` with
     ``m`` rows); :func:`take_rows` narrows them.  Every
     step is elementwise per row, so a row's result does not depend on
@@ -165,6 +174,50 @@ def newton_many(
     ``np.linalg.solve`` call as a stack (the chunk-size suites hold the
     two bitwise equal).
     """
+    return _newton(plan, x0, max_iterations, eval_kwargs)[0]
+
+
+def settle_many(plan, x0: np.ndarray, **eval_kwargs) -> NewtonRows:
+    """:func:`newton_many`, then polish every converged row to machine precision.
+
+    The damped loop stops at ``norm <= _RESIDUAL_ATOL + _RESIDUAL_RTOL *
+    norm0``; near a high-gain point that residual can be a large voltage
+    error (~1e-3 V at the Si trigate inverter's switching point at
+    0.4 V), so where a row stops would depend on where it started.  Each converged row here keeps
+    taking full Newton steps while every step is smaller than the one
+    before, and stops, without taking it, at the first step that does
+    not shrink: the rounding floor, where the answer no longer depends
+    on ``x0``.  The polish runs on the converged rows as one stack,
+    each row leaving as it settles, and a polished row must still pass
+    the damped loop's residual test or it counts as unconverged.
+    ``iterations`` includes the polish steps; ``eval_kwargs`` follow
+    :func:`newton_many`, and so does the per-row independence.
+    """
+    rows, tolerance = _newton(plan, x0, _MAX_ITERATIONS, eval_kwargs)
+    x, iterations, norm = rows.x, rows.iterations, rows.norm
+    active = rows.converged.nonzero()[0]
+    last_step = np.full(x.shape[0], np.inf)
+    for n in range(_MAX_POLISH_STEPS + 1):
+        if not active.size:
+            break
+        residual, jacobian = plan.evaluate_many(
+            x[active], **take_rows(eval_kwargs, active)
+        )
+        norm[active] = np.abs(residual).max(axis=1)
+        if n == _MAX_POLISH_STEPS:
+            break
+        step = _solve_stack(plan, jacobian, residual)
+        step_norm = np.abs(step).max(axis=1)
+        shrinks = step_norm < last_step[active]  # False for a NaN step
+        active = active[shrinks]
+        x[active] += step[shrinks]
+        last_step[active] = step_norm[shrinks]
+        iterations[active] += 1
+    return NewtonRows(x, norm <= tolerance, iterations, norm)
+
+
+def _newton(plan, x0, max_iterations: int, eval_kwargs: dict):
+    """The damped loop of :func:`newton_many`; also returns each row's tolerance."""
     x_out = np.array(x0, dtype=float)
     m = x_out.shape[0]
     residual, jacobian = plan.evaluate_many(x_out, **eval_kwargs)
@@ -177,7 +230,7 @@ def newton_many(
     # The working set: input rows ``idx`` and their compacted state.
     idx = (norm_out > tolerance).nonzero()[0]
     if not idx.size:
-        return NewtonRows(x_out, norm_out <= tolerance, iterations, norm_out)
+        return NewtonRows(x_out, norm_out <= tolerance, iterations, norm_out), tolerance
     if idx.size == m:
         x, norm, tol = x_out.copy(), norm_out.copy(), tolerance
     else:
@@ -259,7 +312,7 @@ def newton_many(
     if idx.size:
         # Out of iterations: the stragglers leave unconverged.
         x_out[idx], norm_out[idx], iterations[idx] = x, norm, max_iterations
-    return NewtonRows(x_out, norm_out <= tolerance, iterations, norm_out)
+    return NewtonRows(x_out, norm_out <= tolerance, iterations, norm_out), tolerance
 
 
 def newton_solve(

@@ -11,6 +11,10 @@ Two kinds of reference live here:
   :mod:`repro.circuit.transient`, so the production loops are checked
   against something other than themselves (``test_solver.py``,
   ``test_march_oracle.py``).
+* :func:`sequential_sweep` — the DC sweep walked point by point, each
+  point continued from the previous one and polished to machine
+  precision over the reference evaluator: the reference of
+  :func:`~repro.circuit.dc.dc_sweep`'s stacked rows (``test_dc.py``).
 * :func:`fixpoint_seed` — the rescanning fixpoint form of the
   structural seeder, which the worklist
   :func:`~repro.circuit.continuation.structural_seed` must reproduce
@@ -53,6 +57,7 @@ from repro.circuit.sweep import (
     perturbed_circuit,
 )
 from repro.circuit.transient import transient_samples, validate_grid
+from repro.circuit.waveforms import DC
 
 
 def sequential_newton(system: MNASystem, x0, **eval_kwargs):
@@ -92,6 +97,54 @@ def sequential_newton(system: MNASystem, x0, **eval_kwargs):
         if float(np.max(np.abs(damping * step))) < _STEP_TOL:
             break
     return x, converged
+
+
+def polish(system: MNASystem, x, max_steps: int = 50):
+    """Oracle: full Newton steps over the reference evaluator while they shrink.
+
+    Stops at the first step that is not smaller than the one before,
+    without taking it: the rounding floor of the solution near ``x``.
+    """
+    x = np.array(x, dtype=float)
+    last = np.inf
+    for _ in range(max_steps):
+        residual, jacobian = system.evaluate_dense(x)
+        jacobian[np.diag_indices(system.size)] += DIAG_REGULARIZATION
+        step = np.linalg.solve(jacobian, -residual)
+        size = float(np.max(np.abs(step)))
+        if not size < last:
+            break
+        x, last = x + step, size
+    return x
+
+
+def sequential_sweep(circuit, source_name: str, values) -> np.ndarray:
+    """Oracle: a DC sweep walked in order, each point from the previous one.
+
+    The first point starts from the structural seed; each solve is
+    :func:`sequential_newton`, rescued by the continuation ladder where
+    it fails, then :func:`polish`-ed.  The swept source's waveform is
+    swapped per point and restored afterwards.  Returns ``(len(values),
+    size)`` samples.
+    """
+    system = circuit.build_system()
+    source = circuit.source(source_name)
+    original = source.waveform
+    samples = []
+    x = None
+    try:
+        for value in values:
+            source.waveform = DC(float(value))
+            start = structural_seed(system) if x is None else x
+            x, converged = sequential_newton(system, start)
+            if not converged:
+                x, report = solve_dc_robust(system, start)
+                assert report.converged, report.describe()
+            x = polish(system, x)
+            samples.append(x)
+    finally:
+        source.waveform = original
+    return np.array(samples)
 
 
 def sequential_march(

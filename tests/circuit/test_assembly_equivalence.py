@@ -218,7 +218,7 @@ def test_sparse_factor_uses_superlu_column_order(chain600_pencil, frequency_hz):
 
 
 def test_plan_reuses_across_waveform_mutation():
-    """dc_sweep-style waveform swaps are picked up by the compiled plan."""
+    """Waveform swaps between calls are picked up by the compiled plan."""
     circuit = inverter()
     system = circuit.build_system()
     source = next(el for el in circuit.elements if el.name == "VIN")
@@ -229,6 +229,25 @@ def test_plan_reuses_across_waveform_mutation():
         res_c = res_c.copy()
         res_d, _ = system.evaluate_dense(x)
         np.testing.assert_allclose(res_c, res_d, atol=ATOL, rtol=0.0)
+
+
+@pytest.mark.parametrize("build", [inverter, single_fet])
+def test_per_row_source_levels_match_swapped_waveforms(build):
+    """Row ``i`` of a ``source_levels`` stack is the reference evaluator
+    with every voltage source's waveform set to that row's levels."""
+    circuit = build()
+    system = circuit.build_system()
+    plan = system._plan
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, size=(4, system.size))
+    levels = rng.uniform(-0.2, 1.2, size=(4, len(plan.vsources)))
+    residual, jacobian = plan.evaluate_many(x, source_levels=levels)
+    for row, row_levels in enumerate(levels):
+        for source, level in zip(plan.vsources, row_levels):
+            source.waveform = DC(float(level))
+        res_d, jac_d = system.evaluate_dense(x[row])
+        np.testing.assert_allclose(residual[row], res_d, atol=ATOL, rtol=0.0)
+        np.testing.assert_allclose(jacobian[row], jac_d, atol=ATOL, rtol=0.0)
 
 
 def test_capacitor_state_update_matches_reference():

@@ -91,6 +91,11 @@ class TestFig2:
         assert fig2.metrics_sat.nm_low == pytest.approx(0.4, abs=0.08)
         assert fig2.metrics_sat.nm_high == pytest.approx(0.4, abs=0.08)
 
+    def test_symmetric_inverter_has_equal_noise_margins(self, fig2):
+        # Matched n/p devices mirror the VTC about (VDD/2, VDD/2), so the
+        # two margins agree to the sweep's solver precision.
+        assert fig2.metrics_sat.nm_low == pytest.approx(fig2.metrics_sat.nm_high, rel=1e-9)
+
     def test_non_saturating_gain_below_unity(self, fig2):
         # "The absolute gain of this inverter never exceeds unity"
         assert fig2.metrics_lin.max_abs_gain < 1.0
