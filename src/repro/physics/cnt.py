@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from repro.physics.bands import BandStructure1D, Subband
@@ -139,13 +140,17 @@ def _candidate_chiralities(n_max: int) -> Iterator[Chirality]:
             yield Chirality(n, m)
 
 
+@lru_cache(maxsize=64)
 def chirality_for_gap(
     target_gap_ev: float, gamma0_ev: float = GAMMA0_EV
 ) -> Chirality:
     """Semiconducting chirality whose band gap is closest to the target.
 
     The paper's Fig. 1 uses E_g = 0.56 eV; this helper picks the matching
-    tube (diameter ~ 2 a_cc gamma0 / E_g ~ 1.5 nm).
+    tube (diameter ~ 2 a_cc gamma0 / E_g ~ 1.5 nm).  Of tubes with equal
+    gaps it returns the one with the smallest ``m``.  Memoized (the last
+    64 targets): the result is a frozen :class:`Chirality`, and the
+    experiments ask for the same few gaps over and over.
     """
     if target_gap_ev <= 0.0:
         raise ValueError(f"target gap must be positive, got {target_gap_ev}")

@@ -51,10 +51,7 @@ class ArmchairGNR:
     ) -> list[float]:
         """Sorted conduction subband edges eps_p [eV above midgap]."""
         n = self.n_dimer
-        edges = sorted(
-            gamma0_ev * abs(1.0 + 2.0 * math.cos(p * math.pi / (n + 1)))
-            for p in range(1, n + 1)
-        )
+        edges = sorted(_edge_ev(n, p, gamma0_ev) for p in range(1, n + 1))
         if count is not None:
             if count < 1:
                 raise ValueError(f"count must be >= 1, got {count}")
@@ -62,8 +59,15 @@ class ArmchairGNR:
         return edges
 
     def bandgap_ev(self, gamma0_ev: float = GAMMA0_EV) -> float:
-        """Band gap E_g = 2 min_p eps_p [eV]; ~0 for the 3j+2 family."""
-        return 2.0 * self.subband_edges_ev(count=1, gamma0_ev=gamma0_ev)[0]
+        """Band gap E_g = 2 min_p eps_p [eV]; ~0 for the 3j+2 family.
+
+        eps_p falls to zero at theta_p = 2 pi / 3 and rises on either
+        side, so the lowest edge is one of the two p that bracket
+        2 (N + 1) / 3; no other edge is formed.
+        """
+        n = self.n_dimer
+        nearest = 2 * (n + 1) // 3
+        return 2.0 * min(_edge_ev(n, p, gamma0_ev) for p in (nearest, nearest + 1))
 
     def band_structure(
         self, n_subbands: int = 3, gamma0_ev: float = GAMMA0_EV
@@ -93,6 +97,11 @@ class ArmchairGNR:
     def __str__(self) -> str:
         kind = "semiconducting" if self.is_semiconducting else "quasi-metallic"
         return f"AGNR-{self.n_dimer} {kind} W={self.width_nm:.3f} nm"
+
+
+def _edge_ev(n_dimer: int, p: int, gamma0_ev: float) -> float:
+    """Subband edge eps_p = gamma0 |1 + 2 cos(p pi / (N + 1))| [eV]."""
+    return gamma0_ev * abs(1.0 + 2.0 * math.cos(p * math.pi / (n_dimer + 1)))
 
 
 def gnr_for_gap(

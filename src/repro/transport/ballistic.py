@@ -31,12 +31,21 @@ independent of an (arbitrary) barrier length.
 Quadrature
 ----------
 Each subband's k grid runs from 0 to the wavevector 30 kT above the
-higher Fermi level, sampled at ``_K_SAMPLES`` = 256 points.  The
-trapezoid rule converges geometrically on it: the occupation is an even,
-analytic function of k, so the endpoint corrections vanish at k = 0 and
-are e^-30 small at the far end.  256 samples match a 9600-sample
-reference to ~1e-14 relative (CNT gaps 0.35-1.0 eV, GNRs, 77-400 K);
-128 samples do not (a few 1e-10 at 77 K).
+higher Fermi level.  The trapezoid rule converges geometrically on it:
+the occupation is an even, analytic function of k, so the endpoint
+corrections vanish at k = 0 and are e^-30 small at the far end, and the
+rate is set by the grid step over kT.  The grid spans the band's depth
+below the higher Fermi level plus the 30 kT tail, so its sample count
+is 32 + 96 (300 K / T): 128 at 300 K, 104 at 400 K, 407 at 77 K.
+Against a 9600-sample reference (CNT gaps 0.35-1.0 eV with 3 or 5
+subbands and a 0.56 eV armchair GNR, at 77, 300 and 400 K), the
+currents and the densities at the solved barriers agree to 5e-15
+relative for V_DS from -1 to 1 V, and the density alone to 1e-13 for
+barriers from -1.0 to 0.6 eV with the drain level 0.5 eV below or above
+the source's.  A fixed 256-sample grid is 3e-11 off there at 77 K.
+
+Every subband of every bias point of a slab is integrated in one
+``(points, subbands, k)`` array pass.
 
 """
 
@@ -48,15 +57,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.physics.bands import BandStructure1D
-from repro.physics.constants import KB_EV, Q, ROOM_TEMPERATURE_K
+from repro.physics.constants import HBAR, KB_EV, Q, ROOM_TEMPERATURE_K
 from repro.transport.landauer import subband_ballistic_current
 
 __all__ = ["BallisticParameters", "TopOfBarrierSolver"]
 
-_K_SAMPLES = 256
+# k samples per subband grid: _K_SAMPLES_TAIL + _K_SAMPLES_DEPTH_300K *
+# (300 K / T), 128 at 300 K (see Quadrature in the module docstring).
+_K_SAMPLES_TAIL = 32
+_K_SAMPLES_DEPTH_300K = 96
 _MAX_NEWTON_ITERATIONS = 200
-# Bias points per vectorised solve slab: bounds the (points x k-samples)
-# work arrays to a few MB while keeping numpy dispatch overhead amortised.
+# Bias points per vectorised solve slab: bounds the (points x subbands x
+# k-samples) work arrays to a few MB at 300 K while keeping numpy dispatch
+# overhead amortised.
 _BATCH_CHUNK = 256
 
 
@@ -116,15 +129,26 @@ class TopOfBarrierSolver:
     def __init__(self, bands: BandStructure1D, params: BallisticParameters):
         self.bands = bands
         self.params = params
-        # Subband edges relative to the equilibrium source Fermi level
-        # (mu_S = 0): the first edge sits at -ef_offset above mu_S.
-        first_edge = bands.subbands[0].edge_ev
-        self._edges_ev = [
-            band.edge_ev - first_edge - params.ef_offset_ev for band in bands.subbands
-        ]
-        self._kt = KB_EV * params.temperature_k
-        # Each point's k grid is the unit grid scaled by its own k_max.
-        self._unit_grid_squared = np.linspace(0.0, 1.0, _K_SAMPLES) ** 2
+        kt = KB_EV * params.temperature_k
+        self._kt = kt
+        subbands = bands.subbands
+        # Per-subband arrays: edges above midgap, the same edges above the
+        # equilibrium source Fermi level (mu_S = 0; the first sits at
+        # -ef_offset above it), density weights g / 2 pi, and the
+        # wavevector per eV of sqrt(E_top^2 - E_edge^2) over one grid step.
+        edges = np.array([band.edge_ev for band in subbands])
+        self._edge_midgap_ev = edges
+        self._edge_source_ev = edges - edges[0] - params.ef_offset_ev
+        self._degeneracy = np.array([band.degeneracy for band in subbands])
+        self._weight = self._degeneracy / (2.0 * math.pi)
+        samples = _k_sample_count(params.temperature_k)
+        self._k_step = np.array(
+            [Q / (HBAR * band.fermi_velocity) / (samples - 1) for band in subbands]
+        )
+        # Each point's k grid is the unit grid scaled by its own k_max;
+        # the block kernel reads E(k) / kT as sqrt(a t^2 + (E_edge / kT)^2).
+        self._unit_grid_squared = np.linspace(0.0, 1.0, samples) ** 2
+        self._edge_kt_squared = ((self._edge_midgap_ev / kt) ** 2)[:, None]
         zero = np.zeros(1)
         self._n0 = float(self._density_batch(zero, zero)[0][0])
 
@@ -231,52 +255,59 @@ class TopOfBarrierSolver:
         return self._current_batch(barrier, mu_d), barrier, iterations
 
     def _density_batch(self, barrier_ev: np.ndarray, mu_d: np.ndarray):
-        """Densities of a point slab, plus the occupancies dN/dU reuses."""
+        """Densities of a point slab, plus the occupancies dN/dU reuses.
+
+        One ``(points, subbands, k)`` block: every subband of every point
+        is integrated on its own k grid in the same array pass.
+        """
         kt = self._kt
-        total = np.zeros(barrier_ev.size)
-        mu_max = np.maximum(0.0, mu_d)
-        mu_d_reduced = (mu_d / kt)[:, None]
-        intervals = self._unit_grid_squared.size - 1
-        cache = []
-        for band, edge in zip(self.bands.subbands, self._edges_ev):
-            edge_abs = edge + barrier_ev
-            # k runs to k(E_top), 30 kT above the higher Fermi level.
-            e_top = band.edge_ev + np.maximum(mu_max - edge_abs, 0.0) + 30.0 * kt
-            x = band.energy_kt_on_grids(e_top, self._unit_grid_squared, kt)
-            x += ((edge_abs - band.edge_ev) / kt)[:, None]  # x = (E - mu_S) / kT
-            occ_d = _fermi_in_place(x - mu_d_reduced)
-            occ_s = _fermi_in_place(x)
-            weight = band.degeneracy / (2.0 * math.pi)
-            dk = band.wavevector_per_m(e_top) / intervals
-            total += weight * (_trapz_uniform(occ_s, dk) + _trapz_uniform(occ_d, dk))
-            cache.append((weight, occ_s, occ_d, dk))
-        return total, cache
+        edge_abs = self._edge_source_ev + barrier_ev[:, None]  # (points, subbands)
+        # k runs to k(E_top), 30 kT above the higher Fermi level.
+        mu_max = np.maximum(0.0, mu_d)[:, None]
+        e_top = self._edge_midgap_ev + (np.maximum(mu_max - edge_abs, 0.0) + 30.0 * kt)
+        span = e_top**2 - self._edge_midgap_ev**2  # (E_top^2 - E_edge^2) > 0
+        x = (span / kt**2)[:, :, None] * self._unit_grid_squared
+        x += self._edge_kt_squared
+        np.sqrt(x, out=x)  # E(k) / kT
+        x += ((edge_abs - self._edge_midgap_ev) / kt)[:, :, None]  # x = (E - mu_S) / kT
+        occ_d = _fermi_in_place(x - (mu_d / kt)[:, None, None])
+        occ_s = _fermi_in_place(x)
+        dk = self._weight * np.sqrt(span) * self._k_step  # weighted k steps
+        per_subband = _trapz_uniform(occ_s, dk) + _trapz_uniform(occ_d, dk)
+        return per_subband.sum(axis=1), (occ_s, occ_d, dk)
 
     def _density_derivative_batch(
-        self, cache: list, keep: np.ndarray, density: np.ndarray
+        self, cache: tuple, keep: np.ndarray, density: np.ndarray
     ) -> np.ndarray:
         """dN/dU [1/(m eV)] < 0 of the kept points, whose densities are
         ``density``: df/dE = -f (1 - f) / kT gives -(N - sum w int f^2) / kT."""
-        spread = density.copy()  # becomes sum w int f (1 - f)
-        every = bool(keep.all())
-        for weight, occ_s, occ_d, dk in cache:
-            if not every:
-                occ_s, occ_d, dk = occ_s[keep], occ_d[keep], dk[keep]
-            spread -= weight * (_trapz_squares(occ_s, dk) + _trapz_squares(occ_d, dk))
-        return -spread / self._kt
+        occ_s, occ_d, dk = cache
+        if not keep.all():
+            occ_s, occ_d, dk = occ_s[keep], occ_d[keep], dk[keep]
+        squares = _trapz_squares(occ_s, dk) + _trapz_squares(occ_d, dk)
+        return -(density - squares.sum(axis=1)) / self._kt
 
     def _current_batch(self, barrier_ev: np.ndarray, mu_d: np.ndarray) -> np.ndarray:
-        total = np.zeros(barrier_ev.size)
-        for band, edge in zip(self.bands.subbands, self._edges_ev):
-            total += subband_ballistic_current(
-                edge_ev=edge + barrier_ev,
-                degeneracy=band.degeneracy,
-                mu_source_ev=0.0,
-                mu_drain_ev=mu_d,
-                temperature_k=self.params.temperature_k,
-                transmission=self.params.transmission,
-            )
-        return total
+        per_subband = subband_ballistic_current(
+            edge_ev=self._edge_source_ev + barrier_ev[:, None],
+            degeneracy=self._degeneracy,
+            mu_source_ev=0.0,
+            mu_drain_ev=mu_d[:, None],
+            temperature_k=self.params.temperature_k,
+            transmission=self.params.transmission,
+        )
+        return per_subband.sum(axis=1)
+
+
+def _k_sample_count(temperature_k: float) -> int:
+    """Samples of every subband's k grid at ``temperature_k``.
+
+    The grid spans the band's depth below the higher Fermi level plus a
+    30 kT tail, and the samples it needs grow with that span in units of
+    kT: the tail's share is fixed, the depth's scales as 1 / T.
+    """
+    depth_share = _K_SAMPLES_DEPTH_300K * ROOM_TEMPERATURE_K / temperature_k
+    return math.ceil(_K_SAMPLES_TAIL + depth_share)
 
 
 def _fermi_in_place(x: np.ndarray) -> np.ndarray:
@@ -295,5 +326,5 @@ def _trapz_uniform(y: np.ndarray, dk: np.ndarray) -> np.ndarray:
 
 def _trapz_squares(y: np.ndarray, dk: np.ndarray) -> np.ndarray:
     """Trapezoid integral of y**2 along the last axis (no temporaries)."""
-    interior = np.einsum("ij,ij->i", y, y) - 0.5 * (y[:, 0] ** 2 + y[:, -1] ** 2)
+    interior = np.einsum("...k,...k->...", y, y) - 0.5 * (y[..., 0] ** 2 + y[..., -1] ** 2)
     return interior * dk

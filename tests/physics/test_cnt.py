@@ -10,6 +10,10 @@ from repro.physics.cnt import (
     enumerate_chiralities,
 )
 
+# Target gaps [eV] of the brute-force checks: the paper's 0.56 eV, the
+# quadrature cases' 0.35 and 1.0 eV, and gaps between them and beyond.
+BRUTE_FORCE_GAPS = (0.3, 0.35, 0.45, 0.56, 0.7, 0.8, 1.0, 1.2)
+
 chirality_indices = st.integers(1, 30).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, n))
 )
@@ -150,3 +154,17 @@ class TestChiralityForGap:
     def test_always_within_ten_percent(self, gap):
         c = chirality_for_gap(gap)
         assert abs(c.bandgap_ev() - gap) / gap < 0.1
+
+    @pytest.mark.parametrize("gap", BRUTE_FORCE_GAPS)
+    def test_matches_brute_force_search(self, gap):
+        # Every semiconducting tube up to n = 60 (d < 4.8 nm); of equal
+        # gaps the smaller diameter, then the smaller m.
+        tubes = [Chirality(n, m) for n in range(1, 61) for m in range(n + 1)]
+        best = min(
+            (c for c in tubes if c.is_semiconducting),
+            key=lambda c: (abs(c.bandgap_ev() - gap), c.diameter_nm, c.m),
+        )
+        assert chirality_for_gap(gap) == best
+
+    def test_is_memoized(self):
+        assert chirality_for_gap(0.56) is chirality_for_gap(0.56)

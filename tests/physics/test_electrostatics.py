@@ -86,7 +86,7 @@ class TestQuantumCapacitance:
 
     @pytest.mark.parametrize("barrier_ev", [-0.6, -0.3, 0.0, 0.2])
     def test_is_solver_charge_derivative(self, chirality_056: Chirality, barrier_ev):
-        # The barrier Newton's analytic dN/dU (256-point unit grid, both
+        # The barrier Newton's analytic dN/dU (128-point unit grid at 300 K, both
         # reservoirs at equilibrium) is -C_Q / q on a dense k grid.
         bands = chirality_056.band_structure(3)
         params = BallisticParameters(

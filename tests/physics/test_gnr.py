@@ -80,6 +80,21 @@ class TestGnrForGap:
         with pytest.raises(ValueError):
             gnr_for_gap(-0.5)
 
+    @pytest.mark.parametrize("gap", (0.3, 0.35, 0.45, 0.56, 0.7, 0.8, 1.0, 1.2))
+    def test_matches_brute_force_search(self, gap):
+        # Every subband edge of every ribbon N <= 200; the smaller N on a tie.
+        ribbons = []
+        for n_dimer in range(3, 201):
+            ribbon_gap = 2.0 * min(ArmchairGNR(n_dimer).subband_edges_ev())
+            if ribbon_gap > 1e-3:
+                ribbons.append((abs(ribbon_gap - gap), n_dimer))
+        assert gnr_for_gap(gap) == ArmchairGNR(min(ribbons)[1])
+
+    @given(st.integers(3, 300))
+    def test_gap_is_twice_the_lowest_edge(self, n_dimer):
+        ribbon = ArmchairGNR(n_dimer)
+        assert ribbon.bandgap_ev() == 2.0 * min(ribbon.subband_edges_ev())
+
     @given(st.floats(0.3, 1.2))
     def test_reasonable_match(self, gap):
         ribbon = gnr_for_gap(gap)

@@ -1,18 +1,27 @@
 """Self-consistent top-of-barrier solver: convergence, physics, invariants."""
 
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.devices.base import output_curve
 from repro.devices.cntfet import CNTFET
+from repro.devices.contacts import SeriesResistanceFET
 from repro.devices.gnrfet import GNRFET
+from repro.experiments.fig4 import CONTACT_RESISTANCE_OHM, GATE_VOLTAGES
 from repro.physics.cnt import Chirality
 from repro.physics.electrostatics import gate_all_around_capacitance
 from repro.transport import ballistic
 from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
+
+# The loop-kernel oracle lives beside the band-structure references.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "physics"))
+from barrier_oracle import LoopTopOfBarrierSolver, with_loop_kernel  # noqa: E402
 
 
 def solve(solver, vgs, vds):
@@ -155,22 +164,105 @@ def _quadrature_device(kind, gap, n_subbands, temperature):
     return GNRFET.for_bandgap(gap, temperature_k=temperature)
 
 
+# Drain biases of every quadrature case: forward, and reverse straight into
+# the solver (the drain Fermi level above the source's, so each k grid
+# spans the drain's occupied states too).
+QUADRATURE_BIASES = {"forward": (0.05, 0.4, 1.0), "reverse": (-0.05, -0.5, -1.0)}
+
+
+def _currents_and_densities(solver, vgs, vds):
+    """Currents and the densities at the solved barriers, flattened."""
+    currents, barriers = solver.solve_currents(vgs, vds)
+    densities, _ = solver._density_batch(barriers.ravel(), -vds.ravel())
+    return currents.ravel(), densities
+
+
+def _relative_error(value, reference, floor=0.0):
+    measurable = np.abs(reference) > floor
+    assert measurable.sum() >= 8
+    return np.max(np.abs(value - reference)[measurable] / np.abs(reference[measurable]))
+
+
+def _dense_reference(monkeypatch):
+    monkeypatch.setattr(ballistic, "_k_sample_count", lambda temperature_k: 9600)
+
+
 class TestQuadrature:
+    """The temperature-sized k grid sits at a 9600-sample reference's answer."""
+
+    def test_sample_count_grows_as_the_temperature_falls(self):
+        assert ballistic._k_sample_count(300.0) == 128
+        assert ballistic._k_sample_count(400.0) == 104
+        assert ballistic._k_sample_count(77.0) == 407
+
+    @pytest.mark.parametrize("bias", sorted(QUADRATURE_BIASES))
     @pytest.mark.parametrize("kind, gap, n_subbands, temperature", QUADRATURE_CASES)
     def test_production_grid_matches_dense_reference(
-        self, monkeypatch, kind, gap, n_subbands, temperature
+        self, monkeypatch, kind, gap, n_subbands, temperature, bias
     ):
         # The trapezoid rule on the even, e^-30-truncated integrand converges
-        # geometrically: 256 k samples already sit at the 9600-sample answer.
+        # geometrically at a rate set by the k spacing over kT, so a grid
+        # sized by the temperature sits at the dense answer at every one.
         device = _quadrature_device(kind, gap, n_subbands, temperature)
-        vgs, vds = np.meshgrid(np.linspace(-0.2, 1.2, 8), [0.05, 0.4, 1.0])
-        production = TopOfBarrierSolver(device.bands, device.params).currents(vgs, vds)
-        monkeypatch.setattr(ballistic, "_K_SAMPLES", 9600)
-        reference = TopOfBarrierSolver(device.bands, device.params).currents(vgs, vds)
-        measurable = np.abs(reference) > 1e-15
-        assert measurable.sum() >= 8
-        relative = np.abs(production - reference)[measurable] / np.abs(reference[measurable])
-        assert relative.max() <= 1e-12
+        vgs, vds = np.meshgrid(np.linspace(-0.2, 1.2, 8), QUADRATURE_BIASES[bias])
+        currents, densities = _currents_and_densities(
+            TopOfBarrierSolver(device.bands, device.params), vgs, vds
+        )
+        _dense_reference(monkeypatch)
+        ref_currents, ref_densities = _currents_and_densities(
+            TopOfBarrierSolver(device.bands, device.params), vgs, vds
+        )
+        assert _relative_error(currents, ref_currents, floor=1e-15) <= 1e-12
+        assert _relative_error(densities, ref_densities) <= 1e-12
+
+    @pytest.mark.parametrize("kind, gap, n_subbands, temperature", QUADRATURE_CASES)
+    def test_density_matches_dense_reference(
+        self, monkeypatch, kind, gap, n_subbands, temperature
+    ):
+        # The charge kernel itself, at the barriers and drain levels the
+        # Newton iterates pass through: the band up to 1 eV below the
+        # source Fermi level, the drain level 0.5 eV below or above it.
+        device = _quadrature_device(kind, gap, n_subbands, temperature)
+        barrier, mu_d = (
+            a.ravel() for a in np.meshgrid(np.linspace(-1.0, 0.6, 17), [-0.5, 0.0, 0.5])
+        )
+        production = TopOfBarrierSolver(device.bands, device.params)
+        _dense_reference(monkeypatch)
+        reference = TopOfBarrierSolver(device.bands, device.params)
+        densities = production._density_batch(barrier, mu_d)[0]
+        assert _relative_error(densities, reference._density_batch(barrier, mu_d)[0]) <= 1e-12
+
+
+class TestLoopOracle:
+    """The block kernel against the per-subband, 256-sample loop it replaced.
+
+    Forward bias only: under reverse bias at 77 K the loop's fixed grid is
+    itself up to 1.5e-12 off the dense reference in the barrier, which
+    ``TestQuadrature`` holds the production grid to instead.
+    """
+
+    @pytest.mark.parametrize("kind, gap, n_subbands, temperature", QUADRATURE_CASES)
+    def test_currents_and_barriers_match_loop_kernel(self, kind, gap, n_subbands, temperature):
+        device = _quadrature_device(kind, gap, n_subbands, temperature)
+        vgs, vds = np.meshgrid(np.linspace(-0.2, 1.2, 8), QUADRATURE_BIASES["forward"])
+        currents, barriers = TopOfBarrierSolver(device.bands, device.params).solve_currents(vgs, vds)
+        loop_currents, loop_barriers = LoopTopOfBarrierSolver(
+            device.bands, device.params
+        ).solve_currents(vgs, vds)
+        assert _relative_error(currents, loop_currents, floor=1e-15) <= 1e-12
+        np.testing.assert_allclose(barriers, loop_barriers, rtol=1e-12, atol=1e-14)
+
+    def test_fig4_contacted_family_matches_loop_kernel(self):
+        contacted = SeriesResistanceFET(
+            CNTFET.reference_device(), CONTACT_RESISTANCE_OHM, CONTACT_RESISTANCE_OHM
+        )
+        loop = with_loop_kernel(contacted)
+        vds = np.linspace(0.0, 0.5, 41)
+        for vgs in GATE_VOLTAGES:
+            np.testing.assert_allclose(
+                output_curve(contacted, vds, vgs), output_curve(loop, vds, vgs),
+                rtol=1e-12, atol=1e-20,
+            )
 
 
 class TestOneKernel:
