@@ -78,15 +78,10 @@ def _best_of(repeats, fn):
 def test_batched_contact_solve_beats_brentq_oracle():
     device, vgs, vds = fig5_contact_transfer_case()
 
-    batched_s = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        batched = transfer_curve(device, vgs, vds)
-        batched_s = min(batched_s, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    oracle = np.array([brentq_current(device, float(v), vds) for v in vgs])
-    oracle_s = time.perf_counter() - start
+    batched, batched_s = _best_of(3, lambda: transfer_curve(device, vgs, vds))
+    oracle, oracle_s = _best_of(
+        3, lambda: np.array([brentq_current(device, float(v), vds) for v in vgs])
+    )
 
     speedup = oracle_s / batched_s
     print_rows(

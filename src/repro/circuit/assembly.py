@@ -33,10 +33,9 @@ compiles a :class:`StampPlan` once per :meth:`Circuit.build_system`:
 One kernel evaluates a plan: :meth:`StampPlan.evaluate_many`, at a
 stack of iterates, optionally with per-row device variation and
 companion state.  A scalar evaluation is its one-row call
-(:meth:`repro.circuit.netlist.MNASystem.evaluate`); on a one-row dense
-stack without variation, small FET groups of closed-form models stamp
-through a scalar per-FET path instead of the array one.  Every call
-returns fresh arrays.
+(:meth:`repro.circuit.netlist.MNASystem.evaluate`), through the same
+array path and the same batched ``linearize``, so a one-row result is
+bitwise its row of any stack.  Every call returns fresh arrays.
 
 The compiled path is numerically equivalent to the reference path (same
 stamps, same finite-difference linearization arithmetic); the test suite
@@ -57,7 +56,7 @@ from repro.circuit.elements import (
     Resistor,
     VoltageSource,
 )
-from repro.devices.base import FETModel, PType
+from repro.devices.base import PType
 
 if TYPE_CHECKING:  # pragma: no cover - sweep imports this module
     from scipy import sparse
@@ -100,15 +99,6 @@ SPARSE_THRESHOLD = 128
 # factorized (the Newton solver imports it).
 DIAG_REGULARIZATION = 1e-14
 
-# FET groups at or below this size stamp through the scalar
-# ``linearize_point`` path on a one-row dense stack without variation,
-# when their device class overrides ``FETModel.linearize_point`` with a
-# closed form: array dispatch does not amortise below ~4 FETs (a 2-stage
-# complementary chain is one group of 4).  Finite-difference models
-# (tables, solvers) keep the batched path, where the base
-# ``linearize_point`` would land anyway.
-SCALAR_GROUP_MAX = 4
-
 _COMPILED_TYPES = (Resistor, Capacitor, VoltageSource, CurrentSource, FET)
 
 
@@ -146,21 +136,11 @@ class _FETGroup:
     Jacobian stamp pattern with ground rows/columns masked out, and
     ``target`` (set by the plan) is where those entries land in one
     row's Jacobian.
-
-    Groups of at most :data:`SCALAR_GROUP_MAX` FETs whose device
-    class overrides :meth:`repro.devices.base.FETModel.linearize_point`
-    (a closed-form scalar pass) additionally precompute plain-int
-    indices for :meth:`stamp_points` — a pure-scalar stamp that skips
-    the array dispatch entirely (array math does not amortise below ~4
-    FETs).  Finite-difference models keep the batched path at every
-    group size: their ``linearize_point`` is the one-point call of
-    ``linearize``.
     """
 
     __slots__ = (
         "device", "count", "sign", "gather_dsg", "flat",
-        "rows", "cols", "take", "pick", "pick_sign", "target", "use_points",
-        "point_fets", "columns",
+        "rows", "cols", "take", "pick", "pick_sign", "target", "columns",
     )
 
     def __init__(
@@ -195,47 +175,6 @@ class _FETGroup:
         slot, fet = np.divmod(self.take, self.count)
         self.pick = _JACOBIAN_SLOTS[slot] * self.count + fet
         self.pick_sign = _JACOBIAN_SIGNS[slot]
-        self.use_points = (
-            self.count <= SCALAR_GROUP_MAX
-            and type(device).linearize_point is not FETModel.linearize_point
-        )
-        if self.use_points:
-            # Per-FET scalar stamp schedule: padded terminal indices,
-            # polarity sign, and this FET's surviving Jacobian entries
-            # as (flat index, slot in the 6-value pattern) pairs.
-            self.point_fets = [
-                (
-                    *(int(g[i]) for g in (gather_d, gather_g, gather_s)),
-                    float(signs[i]),
-                    list(zip(self.flat[fet == i].tolist(), slot[fet == i].tolist())),
-                )
-                for i in range(self.count)
-            ]
-
-    def stamp_points(self, xpad: np.ndarray, rpad: np.ndarray, jac_flat: np.ndarray):
-        """Scalar fast path: stamp a small group FET by FET, no arrays.
-
-        Same arithmetic as the batched path (sign-flip in, sign-flip
-        out, unsigned conductances) through the device's scalar
-        ``linearize_point``, with plain-int indexed accumulation — the
-        restoration of the seed's per-element stamp cost for small
-        circuits.
-        """
-        device = self.device
-        for d, g, s, sign, entries in self.point_fets:
-            vs = xpad[s]
-            vgs = xpad[g] - vs
-            vds = xpad[d] - vs
-            if sign == 1.0:
-                current, gm, gds = device.linearize_point(vgs, vds)
-            else:
-                current, gm, gds = device.linearize_point(sign * vgs, sign * vds)
-                current = sign * current
-            rpad[d] += current
-            rpad[s] -= current
-            vals = (gds, gm, -(gm + gds), -gds, -gm, gm + gds)
-            for flat_index, slot in entries:
-                jac_flat[flat_index] += vals[slot]
 
 
 def _per_row(values: np.ndarray, m: int) -> np.ndarray:
@@ -759,11 +698,9 @@ class StampPlan:
         Every step is elementwise per row — a batched gemv (CSR
         column-wise matvecs for sparse plans), per-row scatters,
         elementwise device math on flat ``(m * count,)`` biases — so
-        each row is bitwise independent of its neighbours: the root of
-        the sweep engines' chunking/order/pool invariance.  The one
-        exception is a one-row dense stack without per-row arguments
-        (``variation``, ``source_levels``), whose small FET groups take
-        :meth:`_FETGroup.stamp_points`.
+        each row is bitwise independent of its neighbours, a one-row
+        call included: the root of the sweep engines' chunking/order/pool
+        invariance.
         """
         x_stack = np.asarray(x_stack, dtype=float)
         m = x_stack.shape[0]
@@ -828,16 +765,8 @@ class StampPlan:
         jac = np.empty((m, *base.shape))
         jac[:] = base
         jflat = jac.reshape(-1)
-        # Rows with per-row arguments stay on the array path, so a
-        # row's arithmetic never depends on how many rows it rides with.
-        points = (
-            m == 1 and variation is None and source_levels is None and schedule is None
-        )
         groups = zip(self.fet_groups, layout.groups)
         for i, (group, (gather, sign)) in enumerate(groups):
-            if points and group.use_points:
-                group.stamp_points(xflat, rflat, jflat)
-                continue
             # The device sees flat (m * count,) biases: its math is
             # elementwise, and 1-D calls dispatch faster than (m, count).
             vd, vs, vg = xflat[gather]

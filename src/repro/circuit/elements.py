@@ -5,11 +5,10 @@ the unknown vector stacks node voltages (ground excluded) and the branch
 currents of voltage sources; each element adds its terminal currents to
 the KCL residual and its derivatives to the Jacobian.  Nonlinear FETs
 linearise through
-:meth:`repro.devices.base.FETModel.linearize_point` — by default the
-one-point call of the batched ``linearize`` (central differences) that
-the compiled stamp plan of :mod:`repro.circuit.assembly` calls, and a
-closed-form scalar pass for the analytic models — so this reference
-path and the compiled path share their arithmetic.
+:meth:`repro.devices.base.FETModel.linearize_point` — the one-point
+call of the batched ``linearize`` that the compiled stamp plan of
+:mod:`repro.circuit.assembly` calls — so this reference path and the
+compiled path share their device arithmetic.
 """
 
 from __future__ import annotations

@@ -449,14 +449,6 @@ class ScaledShiftedFET(FETModel):
             gds * self.drive_scale,
         )
 
-    def linearize_point(self, vgs: float, vds: float):
-        current, gm, gds = self.base.linearize_point(vgs - self.vth_shift_v, vds)
-        return (
-            current * self.drive_scale,
-            gm * self.drive_scale,
-            gds * self.drive_scale,
-        )
-
 
 def perturbed_circuit(
     circuit: Circuit, variation: FETVariation, instance: int

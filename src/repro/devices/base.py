@@ -24,25 +24,27 @@ place, and the base ``current`` is the one-point call of ``currents``.
 Models with only a scalar form (a closed-form or per-point integral)
 implement ``current`` instead and ``currents`` loops over it.
 
-``linearize`` is the small-signal API the compiled MNA stamp plan calls
-once per device-model instance per Newton iteration, with all of that
-model's FET bias points batched into one array call.  The default here
-— central differences on ``currents`` with step
+``linearize`` is the one small-signal call: the compiled MNA stamp
+plan calls it once per device-model instance per Newton iteration, with
+all of that model's FET bias points (of every row of the stack) batched
+into one array call, and a one-row evaluation makes the same call.
+The default here — central differences on ``currents`` with step
 :data:`DEFAULT_FD_STEP` — is the one finite-difference formula of the
-package; the base ``linearize_point`` is its one-point call.  It serves
-the bilinear :class:`repro.devices.surrogate.TabulatedFET` and the
-physical models (ballistic CNT/GNR FETs, the contact wrappers), whose
-currents are table reads or solver output.  Models with closed-form
-characteristics override both entry points with one analytic pass
-returning ``(id, gm, gds)`` together:
-:class:`repro.devices.surrogate.SurrogateFET` (per-cell bicubic
-kernel), :class:`repro.devices.empirical.AlphaPowerFET` and
-:class:`repro.devices.reference.TrigateFET` (exact alpha-power
+package.  It serves the bilinear
+:class:`repro.devices.surrogate.TabulatedFET` and the physical models
+(ballistic CNT/GNR FETs, the contact wrappers), whose currents are
+table reads or solver output.  Models with closed-form characteristics
+override ``linearize`` with one analytic pass returning ``(id, gm,
+gds)`` together: :class:`repro.devices.surrogate.SurrogateFET`
+(per-cell bicubic kernel), :class:`repro.devices.empirical.AlphaPowerFET`
+and :class:`repro.devices.reference.TrigateFET` (exact alpha-power
 derivatives) and :class:`repro.devices.empirical.NonSaturatingFET`
 (``G vds``, ``G' vds``, ``G``).  Mirror-symmetric models apply the
 source/drain chain rule through :func:`mirror_symmetric_linearize`.
-The stamp plan gives small FET groups of exactly those models — the
-ones overriding ``linearize_point`` — a scalar point path.
+No model overrides ``linearize_point``: the base method, the
+one-point call of ``linearize``, is the one scalar form (the reference
+evaluator of :mod:`repro.circuit.elements` uses it), so a scalar
+linearization is bitwise the batched one.
 
 A ballistic CNT-FET, an empirical non-saturating GNR model and a
 spline-compiled surrogate therefore stay interchangeable everywhere.
@@ -121,16 +123,10 @@ def mirror_symmetric_linearize(forward, vgs_values, vds_values):
     At a mirrored point (``vds < 0``) it is called at
     ``(vgs - vds, -vds)`` and the chain rule of
     ``I(vgs, vds) = -I(vgs - vds, -vds)`` gives ``id -> -id'``,
-    ``gm -> -gm'`` and ``gds -> gm' + gds'``.  A float ``vds`` takes
-    the scalar route (``forward`` then sees floats), anything else the
-    elementwise one.  This is the one copy of the rule; every analytic
-    mirror-symmetric ``linearize``/``linearize_point`` goes through it.
+    ``gm -> -gm'`` and ``gds -> gm' + gds'``.  This is the one copy of
+    the rule; every analytic mirror-symmetric ``linearize`` goes
+    through it.
     """
-    if isinstance(vds_values, float):
-        if vds_values < 0.0:
-            current, gm, gds = forward(vgs_values - vds_values, -vds_values)
-            return -current, -gm, gm + gds
-        return forward(vgs_values, vds_values)
     vgs = np.asarray(vgs_values, dtype=float)
     vds = np.asarray(vds_values, dtype=float)
     if vgs.shape != vds.shape:
@@ -237,7 +233,7 @@ class FETModel:
         vgs +/- delta, vds +/- delta) are stacked into a single
         ``currents`` call so vectorised models pay the array-dispatch
         overhead once, not five times.  Models with analytic
-        derivatives override it (with :meth:`linearize_point`).
+        derivatives override it.
         """
         delta_v = DEFAULT_FD_STEP
         vgs = np.asarray(vgs_values, dtype=float)
@@ -260,11 +256,13 @@ class FETModel:
     def linearize_point(self, vgs: float, vds: float):
         """:meth:`linearize` at one bias point, as floats.
 
-        Models with analytic derivatives override it alongside
-        ``linearize`` with a scalar pass of their own.
+        The one scalar linearization: no model overrides it, and it
+        calls ``linearize`` on one-element arrays (0-d ones would take
+        numpy's scalar arithmetic, e.g. libm ``pow``), so it is bitwise
+        the batched call's element.
         """
-        current, gm, gds = self.linearize(vgs, vds)
-        return float(current), float(gm), float(gds)
+        current, gm, gds = self.linearize(np.array([vgs], float), np.array([vds], float))
+        return float(current[0]), float(gm[0]), float(gds[0])
 
     def surrogate(self, spec=None):
         """Compile this model into a cached spline :class:`SurrogateFET`.
@@ -312,10 +310,6 @@ class PType(FETModel):
             -np.asarray(vgs_values, dtype=float),
             -np.asarray(vds_values, dtype=float),
         )
-        return -current, gm, gds
-
-    def linearize_point(self, vgs: float, vds: float):
-        current, gm, gds = self.nfet.linearize_point(-vgs, -vds)
         return -current, gm, gds
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,8 +42,10 @@ def _softplus(x: float) -> float:
 def _softplus_array(x: np.ndarray, with_slope: bool = False):
     """Elementwise :func:`_softplus` with identical branch thresholds.
 
-    ``with_slope`` also returns the derivative (see
-    :func:`_softplus_with_slope`).
+    ``with_slope`` also returns the derivative ``e / (1 + e)``,
+    ``e = exp(min(x, 35))``: the capped exponential cannot overflow, and
+    the one expression is each branch's own derivative to within 7e-16
+    relative (``1 - 6.3e-16`` on the linear branch above 35).
     """
     x = np.asarray(x, dtype=float)
     # exp(min(x, 35)) equals exp(x) exactly on the x < -35 branch, so one
@@ -54,39 +55,6 @@ def _softplus_array(x: np.ndarray, with_slope: bool = False):
     if not with_slope:
         return value
     return value, exp_x / (1.0 + exp_x)
-
-
-def _softplus_with_slope(x: float) -> tuple[float, float]:
-    """:func:`_softplus` and its derivative ``e / (1 + e)``, ``e = exp(min(x, 35))``.
-
-    The capped exponential cannot overflow, and the one expression is
-    each branch's own derivative to within 7e-16 relative: it reads
-    ``1 - 6.3e-16`` on the linear branch above 35 and ``e^x`` times
-    ``1 / (1 + e^x)`` (within 7e-16 of 1) on the exponential branch
-    below -35.
-    """
-    exp_x = math.exp(min(x, 35.0))
-    return _softplus(x), exp_x / (1.0 + exp_x)
-
-
-# The elementwise primitives of the two linearization routes — floats for
-# ``linearize_point`` (bitwise the scalar ``current``), arrays for
-# ``linearize`` (bitwise ``currents``) — so one derivative formula serves
-# both.
-_FLOAT_OPS = SimpleNamespace(
-    softplus=_softplus_with_slope,
-    tanh=math.tanh,
-    cosh=math.cosh,
-    minimum=min,
-    maximum=max,
-)
-_ARRAY_OPS = SimpleNamespace(
-    softplus=lambda x: _softplus_array(x, with_slope=True),
-    tanh=np.tanh,
-    cosh=np.cosh,
-    minimum=np.minimum,
-    maximum=np.maximum,
-)
 
 
 @dataclass(frozen=True)
@@ -195,15 +163,7 @@ class AlphaPowerFET(FETModel):
             self._forward_linearize, vgs_values, vds_values
         )
 
-    def linearize_point(self, vgs: float, vds: float):
-        return mirror_symmetric_linearize(
-            self._forward_linearize_point, float(vgs), float(vds)
-        )
-
-    def _forward_linearize_point(self, vgs: float, vds: float):
-        return self._forward_linearize(vgs, vds, _FLOAT_OPS)
-
-    def _forward_linearize(self, vgs, vds, ops=_ARRAY_OPS):
+    def _forward_linearize(self, vgs, vds):
         """``(I, dI/dvgs, dI/dvds)`` on the vds >= 0 quadrant.
 
         With ``T = tanh(vds / vdsat)`` and ``C = 1 + lambda vds``:
@@ -218,19 +178,19 @@ class AlphaPowerFET(FETModel):
         clamped) only enters through the capped ``cosh``.
         """
         width = self._softplus_width
-        softplus, slope = ops.softplus((vgs - self.vt) / width)
+        softplus, slope = _softplus_array((vgs - self.vt) / width, with_slope=True)
         overdrive = width * softplus
         scaled = self.sat_fraction * overdrive
-        vdsat = ops.maximum(scaled, 1e-6)
+        vdsat = np.maximum(scaled, 1e-6)
         ratio = vds / vdsat
-        saturation = ops.tanh(ratio)
+        saturation = np.tanh(ratio)
         clm = 1.0 + self.channel_modulation * vds
         drive = self.k_a_per_v_alpha * overdrive**self.alpha
         current = drive * saturation * clm
         # k Vov^alpha sech^2(ratio) / vdsat, shared by both derivatives;
         # capping cosh's argument keeps cosh^2 finite (sech^2 < 1e-303
         # beyond the cap).
-        cosh = ops.cosh(ops.minimum(ratio, 350.0))
+        cosh = np.cosh(np.minimum(ratio, 350.0))
         sat_slope = drive / (vdsat * cosh * cosh)
         d_drive = self.k_a_per_v_alpha * self.alpha * overdrive ** (self.alpha - 1.0)
         d_vdsat = self.sat_fraction * (scaled > 1e-6)
@@ -305,13 +265,7 @@ class NonSaturatingFET(FETModel):
         vgs, vds = np.broadcast_arrays(
             np.asarray(vgs_values, dtype=float), np.asarray(vds_values, dtype=float)
         )
-        return self._linearize(vgs, vds, _ARRAY_OPS)
-
-    def linearize_point(self, vgs: float, vds: float):
-        return self._linearize(float(vgs), float(vds), _FLOAT_OPS)
-
-    def _linearize(self, vgs, vds, ops):
-        shape, slope = ops.softplus((vgs - self.vt) / self.smoothing_v)
+        shape, slope = _softplus_array((vgs - self.vt) / self.smoothing_v, with_slope=True)
         conductance = self.g_on_s * shape / self._conductance_norm
         d_conductance = self.g_on_s * slope / self._conductance_norm / self.smoothing_v
         return conductance * vds, d_conductance * vds, conductance

@@ -64,9 +64,6 @@ class TrigateFET(FETModel):
     def linearize(self, vgs_values, vds_values):
         return self.core.linearize(vgs_values, vds_values)
 
-    def linearize_point(self, vgs: float, vds: float):
-        return self.core.linearize_point(vgs, vds)
-
     def current_density_a_per_m(self, vgs: float, vds: float) -> float:
         """Current per effective width [A/m]."""
         return self.current(vgs, vds) / (self.effective_width_nm * 1e-9)

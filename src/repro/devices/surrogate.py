@@ -439,18 +439,6 @@ class SurrogateFET(_TableFET):
         )
         return self._eval_forward(vgs, vds)
 
-    def linearize_point(self, vgs: float, vds: float):
-        if self.mirror_symmetric:
-            return mirror_symmetric_linearize(self._eval_point, float(vgs), float(vds))
-        return self._eval_point(vgs, vds)
-
-    def _eval_point(self, vgs: float, vds: float):
-        """:meth:`_eval_forward` at one point, as floats (bitwise the same)."""
-        current, gm, gds = self._eval_forward(
-            np.asarray(vgs, dtype=float), np.asarray(vds, dtype=float)
-        )
-        return float(current), float(gm), float(gds)
-
 
 # ---------------------------------------------------------------------------
 # Grid specification and adaptive table fill.

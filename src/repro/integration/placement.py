@@ -109,31 +109,11 @@ class TrenchDeposition:
     """
 
     mean_tubes_per_site: float = 2.5
-    misplacement_probability: float = 0.02
 
     def __post_init__(self) -> None:
         if self.mean_tubes_per_site <= 0.0:
             raise ValueError("mean tubes per site must be positive")
-        if not 0.0 <= self.misplacement_probability < 1.0:
-            raise ValueError("misplacement probability must be in [0, 1)")
 
     def fill_fraction(self) -> float:
         """Fraction of sites holding at least one tube: 1 - exp(-mu)."""
         return 1.0 - math.exp(-self.mean_tubes_per_site)
-
-    def statistics(self) -> PlacementStatistics:
-        mu = self.mean_tubes_per_site
-        p0 = math.exp(-mu)
-        p1 = mu * p0
-        return PlacementStatistics(
-            p_empty=p0,
-            p_single=p1,
-            p_multiple=max(1.0 - p0 - p1, 0.0),
-            p_misaligned=self.misplacement_probability,
-        )
-
-    def concentration_for_fill(self, target_fill: float) -> float:
-        """Mean tubes/site needed to reach a target fill fraction."""
-        if not 0.0 < target_fill < 1.0:
-            raise ValueError("target fill must be in (0, 1)")
-        return -math.log(1.0 - target_fill)

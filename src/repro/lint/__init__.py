@@ -16,7 +16,8 @@ RNG003    no stdlib ``random`` module (unseedable global state)
 RNG004    no wall-clock reads (``time.time``, ``datetime.now``, ...)
 PRT001    mirror-symmetric models use ``_forward_currents``, not
           a ``currents`` override
-PRT002    ``linearize``/``linearize_point`` are overridden together
+PRT002    no model overrides ``linearize_point`` (the base one-point
+          call of ``linearize`` is the one scalar form)
 PRT003    non-mirror-symmetric devices declare a two-sided
           ``operating_box``
 IOW001    cache/checkpoint writes go through mkstemp + ``os.replace``

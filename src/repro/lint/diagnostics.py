@@ -40,10 +40,10 @@ RULES: dict[str, tuple[str, str]] = {
         "currents override can drift from it for vds < 0.",
     ),
     "PRT002": (
-        "linearize overridden without linearize_point (or vice versa)",
-        "The batched and scalar small-signal paths must agree; overriding "
-        "only one leaves the other on finite differences and the two "
-        "solver paths return different conductances.",
+        "linearize_point overridden",
+        "The base linearize_point is the one-point call of linearize, so "
+        "a scalar linearization is bitwise the batched one; an override "
+        "is a second small-signal path that can drift from it.",
     ),
     "PRT003": (
         "non-mirror-symmetric device without explicit operating_box",

@@ -86,20 +86,16 @@ def check_registry(
                 )
             )
 
-        has_lin = "linearize" in cls.__dict__
-        has_point = "linearize_point" in cls.__dict__
-        if has_lin != has_point:
-            overridden = "linearize" if has_lin else "linearize_point"
-            missing = "linearize_point" if has_lin else "linearize"
-            method_location = _source_location(cls.__dict__[overridden])
+        if "linearize_point" in cls.__dict__:
+            method_location = _source_location(cls.__dict__["linearize_point"])
             findings.append(
                 Diagnostic(
                     path,
                     method_location[1] if method_location else class_line,
                     "PRT002",
-                    f"{cls.__name__} overrides {overridden} but not "
-                    f"{missing}: the batched and scalar small-signal paths "
-                    "will disagree — override both together",
+                    f"{cls.__name__} overrides linearize_point: the base "
+                    "method is the one scalar form, the one-point call of "
+                    "linearize — override linearize only",
                 )
             )
     return findings

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.physics.constants import ROOM_TEMPERATURE_K
 
-__all__ = ["MeanFreePath", "ballisticity", "series_channel_resistance_ohm"]
+__all__ = ["MeanFreePath", "ballisticity"]
 
 OPTICAL_PHONON_ENERGY_EV = 0.16
 """Zone-boundary/optical phonon energy of carbon nanotubes [eV]."""
@@ -82,21 +82,3 @@ def ballisticity(channel_length_nm: float, mfp_nm: float) -> float:
     if mfp_nm <= 0.0:
         raise ValueError(f"mean free path must be positive, got {mfp_nm}")
     return mfp_nm / (mfp_nm + channel_length_nm)
-
-
-def series_channel_resistance_ohm(
-    channel_length_nm: float,
-    mfp_nm: float,
-    quantum_resistance_ohm: float,
-) -> float:
-    """Two-terminal resistance R = R_Q / T = R_Q (1 + L / lambda) [Ohm].
-
-    Reproduces the length scaling of CNT resistance measured by Franklin &
-    Chen (Nature Nano 5, 858 (2010)), the paper's reference [16] with its
-    ~11 kOhm short-channel floor.
-    """
-    if quantum_resistance_ohm <= 0.0:
-        raise ValueError(
-            f"quantum resistance must be positive, got {quantum_resistance_ohm}"
-        )
-    return quantum_resistance_ohm / ballisticity(channel_length_nm, mfp_nm)

@@ -90,7 +90,7 @@ class TestRFMetrics:
 
 
 class TestAnalyticRouting:
-    """The RF path must consume linearize_point, not its own FD stepping."""
+    """The RF path must consume linearize, not its own FD stepping."""
 
     def test_no_finite_difference_probing(self, saturating):
         class AnalyticOnly(AlphaPowerFET):
@@ -101,9 +101,6 @@ class TestAnalyticRouting:
 
             def currents(self, vgs_values, vds_values):
                 raise AssertionError("RF path fell back to FD current probes")
-
-            def linearize_point(self, vgs, vds, delta_v=None):
-                return 1e-4, 5e-4, 3e-5
 
             def linearize(self, vgs_values, vds_values):
                 shape = np.shape(vgs_values)

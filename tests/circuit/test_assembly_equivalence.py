@@ -18,11 +18,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.solver import _solve_stack, newton_solve, operating_point, solve_dc
 from repro.circuit.waveforms import DC, Pulse, Sine
 from repro.devices.base import PType
-from repro.devices.cntfet import CNTFET
-from repro.devices.contacts import SeriesResistanceFET
-from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET, TabulatedFET
-from repro.devices.reference import TrigateFET
-from repro.devices.surrogate import GridSpec, compile_surrogate
+from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
 from repro.experiments.cascade import build_inverter_chain
 
 ATOL = 1e-12
@@ -38,9 +34,9 @@ def rc_ladder(n_sections=4):
     return c
 
 
-def inverter(nfet=None):
+def inverter():
     c = Circuit("inverter")
-    nfet = AlphaPowerFET() if nfet is None else nfet
+    nfet = AlphaPowerFET()
     c.add_voltage_source("VDD", "vdd", "0", DC(1.0))
     c.add_voltage_source("VIN", "in", "0", DC(0.4))
     c.add_fet("MP", "out", "in", "vdd", PType(nfet))
@@ -67,9 +63,8 @@ def mixed_chain(n_stages=5):
 def single_fet():
     """One FET + one p-mirror FET, each alone in its device group.
 
-    Exercises the compiled plan's scalar fast path (``count == 1``
-    groups stamp through ``linearize_point`` with plain-int indices)
-    against the element-walking reference.
+    Exercises ``count == 1`` groups (one-FET device calls, two gathers
+    per group) against the element-walking reference.
     """
     c = Circuit("single-fet")
     c.add_voltage_source("VD", "d", "0", DC(0.8))
@@ -318,20 +313,13 @@ def test_standalone_plan_compiles_small_circuits():
     np.testing.assert_allclose(jac_p, jac_d, atol=ATOL, rtol=0.0)
 
 
-def _has_point_groups(plan) -> bool:
-    return not plan.use_sparse and any(g.use_points for g in plan.fet_groups)
-
-
 @pytest.mark.parametrize("context", CONTEXTS)
 @pytest.mark.parametrize("circuit_name", CIRCUITS)
 def test_one_row_call_matches_stacked_row(circuit_name, context):
-    """A one-row ``evaluate_many`` is the same row of a 3-row stack.
+    """A one-row ``evaluate_many`` is bitwise the same row of a 3-row stack.
 
-    Bitwise where every FET group takes the array path (dense and
-    sparse).  Small dense groups stamp through the scalar point path on
-    a one-row stack — libm ``math`` calls instead of numpy's SIMD loops
-    and a per-FET accumulation order — so plans with such a group are
-    held to 1e-15 of each output's scale.
+    Every FET group of every plan, dense or sparse, one row or many,
+    takes the one array path.
     """
     system = CIRCUITS[circuit_name]().build_system()
     plan = system._plan
@@ -349,11 +337,7 @@ def test_one_row_call_matches_stacked_row(circuit_name, context):
         }
         single = plan.evaluate_many(x[row : row + 1], **row_kwargs)
         for got, want in zip(single, stacked):
-            if _has_point_groups(plan):
-                scale = np.max(np.abs(want[row]))
-                np.testing.assert_allclose(got[0], want[row], rtol=0.0, atol=1e-15 * scale)
-            else:
-                assert np.array_equal(got[0], want[row])
+            assert np.array_equal(got[0], want[row])
 
 
 @pytest.mark.parametrize("circuit_name", ["mixed_chain", "rc_ladder", "big_ladder"])
@@ -386,80 +370,3 @@ def test_system_evaluate_returns_fresh_arrays(circuit_name):
         np.testing.assert_array_equal(_as_dense(a), before)
         a, b = (m.data if sparse.issparse(m) else m for m in (a, b))
         assert not np.shares_memory(a, b)
-
-
-_POINT_PATH_DEVICES = {
-    # Closed-form linearize_point overrides: the scalar point path.
-    "alpha_power": (AlphaPowerFET, True),
-    "trigate": (TrigateFET, True),
-    "non_saturating": (NonSaturatingFET, True),
-    "surrogate": (
-        lambda: compile_surrogate(
-            AlphaPowerFET(),
-            GridSpec(initial_points=(8, 8), max_refinements=0),
-        ),
-        True,
-    ),
-    # Finite-difference models: always the batched path.
-    "tabulated": (
-        lambda: TabulatedFET.from_model(
-            AlphaPowerFET(), np.linspace(-0.3, 1.3, 9), np.linspace(0.0, 1.3, 9)
-        ),
-        False,
-    ),
-    "cntfet": (CNTFET.reference_device, False),
-    "series_resistance": (
-        lambda: SeriesResistanceFET(AlphaPowerFET(), 1e3, 1e3),
-        False,
-    ),
-}
-
-
-@pytest.mark.parametrize("name", _POINT_PATH_DEVICES)
-def test_point_path_follows_the_device_class(name, monkeypatch):
-    """Only classes that override ``linearize_point`` take the point path."""
-    monkeypatch.setenv("REPRO_SURROGATE_CACHE", "off")
-    make, expected = _POINT_PATH_DEVICES[name]
-    (group,) = inverter(make()).build_system()._plan.fet_groups
-    assert group.count == 2
-    assert group.use_points is expected
-
-
-def test_point_path_only_for_one_row_without_variation(monkeypatch, sparse_fet_ladder):
-    """A small dense group takes ``stamp_points`` only at m == 1, no variation."""
-    from repro.circuit.assembly import SCALAR_GROUP_MAX, _FETGroup
-    from repro.circuit.sweep import FETVariation
-
-    calls = []
-    stamp_points = _FETGroup.stamp_points
-
-    def counting(self, *args):
-        calls.append(self.count)
-        return stamp_points(self, *args)
-
-    monkeypatch.setattr(_FETGroup, "stamp_points", counting)
-
-    plan = inverter().build_system()._plan
-    (group,) = plan.fet_groups
-    assert group.count <= SCALAR_GROUP_MAX and group.use_points
-    x = np.full((3, plan.size), 0.3)
-    plain = FETVariation(drive_scale=np.ones((1, 2)), vth_shift_v=np.zeros((1, 2)))
-    for stack, variation, expected in (
-        (x[:1], None, [2]),
-        (x, None, []),
-        (x[:1], plain, []),
-    ):
-        calls.clear()
-        plan.evaluate_many(stack, variation=variation)
-        assert calls == expected
-
-    big = mixed_chain().build_system()._plan
-    assert [g.use_points for g in big.fet_groups] == [
-        g.count <= SCALAR_GROUP_MAX for g in big.fet_groups
-    ]
-
-    sparse_plan = sparse_fet_ladder().build_system()._plan
-    assert sparse_plan.use_sparse and sparse_plan.fet_groups[0].count == 1
-    calls.clear()
-    sparse_plan.evaluate_many(np.zeros((1, sparse_plan.size)))
-    assert calls == []

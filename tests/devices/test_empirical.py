@@ -316,7 +316,7 @@ class TestAnalyticLinearization:
         assume(steps is not None)
         gm_ref, gds_ref = _reference(device, vgs, vds, *steps)
         current, gm, gds = device.linearize_point(vgs, vds)
-        assert current == device.current(vgs, vds)
+        assert current == device.currents(np.array([vgs]), np.array([vds]))[0]
         _assert_close(gm, gm_ref, "gm")
         _assert_close(gds, gds_ref, "gds")
 
@@ -332,8 +332,8 @@ class TestAnalyticLinearization:
         assume(abs(vds) > 1e-6)
         gm_ref, gds_ref = _reference(device, vgs, vds, 1e-3 * smoothing, 1e-3)
         current, gm, gds = device.linearize_point(vgs, vds)
-        assert current == device.current(vgs, vds)
-        assert gds == device.conductance(vgs)
+        assert current == device.currents(np.array([vgs]), np.array([vds]))[0]
+        assert gds == pytest.approx(device.conductance(vgs), rel=1e-15, abs=0.0)
         _assert_close(gm, gm_ref, "gm")
         _assert_close(gds, gds_ref, "gds")
 
@@ -360,7 +360,9 @@ class TestAnalyticLinearization:
         for k in range(vgs.size):
             point = device.linearize_point(float(vgs[k]), float(vds[k]))
             assert all(math.isfinite(value) for value in point)
-            assert point[0] == device.current(float(vgs[k]), float(vds[k]))
+            assert point == (float(current[k]), float(gm[k]), float(gds[k]))
+            scalar = device.current(float(vgs[k]), float(vds[k]))
+            assert point[0] == pytest.approx(scalar, rel=1e-15, abs=0.0)
         if temperature_k == 5.0:
             assert not np.any(current[:2]) and not np.any(gm) and not np.any(gds[:2])
 
@@ -384,11 +386,8 @@ class TestAnalyticLinearization:
         points = np.array(
             [device.linearize_point(g, d) for g, d in zip(vgs.tolist(), vds.tolist())]
         ).T
-        assert points[0].tolist() == [
-            device.current(g, d) for g, d in zip(vgs.tolist(), vds.tolist())
-        ]
-        # libm (scalar) and numpy (SIMD) transcendentals differ by an ulp
-        # or so, so the paths agree to 1e-15 of each output's scale.
-        for point, array in zip(points, batch):
-            scale = np.max(np.abs(array))
-            assert np.max(np.abs(point - array)) <= 1e-15 * scale
+        assert np.array_equal(points, np.array(batch))
+        # The scalar ``current`` uses libm, the arrays numpy's SIMD
+        # transcendentals: they agree to 1e-15 of the current's scale.
+        scalar = np.array([device.current(g, d) for g, d in zip(vgs.tolist(), vds.tolist())])
+        assert np.max(np.abs(scalar - batch[0])) <= 1e-15 * np.max(np.abs(batch[0]))

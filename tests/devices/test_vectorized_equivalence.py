@@ -74,8 +74,8 @@ def test_physical_model_currents_match_scalar(name):
 class _FiniteDifferenceOnly(FETModel):
     """Alpha-power currents through ``_forward_currents`` alone.
 
-    It inherits the default central-difference ``linearize`` and
-    ``linearize_point``, which the closed-form models override.
+    It inherits the default central-difference ``linearize``, which
+    the closed-form models override.
     """
 
     def __init__(self):

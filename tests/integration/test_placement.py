@@ -64,8 +64,6 @@ class TestTrenchDeposition:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrenchDeposition(mean_tubes_per_site=0.0)
-        with pytest.raises(ValueError):
-            TrenchDeposition(misplacement_probability=1.0)
 
     def test_fill_fraction_formula(self):
         trench = TrenchDeposition(mean_tubes_per_site=2.5)
@@ -74,18 +72,3 @@ class TestTrenchDeposition:
     def test_park_regime_over_90_percent(self):
         # Park et al. reached >90 % filled sites; mu = 2.5 gives ~92 %.
         assert TrenchDeposition(mean_tubes_per_site=2.5).fill_fraction() > 0.9
-
-    def test_concentration_inverts_fill(self):
-        trench = TrenchDeposition()
-        mu = trench.concentration_for_fill(0.95)
-        assert 1.0 - math.exp(-mu) == pytest.approx(0.95)
-
-    def test_concentration_validation(self):
-        with pytest.raises(ValueError):
-            TrenchDeposition().concentration_for_fill(1.0)
-
-    def test_statistics_consistent(self):
-        trench = TrenchDeposition(mean_tubes_per_site=1.0, misplacement_probability=0.02)
-        stats = trench.statistics()
-        assert stats.p_empty == pytest.approx(math.exp(-1.0))
-        assert stats.p_misaligned == 0.02

@@ -25,11 +25,14 @@ class ShadowingFET(FETModel):
         return 1e-6 * vgs * vds
 
 
-class HalfLinearizedFET(FETModel):
-    """Overrides the batched small-signal path but not the scalar one."""
+class ScalarLinearizedFET(FETModel):
+    """Keeps a scalar small-signal path beside the batched one."""
 
     def current(self, vgs: float, vds: float) -> float:
         return 1e-6 * vgs * vds
 
-    def linearize(self, vgs_values, vds_values):  # seeded: PRT002
+    def linearize(self, vgs_values, vds_values):
+        raise NotImplementedError("fixture device")
+
+    def linearize_point(self, vgs: float, vds: float):  # seeded: PRT002
         raise NotImplementedError("fixture device")

@@ -61,7 +61,7 @@ after = tracer.metrics()
 for name in ("sweep.runs", "sweep.chunks"):
     assert after[name] > metrics[name], (name, metrics[name], after[name])
 
-# The analytic linearize/linearize_point overrides stay visible to the
+# The analytic linearize overrides stay visible to the
 # device counters: one solve on a surrogate and one on the closed form.
 from repro.circuit import operating_point
 from repro.circuit.waveforms import DC

@@ -3,12 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.physics.constants import CNT_QUANTUM_RESISTANCE_OHM
 from repro.transport.scattering import (
     MeanFreePath,
     OPTICAL_PHONON_ENERGY_EV,
     ballisticity,
-    series_channel_resistance_ohm,
 )
 
 
@@ -72,24 +70,3 @@ class TestBallisticity:
     @given(st.floats(1.0, 1e3))
     def test_monotone_decreasing_in_length(self, mfp):
         assert ballisticity(10.0, mfp) > ballisticity(100.0, mfp)
-
-
-class TestLengthScalingResistance:
-    def test_short_channel_floor_is_quantum_limit(self):
-        r = series_channel_resistance_ohm(0.0, 300.0, CNT_QUANTUM_RESISTANCE_OHM)
-        assert r == pytest.approx(CNT_QUANTUM_RESISTANCE_OHM)
-
-    def test_linear_growth_with_length(self):
-        r_q = CNT_QUANTUM_RESISTANCE_OHM
-        r300 = series_channel_resistance_ohm(300.0, 300.0, r_q)
-        assert r300 == pytest.approx(2 * r_q)
-
-    def test_franklin_chen_11k_scale(self):
-        # Ref. [16]: ~11 kOhm total series resistance for short devices
-        # including imperfect contacts (~quantum floor + extras).
-        r = series_channel_resistance_ohm(20.0, 300.0, 10.5e3)
-        assert 10e3 < r < 13e3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            series_channel_resistance_ohm(10.0, 300.0, 0.0)
