@@ -18,7 +18,11 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.solver import _solve_stack, newton_solve, operating_point, solve_dc
 from repro.circuit.waveforms import DC, Pulse, Sine
 from repro.devices.base import PType
-from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET
+from repro.devices.cntfet import CNTFET
+from repro.devices.contacts import SeriesResistanceFET
+from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET, TabulatedFET
+from repro.devices.reference import TrigateFET
+from repro.devices.surrogate import GridSpec, compile_surrogate
 from repro.experiments.cascade import build_inverter_chain
 
 ATOL = 1e-12
@@ -34,9 +38,9 @@ def rc_ladder(n_sections=4):
     return c
 
 
-def inverter():
+def inverter(nfet=None):
     c = Circuit("inverter")
-    nfet = AlphaPowerFET()
+    nfet = AlphaPowerFET() if nfet is None else nfet
     c.add_voltage_source("VDD", "vdd", "0", DC(1.0))
     c.add_voltage_source("VIN", "in", "0", DC(0.4))
     c.add_fet("MP", "out", "in", "vdd", PType(nfet))
@@ -336,6 +340,43 @@ def test_one_row_call_matches_stacked_row(circuit_name, context):
             for key, value in kwargs.items()
         }
         single = plan.evaluate_many(x[row : row + 1], **row_kwargs)
+        for got, want in zip(single, stacked):
+            assert np.array_equal(got[0], want[row])
+
+
+INVERTER_DEVICES = {
+    # Closed-form linearize overrides.
+    "alpha_power": AlphaPowerFET,
+    "trigate": TrigateFET,
+    "non_saturating": NonSaturatingFET,
+    "surrogate": lambda: compile_surrogate(
+        AlphaPowerFET(), GridSpec(initial_points=(8, 8), max_refinements=0)
+    ),
+    # Central-difference linearize from the base class.
+    "tabulated": lambda: TabulatedFET.from_model(
+        AlphaPowerFET(), np.linspace(-0.3, 1.3, 9), np.linspace(0.0, 1.3, 9)
+    ),
+    "cntfet": CNTFET.reference_device,
+    "series_resistance": lambda: SeriesResistanceFET(AlphaPowerFET(), 1e3, 1e3),
+}
+
+
+@pytest.mark.parametrize("name", INVERTER_DEVICES)
+def test_one_row_inverter_matches_stacked_row_for_every_device_class(name, monkeypatch):
+    """A two-FET group of any device class stamps a one-row call bitwise.
+
+    Small groups of every class take the array path, so a one-row
+    ``evaluate_many`` is the same row of a 3-row stack.
+    """
+    monkeypatch.setenv("REPRO_SURROGATE_CACHE", "off")
+    plan = inverter(INVERTER_DEVICES[name]()).build_system()._plan
+    (group,) = plan.fet_groups
+    assert group.count == 2 and not plan.use_sparse
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-0.2, 1.2, size=(3, plan.size))
+    stacked = plan.evaluate_many(x)
+    for row in range(3):
+        single = plan.evaluate_many(x[row : row + 1])
         for got, want in zip(single, stacked):
             assert np.array_equal(got[0], want[row])
 

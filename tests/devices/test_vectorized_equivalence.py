@@ -11,12 +11,14 @@ silently diverge from the other.
 import numpy as np
 import pytest
 
+from repro.circuit.sweep import ScaledShiftedFET
 from repro.devices.base import FETModel, PType
 from repro.devices.cntfet import CNTFET
 from repro.devices.empirical import AlphaPowerFET, NonSaturatingFET, TabulatedFET
 from repro.devices.fabric import CNTFabricFET
 from repro.devices.gnrfet import GNRFET
 from repro.devices.reference import trigate_intel_22nm
+from repro.devices.surrogate import GridSpec, compile_surrogate
 from repro.physics.gnr import gnr_for_gap
 
 
@@ -69,6 +71,32 @@ def test_physical_model_currents_match_scalar(name):
     batch = device.currents(vgs, vds)
     scalar = np.array([device.current(float(g), float(d)) for g, d in zip(vgs, vds)])
     np.testing.assert_allclose(batch, scalar, rtol=1e-9, atol=1e-30)
+
+
+LINEARIZED_DEVICES = {
+    **FAST_DEVICES,
+    "surrogate": lambda: compile_surrogate(
+        AlphaPowerFET(), GridSpec(initial_points=(8, 8), max_refinements=0)
+    ),
+    "scaled_shifted": lambda: ScaledShiftedFET(PType(AlphaPowerFET()), 1.07, -0.03),
+}
+
+
+@pytest.mark.parametrize("name", LINEARIZED_DEVICES)
+def test_linearize_point_is_the_batched_element(name, monkeypatch):
+    """``linearize_point`` is bitwise the matching element of ``linearize``.
+
+    No model keeps a scalar linearization of its own: the base
+    ``linearize_point`` is the one-point call of the batched form.
+    """
+    monkeypatch.setenv("REPRO_SURROGATE_CACHE", "off")
+    device = LINEARIZED_DEVICES[name]()
+    vgs, vds = _bias_grid(40)
+    batch = np.array(device.linearize(vgs, vds))
+    for k in range(vgs.size):
+        point = device.linearize_point(float(vgs[k]), float(vds[k]))
+        assert all(type(value) is float for value in point)
+        assert np.array_equal(np.array(point), batch[:, k])
 
 
 class _FiniteDifferenceOnly(FETModel):
