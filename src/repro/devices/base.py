@@ -162,10 +162,12 @@ class FETModel:
     def current(self, vgs: float, vds: float) -> float:
         """Drain current I_D [A] at the given source-referenced bias.
 
-        The one-point call of :meth:`currents`; models with only a
-        scalar form override it.
+        The one-point call of :meth:`currents`, on one-element arrays
+        (0-d ones would take numpy's scalar arithmetic, e.g. libm
+        ``pow``), so it is bitwise the batched call's element; models
+        with only a scalar form override it.
         """
-        return float(self.currents(vgs, vds))
+        return float(self.currents(np.array([vgs], float), np.array([vds], float))[0])
 
     @property
     def polarity(self) -> str:

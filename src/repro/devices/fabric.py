@@ -107,11 +107,10 @@ class CNTFabricFET(FETModel):
 
     def on_off_ratio(self, vdd: float, v_off: float = 0.0) -> float:
         """I_on / I_off at supply ``vdd`` — collapses with metallic shunts."""
-        i_on = self.current(vdd, vdd)
-        i_off = self.current(v_off, vdd)
+        i_on, i_off = self.currents([vdd, v_off], [vdd, vdd])
         if i_off <= 0.0:
             return np.inf
-        return i_on / i_off
+        return float(i_on / i_off)
 
 
 def sample_fabric(

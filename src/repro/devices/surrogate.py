@@ -27,9 +27,11 @@ k-space integrals per bias point — hundreds of microseconds per call,
   and ``ds/dvds`` together, so ``I``, ``gm`` and ``gds`` come from one
   analytic pass — no finite-difference step anywhere on the hot path.
   fitpack (:class:`~scipy.interpolate.RectBivariateSpline`) runs only at
-  compile and load time: in the adaptive fill and in the conversion,
-  which import :mod:`scipy.interpolate` themselves, so importing this
-  module (and the CLI) does not load fitpack;
+  compile time: in the adaptive fill and in the conversion, which
+  import :mod:`scipy.interpolate` themselves.  The cells are the stored
+  form of a surrogate (in the disk cache and in its pickle), so neither
+  importing this module (and the CLI), nor a disk load, nor an unpickle
+  loads fitpack;
 * outside the box the surface continues by bounded first-order
   extrapolation, keeping stray Newton iterates finite.
 
@@ -44,7 +46,8 @@ disable).  Each file stores its key and is rejected on load when the
 key differs.  Disk writes are atomic
 (:func:`repro.store.atomic_write_bytes`), so the process-pool workers
 of :class:`repro.circuit.sweep.SweepPlan` can share one cache
-directory; corrupt or stale files are silently recompiled and
+directory; corrupt or stale files (including a file whose stored cells
+are missing, misshapen or non-finite) are silently recompiled and
 replaced.  A model that does not pickle is memoised in memory by
 identity and grid request only.
 
@@ -94,7 +97,7 @@ __all__ = [
 CACHE_ENV = "REPRO_SURROGATE_CACHE"
 
 #: On-disk format version; bumping it invalidates every cached table.
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 _CACHE_OFF_VALUES = frozenset({"", "0", "off", "none", "disabled"})
 
@@ -329,9 +332,12 @@ class SurrogateFET(_TableFET):
     clamped edge point, so stray Newton iterates see finite currents
     and conductances.
 
-    Instances pickle by table (the cell coefficients are rebuilt on
-    load), which keeps them safe to ship to
-    :class:`~repro.circuit.sweep.SweepPlan` process-pool workers.
+    The cells are built from the table at construction, or passed in
+    as ``cells`` (a disk load), in which case they are checked for shape
+    and finiteness but not rebuilt.  Instances pickle with their cells
+    and without ``source``, so a
+    :class:`~repro.circuit.sweep.SweepPlan` process-pool worker
+    unpickles a surrogate without running fitpack.
     """
 
     def __init__(
@@ -344,6 +350,7 @@ class SurrogateFET(_TableFET):
         symmetric: bool = True,
         fit_error: float | None = None,
         source: FETModel | None = None,
+        cells=None,
     ):
         super().__init__(vgs_grid, vds_grid, conductance_grid)
         if h_ref <= 0.0:
@@ -354,23 +361,21 @@ class SurrogateFET(_TableFET):
         self.mirror_symmetric = bool(symmetric)
         self.fit_error = None if fit_error is None else float(fit_error)
         self.source = source
-        self._build_cells()
+        if cells is None:
+            cells = _bicubic_cells(
+                self._vgs, self._vds, np.arcsinh(self._id / self._h_ref)
+            )
+        self._cells = np.asarray(cells, dtype=float)
+        shape = (self._vgs.size - 1, self._vds.size - 1, 4, 4)
+        if self._cells.shape != shape:
+            raise ValueError(f"cell array shape {self._cells.shape} is not {shape}")
+        if not np.all(np.isfinite(self._cells)):
+            raise ValueError("cell coefficients contain non-finite values")
 
-    def _build_cells(self) -> None:
-        self._cells = _bicubic_cells(
-            self._vgs, self._vds, np.arcsinh(self._id / self._h_ref)
-        )
-
-    # -- pickling: ship the table, rebuild the cell coefficients -------------
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_cells", None)
-        state["source"] = None  # keep pool payloads small and picklable
+        state["source"] = None  # keep pool payloads picklable
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._build_cells()
 
     @property
     def h_ref(self) -> float:
@@ -578,7 +583,7 @@ def _cache_key(
 
     The model's pickled state is its identity: every attribute it
     stores reaches the key (``SurrogateFET.__getstate__`` drops only
-    the derived cells and the provenance ``source``).
+    the provenance ``source``).
     """
     try:
         return fingerprint(
@@ -628,7 +633,7 @@ def surrogate_cache_dir() -> Path | None:
 
 
 def _load_cached(path: Path, key: str) -> SurrogateFET | None:
-    """Rebuild a surrogate from one cache file; None on any defect."""
+    """Read a surrogate, cells included, from one cache file; None on any defect."""
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
@@ -641,9 +646,11 @@ def _load_cached(path: Path, key: str) -> SurrogateFET | None:
                 h_ref=float(meta["h_ref"]),
                 symmetric=bool(meta["symmetric"]),
                 fit_error=meta.get("fit_error"),
+                cells=data["cells"],
             )
     except Exception:
-        # Corrupt, truncated, stale or unreadable: recompile and replace.
+        # Corrupt, truncated, stale or unreadable, or cells missing,
+        # misshapen or non-finite: recompile and replace.
         return None
 
 
@@ -665,6 +672,7 @@ def _store_cached(path: Path, surrogate: SurrogateFET, key: str) -> None:
             vgs=surrogate.vgs_grid,
             vds=surrogate.vds_grid,
             table=surrogate.table,
+            cells=surrogate._cells,
             meta=np.asarray(meta),
         )
         atomic_write_bytes(path, buffer.getvalue())

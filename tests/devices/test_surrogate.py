@@ -10,13 +10,15 @@ Covers the tentpole contracts of :mod:`repro.devices.surrogate`:
   finite-difference step on the hot path);
 * the per-cell kernel against a fitpack ``RectBivariateSpline.ev``
   oracle on the same table (in box, on nodes and edges, outside the box,
-  mirrored, after a pickle round trip);
+  mirrored, after a pickle round trip that ships the cells);
 * content-addressed caching: memory hits, disk round-trips that are
-  bitwise deterministic, corrupt- and stale-file recovery, cache
+  bitwise deterministic, corrupt- and stale-file recovery (including
+  missing, misshapen or non-finite stored cells), cache
   disabling, keys derived from the pickled model state, and the
   identity fallback for models that do not pickle.
 """
 
+import json
 import os
 import pickle
 import subprocess
@@ -242,10 +244,19 @@ class TestCellKernel:
         for value, want in zip(got, oracle.forward(vgs, vds)):
             np.testing.assert_allclose(value, want, rtol=1e-11)
 
-    def test_pickle_round_trip_ships_the_table_only(self, name):
+    def test_pickle_round_trip_ships_the_cells(self, name, monkeypatch):
         surrogate = _kernel_surrogates()[name]
-        assert "_cells" not in surrogate.__getstate__()
-        clone = pickle.loads(pickle.dumps(surrogate))
+        state = surrogate.__getstate__()
+        assert state["_cells"] is surrogate._cells
+        assert state["source"] is None
+        payload = pickle.dumps(surrogate)
+
+        def no_rebuild(*args):
+            raise AssertionError("unpickling rebuilt the cells")
+
+        monkeypatch.setattr(surrogate_module, "_bicubic_cells", no_rebuild)
+        clone = pickle.loads(payload)
+        assert np.array_equal(clone._cells, surrogate._cells)
         vgs, vds = _box_probes(surrogate, n=50)
         vds = np.concatenate([vds, -vds])
         vgs = np.concatenate([vgs, vgs])
@@ -371,6 +382,85 @@ class TestCache:
         surrogate_module.clear_surrogate_memory()
         reloaded = compile_surrogate(NonSaturatingFET())
         assert np.array_equal(reloaded.table, first.table)
+
+    def _count_fills(self, monkeypatch) -> list:
+        fills = []
+        fill = surrogate_module._fill_table
+
+        def counted(*args):
+            fills.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(surrogate_module, "_fill_table", counted)
+        return fills
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            lambda arrays: arrays.pop("cells"),
+            lambda arrays: arrays.update(cells=arrays["cells"][:, :-1]),
+            lambda arrays: arrays["cells"].__setitem__((3, 2, 1, 0), np.nan),
+        ],
+        ids=["missing", "wrong_shape", "non_finite"],
+    )
+    def test_defective_stored_cells_are_recompiled_and_replaced(self, defect, monkeypatch):
+        first = compile_surrogate(NonSaturatingFET())
+        (path,) = surrogate_cache_dir().glob("*.npz")
+        with np.load(path) as data:
+            arrays = dict(data)
+        defect(arrays)
+        with path.open("wb") as handle:
+            np.savez(handle, **arrays)
+        fills = self._count_fills(monkeypatch)
+        surrogate_module.clear_surrogate_memory()
+        recovered = compile_surrogate(NonSaturatingFET())
+        assert len(fills) == 1  # recompiled, never misread
+        assert np.array_equal(recovered._cells, first._cells)
+        with np.load(path) as data:  # and the file replaced
+            assert np.array_equal(data["cells"], first._cells)
+        surrogate_module.clear_surrogate_memory()
+        reloaded = compile_surrogate(NonSaturatingFET())
+        assert len(fills) == 1  # once: the replacement is read back
+        assert np.array_equal(reloaded._cells, first._cells)
+
+    def test_version_2_file_is_never_read(self, monkeypatch):
+        model = NonSaturatingFET()
+        first = compile_surrogate(model)
+        (path,) = surrogate_cache_dir().glob("*.npz")
+        with monkeypatch.context() as patch:
+            patch.setattr(surrogate_module, "_CACHE_VERSION", 2)
+            old_key = self._key_of(model)
+        # A version-2 file: table only, under its own key.
+        with np.load(path) as data:
+            arrays = dict(data)
+        del arrays["cells"]
+        meta = json.loads(str(arrays["meta"]))
+        meta.update(version=2, key=old_key)
+        arrays["meta"] = np.asarray(json.dumps(meta))
+        old_path = path.with_name(f"{old_key}.npz")
+        with old_path.open("wb") as handle:
+            np.savez(handle, **arrays)
+        old_bytes = old_path.read_bytes()
+        # The same file planted on the current key's path.
+        path.write_bytes(old_bytes)
+
+        opened = []
+        load = surrogate_module._load_cached
+
+        def spied(file, key):
+            opened.append(file)
+            return load(file, key)
+
+        monkeypatch.setattr(surrogate_module, "_load_cached", spied)
+        fills = self._count_fills(monkeypatch)
+        surrogate_module.clear_surrogate_memory()
+        recovered = compile_surrogate(model)
+        assert opened == [path] and len(fills) == 1
+        assert np.array_equal(recovered._cells, first._cells)
+        assert old_path.read_bytes() == old_bytes
+        surrogate_module.clear_surrogate_memory()
+        compile_surrogate(model)
+        assert opened == [path, path] and len(fills) == 1
 
     def test_stale_format_version_is_recompiled(self, monkeypatch):
         first = compile_surrogate(NonSaturatingFET())

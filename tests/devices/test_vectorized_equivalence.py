@@ -99,6 +99,36 @@ def test_linearize_point_is_the_batched_element(name, monkeypatch):
         assert np.array_equal(np.array(point), batch[:, k])
 
 
+class _ForwardCurrentsOnly(FETModel):
+    """Alpha-power currents through ``_forward_currents`` alone.
+
+    It inherits the base ``current``, which the closed-form models
+    replace with a scalar form of their own.
+    """
+
+    def __init__(self):
+        self._core = AlphaPowerFET()
+
+    def _forward_currents(self, vgs, vds):
+        return self._core._forward_currents(vgs, vds)
+
+
+def test_current_is_the_batched_element():
+    """The base ``current`` is bitwise the matching element of ``currents``.
+
+    A one-point call on 0-d values would run the model's arithmetic on
+    numpy scalars (libm ``pow``), not the ufunc loops of the batch.
+    """
+    device = _ForwardCurrentsOnly()
+    box = device._core.operating_box()
+    rng = np.random.default_rng(7)
+    vgs = rng.uniform(box.vgs_min, box.vgs_max, 400)
+    vds = rng.uniform(box.vds_min, box.vds_max, 400)
+    batch = device.currents(vgs, vds)
+    point = np.array([device.current(float(g), float(d)) for g, d in zip(vgs, vds)])
+    assert np.array_equal(point, batch)
+
+
 class _FiniteDifferenceOnly(FETModel):
     """Alpha-power currents through ``_forward_currents`` alone.
 

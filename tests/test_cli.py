@@ -215,6 +215,45 @@ print(json.dumps(scipy_loaded()))
         )
         assert loaded == []
 
+    def test_warm_surrogate_load_leaves_fitpack_unloaded(self, tmp_path, monkeypatch):
+        # A surrogate stores its cells, in the cache file and in its
+        # pickle, so on a warm cache neither a `cascade --physical` run
+        # nor unpickling a surrogate imports scipy.interpolate.
+        monkeypatch.setenv("REPRO_SURROGATE_CACHE", str(tmp_path / "surrogates"))
+        pickled = tmp_path / "surrogate.pickle"
+        compiled = _fresh_interpreter(
+            f"""
+import pickle
+from repro.experiments.cascade import physical_saturating_fet
+
+with open({str(pickled)!r}, "wb") as handle:
+    pickle.dump(physical_saturating_fet(), handle)
+print(json.dumps(scipy_loaded()))
+"""
+        )
+        assert "scipy.interpolate" in compiled  # the cold compile ran fitpack
+        warm_run = _fresh_interpreter(
+            """
+from repro.cli import main
+
+assert main(["cascade", "--physical"]) == 0
+print(json.dumps(scipy_loaded()))
+"""
+        )
+        unpickled = _fresh_interpreter(
+            f"""
+import pickle
+
+with open({str(pickled)!r}, "rb") as handle:
+    surrogate = pickle.load(handle)
+current, gm, gds = surrogate.linearize([0.3, 0.6], [0.2, -0.4])
+assert current[0] > 0.0 > current[1] and gm[0] > 0.0
+print(json.dumps(scipy_loaded()))
+"""
+        )
+        for loaded in (warm_run, unpickled):
+            assert not [m for m in loaded if m.startswith("scipy.interpolate")]
+
     def test_sparse_plan_and_ac_pencil_load_scipy(self):
         # scipy arrives with the first sparse plan (scipy.sparse, splu)
         # and the first dense AC pencil (qz), and both still solve.
