@@ -330,6 +330,23 @@ def bench_physical_cli_warm(repeat: int) -> dict:
     }
 
 
+def bench_circuit_transients(repeat: int) -> dict:
+    from repro.cli import EXPERIMENTS
+
+    names = ("fig2", "cascade", "timing")
+
+    def run() -> None:
+        for name in names:
+            EXPERIMENTS[name][1]()
+
+    seconds = _timed(run, repeat)
+    return {
+        "case": "circuit_transients",
+        "detail": "in-process `repro fig2`, `cascade` and `timing` (their transient marches)",
+        "seconds": seconds,
+    }
+
+
 def bench_contract_lint(repeat: int) -> dict:
     from repro.lint import run_lint
 
@@ -367,6 +384,7 @@ def main(argv: list[str] | None = None) -> int:
             bench_vtc_sweep,
             bench_cli_startup,
             bench_physical_cli_warm,
+            bench_circuit_transients,
             bench_contract_lint,
         )
     ]

@@ -9,15 +9,18 @@ Monte-Carlo-scale timing rides the batched transient engine
 (:class:`repro.circuit.sweep.CircuitTransientMC`) through one helper
 that time-steps every varied copy of a switching inverter in a single
 lockstep batch (actual switching waveforms, not CV/I) and times each
-copy.  Both callers return a :class:`DelayEnergyDistribution`:
+copy.  Its callers return :class:`DelayEnergyDistribution` blocks:
 :func:`transient_delay_corner_sweep` for named slow/typical/fast
-corners (with ``labels``), and :func:`delay_energy_distribution` for a
+corners (with ``labels``), :func:`delay_energy_distribution` for a
 sampled device spread (:class:`~repro.circuit.sweep.FETVariation`) —
-the paper's delay and energy-per-transition distributions.
+the paper's delay and energy-per-transition distributions — and
+:func:`corner_sweep_and_distribution` for both from one run.  Rows are
+independent, so each block is bitwise what its own call gives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +39,7 @@ __all__ = [
     "cv_over_i_delay_s",
     "transient_delay_corner_sweep",
     "delay_energy_distribution",
+    "corner_sweep_and_distribution",
 ]
 
 
@@ -203,24 +207,29 @@ class DelayEnergyDistribution:
 
 def _timed_switching(
     device: FETModel,
-    variation_for,
+    variation_fors,
     load_f: float,
     vdd: float,
     t_stop_s: float,
     dt_s: float,
     policy: ExecutionPolicy | None,
-) -> DelayEnergyDistribution:
+) -> list[DelayEnergyDistribution]:
     """Time-step every varied copy of the switching inverter and time it.
 
-    ``variation_for(n_fets)`` builds the :class:`~repro.circuit.sweep.
-    FETVariation` for the inverter's FET count; all its rows run as one
-    batched :class:`~repro.circuit.sweep.CircuitTransientMC` transient
-    run under ``policy``, and each instance is timed on its own
-    waveforms.
+    Each ``variation_for(n_fets)`` in ``variation_fors`` builds one block
+    of :class:`~repro.circuit.sweep.FETVariation` rows for the
+    inverter's FET count; all blocks run as rows of one batched
+    :class:`~repro.circuit.sweep.CircuitTransientMC` transient run under
+    ``policy``, each instance is timed on its own waveforms, and one
+    distribution comes back per block.
     """
     cell = _switching_inverter(device, load_f, vdd, t_stop_s)
     engine = CircuitTransientMC(cell.circuit)
-    variation = variation_for(len(engine.fet_names))
+    blocks = [variation_for(len(engine.fet_names)) for variation_for in variation_fors]
+    variation = FETVariation(
+        drive_scale=np.concatenate([block.drive_scale for block in blocks]),
+        vth_shift_v=np.concatenate([block.vth_shift_v for block in blocks]),
+    )
     result = engine.run(variation, t_stop_s, dt_s, policy=policy)
     n = variation.n_instances
     tp_hl = np.full(n, np.nan)
@@ -236,9 +245,56 @@ def _timed_switching(
         tp_hl[i], tp_lh[i] = delays.tp_hl_s, delays.tp_lh_s
         energy[i] = supply_energy_j(waves, cell.vdd_source, vdd)
         valid[i] = True
-    return DelayEnergyDistribution(
-        tp_hl_s=tp_hl, tp_lh_s=tp_lh, energies_j=energy, valid=valid
+    bounds = np.cumsum([0] + [block.n_instances for block in blocks])
+    return [
+        DelayEnergyDistribution(
+            tp_hl_s=tp_hl[start:stop],
+            tp_lh_s=tp_lh[start:stop],
+            energies_j=energy[start:stop],
+            valid=valid[start:stop],
+        )
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _corner_items(corners) -> list[tuple[str, float, float]]:
+    """``(label, drive_scale, vth_shift_v)`` of each corner, in input order."""
+    items = [
+        (str(label), float(scale), float(shift))
+        for label, (scale, shift) in dict(corners).items()
+    ]
+    if not items:
+        raise ValueError("need at least one corner")
+    return items
+
+
+def _corner_variation(items, n_fets: int) -> FETVariation:
+    """One row per corner, its pair applied uniformly to all ``n_fets`` FETs."""
+    return FETVariation(
+        drive_scale=np.array([[scale] * n_fets for _, scale, _ in items]),
+        vth_shift_v=np.array([[shift] * n_fets for _, _, shift in items]),
     )
+
+
+def _sampled(n_instances: int, seed: int, drive_sigma: float, vth_sigma_v: float):
+    """The ``variation_for`` of a :meth:`FETVariation.sample` draw."""
+    return functools.partial(
+        FETVariation.sample,
+        n_instances,
+        seed=seed,
+        drive_sigma=drive_sigma,
+        vth_sigma_v=vth_sigma_v,
+    )
+
+
+def _labelled(timed: DelayEnergyDistribution, items) -> DelayEnergyDistribution:
+    """The corner block with its labels; a corner that does not switch raises."""
+    for (label, _, _), valid in zip(items, timed.valid):
+        if not valid:
+            raise ValueError(
+                f"corner {label!r} produced no full output transition pair"
+            )
+    return replace(timed, labels=tuple(label for label, _, _ in items))
 
 
 def transient_delay_corner_sweep(
@@ -261,34 +317,17 @@ def transient_delay_corner_sweep(
     carries the corner labels in input order; a corner that does not
     switch raises ``ValueError`` naming it.
     """
-    items = [
-        (str(label), float(scale), float(shift))
-        for label, (scale, shift) in dict(corners).items()
-    ]
-    if not items:
-        raise ValueError("need at least one corner")
-
-    def variation_for(n_fets: int) -> FETVariation:
-        return FETVariation(
-            drive_scale=np.array([[scale] * n_fets for _, scale, _ in items]),
-            vth_shift_v=np.array([[shift] * n_fets for _, _, shift in items]),
-        )
-
-    timed = _timed_switching(
+    items = _corner_items(corners)
+    (timed,) = _timed_switching(
         device,
-        variation_for,
+        [functools.partial(_corner_variation, items)],
         load_f,
         vdd,
         t_stop_s,
         dt_s,
         policy,
     )
-    for (label, _, _), valid in zip(items, timed.valid):
-        if not valid:
-            raise ValueError(
-                f"corner {label!r} produced no full output transition pair"
-            )
-    return replace(timed, labels=tuple(label for label, _, _ in items))
+    return _labelled(timed, items)
 
 
 def delay_energy_distribution(
@@ -314,16 +353,44 @@ def delay_energy_distribution(
     :func:`repro.experiments.integration_stats.inverter_variability_sigma_v`.
     Deterministic in ``seed`` regardless of chunking or pooling.
     """
-
-    def variation_for(n_fets: int) -> FETVariation:
-        return FETVariation.sample(
-            n_instances,
-            n_fets,
-            seed=seed,
-            drive_sigma=drive_sigma,
-            vth_sigma_v=vth_sigma_v,
-        )
-
-    return _timed_switching(
-        device, variation_for, load_f, vdd, t_stop_s, dt_s, policy
+    sampled = _sampled(n_instances, seed, drive_sigma, vth_sigma_v)
+    (timed,) = _timed_switching(
+        device, [sampled], load_f, vdd, t_stop_s, dt_s, policy
     )
+    return timed
+
+
+def corner_sweep_and_distribution(
+    device: FETModel,
+    corners,
+    n_instances: int,
+    *,
+    drive_sigma: float,
+    vth_sigma_v: float = 0.0,
+    seed: int,
+    load_f: float = 10e-15,
+    vdd: float = 1.0,
+    t_stop_s: float = 2e-9,
+    dt_s: float = 5e-12,
+    policy: ExecutionPolicy | None = None,
+) -> tuple[DelayEnergyDistribution, DelayEnergyDistribution]:
+    """:func:`transient_delay_corner_sweep` and :func:`delay_energy_distribution` in one run.
+
+    The corner rows and the ``n_instances`` sampled rows share the
+    inverter, ``t_stop_s`` and ``dt_s``, so they march as rows of one
+    :class:`~repro.circuit.sweep.CircuitTransientMC` run; each returned
+    block is bitwise what its own call gives, and a corner that does
+    not switch raises the same ``ValueError``.
+    """
+    items = _corner_items(corners)
+    sampled = _sampled(n_instances, seed, drive_sigma, vth_sigma_v)
+    timed_corners, distribution = _timed_switching(
+        device,
+        [functools.partial(_corner_variation, items), sampled],
+        load_f,
+        vdd,
+        t_stop_s,
+        dt_s,
+        policy,
+    )
+    return _labelled(timed_corners, items), distribution

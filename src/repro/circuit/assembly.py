@@ -35,7 +35,10 @@ stack of iterates, optionally with per-row device variation and
 companion state.  A scalar evaluation is its one-row call
 (:meth:`repro.circuit.netlist.MNASystem.evaluate`), through the same
 array path and the same batched ``linearize``, so a one-row result is
-bitwise its row of any stack.  Every call returns fresh arrays.
+bitwise its row of any stack.  Every call returns fresh arrays.  A
+caller that evaluates the same iterates twice (the time-step loop, at
+each step's start point) passes the device outputs of the first call
+back as ``linearized`` and skips the second ``linearize``.
 
 The compiled path is numerically equivalent to the reference path (same
 stamps, same finite-difference linearization arithmetic); the test suite
@@ -670,6 +673,7 @@ class StampPlan:
         gmin_ref: np.ndarray | None = None,
         variation: FETVariation | None = None,
         source_levels: np.ndarray | None = None,
+        linearized: list | None = None,
     ):
         """Residuals ``(m, size)`` and Jacobians at a stack of iterates.
 
@@ -694,6 +698,13 @@ class StampPlan:
         ``source_levels`` ``(m, n_vsources)`` gives each row its own
         voltage-source levels, in ``vsources`` order, in place of the
         waveforms' levels at ``time_s`` (a DC sweep's rows).
+        ``linearized`` holds one entry per FET group (``fet_groups``
+        order): a ``(3, m, count)`` array of the device outputs ``(id,
+        gm, gds)`` at ``x_stack``, before the polarity sign and the
+        drive scale, or None.  An array is stamped in place of the
+        group's ``linearize`` call; a None entry is replaced by the
+        outputs this call computes.  Without ``linearized`` nothing is
+        kept.
 
         Every step is elementwise per row — a batched gemv (CSR
         column-wise matvecs for sparse plans), per-row scatters,
@@ -767,17 +778,23 @@ class StampPlan:
         jflat = jac.reshape(-1)
         groups = zip(self.fet_groups, layout.groups)
         for i, (group, (gather, sign)) in enumerate(groups):
-            # The device sees flat (m * count,) biases: its math is
-            # elementwise, and 1-D calls dispatch faster than (m, count).
-            vd, vs, vg = xflat[gather]
-            vgs = vg - vs
-            vds = vd - vs
-            if sign is not None:
-                vgs = sign * vgs
-                vds = sign * vds
-            if variation is not None:
-                vgs = vgs - variation.vth_shift_v[:, group.columns].reshape(-1)
-            current, gm, gds = group.device.linearize(vgs, vds)
+            carried = None if linearized is None else linearized[i]
+            if carried is not None:
+                current, gm, gds = carried.reshape(3, -1)
+            else:
+                # The device sees flat (m * count,) biases: its math is
+                # elementwise, and 1-D calls dispatch faster than (m, count).
+                vd, vs, vg = xflat[gather]
+                vgs = vg - vs
+                vds = vd - vs
+                if sign is not None:
+                    vgs = sign * vgs
+                    vds = sign * vds
+                if variation is not None:
+                    vgs = vgs - variation.vth_shift_v[:, group.columns].reshape(-1)
+                current, gm, gds = group.device.linearize(vgs, vds)
+                if linearized is not None:
+                    linearized[i] = np.stack((current, gm, gds)).reshape(3, m, -1)
             if sign is not None:
                 current = sign * current
             if variation is not None:

@@ -95,6 +95,9 @@ class NewtonRows(NamedTuple):
     converged: np.ndarray  # (m,) bool
     iterations: np.ndarray  # (m,) Newton steps taken
     norm: np.ndarray  # (m,) final max-norm residuals
+    # Per FET group, (3, m, count) device outputs at ``x``; None unless
+    # the caller passed ``linearized``.
+    linearized: list | None = None
 
 
 def take_rows(eval_kwargs: dict, rows: np.ndarray) -> dict:
@@ -150,6 +153,7 @@ def newton_many(
     x0: np.ndarray,
     *,
     max_iterations: int = _MAX_ITERATIONS,
+    linearized: list | None = None,
     **eval_kwargs,
 ) -> NewtonRows:
     """Damped Newton on every row of the ``(m, size)`` stack ``x0``.
@@ -173,8 +177,17 @@ def newton_many(
     its neighbours; a lone dense row takes the same batched
     ``np.linalg.solve`` call as a stack (the chunk-size suites hold the
     two bitwise equal).
+
+    ``linearized`` asks for the device outputs: a list with one entry
+    per FET group, each the ``(3, m, count)`` ``(id, gm, gds)`` at
+    ``x0`` (carried from a call that ended there, and then not
+    recomputed) or None.  Each row's outputs at its final iterate come
+    back in ``NewtonRows.linearized``; they travel with the iterate
+    through the line search, so they are the ones its last evaluation
+    made.  The time-step loop is the one caller: a step starts where
+    the previous one ended.
     """
-    return _newton(plan, x0, max_iterations, eval_kwargs)[0]
+    return _newton(plan, x0, max_iterations, eval_kwargs, linearized)[0]
 
 
 def settle_many(plan, x0: np.ndarray, **eval_kwargs) -> NewtonRows:
@@ -193,7 +206,7 @@ def settle_many(plan, x0: np.ndarray, **eval_kwargs) -> NewtonRows:
     ``iterations`` includes the polish steps; ``eval_kwargs`` follow
     :func:`newton_many`, and so does the per-row independence.
     """
-    rows, tolerance = _newton(plan, x0, _MAX_ITERATIONS, eval_kwargs)
+    rows, tolerance = _newton(plan, x0, _MAX_ITERATIONS, eval_kwargs, None)
     x, iterations, norm = rows.x, rows.iterations, rows.norm
     active = rows.converged.nonzero()[0]
     last_step = np.full(x.shape[0], np.inf)
@@ -216,11 +229,21 @@ def settle_many(plan, x0: np.ndarray, **eval_kwargs) -> NewtonRows:
     return NewtonRows(x, norm <= tolerance, iterations, norm)
 
 
-def _newton(plan, x0, max_iterations: int, eval_kwargs: dict):
-    """The damped loop of :func:`newton_many`; also returns each row's tolerance."""
+def _newton(plan, x0, max_iterations: int, eval_kwargs: dict, linearized):
+    """The damped loop of :func:`newton_many`; also returns each row's tolerance.
+
+    With ``linearized`` (a list), the device outputs of each working
+    row (``lin``, per FET group ``(3, k, count)``) move with its
+    iterate, and ``lin_out`` ends at every row's final iterate.
+    """
     x_out = np.array(x0, dtype=float)
     m = x_out.shape[0]
-    residual, jacobian = plan.evaluate_many(x_out, **eval_kwargs)
+    lin_out = None if linearized is None else [
+        None if a is None else a.copy() for a in linearized
+    ]
+    residual, jacobian = plan.evaluate_many(
+        x_out, linearized=lin_out, **eval_kwargs
+    )
     norm_out = np.abs(residual).max(axis=1)
     tolerance = _RESIDUAL_ATOL + _RESIDUAL_RTOL * norm_out
     # A non-finite start gets a NaN tolerance, which no norm is above or
@@ -229,8 +252,14 @@ def _newton(plan, x0, max_iterations: int, eval_kwargs: dict):
     iterations = np.zeros(m, dtype=int)
     # The working set: input rows ``idx`` and their compacted state.
     idx = (norm_out > tolerance).nonzero()[0]
+
+    def result():
+        rows = NewtonRows(x_out, norm_out <= tolerance, iterations, norm_out, lin_out)
+        return rows, tolerance
+
     if not idx.size:
-        return NewtonRows(x_out, norm_out <= tolerance, iterations, norm_out), tolerance
+        return result()
+    lin = None if lin_out is None else [a[:, idx] for a in lin_out]
     if idx.size == m:
         x, norm, tol = x_out.copy(), norm_out.copy(), tolerance
     else:
@@ -238,23 +267,32 @@ def _newton(plan, x0, max_iterations: int, eval_kwargs: dict):
         norm, tol = norm_out[idx], tolerance[idx]
 
     def evaluate(x_rows, rows):
-        """Evaluate at ``x_rows``, the iterates of working rows ``rows``."""
+        """Evaluate at ``x_rows``, the iterates of working rows ``rows``.
+
+        Returns the residuals, the Jacobians and the device outputs
+        (None unless they are carried).
+        """
         kwargs = eval_kwargs if rows.size == m else take_rows(eval_kwargs, idx[rows])
-        return plan.evaluate_many(x_rows, **kwargs)
+        lin_rows = None if lin is None else [None] * len(lin)
+        return (*plan.evaluate_many(x_rows, linearized=lin_rows, **kwargs), lin_rows)
 
     def retire(leave, steps_taken):
         """Write the leaving rows' final state out; compact the rest."""
-        nonlocal idx, x, residual, jacobian, norm, tol
+        nonlocal idx, x, residual, jacobian, norm, tol, lin
         stay = ~leave
-        if not stay.any():
-            x_out[idx], norm_out[idx], iterations[idx] = x, norm, steps_taken
-            idx = idx[:0]
-            return stay
         gone = idx[leave]
         x_out[gone], norm_out[gone] = x[leave], norm[leave]
         iterations[gone] = steps_taken
+        if lin is not None:
+            for a_out, a in zip(lin_out, lin):
+                a_out[:, gone] = a[:, leave]
+        if not stay.any():
+            idx = idx[:0]
+            return stay
         idx, x, residual, jacobian = idx[stay], x[stay], residual[stay], jacobian[stay]
         norm, tol = norm[stay], tol[stay]
+        if lin is not None:
+            lin = [a[:, stay] for a in lin]
         return stay
 
     for n in range(1, max_iterations + 1):
@@ -280,12 +318,13 @@ def _newton(plan, x0, max_iterations: int, eval_kwargs: dict):
         moving = np.zeros(k, dtype=bool)
         for _ in range(_MAX_TRIALS):
             x_trial = base + damping * step
-            r_trial, j_trial = evaluate(x_trial, rows)
+            r_trial, j_trial, lin_trial = evaluate(x_trial, rows)
             n_trial = np.abs(r_trial).max(axis=1)
             ok = n_trial < norm_p
             hits = np.count_nonzero(ok)
             if hits == k:
                 x, residual, jacobian, norm = x_trial, r_trial, j_trial, n_trial
+                lin = lin_trial
                 moving = damping * step_norm >= _STEP_TOL
                 break
             if hits:
@@ -294,6 +333,9 @@ def _newton(plan, x0, max_iterations: int, eval_kwargs: dict):
                 residual[sel] = r_trial[ok]
                 jacobian[sel] = j_trial[ok]
                 norm[sel] = n_trial[ok]
+                if lin is not None:
+                    for a, a_trial in zip(lin, lin_trial):
+                        a[:, sel] = a_trial[:, ok]
                 # A row whose accepted step stalled below _STEP_TOL stops.
                 moving[sel] = damping * step_norm[ok] >= _STEP_TOL
                 if hits == rows.size:
@@ -311,8 +353,8 @@ def _newton(plan, x0, max_iterations: int, eval_kwargs: dict):
                 break
     if idx.size:
         # Out of iterations: the stragglers leave unconverged.
-        x_out[idx], norm_out[idx], iterations[idx] = x, norm, max_iterations
-    return NewtonRows(x_out, norm_out <= tolerance, iterations, norm_out), tolerance
+        retire(np.ones(idx.size, dtype=bool), max_iterations)
+    return result()
 
 
 def newton_solve(

@@ -17,8 +17,13 @@ share three pieces:
   :func:`~repro.circuit.solver.newton_many` call from the previous
   solutions, one stacked continuation-ladder call
   (:func:`~repro.circuit.continuation.ladder_many`) for the rows that
-  fail, and the companion-state update on ``(m, n_caps)`` arrays.  The
-  scalar :func:`transient_samples` is its one-row case;
+  fail, and the companion-state update on ``(m, n_caps)`` arrays.  A
+  step starts at the point the previous step accepted, which that
+  step's last evaluation linearized with the same ``variation`` rows,
+  so Newton hands each row's device outputs ``(id, gm, gds)`` on and
+  the next step's first evaluation stamps them without calling the
+  device (SPICE's device bypass, exact: the biases are bitwise the
+  same).  The scalar :func:`transient_samples` is its one-row case;
 * :class:`TransientResult` — a :class:`~repro.circuit.netlist.Solution`
   whose rows are the time samples, named by the system's layout.
 """
@@ -97,6 +102,11 @@ def march(
     :func:`~repro.circuit.continuation.ladder_many` call anchored at
     their previous solutions and companion state, and a rescued row
     rejoins the lockstep batch.
+
+    Each step's first evaluation reuses the device outputs the previous
+    step's Newton ended with, so only step 1 and the step after a
+    rescue (the ladder carries no outputs) linearize their start
+    points.  ``variation`` is narrowed only when rows drop out.
     """
     m, size = x0.shape
     samples = np.full((m, n_steps + 1, size), np.nan)
@@ -104,20 +114,26 @@ def march(
     rescued = np.zeros(m, dtype=bool)
     errors: dict[int, ConvergenceError] = {}
     alive = np.arange(m)
+    live_variation = variation
     x = x0
     prevpad = np.zeros((m, size + 1))
     prevpad[:, :size] = x0
     state = np.zeros((m, len(plan.cap_names)))
+    # Device outputs at each live row's ``x``, per FET group (None: none carried).
+    no_outputs: list = [None] * len(plan.fet_groups)
+    linearized: list | None = no_outputs
     for step in range(1, n_steps + 1):
         if not alive.size:
             break
         context = {"time_s": step * dt_s, "dt_s": dt_s, "integrator": integrator}
         row_kwargs = {
-            "variation": None if variation is None else variation.take(alive),
+            "variation": live_variation,
             "previous_x": prevpad[:, :size],
             "state": state,
         }
-        x, converged, _, _ = newton_many(plan, x, **row_kwargs, **context)
+        x, converged, _, _, linearized = newton_many(
+            plan, x, linearized=linearized, **row_kwargs, **context
+        )
         if np.count_nonzero(converged) < alive.size:
             failed = np.flatnonzero(~converged)
             rescued[alive[failed]] = True
@@ -130,9 +146,13 @@ def march(
                     f"transient Newton failed at t = {context['time_s']:.3e} s",
                     ladder.report(k),
                 )
-            samples[alive[~converged]] = np.nan
-            alive, x = alive[converged], x[converged]
-            prevpad, state = prevpad[converged], state[converged]
+            linearized = no_outputs
+            if not converged.all():
+                samples[alive[~converged]] = np.nan
+                alive, x = alive[converged], x[converged]
+                prevpad, state = prevpad[converged], state[converged]
+                if variation is not None:
+                    live_variation = variation.take(alive)
         xpad = np.zeros((alive.size, size + 1))
         xpad[:, :size] = x
         # Update trapezoidal history currents at the accepted solution.

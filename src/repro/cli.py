@@ -114,11 +114,7 @@ def _run_fabric(policy=None) -> list[tuple]:
 
 
 def _run_timing(device=None) -> list[tuple]:
-    from repro.analysis.timing import (
-        cv_over_i_delay_s,
-        delay_energy_distribution,
-        transient_delay_corner_sweep,
-    )
+    from repro.analysis.timing import corner_sweep_and_distribution, cv_over_i_delay_s
     from repro.devices.empirical import AlphaPowerFET
 
     device = AlphaPowerFET() if device is None else device
@@ -126,16 +122,16 @@ def _run_timing(device=None) -> list[tuple]:
         ("CV/I delay @ 10 fF, 1 V [ps]", cv_over_i_delay_s(device, 10e-15, 1.0) * 1e12)
     ]
     corners = {"slow": (0.7, 0.05), "typical": (1.0, 0.0), "fast": (1.3, -0.05)}
-    sweep = transient_delay_corner_sweep(device, corners)
+    # The corners and the device-spread Monte Carlo march as one run.
+    sweep, distribution = corner_sweep_and_distribution(
+        device, corners, 64, drive_sigma=0.15, vth_sigma_v=0.01, seed=20140314
+    )
     for label, delay, energy in zip(
         sweep.labels, sweep.average_delays_s, sweep.energies_j
     ):
         rows.append((f"{label} corner delay [ps]", float(delay) * 1e12))
         rows.append((f"{label} corner energy [fJ]", float(energy) * 1e15))
     rows.append(("corner delay spread (max/min)", sweep.spread()))
-    distribution = delay_energy_distribution(
-        device, 64, drive_sigma=0.15, vth_sigma_v=0.01, seed=20140314
-    )
     rows.append(("MC delay mean [ps]", distribution.delay_mean_s * 1e12))
     rows.append(("MC delay sigma [ps]", distribution.delay_sigma_s * 1e12))
     rows.append(("MC energy mean [fJ]", distribution.energy_mean_j * 1e15))

@@ -136,3 +136,45 @@ class TestTransientDelayCornerSweep:
 
         with pytest.raises(ValueError, match="at least one corner"):
             transient_delay_corner_sweep(AlphaPowerFET(), {})
+
+
+class TestOneRunTiming:
+    """The ``timing`` experiment marches its corners inside its Monte Carlo run."""
+
+    def test_blocks_equal_the_separate_calls(self, monkeypatch):
+        from repro.analysis import timing
+        from repro.circuit.sweep import CircuitTransientMC
+        from repro.cli import _run_timing
+
+        calls, runs = [], []
+        combined, run = timing.corner_sweep_and_distribution, CircuitTransientMC.run
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs, combined(*args, **kwargs)))
+            return calls[-1][2]
+
+        def counted_run(self, *args, **kwargs):
+            runs.append(args[0].n_instances)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(timing, "corner_sweep_and_distribution", spy)
+        monkeypatch.setattr(CircuitTransientMC, "run", counted_run)
+        _run_timing()
+        ((device, corners, n_instances), kwargs, (sweep, distribution)), = calls
+        assert runs == [len(corners) + n_instances]
+
+        separate_sweep = timing.transient_delay_corner_sweep(device, corners)
+        separate_mc = timing.delay_energy_distribution(device, n_instances, **kwargs)
+        assert sweep.labels == separate_sweep.labels
+        for got, want in ((sweep, separate_sweep), (distribution, separate_mc)):
+            for field in ("tp_hl_s", "tp_lh_s", "energies_j", "valid"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_corner_that_never_switches_raises(self):
+        from repro.analysis.timing import corner_sweep_and_distribution
+
+        corners = {"typical": (1.0, 0.0), "stuck": (1.0, 5.0)}
+        with pytest.raises(ValueError, match="'stuck'"):
+            corner_sweep_and_distribution(
+                AlphaPowerFET(), corners, 4, drive_sigma=0.1, seed=3
+            )
