@@ -4,15 +4,13 @@ Builds two CMOS inverters on the built-in SPICE-class simulator — one
 from saturating FETs, one from gate-steered linear resistors (the "real
 GNR" behaviour) — and compares transfer curves, noise margins and the
 short-circuit power signature.  Finishes with a 10 fF-loaded transient
-and an ASCII rendering of both VTCs, then times the saturating
-inverter at slow, typical and fast process corners.
+and an ASCII rendering of both VTCs.
 
 Run:  python examples/inverter_study.py
 """
 
 import numpy as np
 
-from repro.analysis.timing import transient_delay_corner_sweep
 from repro.analysis.vtc import analyze_vtc
 from repro.circuit.cells import inverter_vtc
 from repro.experiments.fig2 import non_saturating_fet, run_fig2, saturating_fet
@@ -67,17 +65,6 @@ def main() -> None:
         f"delay = {result.delay_sat_s * 1e12:.1f} ps, "
         f"energy = {result.energy_sat_j * 1e15:.2f} fJ"
     )
-
-    # Process corners (drive scale, threshold shift) on every FET, each
-    # corner a row of one batched transient.
-    corners = {"slow": (0.7, 0.05), "typical": (1.0, 0.0), "fast": (1.3, -0.05)}
-    sweep = transient_delay_corner_sweep(sat, corners)
-    rows = zip(sweep.labels, sweep.average_delays_s, sweep.energies_j)
-    for label, delay, energy in rows:
-        print(
-            f"{label:>7s} corner: delay = {delay * 1e12:.1f} ps, "
-            f"energy = {energy * 1e15:.2f} fJ"
-        )
 
 
 if __name__ == "__main__":

@@ -9,19 +9,17 @@ Monte-Carlo-scale timing rides the batched transient engine
 (:class:`repro.circuit.sweep.CircuitTransientMC`) through one helper
 that time-steps every varied copy of a switching inverter in a single
 lockstep batch (actual switching waveforms, not CV/I) and times each
-copy.  Its callers return :class:`DelayEnergyDistribution` blocks:
-:func:`transient_delay_corner_sweep` for named slow/typical/fast
-corners (with ``labels``), :func:`delay_energy_distribution` for a
-sampled device spread (:class:`~repro.circuit.sweep.FETVariation`) —
-the paper's delay and energy-per-transition distributions — and
-:func:`corner_sweep_and_distribution` for both from one run.  Rows are
-independent, so each block is bitwise what its own call gives.
+copy.  Both callers return :class:`DelayEnergyDistribution` blocks:
+:func:`delay_energy_distribution` for a sampled device spread
+(:class:`~repro.circuit.sweep.FETVariation`) — the paper's delay and
+energy-per-transition distributions — and
+:func:`corner_sweep_and_distribution` for named slow/typical/fast
+corners (with ``labels``) together with such a spread, from one run.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +35,6 @@ __all__ = [
     "propagation_delays",
     "supply_energy_j",
     "cv_over_i_delay_s",
-    "transient_delay_corner_sweep",
     "delay_energy_distribution",
     "corner_sweep_and_distribution",
 ]
@@ -205,31 +202,30 @@ class DelayEnergyDistribution:
         return float(delays.max() / delays.min())
 
 
+# The switching inverter's load [F], supply [V], stop time and step [s].
+_LOAD_F, _VDD, _T_STOP_S, _DT_S = 10e-15, 1.0, 2e-9, 5e-12
+
+
 def _timed_switching(
     device: FETModel,
-    variation_fors,
+    variation_for,
     load_f: float,
     vdd: float,
     t_stop_s: float,
     dt_s: float,
     policy: ExecutionPolicy | None,
-) -> list[DelayEnergyDistribution]:
+) -> DelayEnergyDistribution:
     """Time-step every varied copy of the switching inverter and time it.
 
-    Each ``variation_for(n_fets)`` in ``variation_fors`` builds one block
-    of :class:`~repro.circuit.sweep.FETVariation` rows for the
-    inverter's FET count; all blocks run as rows of one batched
-    :class:`~repro.circuit.sweep.CircuitTransientMC` transient run under
-    ``policy``, each instance is timed on its own waveforms, and one
-    distribution comes back per block.
+    ``variation_for(n_fets)`` builds the :class:`~repro.circuit.sweep.
+    FETVariation` for the inverter's FET count; all its rows run as one
+    batched :class:`~repro.circuit.sweep.CircuitTransientMC` transient
+    run under ``policy``, and each instance is timed on its own
+    waveforms.
     """
     cell = _switching_inverter(device, load_f, vdd, t_stop_s)
     engine = CircuitTransientMC(cell.circuit)
-    blocks = [variation_for(len(engine.fet_names)) for variation_for in variation_fors]
-    variation = FETVariation(
-        drive_scale=np.concatenate([block.drive_scale for block in blocks]),
-        vth_shift_v=np.concatenate([block.vth_shift_v for block in blocks]),
-    )
+    variation = variation_for(len(engine.fet_names))
     result = engine.run(variation, t_stop_s, dt_s, policy=policy)
     n = variation.n_instances
     tp_hl = np.full(n, np.nan)
@@ -245,89 +241,9 @@ def _timed_switching(
         tp_hl[i], tp_lh[i] = delays.tp_hl_s, delays.tp_lh_s
         energy[i] = supply_energy_j(waves, cell.vdd_source, vdd)
         valid[i] = True
-    bounds = np.cumsum([0] + [block.n_instances for block in blocks])
-    return [
-        DelayEnergyDistribution(
-            tp_hl_s=tp_hl[start:stop],
-            tp_lh_s=tp_lh[start:stop],
-            energies_j=energy[start:stop],
-            valid=valid[start:stop],
-        )
-        for start, stop in zip(bounds[:-1], bounds[1:])
-    ]
-
-
-def _corner_items(corners) -> list[tuple[str, float, float]]:
-    """``(label, drive_scale, vth_shift_v)`` of each corner, in input order."""
-    items = [
-        (str(label), float(scale), float(shift))
-        for label, (scale, shift) in dict(corners).items()
-    ]
-    if not items:
-        raise ValueError("need at least one corner")
-    return items
-
-
-def _corner_variation(items, n_fets: int) -> FETVariation:
-    """One row per corner, its pair applied uniformly to all ``n_fets`` FETs."""
-    return FETVariation(
-        drive_scale=np.array([[scale] * n_fets for _, scale, _ in items]),
-        vth_shift_v=np.array([[shift] * n_fets for _, _, shift in items]),
+    return DelayEnergyDistribution(
+        tp_hl_s=tp_hl, tp_lh_s=tp_lh, energies_j=energy, valid=valid
     )
-
-
-def _sampled(n_instances: int, seed: int, drive_sigma: float, vth_sigma_v: float):
-    """The ``variation_for`` of a :meth:`FETVariation.sample` draw."""
-    return functools.partial(
-        FETVariation.sample,
-        n_instances,
-        seed=seed,
-        drive_sigma=drive_sigma,
-        vth_sigma_v=vth_sigma_v,
-    )
-
-
-def _labelled(timed: DelayEnergyDistribution, items) -> DelayEnergyDistribution:
-    """The corner block with its labels; a corner that does not switch raises."""
-    for (label, _, _), valid in zip(items, timed.valid):
-        if not valid:
-            raise ValueError(
-                f"corner {label!r} produced no full output transition pair"
-            )
-    return replace(timed, labels=tuple(label for label, _, _ in items))
-
-
-def transient_delay_corner_sweep(
-    device: FETModel,
-    corners,
-    load_f: float = 10e-15,
-    vdd: float = 1.0,
-    *,
-    t_stop_s: float = 2e-9,
-    dt_s: float = 5e-12,
-    policy: ExecutionPolicy | None = None,
-) -> DelayEnergyDistribution:
-    """Switching delays/energy of an inverter at every process corner.
-
-    ``corners`` maps a label to a ``(drive_scale, vth_shift_v)`` pair
-    applied uniformly to both inverter FETs (slow/typical/fast).  All
-    corners become rows of one :class:`~repro.circuit.sweep.
-    FETVariation` and are time-stepped together by a single batched
-    :class:`~repro.circuit.sweep.CircuitTransientMC` run.  The result
-    carries the corner labels in input order; a corner that does not
-    switch raises ``ValueError`` naming it.
-    """
-    items = _corner_items(corners)
-    (timed,) = _timed_switching(
-        device,
-        [functools.partial(_corner_variation, items)],
-        load_f,
-        vdd,
-        t_stop_s,
-        dt_s,
-        policy,
-    )
-    return _labelled(timed, items)
 
 
 def delay_energy_distribution(
@@ -337,10 +253,10 @@ def delay_energy_distribution(
     drive_sigma: float,
     vth_sigma_v: float = 0.0,
     seed: int,
-    load_f: float = 10e-15,
-    vdd: float = 1.0,
-    t_stop_s: float = 2e-9,
-    dt_s: float = 5e-12,
+    load_f: float = _LOAD_F,
+    vdd: float = _VDD,
+    t_stop_s: float = _T_STOP_S,
+    dt_s: float = _DT_S,
     policy: ExecutionPolicy | None = None,
 ) -> DelayEnergyDistribution:
     """Delay / energy-per-transition distributions of a varied inverter.
@@ -353,11 +269,19 @@ def delay_energy_distribution(
     :func:`repro.experiments.integration_stats.inverter_variability_sigma_v`.
     Deterministic in ``seed`` regardless of chunking or pooling.
     """
-    sampled = _sampled(n_instances, seed, drive_sigma, vth_sigma_v)
-    (timed,) = _timed_switching(
-        device, [sampled], load_f, vdd, t_stop_s, dt_s, policy
+
+    def variation_for(n_fets: int) -> FETVariation:
+        return FETVariation.sample(
+            n_instances,
+            n_fets,
+            seed=seed,
+            drive_sigma=drive_sigma,
+            vth_sigma_v=vth_sigma_v,
+        )
+
+    return _timed_switching(
+        device, variation_for, load_f, vdd, t_stop_s, dt_s, policy
     )
-    return timed
 
 
 def corner_sweep_and_distribution(
@@ -368,29 +292,64 @@ def corner_sweep_and_distribution(
     drive_sigma: float,
     vth_sigma_v: float = 0.0,
     seed: int,
-    load_f: float = 10e-15,
-    vdd: float = 1.0,
-    t_stop_s: float = 2e-9,
-    dt_s: float = 5e-12,
-    policy: ExecutionPolicy | None = None,
 ) -> tuple[DelayEnergyDistribution, DelayEnergyDistribution]:
-    """:func:`transient_delay_corner_sweep` and :func:`delay_energy_distribution` in one run.
+    """Switching delays/energy at every process corner and over a device spread.
 
-    The corner rows and the ``n_instances`` sampled rows share the
-    inverter, ``t_stop_s`` and ``dt_s``, so they march as rows of one
-    :class:`~repro.circuit.sweep.CircuitTransientMC` run; each returned
-    block is bitwise what its own call gives, and a corner that does
-    not switch raises the same ``ValueError``.
+    ``corners`` maps a label to a ``(drive_scale, vth_shift_v)`` pair
+    applied uniformly to both inverter FETs (slow/typical/fast).  The
+    first block carries the corner labels in input order; a corner that
+    does not switch raises ``ValueError`` naming it.  The second block
+    is what :func:`delay_energy_distribution` gives for ``n_instances``,
+    the sigmas and ``seed`` at its default load, supply and time grid.
+    The corner rows and the sampled rows are time-stepped as rows of one
+    :class:`~repro.circuit.sweep.CircuitTransientMC` run; rows are
+    independent, so each block is bitwise what a run of its rows alone
+    gives.
     """
-    items = _corner_items(corners)
-    sampled = _sampled(n_instances, seed, drive_sigma, vth_sigma_v)
-    timed_corners, distribution = _timed_switching(
-        device,
-        [functools.partial(_corner_variation, items), sampled],
-        load_f,
-        vdd,
-        t_stop_s,
-        dt_s,
-        policy,
+    items = [
+        (str(label), float(scale), float(shift))
+        for label, (scale, shift) in dict(corners).items()
+    ]
+    if not items:
+        raise ValueError("need at least one corner")
+
+    def variation_for(n_fets: int) -> FETVariation:
+        sampled = FETVariation.sample(
+            n_instances,
+            n_fets,
+            seed=seed,
+            drive_sigma=drive_sigma,
+            vth_sigma_v=vth_sigma_v,
+        )
+        return FETVariation(
+            drive_scale=np.concatenate(
+                ([[scale] * n_fets for _, scale, _ in items], sampled.drive_scale)
+            ),
+            vth_shift_v=np.concatenate(
+                ([[shift] * n_fets for _, _, shift in items], sampled.vth_shift_v)
+            ),
+        )
+
+    timed = _timed_switching(
+        device, variation_for, _LOAD_F, _VDD, _T_STOP_S, _DT_S, None
     )
-    return _labelled(timed_corners, items), distribution
+    for (label, _, _), valid in zip(items, timed.valid):
+        if not valid:
+            raise ValueError(
+                f"corner {label!r} produced no full output transition pair"
+            )
+
+    def block(rows: slice, labels=None) -> DelayEnergyDistribution:
+        return DelayEnergyDistribution(
+            tp_hl_s=timed.tp_hl_s[rows],
+            tp_lh_s=timed.tp_lh_s[rows],
+            energies_j=timed.energies_j[rows],
+            valid=timed.valid[rows],
+            labels=labels,
+        )
+
+    n_corners = len(items)
+    return (
+        block(slice(None, n_corners), tuple(label for label, _, _ in items)),
+        block(slice(n_corners, None)),
+    )

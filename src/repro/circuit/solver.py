@@ -184,8 +184,10 @@ def newton_many(
     recomputed) or None.  Each row's outputs at its final iterate come
     back in ``NewtonRows.linearized``; they travel with the iterate
     through the line search, so they are the ones its last evaluation
-    made.  The time-step loop is the one caller: a step starts where
-    the previous one ended.
+    made.  The call takes ownership: it fills the None entries of the
+    list and writes the outputs into its arrays, and returns that list.
+    The time-step loop is the one caller: a step starts where the
+    previous one ended.
     """
     return _newton(plan, x0, max_iterations, eval_kwargs, linearized)[0]
 
@@ -229,18 +231,15 @@ def settle_many(plan, x0: np.ndarray, **eval_kwargs) -> NewtonRows:
     return NewtonRows(x, norm <= tolerance, iterations, norm)
 
 
-def _newton(plan, x0, max_iterations: int, eval_kwargs: dict, linearized):
+def _newton(plan, x0, max_iterations: int, eval_kwargs: dict, lin_out):
     """The damped loop of :func:`newton_many`; also returns each row's tolerance.
 
-    With ``linearized`` (a list), the device outputs of each working
-    row (``lin``, per FET group ``(3, k, count)``) move with its
-    iterate, and ``lin_out`` ends at every row's final iterate.
+    With ``lin_out`` (the ``linearized`` list), the device outputs of
+    each working row (``lin``, per FET group ``(3, k, count)``) move
+    with its iterate, and ``lin_out`` ends at every row's final iterate.
     """
     x_out = np.array(x0, dtype=float)
     m = x_out.shape[0]
-    lin_out = None if linearized is None else [
-        None if a is None else a.copy() for a in linearized
-    ]
     residual, jacobian = plan.evaluate_many(
         x_out, linearized=lin_out, **eval_kwargs
     )

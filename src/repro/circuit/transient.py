@@ -119,9 +119,10 @@ def march(
     prevpad = np.zeros((m, size + 1))
     prevpad[:, :size] = x0
     state = np.zeros((m, len(plan.cap_names)))
-    # Device outputs at each live row's ``x``, per FET group (None: none carried).
-    no_outputs: list = [None] * len(plan.fet_groups)
-    linearized: list | None = no_outputs
+    # Device outputs at each live row's ``x``, per FET group (None: none
+    # carried); newton_many fills and returns the list it is given.
+    n_groups = len(plan.fet_groups)
+    linearized: list | None = [None] * n_groups
     for step in range(1, n_steps + 1):
         if not alive.size:
             break
@@ -146,7 +147,7 @@ def march(
                     f"transient Newton failed at t = {context['time_s']:.3e} s",
                     ladder.report(k),
                 )
-            linearized = no_outputs
+            linearized = [None] * n_groups
             if not converged.all():
                 samples[alive[~converged]] = np.nan
                 alive, x = alive[converged], x[converged]

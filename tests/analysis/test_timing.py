@@ -109,11 +109,17 @@ class TestTransientDelayCornerSweep:
 
     CORNERS = {"typical": (1.0, 0.0), "slow": (0.7, 0.05), "fast": (1.3, -0.05)}
 
+    @staticmethod
+    def _corners(corners):
+        from repro.analysis.timing import corner_sweep_and_distribution
+
+        return corner_sweep_and_distribution(
+            AlphaPowerFET(), corners, 2, drive_sigma=0.1, seed=3
+        )[0]
+
     @pytest.fixture(scope="class")
     def sweep(self):
-        from repro.analysis.timing import transient_delay_corner_sweep
-
-        return transient_delay_corner_sweep(AlphaPowerFET(), self.CORNERS)
+        return self._corners(self.CORNERS)
 
     def test_labels_follow_input_order(self, sweep):
         assert sweep.labels == ("typical", "slow", "fast")
@@ -125,25 +131,21 @@ class TestTransientDelayCornerSweep:
         assert sweep.spread() == delays["slow"] / delays["fast"]
 
     def test_corner_that_never_switches_raises(self):
-        from repro.analysis.timing import transient_delay_corner_sweep
-
         corners = {"typical": (1.0, 0.0), "stuck": (1.0, 5.0)}
         with pytest.raises(ValueError, match="'stuck'"):
-            transient_delay_corner_sweep(AlphaPowerFET(), corners)
+            self._corners(corners)
 
     def test_no_corners_rejected(self):
-        from repro.analysis.timing import transient_delay_corner_sweep
-
         with pytest.raises(ValueError, match="at least one corner"):
-            transient_delay_corner_sweep(AlphaPowerFET(), {})
+            self._corners({})
 
 
 class TestOneRunTiming:
     """The ``timing`` experiment marches its corners inside its Monte Carlo run."""
 
-    def test_blocks_equal_the_separate_calls(self, monkeypatch):
+    def test_blocks_equal_the_separate_runs(self, monkeypatch):
         from repro.analysis import timing
-        from repro.circuit.sweep import CircuitTransientMC
+        from repro.circuit.sweep import CircuitTransientMC, FETVariation
         from repro.cli import _run_timing
 
         calls, runs = [], []
@@ -163,18 +165,19 @@ class TestOneRunTiming:
         ((device, corners, n_instances), kwargs, (sweep, distribution)), = calls
         assert runs == [len(corners) + n_instances]
 
-        separate_sweep = timing.transient_delay_corner_sweep(device, corners)
+        # The corners alone, each pair on both FETs of the inverter.
+        def corner_rows(n_fets):
+            pairs = list(corners.values())
+            return FETVariation(
+                drive_scale=np.array([[scale] * n_fets for scale, _ in pairs]),
+                vth_shift_v=np.array([[shift] * n_fets for _, shift in pairs]),
+            )
+
+        separate_sweep = timing._timed_switching(
+            device, corner_rows, 10e-15, 1.0, 2e-9, 5e-12, None
+        )
         separate_mc = timing.delay_energy_distribution(device, n_instances, **kwargs)
-        assert sweep.labels == separate_sweep.labels
+        assert sweep.labels == tuple(corners)
         for got, want in ((sweep, separate_sweep), (distribution, separate_mc)):
             for field in ("tp_hl_s", "tp_lh_s", "energies_j", "valid"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
-
-    def test_corner_that_never_switches_raises(self):
-        from repro.analysis.timing import corner_sweep_and_distribution
-
-        corners = {"typical": (1.0, 0.0), "stuck": (1.0, 5.0)}
-        with pytest.raises(ValueError, match="'stuck'"):
-            corner_sweep_and_distribution(
-                AlphaPowerFET(), corners, 4, drive_sigma=0.1, seed=3
-            )
