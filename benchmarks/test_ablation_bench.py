@@ -1,7 +1,7 @@
 """Bench ABL: ablations on the design choices the paper argues about.
 
-Dark space (Skotnicki & Boeuf), ballisticity vs channel length, contact
-length scaling, and TFET gate-oxide scaling.
+Dark space (Skotnicki & Boeuf), ballisticity vs channel length and
+contact length scaling.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from repro.experiments.ablations import (
     run_ballisticity_ablation,
     run_contact_length_ablation,
     run_dark_space_ablation,
-    run_tfet_oxide_ablation,
 )
 
 
@@ -21,12 +20,11 @@ def run_all_ablations():
         run_dark_space_ablation(),
         run_ballisticity_ablation(),
         run_contact_length_ablation(),
-        run_tfet_oxide_ablation(),
     )
 
 
 def test_ablations_regeneration(benchmark):
-    dark, ballistic, contact, tfet = benchmark.pedantic(
+    dark, ballistic, contact = benchmark.pedantic(
         run_all_ablations, rounds=1, iterations=1
     )
 
@@ -43,10 +41,6 @@ def test_ablations_regeneration(benchmark):
         (f"series R @ L_c = {l:g} nm [kOhm]", float(r / 1e3))
         for l, r in zip(contact.contact_lengths_nm, contact.series_resistance_ohm)
     ]
-    rows += [
-        (f"TFET I_on @ t_ox = {t:g} nm [uA]", float(i * 1e6))
-        for t, i in zip(tfet.t_ox_nm, tfet.on_current_a)
-    ]
     print_rows("Ablations", rows)
 
     # Dark space: CNT best, III-V worst, penalty shrinks at long L.
@@ -55,5 +49,3 @@ def test_ablations_regeneration(benchmark):
     # Ballisticity and contact resistance are monotone.
     assert np.all(np.diff(ballistic.on_current_a) < 0.0)
     assert np.all(np.diff(contact.series_resistance_ohm) < 0.0)
-    # TFET: thinner oxide, more on-current (paper's improvement path).
-    assert np.all(np.diff(tfet.on_current_a) < 0.0)

@@ -129,12 +129,11 @@ from repro.circuit.sweep import (
     MonteCarloResult,
     ScaledShiftedFET,
     SweepPlan,
-    SweepStatistics,
     TransientMCResult,
     perturbed_circuit,
 )
 from repro.circuit.transient import TransientResult, transient
-from repro.circuit.waveforms import DC, PiecewiseLinear, Pulse, Sine
+from repro.circuit.waveforms import DC, Pulse
 
 __all__ = [
     "ACPlan",
@@ -153,17 +152,14 @@ __all__ = [
     "InverterCell",
     "MonteCarloResult",
     "OperatingPointResult",
-    "PiecewiseLinear",
     "Pulse",
     "RunReport",
     "ScaledShiftedFET",
-    "Sine",
     "SweepExecutionError",
     "SweepPlan",
     "Solution",
     "SolutionLayout",
     "SweepResult",
-    "SweepStatistics",
     "TransientMCResult",
     "TransientResult",
     "UnknownName",

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.circuit.netlist import Circuit, CircuitError, EnsembleSolution, Solution
-from repro.circuit.solver import operating_point
+from repro.circuit.solver import solve_dc
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports nothing here)
     from scipy.linalg import qz
@@ -283,13 +283,13 @@ def _sweep_sparse(
 class ACPlan:
     """Compiled AC analysis of one circuit: linearize once, sweep many.
 
-    Construction solves DC through the continuation ladder and captures
-    the operating point's conductance matrix G straight from the
-    compiled stamp plan's Jacobian
-    (:func:`~repro.circuit.solver.operating_point` — FET stamps via the
-    device protocol's ``linearize``, analytic gm/gds where the model
-    provides them, no finite differencing in this module) plus the
-    capacitance stamp C built once as pattern-aligned data.
+    Construction solves DC through the continuation ladder and reads
+    the operating point's conductance matrix G from one
+    :meth:`~repro.circuit.assembly.StampPlan.evaluate_many` row there
+    (FET stamps via the device protocol's ``linearize``, analytic gm/gds
+    where the model provides them, no finite differencing in this
+    module), plus the capacitance stamp C built once as pattern-aligned
+    data.
     :meth:`sweep` is then reusable: every call solves
     ``(G + j 2 pi f C) x = b`` for a whole grid.  Below
     ``SPARSE_THRESHOLD`` the pencil (G, C) is QZ-reduced once (lazily,
@@ -305,15 +305,13 @@ class ACPlan:
         self.source = circuit.source(source_name)
         self.size = self.system.size
         plan = self.system._plan
-        x_dc, conductance = operating_point(self.system)
-        self.x_dc = x_dc
+        self.x_dc = solve_dc(self.system)
         self._schedule = plan.sparse_schedule
         # The pencil (G, C) in the plan's own form: canonical-pattern
         # data vectors when sparse (G + jwC is elementwise), matrices
-        # when dense.
-        if self.use_sparse:
-            conductance = conductance.data
-        self._pencil = (np.asarray(conductance), plan.capacitance_stamp())
+        # when dense.  G is the Jacobian row at the operating point.
+        _, jacobian = plan.evaluate_many(self.x_dc[None])
+        self._pencil = (jacobian[0], plan.capacitance_stamp())
         self.rhs = _unit_drive(self.size, self.source)
         self._schur: tuple[np.ndarray, ...] | None = None
 
@@ -383,12 +381,6 @@ class BatchedACResult(EnsembleSolution):
     """
 
     frequencies_hz: np.ndarray
-
-    def instance(self, i: int) -> ACResult:
-        """One corner's response as a scalar :class:`ACResult`."""
-        return ACResult(
-            self.layout, self.samples[i], frequencies_hz=self.frequencies_hz
-        )
 
     def low_frequency_gain(self, node: str) -> np.ndarray:
         """|H| at the first swept frequency per corner (NaN if unconverged)."""

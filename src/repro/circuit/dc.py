@@ -9,9 +9,10 @@ point's own structural seed and carries the swept level as a per-row
 source level, so the circuit's waveforms are never written.  Every row
 is polished to machine precision, so near a sharp transfer-curve
 transition — like the near-ideal inverter of the paper's Fig. 2(c) —
-the answer records the circuit, not where Newton stopped.  A row that
-fails plain Newton falls back to continuation from its nearest solved
-neighbour.
+the answer records the circuit, not where Newton stopped.  The rows
+that fail plain Newton walk the continuation ladder
+(:func:`~repro.circuit.continuation.ladder_many`) from their own seeds,
+so every row is bitwise the same in any sweep that contains its value.
 
 Both results are :class:`~repro.circuit.netlist.Solution` stacks named
 by the system's layout: one unknown vector for an operating point, one
@@ -67,16 +68,18 @@ def dc_sweep(circuit: Circuit, source_name: str, values) -> SweepResult:
 
     All points are rows of one :func:`~repro.circuit.solver.settle_many`
     stack, each from its own structural seed and polished to machine
-    precision.  A row that converges there does not depend on the other
-    values: it is bitwise the same in any sweep that contains its value,
-    in any order.  A row that fails plain Newton falls back to
-    continuation from its nearest solved neighbour in value (see
-    :func:`_continue_from_neighbours`).  The circuit is not modified.
+    precision.  The rows that fail plain Newton walk the continuation
+    ladder (:func:`~repro.circuit.continuation.ladder_many`) from the
+    same seeds as one stack, and are polished the same way.  No row
+    depends on the other values: every row is bitwise the same in any
+    sweep that contains its value, in any order.  The circuit is not
+    modified.
 
     ``values`` must be a non-empty 1-D sequence of finite numbers; others
     raise :class:`~repro.circuit.netlist.CircuitError` naming the
-    offending entry.  A fallback row that exhausts the continuation
-    ladder raises :class:`~repro.circuit.continuation.ConvergenceError`.
+    offending entry.  If a fallback row exhausts the ladder or its
+    polish fails, :class:`~repro.circuit.continuation.ConvergenceError`
+    names the lowest such value and carries that row's ladder report.
     """
     values = _sweep_values(values)
     source = circuit.source(source_name)
@@ -88,10 +91,24 @@ def dc_sweep(circuit: Circuit, source_name: str, values) -> SweepResult:
     seeds = structural_seed(system, levels=levels)
     rows = settle_many(plan, seeds, source_levels=levels)
     samples = rows.x
-    if not rows.converged.all():
-        _continue_from_neighbours(
-            plan, source_name, values, levels, seeds, samples, rows.converged
-        )
+    missed = np.flatnonzero(~rows.converged)
+    if missed.size:
+        ladder = ladder_many(plan, seeds[missed], source_levels=levels[missed])
+        settled = settle_many(plan, ladder.x, source_levels=levels[missed])
+        failed = np.flatnonzero(~(ladder.converged & settled.converged))
+        if failed.size:
+            k = int(failed[np.argmin(values[missed[failed]])])
+            report = ladder.report(k)
+            if ladder.converged[k]:
+                report.record(
+                    "settle", None, int(settled.iterations[k]), settled.norm[k], False
+                )
+                report.converged = False
+            raise ConvergenceError(
+                f"DC sweep failed at {source_name} = {float(values[missed[k]])!r}",
+                report,
+            )
+        samples[missed] = settled.x
     return SweepResult(system.layout, samples, swept_values=values)
 
 
@@ -117,55 +134,3 @@ def _sweep_values(values) -> np.ndarray:
             "every value must be finite"
         )
     return array
-
-
-def _continue_from_neighbours(
-    plan, source_name, values, levels, seeds, samples, converged
-) -> None:
-    """Solve the rows plain Newton missed, in place, from solved neighbours.
-
-    Rows are walked in value order, in waves: each wave takes every
-    unsolved row next to a solved one, starts it from that neighbour's
-    solution (the nearer in value, the lower on a tie), runs the
-    continuation ladder on the wave as one stack and polishes it like
-    the main stack.  A run of unsolved rows is so walked in from both
-    ends, point by point.  With no solved row at all, the lowest value
-    walks the ladder from its own seed first.
-    """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    solved = converged[order].copy()
-    last = order.size - 1
-    while not solved.all():
-        if solved.any():
-            below = np.zeros_like(solved)
-            above = np.zeros_like(solved)
-            below[1:] = solved[:-1]
-            above[:-1] = solved[1:]
-            wave = np.flatnonzero(~solved & (below | above))
-            gap_below = ordered[wave] - ordered[np.maximum(wave - 1, 0)]
-            gap_above = ordered[np.minimum(wave + 1, last)] - ordered[wave]
-            use_above = above[wave] & (~below[wave] | (gap_above < gap_below))
-            rows = order[wave]
-            start = samples[order[np.where(use_above, wave + 1, wave - 1)]]
-        else:
-            wave = np.zeros(1, dtype=np.intp)
-            rows = order[wave]
-            start = seeds[rows]
-        ladder = ladder_many(plan, start, source_levels=levels[rows])
-        settled = settle_many(plan, ladder.x, source_levels=levels[rows])
-        failed = np.flatnonzero(~(ladder.converged & settled.converged))
-        if failed.size:
-            k = int(failed[0])
-            report = ladder.report(k)
-            if ladder.converged[k]:
-                report.record(
-                    "settle", None, int(settled.iterations[k]), settled.norm[k], False
-                )
-                report.converged = False
-            raise ConvergenceError(
-                f"DC sweep failed at {source_name} = {float(values[rows[k]])!r}",
-                report,
-            )
-        samples[rows] = settled.x
-        solved[wave] = True

@@ -34,11 +34,6 @@ class Element(abc.ABC):
     def contribute(self, ctx: "StampContext") -> None:
         """Add this element's currents/derivatives to the system being built."""
 
-    @property
-    def branch_count(self) -> int:
-        """Number of extra (branch-current) unknowns this element needs."""
-        return 0
-
 
 @dataclass
 class StampContext:
@@ -174,10 +169,6 @@ class VoltageSource(Element):
         self.nodes = (self.p, self.n)
         if isinstance(self.waveform, (int, float)):
             self.waveform = DC(float(self.waveform))
-
-    @property
-    def branch_count(self) -> int:
-        return 1
 
     def level(self, time_s: float | None) -> float:
         if time_s is None:

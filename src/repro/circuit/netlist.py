@@ -355,6 +355,3 @@ class MNASystem:
                 residual[i] += gmin * (x[i] - anchor)
                 jacobian[i, i] += gmin
         return residual, jacobian
-
-    def voltage_of(self, x: np.ndarray, node: str) -> float:
-        return Solution(self.layout, x).voltage(node)

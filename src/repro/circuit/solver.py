@@ -34,21 +34,17 @@ is exhausted.
 from __future__ import annotations
 
 import importlib
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.circuit.assembly import DIAG_REGULARIZATION
 from repro.circuit.netlist import MNASystem
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from scipy import sparse
-
 __all__ = [
     "NewtonRows",
     "newton_many",
     "newton_solve",
-    "operating_point",
     "settle_many",
     "solve_dc",
     "take_rows",
@@ -386,23 +382,3 @@ def solve_dc(
     if not report.converged:
         raise ConvergenceError("DC solve failed: continuation ladder exhausted", report)
     return x
-
-
-def operating_point(
-    system: MNASystem, x0: np.ndarray | None = None, **eval_kwargs
-) -> tuple[np.ndarray, np.ndarray | sparse.csr_matrix]:
-    """Continuation-solved DC point and its detached small-signal G.
-
-    The Jacobian the evaluator returns at the DC solution *is* the
-    small-signal conductance matrix — the FET gm/gds stamps come from
-    the device protocol's ``linearize`` (analytic for models that
-    provide derivatives, central differences with the model-owned step
-    otherwise), so no caller ever re-derives them by finite
-    differences.  It is a fresh dense array, or for sparse plans a CSR
-    matrix on the plan's canonical pattern.  This is the one
-    linearization the compiled AC path (:mod:`repro.circuit.ac`)
-    performs per analysis.
-    """
-    x = solve_dc(system, x0, **eval_kwargs)
-    _, jacobian = system.evaluate(x)
-    return x, jacobian

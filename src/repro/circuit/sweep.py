@@ -98,7 +98,6 @@ __all__ = [
     "CircuitTransientMC",
     "MonteCarloResult",
     "TransientMCResult",
-    "SweepStatistics",
     "ScaledShiftedFET",
     "perturbed_circuit",
     "DEFAULT_SUBSTREAM_BLOCK",
@@ -502,32 +501,6 @@ def perturbed_circuit(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepStatistics:
-    """Summary statistics of one scalar output across sweep instances."""
-
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    n_instances: int
-    n_converged: int
-
-    @classmethod
-    def of(cls, values: np.ndarray, n_instances: int) -> "SweepStatistics":
-        """Statistics of the converged instances' ``values``."""
-        if values.size == 0:
-            raise ValueError("no converged instances to summarise")
-        return cls(
-            mean=float(values.mean()),
-            std=float(values.std()),
-            minimum=float(values.min()),
-            maximum=float(values.max()),
-            n_instances=n_instances,
-            n_converged=values.size,
-        )
-
-
 class MonteCarloResult(EnsembleSolution):
     """Stacked DC solutions of a circuit Monte Carlo run, one row per instance."""
 
@@ -535,10 +508,6 @@ class MonteCarloResult(EnsembleSolution):
     def x(self) -> np.ndarray:
         """The ``(n_instances, size)`` solutions (``samples``)."""
         return self.samples
-
-    def statistics(self, node: str) -> SweepStatistics:
-        """Converged-instance statistics of one node voltage."""
-        return SweepStatistics.of(self.voltage(node)[self.converged], self.n_instances)
 
 
 @dataclass(frozen=True)
@@ -561,10 +530,6 @@ class TransientMCResult(EnsembleSolution):
         return self.samples.shape[1]
 
     @property
-    def n_fallback(self) -> int:
-        return int(np.count_nonzero(self.fallback))
-
-    @property
     def time_s(self) -> np.ndarray:
         """The shared time grid [s] (one row for every instance)."""
         return self.dt_s * np.arange(self.n_samples)
@@ -572,11 +537,6 @@ class TransientMCResult(EnsembleSolution):
     def instance_waveforms(self, i: int) -> TransientResult:
         """One instance's trajectory as a scalar :class:`TransientResult`."""
         return TransientResult(self.layout, self.samples[i], time_s=self.time_s)
-
-    def statistics(self, node: str, sample: int = -1) -> SweepStatistics:
-        """Converged-instance statistics of one node voltage at one sample."""
-        values = self.voltage(node)[self.converged, sample]
-        return SweepStatistics.of(values, self.n_instances)
 
 
 # ---------------------------------------------------------------------------

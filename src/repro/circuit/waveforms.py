@@ -1,18 +1,16 @@
 """Time-dependent source waveforms for the circuit simulator.
 
-Mirrors the SPICE source zoo at the scale this package needs: DC, pulse
-(with linear ramps), piecewise-linear and sine.  Every waveform is a
-callable ``value(t) -> float`` plus a ``dc`` attribute used by operating-
-point analysis.
+Mirrors the SPICE sources this package's experiments drive: DC and
+pulse (with linear ramps).  Every waveform is a callable ``value(t) ->
+float`` plus a ``dc`` attribute used by operating-point analysis.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
-__all__ = ["DC", "Pulse", "PiecewiseLinear", "Sine"]
+__all__ = ["DC", "Pulse"]
 
 
 @dataclass(frozen=True)
@@ -73,63 +71,3 @@ class Pulse:
         if t < self.fall_s:
             return self.v2 + (self.v1 - self.v2) * t / self.fall_s
         return self.v1
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Piecewise-linear waveform through (time, value) points.
-
-    The breakpoint times are extracted once at construction — ``value``
-    is called per transient evaluation, and rebuilding the time list on
-    every call dominated its cost.
-    """
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) < 1:
-            raise ValueError("PWL needs at least one point")
-        times = tuple(t for t, _ in self.points)
-        if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
-            raise ValueError("PWL times must be non-decreasing")
-        object.__setattr__(self, "_times", times)  # frozen dataclass
-
-    @property
-    def dc(self) -> float:
-        return self.points[0][1]
-
-    def value(self, time_s: float) -> float:
-        times = self._times
-        if time_s <= times[0]:
-            return self.points[0][1]
-        if time_s >= times[-1]:
-            return self.points[-1][1]
-        index = bisect.bisect_right(times, time_s) - 1
-        t0, v0 = self.points[index]
-        t1, v1 = self.points[index + 1]
-        if t1 == t0:
-            return v1
-        return v0 + (v1 - v0) * (time_s - t0) / (t1 - t0)
-
-
-@dataclass(frozen=True)
-class Sine:
-    """Offset sine: offset + amplitude * sin(2 pi f (t - delay))."""
-
-    offset: float
-    amplitude: float
-    frequency_hz: float
-    delay_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz <= 0.0:
-            raise ValueError(f"frequency must be positive, got {self.frequency_hz}")
-
-    @property
-    def dc(self) -> float:
-        return self.offset
-
-    def value(self, time_s: float) -> float:
-        return self.offset + self.amplitude * math.sin(
-            2.0 * math.pi * self.frequency_hz * (time_s - self.delay_s)
-        )

@@ -1,7 +1,7 @@
 """Ballistic carbon-nanotube FET compact model.
 
-Combines the zone-folded CNT band structure, gate-all-around (or
-back-gate) electrostatics and the self-consistent top-of-barrier solver
+Combines the zone-folded CNT band structure, gate-all-around
+electrostatics and the self-consistent top-of-barrier solver
 into a three-terminal device that reproduces the experimentally observed
 CNT-FET behaviour the paper highlights:
 
@@ -18,16 +18,11 @@ import numpy as np
 
 from repro.devices.base import FETModel
 from repro.physics.cnt import Chirality, chirality_for_gap
-from repro.physics.electrostatics import (
-    gate_all_around_capacitance,
-    wire_over_plane_capacitance,
-)
+from repro.physics.electrostatics import gate_all_around_capacitance
 from repro.transport.ballistic import BallisticParameters, TopOfBarrierSolver
 from repro.transport.scattering import MeanFreePath, ballisticity
 
 __all__ = ["CNTFET"]
-
-_GATE_GEOMETRIES = ("gaa", "back-gate")
 
 
 class CNTFET(FETModel):
@@ -40,10 +35,9 @@ class CNTFET(FETModel):
     channel_length_nm:
         Gated channel length; sets the ballisticity through the MFP model.
     t_ox_nm, eps_ox:
-        Gate dielectric thickness and relative permittivity (default
-        3 nm HfO2-class high-k, Section III.D).
-    gate_geometry:
-        ``"gaa"`` (coaxial, Fig. 3) or ``"back-gate"`` (tube on oxide).
+        Thickness and relative permittivity of the coaxial
+        gate-all-around dielectric (Fig. 3; default 3 nm HfO2-class
+        high-k, Section III.D).
     alpha_g, alpha_d:
         Barrier control factors of the top-of-barrier model.
     ef_offset_ev:
@@ -59,7 +53,6 @@ class CNTFET(FETModel):
         channel_length_nm: float = 20.0,
         t_ox_nm: float = 3.0,
         eps_ox: float = 16.0,
-        gate_geometry: str = "gaa",
         alpha_g: float = 0.9,
         alpha_d: float = 0.03,
         ef_offset_ev: float = -0.3,
@@ -70,28 +63,19 @@ class CNTFET(FETModel):
             raise ValueError(f"CNTFET needs a semiconducting tube, got {chirality}")
         if channel_length_nm <= 0.0:
             raise ValueError(f"channel length must be positive, got {channel_length_nm}")
-        if gate_geometry not in _GATE_GEOMETRIES:
-            raise ValueError(
-                f"unknown gate geometry {gate_geometry!r}; choose from {_GATE_GEOMETRIES}"
-            )
         self.chirality = chirality
         self.channel_length_nm = channel_length_nm
         self.t_ox_nm = t_ox_nm
         self.eps_ox = eps_ox
-        self.gate_geometry = gate_geometry
         self.bands = chirality.band_structure(n_subbands)
         self.mean_free_path = MeanFreePath(
             diameter_nm=chirality.diameter_nm, temperature_k=temperature_k
         )
-        transmission = ballisticity(
-            channel_length_nm, self.mean_free_path.effective_nm()
-        )
-        if gate_geometry == "gaa":
-            c_ins = gate_all_around_capacitance(chirality.diameter_nm, t_ox_nm, eps_ox)
-        else:
-            c_ins = wire_over_plane_capacitance(chirality.diameter_nm, t_ox_nm, eps_ox)
+        transmission = ballisticity(channel_length_nm, self.mean_free_path.acoustic_nm)
         self.params = BallisticParameters(
-            c_ins_f_per_m=c_ins,
+            c_ins_f_per_m=gate_all_around_capacitance(
+                chirality.diameter_nm, t_ox_nm, eps_ox
+            ),
             alpha_g=alpha_g,
             alpha_d=alpha_d,
             ef_offset_ev=ef_offset_ev,
@@ -128,21 +112,6 @@ class CNTFET(FETModel):
         """Channel ballisticity lambda / (lambda + L)."""
         return self.params.transmission
 
-    def current_density_a_per_m(
-        self, vgs: float, vds: float, pitch_nm: float | None = None
-    ) -> float:
-        """Width-normalised current I / pitch [A/m].
-
-        Default pitch is the tube diameter — the normalisation used by the
-        CNT-FET benchmarking literature (and the paper's Fig. 5 points).
-        Pass an array pitch (e.g. 5 nm placement pitch) to benchmark a
-        dense parallel-tube fabric instead.
-        """
-        pitch = self.chirality.diameter_nm if pitch_nm is None else pitch_nm
-        if pitch <= 0.0:
-            raise ValueError(f"pitch must be positive, got {pitch}")
-        return self.current(vgs, vds) / (pitch * 1e-9)
-
     def subthreshold_swing_mv_per_decade(
         self, vds: float = 0.5, vgs_window: tuple[float, float] = (0.0, 0.25)
     ) -> float:
@@ -156,6 +125,6 @@ class CNTFET(FETModel):
     def __repr__(self) -> str:
         return (
             f"CNTFET(chirality=({self.chirality.n},{self.chirality.m}), "
-            f"L={self.channel_length_nm} nm, {self.gate_geometry}, "
+            f"L={self.channel_length_nm} nm, "
             f"T_channel={self.transmission:.3f})"
         )

@@ -60,7 +60,7 @@ class GNRFET(FETModel):
         else:
             mfp_nm = MeanFreePath(
                 diameter_nm=max(ribbon.width_nm, 0.5), temperature_k=temperature_k
-            ).effective_nm()
+            ).acoustic_nm
         self.params = BallisticParameters(
             c_ins_f_per_m=ribbon_plate_capacitance(ribbon.width_nm, t_ox_nm, eps_ox),
             alpha_g=alpha_g,

@@ -15,7 +15,6 @@ from repro.experiments.ablations import (
     run_ballisticity_ablation,
     run_contact_length_ablation,
     run_dark_space_ablation,
-    run_tfet_oxide_ablation,
 )
 from repro.experiments.cascade import CascadeResult, run_cascade
 from repro.experiments.fabric_density import FabricDensityResult, run_fabric_density
@@ -53,5 +52,4 @@ __all__ = [
     "run_rf_comparison",
     "run_voltage_scaling",
     "run_table1",
-    "run_tfet_oxide_ablation",
 ]

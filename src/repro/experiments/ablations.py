@@ -1,6 +1,6 @@
 """Ablations on the design choices the paper calls out.
 
-Four knobs the text argues about, each swept in isolation:
+Three knobs the text argues about, each swept in isolation:
 
 * **Dark space** (Skotnicki & Boeuf, Section I/III.C): SS vs gate length
   for Si / Ge / InGaAs / InAs channels against the zero-dark-space CNT —
@@ -9,9 +9,6 @@ Four knobs the text argues about, each swept in isolation:
   through the mean-free-path transmission.
 * **Contact length** (Section III.B): series resistance vs metal length,
   the sub-100 nm dependence with the ~11 kOhm long-contact floor.
-* **TFET electrostatics** (Section IV): SS and on-current of the gated
-  PIN diode vs gate-oxide thickness — the paper's "if the electrostatic
-  design is improved ... an even better result should be obtainable".
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 from repro.circuit.sweep import SweepPlan
 from repro.devices.cntfet import CNTFET
 from repro.devices.contacts import ContactModel
-from repro.devices.tfet import CNTTunnelFET
 from repro.physics.cnt import chirality_for_gap
 from repro.physics.electrostatics import (
     CNT_CHANNEL,
@@ -40,11 +36,9 @@ __all__ = [
     "DarkSpaceAblation",
     "BallisticityAblation",
     "ContactLengthAblation",
-    "TFETOxideAblation",
     "run_dark_space_ablation",
     "run_ballisticity_ablation",
     "run_contact_length_ablation",
-    "run_tfet_oxide_ablation",
 ]
 
 
@@ -139,41 +133,4 @@ def run_contact_length_ablation(
     resistance = np.array(sweep.run(lengths))
     return ContactLengthAblation(
         contact_lengths_nm=lengths, series_resistance_ohm=resistance
-    )
-
-
-@dataclass(frozen=True)
-class TFETOxideAblation:
-    """TFET figures of merit vs gate oxide thickness."""
-
-    t_ox_nm: np.ndarray
-    ss_mv_per_decade: np.ndarray
-    on_current_a: np.ndarray
-    screening_length_nm: np.ndarray
-
-
-def _tfet_oxide_kernel(t_ox, rng, chirality):
-    """(SS, on-current, screening length) of the TFET at one oxide thickness."""
-    device = CNTTunnelFET(chirality, t_ox_nm=float(t_ox))
-    return (
-        device.subthreshold_swing_mv_per_decade(),
-        abs(device.current(-2.0, -0.5)),
-        device.screening_length_nm,
-    )
-
-
-def run_tfet_oxide_ablation(t_ox_values_nm=(2.0, 5.0, 10.0, 20.0)) -> TFETOxideAblation:
-    """Thinner oxide -> shorter screening length -> more on-current.
-
-    This is the paper's predicted improvement path for the Fig. 6 device
-    ("implementing high-k dielectrics and segmented gates").
-    """
-    thicknesses = np.asarray(t_ox_values_nm, dtype=float)
-    sweep = SweepPlan(_tfet_oxide_kernel, payload=chirality_for_gap(0.56))
-    points = sweep.run(thicknesses)
-    return TFETOxideAblation(
-        t_ox_nm=thicknesses,
-        ss_mv_per_decade=np.array([p[0] for p in points]),
-        on_current_a=np.array([p[1] for p in points]),
-        screening_length_nm=np.array([p[2] for p in points]),
     )

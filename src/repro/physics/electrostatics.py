@@ -49,20 +49,6 @@ def gate_all_around_capacitance(
     return 2.0 * math.pi * EPS0 * eps_r / math.log(1.0 + 2.0 * t_ox_nm / diameter_nm)
 
 
-def wire_over_plane_capacitance(
-    diameter_nm: float, t_ox_nm: float, eps_r: float
-) -> float:
-    """Back-gated tube-on-oxide capacitance per unit length [F/m].
-
-    C' = 2 pi eps0 eps_r / acosh((2 t_ox + d) / d), the wire-above-ground-
-    plane formula.  This is the geometry of the paper's Fig. 6 TFET
-    (10 nm thermal SiO2 back gate).
-    """
-    _require_positive(diameter_nm=diameter_nm, t_ox_nm=t_ox_nm, eps_r=eps_r)
-    ratio = (2.0 * t_ox_nm + diameter_nm) / diameter_nm
-    return 2.0 * math.pi * EPS0 * eps_r / math.acosh(ratio)
-
-
 def ribbon_plate_capacitance(
     width_nm: float, t_ox_nm: float, eps_r: float, fringe_factor: float = 1.5
 ) -> float:

@@ -8,11 +8,13 @@ an energy-averaged transmission
 
     T = lambda / (lambda + L)
 
-where ``lambda`` is the combined mean free path (MFP) and ``L`` the
-channel length.  MFP values follow the CNT transport literature: acoustic
+where ``lambda`` is the mean free path (MFP) and ``L`` the
+channel length.  The MFP follows the CNT transport literature: acoustic
 phonon scattering with lambda_ap ~ 300 nm (diameter- and temperature-
-scaled) and optical phonon emission with lambda_op ~ 15 nm once carriers
-gain the ~0.16 eV phonon energy.
+scaled).  Optical phonon emission (lambda_op ~ 15 nm) only sets in once
+carriers gain the ~0.16 eV phonon energy; the devices take their
+transmission at zero bias, where it is frozen out — one reason CNT-FETs
+stay quasi-ballistic at the low supply voltages the paper targets.
 """
 
 from __future__ import annotations
@@ -23,23 +25,19 @@ from repro.physics.constants import ROOM_TEMPERATURE_K
 
 __all__ = ["MeanFreePath", "ballisticity"]
 
-OPTICAL_PHONON_ENERGY_EV = 0.16
-"""Zone-boundary/optical phonon energy of carbon nanotubes [eV]."""
-
 
 @dataclass(frozen=True)
 class MeanFreePath:
-    """Diameter- and temperature-scaled mean free paths of a CNT.
+    """Diameter- and temperature-scaled acoustic mean free path of a CNT.
 
-    Reference values are for a d = 1.5 nm tube at 300 K; both acoustic and
-    optical MFPs scale linearly with diameter, and the acoustic MFP
-    inversely with temperature (phonon occupation).
+    The reference value is for a d = 1.5 nm tube at 300 K; the MFP scales
+    linearly with diameter and inversely with temperature (phonon
+    occupation).
     """
 
     diameter_nm: float = 1.5
     temperature_k: float = ROOM_TEMPERATURE_K
     acoustic_ref_nm: float = 300.0
-    optical_ref_nm: float = 15.0
 
     def __post_init__(self) -> None:
         if self.diameter_nm <= 0.0:
@@ -55,24 +53,6 @@ class MeanFreePath:
             * (self.diameter_nm / 1.5)
             * (ROOM_TEMPERATURE_K / self.temperature_k)
         )
-
-    @property
-    def optical_nm(self) -> float:
-        """Optical-phonon emission MFP [nm] ~ 15 nm * (d / 1.5 nm)."""
-        return self.optical_ref_nm * (self.diameter_nm / 1.5)
-
-    def effective_nm(self, bias_v: float = 0.0) -> float:
-        """Matthiessen-combined MFP [nm].
-
-        Optical emission only contributes once carriers can gain the
-        phonon energy from the bias; below ~0.16 V it is frozen out and
-        the acoustic MFP dominates — one reason CNT-FETs stay
-        quasi-ballistic at the low supply voltages the paper targets.
-        """
-        if bias_v < OPTICAL_PHONON_ENERGY_EV:
-            return self.acoustic_nm
-        inverse = 1.0 / self.acoustic_nm + 1.0 / self.optical_nm
-        return 1.0 / inverse
 
 
 def ballisticity(channel_length_nm: float, mfp_nm: float) -> float:

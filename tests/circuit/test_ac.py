@@ -354,12 +354,6 @@ class TestBatchedAC:
             error = np.abs(base.samples[i] - reference).max()
             assert error / np.abs(reference).max() < 1e-9
 
-    def test_instance_accessor_round_trips(self):
-        _, _, base, frequencies = _batched_reference()
-        one = base.instance(3)
-        assert isinstance(one, ACResult)
-        assert np.array_equal(one.transfer("out"), base.transfer("out")[3])
-
     def test_unknown_node_raises(self):
         _, _, base, _ = _batched_reference()
         with pytest.raises(CircuitError, match="unknown node"):

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from sine_source import Sine
+
 from repro.circuit.assembly import SPARSE_THRESHOLD, StampPlan, UnsupportedElement
 from repro.circuit.elements import Capacitor, Element, StampContext
 from repro.circuit.netlist import Circuit
-from repro.circuit.solver import _solve_stack, newton_solve, operating_point, solve_dc
-from repro.circuit.waveforms import DC, Pulse, Sine
+from repro.circuit.solver import _solve_stack, newton_solve, solve_dc
+from repro.circuit.waveforms import DC, Pulse
 from repro.devices.base import PType
 from repro.devices.cntfet import CNTFET
 from repro.devices.contacts import SeriesResistanceFET
@@ -187,9 +189,9 @@ def test_sparse_newton_caches_symbolic_analysis():
 def chain600_pencil():
     """600-stage chain plan with its DC Jacobian and capacitance data."""
     system = build_inverter_chain(AlphaPowerFET(), n_stages=600).build_system()
-    _, jacobian = operating_point(system)
     plan = system._plan
-    return plan.sparse_schedule, jacobian.data, plan.capacitance_stamp()
+    _, jacobian = plan.evaluate_many(solve_dc(system)[None])
+    return plan.sparse_schedule, jacobian[0], plan.capacitance_stamp()
 
 
 @pytest.mark.parametrize("frequency_hz", [0.0, 1e3])

@@ -38,7 +38,7 @@ class TestColdStartChains:
         # Alternating rails: stage i inverts stage i-1, input held low.
         for i in range(n_stages + 1):
             expected = float(i % 2)
-            assert system.voltage_of(x, f"s{i}") == pytest.approx(expected, abs=1e-2)
+            assert x[system.node_index(f"s{i}")] == pytest.approx(expected, abs=1e-2)
 
     @pytest.mark.parametrize("n_stages", [8, 16])
     def test_chain_from_zeros_uses_adaptive_ladder(self, n_stages):
@@ -50,7 +50,7 @@ class TestColdStartChains:
         x, report = solve_dc_robust(system, np.zeros(system.size))
         assert report.converged
         assert report.strategy == "ptc"  # plain Newton can't do this
-        assert system.voltage_of(x, f"s{n_stages}") == pytest.approx(
+        assert x[system.node_index(f"s{n_stages}")] == pytest.approx(
             float(n_stages % 2), abs=1e-2
         )
         # The reference evaluator agrees that the answer solves F(x) = 0.
@@ -77,7 +77,7 @@ class TestColdStartChains:
         # Odd ring: the only DC solution sits near the metastable
         # mid-rail point of every stage.
         for i in range(3):
-            assert 0.3 < system.voltage_of(x, f"n{i}") < 0.7
+            assert 0.3 < x[system.node_index(f"n{i}")] < 0.7
 
 
 class TestStructuralSeed:
@@ -85,9 +85,9 @@ class TestStructuralSeed:
         circuit = build_inverter_chain(AlphaPowerFET(), n_stages=8)
         system = circuit.build_system()
         seed = structural_seed(system)
-        assert system.voltage_of(seed, "vdd") == pytest.approx(1.0)
+        assert seed[system.node_index("vdd")] == pytest.approx(1.0)
         for i in range(9):
-            assert system.voltage_of(seed, f"s{i}") == pytest.approx(float(i % 2))
+            assert seed[system.node_index(f"s{i}")] == pytest.approx(float(i % 2))
 
     def test_seed_respects_waveform_time(self):
         circuit = build_inverter_chain(
@@ -98,8 +98,8 @@ class TestStructuralSeed:
         )
         system = circuit.build_system()
         high = structural_seed(system, time_s=0.5e-9)  # input pulsed high
-        assert system.voltage_of(high, "s0") == pytest.approx(1.0)
-        assert system.voltage_of(high, "s1") == pytest.approx(0.0)
+        assert high[system.node_index("s0")] == pytest.approx(1.0)
+        assert high[system.node_index("s1")] == pytest.approx(0.0)
 
     def test_source_pinning_beats_resistor_propagation(self):
         # V2's terminals only become known via resistor propagation; the
@@ -112,8 +112,8 @@ class TestStructuralSeed:
         c.add_resistor("RB", "b", "0", 1e6)
         system = c.build_system()
         seed = structural_seed(system)
-        assert system.voltage_of(seed, "a") == pytest.approx(1.0)
-        assert system.voltage_of(seed, "b") == pytest.approx(1.5)
+        assert seed[system.node_index("a")] == pytest.approx(1.0)
+        assert seed[system.node_index("b")] == pytest.approx(1.5)
 
     def test_unreachable_nodes_settle_mid_rail(self):
         c = Circuit()
@@ -124,7 +124,7 @@ class TestStructuralSeed:
         c.add_resistor("RL", "vdd", "out", 1e5)
         system = c.build_system()
         seed = structural_seed(system)
-        assert system.voltage_of(seed, "float") == pytest.approx(0.5)
+        assert seed[system.node_index("float")] == pytest.approx(0.5)
 
 
 class TestConvergenceReport:
@@ -225,7 +225,7 @@ class TestLinearPrefactorization:
         c.add_resistor("R2", "b", "0", 1e3)
         system = c.build_system()
         x = solve_dc(system)
-        assert system.voltage_of(x, "b") == pytest.approx(0.5)
+        assert x[system.node_index("b")] == pytest.approx(0.5)
 
     def test_fet_circuit_is_not_linear_only(self):
         circuit = build_inverter_chain(AlphaPowerFET(), n_stages=1)

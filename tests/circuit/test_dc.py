@@ -179,17 +179,39 @@ class TestStackedSweep:
         circuit = build_inverter_chain(AlphaPowerFET(), n_stages=5)
         values = np.linspace(0.0, 1.0, 201)
         missed = []
-        fallback = dc._continue_from_neighbours
+        ladder = dc.ladder_many
 
-        def spy(*args):
-            missed.append(int(np.count_nonzero(~args[-1])))
-            return fallback(*args)
+        def spy(plan, x0, **kwargs):
+            missed.append(len(x0))
+            return ladder(plan, x0, **kwargs)
 
-        monkeypatch.setattr(dc, "_continue_from_neighbours", spy)
+        monkeypatch.setattr(dc, "ladder_many", spy)
         sweep = dc_sweep(circuit, "VIN", values)
         assert len(missed) == 1 and missed[0] > 0
         reference = sequential_sweep(circuit, "VIN", values)
         assert _column_scaled_error(sweep.samples, reference) <= 1e-8
+
+    def test_fallback_rows_are_bitwise_independent_of_the_other_values(self):
+        # The rows of the 5-stage chain that miss plain Newton walk the
+        # ladder from their own seeds, so each one is the same alone,
+        # between the rails and in a reversed block of fallback rows.
+        circuit = build_inverter_chain(AlphaPowerFET(), n_stages=5)
+        values = np.linspace(0.0, 1.0, 201)
+        full = dc_sweep(circuit, "VIN", values).samples
+        system = circuit.build_system()
+        levels = np.column_stack((np.ones(values.size), values))
+        seeds = structural_seed(system, levels=levels)
+        missed = np.flatnonzero(
+            ~settle_many(system._plan, seeds, source_levels=levels).converged
+        )
+        assert missed.size > 1
+        for k in missed[[0, missed.size // 2, -1]]:
+            alone = dc_sweep(circuit, "VIN", values[k : k + 1]).samples
+            assert np.array_equal(alone[0], full[k])
+            railed = dc_sweep(circuit, "VIN", [0.0, values[k], 1.0]).samples
+            assert np.array_equal(railed[1], full[k])
+        block = dc_sweep(circuit, "VIN", values[missed[::-1]]).samples
+        assert np.array_equal(block[::-1], full[missed])
 
     @pytest.mark.parametrize(
         "device, vdd",
@@ -251,8 +273,8 @@ class TestStackedSweep:
 
     def test_unsolvable_sweep_names_the_failing_value(self):
         # A current source into a capacitor-only node has no DC solution:
-        # every row misses plain Newton, so the lowest value walks the
-        # ladder from its own seed, and fails.
+        # every row misses plain Newton and fails the ladder, and the
+        # error names the lowest value.
         circuit = divider()
         circuit.add_current_source("I1", "0", "float", DC(1e-6))
         circuit.add_capacitor("C1", "float", "0", 1e-12)
@@ -274,13 +296,13 @@ class TestStackedSweep:
         monkeypatch.setattr(dc, "settle_many", unsettled)
         with pytest.raises(ConvergenceError, match="DC sweep failed at V1 = 1.0") as info:
             dc_sweep(divider(), "V1", [2.0, 1.0])
-        assert calls == [2, 1]
+        assert calls == [2, 2]
         report = info.value.report
         assert not report.converged and report.attempts[-1].stage == "settle"
 
     @pytest.mark.parametrize("n_stages", [1, 5])
     def test_sweep_never_replaces_the_swept_waveform(self, monkeypatch, n_stages):
-        # The 5-stage chain also walks the fallback path.
+        # The 5-stage chain also walks the ladder.
         circuit = build_inverter_chain(AlphaPowerFET(), n_stages=n_stages)
         source = circuit.source("VIN")
         original = source.waveform

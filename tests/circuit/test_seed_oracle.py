@@ -147,7 +147,7 @@ def test_first_fet_in_element_order_wins_a_contested_drain(pull_up_first):
     system = c.build_system()
     seed = structural_seed(system)
     assert np.array_equal(seed, fixpoint_seed(system))
-    assert system.voltage_of(seed, "out") == (1.0 if pull_up_first else 0.0)
+    assert seed[system.node_index("out")] == (1.0 if pull_up_first else 0.0)
 
 
 def test_fet_beats_earlier_resistor():
@@ -158,7 +158,7 @@ def test_fet_beats_earlier_resistor():
     system = c.build_system()
     seed = structural_seed(system)
     assert np.array_equal(seed, fixpoint_seed(system))
-    assert system.voltage_of(seed, "out") == 0.0
+    assert seed[system.node_index("out")] == 0.0
 
 
 def test_floating_source_chain_pinned_after_a_switch():
@@ -251,4 +251,4 @@ def test_seed_scales_linearly():
     seed = structural_seed(system)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.5
-    assert system.voltage_of(seed, "s4800") == 0.0
+    assert seed[system.node_index("s4800")] == 0.0

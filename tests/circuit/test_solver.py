@@ -45,14 +45,14 @@ class TestNewton:
         # Both FETs half-on: the classic hard DC point.
         system = inverter_circuit(0.5).build_system()
         x = solve_dc(system)
-        out = system.voltage_of(x, "out")
+        out = x[system.node_index("out")]
         assert 0.3 < out < 0.7  # symmetric pair -> mid-rail output
 
     def test_rails_solve(self):
         for vin, expected in [(0.0, 1.0), (1.0, 0.0)]:
             system = inverter_circuit(vin).build_system()
             x = solve_dc(system)
-            assert system.voltage_of(x, "out") == pytest.approx(expected, abs=1e-2)
+            assert x[system.node_index("out")] == pytest.approx(expected, abs=1e-2)
 
     def test_gmin_kwarg_adds_leak(self):
         c = Circuit()
@@ -62,7 +62,7 @@ class TestNewton:
         x_leaky, ok = newton_solve(system, np.zeros(system.size), gmin=1e-6)
         assert ok
         # 1 uA into 1 MOhm || 1 MOhm (gmin) = 0.5 V.
-        assert system.voltage_of(x_leaky, "x") == pytest.approx(0.5, rel=1e-6)
+        assert x_leaky[system.node_index("x")] == pytest.approx(0.5, rel=1e-6)
 
 
 class TestNonFiniteStart:
@@ -176,8 +176,8 @@ class TestStiffCircuits:
         c.add_resistor("R3", "c", "0", 1.0)
         system = c.build_system()
         x = solve_dc(system)
-        assert system.voltage_of(x, "b") == pytest.approx(1.0, abs=1e-6)
-        assert system.voltage_of(x, "c") == pytest.approx(0.0, abs=1e-6)
+        assert x[system.node_index("b")] == pytest.approx(1.0, abs=1e-6)
+        assert x[system.node_index("c")] == pytest.approx(0.0, abs=1e-6)
 
     def test_series_fet_stack(self):
         # Two stacked FETs (NAND-style pulldown) with a resistive load.
@@ -191,7 +191,7 @@ class TestStiffCircuits:
         c.add_fet("M2", "mid", "b", "0", fet)
         system = c.build_system()
         x = solve_dc(system)
-        out = system.voltage_of(x, "out")
-        mid = system.voltage_of(x, "mid")
+        out = x[system.node_index("out")]
+        mid = x[system.node_index("mid")]
         assert 0.0 <= mid <= out <= 1.0
         assert out < 0.3  # both gates high: output pulled low

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from sine_source import Sine
+
 from repro.circuit.netlist import Circuit, CircuitError
 from repro.circuit.transient import transient
-from repro.circuit.waveforms import DC, Pulse, Sine
+from repro.circuit.waveforms import DC, Pulse
 
 
 def rc_circuit(r=1e3, c=1e-9, v=1.0):

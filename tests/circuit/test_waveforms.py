@@ -1,11 +1,8 @@
-"""Source waveforms: DC, pulse, PWL, sine."""
-
-import math
+"""Source waveforms: DC and pulse."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.circuit.waveforms import DC, PiecewiseLinear, Pulse, Sine
+from repro.circuit.waveforms import DC, Pulse
 
 
 class TestDC:
@@ -52,62 +49,3 @@ class TestPulse:
             Pulse(0.0, 1.0, rise_s=0.0)
         with pytest.raises(ValueError):
             Pulse(0.0, 1.0, rise_s=1e-9, fall_s=1e-9, width_s=1e-9, period_s=1e-9)
-
-
-class TestPiecewiseLinear:
-    def test_interpolation(self):
-        wf = PiecewiseLinear(points=((0.0, 0.0), (1.0, 2.0)))
-        assert wf.value(0.5) == pytest.approx(1.0)
-
-    def test_clamps_outside(self):
-        wf = PiecewiseLinear(points=((1.0, 3.0), (2.0, 5.0)))
-        assert wf.value(0.0) == 3.0
-        assert wf.value(10.0) == 5.0
-
-    def test_requires_sorted_times(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear(points=((1.0, 0.0), (0.5, 1.0)))
-
-    def test_requires_points(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear(points=())
-
-    def test_step_discontinuity_allowed(self):
-        wf = PiecewiseLinear(points=((0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (2.0, 2.0)))
-        assert wf.value(1.5) == 2.0
-
-    def test_times_precomputed_once(self):
-        # The breakpoint times are cached at construction; value() must
-        # read the cached tuple instead of rebuilding a list per call.
-        wf = PiecewiseLinear(points=((0.0, 0.0), (1.0, 2.0), (3.0, 1.0)))
-        assert wf._times == (0.0, 1.0, 3.0)
-        assert wf.value(2.0) == pytest.approx(1.5)
-        # value() must actually depend on the cache, not rebuild it.
-        object.__delattr__(wf, "_times")
-        with pytest.raises(AttributeError):
-            wf.value(2.0)
-
-    def test_single_point(self):
-        wf = PiecewiseLinear(points=((1.0, 4.0),))
-        assert wf.value(0.0) == 4.0
-        assert wf.value(2.0) == 4.0
-        assert wf.dc == 4.0
-
-
-class TestSine:
-    def test_offset_and_amplitude(self):
-        wf = Sine(offset=0.5, amplitude=0.2, frequency_hz=1e6)
-        assert wf.value(0.0) == pytest.approx(0.5)
-        assert wf.value(0.25e-6) == pytest.approx(0.7)
-
-    def test_dc_is_offset(self):
-        assert Sine(0.3, 1.0, 1e3).dc == 0.3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Sine(0.0, 1.0, 0.0)
-
-    @given(st.floats(0.0, 1e-3))
-    def test_bounded_by_amplitude(self, t):
-        wf = Sine(offset=0.0, amplitude=1.0, frequency_hz=1e4)
-        assert -1.0 <= wf.value(t) <= 1.0

@@ -17,10 +17,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CNTFET(Chirality(15, 7), channel_length_nm=0.0)
 
-    def test_rejects_unknown_geometry(self):
-        with pytest.raises(ValueError):
-            CNTFET(Chirality(15, 7), gate_geometry="trigate")
-
     def test_for_bandgap_matches_target(self):
         device = CNTFET.for_bandgap(0.7)
         assert device.chirality.bandgap_ev() == pytest.approx(0.7, abs=0.05)
@@ -31,11 +27,6 @@ class TestConstruction:
 
     def test_transmission_in_unit_interval(self, reference_cntfet):
         assert 0.0 < reference_cntfet.transmission <= 1.0
-
-    def test_back_gate_weaker_than_gaa(self):
-        gaa = CNTFET(Chirality(15, 7), gate_geometry="gaa")
-        back = CNTFET(Chirality(15, 7), gate_geometry="back-gate")
-        assert back.params.c_ins_f_per_m < gaa.params.c_ins_f_per_m
 
 
 class TestPaperAnchors:
@@ -57,19 +48,6 @@ class TestPaperAnchors:
         ratio = reference_cntfet.current(0.6, 0.5) / reference_cntfet.current(0.0, 0.5)
         assert ratio > 1e4
 
-    def test_current_density_diameter_normalised(self, reference_cntfet):
-        density = reference_cntfet.current_density_a_per_m(0.6, 0.5)
-        # A good CNT-FET carries mA/um-class densities by this metric.
-        assert density > 1e3  # 1 mA/um = 1e3 A/m
-
-    def test_density_with_explicit_pitch(self, reference_cntfet):
-        d1 = reference_cntfet.current_density_a_per_m(0.6, 0.5)
-        d2 = reference_cntfet.current_density_a_per_m(0.6, 0.5, pitch_nm=5.0)
-        assert d2 < d1  # wider pitch dilutes the density
-
-    def test_pitch_validation(self, reference_cntfet):
-        with pytest.raises(ValueError):
-            reference_cntfet.current_density_a_per_m(0.6, 0.5, pitch_nm=0.0)
 
 
 class TestSymmetryAndScaling:

@@ -537,10 +537,6 @@ class TestCache:
                 lambda: CNTFET.for_bandgap(0.56, t_ox_nm=2.0),
             ),
             (
-                lambda: CNTFET.for_bandgap(0.56),
-                lambda: CNTFET.for_bandgap(0.56, gate_geometry="back-gate"),
-            ),
-            (
                 lambda: GNRFET(ArmchairGNR(18)),
                 lambda: GNRFET(ArmchairGNR(18), mfp_override_nm=50.0),
             ),
@@ -560,7 +556,6 @@ class TestCache:
         ids=[
             "cntfet-channel_length_nm",
             "cntfet-t_ox_nm",
-            "cntfet-gate_geometry",
             "gnrfet-mfp_override_nm",
             "series-r_source_ohm",
             "trigate-fin_height_nm",

@@ -20,7 +20,6 @@ from repro.experiments import (
     run_fig6,
     run_integration_stats,
     run_table1,
-    run_tfet_oxide_ablation,
 )
 from repro.physics.constants import subthreshold_limit_mv_per_decade
 from repro.physics.electrostatics import CNT_CHANNEL, scale_length_nm
@@ -254,9 +253,3 @@ class TestAblations:
         ablation = run_contact_length_ablation()
         assert np.all(np.diff(ablation.series_resistance_ohm) < 0.0)
         assert ablation.series_resistance_ohm[-1] == pytest.approx(10.5e3, rel=0.1)
-
-    def test_tfet_oxide_scaling(self):
-        ablation = run_tfet_oxide_ablation(t_ox_values_nm=(3.0, 10.0, 20.0))
-        # Thinner oxide -> shorter screening length -> more on-current.
-        assert np.all(np.diff(ablation.screening_length_nm) > 0.0)
-        assert np.all(np.diff(ablation.on_current_a) < 0.0)

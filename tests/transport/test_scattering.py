@@ -3,18 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.transport.scattering import (
-    MeanFreePath,
-    OPTICAL_PHONON_ENERGY_EV,
-    ballisticity,
-)
+from repro.transport.scattering import MeanFreePath, ballisticity
 
 
 class TestMeanFreePath:
     def test_reference_values(self):
         mfp = MeanFreePath(diameter_nm=1.5, temperature_k=300.0)
         assert mfp.acoustic_nm == pytest.approx(300.0)
-        assert mfp.optical_nm == pytest.approx(15.0)
 
     def test_diameter_scaling(self):
         thin = MeanFreePath(diameter_nm=0.75)
@@ -23,24 +18,6 @@ class TestMeanFreePath:
     def test_temperature_scaling_acoustic(self):
         hot = MeanFreePath(temperature_k=600.0)
         assert hot.acoustic_nm == pytest.approx(150.0)
-
-    def test_low_bias_acoustic_limited(self):
-        mfp = MeanFreePath()
-        assert mfp.effective_nm(bias_v=0.1) == pytest.approx(mfp.acoustic_nm)
-
-    def test_high_bias_optical_dominates(self):
-        mfp = MeanFreePath()
-        high = mfp.effective_nm(bias_v=0.5)
-        assert high < mfp.optical_nm  # Matthiessen combination
-        assert high == pytest.approx(
-            1.0 / (1.0 / 300.0 + 1.0 / 15.0), rel=1e-6
-        )
-
-    def test_threshold_is_optical_phonon_energy(self):
-        mfp = MeanFreePath()
-        below = mfp.effective_nm(OPTICAL_PHONON_ENERGY_EV - 1e-3)
-        above = mfp.effective_nm(OPTICAL_PHONON_ENERGY_EV)
-        assert below > above
 
     def test_validation(self):
         with pytest.raises(ValueError):
