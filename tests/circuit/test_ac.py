@@ -286,6 +286,37 @@ class TestCompiledLegacyEquivalence:
         assert np.array_equal(first.transfer("b"), again.transfer("b"))
 
 
+def _g_circuit(name):
+    if name == "amplifier":
+        return TestAmplifier().make_common_source(load_c=1e-12)
+    n_stages = {"chain8": 8, "chain130": 130}[name]
+    return build_inverter_chain(AlphaPowerFET(), n_stages)
+
+
+class TestOperatingPointConductance:
+    """G is the stamp plan's Jacobian row at the DC solution."""
+
+    @pytest.mark.parametrize(
+        "name, sparse", [("amplifier", False), ("chain8", False), ("chain130", True)]
+    )
+    def test_g_is_the_evaluated_jacobian_bitwise(self, name, sparse):
+        plan = ACPlan(_g_circuit(name), "VIN")
+        assert plan.use_sparse == sparse
+        _, jacobian = plan.system.evaluate(plan.x_dc)
+        expected = jacobian.data if sparse else jacobian
+        assert np.array_equal(plan._pencil[0], expected)
+
+    @pytest.mark.parametrize("name", ["amplifier", "chain8", "chain130"])
+    def test_g_matches_the_reference_evaluator(self, name):
+        plan = ACPlan(_g_circuit(name), "VIN")
+        _, reference = plan.system.evaluate_dense(plan.x_dc)
+        g = plan._pencil[0]
+        if plan.use_sparse:
+            g = plan._schedule.matrix(g).toarray()
+        scale = np.abs(reference).max()
+        assert np.abs(g - reference).max() <= 1e-12 * scale
+
+
 # -- module-level lazy caches so hypothesis examples reuse one expensive
 #    setup (plan construction / reference MC run) without function-scoped
 #    fixture health-check violations.

@@ -170,6 +170,26 @@ def _pin_waveform(monkeypatch, source):
     monkeypatch.setattr(VoltageSource, "__setattr__", guarded)
 
 
+@pytest.fixture(scope="module")
+def chain_fallback():
+    """5-stage chain swept through mid-rail, and the rows Newton misses."""
+    circuit = build_inverter_chain(AlphaPowerFET(), n_stages=5)
+    values = np.linspace(0.0, 1.0, 201)
+    full = dc_sweep(circuit, "VIN", values).samples
+    system = circuit.build_system()
+    levels = np.column_stack((np.ones(values.size), values))
+    seeds = structural_seed(system, levels=levels)
+    missed = np.flatnonzero(
+        ~settle_many(system._plan, seeds, source_levels=levels).converged
+    )
+    assert missed.size > 1
+    return circuit, values, full, missed
+
+
+def _pick(missed, which):
+    return missed[{"first": 0, "middle": missed.size // 2, "last": -1}[which]]
+
+
 class TestStackedSweep:
     """Every sweep point is a row of one settled Newton stack."""
 
@@ -191,25 +211,29 @@ class TestStackedSweep:
         reference = sequential_sweep(circuit, "VIN", values)
         assert _column_scaled_error(sweep.samples, reference) <= 1e-8
 
-    def test_fallback_rows_are_bitwise_independent_of_the_other_values(self):
-        # The rows of the 5-stage chain that miss plain Newton walk the
-        # ladder from their own seeds, so each one is the same alone,
-        # between the rails and in a reversed block of fallback rows.
-        circuit = build_inverter_chain(AlphaPowerFET(), n_stages=5)
-        values = np.linspace(0.0, 1.0, 201)
-        full = dc_sweep(circuit, "VIN", values).samples
-        system = circuit.build_system()
-        levels = np.column_stack((np.ones(values.size), values))
-        seeds = structural_seed(system, levels=levels)
-        missed = np.flatnonzero(
-            ~settle_many(system._plan, seeds, source_levels=levels).converged
-        )
-        assert missed.size > 1
-        for k in missed[[0, missed.size // 2, -1]]:
-            alone = dc_sweep(circuit, "VIN", values[k : k + 1]).samples
-            assert np.array_equal(alone[0], full[k])
-            railed = dc_sweep(circuit, "VIN", [0.0, values[k], 1.0]).samples
-            assert np.array_equal(railed[1], full[k])
+    # The rows of the 5-stage chain that miss plain Newton walk the
+    # ladder from their own seeds, so each one is bitwise the same in
+    # any sweep that contains its value: alone, between the rails and in
+    # a reversed block of fallback rows.
+
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    def test_fallback_row_alone_matches_the_full_sweep(self, chain_fallback, which):
+        circuit, values, full, missed = chain_fallback
+        k = _pick(missed, which)
+        alone = dc_sweep(circuit, "VIN", values[k : k + 1]).samples
+        assert np.array_equal(alone[0], full[k])
+
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    def test_fallback_row_between_the_rails_matches_the_full_sweep(
+        self, chain_fallback, which
+    ):
+        circuit, values, full, missed = chain_fallback
+        k = _pick(missed, which)
+        railed = dc_sweep(circuit, "VIN", [0.0, values[k], 1.0]).samples
+        assert np.array_equal(railed[1], full[k])
+
+    def test_reversed_fallback_block_matches_the_full_sweep(self, chain_fallback):
+        circuit, values, full, missed = chain_fallback
         block = dc_sweep(circuit, "VIN", values[missed[::-1]]).samples
         assert np.array_equal(block[::-1], full[missed])
 

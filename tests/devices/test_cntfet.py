@@ -6,6 +6,8 @@ import pytest
 from repro.analysis.iv import saturation_index
 from repro.devices.cntfet import CNTFET
 from repro.physics.cnt import Chirality
+from repro.physics.electrostatics import gate_all_around_capacitance
+from repro.transport.scattering import MeanFreePath, ballisticity
 
 
 class TestConstruction:
@@ -27,6 +29,29 @@ class TestConstruction:
 
     def test_transmission_in_unit_interval(self, reference_cntfet):
         assert 0.0 < reference_cntfet.transmission <= 1.0
+
+    def test_gate_is_coaxial_gate_all_around(self):
+        device = CNTFET(Chirality(15, 7), t_ox_nm=2.0, eps_ox=25.0)
+        expected = gate_all_around_capacitance(
+            Chirality(15, 7).diameter_nm, 2.0, 25.0
+        )
+        assert device.params.c_ins_f_per_m == expected
+
+    def test_thinner_oxide_couples_the_gate_harder(self):
+        thin = CNTFET(Chirality(15, 7), t_ox_nm=1.0)
+        thick = CNTFET(Chirality(15, 7), t_ox_nm=5.0)
+        assert thin.params.c_ins_f_per_m > thick.params.c_ins_f_per_m
+
+    @pytest.mark.parametrize("temperature_k", [300.0, 400.0])
+    def test_transmission_reads_the_acoustic_mean_free_path(self, temperature_k):
+        device = CNTFET(
+            Chirality(15, 7), channel_length_nm=50.0, temperature_k=temperature_k
+        )
+        mfp = MeanFreePath(
+            diameter_nm=Chirality(15, 7).diameter_nm, temperature_k=temperature_k
+        )
+        assert device.mean_free_path == mfp
+        assert device.transmission == ballisticity(50.0, mfp.acoustic_nm)
 
 
 class TestPaperAnchors:

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.iv import saturation_index
 from repro.devices.gnrfet import GNRFET
 from repro.physics.gnr import ArmchairGNR
+from repro.transport.scattering import MeanFreePath, ballisticity
 
 
 class TestConstruction:
@@ -21,6 +22,12 @@ class TestConstruction:
         clean = GNRFET(ArmchairGNR(18), channel_length_nm=100.0)
         dirty = GNRFET(ArmchairGNR(18), channel_length_nm=100.0, mfp_override_nm=20.0)
         assert dirty.params.transmission < clean.params.transmission
+
+    def test_default_transmission_reads_the_acoustic_mean_free_path(self):
+        ribbon = ArmchairGNR(18)
+        device = GNRFET(ribbon, channel_length_nm=100.0)
+        mfp = MeanFreePath(diameter_nm=max(ribbon.width_nm, 0.5)).acoustic_nm
+        assert device.params.transmission == ballisticity(100.0, mfp)
 
     def test_mfp_override_validation(self):
         with pytest.raises(ValueError):

@@ -537,6 +537,14 @@ class TestCache:
                 lambda: CNTFET.for_bandgap(0.56, t_ox_nm=2.0),
             ),
             (
+                lambda: CNTFET.for_bandgap(0.56),
+                lambda: CNTFET.for_bandgap(0.56, eps_ox=25.0),
+            ),
+            (
+                lambda: CNTFET.for_bandgap(0.56),
+                lambda: CNTFET.for_bandgap(0.56, temperature_k=350.0),
+            ),
+            (
                 lambda: GNRFET(ArmchairGNR(18)),
                 lambda: GNRFET(ArmchairGNR(18), mfp_override_nm=50.0),
             ),
@@ -556,6 +564,8 @@ class TestCache:
         ids=[
             "cntfet-channel_length_nm",
             "cntfet-t_ox_nm",
+            "cntfet-eps_ox",
+            "cntfet-temperature_k",
             "gnrfet-mfp_override_nm",
             "series-r_source_ohm",
             "trigate-fin_height_nm",

@@ -19,6 +19,12 @@ class TestMeanFreePath:
         hot = MeanFreePath(temperature_k=600.0)
         assert hot.acoustic_nm == pytest.approx(150.0)
 
+    @given(st.floats(0.1, 10.0), st.floats(10.0, 1000.0))
+    def test_scales_with_diameter_over_temperature(self, diameter, temperature):
+        mfp = MeanFreePath(diameter_nm=diameter, temperature_k=temperature)
+        expected = 300.0 * (diameter / 1.5) * (300.0 / temperature)
+        assert mfp.acoustic_nm == pytest.approx(expected, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MeanFreePath(diameter_nm=0.0)
