@@ -123,10 +123,10 @@ def test_monte_carlo_batched(benchmark, engine, variation):
     )
     assert result.converged.all()
 
-    # The per-trial loop: the same variation draws, and per-instance
-    # solutions equal to solver tolerance regardless of batching.
+    # The per-trial loop: the same variation draws, and every instance's
+    # solution bitwise the same regardless of batching.
     loop = engine.run(variation, policy=ExecutionPolicy(chunk_size=1))
-    assert np.allclose(result.x, loop.x, atol=1e-10)
+    assert np.array_equal(result.x, loop.x)
 
 
 @pytest.fixture(scope="module")

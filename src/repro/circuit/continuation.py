@@ -52,6 +52,7 @@ __all__ = [
     "LadderRows",
     "StageAttempt",
     "ladder_many",
+    "ptc_many",
     "solve_dc_robust",
     "structural_seed",
 ]
@@ -349,7 +350,19 @@ def ladder_many(plan, x0: np.ndarray, **eval_kwargs) -> LadderRows:
     reports are built only when asked for.
     """
     x0 = np.asarray(x0, dtype=float)
-    first = newton_many(plan, x0, **eval_kwargs)
+    return ptc_many(plan, x0, newton_many(plan, x0, **eval_kwargs), **eval_kwargs)
+
+
+def ptc_many(plan, x0: np.ndarray, first: NewtonRows, **eval_kwargs) -> LadderRows:
+    """:func:`ladder_many` after its plain-Newton rung.
+
+    ``first`` is every row's plain-Newton attempt from its ``x0`` row
+    with these ``eval_kwargs``, as :func:`~repro.circuit.solver.newton_many`
+    returns it (or as :func:`~repro.circuit.solver.settle_many` leaves
+    the rows it did not settle); the rows it did not converge walk
+    pseudo-transient continuation from their ``x0`` rows.  A caller that
+    already holds ``first`` enters here and does not repeat it.
+    """
     x, converged = first.x.copy(), first.converged.copy()
     reports: dict[int, ConvergenceReport] = {}
     walks: dict[int, tuple] = {}  # row -> (its walk, the attempt it asks next)

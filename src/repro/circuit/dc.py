@@ -10,9 +10,11 @@ source level, so the circuit's waveforms are never written.  Every row
 is polished to machine precision, so near a sharp transfer-curve
 transition — like the near-ideal inverter of the paper's Fig. 2(c) —
 the answer records the circuit, not where Newton stopped.  The rows
-that fail plain Newton walk the continuation ladder
-(:func:`~repro.circuit.continuation.ladder_many`) from their own seeds,
-so every row is bitwise the same in any sweep that contains its value.
+the stack does not settle walk the continuation ladder from their own
+seeds: the stack's attempt is the ladder's plain-Newton rung, so they
+enter at pseudo-transient continuation
+(:func:`~repro.circuit.continuation.ptc_many`).  Every row is bitwise
+the same in any sweep that contains its value.
 
 Both results are :class:`~repro.circuit.netlist.Solution` stacks named
 by the system's layout: one unknown vector for an operating point, one
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.continuation import ConvergenceError, ladder_many, structural_seed
+from repro.circuit.continuation import ConvergenceError, ptc_many, structural_seed
 from repro.circuit.netlist import Circuit, CircuitError, Solution
-from repro.circuit.solver import settle_many, solve_dc
+from repro.circuit.solver import NewtonRows, settle_many, solve_dc
 
 __all__ = ["OperatingPointResult", "SweepResult", "operating_point", "dc_sweep"]
 
@@ -68,12 +70,13 @@ def dc_sweep(circuit: Circuit, source_name: str, values) -> SweepResult:
 
     All points are rows of one :func:`~repro.circuit.solver.settle_many`
     stack, each from its own structural seed and polished to machine
-    precision.  The rows that fail plain Newton walk the continuation
-    ladder (:func:`~repro.circuit.continuation.ladder_many`) from the
-    same seeds as one stack, and are polished the same way.  No row
-    depends on the other values: every row is bitwise the same in any
-    sweep that contains its value, in any order.  The circuit is not
-    modified.
+    precision.  The rows the stack does not settle walk the rest of the
+    continuation ladder (:func:`~repro.circuit.continuation.ptc_many`,
+    pseudo-transient continuation, since the stack already made their
+    plain-Newton attempt) from the same seeds as one stack, and are
+    polished the same way.  No row depends on the other values: every
+    row is bitwise the same in any sweep that contains its value, in any
+    order.  The circuit is not modified.
 
     ``values`` must be a non-empty 1-D sequence of finite numbers; others
     raise :class:`~repro.circuit.netlist.CircuitError` naming the
@@ -93,7 +96,13 @@ def dc_sweep(circuit: Circuit, source_name: str, values) -> SweepResult:
     samples = rows.x
     missed = np.flatnonzero(~rows.converged)
     if missed.size:
-        ladder = ladder_many(plan, seeds[missed], source_levels=levels[missed])
+        # The stack's attempt is the ladder's plain-Newton rung: the
+        # missed rows go straight on to pseudo-transient continuation.
+        first = NewtonRows(
+            rows.x[missed], rows.converged[missed],
+            rows.iterations[missed], rows.norm[missed],
+        )
+        ladder = ptc_many(plan, seeds[missed], first, source_levels=levels[missed])
         settled = settle_many(plan, ladder.x, source_levels=levels[missed])
         failed = np.flatnonzero(~(ladder.converged & settled.converged))
         if failed.size:

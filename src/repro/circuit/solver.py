@@ -202,7 +202,10 @@ def settle_many(plan, x0: np.ndarray, **eval_kwargs) -> NewtonRows:
     each row leaving as it settles, and a polished row must still pass
     the damped loop's residual test or it counts as unconverged.
     ``iterations`` includes the polish steps; ``eval_kwargs`` follow
-    :func:`newton_many`, and so does the per-row independence.
+    :func:`newton_many`, and so does the per-row independence.  A row
+    the damped loop does not converge is returned as :func:`newton_many`
+    returns it, so it can enter the continuation ladder after its
+    plain-Newton rung (:func:`~repro.circuit.continuation.ptc_many`).
     """
     rows, tolerance = _newton(plan, x0, _MAX_ITERATIONS, eval_kwargs, None)
     x, iterations, norm = rows.x, rows.iterations, rows.norm

@@ -199,13 +199,15 @@ class TestStackedSweep:
         circuit = build_inverter_chain(AlphaPowerFET(), n_stages=5)
         values = np.linspace(0.0, 1.0, 201)
         missed = []
-        ladder = dc.ladder_many
+        ptc = dc.ptc_many
 
-        def spy(plan, x0, **kwargs):
+        def spy(plan, x0, first, **kwargs):
             missed.append(len(x0))
-            return ladder(plan, x0, **kwargs)
+            # The stack's attempt is every fallback row's plain-Newton rung.
+            assert not first.converged.any()
+            return ptc(plan, x0, first, **kwargs)
 
-        monkeypatch.setattr(dc, "ladder_many", spy)
+        monkeypatch.setattr(dc, "ptc_many", spy)
         sweep = dc_sweep(circuit, "VIN", values)
         assert len(missed) == 1 and missed[0] > 0
         reference = sequential_sweep(circuit, "VIN", values)
